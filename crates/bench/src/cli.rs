@@ -68,24 +68,20 @@ fn serve_bench(threads: usize) -> Result<String, String> {
     crate::serve::run(threads).map_err(|e| e.to_string())
 }
 
-fn bench_trajectory(threads: usize) -> Result<String, String> {
-    crate::trajectory::run(threads)
-}
-
 fn chaos_soak(threads: usize) -> Result<String, String> {
-    crate::chaos::run(threads)
+    crate::soak::chaos::run(threads)
 }
 
 fn telemetry_soak(threads: usize) -> Result<String, String> {
-    crate::telemetry::run(threads)
+    crate::soak::telemetry::run(threads)
 }
 
 fn cluster_soak(threads: usize) -> Result<String, String> {
-    crate::cluster::run(threads)
+    crate::soak::cluster::run(threads)
 }
 
 fn trace_soak(threads: usize) -> Result<String, String> {
-    crate::trace_soak::run(threads)
+    crate::soak::trace::run(threads)
 }
 
 /// Every experiment the binary can run, in execution order.
@@ -146,15 +142,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "serve-bench",
-        summary: "query server: batch coalescing, result cache, TCP round trip",
+        summary: "query server: batch coalescing, result cache, TCP round trip, tracing overhead",
         in_all: true,
         run: serve_bench,
-    },
-    Experiment {
-        name: "bench-trajectory",
-        summary: "perf trajectory: search points/s, cache latency, trace overhead (writes BENCH_trajectory.json)",
-        in_all: false,
-        run: bench_trajectory,
     },
     Experiment {
         name: "rails-sim",
@@ -176,13 +166,15 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "cluster-soak",
-        summary: "cluster soak: router failover, hedged requests, key affinity over 3 nodes — opt-in",
+        summary:
+            "cluster soak: router failover, hedged requests, key affinity over 3 nodes — opt-in",
         in_all: false,
         run: cluster_soak,
     },
     Experiment {
         name: "trace-soak",
-        summary: "trace soak: cross-node span stitching, hedge losers, federated quantiles — opt-in",
+        summary:
+            "trace soak: cross-node span stitching, hedge losers, federated quantiles — opt-in",
         in_all: false,
         run: trace_soak,
     },
@@ -260,7 +252,6 @@ mod tests {
         assert_eq!(
             skipped.iter().map(|e| e.name).collect::<Vec<_>>(),
             vec![
-                "bench-trajectory",
                 "rails-sim",
                 "chaos-soak",
                 "telemetry-soak",

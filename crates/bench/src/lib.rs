@@ -16,21 +16,15 @@
 //! | [`yieldk`] | The μ−kσ statistical-constraint extension |
 //! | [`ablation`] | Rail-pinning, Pareto-pruning, heuristic-search, and energy-accounting ablations |
 //! | [`extensions`] | Banking, drowsy standby, statistically derated optimization |
-//! | [`serve`] | Query-server bench: batching, result cache, TCP round trip |
-//! | [`trajectory`] | Performance trajectory: search throughput, cache latency, trace overhead |
-//! | [`chaos`] | Chaos soak: deterministic fault injection under multi-client load |
-//! | [`telemetry`] | Telemetry soak: windowed metrics, SLO health, sampled tracing under load |
-//! | [`cluster`] | Cluster soak: router failover, hedging, and key affinity over 3 nodes |
-//! | [`trace_soak`] | Trace soak: distributed tracing, span stitching, federated metrics |
+//! | [`serve`] | Query-server bench: batching, result cache, TCP round trip, trace overhead |
+//! | [`soak`] | Fault-injection soaks: one driver, four scenarios (chaos, telemetry, cluster, trace) |
 //! | [`cli`] | Experiment registry + selection for the `reproduce` binary |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod chaos;
 pub mod cli;
-pub mod cluster;
 pub mod extensions;
 pub mod fig2;
 pub mod fig3;
@@ -38,10 +32,8 @@ pub mod fig5;
 pub mod fig7;
 pub mod readfit;
 pub mod serve;
+pub mod soak;
 pub mod table4;
-pub mod telemetry;
-pub mod trace_soak;
-pub mod trajectory;
 pub mod yieldk;
 
 /// Formats a `(x, series...)` table with a header as aligned text.

@@ -21,7 +21,14 @@
 //!    characterization never enters the spice or cell layers); the
 //!    captured events must export well-formed Chrome JSON (written to
 //!    `$SRAM_TRACE_OUT` when set) and the flame summary must name
-//!    spans from the spice, cell, core, and serve layers.
+//!    spans from the spice, cell, core, and serve layers. Two overhead
+//!    gates ride on the traced run's wall time: the *disabled*
+//!    `trace_span!` fast path, times the run's span count, must cost
+//!    under [`MAX_DISABLED_OVERHEAD`] of it, and stitching plus
+//!    validating one cross-node timeline (a winner and a cancelled
+//!    hedge loser, both carrying the run's span tree) — what every
+//!    traced, sampled router forward pays — under
+//!    [`MAX_STITCH_OVERHEAD`].
 //! 6. **yield** — a `yield-check` op against the batch engine; the op
 //!    always enters the cell layer's Monte Carlo engine, so this is
 //!    where the `cell.*` observability probes earn their assertion
@@ -86,12 +93,42 @@ pub struct ServeBench {
     pub trace_chrome_valid: bool,
     /// Top-of-flame span names, one per instrumented layer.
     pub trace_layers_ok: bool,
+    /// Wall time of the traced run, nanoseconds.
+    pub traced_wall_ns: u128,
+    /// Per-call cost of a *disabled* `trace_span!`, nanoseconds.
+    pub disabled_ns_per_call: f64,
+    /// `disabled_ns_per_call × trace_spans / traced_wall_ns`.
+    pub disabled_overhead_ratio: f64,
+    /// Spans in the stitched timeline (router root, two attempts, and
+    /// both node subtrees).
+    pub stitch_spans: u64,
+    /// Per-call cost of `stitch` + `validate`, nanoseconds.
+    pub stitch_ns_per_call: f64,
+    /// `stitch_ns_per_call / traced_wall_ns`.
+    pub stitch_overhead_ratio: f64,
 }
 
 /// Monte Carlo samples the yield phase requests. Small on purpose:
 /// the phase asserts probe wiring, not statistical power (the `yield`
 /// experiment owns the real μ−kσ study).
 pub const YIELD_SAMPLES: u64 = 64;
+
+/// Ceiling on the disabled-tracing overhead: the instrumentation must
+/// cost less than 5 % of the traced workload's wall time when tracing
+/// is off.
+pub const MAX_DISABLED_OVERHEAD: f64 = 0.05;
+
+/// Ceiling on the span-stitching overhead: assembling and validating
+/// one cross-node timeline must cost less than 5 % of the traced
+/// workload's wall time (in practice it is orders of magnitude below —
+/// a regression tripwire, not a tuning target).
+pub const MAX_STITCH_OVERHEAD: f64 = 0.05;
+
+/// Disabled `trace_span!` calls timed by the overhead gate.
+const DISABLED_SPAN_ITERS: u64 = 2_000_000;
+
+/// `stitch` + `validate` calls timed by the stitching gate.
+const STITCH_ITERS: u64 = 50;
 
 fn engine(threads: usize) -> Engine {
     Engine::new(
@@ -119,6 +156,89 @@ fn probe_histogram_count(name: &'static str) -> u64 {
 
 fn result_payload(response: &Json) -> Option<String> {
     response.get("result").map(Json::render)
+}
+
+/// Validates a Chrome trace export the hard way: parse it with the
+/// wire-JSON parser, then replay every `B`/`E` against a per-lane
+/// stack (LIFO nesting, no unmatched ends, nothing left open).
+fn chrome_export_is_well_formed(chrome: &str) -> bool {
+    let Ok(parsed) = Json::parse(chrome) else {
+        return false;
+    };
+    let Some(events) = parsed.get("traceEvents").and_then(Json::as_array) else {
+        return false;
+    };
+    let mut stacks: Vec<(f64, Vec<String>)> = Vec::new();
+    for event in events {
+        let (Some(ph), Some(tid), Some(name)) = (
+            event.get("ph").and_then(Json::as_str),
+            event.get("tid").and_then(Json::as_f64),
+            event.get("name").and_then(Json::as_str),
+        ) else {
+            return false;
+        };
+        let lane = match stacks.iter().position(|(t, _)| *t == tid) {
+            Some(i) => i,
+            None => {
+                stacks.push((tid, Vec::new()));
+                stacks.len() - 1
+            }
+        };
+        match ph {
+            "B" => stacks[lane].1.push(name.to_string()),
+            "E" => {
+                if stacks[lane].1.pop().as_deref() != Some(name) {
+                    return false; // unmatched or misnested end
+                }
+            }
+            "X" => {} // complete events carry their own duration
+            "M" => {} // metadata (process_name lane labels)
+            _ => return false,
+        }
+    }
+    !events.is_empty() && stacks.iter().all(|(_, stack)| stack.is_empty())
+}
+
+/// Times [`STITCH_ITERS`] stitch + validate passes over a two-node
+/// timeline — a winner and a cancelled hedge loser, both carrying
+/// `tree` stamped with the adoption proof a node adds on the wire.
+/// Returns `(spans, ns per call)`.
+fn time_stitching(tree: &Json, total_ns: u64) -> Result<(u64, f64), ServeError> {
+    use sram_cluster::stitch::{self, AttemptPiece};
+    let mut subtree = tree.clone();
+    if let Json::Obj(pairs) = &mut subtree {
+        pairs.push(("parent_span".into(), Json::Num(7.0)));
+    }
+    let ctx = sram_probe::trace::TraceCtx {
+        trace_id: sram_probe::trace::trace_id(1),
+        parent_span: 7,
+        sampled: true,
+    };
+    let attempt = |node: &str, via, hedge_loser, send_ns, rtt_ns| AttemptPiece {
+        node: node.into(),
+        via,
+        hedge_loser,
+        send_ns,
+        rtt_ns,
+        tree: Some(subtree.clone()),
+        error: None,
+    };
+    let pieces = [
+        attempt("127.0.0.1:1", "hedge", false, 1_000, total_ns / 2),
+        attempt("127.0.0.1:2", "primary", true, 0, total_ns),
+    ];
+    let mut spans = 0;
+    let started = Instant::now();
+    for _ in 0..STITCH_ITERS {
+        let stitched = stitch::stitch(&ctx, total_ns, &pieces);
+        spans = stitch::validate(&stitched)
+            .map_err(|e| ServeError::Remote(format!("stitched timeline: {e}")))?;
+        std::hint::black_box(&stitched);
+    }
+    Ok((
+        spans,
+        started.elapsed().as_nanos() as f64 / STITCH_ITERS as f64,
+    ))
 }
 
 /// Runs all six phases.
@@ -228,19 +348,24 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     let traced_request = request(
         r#"{"op":"optimize","capacity_bytes":1024,"flavor":"lvt","method":"m1","trace":true}"#,
     )?;
+    let traced_started = Instant::now();
     let traced = sim_engine.handle(&traced_request);
-    if traced.get("status").and_then(Json::as_str) != Some("ok") || traced.get("trace").is_none() {
+    let traced_wall_ns = traced_started.elapsed().as_nanos().max(1);
+    let Some(traced_tree) = traced
+        .get("trace")
+        .filter(|_| traced.get("status").and_then(Json::as_str) == Some("ok"))
+    else {
         return Err(ServeError::Remote(
             "traced request did not return a span tree".into(),
         ));
-    }
+    };
     let events = sram_probe::trace::capture();
     let trace_spans = events
         .iter()
         .filter(|e| e.phase != sram_probe::trace::Phase::End)
         .count();
     let chrome = sram_probe::trace::chrome_trace_json(&events);
-    let trace_chrome_valid = crate::trajectory::chrome_export_is_well_formed(&chrome);
+    let trace_chrome_valid = chrome_export_is_well_formed(&chrome);
     let flame = sram_probe::trace::flame_summary(&events, 16);
     let trace_layers_ok = ["spice.", "cell.", "coopt.", "serve."]
         .iter()
@@ -251,6 +376,15 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
                 .map_err(|e| ServeError::Remote(format!("writing {path}: {e}")))?;
         }
     }
+    // Overhead gates, both relative to the traced run's wall time.
+    sram_probe::trace::set_tracing(false);
+    let started = Instant::now();
+    for _ in 0..DISABLED_SPAN_ITERS {
+        let span = sram_probe::trace_span!("bench.overhead_calibration");
+        std::hint::black_box(&span);
+    }
+    let disabled_ns_per_call = started.elapsed().as_nanos() as f64 / DISABLED_SPAN_ITERS as f64;
+    let (stitch_spans, stitch_ns_per_call) = time_stitching(traced_tree, traced_wall_ns as u64)?;
 
     // Phase 6: a yield-check against the batch engine. Unlike the
     // paper-mode optimize (which never leaves the analytic model), the
@@ -300,6 +434,12 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
         trace_spans,
         trace_chrome_valid,
         trace_layers_ok,
+        traced_wall_ns,
+        disabled_ns_per_call,
+        disabled_overhead_ratio: disabled_ns_per_call * trace_spans as f64 / traced_wall_ns as f64,
+        stitch_spans,
+        stitch_ns_per_call,
+        stitch_overhead_ratio: stitch_ns_per_call / traced_wall_ns as f64,
     })
 }
 
@@ -350,6 +490,18 @@ pub fn run(threads: usize) -> Result<String, ServeError> {
         }
     ));
     out.push_str(&format!(
+        "          overhead: disabled trace_span! {:.2} ns/call -> {:.5} of the {:.1} ms traced wall (budget {MAX_DISABLED_OVERHEAD})\n",
+        b.disabled_ns_per_call,
+        b.disabled_overhead_ratio,
+        b.traced_wall_ns as f64 / 1e6
+    ));
+    out.push_str(&format!(
+        "          stitch: {}-span cross-node timeline in {:.1} us/call -> {:.6} of it (budget {MAX_STITCH_OVERHEAD})\n",
+        b.stitch_spans,
+        b.stitch_ns_per_call / 1e3,
+        b.stitch_overhead_ratio
+    ));
+    out.push_str(&format!(
         "  yield:  {} Monte Carlo run(s), {} samples; {} cell characterizations ({} timed)\n",
         b.mc_runs, b.mc_samples, b.cell_characterizations, b.cell_characterize_ns_samples
     ));
@@ -374,6 +526,21 @@ pub fn run(threads: usize) -> Result<String, ServeError> {
         return Err(ServeError::Remote(
             "trace capture failed validation (export or layer coverage)".into(),
         ));
+    }
+    if b.disabled_overhead_ratio >= MAX_DISABLED_OVERHEAD
+        || b.stitch_overhead_ratio >= MAX_STITCH_OVERHEAD
+    {
+        return Err(ServeError::Remote(format!(
+            "tracing overhead over budget: disabled {:.4}, stitching {:.4}",
+            b.disabled_overhead_ratio, b.stitch_overhead_ratio
+        )));
+    }
+    // Root + two attempts + a subtree under each, at minimum.
+    if b.stitch_spans < 5 {
+        return Err(ServeError::Remote(format!(
+            "stitched timeline lost its branches: {} spans",
+            b.stitch_spans
+        )));
     }
     if b.mc_runs < 1 || b.mc_samples < YIELD_SAMPLES {
         return Err(ServeError::Remote(format!(
@@ -409,6 +576,9 @@ mod tests {
         assert!(b.trace_spans > 0, "traced run must record spans");
         assert!(b.trace_chrome_valid, "Chrome export must validate");
         assert!(b.trace_layers_ok, "flame must name all four layers");
+        assert!(b.disabled_overhead_ratio < MAX_DISABLED_OVERHEAD);
+        assert!(b.stitch_spans >= 5, "stitch_spans = {}", b.stitch_spans);
+        assert!(b.stitch_overhead_ratio < MAX_STITCH_OVERHEAD);
         assert!(b.yield_ok, "yield-check must return design + yield");
         assert!(
             b.mc_runs >= 1,
@@ -428,6 +598,36 @@ mod tests {
             b.cell_characterize_ns_samples >= 1,
             "cell characterizations must be timed into cell.characterize_ns"
         );
+    }
+
+    #[test]
+    fn chrome_validator_rejects_misnesting() {
+        assert!(!chrome_export_is_well_formed("not json"));
+        assert!(!chrome_export_is_well_formed(r#"{"traceEvents":[]}"#));
+        // Unmatched end.
+        assert!(!chrome_export_is_well_formed(
+            r#"{"traceEvents":[{"ph":"E","tid":1,"name":"a","pid":1,"ts":0}]}"#
+        ));
+        // Misnested pair.
+        assert!(!chrome_export_is_well_formed(
+            r#"{"traceEvents":[
+                {"ph":"B","tid":1,"name":"a","pid":1,"ts":0},
+                {"ph":"B","tid":1,"name":"b","pid":1,"ts":1},
+                {"ph":"E","tid":1,"name":"a","pid":1,"ts":2},
+                {"ph":"E","tid":1,"name":"b","pid":1,"ts":3}
+            ]}"#
+        ));
+        // Proper nesting passes; metadata lane labels ("M") are fine.
+        assert!(chrome_export_is_well_formed(
+            r#"{"traceEvents":[
+                {"ph":"M","tid":0,"name":"process_name","pid":1,"args":{"name":"sram"}},
+                {"ph":"B","tid":1,"name":"a","pid":1,"ts":0},
+                {"ph":"B","tid":1,"name":"b","pid":1,"ts":1},
+                {"ph":"E","tid":1,"name":"b","pid":1,"ts":2},
+                {"ph":"E","tid":1,"name":"a","pid":1,"ts":3},
+                {"ph":"X","tid":1001,"name":"c","pid":1,"ts":0,"dur":3}
+            ]}"#
+        ));
     }
 
     #[test]

@@ -1,19 +1,11 @@
-//! End-to-end run of the `telemetry-soak` experiment.
-//!
-//! The soak mutates process globals (trace sampling state, the
-//! telemetry ring, the fault registry), so everything lives in ONE
-//! test function in its own integration binary — `cargo test` runs
-//! sibling `#[test]`s concurrently, and a second test in this file
-//! would race the globals.
+//! End-to-end telemetry-soak run. Lives in its own test binary (own
+//! process) because the soak mutates process globals (trace sampling
+//! state, the telemetry ring, the fault registry). Every condition it
+//! checks is a row of the scenario's invariant table, so a passing
+//! report is the whole assertion.
 
 #[test]
 fn telemetry_soak_passes_every_invariant() {
-    let report = sram_bench::telemetry::run(2).expect("telemetry soak holds its invariants");
-    assert!(report.contains("replay identical"), "{report}");
-    assert!(report.contains("health: ok"), "{report}");
-    assert!(report.contains("0 ring drops"), "{report}");
-    assert!(
-        report.contains("health: degraded") || report.contains("health: unhealthy"),
-        "fault round must move the verdict:\n{report}"
-    );
+    let report = sram_bench::soak::telemetry::run(2).unwrap_or_else(|e| panic!("{e}"));
+    assert!(report.contains("fault_verdict"), "{report}");
 }

@@ -1,35 +1,11 @@
 //! End-to-end trace-soak run. Lives in its own test binary (own
 //! process) because the soak installs a process-global fault plan and
 //! a sampling override that would otherwise leak into unrelated tests.
-
-use sram_bench::trace_soak;
+//! Every condition it checks is a row of the scenario's invariant
+//! table, so a passing report is the whole assertion.
 
 #[test]
 fn trace_soak_stitches_every_tree_and_federates_quantiles() {
-    let t = trace_soak::soak(2).expect("soak runs");
-    assert_eq!(t.answered, t.requests, "exactly-once accounting");
-    assert_eq!(t.forest_replies, 0, "every stitched tree is connected");
-    assert_eq!(t.forests, 0, "the router never counted a forest");
-    assert!(t.hedge_fired >= 1, "slow characterization forces a hedge");
-    assert!(t.failovers >= 1, "the node kill forces a failover");
-    assert_eq!(t.injected_kills, 1, "exactly one injected kill");
-    assert!(
-        t.loser_replies >= 1 && t.losers >= 1,
-        "the cancelled hedge twin stays on the timeline (marked hedge_loser)"
-    );
-    assert!(
-        t.propagated >= t.answered as u64,
-        "every answered request propagated a trace context"
-    );
-    assert!(t.stitched >= t.answered as u64, "every reply was stitched");
-    assert!(
-        t.chrome_pids >= 2,
-        "router and nodes get separate pid lanes"
-    );
-    assert_eq!(t.nodes_failed, 1, "the dead node is a hole in the plane");
-
-    let text = trace_soak::report(&t).expect("healthy soak renders a report");
-    assert!(text.contains("answered exactly once"));
-    assert!(text.contains("0 forests"));
-    assert!(text.contains("merged p50"));
+    let report = sram_bench::soak::trace::run(2).unwrap_or_else(|e| panic!("{e}"));
+    assert!(report.contains("cluster.trace.forests"), "{report}");
 }

@@ -7,10 +7,11 @@
 //! [`QuantileSnapshot::merge`], and reads cluster-wide p50/p90/p99 off
 //! the merged distribution — still within the LogLinear
 //! `MAX_QUANTILE_RELATIVE_ERROR` (1/32) bound, which averaging
-//! per-node percentiles would not be. The same poll collects each
-//! node's `stats` cache counters (the per-shard hit breakdown) and its
-//! `serve.slo.*` totals, so the SLO burn is computed over the merged
-//! distribution of the whole cluster rather than per node.
+//! per-node percentiles would not be. The same reply carries each
+//! node's cache block (the per-shard hit breakdown) and its
+//! `serve.slo.*` totals, so one request per node feeds the whole sweep
+//! and the SLO burn is computed over the merged distribution of the
+//! whole cluster rather than per node.
 //!
 //! The router answers `cluster-metrics` and `cluster-health` from a
 //! fresh poll on every call — never cached: a stale quantile plane is
@@ -28,7 +29,7 @@ pub const BURN_DEGRADED: f64 = 1.0;
 /// SLO burn at or above this is an `unhealthy` verdict.
 pub const BURN_UNHEALTHY: f64 = 10.0;
 
-/// One node's parsed `metrics` + `stats` poll.
+/// One node's parsed `metrics` poll.
 #[derive(Debug, Clone, Default)]
 pub struct NodePoll {
     /// Raw histograms by metric name.
@@ -36,7 +37,7 @@ pub struct NodePoll {
     /// Counter lifetime totals by name (the `serve.slo.*` family is
     /// what the merged burn reads).
     pub counters: BTreeMap<String, u64>,
-    /// The node's cache counters from `stats` (hits, misses, …).
+    /// The node's cache block from `metrics` (hits, misses, …).
     pub cache: Option<Json>,
     /// Poll failure, when the node did not answer.
     pub error: Option<String>,
@@ -94,11 +95,13 @@ fn parse_metrics_reply(reply: &Json, poll: &mut NodePoll) {
             }
         }
     }
+    poll.cache = result.get("cache").cloned();
 }
 
-/// Polls every node through `call` (address, request line → reply) and
-/// merges the results. Poll failures are recorded per node — a dead
-/// shard must show up as a hole in the plane, not vanish from it.
+/// Polls every node through `call` (address, request line → reply),
+/// one `metrics` request per node, and merges the results. Poll
+/// failures are recorded per node — a dead shard must show up as a
+/// hole in the plane, not vanish from it.
 pub fn poll<F>(nodes: &[String], mut call: F) -> ClusterMetrics
 where
     F: FnMut(&str, &str) -> Result<Json, ServeError>,
@@ -111,14 +114,6 @@ where
         match call(node, r#"{"op":"metrics"}"#) {
             Ok(reply) => parse_metrics_reply(&reply, &mut poll),
             Err(e) => poll.error = Some(e.to_string()),
-        }
-        if poll.error.is_none() {
-            match call(node, r#"{"op":"stats"}"#) {
-                Ok(reply) => {
-                    poll.cache = reply.get("result").and_then(|r| r.get("cache")).cloned();
-                }
-                Err(e) => poll.error = Some(e.to_string()),
-            }
         }
         if poll.error.is_some() {
             sram_probe::counter("cluster.metrics.poll_errors").inc();
@@ -344,20 +339,14 @@ mod tests {
                         ),
                     ]),
                 ),
+                (
+                    "cache".into(),
+                    Json::Obj(vec![
+                        ("hits".into(), Json::Num(3.0)),
+                        ("misses".into(), Json::Num(1.0)),
+                    ]),
+                ),
             ]),
-        )])
-    }
-
-    fn stats_reply(hits: f64, misses: f64) -> Json {
-        Json::Obj(vec![(
-            "result".into(),
-            Json::Obj(vec![(
-                "cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::Num(hits)),
-                    ("misses".into(), Json::Num(misses)),
-                ]),
-            )]),
         )])
     }
 
@@ -369,13 +358,16 @@ mod tests {
         let slow: Vec<u64> = (0..100).map(|i| 1_000_000 + i * 1_000).collect();
         let fast: Vec<u64> = (0..100).map(|i| 10_000 + i * 100).collect();
         let nodes = vec!["a".to_string(), "b".to_string()];
+        let mut calls = Vec::new();
         let sweep = poll(&nodes, |node, line| {
-            Ok(if line.contains("metrics") {
-                metrics_reply(if node == "a" { &slow } else { &fast }, 100, 0)
-            } else {
-                stats_reply(10.0, 90.0)
-            })
+            calls.push(line.to_owned());
+            Ok(metrics_reply(
+                if node == "a" { &slow } else { &fast },
+                100,
+                0,
+            ))
         });
+        assert_eq!(calls, [r#"{"op":"metrics"}"#; 2], "one request per node");
         let union = LogLinear::default();
         for &v in slow.iter().chain(fast.iter()) {
             union.record(v);
@@ -398,15 +390,16 @@ mod tests {
     #[test]
     fn replies_carry_shards_slo_and_per_node_status() {
         let nodes = vec!["up".to_string(), "down".to_string()];
-        let sweep = poll(&nodes, |node, line| {
+        let mut calls = 0;
+        let sweep = poll(&nodes, |node, _| {
+            calls += 1;
             if node == "down" {
                 Err(ServeError::Remote("connection refused".into()))
-            } else if line.contains("metrics") {
-                Ok(metrics_reply(&[1_000, 2_000], 10, 9))
             } else {
-                Ok(stats_reply(3.0, 1.0))
+                Ok(metrics_reply(&[1_000, 2_000], 10, 9))
             }
         });
+        assert_eq!(calls, 2, "a 2-node sweep makes exactly 2 calls");
         let metrics = cluster_metrics_json(&sweep, Some("m1"));
         assert_eq!(metrics.get("id").and_then(Json::as_str), Some("m1"));
         assert_eq!(

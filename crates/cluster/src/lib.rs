@@ -56,8 +56,9 @@ pub mod collector;
 pub mod stitch;
 
 pub use poller::{NodeState, NodeStatus, DOWN_AFTER_FAILURES};
-pub use ring::{splitmix64, Ring, DEFAULT_VNODES};
+pub use ring::{Ring, DEFAULT_VNODES};
 pub use router::{Router, RouterConfig};
+pub use sram_probe::hash::splitmix64;
 
 /// Comma-separated backend node addresses for a router launched from
 /// the environment ([`RouterConfig::from_env`]).

@@ -91,7 +91,7 @@ mod tests {
         // Port 1 on localhost refuses immediately on any sane system.
         let pool = Pool::new(Some(Duration::from_millis(100)));
         let started = std::time::Instant::now();
-        let result = pool.call("127.0.0.1:1", r#"{"op":"stats"}"#);
+        let result = pool.call("127.0.0.1:1", r#"{"op":"metrics"}"#);
         assert!(result.is_err());
         // 3 attempts with 1+2 ms backoff — nowhere near an unbounded
         // retry loop's runtime.

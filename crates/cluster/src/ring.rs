@@ -15,23 +15,10 @@
 //! no insertion-order dependence (members are kept sorted), so every
 //! router replica and every test run agrees on the mapping.
 
-use sram_serve::fnv1a64;
+use sram_probe::hash::{fnv1a64, splitmix64};
 
 /// Default virtual nodes per member (`SRAM_CLUSTER_VNODES` overrides).
 pub const DEFAULT_VNODES: usize = 64;
-
-/// SplitMix64 finalizer: a fast, full-avalanche 64-bit mixer. The
-/// request keys entering the ring are FNV-1a hashes, whose low bits
-/// correlate for short canonical strings; one splitmix round disperses
-/// them uniformly around the circle. Also the workspace's stock
-/// generator for deterministic test key sets.
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A consistent-hash ring over named nodes.
 ///

@@ -17,15 +17,17 @@
 //!   windowed-p99-derived delay; first reply wins, the loser observes
 //!   a shared [`CancelToken`] and discards its reply. A transport
 //!   failure fails over to the next ring candidate immediately.
-//! * **introspection ops** (`stats`, `metrics`, `health`) — never
-//!   cached and meaningless to shard: fan out to every configured node
-//!   and return the per-node replies under `"nodes"`.
+//! * **introspection ops** (`metrics`, `health`) — never cached and
+//!   meaningless to shard: fan out to every configured node and return
+//!   the per-node replies under `"nodes"`.
 //! * **`cluster-stats`** — answered by the router itself (the nodes
 //!   would reject the op): ring membership, per-node poller state, and
-//!   the router's own counters. Never cached, never forwarded.
+//!   the router's own counters. Never cached, never forwarded. It is
+//!   the one router op that sweeps no node, so it stays cheap to poll
+//!   and no node fault can disturb its answer.
 //! * **`cluster-metrics` / `cluster-health`** — answered by the router
-//!   from a fresh [`crate::collector`] sweep of every node's `metrics`
-//!   and `stats` ops: merged `LogLinear` histograms with cluster-wide
+//!   from a fresh [`crate::collector`] sweep, one `metrics` request per
+//!   node: merged `LogLinear` histograms with cluster-wide
 //!   p50/p90/p99, the per-shard cache-hit breakdown, and an SLO burn
 //!   over the merged distribution. Never cached, never forwarded.
 //!
@@ -414,7 +416,7 @@ fn handle_line(inner: &Arc<RouterInner>, line: &str) -> Json {
             return error_response(id.as_deref(), &e);
         }
     };
-    if matches!(op, "stats" | "metrics" | "health") {
+    if matches!(op, "metrics" | "health") {
         return fan_out(inner, id.as_deref(), line, op);
     }
     let key = request.query.key();
@@ -875,9 +877,8 @@ mod tests {
         let mut client = Client::connect(router.local_addr()).unwrap();
         client.set_timeout(Some(Duration::from_secs(60))).unwrap();
 
-        let reply = client
-            .call_line(r#"{"op":"optimize","capacity_bytes":1024,"flavor":"hvt","method":"m2"}"#)
-            .unwrap();
+        let query = r#"{"op":"optimize","capacity_bytes":1024,"flavor":"hvt","method":"m2"}"#;
+        let reply = client.call_line(query).unwrap();
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(
             reply.get("node").and_then(Json::as_str),
@@ -889,14 +890,22 @@ mod tests {
 
         // The same canonical query must be a cache hit on the same
         // node — the affinity the ring exists to provide.
-        let again = client
-            .call_line(r#"{"op":"optimize","capacity_bytes":1024,"flavor":"hvt","method":"m2"}"#)
-            .unwrap();
+        let again = client.call_line(query).unwrap();
         assert_eq!(again.get("cached").and_then(Json::as_bool), Some(true));
         assert_eq!(
             again.get("node").and_then(Json::as_str),
             reply.get("node").and_then(Json::as_str),
         );
+        // Straight at the node, the same query is a hit too.
+        let hit = Client::connect(node.local_addr()).unwrap().call_line(query);
+        assert_eq!(
+            hit.unwrap().get("cached").and_then(Json::as_bool),
+            Some(true)
+        );
+        // `stats` is no op: rejected at the router, not forwarded.
+        let stats = client.call_line(r#"{"op":"stats","id":"s"}"#).unwrap();
+        assert_eq!(stats.get("id").and_then(Json::as_str), Some("s"));
+        assert!(stats.render().contains("unknown op"), "{}", stats.render());
 
         let stats = client.call_line(r#"{"op":"cluster-stats"}"#).unwrap();
         assert_eq!(
@@ -923,6 +932,8 @@ mod tests {
 
     #[test]
     fn traced_requests_stitch_and_metrics_ops_federate() {
+        // The merged latency histogram below is a gated probe stream.
+        sram_probe::set_level(sram_probe::Level::Summary);
         let node = sram_serve::spawn_local_node("127.0.0.1:0", 2, 16).unwrap();
         let router = Router::start(RouterConfig {
             nodes: vec![node.local_addr().to_string()],
@@ -968,6 +979,9 @@ mod tests {
         );
         assert!(chrome.contains("\"pid\":2"), "{chrome}");
 
+        // Close a telemetry window so the node's export holds the
+        // traced request's latency.
+        sram_probe::telemetry::force_sample();
         let metrics = client.call_line(r#"{"op":"cluster-metrics"}"#).unwrap();
         assert_eq!(
             metrics.get("op").and_then(Json::as_str),

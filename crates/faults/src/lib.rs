@@ -11,9 +11,10 @@
 //!    via [`install_from_env`]) arms the process-wide registry; hardened
 //!    call sites then ask [`should_fire`] / [`maybe_sleep`] at their named
 //!    point. Every point draws from its own PRNG stream seeded
-//!    `plan.seed ^ fnv1a64(point)`, so the fire/no-fire sequence at a point
-//!    depends only on the plan — never on thread interleaving or on how
-//!    draws at *other* points are ordered — and runs replay bit-identically.
+//!    `plan.seed ^ fnv1a64(point)` ([`sram_probe::hash`]), so the
+//!    fire/no-fire sequence at a point depends only on the plan — never
+//!    on thread interleaving or on how draws at *other* points are
+//!    ordered — and runs replay bit-identically.
 //!    With no plan installed, the fast path is a single relaxed atomic load.
 //!
 //! 2. **Cancellation.** A [`CancelToken`] carries a deadline and a shared
@@ -44,17 +45,3 @@ pub use registry::{
 /// Environment variable naming a fault-plan JSON file; read by
 /// [`install_from_env`].
 pub const SRAM_FAULTS_ENV: &str = "SRAM_FAULTS";
-
-/// FNV-1a 64-bit hash — the same content-addressing primitive the serve
-/// cache uses. Exposed so tests can predict per-point stream seeds.
-#[must_use]
-pub fn fnv1a64(s: &str) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = BASIS;
-    for byte in s.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}

@@ -18,7 +18,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::plan::FaultPlan;
-use crate::{fnv1a64, FaultError, SRAM_FAULTS_ENV};
+use crate::{FaultError, SRAM_FAULTS_ENV};
+use sram_probe::hash::fnv1a64;
 
 struct PointState {
     probability: f64,
@@ -72,7 +73,7 @@ impl ActiveSet {
                     max_fires: rule.max_fires,
                     fires: 0,
                     draws: 0,
-                    rng: StdRng::seed_from_u64(plan.seed ^ fnv1a64(&rule.point)),
+                    rng: StdRng::seed_from_u64(plan.seed ^ fnv1a64(rule.point.as_bytes())),
                 },
             );
         }

@@ -78,6 +78,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 mod level;
 pub mod log;
 mod metrics;

@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
+use crate::hash::splitmix64;
 use crate::snapshot::format_nanos;
 
 /// Maximum `(key, value)` argument pairs one event can carry.
@@ -219,17 +220,6 @@ pub fn set_sampling(rate: f64, seed: u64) {
 pub fn sampling() -> (f64, u64) {
     let rate = sample_rate();
     (rate, SAMPLE_SEED.load(Ordering::Relaxed))
-}
-
-/// SplitMix64 — the same stateless-stream construction `sram-faults`
-/// uses for per-point PRNGs: hashing `seed ^ key` makes the decision
-/// for a given root a pure function of the two, independent of thread
-/// interleaving or call order.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Probabilistically force-enables tracing for one root (a request, a

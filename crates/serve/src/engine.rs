@@ -31,7 +31,7 @@ use sram_faults::CancelToken;
 use crate::cache::{CacheConfig, CacheCounters, ResultCache};
 use crate::error::{wire_status, ServeError};
 use crate::json::Json;
-use crate::query::{fnv1a64, Query, Request};
+use crate::query::{Query, Request};
 use sram_array::{ArrayModel, ArrayOrganization, Capacity};
 use sram_cell::{CellCharacterization, MarginStats, YieldAnalysis};
 use sram_coopt::{
@@ -39,6 +39,7 @@ use sram_coopt::{
     YieldConstraint,
 };
 use sram_device::VtFlavor;
+use sram_probe::hash::fnv1a64;
 use sram_units::Voltage;
 
 /// The sigma multiplier reported by yield-check responses (the paper's
@@ -262,7 +263,6 @@ impl Engine {
         let mut misses: Vec<usize> = Vec::new();
         for (i, req) in requests.iter().enumerate() {
             let direct = match req.query {
-                Query::Stats => Some(self.stats_json()),
                 Query::Metrics => Some(self.metrics_json()),
                 Query::Health => Some(self.health_json()),
                 _ => None,
@@ -502,58 +502,19 @@ impl Engine {
             }
             // Introspection ops never reach the executor (answered in
             // pass 1, skipped by the grouping); keep the match total.
-            Query::Stats => Ok(self.stats_json()),
             Query::Metrics => Ok(self.metrics_json()),
             Query::Health => Ok(self.health_json()),
         }
     }
 
-    /// Live server statistics: uptime, engine counters, cache
-    /// occupancy, queue depth, and the full probe snapshot.
-    #[must_use]
-    pub fn stats_json(&self) -> Json {
-        let cache = self.cache.counters();
-        let queue_depth = sram_probe::gauge("serve.queue.depth").get();
-        Json::Obj(vec![
-            (
-                "uptime_s".into(),
-                Json::Num(self.started.elapsed().as_secs_f64()),
-            ),
-            ("requests".into(), Json::Num(self.requests() as f64)),
-            ("errors".into(), Json::Num(self.errors() as f64)),
-            (
-                "characterizations".into(),
-                Json::Num(self.characterizations() as f64),
-            ),
-            ("coalesced".into(), Json::Num(self.coalesced() as f64)),
-            (
-                "cross_coalesced".into(),
-                Json::Num(self.cross_coalesced() as f64),
-            ),
-            ("queue_depth".into(), Json::Num(queue_depth)),
-            (
-                "cache".into(),
-                Json::Obj(vec![
-                    ("entries".into(), Json::Num(cache.entries as f64)),
-                    ("bytes".into(), Json::Num(cache.bytes as f64)),
-                    ("hits".into(), Json::Num(cache.hits as f64)),
-                    ("misses".into(), Json::Num(cache.misses as f64)),
-                    ("insertions".into(), Json::Num(cache.insertions as f64)),
-                    ("evictions".into(), Json::Num(cache.evictions as f64)),
-                ]),
-            ),
-            (
-                "trace_dropped".into(),
-                Json::Num(sram_probe::trace::dropped() as f64),
-            ),
-            ("probe".into(), snapshot_json(&sram_probe::snapshot())),
-        ])
-    }
-
     /// Windowed telemetry for the `metrics` op: the Prometheus text
     /// exposition under `"text"` plus a JSON rendering of the same
     /// [`sram_probe::telemetry::Export`], so the two forms cannot
-    /// drift — `reproduce telemetry-soak` hard-fails if they do.
+    /// drift — `reproduce telemetry-soak` hard-fails if they do. The
+    /// reply also carries the engine's uptime, its ungated counters,
+    /// and the result cache's occupancy (the per-shard cache block a
+    /// cluster collector reads), so one op is the node's whole
+    /// snapshot.
     #[must_use]
     pub fn metrics_json(&self) -> Json {
         let export = sram_probe::telemetry::export();
@@ -610,7 +571,29 @@ impl Engine {
                 )
             })
             .collect();
+        let cache = self.cache.counters();
+        let num = |v: u64| Json::Num(v as f64);
         Json::Obj(vec![
+            (
+                "uptime_s".into(),
+                Json::Num(self.started.elapsed().as_secs_f64()),
+            ),
+            ("requests".into(), num(self.requests())),
+            ("errors".into(), num(self.errors())),
+            ("characterizations".into(), num(self.characterizations())),
+            ("coalesced".into(), num(self.coalesced())),
+            ("cross_coalesced".into(), num(self.cross_coalesced())),
+            (
+                "cache".into(),
+                Json::Obj(vec![
+                    ("entries".into(), num(cache.entries)),
+                    ("bytes".into(), num(cache.bytes)),
+                    ("hits".into(), num(cache.hits)),
+                    ("misses".into(), num(cache.misses)),
+                    ("insertions".into(), num(cache.insertions)),
+                    ("evictions".into(), num(cache.evictions)),
+                ]),
+            ),
             ("window_ms".into(), Json::Num(export.window_ms as f64)),
             ("slots".into(), Json::Num(export.slots as f64)),
             ("windows".into(), Json::Num(export.windows.len() as f64)),
@@ -917,41 +900,6 @@ fn most_permissive_token(tokens: &[CancelToken], idxs: &[usize]) -> CancelToken 
     best.unwrap_or_default()
 }
 
-/// Renders a probe snapshot as wire JSON: three objects keyed by
-/// metric name. Histograms are summarized (count/sum/mean) rather than
-/// bucket-expanded — the stats op is a health check, not an exporter.
-fn snapshot_json(snap: &sram_probe::Snapshot) -> Json {
-    let counters: Vec<(String, Json)> = snap
-        .counters
-        .iter()
-        .map(|(name, value)| ((*name).to_string(), Json::Num(*value as f64)))
-        .collect();
-    let gauges: Vec<(String, Json)> = snap
-        .gauges
-        .iter()
-        .map(|(name, value)| ((*name).to_string(), Json::Num(*value)))
-        .collect();
-    let histograms: Vec<(String, Json)> = snap
-        .histograms
-        .iter()
-        .map(|(name, h)| {
-            (
-                (*name).to_string(),
-                Json::Obj(vec![
-                    ("count".into(), Json::Num(h.count as f64)),
-                    ("sum".into(), Json::Num(h.sum as f64)),
-                    ("mean".into(), Json::Num(h.mean())),
-                ]),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        ("counters".into(), Json::Obj(counters)),
-        ("gauges".into(), Json::Obj(gauges)),
-        ("histograms".into(), Json::Obj(histograms)),
-    ])
-}
-
 /// Renders a reconstructed span tree as wire JSON. Start times are
 /// rebased to the root span so clients see offsets, not process epoch.
 #[must_use]
@@ -1210,13 +1158,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_query_reports_live_counters_and_is_never_cached() {
+    fn metrics_query_reports_live_counters_and_is_never_cached() {
         let engine = coarse_engine();
         let _ = engine.handle(&req(
             r#"{"op":"optimize","capacity_bytes":128,"flavor":"hvt","method":"m2"}"#,
         ));
         for _ in 0..2 {
-            let resp = engine.handle(&req(r#"{"op":"stats","id":"s"}"#));
+            let resp = engine.handle(&req(r#"{"op":"metrics","id":"m"}"#));
             assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
             assert_eq!(resp.get("cached").and_then(Json::as_bool), Some(false));
             let result = resp.get("result").unwrap();
@@ -1228,10 +1176,9 @@ mod tests {
             );
             let cache = result.get("cache").unwrap();
             assert_eq!(cache.get("entries").and_then(Json::as_f64), Some(1.0));
-            let probe = result.get("probe").unwrap();
-            assert!(probe.get("counters").is_some());
+            assert_eq!(cache.get("insertions").and_then(Json::as_f64), Some(1.0));
         }
-        // Stats answers never enter the result cache.
+        // Metrics answers never enter the result cache.
         assert_eq!(engine.cache_counters().entries, 1);
     }
 

@@ -27,10 +27,10 @@
 //! ```
 //!
 //! Ops: `optimize`, `evaluate-point`, `pareto-front`, `yield-check`,
-//! plus three introspection ops answered directly and never cached —
-//! `stats` (live probe snapshot, uptime, queue depth, cache
-//! occupancy), `metrics` (windowed telemetry: Prometheus-style text
-//! exposition plus the same export as JSON), and `health` (an
+//! plus two introspection ops answered directly and never cached —
+//! `metrics` (windowed telemetry: Prometheus-style text exposition plus
+//! the same export as JSON, with uptime, engine counters, and cache
+//! occupancy) and `health` (an
 //! `ok|degraded|unhealthy` verdict with reasons: worker liveness,
 //! queue pressure, windowed expiry/reject rates, and per-op SLO burn —
 //! the contract a cluster router polls). Envelope fields `id`
@@ -89,6 +89,6 @@ pub use engine::{design_json, error_response, ok_response, Engine};
 pub use error::{wire_status, ServeError};
 pub use json::{Json, JsonError};
 pub use query::{
-    fnv1a64, ObjectiveKind, Query, Request, MAX_CAPACITY_BYTES, MAX_DEADLINE_MS, MAX_YIELD_SAMPLES,
+    ObjectiveKind, Query, Request, MAX_CAPACITY_BYTES, MAX_DEADLINE_MS, MAX_YIELD_SAMPLES,
 };
 pub use server::{spawn_local_node, Server, ServerConfig, SRAM_CACHE_FILE_ENV};

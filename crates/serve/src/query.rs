@@ -136,12 +136,9 @@ pub enum Query {
         /// Monte Carlo sample count.
         samples: u64,
     },
-    /// Live server statistics: probe snapshot, uptime, queue depth,
-    /// cache occupancy. Answered directly by the engine (never cached,
-    /// never characterized).
-    Stats,
     /// Windowed telemetry: Prometheus-style text exposition plus a JSON
-    /// form of the same export (rates, deltas, streaming quantiles).
+    /// form of the same export (rates, deltas, streaming quantiles),
+    /// with uptime, the engine's own counters, and cache occupancy.
     /// Answered directly by the engine (never cached, never
     /// characterized).
     Metrics,
@@ -169,19 +166,6 @@ pub struct Request {
     pub trace_ctx: Option<TraceCtx>,
     /// The validated query.
     pub query: Query,
-}
-
-/// 64-bit FNV-1a — the content hash behind cache keys. Collisions are
-/// tolerated by the cache (entries also store the canonical string),
-/// so a small, dependency-free hash is enough.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn flavor_wire(flavor: VtFlavor) -> &'static str {
@@ -410,10 +394,6 @@ impl Request {
                     samples,
                 }
             }
-            "stats" => {
-                fields.reject_unknown(&[])?;
-                Query::Stats
-            }
             "metrics" => {
                 fields.reject_unknown(&[])?;
                 Query::Metrics
@@ -424,7 +404,7 @@ impl Request {
             }
             other => {
                 return Err(ServeError::InvalidQuery(format!(
-                "unknown op {other:?} (expected optimize|evaluate-point|pareto-front|yield-check|stats|metrics|health)"
+                "unknown op {other:?} (expected optimize|evaluate-point|pareto-front|yield-check|metrics|health)"
             )))
             }
         };
@@ -508,9 +488,6 @@ impl Request {
                 pairs.push(("method".into(), Json::Str(method_wire(*method).into())));
                 pairs.push(("samples".into(), num(*samples as f64)));
             }
-            Query::Stats => {
-                pairs.push(("op".into(), Json::Str("stats".into())));
-            }
             Query::Metrics => {
                 pairs.push(("op".into(), Json::Str("metrics".into())));
             }
@@ -523,7 +500,7 @@ impl Request {
 }
 
 impl Query {
-    /// The wire op name (`"optimize"`, `"stats"`, …) — the key SLO
+    /// The wire op name (`"optimize"`, `"metrics"`, …) — the key SLO
     /// tracking groups latency objectives by.
     #[must_use]
     pub fn op(&self) -> &'static str {
@@ -532,7 +509,6 @@ impl Query {
             Query::EvaluatePoint { .. } => "evaluate-point",
             Query::ParetoFront { .. } => "pareto-front",
             Query::YieldCheck { .. } => "yield-check",
-            Query::Stats => "stats",
             Query::Metrics => "metrics",
             Query::Health => "health",
         }
@@ -587,7 +563,6 @@ impl Query {
                 flavor_wire(*flavor),
                 method_wire(*method)
             ),
-            Query::Stats => "stats".to_string(),
             Query::Metrics => "metrics".to_string(),
             Query::Health => "health".to_string(),
         }
@@ -596,12 +571,12 @@ impl Query {
     /// The content-addressed cache key: FNV-1a of [`Self::canonical`].
     #[must_use]
     pub fn key(&self) -> u64 {
-        fnv1a64(self.canonical().as_bytes())
+        sram_probe::hash::fnv1a64(self.canonical().as_bytes())
     }
 
     /// The batching key: queries sharing a `(flavor, method)` pair can
     /// share one cell characterization pass. `None` for queries that
-    /// need no characterization at all ([`Query::Stats`]).
+    /// need no characterization at all ([`Query::Metrics`]).
     #[must_use]
     pub fn char_key(&self) -> Option<(VtFlavor, Method)> {
         match *self {
@@ -609,7 +584,7 @@ impl Query {
             | Query::EvaluatePoint { flavor, method, .. }
             | Query::ParetoFront { flavor, method, .. }
             | Query::YieldCheck { flavor, method, .. } => Some((flavor, method)),
-            Query::Stats | Query::Metrics | Query::Health => None,
+            Query::Metrics | Query::Health => None,
         }
     }
 }
@@ -742,18 +717,18 @@ mod tests {
     }
 
     #[test]
-    fn stats_parses_and_needs_no_characterization() {
-        let r = Request::from_line(r#"{"op":"stats","id":"s1"}"#).unwrap();
-        assert_eq!(r.query, Query::Stats);
-        assert_eq!(r.query.char_key(), None);
-        assert_eq!(r.query.canonical(), "stats");
-        let back = Request::from_line(&r.to_json().render()).unwrap();
-        assert_eq!(back, r);
-        // Stats takes no op fields of its own.
-        assert!(matches!(
-            Request::from_line(r#"{"op":"stats","capacity_bytes":64}"#),
-            Err(ServeError::InvalidQuery(_))
-        ));
+    fn stats_is_an_unknown_op() {
+        // No `stats` op: `metrics` is the node's one snapshot op.
+        let err = Request::from_line(r#"{"op":"stats","id":"s1"}"#).unwrap_err();
+        assert!(matches!(err, ServeError::InvalidQuery(_)), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("unknown op \"stats\""), "{message}");
+        assert!(
+            message.contains(
+                "(expected optimize|evaluate-point|pareto-front|yield-check|metrics|health)"
+            ),
+            "{message}"
+        );
     }
 
     #[test]
@@ -831,19 +806,11 @@ mod tests {
     #[test]
     fn malformed_trace_ctx_is_rejected() {
         for ctx in [r#""garbage""#, r#""01-00-00-01""#, "17", "true"] {
-            let line = format!(r#"{{"op":"stats","trace_ctx":{ctx}}}"#);
+            let line = format!(r#"{{"op":"metrics","trace_ctx":{ctx}}}"#);
             assert!(
                 matches!(Request::from_line(&line), Err(ServeError::InvalidQuery(_))),
                 "should reject trace_ctx {ctx}"
             );
         }
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -64,12 +64,6 @@ const OPS: &[OpSlo] = &[
         breach: "serve.slo.yield_check.breach",
     },
     OpSlo {
-        op: "stats",
-        env: "SRAM_SLO_STATS_MS",
-        total: "serve.slo.stats.total",
-        breach: "serve.slo.stats.breach",
-    },
-    OpSlo {
         op: "metrics",
         env: "SRAM_SLO_METRICS_MS",
         total: "serve.slo.metrics.total",

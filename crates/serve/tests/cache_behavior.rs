@@ -5,7 +5,8 @@
 use std::sync::Arc;
 use std::thread;
 
-use sram_serve::{fnv1a64, CacheConfig, Json, Request, ResultCache};
+use sram_probe::hash::fnv1a64;
+use sram_serve::{CacheConfig, Json, Request, ResultCache};
 
 const ENTRY_OVERHEAD: usize = 64;
 

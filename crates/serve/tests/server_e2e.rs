@@ -81,7 +81,7 @@ fn protocol_errors_come_back_as_envelopes_not_disconnects() {
 }
 
 #[test]
-fn stats_query_returns_live_snapshot_over_tcp() {
+fn metrics_query_returns_live_snapshot_over_tcp() {
     let engine = engine();
     let server = Server::start(Arc::clone(&engine), ServerConfig::default()).expect("server binds");
     let mut client = Client::connect(server.local_addr()).expect("client connects");
@@ -91,23 +91,42 @@ fn stats_query_returns_live_snapshot_over_tcp() {
         .expect("warmup succeeds");
     assert_eq!(warmup.get("status").and_then(Json::as_str), Some("ok"));
 
+    for _ in 0..2 {
+        let metrics = client
+            .call_line(r#"{"op":"metrics","id":"m"}"#)
+            .expect("metrics reply arrives");
+        assert_eq!(metrics.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(metrics.get("id").and_then(Json::as_str), Some("m"));
+        assert_eq!(metrics.get("cached").and_then(Json::as_bool), Some(false));
+        let result = metrics.get("result").expect("metrics has a result");
+        assert!(result.get("uptime_s").and_then(Json::as_f64).unwrap() >= 0.0);
+        assert!(result.get("requests").and_then(Json::as_f64).unwrap() >= 2.0);
+        assert_eq!(
+            result.get("characterizations").and_then(Json::as_f64),
+            Some(1.0)
+        );
+        let cache = result
+            .get("cache")
+            .expect("metrics carries the cache block");
+        assert_eq!(cache.get("entries").and_then(Json::as_f64), Some(1.0));
+        assert!(result.get("counters").is_some());
+    }
+    // The metrics replies never entered the result cache.
+    assert_eq!(engine.cache_counters().entries, 1);
+
+    // `stats` is not an op: an error reply, not a disconnect.
     let stats = client
         .call_line(r#"{"op":"stats","id":"st"}"#)
-        .expect("stats reply arrives");
-    assert_eq!(stats.get("status").and_then(Json::as_str), Some("ok"));
-    assert_eq!(stats.get("id").and_then(Json::as_str), Some("st"));
-    let result = stats.get("result").expect("stats has a result");
-    assert!(result.get("uptime_s").and_then(Json::as_f64).unwrap() >= 0.0);
-    assert!(result.get("requests").and_then(Json::as_f64).unwrap() >= 2.0);
-    assert_eq!(
-        result.get("characterizations").and_then(Json::as_f64),
-        Some(1.0)
+        .expect("error reply arrives");
+    assert_eq!(stats.get("status").and_then(Json::as_str), Some("error"));
+    assert!(
+        stats
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("unknown op \"stats\"")),
+        "{}",
+        stats.render()
     );
-    assert!(result.get("queue_depth").and_then(Json::as_f64).is_some());
-    assert!(result
-        .get("probe")
-        .and_then(|p| p.get("counters"))
-        .is_some());
 
     drop(client);
     server.shutdown();

@@ -118,8 +118,8 @@ fn telemetry_surface_end_to_end() {
     // rate 1 restores it, deterministically.
     sram_probe::trace::set_sampling(0.0, 7);
     let untraced = client
-        .call_line(r#"{"op":"stats","trace":true}"#)
-        .expect("stats reply");
+        .call_line(r#"{"op":"metrics","trace":true}"#)
+        .expect("metrics reply");
     assert!(
         untraced.get("trace").is_none(),
         "rate 0 must sample no roots: {}",
@@ -127,8 +127,8 @@ fn telemetry_surface_end_to_end() {
     );
     sram_probe::trace::set_sampling(1.0, sram_probe::trace::DEFAULT_SAMPLE_SEED);
     let traced = client
-        .call_line(r#"{"op":"stats","trace":true}"#)
-        .expect("stats reply");
+        .call_line(r#"{"op":"metrics","trace":true}"#)
+        .expect("metrics reply");
     assert!(
         traced.get("trace").is_some(),
         "rate 1 must sample every root: {}",
