@@ -10,10 +10,10 @@ use sram_units::Capacitance;
 
 /// Fin count of the CVDD/CVSS rail-switch devices (sized for
 /// `n_c = 1024`; Section 4).
-pub const RAIL_DRIVER_FINS: f64 = 20.0;
+pub(crate) const RAIL_DRIVER_FINS: f64 = 20.0;
 
 /// Fin count of the last WL/COL driver stage (Tables 1–2).
-pub const WL_DRIVER_FINS: f64 = 27.0;
+pub(crate) const WL_DRIVER_FINS: f64 = 27.0;
 
 /// All Table 1 capacitances for one array configuration.
 ///

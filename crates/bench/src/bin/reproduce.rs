@@ -9,6 +9,8 @@
 //! instrumentation-counter footer; `--probe-json` additionally writes
 //! the collected metrics as JSON.
 
+#![warn(clippy::float_cmp)]
+
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 

@@ -23,11 +23,14 @@ impl Fig7Data {
     ///
     /// Panics if the combination was not computed.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; compute() fills every (capacity, flavor, method) triple"
+    )]
     pub fn design(&self, capacity: Capacity, flavor: VtFlavor, method: Method) -> &OptimalDesign {
         self.designs
             .iter()
             .find(|d| d.capacity == capacity && d.flavor == flavor && d.method == method)
-            // sram-lint: allow(no-panic) documented panic; compute() fills every (capacity, flavor, method) triple
             .expect("combination not computed")
     }
 

@@ -177,6 +177,10 @@ fn chrome_export_is_well_formed(chrome: &str) -> bool {
         ) else {
             return false;
         };
+        #[expect(
+            clippy::float_cmp,
+            reason = "tids are small integers carried as JSON numbers; exact match is the point"
+        )]
         let lane = match stacks.iter().position(|(t, _)| *t == tid) {
             Some(i) => i,
             None => {

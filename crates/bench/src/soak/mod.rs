@@ -251,6 +251,10 @@ impl Scenario {
             Rhs::Caps => Some(faulted * self.faults.iter().map(|r| r.1).sum::<u64>() as f64),
         };
         let value = values.get(row.key).copied();
+        #[expect(
+            clippy::float_cmp,
+            reason = "`Op::Eq` compares integer counts carried as f64, exact below 2^53"
+        )]
         let holds = match (value, bound) {
             (Some(v), Some(b)) => match row.op {
                 Op::Eq => v == b,

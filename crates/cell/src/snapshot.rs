@@ -208,9 +208,12 @@ impl CellCharacterization {
         let vssc_grid: Vec<f64> = (0..=24).map(|k| -0.240 + 0.010 * f64::from(k)).collect();
         let rsnm_pts: Vec<(f64, f64)> = vssc_grid.iter().map(|&v| (v, rsnm(v))).collect();
         let iread_pts: Vec<(f64, f64)> = vssc_grid.iter().map(|&v| (v, iread(v))).collect();
-        // sram-lint: allow(no-panic) the grid is generated strictly ascending above
+        #[expect(
+            clippy::expect_used,
+            reason = "the grid is generated strictly ascending above"
+        )]
         let rsnm_vs_vssc = Lut1d::new(rsnm_pts).expect("grid sorted");
-        // sram-lint: allow(no-panic) same generated ascending grid
+        #[expect(clippy::expect_used, reason = "same generated ascending grid")]
         let read_current_vs_vssc = Lut1d::new(iread_pts).expect("grid sorted");
 
         // WM crosses delta exactly at the published V_WL; slope ~0.9 V/V
@@ -220,6 +223,10 @@ impl CellCharacterization {
         // Cell write delay ~1.5 ps at the crossing V_WL, improving with
         // overdrive (Fig. 5): quadratic in the overdrive ratio.
         let vwl_grid: Vec<f64> = (0..=10).map(|k| 0.400 + 0.030 * f64::from(k)).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "the grid is generated strictly ascending above"
+        )]
         let write_delay_vs_vwl = Lut1d::new(
             vwl_grid
                 .iter()
@@ -231,7 +238,6 @@ impl CellCharacterization {
                 })
                 .collect(),
         )
-        // sram-lint: allow(no-panic) the grid is generated strictly ascending above
         .expect("grid sorted");
 
         Self {
@@ -383,6 +389,10 @@ impl CellCharacterization {
         rsnm_sigma: Voltage,
         wm_sigma: Voltage,
     ) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "x-breakpoints are copied from an already-valid table"
+        )]
         let shift_lut = |lut: &Lut1d, sigma: Voltage| {
             Lut1d::new(
                 lut.breakpoints()
@@ -390,7 +400,6 @@ impl CellCharacterization {
                     .map(|&(x, y)| (x, (y - k * sigma.volts()).max(0.0)))
                     .collect(),
             )
-            // sram-lint: allow(no-panic) x-breakpoints are copied from an already-valid table
             .expect("breakpoints unchanged")
         };
         Self {

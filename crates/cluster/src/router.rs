@@ -223,6 +223,10 @@ impl Router {
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the health poller exits on `stop` and is joined by `halt` (shutdown or drop)"
+        )]
         let poller = {
             let inner = Arc::clone(&inner);
             let stop = Arc::clone(&stop);
@@ -236,6 +240,10 @@ impl Router {
                 );
             })
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the acceptor exits on `stop` and is joined first by `halt` (shutdown or drop)"
+        )]
         let acceptor = {
             let inner = Arc::clone(&inner);
             let stop = Arc::clone(&stop);
@@ -321,6 +329,10 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 let inner = Arc::clone(inner);
                 let stop = Arc::clone(stop);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "each connection handle goes into `conns`, which `halt` drains and joins"
+                )]
                 let handle = std::thread::spawn(move || {
                     connection_loop(stream, &inner, &stop);
                 });
@@ -502,6 +514,11 @@ fn forward(
         let line = wire_line.to_owned();
         let tx = tx.clone();
         let token = token.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a forward attempt is never joined: it reports on `tx`, and a losing twin \
+                      exits once its pool call returns, within `node_timeout`"
+        )]
         std::thread::spawn(move || {
             if token.is_cancelled() {
                 // Cancelled before the wire was touched: the race was

@@ -70,72 +70,34 @@ pub fn optimize_banked(
     word_bits: u32,
     max_bank_bits: u32,
 ) -> Result<BankedDesign, CooptError> {
-    let decoder = DecoderModel::new(periphery);
     let mut best: Option<BankedDesign> = None;
-
     for bank_bits in 0..=max_bank_bits {
-        let banks = 1usize << bank_bits;
-        if !capacity.bits().is_multiple_of(banks) {
-            continue;
-        }
-        let bank_capacity = Capacity::from_bits(capacity.bits() / banks);
-
-        let search = ExhaustiveSearch::new(cell, periphery, params, space, constraint, word_bits);
-        let outcome = match search.run(bank_capacity, &EnergyDelayProduct) {
-            Ok(o) => o,
+        let candidate = match evaluate_bank_count(
+            capacity, bank_bits, cell, periphery, params, space, constraint, word_bits,
+        ) {
+            Ok(c) => c,
             Err(CooptError::EmptyDesignSpace { .. }) => continue,
             Err(e) => return Err(e),
-        };
-
-        // Bank-level overheads: decoder in series; output mux lumped as
-        // one more decoder stage of the same width.
-        let bank_dec_delay = decoder.delay(bank_bits) * 2.0;
-        let bank_dec_energy = decoder.energy(bank_bits) * 2.0;
-        let delay = outcome.metrics.delay + bank_dec_delay;
-
-        // Leakage: the active bank's leakage is inside its metrics; the
-        // other (banks-1) banks leak for the same cycle (Eq. (4) scaled).
-        let idle_leakage = if banks > 1 {
-            cell.leakage() * (bank_capacity.bits() as f64 * (banks as f64 - 1.0)) * delay
-        } else {
-            Energy::ZERO
-        };
-        let energy = outcome.metrics.energy + bank_dec_energy + idle_leakage;
-
-        let candidate = BankedDesign {
-            bank_bits,
-            bank: OptimalDesign {
-                capacity: bank_capacity,
-                flavor: cell.flavor(),
-                method: crate::Method::M2,
-                organization: outcome.best.organization,
-                n_pre: outcome.best.n_pre,
-                n_wr: outcome.best.n_wr,
-                vddc: cell.vddc(),
-                vssc: outcome.best.vssc,
-                vwl: cell.vwl(),
-                metrics: outcome.metrics,
-                stats: outcome.stats,
-            },
-            delay,
-            energy,
         };
         if best.as_ref().is_none_or(|b| candidate.edp() < b.edp()) {
             best = Some(candidate);
         }
     }
-
     best.ok_or(CooptError::EmptyDesignSpace {
         capacity_bits: capacity.bits(),
     })
 }
 
-/// Convenience: scores one explicit bank count (for sweeps/plots).
+/// Scores one explicit bank count (for sweeps/plots): optimizes the
+/// bank array for `2^bank_bits` banks and layers the bank-level
+/// overheads on top.
 ///
 /// # Errors
 ///
-/// Same as [`optimize_banked`], plus [`CooptError::EmptyDesignSpace`]
-/// when this specific bank count is invalid.
+/// Propagates the bank search's failures, including
+/// [`CooptError::EmptyDesignSpace`] when the bank capacity admits no
+/// organization; also [`CooptError::EmptyDesignSpace`] when
+/// `2^bank_bits` does not divide the capacity.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_bank_count(
     capacity: Capacity,
@@ -147,41 +109,21 @@ pub fn evaluate_bank_count(
     constraint: YieldConstraint,
     word_bits: u32,
 ) -> Result<BankedDesign, CooptError> {
-    // Restricting max==min forces the single candidate.
     let banks = 1usize << bank_bits;
     if !capacity.bits().is_multiple_of(banks) {
         return Err(CooptError::EmptyDesignSpace {
             capacity_bits: capacity.bits(),
         });
     }
-    let mut out = None;
-    for bb in bank_bits..=bank_bits {
-        out = Some(optimize_banked_fixed(
-            capacity, bb, cell, periphery, params, space, constraint, word_bits,
-        )?);
-    }
-    out.ok_or(CooptError::EmptyDesignSpace {
-        capacity_bits: capacity.bits(),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn optimize_banked_fixed(
-    capacity: Capacity,
-    bank_bits: u32,
-    cell: &CellCharacterization,
-    periphery: &Periphery,
-    params: &sram_array::ArrayParams,
-    space: &DesignSpace,
-    constraint: YieldConstraint,
-    word_bits: u32,
-) -> Result<BankedDesign, CooptError> {
     let decoder = DecoderModel::new(periphery);
-    let banks = 1usize << bank_bits;
     let bank_capacity = Capacity::from_bits(capacity.bits() / banks);
     let search = ExhaustiveSearch::new(cell, periphery, params, space, constraint, word_bits);
     let outcome = search.run(bank_capacity, &EnergyDelayProduct)?;
+    // Bank-level overheads: decoder in series; output mux lumped as one
+    // more decoder stage of the same width.
     let delay = outcome.metrics.delay + decoder.delay(bank_bits) * 2.0;
+    // Leakage: the active bank's leakage is inside its metrics; the
+    // other (banks-1) banks leak for the same cycle (Eq. (4) scaled).
     let idle_leakage = if banks > 1 {
         cell.leakage() * (bank_capacity.bits() as f64 * (banks as f64 - 1.0)) * delay
     } else {

@@ -50,6 +50,10 @@ impl<'a> CoordinateDescent<'a> {
         }
     }
 
+    /// Scores one visited candidate under the exhaustive search's
+    /// policy: a `V_SSC` that fails the yield constraint counts as
+    /// infeasible, and a model error or non-finite score counts as an
+    /// evaluation error and never becomes the incumbent.
     fn evaluate(
         &self,
         org: ArrayOrganization,
@@ -57,19 +61,28 @@ impl<'a> CoordinateDescent<'a> {
         n_pre: u32,
         n_wr: u32,
         objective: &(impl Objective + ?Sized),
-        evals: &mut usize,
+        stats: &mut SearchStatistics,
     ) -> Option<(f64, sram_array::ArrayMetrics)> {
+        stats.examined += 1;
         if !self.constraint.check_snapshot(self.cell, vssc) {
+            stats.infeasible += 1;
             return None;
         }
-        *evals += 1;
-        let metrics = ArrayModel::new(org, self.cell, self.periphery, self.params)
+        stats.feasible += 1;
+        let scored = ArrayModel::new(org, self.cell, self.periphery, self.params)
             .with_precharge_fins(n_pre)
             .with_write_fins(n_wr)
             .with_vssc(vssc)
             .evaluate()
-            .ok()?;
-        Some((objective.score(&metrics), metrics))
+            .ok()
+            .map(|metrics| (objective.score(&metrics), metrics))
+            .filter(|(score, _)| score.is_finite());
+        if scored.is_some() {
+            stats.evaluated += 1;
+        } else {
+            stats.eval_errors += 1;
+        }
+        scored
     }
 
     /// Runs the descent: starting from the median of every range, sweep
@@ -81,7 +94,7 @@ impl<'a> CoordinateDescent<'a> {
     /// * [`CooptError::EmptyDesignSpace`] when the capacity admits no
     ///   organization;
     /// * [`CooptError::Infeasible`] when no visited candidate meets the
-    ///   yield constraint.
+    ///   yield constraint with a finite score.
     pub fn run(
         &self,
         capacity: Capacity,
@@ -102,7 +115,7 @@ impl<'a> CoordinateDescent<'a> {
         let mut npre_i = npres.len() / 2;
         let mut nwr_i = nwrs.len() / 2;
 
-        let mut evals = 0usize;
+        let mut stats = SearchStatistics::default();
         let mut best: Option<(f64, sram_array::ArrayMetrics, usize, usize, usize, usize)> = None;
 
         for _ in 0..self.max_rounds {
@@ -121,7 +134,7 @@ impl<'a> CoordinateDescent<'a> {
                         _ => (org_i, vssc_i, npre_i, idx),
                     };
                     if let Some((score, metrics)) = self.evaluate(
-                        orgs[oi], vsscs[vi], npres[pi], nwrs[wi], objective, &mut evals,
+                        orgs[oi], vsscs[vi], npres[pi], nwrs[wi], objective, &mut stats,
                     ) {
                         if local.as_ref().is_none_or(|(s, ..)| score < *s) {
                             local = Some((score, metrics, idx));
@@ -148,7 +161,7 @@ impl<'a> CoordinateDescent<'a> {
 
         let (score, metrics, oi, vi, pi, wi) = best.ok_or(CooptError::Infeasible {
             capacity_bits: capacity.bits(),
-            examined: evals,
+            examined: stats.examined,
         })?;
         Ok(SearchOutcome {
             best: DesignPoint {
@@ -159,12 +172,7 @@ impl<'a> CoordinateDescent<'a> {
             },
             metrics,
             score,
-            stats: SearchStatistics {
-                examined: evals,
-                feasible: evals,
-                evaluated: evals,
-                ..SearchStatistics::default()
-            },
+            stats,
         })
     }
 }
@@ -230,6 +238,9 @@ mod tests {
             descent.stats.examined,
             exhaustive.stats.examined
         );
+        let s = descent.stats;
+        assert_eq!(s.examined, s.feasible + s.infeasible);
+        assert_eq!(s.feasible, s.evaluated + s.eval_errors);
     }
 
     #[test]
@@ -248,5 +259,33 @@ mod tests {
         .run(Capacity::from_bytes(1024), &EnergyDelayProduct)
         .unwrap_err();
         assert!(matches!(err, CooptError::Infeasible { .. }));
+    }
+
+    #[test]
+    fn nan_scores_are_rejected_not_elected() {
+        // Same input on which the exhaustive search reports Infeasible:
+        // the descent must not hand back a NaN incumbent as `Ok`.
+        struct NanObjective;
+        impl Objective for NanObjective {
+            fn score(&self, _: &sram_array::ArrayMetrics) -> f64 {
+                f64::NAN
+            }
+            fn name(&self) -> &'static str {
+                "nan"
+            }
+        }
+        let fx = fixture();
+        let space = DesignSpace::coarse();
+        let err = CoordinateDescent::new(
+            &fx.cell,
+            &fx.periphery,
+            &fx.params,
+            &space,
+            YieldConstraint::paper_delta(fx.cell.vdd()),
+            64,
+        )
+        .run(Capacity::from_bytes(1024), &NanObjective)
+        .unwrap_err();
+        assert!(matches!(err, CooptError::Infeasible { .. }), "{err:?}");
     }
 }

@@ -89,7 +89,7 @@ impl RailSelection {
 /// # Errors
 ///
 /// [`CooptError::RailSearchFailed`] when no level up to 800 mV suffices.
-pub fn minimize_vddc(
+pub(crate) fn minimize_vddc(
     characterizer: &CellCharacterizer,
     delta: Voltage,
 ) -> Result<Voltage, CooptError> {
@@ -115,7 +115,7 @@ pub fn minimize_vddc(
 /// # Errors
 ///
 /// [`CooptError::RailSearchFailed`] when no level up to 800 mV suffices.
-pub fn minimize_vwl(
+pub(crate) fn minimize_vwl(
     characterizer: &CellCharacterizer,
     delta: Voltage,
 ) -> Result<Voltage, CooptError> {

@@ -233,6 +233,10 @@ impl<'a> ExhaustiveSearch<'a> {
             let stop = AtomicBool::new(false);
             let chunks: Vec<&[(ArrayOrganization, Voltage)]> =
                 slices.chunks(slices.len().div_ceil(self.threads)).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raising a worker panic at the join is the scoped-thread contract"
+            )]
             let results = std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
                         .into_iter()
@@ -258,7 +262,6 @@ impl<'a> ExhaustiveSearch<'a> {
                         .collect();
                 handles
                     .into_iter()
-                    // sram-lint: allow(no-panic) re-raising a worker panic at the join is the scoped-thread contract
                     .flat_map(|h| h.join().expect("search worker panicked"))
                     .collect::<Vec<_>>()
             });

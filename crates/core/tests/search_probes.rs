@@ -1,0 +1,90 @@
+//! The exhaustive search's `coopt.*` probes report exactly the work its
+//! `SearchStatistics` count.
+//!
+//! The probe registry is process-global, so this binary holds exactly
+//! one test: a second test in the same process could move the counters
+//! between a snapshot and its diff.
+
+use sram_array::{ArrayParams, Capacity, Periphery};
+use sram_cell::CellCharacterization;
+use sram_coopt::{
+    CooptError, DesignSpace, EnergyDelayProduct, ExhaustiveSearch, SearchStatistics,
+    YieldConstraint,
+};
+use sram_device::DeviceLibrary;
+use sram_probe::{Level, Snapshot};
+use sram_units::Voltage;
+
+/// `(organization, V_SSC)` slices of the coarse space at 1 KB.
+const SLICES: u64 = 35;
+
+fn counter(diff: &Snapshot, name: &str) -> u64 {
+    diff.counters.get(name).copied().unwrap_or(0)
+}
+
+fn samples(diff: &Snapshot, name: &str) -> u64 {
+    diff.histograms.get(name).map_or(0, |h| h.count)
+}
+
+/// Asserts the per-search probes of one run against its statistics.
+fn assert_probes_match(diff: &Snapshot, stats: &SearchStatistics) {
+    assert_eq!(counter(diff, "coopt.searches"), 1);
+    assert_eq!(counter(diff, "coopt.slices"), SLICES);
+    assert_eq!(samples(diff, "coopt.search_ns"), 1);
+    let pairs = [
+        ("coopt.candidates_examined", stats.examined),
+        ("coopt.candidates_evaluated", stats.evaluated),
+        ("coopt.candidate_eval_errors", stats.eval_errors),
+        ("coopt.candidates_infeasible_yield", stats.infeasible),
+    ];
+    for (name, expected) in pairs {
+        assert_eq!(counter(diff, name), expected as u64, "{name}");
+    }
+}
+
+#[test]
+fn search_probes_equal_search_statistics() {
+    sram_probe::set_level(Level::Detail);
+    let lib = DeviceLibrary::sevennm();
+    let cell = CellCharacterization::paper_hvt(lib.nominal_vdd());
+    let periphery = Periphery::new(&lib);
+    let params = ArrayParams::paper_defaults();
+    let space = DesignSpace::coarse();
+    let capacity = Capacity::from_bytes(1024);
+    let search =
+        |constraint| ExhaustiveSearch::new(&cell, &periphery, &params, &space, constraint, 64);
+
+    // Serial, then three workers: 35 slices split into chunks of 12,
+    // 12 and 11, one `slices_per_worker` sample per chunk.
+    for (threads, chunks) in [(1, 0), (3, 3)] {
+        let before = sram_probe::snapshot();
+        let out = search(YieldConstraint::paper_delta(cell.vdd()))
+            .with_threads(threads)
+            .run(capacity, &EnergyDelayProduct)
+            .expect("the coarse 1 KB HVT space is feasible");
+        let diff = sram_probe::snapshot().diff(&before);
+        assert_eq!(out.stats.examined, 1_120, "35 slices x 32 fin pairs");
+        assert_probes_match(&diff, &out.stats);
+        assert_eq!(samples(&diff, "coopt.slices_per_worker"), chunks);
+        assert_eq!(diff.gauges.get("coopt.best_score"), Some(&out.score));
+    }
+
+    // No V_SSC meets a 1 V margin: every candidate is yield-infeasible.
+    let strict = YieldConstraint::MinMargin {
+        delta: Voltage::from_volts(1.0),
+    };
+    let before = sram_probe::snapshot();
+    let err = search(strict)
+        .run(capacity, &EnergyDelayProduct)
+        .expect_err("no candidate meets a 1 V margin");
+    let diff = sram_probe::snapshot().diff(&before);
+    let CooptError::Infeasible { examined, .. } = err else {
+        panic!("expected Infeasible, got {err:?}");
+    };
+    let stats = SearchStatistics {
+        examined,
+        infeasible: examined,
+        ..SearchStatistics::default()
+    };
+    assert_probes_match(&diff, &stats);
+}

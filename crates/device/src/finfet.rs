@@ -76,8 +76,11 @@ impl FinFet {
     /// Panics if `fins` is zero; use [`FinFet::try_new`] for a fallible
     /// variant.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; try_new is the fallible variant"
+    )]
     pub fn new(params: DeviceParams, fins: u32) -> Self {
-        // sram-lint: allow(no-panic) documented panic contract; try_new is the fallible variant
         Self::try_new(params, fins).expect("fin count must be at least 1")
     }
 

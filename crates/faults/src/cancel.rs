@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a token reports cancelled. Deadline wins ties: a request that is
 /// both expired and shutting down is the *client's* timeout first.
@@ -95,16 +95,6 @@ impl CancelToken {
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
-
-    /// Raises the shared flag after `delay`, from a detached timer thread.
-    /// Test/chaos helper for exercising mid-sweep cancellation.
-    pub fn cancel_after(&self, delay: Duration) {
-        let flag = Arc::clone(&self.flag);
-        std::thread::spawn(move || {
-            std::thread::sleep(delay);
-            flag.store(true, Ordering::Release);
-        });
-    }
 }
 
 impl Default for CancelToken {
@@ -116,6 +106,7 @@ impl Default for CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn never_token_is_never_cancelled_until_cancel() {
@@ -141,20 +132,5 @@ mod tests {
     fn future_deadline_is_not_yet_cancelled() {
         let token = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert_eq!(token.cancelled(), None);
-    }
-
-    #[test]
-    fn cancel_after_fires_from_the_timer_thread() {
-        let token = CancelToken::never();
-        token.cancel_after(Duration::from_millis(10));
-        let waited = Instant::now();
-        while token.cancelled().is_none() {
-            assert!(
-                waited.elapsed() < Duration::from_secs(5),
-                "timer thread never fired"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(token.cancelled(), Some(CancelReason::Shutdown));
     }
 }

@@ -1,5 +1,4 @@
-//! Fixture: the cluster crate owns the `cluster.` namespace and its
-//! router/poller threads are sanctioned detached spawns — the
+//! Fixture: the cluster crate owns the `cluster.` namespace — the
 //! `node.`-prefixed name is the single `probe-naming` finding here.
 //! The `cluster.trace.` stitching metric is registered but never
 //! asserted anywhere, driving one `probe-drift` finding.
@@ -8,7 +7,6 @@
 pub fn poller() {
     sram_probe::probe_inc!("cluster.health.polls_fixture");
     sram_probe::probe_inc!("node.evicted_fixture");
-    std::thread::spawn(|| {});
 }
 
 /// Stitches span trees and counts them under the trace namespace.

@@ -1,6 +1,5 @@
 //! Fixture: the probe crate owns the `probe.`, `telemetry.`, and
-//! `log.` namespaces, and its telemetry sampler thread is a sanctioned
-//! detached spawn — the `metrics.`-prefixed name is the single
+//! `log.` namespaces — the `metrics.`-prefixed name is the single
 //! `probe-naming` finding here.
 
 /// Samples the telemetry ring and registers its bookkeeping metrics.
@@ -9,5 +8,4 @@ pub fn sampler() {
     sram_probe::probe_inc!("log.events_fixture");
     sram_probe::probe_inc!("probe.trace.fixture");
     sram_probe::probe_inc!("metrics.wrong_home");
-    std::thread::spawn(|| {});
 }

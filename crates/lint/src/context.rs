@@ -9,10 +9,10 @@ use crate::lexer::{LexError, Token, TokenKind};
 pub enum FileClass {
     /// Shipped library code: the full rule set applies.
     Library,
-    /// Binary entry points (`src/bin/`, `main.rs`, `build.rs`): panics
-    /// are acceptable at the top level, so `no-panic` is relaxed.
+    /// Binary entry points (`src/bin/`, `main.rs`, `build.rs`): not
+    /// library code, but still a registration and env-read site.
     Bin,
-    /// Tests, benches, examples: panicking assertions are the point.
+    /// Tests, benches, examples: assertion sites, not definitions.
     Test,
 }
 
@@ -99,36 +99,6 @@ impl FileCtx {
                 .unwrap_or(false)
     }
 
-    /// `true` when `rule` is suppressed at `line`.
-    #[must_use]
-    pub fn is_suppressed(&self, rule: &str, line: u32) -> bool {
-        !self.matching_suppressions(rule, line).is_empty()
-    }
-
-    /// Indices into [`Self::suppressions`] of every suppression covering
-    /// `rule` at `line` — the engine marks these as used so stale ones
-    /// can be reported by `unused-suppression`.
-    #[must_use]
-    pub fn matching_suppressions(&self, rule: &str, line: u32) -> Vec<usize> {
-        self.suppressions
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.rule == rule && (s.whole_file || (s.from_line <= line && line <= s.to_line))
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The source text of 1-based `line` (empty when out of range).
-    #[must_use]
-    pub fn line_text(&self, line: u32) -> String {
-        self.lines
-            .get(line.saturating_sub(1) as usize)
-            .cloned()
-            .unwrap_or_default()
-    }
-
     /// Indices of non-comment tokens, in order.
     #[must_use]
     pub fn code_indices(&self) -> Vec<usize> {
@@ -139,6 +109,21 @@ impl FileCtx {
             .map(|(i, _)| i)
             .collect()
     }
+}
+
+/// Indices into `suppressions` of every suppression covering `rule` at
+/// `line` — the engine marks these as used so stale ones can be
+/// reported by `unused-suppression`.
+#[must_use]
+pub fn matching_suppressions(suppressions: &[Suppression], rule: &str, line: u32) -> Vec<usize> {
+    suppressions
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| {
+            s.rule == rule && (s.whole_file || (s.from_line <= line && line <= s.to_line))
+        })
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// Derives `(crate_name, class)` from a root-relative path.
@@ -356,6 +341,10 @@ fn parse_suppressions(tokens: &[Token]) -> (Vec<Suppression>, Vec<SuppressionErr
 mod tests {
     use super::*;
 
+    fn suppressed(ctx: &FileCtx, rule: &str, line: u32) -> bool {
+        !matching_suppressions(&ctx.suppressions, rule, line).is_empty()
+    }
+
     #[test]
     fn classification() {
         assert_eq!(
@@ -397,27 +386,27 @@ mod tests {
 
     #[test]
     fn suppression_covers_next_code_line() {
-        let src = "// sram-lint: allow(no-panic) locally checked invariant\nlet x = v.unwrap();\nlet y = w.unwrap();\n";
+        let src = "// sram-lint: allow(unit-hygiene) fitted coefficient\nlet x = 1.5e-12;\nlet y = 2.5e-12;\n";
         let ctx = FileCtx::new("crates/x/src/a.rs".into(), src);
-        assert!(ctx.is_suppressed("no-panic", 1));
-        assert!(ctx.is_suppressed("no-panic", 2));
-        assert!(!ctx.is_suppressed("no-panic", 3));
-        assert!(!ctx.is_suppressed("unit-hygiene", 2));
+        assert!(suppressed(&ctx, "unit-hygiene", 1));
+        assert!(suppressed(&ctx, "unit-hygiene", 2));
+        assert!(!suppressed(&ctx, "unit-hygiene", 3));
+        assert!(!suppressed(&ctx, "probe-naming", 2));
     }
 
     #[test]
     fn trailing_suppression_covers_its_own_line() {
-        let src = "let x = v.unwrap(); // sram-lint: allow(no-panic) checked above\n";
+        let src = "let x = 1.5e-12; // sram-lint: allow(unit-hygiene) fitted coefficient\n";
         let ctx = FileCtx::new("crates/x/src/a.rs".into(), src);
-        assert!(ctx.is_suppressed("no-panic", 1));
+        assert!(suppressed(&ctx, "unit-hygiene", 1));
     }
 
     #[test]
     fn reasonless_suppression_is_an_error() {
-        let src = "// sram-lint: allow(no-panic)\nlet x = v.unwrap();\n";
+        let src = "// sram-lint: allow(unit-hygiene)\nlet x = 1.5e-12;\n";
         let ctx = FileCtx::new("crates/x/src/a.rs".into(), src);
         assert_eq!(ctx.suppression_errors.len(), 1);
-        assert!(!ctx.is_suppressed("no-panic", 2));
+        assert!(!suppressed(&ctx, "unit-hygiene", 2));
     }
 
     #[test]
@@ -429,8 +418,8 @@ mod tests {
 
     #[test]
     fn allow_file_covers_everything() {
-        let src = "// sram-lint: allow-file(no-panic) generated shim\nfn a() {}\nfn z() { v.unwrap(); }\n";
+        let src = "// sram-lint: allow-file(unit-hygiene) generated shim\nfn a() {}\nfn z() -> f64 { 1.5e-12 }\n";
         let ctx = FileCtx::new("crates/x/src/a.rs".into(), src);
-        assert!(ctx.is_suppressed("no-panic", 3));
+        assert!(suppressed(&ctx, "unit-hygiene", 3));
     }
 }

@@ -56,9 +56,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Files whose analysis was reused from the incremental cache
-    /// (content hash unchanged since the cached run).
-    pub files_skipped: usize,
     /// Findings silenced by inline `sram-lint: allow(…)` comments.
     pub suppressed: usize,
 }
@@ -92,10 +89,8 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "sram-lint: {} file(s) scanned ({} unchanged from cache), {} error(s), \
-             {} warning(s), {} suppressed",
+            "sram-lint: {} file(s) scanned, {} error(s), {} warning(s), {} suppressed",
             self.files_scanned,
-            self.files_skipped,
             self.deny_count(),
             self.warn_count(),
             self.suppressed
@@ -109,7 +104,6 @@ impl Report {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(out, "  \"files_skipped\": {},", self.files_skipped);
         let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed);
         let _ = writeln!(
             out,
@@ -144,12 +138,12 @@ impl Report {
 /// Renders one diagnostic in rustc style:
 ///
 /// ```text
-/// deny[no-panic]: `.unwrap()` in library code
-///   --> crates/spice/src/dc.rs:42:17
+/// deny[unit-hygiene]: bare physical-magnitude literal `9.5e-5` in model crate `cell`
+///   --> crates/cell/src/read.rs:42:13
 ///    |
-/// 42 |     let x = v.unwrap();
-///    |               ^^^^^^
-///    = help: propagate the error instead
+/// 42 |     let i = 9.5e-5 * ratio;
+///    |             ^^^^^^
+///    = help: wrap it in an sram-units constructor
 /// ```
 #[must_use]
 pub fn render_diagnostic(d: &Diagnostic) -> String {
@@ -198,23 +192,23 @@ mod tests {
 
     fn sample() -> Diagnostic {
         Diagnostic {
-            rule: "no-panic",
+            rule: "unit-hygiene",
             level: Level::Deny,
-            file: "crates/x/src/a.rs".into(),
+            file: "crates/cell/src/a.rs".into(),
             line: 42,
-            col: 15,
+            col: 13,
             len: 6,
-            message: "`.unwrap()` in library code".into(),
-            help: Some("propagate the error".into()),
-            excerpt: Some("    let x = v.unwrap();".into()),
+            message: "bare physical-magnitude literal `9.5e-5`".into(),
+            help: Some("wrap it in an sram-units constructor".into()),
+            excerpt: Some("    let i = 9.5e-5 * ratio;".into()),
         }
     }
 
     #[test]
     fn text_rendering_is_rustc_like() {
         let text = render_diagnostic(&sample());
-        assert!(text.starts_with("deny[no-panic]:"));
-        assert!(text.contains("--> crates/x/src/a.rs:42:15"));
+        assert!(text.starts_with("deny[unit-hygiene]:"));
+        assert!(text.contains("--> crates/cell/src/a.rs:42:13"));
         assert!(text.contains("^^^^^^"));
         assert!(text.contains("= help:"));
     }
@@ -229,13 +223,11 @@ mod tests {
         let report = Report {
             diagnostics: vec![sample()],
             files_scanned: 3,
-            files_skipped: 2,
             suppressed: 1,
         };
         let json = report.render_json();
         assert!(json.contains("\"files_scanned\": 3"));
-        assert!(json.contains("\"files_skipped\": 2"));
-        assert!(json.contains("\"rule\": \"no-panic\""));
+        assert!(json.contains("\"rule\": \"unit-hygiene\""));
         assert!(json.contains("\"counts\": {\"deny\": 1, \"warn\": 0}"));
     }
 }

@@ -1,32 +1,24 @@
-//! The lint driver: a parallel, incrementally-cached pipeline.
+//! The lint driver: one sequential pass over the sorted file list.
 //!
-//! The run is two-phase. Phase one analyzes every `.rs` file
-//! independently — lexing, the per-file rules, suppression parsing, and
-//! symbol-graph fact extraction — on a scoped worker pool, reusing
-//! cached results for files whose content hash is unchanged. Phase two
-//! is sequential: the per-file facts assemble into a workspace
-//! [`Graph`], the cross-file rules run over it, and every finding
-//! (per-file and cross-file alike) resolves against the same inline
-//! suppressions so `unused-suppression` sees the whole picture.
-//!
-//! Phase one is embarrassingly parallel because [`FileAnalysis`] is a
-//! pure function of `(path, bytes)`; phase two re-runs even on a fully
-//! warm cache because cross-file conclusions depend on the *set* of
-//! files, not any one of them.
+//! The run is two-phase. Phase one analyzes every `.rs` file in path
+//! order — lexing, the per-file rule, suppression parsing, and
+//! symbol-graph fact extraction. Phase two assembles the per-file facts
+//! into a workspace [`Graph`], runs the cross-file rules over it, and
+//! resolves every finding (per-file and cross-file alike) against the
+//! same inline suppressions so `unused-suppression` sees the whole
+//! picture.
 
 use crate::config::Config;
-use crate::context::{FileCtx, Suppression};
+use crate::context::{matching_suppressions, FileCtx, Suppression};
 use crate::diag::{Diagnostic, Level, Report};
 use crate::graph::{FileFacts, Graph};
 use crate::rules::{
-    config_sync, dead_parameter, doc_coverage, nan_unsafe, no_panic, probe_drift, probe_naming,
-    registry_sync, thread_discipline, unit_hygiene, unused_suppression, RawDiag,
+    config_sync, dead_parameter, probe_drift, probe_naming, registry_sync, unit_hygiene,
+    unused_suppression, RawDiag,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Directory names the walker never descends into. `vendor/` holds
 /// third-party stand-ins outside our conventions; `fixtures/` holds the
@@ -34,17 +26,12 @@ use std::sync::mpsc;
 const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", "node_modules"];
 
 /// Everything phase one produces for one file: raw findings, parsed
-/// suppressions, symbol-graph facts, and the source excerpts any later
-/// diagnostic could need. This is exactly the unit the incremental
-/// cache stores, keyed by the file's content hash.
+/// suppressions, symbol-graph facts, and the source lines diagnostics
+/// quote as excerpts.
 #[derive(Debug, Clone)]
 pub struct FileAnalysis {
     /// Path relative to the linted root, `/`-separated.
     pub rel: String,
-    /// FNV-1a-64 hash of the file's bytes (the cache key).
-    pub hash: u64,
-    /// `true` when this analysis was reused from the cache.
-    pub from_cache: bool,
     /// `false` when the file could not be read (its `raw` then carries
     /// a `parse-error` and nothing else).
     pub scanned: bool,
@@ -54,91 +41,27 @@ pub struct FileAnalysis {
     pub suppressions: Vec<Suppression>,
     /// Use/def facts feeding the workspace [`Graph`].
     pub facts: FileFacts,
-    /// Source text of every line a diagnostic might anchor to (raw
-    /// findings, suppression comments, fact sites), so cached files can
-    /// render excerpts without re-reading the source.
-    pub excerpts: BTreeMap<u32, String>,
+    /// The file's source lines.
+    pub lines: Vec<String>,
 }
 
-impl FileAnalysis {
-    /// A freshly-computed (non-cache) analysis with no excerpts yet.
-    #[must_use]
-    pub fn fresh(
-        rel: String,
-        hash: u64,
-        raw: Vec<RawDiag>,
-        suppressions: Vec<Suppression>,
-        facts: FileFacts,
-    ) -> Self {
-        Self {
-            rel,
-            hash,
-            from_cache: false,
-            scanned: true,
-            raw,
-            suppressions,
-            facts,
-            excerpts: BTreeMap::new(),
-        }
-    }
-}
-
-/// Engine knobs beyond rule severities.
-#[derive(Debug, Default)]
-pub struct Options {
-    /// Incremental cache file to read before and write after the run
-    /// (`None` disables caching).
-    pub cache: Option<PathBuf>,
-    /// Worker thread count (`None` = available parallelism).
-    pub threads: Option<usize>,
-}
-
-/// Lints every `.rs` file under `root` with `config` and default
-/// [`Options`].
+/// Lints every `.rs` file under `root` with `config`.
 ///
 /// # Errors
 ///
 /// Returns an error when `root` cannot be read at all; unreadable
 /// individual files become diagnostics instead.
 pub fn run(root: &Path, config: &Config) -> io::Result<Report> {
-    run_with(root, config, &Options::default())
-}
-
-/// Lints every `.rs` file under `root` with explicit engine options.
-///
-/// # Errors
-///
-/// Returns an error when `root` cannot be read at all; unreadable
-/// individual files become diagnostics instead.
-pub fn run_with(root: &Path, config: &Config, options: &Options) -> io::Result<Report> {
     let mut paths = Vec::new();
     collect_rs_files(root, &mut paths)?;
     paths.sort();
-    let files: Vec<(PathBuf, String)> = paths
-        .into_iter()
-        .map(|p| {
-            let rel = relative(root, &p);
-            (p, rel)
-        })
+    let analyses: Vec<FileAnalysis> = paths
+        .iter()
+        .map(|path| analyze_file(path, relative(root, path)))
         .collect();
-
-    let cached: HashMap<String, FileAnalysis> = options
-        .cache
-        .as_deref()
-        .map(crate::cache::load)
-        .unwrap_or_default();
-
-    let analyses = analyze_all(&files, &cached, options.threads);
-
-    if let Some(path) = options.cache.as_deref() {
-        // A failed cache write costs the next run speed, not this run
-        // correctness.
-        let _ = crate::cache::save(path, &analyses);
-    }
 
     let mut report = Report {
         files_scanned: analyses.iter().filter(|a| a.scanned).count(),
-        files_skipped: analyses.iter().filter(|a| a.from_cache).count(),
         ..Report::default()
     };
 
@@ -186,7 +109,7 @@ pub fn run_with(root: &Path, config: &Config, options: &Options) -> io::Result<R
                     continue;
                 }
             }
-            push_diag(&mut report, config, &analysis.rel, &analysis.excerpts, diag);
+            push_diag(&mut report, config, &analysis.rel, &analysis.lines, diag);
         }
         let mut stale = Vec::new();
         unused_suppression::check(&analysis.suppressions, &used, &mut stale);
@@ -197,15 +120,14 @@ pub fn run_with(root: &Path, config: &Config, options: &Options) -> io::Result<R
                 report.suppressed += 1;
                 continue;
             }
-            push_diag(&mut report, config, &analysis.rel, &analysis.excerpts, diag);
+            push_diag(&mut report, config, &analysis.rel, &analysis.lines, diag);
         }
     }
 
     // Findings anchored in markdown files (EXPERIMENTS.md, PROBES.md,
     // README.md, DESIGN.md) have no inline suppressions or excerpts.
-    static NO_EXCERPTS: BTreeMap<u32, String> = BTreeMap::new();
     for fd in doc_anchored {
-        push_diag(&mut report, config, &fd.file, &NO_EXCERPTS, fd.diag);
+        push_diag(&mut report, config, &fd.file, &[], fd.diag);
     }
 
     report
@@ -214,60 +136,33 @@ pub fn run_with(root: &Path, config: &Config, options: &Options) -> io::Result<R
     Ok(report)
 }
 
-/// Phase one: analyzes every file on a scoped worker pool, reusing
-/// cache entries whose content hash still matches. Results come back in
-/// input order regardless of completion order.
-fn analyze_all(
-    files: &[(PathBuf, String)],
-    cached: &HashMap<String, FileAnalysis>,
-    threads: Option<usize>,
-) -> Vec<FileAnalysis> {
-    let workers = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-        .clamp(1, files.len().max(1));
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, FileAnalysis)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((path, rel)) = files.get(i) else {
-                    break;
-                };
-                let _ = tx.send((i, analyze_file(path, rel, cached)));
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<FileAnalysis>> = files.iter().map(|_| None).collect();
-    for (i, analysis) in rx {
-        if let Some(slot) = slots.get_mut(i) {
-            *slot = Some(analysis);
-        }
+/// Reads one file and analyzes it; an unreadable or non-UTF-8 file
+/// becomes a lone `parse-error`.
+fn analyze_file(path: &Path, rel: String) -> FileAnalysis {
+    match std::fs::read(path).map(String::from_utf8) {
+        Ok(Ok(src)) => analyze(rel, &src),
+        _ => FileAnalysis {
+            rel,
+            scanned: false,
+            raw: vec![RawDiag {
+                rule: "parse-error",
+                line: 1,
+                col: 1,
+                len: 1,
+                message: "file could not be read as UTF-8".to_owned(),
+                help: None,
+            }],
+            suppressions: Vec::new(),
+            facts: FileFacts::default(),
+            lines: Vec::new(),
+        },
     }
-    slots.into_iter().flatten().collect()
 }
 
-/// Analyzes one file: read, hash, consult the cache, run the per-file
-/// rules and fact extraction on a miss.
-fn analyze_file(path: &Path, rel: &str, cached: &HashMap<String, FileAnalysis>) -> FileAnalysis {
-    let Ok(bytes) = std::fs::read(path) else {
-        return unreadable(rel);
-    };
-    let hash = crate::cache::fnv1a64(&bytes);
-    if let Some(entry) = cached.get(rel) {
-        if entry.hash == hash {
-            let mut reused = entry.clone();
-            reused.from_cache = true;
-            return reused;
-        }
-    }
-    let Ok(src) = String::from_utf8(bytes) else {
-        return unreadable(rel);
-    };
-    let ctx = FileCtx::new(rel.to_owned(), &src);
+/// Analyzes one file's source: the per-file rule, suppressions, and
+/// symbol-graph facts.
+pub(crate) fn analyze(rel: String, src: &str) -> FileAnalysis {
+    let ctx = FileCtx::new(rel, src);
     let mut raw = Vec::new();
     for err in &ctx.lex_errors {
         raw.push(RawDiag {
@@ -292,82 +187,20 @@ fn analyze_file(path: &Path, rel: &str, cached: &HashMap<String, FileAnalysis>) 
         });
     }
     unit_hygiene::check(&ctx, &mut raw);
-    no_panic::check(&ctx, &mut raw);
-    nan_unsafe::check(&ctx, &mut raw);
-    thread_discipline::check(&ctx, &mut raw);
-    doc_coverage::check(&ctx, &mut raw);
     let facts = crate::graph::extract(&ctx, &mut raw);
-    let excerpts = collect_excerpts(&ctx, &raw, &facts);
-    let mut analysis = FileAnalysis::fresh(ctx.rel, hash, raw, ctx.suppressions, facts);
-    analysis.excerpts = excerpts;
-    analysis
-}
-
-/// The analysis recorded for a file that could not be read (or is not
-/// UTF-8). It is never cached — there is no content to hash.
-fn unreadable(rel: &str) -> FileAnalysis {
-    let mut analysis = FileAnalysis::fresh(
-        rel.to_owned(),
-        0,
-        vec![RawDiag {
-            rule: "parse-error",
-            line: 1,
-            col: 1,
-            len: 1,
-            message: "file could not be read as UTF-8".to_owned(),
-            help: None,
-        }],
-        Vec::new(),
-        FileFacts::default(),
-    );
-    analysis.scanned = false;
-    analysis
-}
-
-/// Captures the source text of every line a diagnostic could later
-/// anchor to: raw findings, suppression comments (for the stale-
-/// suppression report), and symbol-graph fact sites (for cross-file
-/// findings).
-fn collect_excerpts(ctx: &FileCtx, raw: &[RawDiag], facts: &FileFacts) -> BTreeMap<u32, String> {
-    let mut lines: Vec<u32> = raw.iter().map(|d| d.line).collect();
-    lines.extend(ctx.suppressions.iter().map(|s| s.from_line));
-    lines.extend(facts.params.iter().map(|p| p.site.line));
-    lines.extend(facts.env_reads.iter().map(|e| e.site.line));
-    lines.extend(facts.probes.iter().map(|p| p.site.line));
-    lines.extend(facts.experiments.iter().map(|e| e.site.line));
-    let mut out = BTreeMap::new();
-    for line in lines {
-        let text = ctx.line_text(line);
-        if !text.is_empty() {
-            out.insert(line, text);
-        }
+    FileAnalysis {
+        rel: ctx.rel,
+        scanned: true,
+        raw,
+        suppressions: ctx.suppressions,
+        facts,
+        lines: ctx.lines,
     }
-    out
-}
-
-/// Indices of every suppression covering `rule` at `line` (the
-/// slice-based twin of `FileCtx::matching_suppressions`, usable for
-/// cache-restored files that have no `FileCtx`).
-fn matching_suppressions(suppressions: &[Suppression], rule: &str, line: u32) -> Vec<usize> {
-    suppressions
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| {
-            s.rule == rule && (s.whole_file || (s.from_line <= line && line <= s.to_line))
-        })
-        .map(|(i, _)| i)
-        .collect()
 }
 
 /// Applies severity and records the diagnostic (suppressions were
 /// already resolved by the caller, which tracks their usage).
-fn push_diag(
-    report: &mut Report,
-    config: &Config,
-    file: &str,
-    excerpts: &BTreeMap<u32, String>,
-    diag: RawDiag,
-) {
+fn push_diag(report: &mut Report, config: &Config, file: &str, lines: &[String], diag: RawDiag) {
     let level = config.level(diag.rule);
     if level == Level::Allow {
         return;
@@ -381,7 +214,10 @@ fn push_diag(
         len: diag.len,
         message: diag.message,
         help: diag.help,
-        excerpt: excerpts.get(&diag.line).cloned(),
+        excerpt: lines
+            .get(diag.line.saturating_sub(1) as usize)
+            .filter(|text| !text.is_empty())
+            .cloned(),
     });
 }
 
@@ -451,31 +287,5 @@ mod tests {
             relative(root, Path::new("/a/b/crates/x/src/l.rs")),
             "crates/x/src/l.rs"
         );
-    }
-
-    #[test]
-    fn single_and_multi_thread_runs_agree() {
-        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let root = here.join("fixtures/ws");
-        let config = Config::new();
-        let serial = run_with(
-            &root,
-            &config,
-            &Options {
-                cache: None,
-                threads: Some(1),
-            },
-        )
-        .expect("serial run");
-        let parallel = run_with(
-            &root,
-            &config,
-            &Options {
-                cache: None,
-                threads: Some(8),
-            },
-        )
-        .expect("parallel run");
-        assert_eq!(serial.render_text(), parallel.render_text());
     }
 }

@@ -8,9 +8,7 @@
 //! registrations, experiment registry entries) and references to them
 //! (dot-accessed identifiers, metric-name string literals) — and
 //! [`Graph::build`] merges them into one queryable index. The facts are
-//! pure functions of a file's path and content, which is what makes the
-//! on-disk cache ([`crate::cache`]) sound: a cached file contributes
-//! its facts to the graph without being re-lexed.
+//! pure functions of a file's path and content.
 //!
 //! The graph is deliberately lexical, like everything else in this
 //! linter: a "reference" to a parameter is a `.field` dot access
@@ -407,7 +405,7 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Merges per-file facts (live or cache-restored) into one index.
+    /// Merges per-file facts into one index.
     /// `analyses` must be in walk (sorted-path) order so downstream
     /// diagnostics are deterministic.
     #[must_use]
@@ -437,6 +435,16 @@ impl Graph {
                 .extend(facts.metric_mentions.iter().cloned());
         }
         graph
+    }
+
+    /// The graph of in-memory `(rel, source)` files, for rule tests.
+    #[cfg(test)]
+    pub(crate) fn from_sources(files: &[(&str, &str)]) -> Self {
+        let analyses: Vec<FileAnalysis> = files
+            .iter()
+            .map(|(rel, src)| crate::engine::analyze((*rel).to_owned(), src))
+            .collect();
+        Self::build(&analyses)
     }
 
     /// `true` when `field` is dot-accessed anywhere in the workspace.

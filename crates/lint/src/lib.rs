@@ -1,12 +1,13 @@
 //! # sram-lint
 //!
 //! Workspace-specific static analysis for the SRAM EDP co-optimization
-//! workspace. `cargo` and `clippy` know Rust; they do not know that a
-//! bare `9.5e-5` in a cell model is a latent unit bug, that a panic in
-//! the SPICE inner loop kills a 50k-point Monte Carlo run, or that two
-//! probe sites disagreeing on a metric's kind corrupts every dashboard
-//! downstream. This crate encodes those house rules as a fast,
-//! dependency-free lint pass.
+//! workspace. `rustc` and `clippy` know Rust, and the crate roots hand
+//! them the Rust-level rules (no panics in library code, no float `==`,
+//! documented reachable API, no detached threads); they do not know
+//! that a bare `9.5e-5` in a cell model is a latent unit bug, or that
+//! two probe sites disagreeing on a metric's kind corrupts every
+//! dashboard downstream. This crate encodes those house rules as one
+//! dependency-free lint pass that needs a workspace-wide view.
 //!
 //! The analysis is intentionally lexical: a hand-written, string- and
 //! comment-aware Rust lexer ([`lexer`]) feeds token-pattern rules
@@ -21,7 +22,7 @@
 //! suppression:
 //!
 //! ```text
-//! // sram-lint: allow(no-panic) registry kind checked two lines up
+//! // sram-lint: allow(unit-hygiene) dimensionless fit coefficient from Table 2
 //! ```
 //!
 //! A suppression covers its own line and the next code-bearing line,
@@ -36,13 +37,26 @@
 //! experiment registry entries, against the dot-accesses and string
 //! mentions that use them. Three rules consume it — `dead-parameter`,
 //! `config-sync`, `probe-drift` — plus the graph-driven halves of
-//! `probe-naming` and `registry-sync`. File analysis runs in parallel
-//! and is incrementally cached ([`cache`], enabled by pointing
-//! `SRAM_LINT_CACHE` at a file); results can render as text, JSON, or
-//! SARIF 2.1.0 ([`sarif`]).
+//! `probe-naming` and `registry-sync`. The [`engine`] walks the files
+//! in sorted order in one sequential pass; results can render as text,
+//! JSON, or SARIF 2.1.0 ([`sarif`]).
 
-pub mod bench_self;
-pub mod cache;
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
+
 pub mod config;
 pub mod context;
 pub mod diag;
@@ -54,4 +68,4 @@ pub mod sarif;
 
 pub use config::Config;
 pub use diag::{Diagnostic, Level, Report};
-pub use engine::{find_workspace_root, run, run_with, FileAnalysis, Options};
+pub use engine::{find_workspace_root, run, FileAnalysis};

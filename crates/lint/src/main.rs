@@ -5,19 +5,15 @@
 //! cargo run -p sram-lint -- --format json         # machine-readable
 //! cargo run -p sram-lint -- --format sarif        # code-scanning UIs
 //! cargo run -p sram-lint -- --root path/to/tree   # lint another tree
-//! cargo run -p sram-lint -- --bench-self          # time a full pass
 //! cargo run -p sram-lint -- --list-rules
 //! ```
-//!
-//! Set `SRAM_LINT_CACHE=/path/to/file` to enable the incremental cache:
-//! files whose content hash is unchanged since the cached run skip
-//! re-analysis (the cross-file rules always re-run). The library API
-//! stays environment-free — the variable is read only here.
 //!
 //! Exit codes: 0 clean (or warnings only), 1 deny-level findings,
 //! 2 usage or I/O error.
 
-use sram_lint::{find_workspace_root, run_with, Config, Level, Options};
+#![warn(clippy::float_cmp)]
+
+use sram_lint::{find_workspace_root, run, Config, Level};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -41,13 +37,11 @@ fn real_main() -> Result<ExitCode, String> {
     let mut config = Config::new();
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut bench = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny-all" => config = Config::deny_all(),
-            "--bench-self" => bench = true,
             "--format" => {
                 let value = args
                     .next()
@@ -100,22 +94,7 @@ fn real_main() -> Result<ExitCode, String> {
         return Err(format!("root `{}` is not a directory", root.display()));
     }
 
-    if bench {
-        let result = sram_lint::bench_self::run_bench(&root, &config)?;
-        println!(
-            "sram-lint --bench-self: {} files, cold {:.1} ms, warm {:.1} ms ({} reused), \
-             {} diagnostic(s)\n  appended: BENCH_trajectory.json (lint_ms entry)",
-            result.files, result.cold_ms, result.warm_ms, result.skipped, result.diagnostics
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let options = Options {
-        cache: std::env::var_os("SRAM_LINT_CACHE").map(PathBuf::from),
-        threads: None,
-    };
-    let report = run_with(&root, &config, &options)
-        .map_err(|e| format!("walking {}: {e}", root.display()))?;
+    let report = run(&root, &config).map_err(|e| format!("walking {}: {e}", root.display()))?;
     match format {
         Format::Text => print!("{}", report.render_text()),
         Format::Json => println!("{}", report.render_json()),
@@ -141,9 +120,5 @@ OPTIONS:
     --allow <RULE>     Disable a rule
     --warn <RULE>      Set a rule to warn
     --deny <RULE>      Set a rule to deny
-    --bench-self       Time a cold + warm pass, append to BENCH_trajectory.json
     --list-rules       Print the rule registry and exit
-    -h, --help         Print this help
-
-ENVIRONMENT:
-    SRAM_LINT_CACHE    Incremental cache file (unset = no caching)";
+    -h, --help         Print this help";

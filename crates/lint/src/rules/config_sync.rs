@@ -182,21 +182,6 @@ fn line_starts_with(chars: &[char], pos: usize, needle: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::FileCtx;
-    use crate::engine::FileAnalysis;
-
-    fn graph_for(files: &[(&str, &str)]) -> Graph {
-        let analyses: Vec<FileAnalysis> = files
-            .iter()
-            .map(|(rel, src)| {
-                let ctx = FileCtx::new((*rel).to_owned(), src);
-                let mut out = Vec::new();
-                let facts = crate::graph::extract(&ctx, &mut out);
-                FileAnalysis::fresh((*rel).to_owned(), 0, Vec::new(), Vec::new(), facts)
-            })
-            .collect();
-        Graph::build(&analyses)
-    }
 
     fn run_in_tmp(graph: &Graph, readme: Option<&str>, design: Option<&str>) -> Vec<FileDiag> {
         let dir = std::env::temp_dir().join(format!(
@@ -219,7 +204,7 @@ mod tests {
 
     #[test]
     fn documented_reads_are_quiet_in_both_directions() {
-        let graph = graph_for(&[(
+        let graph = Graph::from_sources(&[(
             "crates/probe/src/lib.rs",
             "fn f() { let _ = std::env::var(\"SRAM_PROBE\"); }\n",
         )]);
@@ -233,7 +218,7 @@ mod tests {
 
     #[test]
     fn undocumented_read_fires_at_the_read_site() {
-        let graph = graph_for(&[(
+        let graph = Graph::from_sources(&[(
             "crates/probe/src/lib.rs",
             "fn f() { let _ = std::env::var(\"SRAM_SECRET_KNOB\"); }\n",
         )]);
@@ -245,7 +230,7 @@ mod tests {
 
     #[test]
     fn ghost_documentation_fires_at_the_doc_line() {
-        let graph = graph_for(&[(
+        let graph = Graph::from_sources(&[(
             "crates/probe/src/lib.rs",
             "fn f() { let _ = std::env::var(\"SRAM_PROBE\"); }\n",
         )]);
@@ -262,7 +247,7 @@ mod tests {
 
     #[test]
     fn placeholders_match_templated_reads() {
-        let graph = graph_for(&[(
+        let graph = Graph::from_sources(&[(
             "crates/serve/src/slo.rs",
             "const P: &str = \"SRAM_SLO_\"; const Q: &str = \"SRAM_SLO_OPTIMIZE_MS\";\n",
         )]);
@@ -276,7 +261,7 @@ mod tests {
 
     #[test]
     fn a_tree_without_env_reads_needs_no_docs() {
-        let graph = graph_for(&[("crates/x/src/a.rs", "fn f() {}\n")]);
+        let graph = Graph::from_sources(&[("crates/x/src/a.rs", "fn f() {}\n")]);
         let out = run_in_tmp(&graph, None, None);
         assert!(out.is_empty(), "{out:?}");
     }

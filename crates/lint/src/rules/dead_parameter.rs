@@ -52,25 +52,10 @@ pub fn check(graph: &Graph, out: &mut Vec<FileDiag>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::FileCtx;
-    use crate::engine::FileAnalysis;
-
-    fn graph_for(files: &[(&str, &str)]) -> Graph {
-        let analyses: Vec<FileAnalysis> = files
-            .iter()
-            .map(|(rel, src)| {
-                let ctx = FileCtx::new((*rel).to_owned(), src);
-                let mut out = Vec::new();
-                let facts = crate::graph::extract(&ctx, &mut out);
-                FileAnalysis::fresh((*rel).to_owned(), 0, Vec::new(), Vec::new(), facts)
-            })
-            .collect();
-        Graph::build(&analyses)
-    }
 
     #[test]
     fn unread_field_is_dead_and_read_field_is_live() {
-        let graph = graph_for(&[
+        let graph = Graph::from_sources(&[
             (
                 "crates/device/src/params.rs",
                 "/// Card.\npub struct TuneParams {\n    /// Read.\n    pub live: f64,\n    /// Never read.\n    pub dead: f64,\n}\n",
@@ -90,7 +75,7 @@ mod tests {
 
     #[test]
     fn a_read_from_a_test_counts() {
-        let graph = graph_for(&[
+        let graph = Graph::from_sources(&[
             (
                 "crates/device/src/params.rs",
                 "/// Card.\npub struct TuneParams {\n    /// Only a test reads it.\n    pub test_only: f64,\n}\n",
@@ -108,7 +93,7 @@ mod tests {
     #[test]
     fn struct_literal_init_does_not_count_as_a_read() {
         // Set-but-never-read is exactly the bug this rule exists for.
-        let graph = graph_for(&[
+        let graph = Graph::from_sources(&[
             (
                 "crates/device/src/params.rs",
                 "/// Card.\npub struct TuneParams {\n    /// Written, never read.\n    pub write_only: f64,\n}\nfn mk() -> TuneParams { TuneParams { write_only: 1.0 } }\n",

@@ -11,13 +11,9 @@
 
 pub mod config_sync;
 pub mod dead_parameter;
-pub mod doc_coverage;
-pub mod nan_unsafe;
-pub mod no_panic;
 pub mod probe_drift;
 pub mod probe_naming;
 pub mod registry_sync;
-pub mod thread_discipline;
 pub mod unit_hygiene;
 pub mod unused_suppression;
 

@@ -236,21 +236,6 @@ fn ci_workflow_mentions(root: &Path) -> BTreeSet<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::FileCtx;
-    use crate::engine::FileAnalysis;
-
-    fn graph_for(files: &[(&str, &str)]) -> Graph {
-        let analyses: Vec<FileAnalysis> = files
-            .iter()
-            .map(|(rel, src)| {
-                let ctx = FileCtx::new((*rel).to_owned(), src);
-                let mut out = Vec::new();
-                let facts = crate::graph::extract(&ctx, &mut out);
-                FileAnalysis::fresh((*rel).to_owned(), 0, Vec::new(), Vec::new(), facts)
-            })
-            .collect();
-        Graph::build(&analyses)
-    }
 
     fn run_in_tmp(graph: &Graph, registry: Option<&str>, tag: &str) -> Vec<FileDiag> {
         let dir =
@@ -269,7 +254,7 @@ mod tests {
 
     #[test]
     fn listed_and_asserted_metric_is_quiet() {
-        let graph = graph_for(&[
+        let graph = Graph::from_sources(&[
             ("crates/spice/src/a.rs", SPICE_SRC),
             (
                 "crates/spice/tests/t.rs",
@@ -286,7 +271,7 @@ mod tests {
 
     #[test]
     fn unlisted_metric_fires_at_the_registration() {
-        let graph = graph_for(&[("crates/spice/src/a.rs", SPICE_SRC)]);
+        let graph = Graph::from_sources(&[("crates/spice/src/a.rs", SPICE_SRC)]);
         let out = run_in_tmp(
             &graph,
             Some("| `spice.other` | counter | unchecked: x |\n"),
@@ -306,7 +291,7 @@ mod tests {
 
     #[test]
     fn kind_mismatch_fires_at_the_row() {
-        let graph = graph_for(&[("crates/spice/src/a.rs", SPICE_SRC)]);
+        let graph = Graph::from_sources(&[("crates/spice/src/a.rs", SPICE_SRC)]);
         let out = run_in_tmp(
             &graph,
             Some("| `spice.solves` | gauge | unchecked: fixture |\n"),
@@ -319,7 +304,7 @@ mod tests {
 
     #[test]
     fn unasserted_metric_fires_unless_marked_unchecked() {
-        let graph = graph_for(&[("crates/spice/src/a.rs", SPICE_SRC)]);
+        let graph = Graph::from_sources(&[("crates/spice/src/a.rs", SPICE_SRC)]);
         let noisy = run_in_tmp(
             &graph,
             Some("| `spice.solves` | counter | spice tests |\n"),
@@ -337,7 +322,7 @@ mod tests {
 
     #[test]
     fn missing_registry_with_probes_is_one_finding() {
-        let graph = graph_for(&[("crates/spice/src/a.rs", SPICE_SRC)]);
+        let graph = Graph::from_sources(&[("crates/spice/src/a.rs", SPICE_SRC)]);
         let out = run_in_tmp(&graph, None, "missing");
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].file, REGISTRY_PATH);
@@ -346,7 +331,7 @@ mod tests {
 
     #[test]
     fn a_tree_without_probes_needs_no_registry() {
-        let graph = graph_for(&[("crates/x/src/a.rs", "fn f() {}\n")]);
+        let graph = Graph::from_sources(&[("crates/x/src/a.rs", "fn f() {}\n")]);
         let out = run_in_tmp(&graph, None, "empty");
         assert!(out.is_empty(), "{out:?}");
     }

@@ -52,8 +52,7 @@ impl Kind {
         }
     }
 
-    /// One-word form used in `PROBES.md` table cells and the lint
-    /// cache.
+    /// One-word form used in `PROBES.md` table cells.
     #[must_use]
     pub fn word(self) -> &'static str {
         match self {
@@ -61,18 +60,6 @@ impl Kind {
             Kind::Gauge => "gauge",
             Kind::Histogram => "histogram",
             Kind::Trace => "trace",
-        }
-    }
-
-    /// Inverse of [`Kind::word`].
-    #[must_use]
-    pub fn from_word(word: &str) -> Option<Self> {
-        match word {
-            "counter" => Some(Kind::Counter),
-            "gauge" => Some(Kind::Gauge),
-            "histogram" => Some(Kind::Histogram),
-            "trace" => Some(Kind::Trace),
-            _ => None,
         }
     }
 }
@@ -417,13 +404,5 @@ mod tests {
         );
         assert!(found.is_empty(), "{found:?}");
         assert!(defs.is_empty());
-    }
-
-    #[test]
-    fn kind_words_round_trip() {
-        for kind in [Kind::Counter, Kind::Gauge, Kind::Histogram, Kind::Trace] {
-            assert_eq!(Kind::from_word(kind.word()), Some(kind));
-        }
-        assert_eq!(Kind::from_word("span"), None);
     }
 }

@@ -139,21 +139,11 @@ fn registry_section_names(ledger: &str) -> Option<Vec<(String, u32)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::FileCtx;
-    use crate::engine::FileAnalysis;
-
-    fn graph_for(src: &str) -> Graph {
-        let ctx = FileCtx::new(CLI_PATH.to_owned(), src);
-        let mut out = Vec::new();
-        let facts = crate::graph::extract(&ctx, &mut out);
-        let analysis = FileAnalysis::fresh(CLI_PATH.to_owned(), 0, Vec::new(), Vec::new(), facts);
-        Graph::build(std::slice::from_ref(&analysis))
-    }
 
     #[test]
     fn registry_names_are_harvested_via_the_graph() {
         let src = "pub const EXPERIMENTS: &[Experiment] = &[\n  Experiment { name: \"fig2\", summary: \"s\", in_all: true, run: fig2 },\n  Experiment { name: \"table4\", summary: \"s\", in_all: true, run: table4 },\n];\n";
-        let graph = graph_for(src);
+        let graph = Graph::from_sources(&[(CLI_PATH, src)]);
         let names: Vec<&str> = graph
             .experiments
             .iter()
@@ -175,15 +165,16 @@ mod tests {
 
     #[test]
     fn other_files_contribute_no_experiments() {
-        let ctx = FileCtx::new("crates/x/src/a.rs".to_owned(), "let name: &str = \"x\";");
-        let mut out = Vec::new();
-        let facts = crate::graph::extract(&ctx, &mut out);
-        assert!(facts.experiments.is_empty());
+        let graph = Graph::from_sources(&[("crates/x/src/a.rs", "let name: &str = \"x\";")]);
+        assert!(graph.experiments.is_empty());
     }
 
     #[test]
     fn drift_is_reported_in_both_directions() {
-        let graph = graph_for("const E: &[X] = &[X { name: \"fig2\" }, X { name: \"ghost\" }];\n");
+        let graph = Graph::from_sources(&[(
+            CLI_PATH,
+            "const E: &[X] = &[X { name: \"fig2\" }, X { name: \"ghost\" }];\n",
+        )]);
         let dir = std::env::temp_dir().join(format!("sram-lint-regsync-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(

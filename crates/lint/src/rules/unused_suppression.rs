@@ -2,10 +2,10 @@
 //! never fires on the lines they cover.
 //!
 //! A suppression is a standing claim — "this rule is wrong here, and
-//! here is why". When the code under it changes (the `unwrap` is
-//! refactored away, the literal gains a unit constructor, the dead
-//! parameter gets wired in), the claim goes stale but the comment
-//! survives, silently licensing future violations on that line. This
+//! here is why". When the code under it changes (the literal gains a
+//! unit constructor, the dead parameter gets wired in), the claim goes
+//! stale but the comment survives, silently licensing future violations
+//! on that line. This
 //! rule closes the loop: the engine records which suppressions actually
 //! absorbed a diagnostic — per-file *and* cross-file findings alike,
 //! since graph rules anchor at `.rs` sites and resolve through the same
@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn unused_suppression_is_reported_at_its_comment() {
-        let src = "// sram-lint: allow(no-panic) stale claim\nlet x = 1;\n";
+        let src = "// sram-lint: allow(unit-hygiene) stale claim\nlet x = 1;\n";
         let ctx = FileCtx::new("crates/cell/src/a.rs".into(), src);
         assert_eq!(ctx.suppressions.len(), 1);
         let mut out = Vec::new();
@@ -72,12 +72,16 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "unused-suppression");
         assert_eq!(out[0].line, 1);
-        assert!(out[0].message.contains("no-panic"), "{}", out[0].message);
+        assert!(
+            out[0].message.contains("unit-hygiene"),
+            "{}",
+            out[0].message
+        );
     }
 
     #[test]
     fn used_suppression_is_quiet() {
-        let src = "// sram-lint: allow(no-panic) caller checks\nlet x = v.unwrap();\n";
+        let src = "// sram-lint: allow(unit-hygiene) fitted coefficient\nlet x = 1.5e-12;\n";
         let ctx = FileCtx::new("crates/cell/src/a.rs".into(), src);
         let mut out = Vec::new();
         check(&ctx.suppressions, &[true], &mut out);
@@ -86,7 +90,7 @@ mod tests {
 
     #[test]
     fn whole_file_scope_is_described() {
-        let src = "// sram-lint: allow-file(no-panic) generated shim\nfn a() {}\n";
+        let src = "// sram-lint: allow-file(unit-hygiene) generated shim\nfn a() {}\n";
         let ctx = FileCtx::new("crates/cell/src/a.rs".into(), src);
         let mut out = Vec::new();
         check(&ctx.suppressions, &[false], &mut out);

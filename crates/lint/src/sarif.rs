@@ -90,14 +90,14 @@ mod tests {
         Report {
             diagnostics: vec![
                 Diagnostic {
-                    rule: "no-panic",
+                    rule: "probe-naming",
                     level: Level::Deny,
                     file: "crates/x/src/a.rs".into(),
                     line: 42,
                     col: 15,
                     len: 6,
-                    message: "`.unwrap()` in library code".into(),
-                    help: Some("propagate the error".into()),
+                    message: "metric `NotDotted` is not lowercase dotted".into(),
+                    help: Some("rename it `crate.subsystem.metric`".into()),
                     excerpt: None,
                 },
                 Diagnostic {
@@ -113,7 +113,6 @@ mod tests {
                 },
             ],
             files_scanned: 2,
-            files_skipped: 0,
             suppressed: 0,
         }
     }
@@ -123,7 +122,7 @@ mod tests {
         let sarif = render_sarif(&sample_report());
         assert!(sarif.contains("\"version\": \"2.1.0\""));
         assert!(sarif.contains("\"name\": \"sram-lint\""));
-        assert!(sarif.contains("\"ruleId\": \"no-panic\""));
+        assert!(sarif.contains("\"ruleId\": \"probe-naming\""));
         assert!(sarif.contains("\"level\": \"error\""));
         assert!(sarif.contains("\"level\": \"warning\""));
         assert!(sarif.contains("\"startLine\": 42"));

@@ -55,7 +55,10 @@ pub fn counter(name: &'static str) -> &'static Counter {
         "counter",
     ) {
         Handle::Counter(c) => c,
-        // sram-lint: allow(no-panic) register() asserts the kind matches `want` one line up
+        #[expect(
+            clippy::unreachable,
+            reason = "register() asserts the kind matches `want` one line up"
+        )]
         _ => unreachable!("register checked the kind"),
     }
 }
@@ -72,7 +75,10 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
         "gauge",
     ) {
         Handle::Gauge(g) => g,
-        // sram-lint: allow(no-panic) register() asserts the kind matches `want` one line up
+        #[expect(
+            clippy::unreachable,
+            reason = "register() asserts the kind matches `want` one line up"
+        )]
         _ => unreachable!("register checked the kind"),
     }
 }
@@ -89,7 +95,10 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
         "histogram",
     ) {
         Handle::Histogram(h) => h,
-        // sram-lint: allow(no-panic) register() asserts the kind matches `want` one line up
+        #[expect(
+            clippy::unreachable,
+            reason = "register() asserts the kind matches `want` one line up"
+        )]
         _ => unreachable!("register checked the kind"),
     }
 }

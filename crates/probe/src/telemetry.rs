@@ -434,6 +434,10 @@ pub fn start() {
         }
     }
     drop(control);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sampler handle is parked in `SAMPLER` and joined by the last `stop()`"
+    )]
     let handle = std::thread::spawn(move || sampler_loop(window));
     *SAMPLER.lock().unwrap_or_else(PoisonError::into_inner) = Some(handle);
 }

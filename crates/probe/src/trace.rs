@@ -1445,6 +1445,10 @@ mod tests {
         let force = force();
         let root = span_at("test.adopt_root", now_ns());
         let root_id = root.id();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test joins the worker on the next line to read its span id"
+        )]
         let worker_span = std::thread::spawn(move || {
             let _adopt = adopt_parent(root_id);
             let span = crate::trace_span!("test.adopt_child");

@@ -44,7 +44,7 @@ pub const SRAM_CACHE_FILE_ENV: &str = "SRAM_CACHE_FILE";
 /// Default slow-query threshold (`SRAM_LOG_SLOW_MS` overrides): a
 /// request slower than this is logged as a `serve.slow_query` event,
 /// with its span tree attached when the request was traced.
-pub const DEFAULT_SLOW_QUERY_MS: u64 = 1_000;
+pub(crate) const DEFAULT_SLOW_QUERY_MS: u64 = 1_000;
 
 /// Queue-depth gauge, written directly (bypassing the probe level
 /// gate) because the `health` verdict needs queue pressure even with
@@ -249,11 +249,19 @@ impl Server {
             let queue = Arc::clone(&queue);
             let shutdown = Arc::clone(&shutdown);
             let max_batch = config.max_batch;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "worker handles are kept in `workers` and joined last on shutdown"
+            )]
             workers.push(std::thread::spawn(move || {
                 worker_thread(&engine, &queue, max_batch, &shutdown);
             }));
         }
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the acceptor exits on `shutdown` and is joined first on shutdown"
+        )]
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
             let queue = Arc::clone(&queue);
@@ -403,6 +411,10 @@ fn accept_loop(
                 sram_probe::probe_inc!("serve.conn.accepted");
                 let shutdown = Arc::clone(shutdown);
                 let queue = Arc::clone(queue);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "each connection handle goes into `conns`, drained and joined on shutdown"
+                )]
                 let handle = std::thread::spawn(move || {
                     connection_loop(stream, &shutdown, &queue, poll);
                 });
@@ -718,8 +730,11 @@ fn worker_loop(
                 guard.push((job.request.id.clone(), job.reply.clone()));
             }
         }
+        #[expect(
+            clippy::panic,
+            reason = "fault-plan injection point; the worker_thread shell isolates and respawns"
+        )]
         if doomed {
-            // sram-lint: allow(no-panic) fault-plan injection point; the worker_thread shell isolates and respawns
             panic!("injected worker panic (fault plan)");
         }
         let t_eval = sram_probe::trace::now_ns();

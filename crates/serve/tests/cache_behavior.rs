@@ -90,6 +90,10 @@ fn multithreaded_hammer_reconciles_counters() {
     let budget = config.byte_budget as u64;
     let cache = Arc::new(ResultCache::new(config));
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "every hammer thread is joined in the loop below"
+    )]
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let cache = Arc::clone(&cache);

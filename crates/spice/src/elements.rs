@@ -107,6 +107,10 @@ impl Waveform {
                     let idx = p.partition_point(|&(pt, _)| pt <= t);
                     let (t0, v0) = p[idx - 1];
                     let (t1, v1) = p[idx];
+                    #[expect(
+                        clippy::float_cmp,
+                        reason = "exact duplicate-breakpoint guard: equal times would divide by zero"
+                    )]
                     if t1 == t0 {
                         v1
                     } else {
