@@ -126,8 +126,14 @@ pub fn column_select(inp: &ComponentInputs<'_>) -> DelayEnergy {
 /// `I = I_read(V_DDC, V_SSC)` — the row negative Gnd accelerates.
 #[must_use]
 pub fn bitline_read(inp: &ComponentInputs<'_>) -> DelayEnergy {
-    let i = inp.cell.read_current(inp.vssc);
-    DelayEnergy::from_eq1(inp.wires.bitline, inp.vddc - inp.vssc, inp.delta_vs, i)
+    bitline_read_with(inp, inp.cell.read_current(inp.vssc))
+}
+
+/// [`bitline_read`] with `I_read(V_SSC)` already read from the cell table
+/// (a prepared slice reads it once).
+#[must_use]
+pub(crate) fn bitline_read_with(inp: &ComponentInputs<'_>, i_read: Current) -> DelayEnergy {
+    DelayEnergy::from_eq1(inp.wires.bitline, inp.vddc - inp.vssc, inp.delta_vs, i_read)
 }
 
 /// Bitline during write: `C_BL`, `V = ΔV = Vdd`,

@@ -85,7 +85,8 @@ pub use driver::Superbuffer;
 pub use error::ArrayError;
 pub use macro_model::{OperationLedger, SramMacro};
 pub use model::{
-    ArrayMetrics, ArrayModel, ArrayParams, DelayBreakdown, EnergyAccounting, EnergyBreakdown,
+    ArrayMetrics, ArrayModel, ArrayParams, ArraySlice, DelayBreakdown, EnergyAccounting,
+    EnergyBreakdown,
 };
 pub use organization::{ArrayOrganization, Capacity};
 pub use periphery::Periphery;

@@ -1,12 +1,12 @@
 //! Table 3 and Equations (2)–(5): the full array delay/energy model.
 
-use crate::components::{self, ComponentInputs};
+use crate::components::{self, ComponentInputs, DelayEnergy};
 use crate::{
-    ArrayError, ArrayOrganization, DecoderModel, Periphery, SenseAmp, Superbuffer,
+    wire, ArrayError, ArrayOrganization, DecoderModel, Periphery, SenseAmp, Superbuffer,
     TechnologyParams, WireCapacitances,
 };
 use sram_cell::CellCharacterization;
-use sram_units::{Energy, EnergyDelay, Time, Voltage};
+use sram_units::{Capacitance, Current, Energy, EnergyDelay, Time, Voltage};
 
 /// How per-bitline energies are multiplied up to a full access.
 ///
@@ -255,37 +255,35 @@ impl<'a> ArrayModel<'a> {
         self.organization
     }
 
-    /// Evaluates Table 3 and Eqs. (2)–(5).
+    /// Prepares the `(organization, V_SSC)` slice this point lies in,
+    /// for evaluating many `(N_pre, N_wr)` points at once.
     ///
     /// # Errors
     ///
     /// Returns [`ArrayError::InvalidParameter`] when the workload
     /// parameters fail validation.
-    pub fn evaluate(&self) -> Result<ArrayMetrics, ArrayError> {
+    pub fn slice(&self) -> Result<ArraySlice<'a>, ArrayError> {
         self.params.validate()?;
-        let vdd = self.cell.vdd();
-        let vddc = self.cell.vddc();
-        let vwl = self.cell.vwl();
+        let (cell, periphery, params) = (self.cell, self.periphery, self.params);
+        let vdd = cell.vdd();
+        let vddc = cell.vddc();
+        let vwl = cell.vwl();
         let org = &self.organization;
 
-        let wires = WireCapacitances::new(
-            org,
-            self.periphery,
-            &self.params.tech,
-            self.n_pre,
-            self.n_wr,
-        );
+        // Table 1 at N_pre = N_wr = 1; the rows evaluated here read only
+        // its fin-independent capacitances (C_CVDD, C_CVSS, C_WL).
+        let wires = WireCapacitances::new(org, periphery, &params.tech, 1, 1);
         let inputs = ComponentInputs {
             wires: &wires,
-            periphery: self.periphery,
-            cell: self.cell,
+            periphery,
+            cell,
             vdd,
             vddc,
             vssc: self.vssc,
             vwl,
-            delta_vs: self.params.delta_vs,
-            n_pre: self.n_pre,
-            n_wr: self.n_wr,
+            delta_vs: params.delta_vs,
+            n_pre: 1,
+            n_wr: 1,
         };
 
         // Table 2 components.
@@ -293,14 +291,9 @@ impl<'a> ArrayModel<'a> {
         let cvss = components::cvss_rail(&inputs);
         let wl_rd = components::wordline_read(&inputs);
         let wl_wr = components::wordline_write(&inputs);
-        let col = components::column_select(&inputs);
-        let bl_rd = components::bitline_read(&inputs);
-        let bl_wr = components::bitline_write(&inputs);
-        let pre_rd = components::precharge_read(&inputs);
-        let pre_wr = components::precharge_write(&inputs);
 
         // Decoders and drivers.
-        let decoder = DecoderModel::new(self.periphery);
+        let decoder = DecoderModel::new(periphery);
         let row_dec_d = decoder.delay(org.row_address_bits());
         let row_dec_e = decoder.energy(org.row_address_bits());
         let col_bits = org.column_address_bits();
@@ -309,9 +302,170 @@ impl<'a> ArrayModel<'a> {
         } else {
             (Time::ZERO, Energy::ZERO)
         };
-        let row_drv = Superbuffer::design(wires.wordline, self.periphery);
+        let row_drv = Superbuffer::design(wires.wordline, periphery);
+        let sense = SenseAmp::new(periphery, params.delta_vs);
+
+        // Cell write: delay from the characterization LUT; energy is the
+        // storage-node flip (small, approximated as four inverter loads
+        // switching through V_DDC).
+        let d_write_sram = cell.write_delay(vwl);
+        let e_write_sram = periphery.c_inverter_input() * 4.0 * vddc * vddc;
+
+        // Assist-rail energies carry the DC-DC conversion overhead
+        // (Section 5); the overdriven wordline is likewise converter-fed.
+        let dcdc = params.tech.dcdc_overhead;
+        let assist_rails = (cvdd.energy + cvss.energy) * dcdc;
+        let wl_wr_energy = if vwl > vdd {
+            wl_wr.energy * dcdc
+        } else {
+            wl_wr.energy
+        };
+
+        Ok(ArraySlice {
+            organization: self.organization,
+            cell,
+            periphery,
+            params,
+            vssc: self.vssc,
+            wires,
+            wl_rd,
+            wl_wr_energy,
+            wl_wr_delay: wl_wr.delay,
+            assist_rails,
+            row_dec_d,
+            row_dec_e,
+            col_dec_d,
+            col_dec_e,
+            row_drv,
+            sense,
+            d_write_sram,
+            e_write_sram,
+            i_read: cell.read_current(self.vssc),
+        })
+    }
+
+    /// Evaluates Table 3 and Eqs. (2)–(5) at this one point.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArrayError::InvalidParameter`] when the workload
+    /// parameters fail validation.
+    pub fn evaluate(&self) -> Result<ArrayMetrics, ArrayError> {
+        Ok(self.slice()?.evaluate(self.n_pre, self.n_wr))
+    }
+}
+
+/// One `(organization, V_SSC)` slice of the design space, prepared for
+/// evaluating its `(N_pre, N_wr)` points.
+///
+/// [`ArrayModel::slice`] validates the parameters and evaluates every
+/// term that no fin count reaches: the rail and wordline rows, the
+/// decoders, the row superbuffer, the sense amplifier, the cell write
+/// and `I_read(V_SSC)`. The `N_wr` terms (`C_COL`, the column-select row
+/// and the column superbuffer) are evaluated once per `N_wr`, and only
+/// `C_BL`, its four rows and the Table 3 sums once per point.
+/// [`ArrayModel::evaluate`] is a slice plus one point, so a
+/// [`ArraySlice::sweep`] returns, bit for bit, what it returns at each
+/// point.
+#[derive(Debug, Clone)]
+pub struct ArraySlice<'a> {
+    organization: ArrayOrganization,
+    cell: &'a CellCharacterization,
+    periphery: &'a Periphery,
+    params: &'a ArrayParams,
+    vssc: Voltage,
+    wires: WireCapacitances,
+    wl_rd: DelayEnergy,
+    wl_wr_delay: Time,
+    wl_wr_energy: Energy,
+    assist_rails: Energy,
+    row_dec_d: Time,
+    row_dec_e: Energy,
+    col_dec_d: Time,
+    col_dec_e: Energy,
+    row_drv: Superbuffer,
+    sense: SenseAmp,
+    d_write_sram: Time,
+    e_write_sram: Energy,
+    i_read: Current,
+}
+
+/// The `N_wr` terms of a slice.
+#[derive(Debug, Clone, Copy)]
+struct ColumnTerms {
+    n_wr: u32,
+    column_select: Capacitance,
+    col: DelayEnergy,
+    col_drv_d: Time,
+    col_drv_e: Energy,
+}
+
+impl ArraySlice<'_> {
+    /// Evaluates the point (`n_pre`, `n_wr`) of this slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either fin count is zero.
+    #[must_use]
+    pub fn evaluate(&self, n_pre: u32, n_wr: u32) -> ArrayMetrics {
+        self.point(&self.column(n_wr), n_pre)
+    }
+
+    /// Evaluates every point of `n_pre_values × n_wr_values`, `N_pre`
+    /// outer and `N_wr` inner, and hands each to `visit` as
+    /// `(n_pre, n_wr, metrics)`. The `N_wr` terms are evaluated once per
+    /// `N_wr` value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any fin count is zero.
+    pub fn sweep(
+        &self,
+        n_pre_values: &[u32],
+        n_wr_values: &[u32],
+        mut visit: impl FnMut(u32, u32, &ArrayMetrics),
+    ) {
+        let columns: Vec<ColumnTerms> = n_wr_values.iter().map(|&n| self.column(n)).collect();
+        for &n_pre in n_pre_values {
+            for col in &columns {
+                visit(n_pre, col.n_wr, &self.point(col, n_pre));
+            }
+        }
+    }
+
+    fn inputs<'w>(
+        &'w self,
+        wires: &'w WireCapacitances,
+        n_pre: u32,
+        n_wr: u32,
+    ) -> ComponentInputs<'w> {
+        ComponentInputs {
+            wires,
+            periphery: self.periphery,
+            cell: self.cell,
+            vdd: self.cell.vdd(),
+            vddc: self.cell.vddc(),
+            vssc: self.vssc,
+            vwl: self.cell.vwl(),
+            delta_vs: self.params.delta_vs,
+            n_pre,
+            n_wr,
+        }
+    }
+
+    /// `C_COL`, the column-select row and the column superbuffer at
+    /// `n_wr`; the column-select row reads no `C_BL` or `N_pre`.
+    fn column(&self, n_wr: u32) -> ColumnTerms {
+        assert!(n_wr > 0, "N_wr must be at least 1");
+        let org = &self.organization;
+        let column_select = wire::column_select(org, self.periphery, &self.params.tech, n_wr);
+        let wires = WireCapacitances {
+            column_select,
+            ..self.wires
+        };
+        let col = components::column_select(&self.inputs(&wires, 1, n_wr));
         let (col_drv_d, col_drv_e) = if org.has_column_mux() {
-            let drv = Superbuffer::design(wires.column_select, self.periphery);
+            let drv = Superbuffer::design(column_select, self.periphery);
             (
                 drv.first_three_stage_delay(),
                 drv.first_three_stage_energy(),
@@ -319,42 +473,52 @@ impl<'a> ArrayModel<'a> {
         } else {
             (Time::ZERO, Energy::ZERO)
         };
-        let sense = SenseAmp::new(self.periphery, self.params.delta_vs);
+        ColumnTerms {
+            n_wr,
+            column_select,
+            col,
+            col_drv_d,
+            col_drv_e,
+        }
+    }
 
-        // Cell write: delay from the characterization LUT; energy is the
-        // storage-node flip (small, approximated as four inverter loads
-        // switching through V_DDC).
-        let d_write_sram = self.cell.write_delay(vwl);
-        let e_write_sram = self.periphery.c_inverter_input() * 4.0 * vddc * vddc;
+    /// The one Table 3 / Eqs. (2)–(5) body.
+    fn point(&self, column: &ColumnTerms, n_pre: u32) -> ArrayMetrics {
+        assert!(n_pre > 0, "N_pre must be at least 1");
+        let org = &self.organization;
+        let (n_wr, col) = (column.n_wr, column.col);
+        let wires = WireCapacitances {
+            column_select: column.column_select,
+            bitline: wire::bitline(org, self.periphery, &self.params.tech, n_pre, n_wr),
+            ..self.wires
+        };
+        let inputs = self.inputs(&wires, n_pre, n_wr);
+        let bl_rd = components::bitline_read_with(&inputs, self.i_read);
+        let bl_wr = components::bitline_write(&inputs);
+        let pre_rd = components::precharge_read(&inputs);
+        let pre_wr = components::precharge_write(&inputs);
 
         // Table 3: delays.
         let read_breakdown = DelayBreakdown {
-            row_path: row_dec_d + row_drv.first_three_stage_delay() + wl_rd.delay + bl_rd.delay,
-            column_path: col_dec_d + col_drv_d + col.delay,
+            row_path: self.row_dec_d
+                + self.row_drv.first_three_stage_delay()
+                + self.wl_rd.delay
+                + bl_rd.delay,
+            column_path: self.col_dec_d + column.col_drv_d + col.delay,
             bitline: bl_rd.delay,
-            resolve: sense.delay(),
+            resolve: self.sense.delay(),
             precharge: pre_rd.delay,
         };
         let write_breakdown = DelayBreakdown {
-            row_path: row_dec_d + row_drv.first_three_stage_delay() + wl_wr.delay,
-            column_path: col_dec_d + col_drv_d + col.delay + bl_wr.delay,
+            row_path: self.row_dec_d + self.row_drv.first_three_stage_delay() + self.wl_wr_delay,
+            column_path: self.col_dec_d + column.col_drv_d + col.delay + bl_wr.delay,
             bitline: bl_wr.delay,
-            resolve: d_write_sram,
+            resolve: self.d_write_sram,
             precharge: pre_wr.delay,
         };
         let read_delay = read_breakdown.total();
         let write_delay = write_breakdown.total();
         let delay = read_delay.max(write_delay);
-
-        // Assist-rail energies carry the DC-DC conversion overhead
-        // (Section 5); the overdriven wordline is likewise converter-fed.
-        let dcdc = self.params.tech.dcdc_overhead;
-        let assist_rails = (cvdd.energy + cvss.energy) * dcdc;
-        let wl_wr_energy = if vwl > vdd {
-            wl_wr.energy * dcdc
-        } else {
-            wl_wr.energy
-        };
 
         // Table 3: switching energies. Under per-word accounting, the
         // bitline/precharge terms scale by the number of columns the
@@ -369,17 +533,23 @@ impl<'a> ArrayModel<'a> {
             ),
         };
         let read_energy_breakdown = EnergyBreakdown {
-            addressing: row_dec_e + row_drv.first_three_stage_energy() + col_dec_e + col_drv_e,
-            wordline: wl_rd.energy,
+            addressing: self.row_dec_e
+                + self.row_drv.first_three_stage_energy()
+                + self.col_dec_e
+                + column.col_drv_e,
+            wordline: self.wl_rd.energy,
             bitline: (bl_rd.energy + pre_rd.energy) * bl_columns + col.energy,
-            resolve: sense.energy() * resolve_units,
-            assist_rails,
+            resolve: self.sense.energy() * resolve_units,
+            assist_rails: self.assist_rails,
         };
         let write_energy_breakdown = EnergyBreakdown {
-            addressing: row_dec_e + row_drv.first_three_stage_energy() + col_dec_e + col_drv_e,
-            wordline: wl_wr_energy,
+            addressing: self.row_dec_e
+                + self.row_drv.first_three_stage_energy()
+                + self.col_dec_e
+                + column.col_drv_e,
+            wordline: self.wl_wr_energy,
             bitline: bl_wr.energy * wr_columns + pre_wr.energy * bl_columns + col.energy,
-            resolve: e_write_sram * resolve_units,
+            resolve: self.e_write_sram * resolve_units,
             assist_rails: Energy::ZERO,
         };
         let e_sw_rd = read_energy_breakdown.total();
@@ -392,7 +562,7 @@ impl<'a> ArrayModel<'a> {
         let leakage_energy = self.cell.leakage() * m * delay;
         let energy = switching_energy * self.params.activity + leakage_energy;
 
-        Ok(ArrayMetrics {
+        ArrayMetrics {
             read_delay,
             write_delay,
             delay,
@@ -403,14 +573,14 @@ impl<'a> ArrayModel<'a> {
             write_breakdown,
             read_energy_breakdown,
             write_energy_breakdown,
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sram_device::DeviceLibrary;
+    use sram_device::{DeviceLibrary, VtFlavor};
 
     struct Fixture {
         hvt: CellCharacterization,
@@ -577,5 +747,234 @@ mod tests {
             (sa_ratio - 64.0).abs() < 1e-9,
             "sense-amp ratio = {sa_ratio}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "N_wr")]
+    fn zero_write_fins_panic_in_a_slice() {
+        let fx = fixture();
+        let slice = ArrayModel::new(org(128, 64), &fx.hvt, &fx.periphery, &fx.params)
+            .slice()
+            .unwrap();
+        let _ = slice.evaluate(1, 0);
+    }
+
+    /// The slice-equivalence grid: organizations without a mux and with
+    /// one, three cells (the last at `V_WL = Vdd`, so its write wordline
+    /// is not converter-fed), three `V_SSC` levels and both accountings.
+    struct Grid {
+        periphery: Periphery,
+        cells: [CellCharacterization; 3],
+        params: [ArrayParams; 2],
+    }
+
+    const GRID_NPRE: [u32; 3] = [1, 7, 50];
+    const GRID_NWR: [u32; 3] = [1, 5, 20];
+
+    impl Grid {
+        fn new() -> Self {
+            let lib = DeviceLibrary::sevennm();
+            let vdd = lib.nominal_vdd();
+            Self {
+                periphery: Periphery::new(&lib),
+                cells: [
+                    CellCharacterization::paper_lvt(vdd),
+                    CellCharacterization::paper_hvt(vdd),
+                    CellCharacterization::paper_with_rails(
+                        VtFlavor::Hvt,
+                        vdd,
+                        Voltage::from_millivolts(550.0),
+                        vdd,
+                    ),
+                ],
+                params: [
+                    ArrayParams::paper_defaults(),
+                    ArrayParams::per_word_accounting(),
+                ],
+            }
+        }
+
+        /// One model per `(organization, cell, accounting, V_SSC)` slice.
+        fn slices(&self) -> Vec<ArrayModel<'_>> {
+            let mut out = Vec::new();
+            for o in [org(128, 64), org(128, 256), org(1024, 128)] {
+                for cell in &self.cells {
+                    for params in &self.params {
+                        for mv in [0.0, -120.0, -240.0] {
+                            out.push(
+                                ArrayModel::new(o, cell, &self.periphery, params)
+                                    .with_vssc(Voltage::from_millivolts(mv)),
+                            );
+                        }
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn one_slice_sweep_matches_fresh_points() {
+        let grid = Grid::new();
+        for model in grid.slices() {
+            let slice = model.slice().unwrap();
+            let mut visited = Vec::new();
+            slice.sweep(&GRID_NPRE, &GRID_NWR, |n_pre, n_wr, metrics| {
+                let fresh = model
+                    .clone()
+                    .with_precharge_fins(n_pre)
+                    .with_write_fins(n_wr)
+                    .evaluate()
+                    .unwrap();
+                assert_eq!(*metrics, fresh, "{model:?} at N_pre={n_pre} N_wr={n_wr}");
+                assert_eq!(slice.evaluate(n_pre, n_wr), fresh);
+                visited.push((n_pre, n_wr));
+            });
+            let expected: Vec<(u32, u32)> = GRID_NPRE
+                .iter()
+                .flat_map(|&p| GRID_NWR.iter().map(move |&w| (p, w)))
+                .collect();
+            assert_eq!(visited, expected, "N_pre outer, N_wr inner");
+        }
+    }
+
+    /// Table 3 and Eqs. (2)-(5) composed from scratch at one point, from
+    /// the public Table 1/2 pieces alone: the reference the slice's
+    /// hoisted terms must reproduce bit for bit.
+    fn from_scratch(model: &ArrayModel<'_>) -> ArrayMetrics {
+        let (cell, periphery, params) = (model.cell, model.periphery, model.params);
+        let org = &model.organization;
+        let (vdd, vddc, vwl) = (cell.vdd(), cell.vddc(), cell.vwl());
+        let wires = WireCapacitances::new(org, periphery, &params.tech, model.n_pre, model.n_wr);
+        let inputs = ComponentInputs {
+            wires: &wires,
+            periphery,
+            cell,
+            vdd,
+            vddc,
+            vssc: model.vssc,
+            vwl,
+            delta_vs: params.delta_vs,
+            n_pre: model.n_pre,
+            n_wr: model.n_wr,
+        };
+        let [cvdd, cvss, wl_rd, wl_wr, col, bl_rd, bl_wr, pre_rd, pre_wr] = [
+            components::cvdd_rail,
+            components::cvss_rail,
+            components::wordline_read,
+            components::wordline_write,
+            components::column_select,
+            components::bitline_read,
+            components::bitline_write,
+            components::precharge_read,
+            components::precharge_write,
+        ]
+        .map(|row| row(&inputs));
+
+        let decoder = DecoderModel::new(periphery);
+        let row_bits = org.row_address_bits();
+        let col_bits = org.column_address_bits();
+        let mux = org.has_column_mux();
+        let col_dec_d = if mux {
+            decoder.delay(col_bits)
+        } else {
+            Time::ZERO
+        };
+        let col_dec_e = if mux {
+            decoder.energy(col_bits)
+        } else {
+            Energy::ZERO
+        };
+        let row_drv = Superbuffer::design(wires.wordline, periphery);
+        let col_drv = Superbuffer::design(wires.column_select, periphery);
+        let col_drv_d = if mux {
+            col_drv.first_three_stage_delay()
+        } else {
+            Time::ZERO
+        };
+        let col_drv_e = if mux {
+            col_drv.first_three_stage_energy()
+        } else {
+            Energy::ZERO
+        };
+        let sense = SenseAmp::new(periphery, params.delta_vs);
+        let row_d = decoder.delay(row_bits) + row_drv.first_three_stage_delay();
+        let addressing =
+            decoder.energy(row_bits) + row_drv.first_three_stage_energy() + col_dec_e + col_drv_e;
+
+        let read_breakdown = DelayBreakdown {
+            row_path: row_d + wl_rd.delay + bl_rd.delay,
+            column_path: col_dec_d + col_drv_d + col.delay,
+            bitline: bl_rd.delay,
+            resolve: sense.delay(),
+            precharge: pre_rd.delay,
+        };
+        let write_breakdown = DelayBreakdown {
+            row_path: row_d + wl_wr.delay,
+            column_path: col_dec_d + col_drv_d + col.delay + bl_wr.delay,
+            bitline: bl_wr.delay,
+            resolve: cell.write_delay(vwl),
+            precharge: pre_wr.delay,
+        };
+        let dcdc = params.tech.dcdc_overhead;
+        let (bl_columns, resolve_units) = match params.energy_accounting {
+            EnergyAccounting::PaperTable3 => (1.0, 1.0),
+            EnergyAccounting::PerWord => (f64::from(org.cols()), f64::from(org.word_bits())),
+        };
+        let read_energy_breakdown = EnergyBreakdown {
+            addressing,
+            wordline: wl_rd.energy,
+            bitline: (bl_rd.energy + pre_rd.energy) * bl_columns + col.energy,
+            resolve: sense.energy() * resolve_units,
+            assist_rails: (cvdd.energy + cvss.energy) * dcdc,
+        };
+        let write_energy_breakdown = EnergyBreakdown {
+            addressing,
+            wordline: if vwl > vdd {
+                wl_wr.energy * dcdc
+            } else {
+                wl_wr.energy
+            },
+            bitline: bl_wr.energy * resolve_units + pre_wr.energy * bl_columns + col.energy,
+            resolve: periphery.c_inverter_input() * 4.0 * vddc * vddc * resolve_units,
+            assist_rails: Energy::ZERO,
+        };
+
+        let read_delay = read_breakdown.total();
+        let write_delay = write_breakdown.total();
+        let delay = read_delay.max(write_delay);
+        let beta = params.read_ratio;
+        let switching_energy =
+            read_energy_breakdown.total() * beta + write_energy_breakdown.total() * (1.0 - beta);
+        let bits = org.capacity().bits() as f64;
+        let leakage_energy = cell.leakage() * bits * delay;
+        ArrayMetrics {
+            read_delay,
+            write_delay,
+            delay,
+            switching_energy,
+            leakage_energy,
+            energy: switching_energy * params.activity + leakage_energy,
+            read_breakdown,
+            write_breakdown,
+            read_energy_breakdown,
+            write_energy_breakdown,
+        }
+    }
+
+    #[test]
+    fn every_breakdown_field_matches_a_from_scratch_composition() {
+        let grid = Grid::new();
+        for model in grid.slices() {
+            for n_pre in GRID_NPRE {
+                for n_wr in GRID_NWR {
+                    let point = model
+                        .clone()
+                        .with_precharge_fins(n_pre)
+                        .with_write_fins(n_wr);
+                    assert_eq!(point.evaluate().unwrap(), from_scratch(&point), "{point:?}");
+                }
+            }
+        }
     }
 }

@@ -18,11 +18,18 @@ use sram_device::{DeviceLibrary, FinFet, VtFlavor};
 use sram_units::{Capacitance, Current, Time, Voltage};
 
 /// Per-fin LVT peripheral-device figures at a given supply.
+///
+/// The supply-fixed figures (`I_ON,PFET`, `I_ON,NFET` and τ) are computed
+/// once at construction; only the rail and wordline currents, which take
+/// an assist voltage, evaluate the device model per call.
 #[derive(Debug, Clone)]
 pub struct Periphery {
     vdd: Voltage,
     nfet: FinFet,
     pfet: FinFet,
+    ion_nfet: Current,
+    ion_pfet: Current,
+    tau: Time,
 }
 
 impl Periphery {
@@ -37,10 +44,20 @@ impl Periphery {
     /// scaling studies).
     #[must_use]
     pub fn at_supply(library: &DeviceLibrary, vdd: Voltage) -> Self {
+        let nfet = FinFet::new(library.nfet(VtFlavor::Lvt).clone(), 1);
+        let pfet = FinFet::new(library.pfet(VtFlavor::Lvt).clone(), 1);
+        let ion_nfet = nfet.ids(vdd, vdd);
+        let ion_pfet = pfet.ids(vdd, vdd);
+        let c_inv = nfet.c_gate() + pfet.c_gate();
+        let i_avg = (ion_nfet + ion_pfet) * 0.5;
+        let tau = c_inv * (vdd * 0.5) / i_avg;
         Self {
             vdd,
-            nfet: FinFet::new(library.nfet(VtFlavor::Lvt).clone(), 1),
-            pfet: FinFet::new(library.pfet(VtFlavor::Lvt).clone(), 1),
+            nfet,
+            pfet,
+            ion_nfet,
+            ion_pfet,
+            tau,
         }
     }
 
@@ -77,13 +94,13 @@ impl Periphery {
     /// Per-fin PFET ON current `I_ON,PFET` at the nominal supply.
     #[must_use]
     pub fn ion_pfet(&self) -> Current {
-        self.pfet.ids(self.vdd, self.vdd)
+        self.ion_pfet
     }
 
     /// Per-fin NFET ON current at the nominal supply.
     #[must_use]
     pub fn ion_nfet(&self) -> Current {
-        self.nfet.ids(self.vdd, self.vdd)
+        self.ion_nfet
     }
 
     /// Per-fin transmission-gate ON current `I_ON,TG`.
@@ -126,9 +143,7 @@ impl Periphery {
     /// `C_inv = C_gn + C_gp` and the average N/P drive.
     #[must_use]
     pub fn tau(&self) -> Time {
-        let c_inv = self.cgn() + self.cgp();
-        let i_avg = (self.ion_nfet() + self.ion_pfet()) * 0.5;
-        c_inv * (self.vdd * 0.5) / i_avg
+        self.tau
     }
 
     /// Input capacitance of a minimum (1-fin N + 1-fin P) inverter.
@@ -158,6 +173,24 @@ mod tests {
         let lib = DeviceLibrary::sevennm();
         assert_eq!(p.cgn(), lib.nfet(VtFlavor::Lvt).c_gate_per_fin);
         assert_eq!(p.cdp(), lib.pfet(VtFlavor::Lvt).c_drain_per_fin);
+    }
+
+    #[test]
+    fn stored_figures_equal_their_device_definitions() {
+        let lib = DeviceLibrary::sevennm();
+        for vdd in [lib.nominal_vdd(), Voltage::from_millivolts(350.0)] {
+            let p = Periphery::at_supply(&lib, vdd);
+            let nfet = FinFet::new(lib.nfet(VtFlavor::Lvt).clone(), 1);
+            let pfet = FinFet::new(lib.pfet(VtFlavor::Lvt).clone(), 1);
+            let ion_nfet = nfet.ids(vdd, vdd);
+            let ion_pfet = pfet.ids(vdd, vdd);
+            assert_eq!(p.ion_nfet(), ion_nfet, "I_ON,NFET at {vdd}");
+            assert_eq!(p.ion_pfet(), ion_pfet, "I_ON,PFET at {vdd}");
+            assert_eq!(p.ion_tg(), ion_nfet + ion_pfet * 0.5, "I_ON,TG at {vdd}");
+            let c_inv = nfet.c_gate() + pfet.c_gate();
+            let tau = c_inv * (vdd * 0.5) / ((ion_nfet + ion_pfet) * 0.5);
+            assert_eq!(p.tau(), tau, "tau at {vdd}");
+        }
     }
 
     #[test]

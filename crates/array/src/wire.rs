@@ -58,14 +58,9 @@ impl WireCapacitances {
         n_wr: u32,
     ) -> Self {
         let nc = f64::from(org.cols());
-        let nr = f64::from(org.rows());
-        let w = f64::from(org.word_bits());
-        let npre = f64::from(n_pre);
-        let nwr = f64::from(n_wr);
         let c_width = tech.cell_width_cap();
-        let c_height = tech.cell_height_cap();
         let (cdn, cdp) = (periphery.cdn(), periphery.cdp());
-        let (cgn, cgp) = (periphery.cgn(), periphery.cgp());
+        let cgn = periphery.cgn();
 
         // C_CVDD = n_c (C_width + 2 C_dp) + 2*20*C_dp
         let cvdd = (c_width + cdp * 2.0) * nc + cdp * (2.0 * RAIL_DRIVER_FINS);
@@ -73,32 +68,57 @@ impl WireCapacitances {
         let cvss = (c_width + cdn * 2.0) * nc + cdn * (2.0 * RAIL_DRIVER_FINS);
         // C_WL = n_c (C_width + 2 C_gn) + 27 (C_dn + C_dp)
         let wordline = (c_width + cgn * 2.0) * nc + (cdn + cdp) * WL_DRIVER_FINS;
-        // C_COL: 0 if n_c <= W, else
-        //   n_c C_width + 27 (C_dn + C_dp) + 2 W N_wr (C_gn + C_gp)
-        let column_select = if org.has_column_mux() {
-            c_width * nc + (cdn + cdp) * WL_DRIVER_FINS + (cgn + cgp) * (2.0 * w * nwr)
-        } else {
-            Capacitance::ZERO
-        };
-        // C_BL:
-        //   n_r (C_height + C_dn) + (N_pre + 1) C_dp + N_wr (C_dn + C_dp)
-        //     + C_dp                                  if n_c <= W
-        //   n_r (C_height + C_dn) + (N_pre + 1) C_dp + 2 N_wr (C_dn + C_dp)
-        //                                             if n_c >  W
-        let bl_base = (c_height + cdn) * nr + cdp * (npre + 1.0);
-        let bitline = if org.has_column_mux() {
-            bl_base + (cdn + cdp) * (2.0 * nwr)
-        } else {
-            bl_base + (cdn + cdp) * nwr + cdp
-        };
 
         Self {
             cvdd,
             cvss,
             wordline,
-            column_select,
-            bitline,
+            column_select: column_select(org, periphery, tech, n_wr),
+            bitline: bitline(org, periphery, tech, n_pre, n_wr),
         }
+    }
+}
+
+/// `C_COL`: 0 if `n_c <= W`, else
+/// `n_c C_width + 27 (C_dn + C_dp) + 2 W N_wr (C_gn + C_gp)`.
+pub(crate) fn column_select(
+    org: &ArrayOrganization,
+    periphery: &Periphery,
+    tech: &TechnologyParams,
+    n_wr: u32,
+) -> Capacitance {
+    if !org.has_column_mux() {
+        return Capacitance::ZERO;
+    }
+    let nc = f64::from(org.cols());
+    let w = f64::from(org.word_bits());
+    let nwr = f64::from(n_wr);
+    let (cdn, cdp) = (periphery.cdn(), periphery.cdp());
+    let (cgn, cgp) = (periphery.cgn(), periphery.cgp());
+    tech.cell_width_cap() * nc + (cdn + cdp) * WL_DRIVER_FINS + (cgn + cgp) * (2.0 * w * nwr)
+}
+
+/// `C_BL`:
+/// ```text
+/// n_r (C_height + C_dn) + (N_pre + 1) C_dp + N_wr (C_dn + C_dp) + C_dp   if n_c <= W
+/// n_r (C_height + C_dn) + (N_pre + 1) C_dp + 2 N_wr (C_dn + C_dp)        if n_c >  W
+/// ```
+pub(crate) fn bitline(
+    org: &ArrayOrganization,
+    periphery: &Periphery,
+    tech: &TechnologyParams,
+    n_pre: u32,
+    n_wr: u32,
+) -> Capacitance {
+    let nr = f64::from(org.rows());
+    let npre = f64::from(n_pre);
+    let nwr = f64::from(n_wr);
+    let (cdn, cdp) = (periphery.cdn(), periphery.cdp());
+    let bl_base = (tech.cell_height_cap() + cdn) * nr + cdp * (npre + 1.0);
+    if org.has_column_mux() {
+        bl_base + (cdn + cdp) * (2.0 * nwr)
+    } else {
+        bl_base + (cdn + cdp) * nwr + cdp
     }
 }
 

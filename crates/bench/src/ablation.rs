@@ -80,6 +80,7 @@ pub fn pareto_ablation(capacity: Capacity) -> Result<ParetoAblation, CooptError>
     let space = DesignSpace::paper_default().with_strides(3, 2);
     let constraint = YieldConstraint::paper_delta(vdd);
 
+    let (npre_values, nwr_values) = (space.npre_values(), space.nwr_values());
     let mut front: ParetoFront<(u32, u32, u32, i32)> = ParetoFront::new();
     let mut evaluated = 0usize;
     let mut best_edp = f64::INFINITY;
@@ -88,22 +89,18 @@ pub fn pareto_ablation(capacity: Capacity) -> Result<ParetoAblation, CooptError>
             if !constraint.check_snapshot(&cell, vssc) {
                 continue;
             }
-            for &n_pre in &space.npre_values() {
-                for &n_wr in &space.nwr_values() {
-                    let metrics = ArrayModel::new(org, &cell, &periphery, &params)
-                        .with_precharge_fins(n_pre)
-                        .with_write_fins(n_wr)
-                        .with_vssc(vssc)
-                        .evaluate()?;
-                    evaluated += 1;
-                    best_edp = best_edp.min(EnergyDelayProduct.score(&metrics));
-                    front.offer(ParetoPoint {
-                        energy: metrics.energy,
-                        delay: metrics.delay,
-                        tag: (org.rows(), n_pre, n_wr, vssc.millivolts() as i32),
-                    });
-                }
-            }
+            let slice = ArrayModel::new(org, &cell, &periphery, &params)
+                .with_vssc(vssc)
+                .slice()?;
+            slice.sweep(&npre_values, &nwr_values, |n_pre, n_wr, metrics| {
+                evaluated += 1;
+                best_edp = best_edp.min(EnergyDelayProduct.score(metrics));
+                front.offer(ParetoPoint {
+                    energy: metrics.energy,
+                    delay: metrics.delay,
+                    tag: (org.rows(), n_pre, n_wr, vssc.millivolts() as i32),
+                });
+            });
         }
     }
     let front_edp = front

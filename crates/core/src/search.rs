@@ -110,6 +110,8 @@ impl<'a> ExhaustiveSearch<'a> {
         &self,
         org: ArrayOrganization,
         vssc: Voltage,
+        npre_values: &[u32],
+        nwr_values: &[u32],
         objective: &(impl Objective + ?Sized),
     ) -> (Option<ScoredCandidate>, SearchStatistics) {
         // One trace span per (V_SSC, n_r) slice — the unit of parallel
@@ -119,10 +121,10 @@ impl<'a> ExhaustiveSearch<'a> {
         trace.arg("rows", i64::from(org.rows()));
         trace.arg("vssc_mv", vssc.millivolts().round() as i64);
 
-        let mut stats = SearchStatistics::default();
-        let npre_values = self.space.npre_values();
-        let nwr_values = self.space.nwr_values();
-        stats.examined = npre_values.len() * nwr_values.len();
+        let mut stats = SearchStatistics {
+            examined: npre_values.len() * nwr_values.len(),
+            ..SearchStatistics::default()
+        };
 
         // The yield constraint depends only on V_SSC (through the cell
         // tables), so it gates the whole slice.
@@ -136,49 +138,41 @@ impl<'a> ExhaustiveSearch<'a> {
         trace.arg("examined", stats.examined as i64);
         trace.arg("feasible", stats.feasible as i64);
 
+        // Only invalid array parameters fail a slice; every candidate in
+        // it would have failed the same way.
+        let Ok(slice) = ArrayModel::new(org, self.cell, self.periphery, self.params)
+            .with_vssc(vssc)
+            .slice()
+        else {
+            stats.eval_errors = stats.feasible;
+            return (None, stats);
+        };
         let mut best: Option<ScoredCandidate> = None;
-        for &n_pre in &npre_values {
-            for &n_wr in &nwr_values {
-                let metrics = match ArrayModel::new(org, self.cell, self.periphery, self.params)
-                    .with_precharge_fins(n_pre)
-                    .with_write_fins(n_wr)
-                    .with_vssc(vssc)
-                    .evaluate()
-                {
-                    Ok(m) => {
-                        stats.evaluated += 1;
-                        m
-                    }
-                    Err(_) => {
-                        stats.eval_errors += 1;
-                        continue;
-                    }
-                };
-                let score = objective.score(&metrics);
-                // NaN policy: a non-finite score can never become the
-                // incumbent (a NaN first candidate would win `score < s`
-                // comparisons by default forever after). Count it with the
-                // evaluation errors so the statistics partition
-                // (`feasible = evaluated + eval_errors`) still holds.
-                if !score.is_finite() {
-                    stats.evaluated -= 1;
-                    stats.eval_errors += 1;
-                    continue;
-                }
-                if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
-                    best = Some((
-                        DesignPoint {
-                            organization: org,
-                            vssc,
-                            n_pre,
-                            n_wr,
-                        },
-                        metrics,
-                        score,
-                    ));
-                }
+        slice.sweep(npre_values, nwr_values, |n_pre, n_wr, metrics| {
+            let score = objective.score(metrics);
+            // NaN policy: a non-finite score can never become the
+            // incumbent (a NaN first candidate would win `score < s`
+            // comparisons by default forever after). Count it with the
+            // evaluation errors so the statistics partition
+            // (`feasible = evaluated + eval_errors`) still holds.
+            if !score.is_finite() {
+                stats.eval_errors += 1;
+                return;
             }
-        }
+            stats.evaluated += 1;
+            if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
+                best = Some((
+                    DesignPoint {
+                        organization: org,
+                        vssc,
+                        n_pre,
+                        n_wr,
+                    },
+                    *metrics,
+                    score,
+                ));
+            }
+        });
         (best, stats)
     }
 
@@ -209,6 +203,8 @@ impl<'a> ExhaustiveSearch<'a> {
                 capacity_bits: capacity.bits(),
             });
         }
+        let npre_values = self.space.npre_values();
+        let nwr_values = self.space.nwr_values();
         sram_probe::probe_inc!("coopt.searches");
         sram_probe::probe_add!("coopt.slices", slices.len() as u64);
         let _span = sram_probe::probe_span!("coopt.search_ns");
@@ -224,7 +220,7 @@ impl<'a> ExhaustiveSearch<'a> {
                 if let Some(reason) = self.cancel.cancelled() {
                     return Err(self.cancelled(reason));
                 }
-                out.push(self.best_in_slice(org, vssc, objective));
+                out.push(self.best_in_slice(org, vssc, &npre_values, &nwr_values, objective));
             }
             out
         } else {
@@ -243,6 +239,7 @@ impl<'a> ExhaustiveSearch<'a> {
                         .map(|chunk| {
                             sram_probe::probe_record!(detail "coopt.slices_per_worker", chunk.len() as u64);
                             let stop = &stop;
+                            let (npre_values, nwr_values) = (&npre_values, &nwr_values);
                             scope.spawn(move || {
                                 let _adopt = sram_probe::trace::adopt_parent(search_span);
                                 let mut partial = Vec::with_capacity(chunk.len());
@@ -254,7 +251,13 @@ impl<'a> ExhaustiveSearch<'a> {
                                         stop.store(true, Ordering::Relaxed);
                                         break;
                                     }
-                                    partial.push(self.best_in_slice(org, vssc, objective));
+                                    partial.push(self.best_in_slice(
+                                        org,
+                                        vssc,
+                                        npre_values,
+                                        nwr_values,
+                                        objective,
+                                    ));
                                 }
                                 partial
                             })

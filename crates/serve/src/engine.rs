@@ -770,6 +770,7 @@ impl Engine {
             delta: self.framework.delta(),
         };
         let capacity = Capacity::from_bytes(capacity_bytes as usize);
+        let (npre_values, nwr_values) = (space.npre_values(), space.nwr_values());
         let mut front = ParetoFront::new();
         for org in
             ArrayOrganization::enumerate(capacity, self.framework.word_bits(), space.rows_range())
@@ -783,26 +784,22 @@ impl Engine {
                 if !constraint.check_snapshot(cell, vssc) {
                     continue;
                 }
-                for &n_pre in &space.npre_values() {
-                    for &n_wr in &space.nwr_values() {
-                        let metrics = ArrayModel::new(
-                            org,
-                            cell,
-                            self.framework.periphery(),
-                            self.framework.params(),
-                        )
-                        .with_precharge_fins(n_pre)
-                        .with_write_fins(n_wr)
-                        .with_vssc(vssc)
-                        .evaluate()
-                        .map_err(CooptError::Array)?;
-                        front.offer(ParetoPoint {
-                            energy: metrics.energy,
-                            delay: metrics.delay,
-                            tag: (org.rows(), n_pre, n_wr, metrics_vssc_mv(vssc)),
-                        });
-                    }
-                }
+                let slice = ArrayModel::new(
+                    org,
+                    cell,
+                    self.framework.periphery(),
+                    self.framework.params(),
+                )
+                .with_vssc(vssc)
+                .slice()
+                .map_err(CooptError::Array)?;
+                slice.sweep(&npre_values, &nwr_values, |n_pre, n_wr, metrics| {
+                    front.offer(ParetoPoint {
+                        energy: metrics.energy,
+                        delay: metrics.delay,
+                        tag: (org.rows(), n_pre, n_wr, metrics_vssc_mv(vssc)),
+                    });
+                });
             }
         }
         Ok(front)
@@ -1130,6 +1127,39 @@ mod tests {
             .map(|p| p.get("delay_s").and_then(Json::as_f64).unwrap())
             .collect();
         assert!(delays.windows(2).all(|w| w[0] <= w[1]), "sorted by delay");
+    }
+
+    #[test]
+    fn pareto_front_min_edp_point_is_the_optimize_winner() {
+        // The Pareto sweep and the exhaustive search walk the same slices
+        // by different loops; the front's least E*D point must be the
+        // search's winner, bit for bit.
+        let engine = coarse_engine();
+        let num = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64).unwrap();
+        let edp = |p: &Json| num(p, "energy_j") * num(p, "delay_s");
+        for cap in [1024, 4096] {
+            for (flavor, method) in [("hvt", "m2"), ("lvt", "m1")] {
+                let key =
+                    format!(r#""capacity_bytes":{cap},"flavor":"{flavor}","method":"{method}""#);
+                let front = engine.handle(&req(&format!(r#"{{"op":"pareto-front",{key}}}"#)));
+                let best = engine.handle(&req(&format!(r#"{{"op":"optimize",{key}}}"#)));
+                let best = best.get("result").unwrap();
+                let points = front
+                    .get("result")
+                    .and_then(|r| r.get("points"))
+                    .and_then(Json::as_array)
+                    .unwrap();
+                let min = points
+                    .iter()
+                    .min_by(|a, b| edp(a).total_cmp(&edp(b)))
+                    .unwrap();
+                for field in ["rows", "n_pre", "n_wr"] {
+                    assert_eq!(num(min, field), num(best, field), "{key}: {field}");
+                }
+                assert_eq!(num(min, "vssc_mv"), num(best, "vssc_mv").round(), "{key}");
+                assert_eq!(edp(min), num(best, "edp_js"), "{key}");
+            }
+        }
     }
 
     #[test]
