@@ -18,10 +18,13 @@
 //!    in-process result, shut down gracefully.
 //! 5. **trace** — a traced optimize through a fresh engine in
 //!    *full-simulation* mode (the paper model's analytic
-//!    characterization never enters the spice or cell layers); the
-//!    captured events must export well-formed Chrome JSON (written to
-//!    `$SRAM_TRACE_OUT` when set) and the flame summary must name
-//!    spans from the spice, cell, core, and serve layers. Two overhead
+//!    characterization never enters the spice or cell layers), inside
+//!    a trace scope of the bench's own; the scope's events must hold
+//!    one search whose every slice nests under it (even from the
+//!    search's worker threads), one cell characterization with spice
+//!    solves and transients under it, export well-formed Chrome JSON
+//!    (written to `$SRAM_TRACE_OUT` when set), and name spans from the
+//!    spice, cell, core, and serve layers in the flame summary. Two overhead
 //!    gates ride on the traced run's wall time: the *disabled*
 //!    `trace_span!` fast path, times the run's span count, must cost
 //!    under [`MAX_DISABLED_OVERHEAD`] of it, and stitching plus
@@ -39,6 +42,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sram_coopt::{CoOptimizationFramework, DesignSpace};
+use sram_probe::trace::{Phase, TraceEvent};
 use sram_serve::{CacheConfig, Client, Engine, Json, Request, ServeError, Server, ServerConfig};
 
 /// Structured outcome of the serve bench (consumed by the integration
@@ -203,6 +207,59 @@ fn chrome_export_is_well_formed(chrome: &str) -> bool {
     !events.is_empty() && stacks.iter().all(|(_, stack)| stack.is_empty())
 }
 
+/// Phase 5's assertions on the traced 1 KB LVT-M1 optimize's events:
+/// exactly one `coopt.search`, one `coopt.slice` per slice it reports,
+/// each parented to the search span (and, with more than one search
+/// thread, run on worker threads rather than the search's own), exactly
+/// one `cell.characterize`, and at least one `spice.dc_solve` and one
+/// `spice.transient` under it.
+fn check_traced_optimize(events: &[TraceEvent], threads: usize) -> Result<(), ServeError> {
+    let spans = |name: &str| -> Vec<&TraceEvent> {
+        events
+            .iter()
+            .filter(|e| e.name == name && e.phase == Phase::Begin)
+            .collect()
+    };
+    let fail = |what: String| Err(ServeError::Remote(format!("traced optimize: {what}")));
+    let searches = spans("coopt.search");
+    let [search] = searches.as_slice() else {
+        return fail(format!("{} coopt.search spans, expected 1", searches.len()));
+    };
+    let reported = events
+        .iter()
+        .find(|e| e.id == search.id && e.phase == Phase::End)
+        .and_then(|end| end.args.iter().find(|(key, _)| *key == "slices"))
+        .map_or(-1, |&(_, n)| n);
+    let slices = spans("coopt.slice");
+    if slices.len() as i64 != reported {
+        return fail(format!(
+            "{} coopt.slice spans for a search over {reported} slices",
+            slices.len()
+        ));
+    }
+    if let Some(stray) = slices.iter().find(|s| s.parent != search.id) {
+        return fail(format!(
+            "coopt.slice {} has parent {}, not the search span {}",
+            stray.id, stray.parent, search.id
+        ));
+    }
+    if threads > 1 && slices.iter().any(|s| s.tid == search.tid) {
+        return fail("a slice ran on the search's own thread, not a worker".into());
+    }
+    let characterizations = spans("cell.characterize").len();
+    if characterizations != 1 {
+        return fail(format!(
+            "{characterizations} cell.characterize spans, expected 1"
+        ));
+    }
+    for name in ["spice.dc_solve", "spice.transient"] {
+        if spans(name).is_empty() {
+            return fail(format!("no {name} span"));
+        }
+    }
+    Ok(())
+}
+
 /// Times [`STITCH_ITERS`] stitch + validate passes over a two-node
 /// timeline — a winner and a cancelled hedge loser, both carrying
 /// `tree` stamped with the adoption proof a node adds on the wire.
@@ -338,11 +395,12 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     server.shutdown();
 
     // Phase 5: trace an optimize through a fresh full-simulation
-    // engine, so the capture holds spans from all four layers (the
+    // engine, so the trace holds spans from all four layers (the
     // device-equation LUT pass drives spice and cell; the search drives
     // coopt; the engine itself contributes the serve spans). The
     // paper-model engine above never touches the spice or cell layers.
-    sram_probe::trace::clear();
+    // The bench's own scope receives the request scope's events when
+    // the engine finishes it.
     let sim_engine = Engine::new(
         CoOptimizationFramework::simulated_mode()
             .with_space(DesignSpace::coarse())
@@ -352,9 +410,11 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     let traced_request = request(
         r#"{"op":"optimize","capacity_bytes":1024,"flavor":"lvt","method":"m1","trace":true}"#,
     )?;
+    let scope = sram_probe::trace::Scope::begin();
     let traced_started = Instant::now();
     let traced = sim_engine.handle(&traced_request);
     let traced_wall_ns = traced_started.elapsed().as_nanos().max(1);
+    let events = scope.finish();
     let Some(traced_tree) = traced
         .get("trace")
         .filter(|_| traced.get("status").and_then(Json::as_str) == Some("ok"))
@@ -363,11 +423,8 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
             "traced request did not return a span tree".into(),
         ));
     };
-    let events = sram_probe::trace::capture();
-    let trace_spans = events
-        .iter()
-        .filter(|e| e.phase != sram_probe::trace::Phase::End)
-        .count();
+    check_traced_optimize(&events, threads)?;
+    let trace_spans = events.iter().filter(|e| e.phase != Phase::End).count();
     let chrome = sram_probe::trace::chrome_trace_json(&events);
     let trace_chrome_valid = chrome_export_is_well_formed(&chrome);
     let flame = sram_probe::trace::flame_summary(&events, 16);

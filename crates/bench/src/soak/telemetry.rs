@@ -126,11 +126,7 @@ pub(crate) fn soak(threads: usize) -> Result<Outcome, String> {
     super::drive(&SCENARIO, threads, |soak| {
         // Phase 1: deterministic per-root sampling at a fractional rate.
         soak.sample_at(SAMPLE_RATE, SAMPLE_SEED);
-        let draw = || -> Vec<bool> {
-            (0..SAMPLE_KEYS)
-                .map(|k| trace::sample(k).is_some())
-                .collect()
-        };
+        let draw = || -> Vec<bool> { (0..SAMPLE_KEYS).map(trace::sampled).collect() };
         let (first, second) = (draw(), draw());
         let accepted = first.iter().filter(|hit| **hit).count();
         let fraction = accepted as f64 / SAMPLE_KEYS as f64;

@@ -50,7 +50,13 @@ pub(crate) const SCENARIO: Scenario = Scenario {
     topology: Topology::Cluster {
         nodes: 3,
         workers: 2,
-        replicas: 2,
+        // Every node is a candidate for every key. The kill takes one
+        // node and the 60 ms stall holds another, so the third always
+        // races the stalled attempt and makes it a hedge loser. With
+        // two candidates, a stalled key whose only other candidate was
+        // the killed node had nothing left to race it, and the loser
+        // rows failed in about 1 run in 10.
+        replicas: 3,
         hedge_ms: 5,
         // Slow polls on purpose: the killed node must stay in the ring
         // long enough for ring-routed traffic to hit it and fail over

@@ -483,7 +483,7 @@ fn forward(
     // span is what their trees re-root under.
     let trace_ctx = if request.trace && request.trace_ctx.is_none() {
         let key = ROUTE_KEY.fetch_add(1, Ordering::Relaxed);
-        let sampled = sram_probe::trace::sample(key).is_some();
+        let sampled = sram_probe::trace::sampled(key);
         let trace_id = sram_probe::trace::trace_id(key);
         let ctx = TraceCtx {
             trace_id,

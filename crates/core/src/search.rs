@@ -210,9 +210,10 @@ impl<'a> ExhaustiveSearch<'a> {
         let _span = sram_probe::probe_span!("coopt.search_ns");
         let mut _trace = sram_probe::trace_span!("coopt.search");
         _trace.arg("slices", slices.len() as i64);
-        // Scoped workers adopt the search span as parent so per-slice
-        // spans nest under it even on the parallel path.
-        let search_span = _trace.id();
+        // Scoped workers adopt this context (the search span and its
+        // trace scope) so per-slice spans nest under it even on the
+        // parallel path.
+        let search_ctx = sram_probe::trace::TraceContext::current();
 
         let results: Vec<(Option<ScoredCandidate>, SearchStatistics)> = if self.threads <= 1 {
             let mut out = Vec::with_capacity(slices.len());
@@ -240,8 +241,9 @@ impl<'a> ExhaustiveSearch<'a> {
                             sram_probe::probe_record!(detail "coopt.slices_per_worker", chunk.len() as u64);
                             let stop = &stop;
                             let (npre_values, nwr_values) = (&npre_values, &nwr_values);
+                            let search_ctx = &search_ctx;
                             scope.spawn(move || {
-                                let _adopt = sram_probe::trace::adopt_parent(search_span);
+                                let _adopt = sram_probe::trace::adopt(search_ctx);
                                 let mut partial = Vec::with_capacity(chunk.len());
                                 for &(org, vssc) in chunk {
                                     if stop.load(Ordering::Relaxed) {

@@ -54,16 +54,17 @@
 //! # Tracing
 //!
 //! Aggregates say *how much*; the [`trace`] module says *where*:
-//! hierarchical begin/end events in per-thread ring buffers, captured
-//! on demand and exported as Chrome trace JSON, a text flame summary,
-//! or a per-request span tree. Tracing has its own switch
-//! (`SRAM_TRACE`, [`trace::set_tracing`], [`trace::force`]) so it can
-//! run with metrics off and vice versa. [`trace_span!`] composes with
+//! hierarchical begin/end events, exported as Chrome trace JSON, a
+//! text flame summary, or a per-request span tree. Tracing has its own
+//! switches so it can run with metrics off and vice versa: process-wide
+//! (`SRAM_TRACE`, [`trace::set_tracing`]) every thread records into
+//! its own ring buffer, read back with [`trace::capture`]; a
+//! [`trace::Scope`] records one request, on the threads working for it,
+//! into a buffer of its own. [`trace_span!`] composes with
 //! [`probe_span!`]: the former records structure, the latter feeds the
-//! duration histogram. Under load, [`trace::sample`] force-enables
-//! tracing for a seeded, deterministic fraction of roots
-//! (`SRAM_TRACE_SAMPLE`) so a busy server keeps representative traces
-//! without ring pressure.
+//! duration histogram. Under load, [`trace::sampled`] picks a seeded,
+//! deterministic fraction of roots to trace (`SRAM_TRACE_SAMPLE`) so a
+//! busy server keeps representative traces.
 //!
 //! # Telemetry and logging
 //!
@@ -184,21 +185,27 @@ macro_rules! probe_record {
 /// Opens a hierarchical trace span (see [`trace`]): emits a begin
 /// event now and an end event when the returned
 /// [`trace::TraceSpan`] guard drops, parented to the innermost open
-/// span on this thread (or an [`trace::adopt_parent`] adoption). Bind
-/// the guard to a named variable, not `_`, or it ends immediately.
+/// span on this thread (or the span of an [`trace::adopt`]ed context).
+/// Bind the guard to a named variable, not `_`, or it ends immediately.
 ///
 /// Arguments attach to the end event via
 /// [`TraceSpan::arg`](trace::TraceSpan::arg):
 ///
 /// ```
-/// let _force = sram_probe::trace::force();
-/// let mut span = sram_probe::trace_span!("doc.slice");
-/// span.arg("examined", 128);
+/// let scope = sram_probe::trace::Scope::begin();
+/// {
+///     let mut span = sram_probe::trace_span!("doc.slice");
+///     span.arg("examined", 128);
+/// }
+/// let events = scope.finish();
+/// assert_eq!(events.len(), 2); // begin, then end with the argument
+/// assert_eq!(events[1].args, [("examined", 128)]);
 /// ```
 ///
-/// When tracing is disabled the expansion is one relaxed atomic load
-/// and a branch — no clock read, no ring-buffer touch. The span name
-/// is interned once per call site (cached in a `OnceLock`).
+/// When tracing is off and no [`trace::Scope`] is live, the expansion
+/// is one relaxed atomic load and a branch — no clock read, no
+/// ring-buffer touch. The span name is interned once per call site
+/// (cached in a `OnceLock`).
 #[macro_export]
 macro_rules! trace_span {
     ($name:expr) => {{

@@ -1,16 +1,19 @@
-//! Hierarchical trace capture: per-thread bounded ring buffers of
-//! begin/end events with span IDs and parent links.
+//! Hierarchical trace capture: begin/end events with span IDs and
+//! parent links, in per-thread bounded ring buffers or in one
+//! request's own scope.
 //!
 //! Where the rest of `sram-probe` aggregates (counters, histograms),
 //! this module records *structure*: which span ran inside which, on
 //! which thread, for how long. The design constraints, in order:
 //!
-//! 1. **Lock-free hot path.** Emitting an event is a handful of relaxed
-//!    atomic stores into a thread-owned ring buffer slot guarded by a
-//!    per-slot sequence word (a seqlock). No mutex, no allocation, no
-//!    syscall. Only the registration slow paths (first event on a
-//!    thread, first use of a span name) take a lock.
-//! 2. **Fixed byte budget.** Each thread owns one ring of
+//! 1. **Lock-free hot path.** Emitting a ring event is a handful of
+//!    relaxed atomic stores into a thread-owned ring buffer slot
+//!    guarded by a per-slot sequence word (a seqlock). No mutex, no
+//!    allocation, no syscall. Only the registration slow paths (first
+//!    event on a thread, first use of a span name) take a lock. A
+//!    scoped event appends to its request's buffer under that buffer's
+//!    own lock, which only the request's threads share.
+//! 2. **Fixed byte budget.** Each recording thread owns one ring of
 //!    [`slot capacity`](ring_slots) fixed-size slots. When the ring
 //!    wraps, the oldest event is overwritten and counted in
 //!    `probe.trace.dropped` — capture keeps the most recent window,
@@ -21,12 +24,20 @@
 //!    the reader discards.
 //!
 //! Tracing is **off by default** and independent of the metric
-//! [`crate::Level`]: the `SRAM_TRACE` environment variable (`1`)
-//! enables it at startup, [`set_tracing`] flips it at runtime, and
-//! [`force`] enables it for the lifetime of a guard (used by
-//! `sram-serve`'s per-request `"trace": true` flag). When disabled,
-//! [`trace_span!`](crate::trace_span) is one relaxed atomic load and a
-//! branch.
+//! [`crate::Level`]. Two things turn recording on:
+//!
+//! * **Process-wide tracing** — the `SRAM_TRACE` environment variable
+//!   (`1`) at startup or [`set_tracing`] at runtime: every thread's
+//!   spans go to its ring (allocated on the thread's first ring write),
+//!   read back with [`capture`].
+//! * **A [`Scope`]** — one request's own event buffer (`sram-serve`'s
+//!   per-request `"trace": true` flag). The thread that opens it, and
+//!   any thread that [`adopt`]s its [`TraceContext`], records into it;
+//!   every other thread records nothing, and no ring is touched unless
+//!   process-wide tracing is also on.
+//!
+//! With neither, [`trace_span!`](crate::trace_span) is one relaxed
+//! atomic load and a branch.
 //!
 //! Captured events export three ways: [`chrome_trace_json`] (loadable
 //! in `chrome://tracing` or <https://ui.perfetto.dev>),
@@ -36,6 +47,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -59,9 +71,6 @@ const DEFAULT_SLOTS: usize = 8192;
 /// Bounds on the `SRAM_TRACE_SLOTS` override.
 const MIN_SLOTS: usize = 256;
 const MAX_SLOTS: usize = 1 << 20;
-
-/// Retries before a capture gives up on a slot being rewritten under it.
-const READ_RETRIES: usize = 4;
 
 /// Event phase, Chrome trace-event vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,9 +110,9 @@ impl Phase {
 /// Sentinel meaning "not yet initialized from the environment".
 const STATE_UNINIT: u32 = u32::MAX;
 
-/// Bit 0: base enable (`SRAM_TRACE` / [`set_tracing`]); bits 1…: the
-/// count of live [`ForceGuard`]s, shifted left by one. A single word so
-/// the disabled fast path is one relaxed load.
+/// Bit 0: process-wide tracing (`SRAM_TRACE` / [`set_tracing`]); bits
+/// 1…: the count of live [`Scope`]s, shifted left by one. A single word
+/// so the disabled fast path is one relaxed load.
 static STATE: AtomicU32 = AtomicU32::new(STATE_UNINIT);
 
 fn init_state() -> u32 {
@@ -111,7 +120,8 @@ fn init_state() -> u32 {
         Ok(value) if value.trim() == "1" => 1,
         _ => 0,
     };
-    // A concurrent set_tracing/force may have initialized first; it wins.
+    // A concurrent set_tracing/Scope::begin may have initialized first;
+    // it wins.
     match STATE.compare_exchange(STATE_UNINIT, base, Ordering::Relaxed, Ordering::Relaxed) {
         Ok(_) => base,
         Err(current) => current,
@@ -127,15 +137,21 @@ fn state() -> u32 {
     }
 }
 
-/// `true` when trace events are being recorded — the fast path every
+/// `true` when some thread may be recording — process-wide tracing is
+/// on or a [`Scope`] is live. The fast path every
 /// [`trace_span!`](crate::trace_span) checks first.
 #[inline]
 pub fn tracing_enabled() -> bool {
     state() != 0
 }
 
-/// Enables or disables tracing at runtime, superseding `SRAM_TRACE`.
-/// Does not affect live [`force`] guards.
+/// Whether process-wide tracing (rings on every thread) is on.
+fn ring_tracing() -> bool {
+    state() & 1 == 1
+}
+
+/// Enables or disables process-wide tracing at runtime, superseding
+/// `SRAM_TRACE`. Does not affect live [`Scope`]s.
 pub fn set_tracing(on: bool) {
     let _ = state();
     let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
@@ -143,32 +159,11 @@ pub fn set_tracing(on: bool) {
     });
 }
 
-/// Keeps tracing enabled while alive, regardless of the base setting.
-/// Guards nest (a counter, not a flag).
-#[derive(Debug)]
-#[must_use = "tracing stays forced only while the guard is alive"]
-pub struct ForceGuard(());
-
-/// Force-enables tracing for the lifetime of the returned guard.
-/// `sram-serve` uses this to honor a single request's `"trace": true`
-/// without flipping the global switch.
-pub fn force() -> ForceGuard {
-    let _ = state();
-    STATE.fetch_add(2, Ordering::Relaxed);
-    ForceGuard(())
-}
-
-impl Drop for ForceGuard {
-    fn drop(&mut self) {
-        STATE.fetch_sub(2, Ordering::Relaxed);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Per-root sampling
 // ---------------------------------------------------------------------
 
-/// Default seed for [`sample`] when `SRAM_TRACE_SAMPLE_SEED` is unset
+/// Default seed for [`sampled`] when `SRAM_TRACE_SAMPLE_SEED` is unset
 /// — fixed so two runs of the same workload sample the same roots.
 pub const DEFAULT_SAMPLE_SEED: u64 = 0x5EED_7E1E;
 
@@ -222,26 +217,25 @@ pub fn sampling() -> (f64, u64) {
     (rate, SAMPLE_SEED.load(Ordering::Relaxed))
 }
 
-/// Probabilistically force-enables tracing for one root (a request, a
-/// search, any unit with a stable `key`): returns a [`ForceGuard`]
-/// for a deterministic, seeded fraction `rate` of keys and `None` for
-/// the rest. At rate 1 every root traces (the pre-sampling behavior);
-/// at rate 0 none do; in between a loaded node keeps tracing a
-/// representative sample without ring pressure, and the sampled
-/// subset is identical across runs with the same seed.
+/// The per-root sampling decision for a root (a request, a search, any
+/// unit with a stable `key`): `true` for a deterministic, seeded
+/// fraction `rate` of keys. At rate 1 every root traces; at rate 0
+/// none do; in between a loaded node keeps tracing a representative
+/// sample, and the sampled subset is identical across runs with the
+/// same seed.
 #[must_use]
-pub fn sample(key: u64) -> Option<ForceGuard> {
+pub fn sampled(key: u64) -> bool {
     let rate = sample_rate();
     if rate >= 1.0 {
-        return Some(force());
+        return true;
     }
     if rate <= 0.0 {
-        return None;
+        return false;
     }
     let hash = splitmix64(SAMPLE_SEED.load(Ordering::Relaxed) ^ key);
     // Top 53 bits as a uniform fraction in [0, 1).
     let fraction = (hash >> 11) as f64 / (1u64 << 53) as f64;
-    (fraction < rate).then(force)
+    fraction < rate
 }
 
 // ---------------------------------------------------------------------
@@ -249,11 +243,11 @@ pub fn sample(key: u64) -> Option<ForceGuard> {
 // ---------------------------------------------------------------------
 
 /// Domain separator mixed into [`trace_id`] so trace ids never collide
-/// with the [`sample`] hash stream for the same key.
+/// with the [`sampled`] hash stream for the same key.
 const TRACE_ID_SALT: u64 = 0x7_1D5A_17ED_5EED;
 
 /// A deterministic trace id for a root `key`: the same splitmix64
-/// stream construction as [`sample`], salted so the id stream and the
+/// stream construction as [`sampled`], salted so the id stream and the
 /// sampling decision stream are independent. Never returns 0 (0 is
 /// the "no span" sentinel throughout this module).
 #[must_use]
@@ -273,7 +267,7 @@ pub fn trace_id(key: u64) -> u64 {
 /// The wire form ([`TraceCtx::encode`]) is a W3C-`traceparent`-shaped
 /// string, `00-<16 hex trace id>-<16 hex parent span>-<01|00>`, where
 /// the final flag byte carries the sampling decision: the *sender*
-/// samples (via [`sample`]), and a `00` flag tells the receiver to
+/// samples (via [`sampled`]), and a `00` flag tells the receiver to
 /// skip tracing entirely — one seeded decision governs the whole
 /// cross-process tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -406,7 +400,8 @@ pub fn ring_slots() -> usize {
 /// thread may read during [`capture`]. Each slot is a seqlock: the
 /// sequence word holds `2 × event_index + 1` while the write is in
 /// flight and `2 × event_index + 2` once complete, so a reader can both
-/// detect torn slots and recover the per-thread emission order.
+/// detect torn or overwritten slots and recover the per-thread emission
+/// order.
 struct RingBuffer {
     tid: u32,
     capacity: usize,
@@ -430,7 +425,8 @@ impl RingBuffer {
         }
     }
 
-    /// Writer-side push; owner thread only.
+    /// Writer-side push; owner thread only. Overwriting an event that no
+    /// [`clear`] has released counts as a drop.
     fn push(&self, payload: &[u64; PAYLOAD_WORDS]) {
         let head = self.head.load(Ordering::Relaxed);
         let base = (head as usize & (self.capacity - 1)) * SLOT_WORDS;
@@ -440,47 +436,52 @@ impl RingBuffer {
         }
         self.slots[base].store(head * 2 + 2, Ordering::Release);
         self.head.store(head + 1, Ordering::Release);
-        if head >= self.capacity as u64 {
+        let overwritten = head.checked_sub(self.capacity as u64);
+        if overwritten.is_some_and(|index| index >= self.floor.load(Ordering::Relaxed)) {
             note_dropped();
         }
     }
 
-    /// Reader-side decode of every consistent, uncleared slot.
+    /// Reader-side decode of the live window `[max(floor, head −
+    /// capacity), head)`. A slot whose sequence word no longer names the
+    /// expected event was overwritten (or is being) and is skipped.
     fn read_into(&self, names: &[&'static str], out: &mut Vec<TraceEvent>) {
+        let head = self.head.load(Ordering::Acquire);
         let floor = self.floor.load(Ordering::Acquire);
         let mut payload = [0u64; PAYLOAD_WORDS];
-        for slot in 0..self.capacity {
-            let base = slot * SLOT_WORDS;
-            for _ in 0..READ_RETRIES {
-                let before = self.slots[base].load(Ordering::Acquire);
-                if before == 0 || before % 2 == 1 {
-                    // Empty, or a write is in flight right now; a torn
-                    // event is worth less than a stalled capture.
-                    break;
-                }
-                for (offset, word) in payload.iter_mut().enumerate() {
-                    *word = self.slots[base + 1 + offset].load(Ordering::Acquire);
-                }
-                let after = self.slots[base].load(Ordering::Acquire);
-                if before != after {
-                    continue; // overwritten mid-read; retry
-                }
-                let index = before / 2 - 1;
-                if index >= floor {
-                    out.push(decode(self.tid, index, &payload, names));
-                }
-                break;
+        for index in floor.max(head.saturating_sub(self.capacity as u64))..head {
+            let base = (index as usize & (self.capacity - 1)) * SLOT_WORDS;
+            let sealed = index * 2 + 2;
+            if self.slots[base].load(Ordering::Acquire) != sealed {
+                continue;
+            }
+            for (offset, word) in payload.iter_mut().enumerate() {
+                *word = self.slots[base + 1 + offset].load(Ordering::Acquire);
+            }
+            if self.slots[base].load(Ordering::Acquire) == sealed {
+                out.push(decode(self.tid, index, &payload, names));
             }
         }
     }
 }
 
+/// Every ring ever allocated; [`capture`] and [`clear`] walk them.
 static BUFFERS: LazyLock<Mutex<Vec<Arc<RingBuffer>>>> = LazyLock::new(|| Mutex::new(Vec::new()));
 
-/// Rings whose owning thread has exited, available for reuse so a
-/// server accepting many short-lived connections does not grow the
-/// buffer set without bound.
-static POOL: LazyLock<Mutex<Vec<Arc<RingBuffer>>>> = LazyLock::new(|| Mutex::new(Vec::new()));
+/// A thread's trace identity: the `tid` its events carry, the count of
+/// events it has put in scopes (their `seq`), and its ring once one was
+/// allocated. Parked in [`FREE_SLOTS`] when its thread exits and taken
+/// by the next new thread, so a server accepting many short-lived
+/// connections does not grow the ring set without bound.
+#[derive(Default)]
+struct ThreadSlot {
+    tid: u32,
+    scope_seq: u64,
+    ring: Option<Arc<RingBuffer>>,
+}
+
+static FREE_SLOTS: Mutex<Vec<ThreadSlot>> = Mutex::new(Vec::new());
+static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
 fn dropped_counter() -> &'static crate::Counter {
     static HANDLE: OnceLock<&'static crate::Counter> = OnceLock::new();
@@ -496,48 +497,129 @@ fn note_dropped() {
     dropped_counter().inc();
 }
 
-/// Events overwritten before any capture saw them, process lifetime
-/// total (also exported as the `probe.trace.dropped` counter).
+/// Events overwritten before any capture or [`clear`] released them,
+/// process lifetime total (also exported as the `probe.trace.dropped`
+/// counter).
 #[must_use]
 pub fn dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
+/// One scope's encoded events, in arrival order.
+#[derive(Debug, Default)]
+struct ScopeBuf {
+    events: Mutex<Vec<RawEvent>>,
+}
+
+/// An encoded event and the thread that emitted it.
+#[derive(Debug, Clone, Copy)]
+struct RawEvent {
+    tid: u32,
+    seq: u64,
+    payload: [u64; PAYLOAD_WORDS],
+}
+
+/// An opened scope or adopted context on one thread's frame stack.
+struct Frame {
+    /// Matches the frame to its [`AdoptGuard`].
+    id: u64,
+    /// Where events go; `None` for a context adopted from a thread that
+    /// was in no scope.
+    scope: Option<Arc<ScopeBuf>>,
+    /// Parent for spans opened while the thread's own stack is empty.
+    parent: u64,
+}
+
+/// Frame ids are process-global and never reused; 0 means "no frame".
+static NEXT_FRAME: AtomicU64 = AtomicU64::new(1);
+
+/// A recording span open on this thread and where its begin event went,
+/// so its end event follows.
+struct OpenSpan {
+    id: u64,
+    scope: Option<Arc<ScopeBuf>>,
+    ring: bool,
+}
+
 struct LocalTrace {
-    buf: Arc<RingBuffer>,
+    slot: ThreadSlot,
     /// Open spans on this thread, innermost last.
-    stack: Vec<u64>,
-    /// Cross-thread parents adopted via [`adopt_parent`].
-    adopted: Vec<u64>,
+    stack: Vec<OpenSpan>,
+    /// Opened scopes and adopted contexts, innermost last.
+    frames: Vec<Frame>,
 }
 
 impl LocalTrace {
     fn new() -> Self {
-        let pooled = POOL.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        let buf = pooled.unwrap_or_else(|| {
-            let mut buffers = BUFFERS.lock().unwrap_or_else(PoisonError::into_inner);
-            let ring = Arc::new(RingBuffer::new(
-                u32::try_from(buffers.len()).unwrap_or(u32::MAX),
-                ring_slots(),
-            ));
-            buffers.push(Arc::clone(&ring));
-            ring
+        let parked = FREE_SLOTS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let slot = parked.unwrap_or_else(|| ThreadSlot {
+            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+            ..ThreadSlot::default()
         });
         Self {
-            buf,
+            slot,
             stack: Vec::new(),
-            adopted: Vec::new(),
+            frames: Vec::new(),
+        }
+    }
+
+    /// The scope this thread's events go to: its innermost frame's.
+    fn scope(&self) -> Option<Arc<ScopeBuf>> {
+        self.frames.last().and_then(|frame| frame.scope.clone())
+    }
+
+    /// The parent of a span opened now: the innermost open span, else
+    /// the innermost frame's parent.
+    fn parent(&self) -> u64 {
+        self.stack
+            .last()
+            .map(|open| open.id)
+            .or_else(|| self.frames.last().map(|frame| frame.parent))
+            .unwrap_or(0)
+    }
+
+    /// Writes one event to `scope` and, when `ring`, to this thread's
+    /// ring, allocating the ring on its first write.
+    fn emit(&mut self, scope: Option<&ScopeBuf>, ring: bool, payload: &[u64; PAYLOAD_WORDS]) {
+        if ring {
+            let tid = self.slot.tid;
+            let ring = self.slot.ring.get_or_insert_with(|| {
+                let ring = Arc::new(RingBuffer::new(tid, ring_slots()));
+                BUFFERS
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(Arc::clone(&ring));
+                ring
+            });
+            ring.push(payload);
+        }
+        if let Some(scope) = scope {
+            let event = RawEvent {
+                tid: self.slot.tid,
+                seq: self.slot.scope_seq,
+                payload: *payload,
+            };
+            self.slot.scope_seq += 1;
+            scope
+                .events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(event);
         }
     }
 }
 
 impl Drop for LocalTrace {
     fn drop(&mut self) {
-        // Return the ring for reuse; its events stay readable (the Arc
-        // also lives in BUFFERS) until another thread recycles it.
-        POOL.lock()
+        // Park the identity for the next new thread; the ring's events
+        // stay readable until that thread overwrites them.
+        FREE_SLOTS
+            .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(Arc::clone(&self.buf));
+            .push(std::mem::take(&mut self.slot));
     }
 }
 
@@ -545,18 +627,23 @@ thread_local! {
     static LOCAL: RefCell<Option<LocalTrace>> = const { RefCell::new(None) };
 }
 
-fn with_local<R>(f: impl FnOnce(&mut LocalTrace) -> R) -> Option<R> {
+/// Runs `f` on this thread's trace state. A thread without one gets it
+/// only when `create`, so a thread that records nothing never takes a
+/// tid.
+fn with_local<R>(create: bool, f: impl FnOnce(&mut LocalTrace) -> R) -> Option<R> {
     LOCAL
         .try_with(|cell| {
-            let mut slot = cell.borrow_mut();
-            f(slot.get_or_insert_with(LocalTrace::new))
+            let mut local = cell.borrow_mut();
+            if local.is_none() && !create {
+                return None;
+            }
+            Some(f(local.get_or_insert_with(LocalTrace::new)))
         })
         .ok()
+        .flatten()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit(
-    local: &mut LocalTrace,
+fn encode(
     phase: Phase,
     name_id: u32,
     id: u64,
@@ -564,7 +651,7 @@ fn emit(
     t_ns: u64,
     dur_ns: u64,
     args: &[(u32, i64)],
-) {
+) -> [u64; PAYLOAD_WORDS] {
     let argc = args.len().min(MAX_ARGS);
     let mut payload = [0u64; PAYLOAD_WORDS];
     payload[0] = u64::from(name_id) | (phase.code() << 32) | ((argc as u64) << 40);
@@ -576,7 +663,7 @@ fn emit(
         payload[5 + i / 2] |= u64::from(key) << (32 * (i % 2));
         payload[7 + i] = value as u64;
     }
-    local.buf.push(&payload);
+    payload
 }
 
 fn decode(
@@ -613,7 +700,8 @@ fn decode(
 // ---------------------------------------------------------------------
 
 /// RAII trace span: emits a begin event on creation and an end event
-/// (carrying any [`args`](TraceSpan::arg)) on drop. Created by the
+/// (carrying any [`args`](TraceSpan::arg)) on drop, to the scope and
+/// ring the span started in. Created by the
 /// [`trace_span!`](crate::trace_span) macro; bind it to a named
 /// variable, not `_`, or it ends immediately.
 #[derive(Debug)]
@@ -639,7 +727,7 @@ impl TraceSpan {
     }
 
     /// Begins a span for an interned name now. Returns a disabled guard
-    /// when tracing is off.
+    /// when this thread records nothing.
     pub fn begin(name_id: u32) -> Self {
         Self::begin_at(name_id, now_ns())
     }
@@ -651,27 +739,26 @@ impl TraceSpan {
         if !tracing_enabled() {
             return Self::disabled();
         }
-        let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
-        let emitted = with_local(|local| {
-            let parent = local
-                .stack
-                .last()
-                .copied()
-                .or_else(|| local.adopted.last().copied())
-                .unwrap_or(0);
-            emit(local, Phase::Begin, name_id, id, parent, t_ns, 0, &[]);
-            local.stack.push(id);
-        });
-        if emitted.is_none() {
-            return Self::disabled();
-        }
-        Self {
-            id,
-            name_id,
-            args: [(0, 0); MAX_ARGS],
-            argc: 0,
-            live: true,
-        }
+        let ring = ring_tracing();
+        with_local(ring, |local| {
+            let scope = local.scope();
+            if scope.is_none() && !ring {
+                return None;
+            }
+            let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
+            let begin = encode(Phase::Begin, name_id, id, local.parent(), t_ns, 0, &[]);
+            local.emit(scope.as_deref(), ring, &begin);
+            local.stack.push(OpenSpan { id, scope, ring });
+            Some(Self {
+                id,
+                name_id,
+                args: [(0, 0); MAX_ARGS],
+                argc: 0,
+                live: true,
+            })
+        })
+        .flatten()
+        .unwrap_or_else(Self::disabled)
     }
 
     /// Whether this guard records anything.
@@ -680,8 +767,8 @@ impl TraceSpan {
         self.live
     }
 
-    /// This span's id (0 when disabled) — the parent handle other
-    /// threads adopt via [`adopt_parent`] or [`emit_complete`].
+    /// This span's id (0 when disabled) — the parent handle a
+    /// [`Scope::context`] carries to other threads.
     #[must_use]
     pub fn id(&self) -> u64 {
         if self.live {
@@ -706,18 +793,16 @@ impl Drop for TraceSpan {
         if !self.live {
             return;
         }
-        let end = now_ns();
-        let (id, name_id) = (self.id, self.name_id);
+        let id = self.id;
         let args = &self.args[..usize::from(self.argc)];
-        let _ = with_local(|local| {
+        let end = encode(Phase::End, self.name_id, id, 0, now_ns(), 0, args);
+        let _ = with_local(false, |local| {
             // Spans normally end innermost-first; tolerate out-of-order
             // drops rather than corrupting the stack.
-            if local.stack.last() == Some(&id) {
-                local.stack.pop();
-            } else {
-                local.stack.retain(|&open| open != id);
-            }
-            emit(local, Phase::End, name_id, id, 0, end, 0, args);
+            let at = local.stack.iter().rposition(|open| open.id == id)?;
+            let open = local.stack.remove(at);
+            local.emit(open.scope.as_deref(), open.ring, &end);
+            Some(())
         });
     }
 }
@@ -732,73 +817,184 @@ pub fn span_at(name: &'static str, t_ns: u64) -> TraceSpan {
     TraceSpan::begin_at(intern(name), t_ns)
 }
 
-/// Emits one complete (`"X"`) event for an interval measured
-/// elsewhere, parented to `parent` (0 for none). Used for intervals
-/// that cannot be RAII spans — e.g. a queue wait whose start was
-/// stamped by the enqueuing thread — and rendered on a side lane so an
-/// overlap with the emitting thread's own spans cannot break begin/end
-/// nesting.
-pub fn emit_complete(
-    name: &'static str,
+/// What a thread working for another thread's request adopts: the
+/// request's scope plus the span its work nests under. Cheap to clone,
+/// so it travels with a queued job or into a worker closure.
+#[derive(Debug, Clone, Default)]
+pub struct TraceContext {
+    scope: Option<Arc<ScopeBuf>>,
     parent: u64,
-    start_ns: u64,
-    end_ns: u64,
-    args: &[(&'static str, i64)],
-) {
-    if !tracing_enabled() {
-        return;
+}
+
+impl TraceContext {
+    /// This thread's context: the scope its spans record into and the
+    /// span a new one would parent to — what a thread hands the workers
+    /// it fans out to. Empty when this thread records nothing.
+    #[must_use]
+    pub fn current() -> Self {
+        if !tracing_enabled() {
+            return Self::default();
+        }
+        with_local(false, |local| Self {
+            scope: local.scope(),
+            parent: local.parent(),
+        })
+        .unwrap_or_default()
     }
-    let name_id = intern(name);
-    let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
-    let mut encoded = [(0u32, 0i64); MAX_ARGS];
-    let argc = args.len().min(MAX_ARGS);
-    for (slot, &(key, value)) in encoded.iter_mut().zip(args.iter().take(argc)) {
-        *slot = (intern(key), value);
-    }
-    let _ = with_local(|local| {
-        emit(
-            local,
+
+    /// Emits one complete (`"X"`) event for an interval measured
+    /// elsewhere, parented to this context's span, into its scope (and
+    /// this thread's ring under process-wide tracing). Used for
+    /// intervals that cannot be RAII spans — e.g. a queue wait whose
+    /// start was stamped by the enqueuing thread — and rendered on a
+    /// side lane so an overlap with the emitting thread's own spans
+    /// cannot break begin/end nesting.
+    pub fn emit_complete(
+        &self,
+        name: &'static str,
+        start_ns: u64,
+        end_ns: u64,
+        args: &[(&'static str, i64)],
+    ) {
+        let ring = ring_tracing();
+        if self.scope.is_none() && !ring {
+            return;
+        }
+        let mut encoded = [(0u32, 0i64); MAX_ARGS];
+        let argc = args.len().min(MAX_ARGS);
+        for (slot, &(key, value)) in encoded.iter_mut().zip(args.iter().take(argc)) {
+            *slot = (intern(key), value);
+        }
+        let complete = encode(
             Phase::Complete,
-            name_id,
-            id,
-            parent,
+            intern(name),
+            NEXT_SPAN.fetch_add(1, Ordering::Relaxed),
+            self.parent,
             start_ns,
             end_ns.saturating_sub(start_ns),
             &encoded[..argc],
         );
-    });
+        let _ = with_local(true, |local| {
+            local.emit(self.scope.as_deref(), ring, &complete);
+        });
+    }
 }
 
-/// Makes `parent` the default parent for spans this thread opens while
-/// the guard lives (only when the thread's own span stack is empty).
-/// This is how a worker thread nests its work under a request's root
-/// span that lives on the connection thread.
+/// Keeps an adopted context (or an opened scope) on this thread's frame
+/// stack while alive.
 #[derive(Debug)]
-#[must_use = "the adopted parent applies only while the guard is alive"]
+#[must_use = "the adopted context applies only while the guard is alive"]
 pub struct AdoptGuard {
-    id: u64,
-    active: bool,
+    /// 0 when nothing was adopted.
+    frame: u64,
 }
 
-/// Adopts a cross-thread parent span id for the current thread.
-pub fn adopt_parent(id: u64) -> AdoptGuard {
-    let active = id != 0 && with_local(|local| local.adopted.push(id)).is_some();
-    AdoptGuard { id, active }
+impl AdoptGuard {
+    fn push(scope: Option<Arc<ScopeBuf>>, parent: u64) -> Self {
+        let id = NEXT_FRAME.fetch_add(1, Ordering::Relaxed);
+        let pushed = with_local(true, |local| local.frames.push(Frame { id, scope, parent }));
+        Self {
+            frame: if pushed.is_some() { id } else { 0 },
+        }
+    }
+}
+
+/// Makes `ctx` this thread's innermost frame while the guard lives:
+/// spans opened here record into its scope and, when this thread's own
+/// span stack is empty, parent to its span. This is how a worker thread
+/// nests its work under a request that lives on another thread.
+pub fn adopt(ctx: &TraceContext) -> AdoptGuard {
+    if ctx.scope.is_none() && ctx.parent == 0 {
+        return AdoptGuard { frame: 0 };
+    }
+    AdoptGuard::push(ctx.scope.clone(), ctx.parent)
 }
 
 impl Drop for AdoptGuard {
     fn drop(&mut self) {
-        if !self.active {
+        if self.frame == 0 {
             return;
         }
-        let id = self.id;
-        let _ = with_local(|local| {
-            if local.adopted.last() == Some(&id) {
-                local.adopted.pop();
+        let id = self.frame;
+        let _ = with_local(false, |local| {
+            if local.frames.last().is_some_and(|frame| frame.id == id) {
+                local.frames.pop();
             } else {
-                local.adopted.retain(|&open| open != id);
+                local.frames.retain(|frame| frame.id != id);
             }
         });
+    }
+}
+
+/// One traced request's own event buffer. The thread that starts the
+/// request opens it (and finishes it: the type is not `Send`); threads
+/// working for the request join it by [`adopt`]ing a
+/// [`context`](Scope::context). While any scope is live,
+/// [`trace_span!`](crate::trace_span) leaves its one-load fast path, but
+/// a thread in no scope still records nothing unless process-wide
+/// tracing is on.
+#[derive(Debug)]
+#[must_use = "a scope records only while alive; read it back with `finish`"]
+pub struct Scope {
+    buf: Arc<ScopeBuf>,
+    _frame: AdoptGuard,
+    /// The frame lives on the opening thread's stack.
+    _same_thread: PhantomData<*const ()>,
+}
+
+impl Scope {
+    /// Opens a scope on this thread. Spans opened in it keep the
+    /// parents they would have had without it.
+    pub fn begin() -> Self {
+        let _ = state();
+        STATE.fetch_add(2, Ordering::Relaxed);
+        let buf = Arc::new(ScopeBuf::default());
+        let parent = with_local(false, |local| local.frames.last().map_or(0, |f| f.parent));
+        Self {
+            _frame: AdoptGuard::push(Some(Arc::clone(&buf)), parent.unwrap_or(0)),
+            buf,
+            _same_thread: PhantomData,
+        }
+    }
+
+    /// The context another thread adopts to record into this scope,
+    /// nesting under span `parent`.
+    #[must_use]
+    pub fn context(&self, parent: u64) -> TraceContext {
+        TraceContext {
+            scope: Some(Arc::clone(&self.buf)),
+            parent,
+        }
+    }
+
+    /// Closes the scope and returns its events, ordered as [`capture`]
+    /// orders its own. If this thread is still inside an enclosing
+    /// scope, the events are handed to that scope too.
+    #[must_use]
+    pub fn finish(self) -> Vec<TraceEvent> {
+        let buf = Arc::clone(&self.buf);
+        drop(self);
+        let raw = std::mem::take(&mut *buf.events.lock().unwrap_or_else(PoisonError::into_inner));
+        if let Some(outer) = with_local(false, |local| local.scope()).flatten() {
+            outer
+                .events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend_from_slice(&raw);
+        }
+        let names = name_snapshot();
+        let mut events: Vec<TraceEvent> = raw
+            .iter()
+            .map(|event| decode(event.tid, event.seq, &event.payload, &names))
+            .collect();
+        events.sort_by_key(|e| (e.t_ns, e.tid, e.seq));
+        events
+    }
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        STATE.fetch_sub(2, Ordering::Relaxed);
     }
 }
 
@@ -830,10 +1026,11 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, i64)>,
 }
 
-/// Copies every live event out of every thread's ring, ordered by
-/// timestamp (per-thread emission order breaks ties). The most recent
-/// `ring_slots()` events per thread survive; older ones were
-/// overwritten and counted in [`dropped`].
+/// Copies every uncleared event out of every thread's ring (rings
+/// exist only on threads that recorded under process-wide tracing),
+/// ordered by timestamp (per-thread emission order breaks ties). The
+/// most recent `ring_slots()` events per thread survive; older ones
+/// were overwritten and counted in [`dropped`].
 #[must_use]
 pub fn capture() -> Vec<TraceEvent> {
     let buffers: Vec<Arc<RingBuffer>> = BUFFERS
@@ -1086,9 +1283,9 @@ pub struct SpanNode {
 const MAX_TREE_DEPTH: usize = 64;
 
 /// Reconstructs the span tree rooted at span id `root` from captured
-/// events — how a traced `sram-serve` request gets its own trace
-/// inlined into the response. Returns `None` when the root's begin
-/// event was already overwritten.
+/// or [`Scope::finish`]ed events — how a traced `sram-serve` request
+/// gets its own trace inlined into the response. Returns `None` when
+/// the root's begin event is missing.
 #[must_use]
 pub fn span_tree(events: &[TraceEvent], root: u64) -> Option<SpanNode> {
     let spans = intervals(events);
@@ -1141,6 +1338,15 @@ mod tests {
         SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Runs `f` on a fresh thread and returns its result.
+    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        #[expect(
+            clippy::expect_used,
+            reason = "a panicking test thread fails the test at the join"
+        )]
+        std::thread::scope(|scope| scope.spawn(f).join().expect("test thread panicked"))
+    }
+
     /// A tiny Chrome-trace well-formedness check: every `B` has a
     /// matching later `E` with the same tid, LIFO-nested per tid.
     fn assert_chrome_well_formed(events: &[TraceEvent]) {
@@ -1173,7 +1379,7 @@ mod tests {
     #[test]
     fn spans_nest_and_capture_decodes() {
         let _guard = serial();
-        let force = force();
+        set_tracing(true);
         let (outer_id, inner_id) = {
             let outer = crate::trace_span!("test.outer_a");
             let inner = {
@@ -1185,7 +1391,7 @@ mod tests {
             (outer.id(), inner)
         };
         let events = capture();
-        drop(force);
+        set_tracing(false);
 
         let begin = events
             .iter()
@@ -1207,7 +1413,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_span_macro_is_disabled_without_force() {
+    fn trace_span_macro_is_disabled_when_nothing_records() {
         let _guard = serial();
         // Base state may have been initialized from the env by another
         // test; pin it off explicitly.
@@ -1231,53 +1437,43 @@ mod tests {
         drop(span);
         set_tracing(false);
         assert!(!tracing_enabled());
-        // A force guard overrides the base state and nests.
-        let f1 = force();
-        let f2 = force();
+        // Live scopes hold the fast path open and nest.
+        let outer = Scope::begin();
+        let inner = Scope::begin();
         assert!(tracing_enabled());
-        drop(f1);
+        drop(inner);
         assert!(tracing_enabled());
-        drop(f2);
+        drop(outer);
         assert!(!tracing_enabled());
     }
 
     #[test]
     fn sampling_is_deterministic_and_proportional() {
         let _guard = serial();
-        set_tracing(false);
 
         // Rate 1 always traces, rate 0 never does.
         set_sampling(1.0, DEFAULT_SAMPLE_SEED);
-        assert!(sample(42).is_some());
+        assert!(sampled(42));
         set_sampling(0.0, DEFAULT_SAMPLE_SEED);
-        assert!(sample(42).is_none());
+        assert!(!sampled(42));
 
-        // At rate r the sampled fraction of keys approaches r, and the
-        // guard actually forces tracing while held.
+        // At rate r the sampled fraction of keys approaches r.
         let n = 10_000u64;
         set_sampling(0.25, 7);
-        let mut first: Vec<bool> = Vec::with_capacity(n as usize);
-        let mut hits = 0u64;
-        for key in 0..n {
-            let guard = sample(key);
-            if guard.is_some() {
-                hits += 1;
-                assert!(tracing_enabled(), "guard must force tracing");
-            }
-            first.push(guard.is_some());
-        }
-        assert!(!tracing_enabled(), "all guards dropped");
+        let first: Vec<bool> = (0..n).map(sampled).collect();
+        let hits = first.iter().filter(|&&hit| hit).count();
         let fraction = hits as f64 / n as f64;
         assert!(
             (fraction - 0.25).abs() < 0.02,
             "sampled fraction {fraction} far from rate 0.25"
         );
+        assert!(!tracing_enabled(), "a sampling decision records nothing");
 
         // Same seed → identical subset; different seed → different one.
-        let second: Vec<bool> = (0..n).map(|key| sample(key).is_some()).collect();
+        let second: Vec<bool> = (0..n).map(sampled).collect();
         assert_eq!(first, second, "same seed must sample the same roots");
         set_sampling(0.25, 8);
-        let reseeded: Vec<bool> = (0..n).map(|key| sample(key).is_some()).collect();
+        let reseeded: Vec<bool> = (0..n).map(sampled).collect();
         assert_ne!(first, reseeded, "a new seed must pick a new subset");
 
         set_sampling(1.0, DEFAULT_SAMPLE_SEED);
@@ -1286,13 +1482,14 @@ mod tests {
     #[test]
     fn emit_complete_records_an_x_event() {
         let _guard = serial();
-        let force = force();
+        let scope = Scope::begin();
         let root = span_at("test.root_x", now_ns());
         let root_id = root.id();
-        emit_complete("test.queue_wait_x", root_id, 100, 350, &[("batch", 3)]);
+        scope
+            .context(root_id)
+            .emit_complete("test.queue_wait_x", 100, 350, &[("batch", 3)]);
         drop(root);
-        let events = capture();
-        drop(force);
+        let events = scope.finish();
         let x = events
             .iter()
             .find(|e| e.name == "test.queue_wait_x")
@@ -1324,10 +1521,62 @@ mod tests {
         assert_eq!(min_seq, 10, "the 10 oldest events were overwritten");
     }
 
+    /// Emits `n` complete events named `name` into this thread's ring
+    /// (process-wide tracing must be on).
+    fn write_ring(name: &'static str, n: usize) {
+        let ctx = TraceContext::default();
+        for i in 0..n as u64 {
+            ctx.emit_complete(name, i, i + 1, &[]);
+        }
+    }
+
+    #[test]
+    fn overwriting_cleared_events_is_not_a_drop() {
+        let _guard = serial();
+        set_tracing(true);
+        let (after_refill, after_one_more) = on_fresh_thread(|| {
+            write_ring("test.drop_first", ring_slots());
+            clear();
+            let before = dropped();
+            write_ring("test.drop_second", ring_slots());
+            let after_refill = dropped() - before;
+            write_ring("test.drop_third", 1);
+            (after_refill, dropped() - before)
+        });
+        set_tracing(false);
+        assert_eq!(after_refill, 0, "every overwritten event was cleared");
+        assert_eq!(after_one_more, 1, "the next write overwrites a live event");
+    }
+
+    #[test]
+    fn capture_after_clear_returns_exactly_the_new_events() {
+        let _guard = serial();
+        set_tracing(true);
+        let events = on_fresh_thread(|| {
+            write_ring("test.window_old", 100);
+            clear();
+            write_ring("test.window_new", 5);
+            capture()
+        });
+        set_tracing(false);
+        let tid = events
+            .iter()
+            .find(|e| e.name == "test.window_new")
+            .expect("new events captured")
+            .tid;
+        let mine: Vec<(&str, u64)> = events
+            .iter()
+            .filter(|e| e.tid == tid)
+            .map(|e| (e.name, e.t_ns))
+            .collect();
+        let expected: Vec<(&str, u64)> = (0..5).map(|t| ("test.window_new", t)).collect();
+        assert_eq!(mine, expected);
+    }
+
     #[test]
     fn clear_hides_prior_events() {
         let _guard = serial();
-        let force = force();
+        set_tracing(true);
         let marker = {
             let span = crate::trace_span!("test.cleared_away");
             span.id()
@@ -1342,23 +1591,77 @@ mod tests {
             span.id()
         };
         assert!(capture().iter().any(|e| e.id == kept));
-        drop(force);
+        set_tracing(false);
+    }
+
+    #[test]
+    fn a_scope_records_only_its_own_threads() {
+        let _guard = serial();
+        set_tracing(false);
+        clear();
+        let rings_before = BUFFERS.lock().unwrap().len();
+        let scope = Scope::begin();
+        let a = crate::trace_span!("test.iso_a");
+        assert!(a.is_recording());
+        let b_recorded = on_fresh_thread(|| {
+            let b = crate::trace_span!("test.iso_b");
+            b.is_recording()
+        });
+        drop(a);
+        let events = scope.finish();
+        assert!(!b_recorded, "a thread outside the scope records nothing");
+        assert_eq!(events.len(), 2, "{events:?}");
+        assert!(events.iter().all(|e| e.name == "test.iso_a"), "{events:?}");
+        assert!(!capture().iter().any(|e| e.name == "test.iso_b"));
+        assert_eq!(
+            BUFFERS.lock().unwrap().len(),
+            rings_before,
+            "scoped recording allocates no ring"
+        );
+    }
+
+    #[test]
+    fn a_finished_inner_scope_hands_its_events_outward() {
+        let _guard = serial();
+        let outer = Scope::begin();
+        let inner = Scope::begin();
+        let id = {
+            let span = crate::trace_span!("test.nested_scope");
+            span.id()
+        };
+        let inner_events = inner.finish();
+        let outer_events = outer.finish();
+        assert_eq!(inner_events.len(), 2);
+        assert_eq!(outer_events, inner_events);
+        assert!(outer_events.iter().all(|e| e.id == id));
+    }
+
+    #[test]
+    fn a_scope_under_process_wide_tracing_also_writes_the_ring() {
+        let _guard = serial();
+        set_tracing(true);
+        clear();
+        let scope = Scope::begin();
+        let id = {
+            let span = crate::trace_span!("test.both");
+            span.id()
+        };
+        let scoped = scope.finish();
+        let ringed = capture();
+        set_tracing(false);
+        assert_eq!(scoped.len(), 2);
+        assert_eq!(ringed.iter().filter(|e| e.id == id).count(), 2);
     }
 
     #[test]
     fn chrome_export_is_valid_and_nested() {
         let _guard = serial();
-        let force = force();
-        clear();
+        let scope = Scope::begin();
         {
             let _outer = crate::trace_span!("test.chrome_outer");
             let _inner = crate::trace_span!("test.chrome_inner");
         }
-        let events: Vec<TraceEvent> = capture()
-            .into_iter()
-            .filter(|e| e.name.starts_with("test.chrome_"))
-            .collect();
-        drop(force);
+        let events = scope.finish();
         assert_chrome_well_formed(&events);
         let json = chrome_trace_json(&events);
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
@@ -1374,8 +1677,7 @@ mod tests {
     #[test]
     fn flame_summary_attributes_self_time() {
         let _guard = serial();
-        let force = force();
-        clear();
+        let scope = Scope::begin();
         {
             let _outer = crate::trace_span!("test.flame_outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -1383,11 +1685,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
             drop(inner);
         }
-        let events: Vec<TraceEvent> = capture()
-            .into_iter()
-            .filter(|e| e.name.starts_with("test.flame_"))
-            .collect();
-        drop(force);
+        let events = scope.finish();
         let summary = flame_summary(&events, 10);
         assert!(summary.contains("test.flame_outer"), "{summary}");
         assert!(summary.contains("test.flame_inner"), "{summary}");
@@ -1411,19 +1709,20 @@ mod tests {
     #[test]
     fn span_tree_reconstructs_request_shape() {
         let _guard = serial();
-        let force = force();
+        let scope = Scope::begin();
         let root_id = {
             let root = span_at("test.tree_root", now_ns());
             let id = root.id();
-            emit_complete("test.tree_parse", id, now_ns(), now_ns() + 10, &[]);
+            scope
+                .context(id)
+                .emit_complete("test.tree_parse", now_ns(), now_ns() + 10, &[]);
             {
                 let mut child = crate::trace_span!("test.tree_exec");
                 child.arg("capacity", 4096);
             }
             id
         };
-        let events = capture();
-        drop(force);
+        let events = scope.finish();
         let tree = span_tree(&events, root_id).expect("root present");
         assert_eq!(tree.name, "test.tree_root");
         let child_names: Vec<&str> = tree.children.iter().map(|c| c.name).collect();
@@ -1442,23 +1741,18 @@ mod tests {
     #[test]
     fn cross_thread_adoption_parents_worker_spans() {
         let _guard = serial();
-        let force = force();
+        let scope = Scope::begin();
         let root = span_at("test.adopt_root", now_ns());
         let root_id = root.id();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the test joins the worker on the next line to read its span id"
-        )]
-        let worker_span = std::thread::spawn(move || {
-            let _adopt = adopt_parent(root_id);
+        let ctx = scope.context(root_id);
+        let worker_span = on_fresh_thread(|| {
+            let _adopt = adopt(&ctx);
+            assert_eq!(TraceContext::current().parent, root_id);
             let span = crate::trace_span!("test.adopt_child");
             span.id()
-        })
-        .join()
-        .unwrap();
+        });
         drop(root);
-        let events = capture();
-        drop(force);
+        let events = scope.finish();
         let begin = events
             .iter()
             .find(|e| e.id == worker_span && e.phase == Phase::Begin)
@@ -1541,16 +1835,11 @@ mod tests {
     #[test]
     fn labeled_chrome_export_gives_each_source_its_own_pid() {
         let _guard = serial();
-        let force = force();
-        clear();
+        let scope = Scope::begin();
         {
             let _span = crate::trace_span!("test.labeled_export");
         }
-        let events: Vec<TraceEvent> = capture()
-            .into_iter()
-            .filter(|e| e.name == "test.labeled_export")
-            .collect();
-        drop(force);
+        let events = scope.finish();
         let json = chrome_trace_json_labeled(&[(1, "router", &events), (2, "node-0", &events)]);
         assert!(json.contains("\"ph\":\"M\""), "{json}");
         assert!(json.contains("\"args\":{\"name\":\"router\"}"), "{json}");

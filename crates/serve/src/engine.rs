@@ -201,20 +201,19 @@ impl Engine {
     }
 
     /// Handles one request (a batch of one). When the request's
-    /// `trace` flag is set, tracing is forced on for its duration and
-    /// the response carries the request's span tree under `"trace"`.
+    /// `trace` flag is set, it runs in its own trace scope and the
+    /// response carries the request's span tree under `"trace"`.
     #[must_use]
     pub fn handle(&self, request: &Request) -> Json {
         if !request.trace {
             return self.handle_one(request);
         }
-        let _force = sram_probe::trace::force();
+        let scope = sram_probe::trace::Scope::begin();
         let root = sram_probe::trace::span_at("serve.request", sram_probe::trace::now_ns());
         let root_id = root.id();
         let mut response = self.handle_one(request);
         drop(root);
-        let events = sram_probe::trace::capture();
-        if let Some(tree) = sram_probe::trace::span_tree(&events, root_id) {
+        if let Some(tree) = sram_probe::trace::span_tree(&scope.finish(), root_id) {
             if let Json::Obj(pairs) = &mut response {
                 pairs.push(("trace".into(), trace_json(&tree)));
             }

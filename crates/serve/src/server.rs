@@ -55,7 +55,7 @@ fn queue_depth_gauge() -> &'static sram_probe::Gauge {
 }
 
 /// Monotone key distinguishing traced roots for deterministic
-/// per-root sampling ([`sram_probe::trace::sample`]).
+/// per-root sampling ([`sram_probe::trace::sampled`]).
 static REQUEST_KEY: AtomicU64 = AtomicU64::new(0);
 
 fn slow_threshold_ns() -> u64 {
@@ -110,8 +110,8 @@ struct Job {
     /// queue-wait interval even though it did not observe the start.
     enqueued_ns: u64,
     deadline: Option<Instant>,
-    /// Root span id when the request asked for a trace (0 otherwise).
-    trace_root: u64,
+    /// The request's trace scope and root span, when it is traced.
+    trace: Option<sram_probe::trace::TraceContext>,
     reply: mpsc::Sender<Json>,
 }
 
@@ -481,10 +481,10 @@ fn connection_loop(stream: TcpStream, shutdown: &AtomicBool, queue: &JobQueue, p
 
 /// Parses, enqueues, and awaits one request line.
 ///
-/// A request with `"trace": true` forces tracing on for its lifetime
-/// and opens a `serve.request` root span covering parse → queue wait →
-/// evaluate → respond; the reconstructed span tree is inlined in the
-/// response under `"trace"`.
+/// A request with `"trace": true` opens its own trace scope and a
+/// `serve.request` root span covering parse → queue wait → evaluate →
+/// respond; the span tree rebuilt from the scope's events is inlined in
+/// the response under `"trace"`.
 fn serve_line(line: &str, shutdown: &AtomicBool, queue: &JobQueue) -> Json {
     let t_parse = sram_probe::trace::now_ns();
     if line.is_empty() {
@@ -504,40 +504,33 @@ fn serve_line(line: &str, shutdown: &AtomicBool, queue: &JobQueue) -> Json {
     // The root span starts retroactively at the parse timestamp so the
     // tree covers the whole request, not just the queued part. Traced
     // requests pass through per-root sampling: at `SRAM_TRACE_SAMPLE`
-    // below 1, only a seeded, deterministic fraction of roots force
-    // tracing on, so a loaded node keeps representative traces without
-    // ring pressure. A propagated `trace_ctx` overrides both: the
-    // upstream caller already made the sampling decision (once per
-    // distributed trace), so `sampled: false` short-circuits tracing
-    // entirely and `sampled: true` forces it on and re-roots our
-    // `serve.request` span under the caller's parent span id.
+    // below 1, only a seeded, deterministic fraction of roots open a
+    // scope, so a loaded node keeps representative traces. A propagated
+    // `trace_ctx` overrides both: the upstream caller already made the
+    // sampling decision (once per distributed trace), so `sampled:
+    // false` short-circuits tracing entirely and `sampled: true` opens a
+    // scope and re-roots our `serve.request` span under the caller's
+    // parent span id.
     let trace_ctx = request.trace_ctx;
-    let (sampled, _adopt) = match trace_ctx {
-        Some(ctx) if ctx.sampled => (
-            Some(sram_probe::trace::force()),
-            Some(sram_probe::trace::adopt_parent(ctx.parent_span)),
-        ),
-        Some(_) => (None, None),
-        None if request.trace => (
-            sram_probe::trace::sample(REQUEST_KEY.fetch_add(1, Ordering::Relaxed)),
-            None,
-        ),
-        None => (None, None),
+    let sampled = match trace_ctx {
+        Some(ctx) => ctx.sampled,
+        None => {
+            request.trace && sram_probe::trace::sampled(REQUEST_KEY.fetch_add(1, Ordering::Relaxed))
+        }
     };
-    let root = if sampled.is_some() {
-        sram_probe::trace::span_at("serve.request", t_parse)
-    } else {
-        sram_probe::trace::TraceSpan::disabled()
+    let scope = sampled.then(sram_probe::trace::Scope::begin);
+    let root = match (&scope, trace_ctx) {
+        (Some(scope), Some(ctx)) => {
+            let _adopt = sram_probe::trace::adopt(&scope.context(ctx.parent_span));
+            sram_probe::trace::span_at("serve.request", t_parse)
+        }
+        (Some(_), None) => sram_probe::trace::span_at("serve.request", t_parse),
+        (None, _) => sram_probe::trace::TraceSpan::disabled(),
     };
     let root_id = root.id();
-    if root_id != 0 {
-        sram_probe::trace::emit_complete(
-            "serve.parse",
-            root_id,
-            t_parse,
-            sram_probe::trace::now_ns(),
-            &[],
-        );
+    let trace = scope.as_ref().map(|scope| scope.context(root_id));
+    if let Some(trace) = &trace {
+        trace.emit_complete("serve.parse", t_parse, sram_probe::trace::now_ns(), &[]);
     }
 
     let now = Instant::now();
@@ -552,7 +545,7 @@ fn serve_line(line: &str, shutdown: &AtomicBool, queue: &JobQueue) -> Json {
         enqueued: now,
         enqueued_ns: sram_probe::trace::now_ns(),
         deadline,
-        trace_root: root_id,
+        trace,
         reply: tx,
     };
     if let Err(e) = queue.push(job) {
@@ -573,9 +566,9 @@ fn serve_line(line: &str, shutdown: &AtomicBool, queue: &JobQueue) -> Json {
     // level gate: `metrics`/`health` must report with probes off.
     sram_probe::telemetry::record("serve.request.latency_ns", latency_ns);
     crate::slo::record(op, latency_ns);
-    if root_id != 0 {
+    if let Some(scope) = scope {
         drop(root); // close the root before reading its interval back
-        let events = sram_probe::trace::capture();
+        let events = scope.finish();
         if let Some(tree) = sram_probe::trace::span_tree(&events, root_id) {
             if let Json::Obj(pairs) = &mut response {
                 let mut tree_json = crate::engine::trace_json(&tree);
@@ -685,11 +678,11 @@ fn worker_thread(engine: &Engine, queue: &JobQueue, max_batch: usize, shutdown: 
 /// that fires mid-search is honored at the next slice boundary. The
 /// token also observes the server's shutdown flag.
 ///
-/// Traced jobs get three extras: a `serve.queue_wait` interval (stamped
-/// by the enqueuing thread, emitted here as a complete event), the
-/// engine's spans nested under the first traced job's root (adopted
-/// cross-thread parent), and a `serve.evaluate` interval spanning the
-/// batch execution.
+/// Traced jobs get three extras, each recorded into the job's own
+/// scope: a `serve.queue_wait` interval (stamped by the enqueuing
+/// thread, emitted here as a complete event), the engine's spans (the
+/// batch adopts the first traced job's context, so they nest under its
+/// root), and a `serve.evaluate` interval spanning the batch execution.
 fn worker_loop(
     engine: &Engine,
     queue: &JobQueue,
@@ -739,28 +732,20 @@ fn worker_loop(
         }
         let t_eval = sram_probe::trace::now_ns();
         for job in &live {
-            if job.trace_root != 0 {
-                sram_probe::trace::emit_complete(
-                    "serve.queue_wait",
-                    job.trace_root,
-                    job.enqueued_ns,
-                    t_eval,
-                    &[],
-                );
+            if let Some(trace) = &job.trace {
+                trace.emit_complete("serve.queue_wait", job.enqueued_ns, t_eval, &[]);
             }
         }
-        let adopted_root = live
-            .iter()
-            .map(|j| j.trace_root)
-            .find(|&root| root != 0)
-            .unwrap_or(0);
         let requests: Vec<Request> = live.iter().map(|j| j.request.clone()).collect();
         let tokens: Vec<CancelToken> = live
             .iter()
             .map(|j| CancelToken::linked(j.deadline, Arc::clone(shutdown)))
             .collect();
         let responses = {
-            let _adopt = sram_probe::trace::adopt_parent(adopted_root);
+            let _adopt = live
+                .iter()
+                .find_map(|j| j.trace.as_ref())
+                .map(sram_probe::trace::adopt);
             engine.handle_batch_cancel(&requests, &tokens)
         };
         let t_done = sram_probe::trace::now_ns();
@@ -770,14 +755,8 @@ fn worker_loop(
                 "serve.request.queue_wait_ns",
                 job.enqueued.elapsed().as_nanos() as u64
             );
-            if job.trace_root != 0 {
-                sram_probe::trace::emit_complete(
-                    "serve.evaluate",
-                    job.trace_root,
-                    t_eval,
-                    t_done,
-                    &[("batch", batch)],
-                );
+            if let Some(trace) = &job.trace {
+                trace.emit_complete("serve.evaluate", t_eval, t_done, &[("batch", batch)]);
             }
             let _ = job.reply.send(response);
         }
@@ -804,7 +783,7 @@ mod tests {
                 enqueued: Instant::now(),
                 enqueued_ns: sram_probe::trace::now_ns(),
                 deadline: None,
-                trace_root: 0,
+                trace: None,
                 reply: tx,
             },
             rx,
