@@ -211,8 +211,8 @@ fn chrome_export_is_well_formed(chrome: &str) -> bool {
 /// exactly one `coopt.search`, one `coopt.slice` per slice it reports,
 /// each parented to the search span (and, with more than one search
 /// thread, run on worker threads rather than the search's own), exactly
-/// one `cell.characterize`, and at least one `spice.dc_solve` and one
-/// `spice.transient` under it.
+/// one `cell.characterize`, and at least one `spice.dc_sweep`, one
+/// `spice.dc_solve` and one `spice.transient` under it.
 fn check_traced_optimize(events: &[TraceEvent], threads: usize) -> Result<(), ServeError> {
     let spans = |name: &str| -> Vec<&TraceEvent> {
         events
@@ -252,7 +252,7 @@ fn check_traced_optimize(events: &[TraceEvent], threads: usize) -> Result<(), Se
             "{characterizations} cell.characterize spans, expected 1"
         ));
     }
-    for name in ["spice.dc_solve", "spice.transient"] {
+    for name in ["spice.dc_sweep", "spice.dc_solve", "spice.transient"] {
         if spans(name).is_empty() {
             return fail(format!("no {name} span"));
         }
@@ -451,10 +451,8 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     // paper-mode optimize (which never leaves the analytic model), the
     // yield op always drops into the cell layer's Monte Carlo engine,
     // making this the natural assertion site for the cell.* probes.
-    // LVT on purpose: the HVT optima pin rails aggressive enough that
-    // the perturbed Monte Carlo cells stop converging in DC analysis.
     let yield_request = request(&format!(
-        r#"{{"op":"yield-check","capacity_bytes":1024,"flavor":"lvt","method":"m1","samples":{YIELD_SAMPLES}}}"#
+        r#"{{"op":"yield-check","capacity_bytes":1024,"flavor":"hvt","method":"m2","samples":{YIELD_SAMPLES}}}"#
     ))?;
     let yielded = engine.handle(&yield_request);
     let yield_ok = yielded.get("status").and_then(Json::as_str) == Some("ok")

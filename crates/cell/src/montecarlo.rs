@@ -150,7 +150,9 @@ impl YieldAnalyzer {
     ///
     /// Collapsed butterflies (cells that lost bistability under variation)
     /// are recorded as zero margin; write-margin bracketing failures as
-    /// zero WM.
+    /// zero WM. A write probe whose DC solve does not converge lets the
+    /// cell settle instead ([`CellCharacterizer::write_flips`]), so it
+    /// does not fail the run.
     ///
     /// # Errors
     ///

@@ -11,25 +11,76 @@
 //!   the two trends of Fig. 5.
 //! * **Cell write delay**: time from the wordline reaching 50 % of `Vdd`
 //!   until `Q` and `QB` cross.
+//!
+//! Each flip probe is a DC solve pinned toward `Q = 1`. Just past the
+//! fold where that state vanishes, Newton can fail to converge; such a
+//! probe is answered by letting the cell settle instead (a transient from
+//! the stored state with the wordline stepped to the probe level), so one
+//! hard cell never fails a Monte Carlo run.
 
 use crate::{AssistVoltages, CellCharacterizer, CellError};
-use sram_spice::{CrossingEdge, DcSolver, Transient};
+use sram_spice::{CrossingEdge, DcSolver, SpiceError, Transient};
 use sram_units::{Time, Voltage};
 
 impl CellCharacterizer {
     /// Checks whether a DC write with the wordline at `vwl_test` flips a
     /// cell that stores `Q = 1` (BL driven to `bias.vbl`, BLB at `Vdd`).
     ///
+    /// When the DC solve does not converge, the probe lets the cell
+    /// settle instead: a transient from the stored state with the
+    /// wordline stepped to `vwl_test` decides, and
+    /// `cell.wm_probe_fallbacks` counts it. Every probe that converges
+    /// keeps its DC decision.
+    ///
     /// # Errors
     ///
-    /// Propagates simulation failures.
+    /// Propagates simulation failures other than DC non-convergence.
     pub fn write_flips(&self, bias: &AssistVoltages, vwl_test: Voltage) -> Result<bool, CellError> {
         let (ckt, nodes) = self.cell().write_dc_circuit(bias, self.vdd(), vwl_test);
-        let sol = DcSolver::new()
+        let solved = DcSolver::new()
             .nodeset(nodes.q, bias.vddc)
             .nodeset(nodes.qb, bias.vssc)
-            .solve(&ckt)?;
-        Ok(sol.voltage(nodes.q) < sol.voltage(nodes.qb))
+            .solve(&ckt);
+        match solved {
+            Ok(sol) => Ok(sol.voltage(nodes.q) < sol.voltage(nodes.qb)),
+            Err(SpiceError::NonConvergent { .. }) => {
+                sram_probe::probe_inc!("cell.wm_probe_fallbacks");
+                self.write_settles_flipped(bias, vwl_test)
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Whether the cell, storing `Q = 1` with the wordline off, ends up
+    /// flipped 2 ns after the wordline steps to `vwl_test` (BL at
+    /// `bias.vbl`, BLB at `Vdd`): the dynamic form of
+    /// [`CellCharacterizer::write_flips`]. Only the final state is kept,
+    /// so memory does not grow with the step count.
+    ///
+    /// The flip slows down toward the fold, so 2 ns is an assumed
+    /// settling time: 0.05 mV past the fold a varied cell takes about
+    /// 1 ns. `tests/write_fallback.rs` holds every fallback in a 0.1 mV
+    /// scan around the flip of each known non-converging cell to a
+    /// 20 ns run.
+    fn write_settles_flipped(
+        &self,
+        bias: &AssistVoltages,
+        vwl_test: Voltage,
+    ) -> Result<bool, CellError> {
+        let (ckt, nodes) = self.cell().write_transient_circuit(
+            &bias.with_vwl(vwl_test),
+            self.vdd(),
+            Time::from_picoseconds(2.0),
+            Time::from_picoseconds(0.5),
+        );
+        let end = Transient::new(Time::from_nanoseconds(2.0), Time::from_picoseconds(2.0))
+            .with_initial_solver(
+                DcSolver::new()
+                    .nodeset(nodes.q, bias.vddc)
+                    .nodeset(nodes.qb, bias.vssc),
+            )
+            .final_state(&ckt)?;
+        Ok(end.voltage(nodes.q) < end.voltage(nodes.qb))
     }
 
     /// Minimum wordline voltage that flips the cell, by bisection.
@@ -136,6 +187,28 @@ mod tests {
         let c = chr(VtFlavor::Hvt);
         let bias = AssistVoltages::nominal(vdd());
         assert!(c.write_flips(&bias, Voltage::from_volts(0.9)).unwrap());
+    }
+
+    #[test]
+    fn settling_agrees_with_converged_probes_either_side_of_the_flip() {
+        for flavor in [VtFlavor::Lvt, VtFlavor::Hvt] {
+            let c = chr(flavor);
+            let bias = AssistVoltages::nominal(vdd());
+            let flip = c.wordline_flip_voltage(&bias).unwrap();
+            for (offset_mv, flips) in [(-20.0, false), (20.0, true)] {
+                let v = flip + Voltage::from_millivolts(offset_mv);
+                assert_eq!(
+                    c.write_flips(&bias, v).unwrap(),
+                    flips,
+                    "{flavor} DC at {v}"
+                );
+                assert_eq!(
+                    c.write_settles_flipped(&bias, v).unwrap(),
+                    flips,
+                    "{flavor} transient at {v}"
+                );
+            }
+        }
     }
 
     #[test]

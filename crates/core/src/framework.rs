@@ -274,7 +274,6 @@ impl CoOptimizationFramework {
             self.delta(),
             self.word_bits,
             self.threads,
-            self.rails(flavor, method)?,
             capacity,
             flavor,
             method,
@@ -290,11 +289,14 @@ impl CoOptimizationFramework {
     ///
     /// `cell` must have been characterized for the same
     /// `(flavor, method)` pair (and this framework's supply); the rail
-    /// levels reported in the result are re-derived from the pair.
+    /// levels reported in the result are the ones `cell` was
+    /// characterized at ([`CellCharacterization::vddc`] and
+    /// [`CellCharacterization::vwl`]), so the search runs no circuit
+    /// simulation.
     ///
     /// # Errors
     ///
-    /// Propagates rail-selection and search failures.
+    /// Propagates search failures.
     pub fn optimize_with_cell(
         &self,
         cell: &CellCharacterization,
@@ -341,7 +343,6 @@ impl CoOptimizationFramework {
             self.delta(),
             self.word_bits,
             self.threads,
-            self.rails(flavor, method)?,
             capacity,
             flavor,
             method,
@@ -352,7 +353,8 @@ impl CoOptimizationFramework {
 
     /// The shared search body behind [`Self::optimize_with`] and
     /// [`Self::optimize_with_cell`] (free of `self` borrows so the
-    /// cached-characterization path can split its borrow).
+    /// cached-characterization path can split its borrow). The design's
+    /// rails are the ones `cell` was characterized at.
     #[allow(clippy::too_many_arguments)]
     fn optimize_with_cell_inner(
         cell: &CellCharacterization,
@@ -362,7 +364,6 @@ impl CoOptimizationFramework {
         delta: Voltage,
         word_bits: u32,
         threads: usize,
-        rails: RailSelection,
         capacity: Capacity,
         flavor: VtFlavor,
         method: Method,
@@ -392,9 +393,9 @@ impl CoOptimizationFramework {
             organization: outcome.best.organization,
             n_pre: outcome.best.n_pre,
             n_wr: outcome.best.n_wr,
-            vddc: rails.vddc,
+            vddc: cell.vddc(),
             vssc: outcome.best.vssc,
-            vwl: rails.vwl,
+            vwl: cell.vwl(),
             metrics: outcome.metrics,
             stats: outcome.stats,
         })
@@ -579,6 +580,24 @@ mod tests {
             )
             .unwrap();
         assert_eq!(d.vssc, Voltage::ZERO, "M1 must not use negative Gnd");
+    }
+
+    #[test]
+    fn simulated_search_reports_the_rails_of_its_cell() {
+        let fw = CoOptimizationFramework::simulated_mode().with_space(DesignSpace::coarse());
+        let rail = Voltage::from_millivolts(700.0);
+        let cell = CellCharacterization::paper_with_rails(VtFlavor::Hvt, fw.vdd(), rail, rail);
+        let d = fw
+            .optimize_with_cell(
+                &cell,
+                Capacity::from_bytes(1024),
+                VtFlavor::Hvt,
+                Method::M1,
+                &EnergyDelayProduct,
+            )
+            .unwrap();
+        assert_eq!(d.vddc, rail);
+        assert_eq!(d.vwl, rail);
     }
 
     #[test]

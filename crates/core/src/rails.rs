@@ -112,6 +112,11 @@ pub(crate) fn minimize_vddc(
 /// Finds the minimum `V_WL` (10 mV grid) whose write margin meets
 /// `delta`, by simulation.
 ///
+/// The write netlist drives the wordline at the probe level and never
+/// reads `bias.vwl`, so the flip voltage is one bisection for the whole
+/// scan; each step's margin is `V_WL − flip`, the subtraction
+/// [`CellCharacterizer::write_margin`] does.
+///
 /// # Errors
 ///
 /// [`CooptError::RailSearchFailed`] when no level up to 800 mV suffices.
@@ -120,14 +125,16 @@ pub(crate) fn minimize_vwl(
     delta: Voltage,
 ) -> Result<Voltage, CooptError> {
     let vdd = characterizer.vdd();
-    let nominal = AssistVoltages::nominal(vdd);
     let mut mv = vdd.millivolts();
+    if mv > 800.0 {
+        return Err(CooptError::RailSearchFailed { rail: "V_WL" });
+    }
+    let flip = characterizer
+        .wordline_flip_voltage(&AssistVoltages::nominal(vdd))
+        .map_err(CooptError::Cell)?;
     while mv <= 800.0 {
         let vwl = Voltage::from_millivolts(mv);
-        let wm = characterizer
-            .write_margin(&nominal.with_vwl(vwl))
-            .map_err(CooptError::Cell)?;
-        if wm >= delta {
+        if vwl - flip >= delta {
             return Ok(vwl);
         }
         mv += 10.0;
@@ -165,6 +172,53 @@ mod tests {
         let sel = RailSelection::from_minimums(Method::M1, vddc, vwl);
         assert_eq!(sel.vddc.millivolts(), 550.0);
         assert_eq!(sel.vwl.millivolts(), 550.0);
+    }
+
+    /// The per-step scan `minimize_vwl` replaced: a fresh flip-voltage
+    /// bisection inside every `write_margin` call.
+    fn minimize_vwl_by_scan(
+        characterizer: &CellCharacterizer,
+        delta: Voltage,
+    ) -> Result<Voltage, CooptError> {
+        let vdd = characterizer.vdd();
+        let nominal = AssistVoltages::nominal(vdd);
+        let mut mv = vdd.millivolts();
+        while mv <= 800.0 {
+            let vwl = Voltage::from_millivolts(mv);
+            let wm = characterizer
+                .write_margin(&nominal.with_vwl(vwl))
+                .map_err(CooptError::Cell)?;
+            if wm >= delta {
+                return Ok(vwl);
+            }
+            mv += 10.0;
+        }
+        Err(CooptError::RailSearchFailed { rail: "V_WL" })
+    }
+
+    #[test]
+    fn one_bisection_matches_the_per_step_scan() {
+        use sram_device::DeviceLibrary;
+        let lib = DeviceLibrary::sevennm();
+        for flavor in [VtFlavor::Lvt, VtFlavor::Hvt] {
+            for vdd_mv in [400.0, 450.0, 500.0] {
+                let vdd = Voltage::from_millivolts(vdd_mv);
+                let chr = CellCharacterizer::new(&lib, flavor).with_vdd(vdd);
+                let delta = vdd * 0.35;
+                let fast = minimize_vwl(&chr, delta).unwrap();
+                let oracle = minimize_vwl_by_scan(&chr, delta).unwrap();
+                assert_eq!(fast, oracle, "{flavor} at Vdd = {vdd}");
+            }
+        }
+    }
+
+    #[test]
+    fn vwl_search_starting_above_800_mv_fails() {
+        use sram_device::DeviceLibrary;
+        let chr = CellCharacterizer::new(&DeviceLibrary::sevennm(), VtFlavor::Hvt)
+            .with_vdd(Voltage::from_millivolts(810.0));
+        let err = minimize_vwl(&chr, Voltage::from_millivolts(100.0)).unwrap_err();
+        assert!(matches!(err, CooptError::RailSearchFailed { rail: "V_WL" }));
     }
 
     #[test]

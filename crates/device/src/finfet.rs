@@ -156,10 +156,36 @@ impl FinFet {
     /// negative.
     #[must_use]
     pub fn current_into_drain(&self, vg: Voltage, vd: Voltage, vs: Voltage) -> Current {
-        match self.params.polarity {
-            Polarity::N => self.ids(vg - vs, vd - vs),
-            Polarity::P => -self.ids(vs - vg, vs - vd),
-        }
+        self.current_into_drain_with_partials(vg, vd, vs).0
+    }
+
+    /// [`FinFet::current_into_drain`] together with its partials
+    /// `[∂I/∂Vg, ∂I/∂Vd, ∂I/∂Vs]` in siemens, from one compact-model
+    /// evaluation — the MNA stamp of one Newton iteration.
+    ///
+    /// Only voltage differences matter, so `∂I/∂Vs = −(∂I/∂Vg + ∂I/∂Vd)`.
+    #[must_use]
+    pub fn current_into_drain_with_partials(
+        &self,
+        vg: Voltage,
+        vd: Voltage,
+        vs: Voltage,
+    ) -> (Current, [f64; 3]) {
+        let model = IvModel::new(&self.params, self.delta_vt);
+        let fins = f64::from(self.fins);
+        // A PFET's current is the negated N-referenced model at (Vsg, Vsd);
+        // the two sign flips cancel in its gate and drain partials.
+        let (i, d_vg, d_vd) = match self.params.polarity {
+            Polarity::N => {
+                let (i, gm, gds) = model.ids_with_partials_per_fin(vg - vs, vd - vs);
+                (i * fins, gm * fins, gds * fins)
+            }
+            Polarity::P => {
+                let (i, gm, gds) = model.ids_with_partials_per_fin(vs - vg, vs - vd);
+                (-(i * fins), gm * fins, gds * fins)
+            }
+        };
+        (i, [d_vg, d_vd, -(d_vg + d_vd)])
     }
 
     /// Total gate capacitance (`fins × c_gate_per_fin`).
@@ -262,6 +288,96 @@ mod tests {
         let nominal = nfet(1);
         let shifted = nfet(1).with_vt_shift(Voltage::from_millivolts(50.0));
         assert!(shifted.ids(v, v) < nominal.ids(v, v));
+    }
+
+    /// The closed-form α-power current into the drain at node voltages
+    /// `(vg, vd, vs)`, written out with the float operations the model
+    /// used before it carried partials, together with its softplus
+    /// argument `x` (after any source/drain swap) and whether the swap
+    /// happened.
+    fn closed_form(fet: &FinFet, vg: f64, vd: f64, vs: f64) -> (f64, f64, bool) {
+        let p = fet.params();
+        let (vgs, vds) = match p.polarity {
+            Polarity::N => (vg - vs, vd - vs),
+            Polarity::P => (vs - vg, vs - vd),
+        };
+        let reversed = vds < 0.0;
+        let (vgs, vds) = if reversed {
+            (vgs - vds, -vds)
+        } else {
+            (vgs, vds)
+        };
+        let s = p.subthreshold_slope.volts() * p.alpha / core::f64::consts::LN_10;
+        let vt_eff = p.vt.volts() + fet.vt_shift().volts() - p.dibl * vds;
+        let x = (vgs - vt_eff) / s;
+        let softplus = if x > 30.0 {
+            x
+        } else if x < -30.0 {
+            x.exp()
+        } else {
+            x.exp().ln_1p()
+        };
+        let saturation = 1.0 - (-vds / p.v_sat.volts()).exp();
+        let clm = 1.0 + p.lambda * vds;
+        let per_fin = p.k_per_fin * (s * softplus).powf(p.alpha) * saturation * clm;
+        let per_fin = if reversed { -per_fin } else { per_fin };
+        let i = per_fin * f64::from(fet.fins());
+        let i = match p.polarity {
+            Polarity::N => i,
+            Polarity::P => -i,
+        };
+        (i, x, reversed)
+    }
+
+    #[test]
+    fn analytic_partials_match_central_differences() {
+        // Node voltages that reach both softplus clamps (|x| > 30 needs
+        // |Vgs − Vt| above ~1.07 V) and both signs of Vds.
+        let volts = [-1.4, -0.3, 0.0, 0.12, 0.45, 0.7, 1.6];
+        let h = 1e-7;
+        let v = Voltage::from_volts;
+        let (mut above, mut below, mut reversed) = (0, 0, 0);
+        for polarity in [Polarity::N, Polarity::P] {
+            for flavor in [VtFlavor::Lvt, VtFlavor::Hvt] {
+                for shift_mv in [-50.0, 0.0, 50.0] {
+                    let fet = FinFet::new(sevennm_card(polarity, flavor), 2)
+                        .with_vt_shift(Voltage::from_millivolts(shift_mv));
+                    let at = |g, d, s| fet.current_into_drain(v(g), v(d), v(s)).amps();
+                    for (vg, vd, vs) in volts
+                        .iter()
+                        .flat_map(|&g| volts.iter().map(move |&d| (g, d)))
+                        .flat_map(|(g, d)| volts.iter().map(move |&s| (g, d, s)))
+                    {
+                        let case =
+                            format!("{polarity} {flavor} {shift_mv} mV at ({vg}, {vd}, {vs})");
+                        let (i, partials) =
+                            fet.current_into_drain_with_partials(v(vg), v(vd), v(vs));
+                        let (expected, x, swapped) = closed_form(&fet, vg, vd, vs);
+                        assert_eq!(i.amps().to_bits(), expected.to_bits(), "{case}");
+                        assert_eq!(at(vg, vd, vs).to_bits(), expected.to_bits(), "{case}");
+                        let numeric = [
+                            (at(vg + h, vd, vs) - at(vg - h, vd, vs)) / (2.0 * h),
+                            (at(vg, vd + h, vs) - at(vg, vd - h, vs)) / (2.0 * h),
+                            (at(vg, vd, vs + h) - at(vg, vd, vs - h)) / (2.0 * h),
+                        ];
+                        for (k, (a, n)) in partials.iter().zip(numeric).enumerate() {
+                            let tolerance = 1e-5 * a.abs().max(n.abs()) + 1e-12;
+                            assert!(
+                                (a - n).abs() <= tolerance,
+                                "{case}: partial {k} analytic {a:e} vs numeric {n:e}"
+                            );
+                        }
+                        above += usize::from(x > 30.0);
+                        below += usize::from(x < -30.0);
+                        reversed += usize::from(swapped);
+                    }
+                }
+            }
+        }
+        assert!(
+            above > 0 && below > 0 && reversed > 0,
+            "{above} {below} {reversed}"
+        );
     }
 
     #[test]

@@ -1283,6 +1283,31 @@ mod tests {
     }
 
     #[test]
+    fn hvt_yield_check_answers_for_both_methods() {
+        // Seed 0x51a7's 64 HVT samples include cells whose write probe
+        // sits just past the fold of the stored state, where the DC
+        // solve does not converge; the run must answer regardless.
+        let engine = coarse_engine();
+        for method in ["m1", "m2"] {
+            let r = engine.handle(&req(&format!(
+                r#"{{"op":"yield-check","capacity_bytes":1024,"flavor":"hvt","method":"{method}","samples":64}}"#
+            )));
+            assert_eq!(
+                r.get("status").and_then(Json::as_str),
+                Some("ok"),
+                "hvt/{method}: {}",
+                r.render()
+            );
+            let wm = r
+                .get("result")
+                .and_then(|r| r.get("yield"))
+                .and_then(|y| y.get("wm"));
+            let samples = wm.and_then(|m| m.get("samples")).and_then(Json::as_u64);
+            assert_eq!(samples, Some(64), "hvt/{method}: {}", r.render());
+        }
+    }
+
+    #[test]
     fn health_revision_is_strictly_monotonic() {
         let engine = coarse_engine();
         let first = engine.health_json();

@@ -161,6 +161,18 @@ impl DcSolver {
         circuit: &Circuit,
         guess: &[f64],
     ) -> Result<DcSolution, SpiceError> {
+        let _trace = sram_probe::trace_span!("spice.dc_solve");
+        self.solve_untraced(circuit, guess)
+    }
+
+    /// [`DcSolver::solve_with_guess`] without its trace span: a
+    /// [`crate::DcSweep`] records one span for all of its points. The
+    /// solve is still counted and timed.
+    pub(crate) fn solve_untraced(
+        &self,
+        circuit: &Circuit,
+        guess: &[f64],
+    ) -> Result<DcSolution, SpiceError> {
         if guess.len() != circuit.unknown_count() {
             return Err(SpiceError::InvalidAnalysis(format!(
                 "guess length {} does not match unknown count {}",
@@ -170,7 +182,6 @@ impl DcSolver {
         }
         sram_probe::probe_inc!("spice.dc_solves");
         let _span = sram_probe::probe_span!("spice.dc_solve_ns");
-        let _trace = sram_probe::trace_span!("spice.dc_solve");
         // Chaos hook: a plan rule for `spice.nonconverge` makes this solve
         // fail exactly as a real homotopy breakdown would, so the layers
         // above prove their retry/degradation paths against the same error

@@ -206,21 +206,8 @@ pub(crate) fn assemble(
                 let vg = Voltage::from_volts(ix.voltage(x, *gate));
                 let vd = Voltage::from_volts(ix.voltage(x, *drain));
                 let vs = Voltage::from_volts(ix.voltage(x, *source));
-                let id = device.current_into_drain(vg, vd, vs).amps();
-
-                // Numeric partial derivatives (central differences). The
-                // compact model is smooth; 0.1 mV steps give ~1e-7 relative
-                // accuracy which is ample for Newton.
-                let h = Voltage::from_microvolts(100.0);
-                let d_dg = (device.current_into_drain(vg + h, vd, vs).amps()
-                    - device.current_into_drain(vg - h, vd, vs).amps())
-                    / (2.0 * h.volts());
-                let d_dd = (device.current_into_drain(vg, vd + h, vs).amps()
-                    - device.current_into_drain(vg, vd - h, vs).amps())
-                    / (2.0 * h.volts());
-                let d_ds = (device.current_into_drain(vg, vd, vs + h).amps()
-                    - device.current_into_drain(vg, vd, vs - h).amps())
-                    / (2.0 * h.volts());
+                let (id, [d_dg, d_dd, d_ds]) = device.current_into_drain_with_partials(vg, vd, vs);
+                let id = id.amps();
 
                 // Current enters the drain, leaves the source.
                 if let Some(d) = ix.node(*drain) {

@@ -89,6 +89,9 @@ impl DcSweep {
     /// sweep value via [`SpiceError::InvalidAnalysis`] context being
     /// preserved in the underlying variant.
     pub fn run(&self, circuit: &Circuit) -> Result<Vec<SweepPoint>, SpiceError> {
+        // One trace span for the whole sweep: per-point spans would make
+        // a traced characterization's tree tens of times larger.
+        let _trace = sram_probe::trace_span!("spice.dc_sweep");
         let mut ckt = circuit.clone();
         let mut out = Vec::with_capacity(self.values.len());
         let mut guess: Option<Vec<f64>> = None;
@@ -101,8 +104,10 @@ impl DcSweep {
                     .solver
                     .clone()
                     .without_nodesets()
-                    .solve_with_guess(&ckt, g)?,
-                None => self.solver.solve(&ckt)?,
+                    .solve_untraced(&ckt, g)?,
+                None => self
+                    .solver
+                    .solve_untraced(&ckt, &vec![0.0; ckt.unknown_count()])?,
             };
             guess = Some(solution.as_vector().to_vec());
             out.push(SweepPoint { value, solution });

@@ -12,7 +12,7 @@ use crate::circuit::Circuit;
 use crate::linalg::Matrix;
 use crate::measure::Trace;
 use crate::mna::{assemble, init_cap_state, update_cap_state, AssemblyOptions, Integration};
-use crate::{DcSolver, SpiceError};
+use crate::{DcSolution, DcSolver, SpiceError};
 use sram_units::Time;
 
 /// Configuration of a transient run.
@@ -72,6 +72,38 @@ impl Transient {
     /// * any DC-solver error from the initial operating point,
     /// * [`SpiceError::SingularMatrix`] for defective netlists.
     pub fn run(&self, circuit: &Circuit) -> Result<TransientResult, SpiceError> {
+        let mut times = Vec::new();
+        let mut states = Vec::new();
+        self.integrate(circuit, |t, x| {
+            times.push(t);
+            states.push(x.to_vec());
+        })?;
+        Ok(TransientResult {
+            trace: Trace::new(circuit.node_count(), times, states),
+        })
+    }
+
+    /// Runs the analysis and keeps only the state at `t_stop`, in the
+    /// form of an operating point: memory stays constant however many
+    /// steps the run takes. Use it when only the end state matters
+    /// (e.g. whether a cell flipped).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Transient::run`].
+    pub fn final_state(&self, circuit: &Circuit) -> Result<DcSolution, SpiceError> {
+        let x = self.integrate(circuit, |_, _| {})?;
+        Ok(DcSolution::new(x, circuit.node_count()))
+    }
+
+    /// The time-stepping loop: hands every accepted `(t, x)` (the DC
+    /// operating point at `t = 0` first) to `on_step` and returns the
+    /// final state.
+    fn integrate(
+        &self,
+        circuit: &Circuit,
+        mut on_step: impl FnMut(f64, &[f64]),
+    ) -> Result<Vec<f64>, SpiceError> {
         sram_probe::probe_inc!("spice.transient_runs");
         let _span = sram_probe::probe_span!("spice.transient_ns");
         let _trace = sram_probe::trace_span!("spice.transient");
@@ -79,9 +111,7 @@ impl Transient {
         let dc = self.dc_solver.solve_with_guess(circuit, &vec![0.0; n])?;
         let mut x = dc.as_vector().to_vec();
         let mut cap_state = init_cap_state(circuit, &x);
-
-        let mut times = vec![0.0];
-        let mut states = vec![x.clone()];
+        on_step(0.0, &x);
 
         let mut jacobian = Matrix::zeros(n);
         let mut residual = vec![0.0; n];
@@ -131,16 +161,12 @@ impl Transient {
             x = x_try;
             t = t_next;
             first_step = false;
-            times.push(t);
-            states.push(x.clone());
+            on_step(t, &x);
             if max_dv < self.max_dv_per_step / 4.0 {
                 dt *= 1.5;
             }
         }
-
-        Ok(TransientResult {
-            trace: Trace::new(circuit.node_count(), times, states),
-        })
+        Ok(x)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -302,6 +328,32 @@ mod tests {
             delay.picoseconds() > 0.0 && delay.picoseconds() < 20.0,
             "delay = {delay}"
         );
+    }
+
+    #[test]
+    fn final_state_is_the_last_recorded_point() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let out = ckt.node("out");
+        ckt.vsource(
+            "V",
+            a,
+            Circuit::GROUND,
+            Waveform::step(
+                Voltage::ZERO,
+                Voltage::from_volts(1.0),
+                Time::from_femtoseconds(1.0),
+                Time::from_femtoseconds(1.0),
+            ),
+        );
+        ckt.resistor("R", a, out, 1.0e3);
+        ckt.capacitor("C", out, Circuit::GROUND, 1.0e-15);
+        let analysis = Transient::new(Time::from_picoseconds(3.0), Time::from_femtoseconds(50.0));
+        let trace = analysis.run(&ckt).unwrap().into_trace();
+        let end = analysis.final_state(&ckt).unwrap();
+        for node in [a, out] {
+            assert_eq!(end.voltage(node), trace.final_voltage(node));
+        }
     }
 
     #[test]
