@@ -74,8 +74,16 @@ const COMMON: &[Invariant] = &[
     ),
     inv("serve.conn.accepted", Op::Ge, Rhs::Key("clients")),
     inv("serve.cache.insertions", Op::Ge, Rhs::Num(1.0)),
-    inv("serve.request.queue_wait_ns", Op::Ge, Rhs::Key("answered")),
+    // A node answers a request from its job queue (one queue wait) or,
+    // for a result-cache hit, on the connection thread (one inline hit);
+    // both paths record the request's latency.
+    inv("answered", Op::Le, Rhs::Sum(REPLY_PATHS)),
+    inv("serve.request.latency_ns", Op::Ge, Rhs::Key("answered")),
+    inv("serve.request.latency_ns", Op::Ge, Rhs::Sum(REPLY_PATHS)),
 ];
+
+/// The two ways a node answers: through the job queue, or inline.
+const REPLY_PATHS: &[&str] = &["serve.request.queue_wait_ns", "serve.request.inline_hits"];
 
 /// Where the clients connect.
 #[derive(Debug, Clone, Copy)]
@@ -120,11 +128,24 @@ pub(crate) enum Rhs {
     Num(f64),
     /// Another value of the same value set.
     Key(&'static str),
+    /// The sum of several values of the same value set.
+    Sum(&'static [&'static str]),
     /// The fault-table cap of a point times the faulted rounds in
     /// scope (0 for a point the table does not list).
     Cap(&'static str),
     /// The sum of every cap times the faulted rounds in scope.
     Caps,
+}
+
+impl Rhs {
+    /// The value-set keys the bound reads.
+    fn keys(self) -> Vec<&'static str> {
+        match self {
+            Rhs::Key(key) => vec![key],
+            Rhs::Sum(keys) => keys.to_vec(),
+            Rhs::Num(_) | Rhs::Cap(_) | Rhs::Caps => Vec::new(),
+        }
+    }
 }
 
 /// One invariant row: `key op rhs`, checked on the whole soak or on
@@ -223,10 +244,7 @@ impl Scenario {
     /// point names a counter, a histogram (its sample count), or a
     /// gauge.
     fn probes(&self) -> impl Iterator<Item = &'static str> + '_ {
-        let rhs_keys = self.checks().filter_map(|i| match i.rhs {
-            Rhs::Key(key) => Some(key),
-            _ => None,
-        });
+        let rhs_keys = self.checks().flat_map(|i| i.rhs.keys());
         self.checks()
             .map(|i| i.key)
             .chain(rhs_keys)
@@ -247,6 +265,7 @@ impl Scenario {
         let bound = match row.rhs {
             Rhs::Num(n) => Some(n),
             Rhs::Key(key) => values.get(key).copied(),
+            Rhs::Sum(keys) => keys.iter().map(|key| values.get(key).copied()).sum(),
             Rhs::Cap(point) => Some(faulted * self.cap(point) as f64),
             Rhs::Caps => Some(faulted * self.faults.iter().map(|r| r.1).sum::<u64>() as f64),
         };
@@ -486,10 +505,7 @@ fn client(
                     bump("reconnects");
                     conn = connect(addr, s.reply_timeout)?;
                 }
-                Err(ServeError::Io(e))
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
+                Err(e) if e.is_timeout() => {
                     return Err(format!("request {id}: reply timed out — hang"));
                 }
                 Err(e) => return Err(format!("request {id}: transport error: {e}")),
@@ -769,6 +785,7 @@ pub(crate) fn report(s: &Scenario, o: &Outcome) -> Result<String, String> {
             let rhs = match row.rhs {
                 Rhs::Num(_) => show(bound),
                 Rhs::Key(key) => format!("{key} ({})", show(bound)),
+                Rhs::Sum(keys) => format!("{} ({})", keys.join(" + "), show(bound)),
                 Rhs::Cap(point) => format!("cap of {point} ({})", show(bound)),
                 Rhs::Caps => format!("sum of caps ({})", show(bound)),
             };
@@ -811,7 +828,7 @@ pub(crate) fn healthy(s: &Scenario) -> Outcome {
             } else {
                 &mut o.soak
             };
-            if let Rhs::Key(key) = row.rhs {
+            for key in row.rhs.keys() {
                 values.entry(key).or_insert(0.0);
             }
             if let (_, Some(bound), false) = s.eval(&row, values) {

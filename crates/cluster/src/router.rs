@@ -13,10 +13,13 @@
 //!   the request's canonical content-addressed key onto the ring and
 //!   forward to the primary owner. Cache affinity falls out: the same
 //!   canonical query always lands on the node whose LRU already holds
-//!   it. If the primary is slow, a second replica is hedged after a
-//!   windowed-p99-derived delay; first reply wins, the loser observes
-//!   a shared [`CancelToken`] and discards its reply. A transport
-//!   failure fails over to the next ring candidate immediately.
+//!   it. The connection thread sends to the primary and waits for the
+//!   reply itself, so a warm hit spawns no thread. A reply slower than
+//!   a windowed-p99-derived delay moves to a thread of its own and a
+//!   second replica is hedged at once; first reply wins, the loser
+//!   observes a shared [`CancelToken`] and discards its reply. A
+//!   transport failure fails over to the next ring candidate
+//!   immediately.
 //! * **introspection ops** (`metrics`, `health`) — never cached and
 //!   meaningless to shard: fan out to every configured node and return
 //!   the per-node replies under `"nodes"`.
@@ -52,7 +55,7 @@ use sram_serve::{error_response, Json, Request, ServeError};
 
 use crate::collector;
 use crate::poller::{poll_loop, Membership};
-use crate::pool::Pool;
+use crate::pool::{Exchange, InFlight, Pool};
 use crate::ring::DEFAULT_VNODES;
 use crate::stitch::{self, AttemptPiece};
 
@@ -421,7 +424,7 @@ fn handle_line(inner: &Arc<RouterInner>, line: &str) -> Json {
     }
     // Same strictness as a node: a request the nodes would reject is
     // rejected here, without burning a forward on it.
-    let request = match Request::from_line(line) {
+    let request = match Request::from_json(&parsed) {
         Ok(r) => r,
         Err(e) => {
             sram_probe::probe_inc!("cluster.request.parse_errors");
@@ -450,9 +453,9 @@ fn handle_line(inner: &Arc<RouterInner>, line: &str) -> Json {
     forward(inner, &request, line, id.as_deref(), &candidates, epoch)
 }
 
-/// One attempt's outcome, reported back to the forwarding loop. Every
-/// attempt reports — including cancelled hedge losers, whose replies
-/// the client never sees but whose span trees the stitcher keeps.
+/// One attempt's outcome. Every attempt reports — including cancelled
+/// hedge losers, whose replies the client never sees but whose span
+/// trees the stitcher keeps.
 struct AttemptReport {
     index: usize,
     via: Via,
@@ -466,8 +469,37 @@ struct AttemptReport {
     loser: bool,
 }
 
+/// The primary's exchange when its reply did not arrive within the
+/// inline wait: still in flight, and when it was sent.
+struct Handoff {
+    inflight: InFlight,
+    send_ns: u64,
+    started: Instant,
+}
+
+/// How a forward the primary did not answer inline enters [`race`].
+enum Seed {
+    /// The primary failed: fail over.
+    Failed(AttemptReport),
+    /// The primary's reply is still on the wire: hand it off and hedge.
+    Pending(Handoff),
+}
+
+/// What the slow path's attempt threads share.
+struct Race {
+    inner: Arc<RouterInner>,
+    line: Arc<str>,
+    tx: mpsc::Sender<AttemptReport>,
+    token: CancelToken,
+    t0: Instant,
+}
+
 /// Forwards a query line to its ring candidates with hedging and
 /// failover; returns exactly one reply.
+///
+/// The connection thread sends to the primary and waits for the reply
+/// itself: a warm hit crosses no thread and no channel. A primary that
+/// fails, or has not answered within the hedge delay, goes to [`race`].
 fn forward(
     inner: &Arc<RouterInner>,
     request: &Request,
@@ -503,80 +535,102 @@ fn forward(
         None
     };
     let wire_line: &str = trace_ctx.as_ref().map_or(line, |(_, l)| l.as_str());
-    let stitching = trace_ctx.as_ref().is_some_and(|(ctx, _)| ctx.sampled);
-
-    let forward_t0 = Instant::now();
-    let (tx, rx) = mpsc::channel::<AttemptReport>();
-    let token = CancelToken::never();
-    let spawn_attempt = |index: usize, via: Via| {
-        let inner = Arc::clone(inner);
-        let addr = candidates[index].clone();
-        let line = wire_line.to_owned();
-        let tx = tx.clone();
-        let token = token.clone();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a forward attempt is never joined: it reports on `tx`, and a losing twin \
-                      exits once its pool call returns, within `node_timeout`"
-        )]
-        std::thread::spawn(move || {
-            if token.is_cancelled() {
-                // Cancelled before the wire was touched: the race was
-                // already decided, don't load the node at all.
-                sram_probe::counter("cluster.hedge.cancelled").inc();
-                let _ = tx.send(AttemptReport {
-                    index,
-                    via,
-                    result: Err(ServeError::Internal("cancelled before send".into())),
-                    send_ns: forward_t0.elapsed().as_nanos() as u64,
-                    rtt_ns: 0,
-                    loser: true,
-                });
-                return;
-            }
-            let send_ns = forward_t0.elapsed().as_nanos() as u64;
-            let started = Instant::now();
-            let result = inner.pool.call(&addr, &line);
-            let rtt_ns = started.elapsed().as_nanos() as u64;
-            if result.is_ok() {
-                sram_probe::probe_record!("cluster.forward.latency_ns", rtt_ns);
-                // Ungated: the hedge-delay derivation needs the p99
-                // stream even with probes off.
-                sram_probe::telemetry::record("cluster.forward.latency_ns", rtt_ns);
-            }
-            // Lost the race after doing the work: the hedged twin
-            // already answered the client, so this reply is discarded —
-            // but still reported, so the stitcher can keep the loser's
-            // side of the race on the timeline.
-            let loser = token.is_cancelled();
-            if loser {
-                sram_probe::counter("cluster.hedge.cancelled").inc();
-            }
-            let _ = tx.send(AttemptReport {
-                index,
-                via,
+    let t0 = Instant::now();
+    let route = Route {
+        request,
+        id,
+        candidates,
+        epoch,
+        stitch: trace_ctx
+            .as_ref()
+            .map(|(ctx, _)| *ctx)
+            .filter(|ctx| ctx.sampled),
+        t0,
+        // Hard ceiling on this forward: every candidate gets its
+        // timeout, plus slack. A request can never outwait this — "no
+        // hangs" is the soak's first invariant.
+        deadline: t0
+            + inner
+                .config
+                .node_timeout
+                .saturating_mul(candidates.len().max(1) as u32)
+            + Duration::from_secs(1),
+    };
+    let hedge_after = hedge_delay(inner);
+    // A primary with a replica behind it waits the hedge delay; one
+    // without waits out the forward.
+    let wait = if candidates.len() > 1 {
+        hedge_after
+    } else {
+        route.deadline.saturating_duration_since(Instant::now())
+    };
+    let send_ns = t0.elapsed().as_nanos() as u64;
+    let started = Instant::now();
+    let seed = match inner.pool.call_within(&candidates[0], wire_line, wait) {
+        Exchange::Done(result) => {
+            let report = AttemptReport {
+                index: 0,
+                via: Via::Primary,
+                rtt_ns: record_rtt(started, &result),
                 result,
                 send_ns,
-                rtt_ns,
-                loser,
-            });
-        });
+                loser: false,
+            };
+            if report.result.is_ok() {
+                return respond(&route, report, &[], false);
+            }
+            Seed::Failed(report)
+        }
+        Exchange::Pending(inflight) => Seed::Pending(Handoff {
+            inflight,
+            send_ns,
+            started,
+        }),
     };
+    race(inner, &route, wire_line, hedge_after, seed)
+}
 
-    spawn_attempt(0, Via::Primary);
+/// The slow path of [`forward`]: every further attempt runs on a thread
+/// of its own and reports on a channel; the first good reply wins. A
+/// handed-off primary finishes on such a thread, and the hedge goes out
+/// at once, since the hedge delay already ran out inline. A traced
+/// request waits for every attempt, so the losers' span trees are
+/// stitched too.
+fn race(
+    inner: &Arc<RouterInner>,
+    route: &Route<'_>,
+    line: &str,
+    hedge_after: Duration,
+    seed: Seed,
+) -> Json {
+    let candidates = route.candidates;
+    let (tx, rx) = mpsc::channel::<AttemptReport>();
+    let token = CancelToken::never();
+    let shared = Race {
+        inner: Arc::clone(inner),
+        line: Arc::from(line),
+        tx,
+        token: token.clone(),
+        t0: route.t0,
+    };
+    let mut hedge_wait = hedge_after;
+    match seed {
+        // Reported like any other attempt, so the loop below fails over
+        // from it.
+        Seed::Failed(report) => {
+            let _ = shared.tx.send(report);
+        }
+        Seed::Pending(handoff) => {
+            // Ungated: tests assert a warm forward never gets here.
+            sram_probe::counter("cluster.forward.handoffs").inc();
+            spawn_attempt(&shared, candidates, 0, Via::Primary, Some(handoff));
+            hedge_wait = Duration::ZERO;
+        }
+    }
     let mut spawned = 1usize;
     let mut failed = 0usize;
     let mut hedged = false;
-    let hedge_after = hedge_delay(inner);
-    // Hard ceiling on this forward: every candidate gets its timeout,
-    // plus slack. A request can never outwait this — "no hangs" is the
-    // soak's first invariant.
-    let deadline = Instant::now()
-        + inner
-            .config
-            .node_timeout
-            .saturating_mul(candidates.len().max(1) as u32)
-        + Duration::from_secs(1);
+    let deadline = route.deadline;
 
     let mut winner: Option<AttemptReport> = None;
     let mut reports: Vec<AttemptReport> = Vec::new();
@@ -590,7 +644,7 @@ fn forward(
         }
         let remaining = deadline - now;
         let wait = if winner.is_none() && !hedged && spawned < candidates.len() {
-            hedge_after.min(remaining)
+            hedge_wait.min(remaining)
         } else {
             remaining
         };
@@ -602,7 +656,7 @@ fn forward(
                         sram_probe::counter("cluster.hedge.wins").inc();
                     }
                     winner = Some(report);
-                    if !stitching {
+                    if route.stitch.is_none() {
                         // Untraced: answer now; straggler reports go
                         // to a dropped channel and vanish, as before.
                         break;
@@ -616,12 +670,13 @@ fn forward(
                         // node is not answering — move down the ring
                         // now rather than waiting out the hedge timer.
                         sram_probe::probe_inc!("cluster.forward.failovers");
-                        spawn_attempt(spawned, Via::Failover);
+                        spawn_attempt(&shared, candidates, spawned, Via::Failover, None);
                         spawned += 1;
+                        hedge_wait = hedge_after;
                     } else if failed >= spawned {
                         // Every candidate failed: retryable
                         // backpressure.
-                        return error_response(id, &ServeError::Busy);
+                        return error_response(route.id, &ServeError::Busy);
                     }
                 }
                 reports.push(report);
@@ -632,7 +687,7 @@ fn forward(
                     // Ungated: CI asserts the hedge fired under the
                     // soak's injected `cell.slow` latency.
                     sram_probe::counter("cluster.hedge.fired").inc();
-                    spawn_attempt(spawned, Via::Hedge);
+                    spawn_attempt(&shared, candidates, spawned, Via::Hedge, None);
                     spawned += 1;
                 }
                 // Otherwise keep draining until the deadline.
@@ -643,12 +698,128 @@ fn forward(
     token.cancel();
     let Some(winner) = winner else {
         return error_response(
-            id,
+            route.id,
             &ServeError::Internal("cluster forward timed out on every candidate".into()),
         );
     };
+    respond(route, winner, &reports, hedged)
+}
 
-    let total_ns = forward_t0.elapsed().as_nanos() as u64;
+/// Records a successful round trip; returns its length in ns.
+fn record_rtt(started: Instant, result: &Result<Json, ServeError>) -> u64 {
+    let rtt_ns = started.elapsed().as_nanos() as u64;
+    if result.is_ok() {
+        sram_probe::probe_record!("cluster.forward.latency_ns", rtt_ns);
+        // Ungated: the hedge-delay derivation needs the p99 stream even
+        // with probes off.
+        sram_probe::telemetry::record("cluster.forward.latency_ns", rtt_ns);
+    }
+    rtt_ns
+}
+
+/// Runs one slow-path attempt on its own thread, which reports on the
+/// race's channel: the rest of a handed-off exchange, or a whole hedge
+/// or failover exchange.
+fn spawn_attempt(
+    shared: &Race,
+    candidates: &[String],
+    index: usize,
+    via: Via,
+    handoff: Option<Handoff>,
+) {
+    let inner = Arc::clone(&shared.inner);
+    let addr = candidates[index].clone();
+    let line = Arc::clone(&shared.line);
+    let tx = shared.tx.clone();
+    let token = shared.token.clone();
+    let t0 = shared.t0;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a slow-path attempt is never joined: it reports on `tx`, and a losing twin \
+                  exits once its pool call returns, within `node_timeout`"
+    )]
+    std::thread::spawn(move || {
+        let (result, send_ns, started) = match handoff {
+            Some(h) => (
+                inner.pool.finish(&addr, &line, h.inflight),
+                h.send_ns,
+                h.started,
+            ),
+            None if token.is_cancelled() => {
+                // Cancelled before the wire was touched: the race was
+                // already decided, don't load the node at all.
+                sram_probe::counter("cluster.hedge.cancelled").inc();
+                let _ = tx.send(AttemptReport {
+                    index,
+                    via,
+                    result: Err(ServeError::Internal("cancelled before send".into())),
+                    send_ns: t0.elapsed().as_nanos() as u64,
+                    rtt_ns: 0,
+                    loser: true,
+                });
+                return;
+            }
+            None => {
+                let send_ns = t0.elapsed().as_nanos() as u64;
+                let started = Instant::now();
+                (inner.pool.call(&addr, &line), send_ns, started)
+            }
+        };
+        let rtt_ns = record_rtt(started, &result);
+        // Lost the race after doing the work: the hedged twin already
+        // answered the client, so this reply is discarded — but still
+        // reported, so the stitcher can keep the loser's side of the
+        // race on the timeline.
+        let loser = token.is_cancelled();
+        if loser {
+            sram_probe::counter("cluster.hedge.cancelled").inc();
+        }
+        let _ = tx.send(AttemptReport {
+            index,
+            via,
+            result,
+            send_ns,
+            rtt_ns,
+            loser,
+        });
+    });
+}
+
+/// What a forward's reply is built from, besides its attempts, and
+/// its deadline.
+struct Route<'a> {
+    request: &'a Request,
+    id: Option<&'a str>,
+    candidates: &'a [String],
+    epoch: u64,
+    /// The distributed trace to stitch: set when the request is traced
+    /// and sampled.
+    stitch: Option<TraceCtx>,
+    /// When the forward started (router clock).
+    t0: Instant,
+    /// When the forward gives up waiting for a reply.
+    deadline: Instant,
+}
+
+/// Builds the client's reply from the winning attempt: stamps its route,
+/// stitches every attempt's span tree under a traced request, and logs
+/// a slow query.
+fn respond(
+    route: &Route<'_>,
+    winner: AttemptReport,
+    reports: &[AttemptReport],
+    hedged: bool,
+) -> Json {
+    let Route {
+        request,
+        id,
+        candidates,
+        epoch,
+        stitch,
+        t0,
+        ..
+    } = *route;
+    let total_ns = t0.elapsed().as_nanos() as u64;
     // Winners are only recorded on Ok replies; the Err arm is a
     // defensive fallthrough rather than a reachable path.
     let mut reply = match winner.result {
@@ -660,49 +831,47 @@ fn forward(
         pairs.push(("epoch".into(), Json::Num(epoch as f64)));
         pairs.push(("via".into(), Json::Str(winner.via.as_str().into())));
     }
-    if stitching {
-        if let Some((ctx, _)) = &trace_ctx {
-            let winner_piece = AttemptPiece {
-                node: candidates[winner.index].clone(),
-                via: winner.via.as_str(),
-                hedge_loser: false,
-                send_ns: winner.send_ns,
-                rtt_ns: winner.rtt_ns,
-                tree: reply.get("trace").cloned(),
-                error: None,
-            };
-            let mut pieces = vec![winner_piece];
-            for report in &reports {
-                pieces.push(AttemptPiece {
-                    node: candidates[report.index].clone(),
-                    via: report.via.as_str(),
-                    hedge_loser: report.loser,
-                    send_ns: report.send_ns,
-                    rtt_ns: report.rtt_ns,
-                    tree: report
-                        .result
-                        .as_ref()
-                        .ok()
-                        .and_then(|r| r.get("trace").cloned()),
-                    error: report.result.as_ref().err().map(ToString::to_string),
-                });
-            }
-            pieces.sort_by_key(|p| p.send_ns);
-            let losers = pieces
-                .iter()
-                .filter(|p| p.hedge_loser && p.tree.is_some())
-                .count() as u64;
-            let stitched = stitch::stitch(ctx, total_ns, &pieces);
-            sram_probe::counter("cluster.trace.stitched").inc();
-            sram_probe::counter("cluster.trace.losers").add(losers);
-            match stitch::validate(&stitched) {
-                Ok(spans) => sram_probe::counter("cluster.trace.stitched_spans").add(spans),
-                Err(_) => sram_probe::counter("cluster.trace.forests").inc(),
-            }
-            if let Json::Obj(pairs) = &mut reply {
-                pairs.retain(|(k, _)| k != "trace");
-                pairs.push(("trace".into(), stitched));
-            }
+    if let Some(ctx) = &stitch {
+        let winner_piece = AttemptPiece {
+            node: candidates[winner.index].clone(),
+            via: winner.via.as_str(),
+            hedge_loser: false,
+            send_ns: winner.send_ns,
+            rtt_ns: winner.rtt_ns,
+            tree: reply.get("trace").cloned(),
+            error: None,
+        };
+        let mut pieces = vec![winner_piece];
+        for report in reports {
+            pieces.push(AttemptPiece {
+                node: candidates[report.index].clone(),
+                via: report.via.as_str(),
+                hedge_loser: report.loser,
+                send_ns: report.send_ns,
+                rtt_ns: report.rtt_ns,
+                tree: report
+                    .result
+                    .as_ref()
+                    .ok()
+                    .and_then(|r| r.get("trace").cloned()),
+                error: report.result.as_ref().err().map(ToString::to_string),
+            });
+        }
+        pieces.sort_by_key(|p| p.send_ns);
+        let losers = pieces
+            .iter()
+            .filter(|p| p.hedge_loser && p.tree.is_some())
+            .count() as u64;
+        let stitched = stitch::stitch(ctx, total_ns, &pieces);
+        sram_probe::counter("cluster.trace.stitched").inc();
+        sram_probe::counter("cluster.trace.losers").add(losers);
+        match stitch::validate(&stitched) {
+            Ok(spans) => sram_probe::counter("cluster.trace.stitched_spans").add(spans),
+            Err(_) => sram_probe::counter("cluster.trace.forests").inc(),
+        }
+        if let Json::Obj(pairs) = &mut reply {
+            pairs.retain(|(k, _)| k != "trace");
+            pairs.push(("trace".into(), stitched));
         }
     }
     if total_ns >= slow_threshold_ns() && sram_probe::log::enabled(sram_probe::log::LogLevel::Warn)
@@ -945,6 +1114,45 @@ mod tests {
 
         router.shutdown();
         node.shutdown();
+    }
+
+    #[test]
+    fn a_stalled_node_is_answered_by_the_forward_deadline() {
+        // Bound but never accepted: a connection completes in the
+        // backlog, the request is written, and no reply ever comes.
+        let stalled = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let node_timeout = Duration::from_secs(1);
+        let router = Router::start(RouterConfig {
+            nodes: vec![stalled.local_addr().unwrap().to_string()],
+            replicas: 1,
+            node_timeout,
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(router.local_addr()).unwrap();
+        client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+
+        let started = Instant::now();
+        let reply = client
+            .call_line(r#"{"op":"optimize","capacity_bytes":1024,"flavor":"hvt","method":"m2"}"#)
+            .unwrap();
+        let elapsed = started.elapsed();
+        assert_ne!(
+            reply.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "{}",
+            reply.render()
+        );
+        // One candidate: the deadline is one node timeout plus 1 s. The
+        // pool retries a read timeout, so waiting out its retries would
+        // take three node timeouts.
+        assert!(
+            elapsed < node_timeout + Duration::from_millis(1_500),
+            "answered after {elapsed:?}: {}",
+            reply.render()
+        );
+
+        router.shutdown();
     }
 
     #[test]

@@ -107,6 +107,18 @@ impl ResultCache {
     /// Looks up a result. `canonical` disambiguates hash collisions: a
     /// resident entry whose canonical string differs is a miss.
     pub fn get(&self, key: u64, canonical: &str) -> Option<Arc<Json>> {
+        let hit = self.get_hit(key, canonical);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            sram_probe::probe_inc!("serve.cache.misses");
+        }
+        hit
+    }
+
+    /// Like [`ResultCache::get`], but counts only a hit: a miss leaves
+    /// the counters alone, for a caller whose miss is looked up (and
+    /// counted) again by [`ResultCache::get`].
+    pub fn get_hit(&self, key: u64, canonical: &str) -> Option<Arc<Json>> {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self
             .shard(key)
@@ -123,9 +135,6 @@ impl ResultCache {
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             sram_probe::probe_inc!("serve.cache.hits");
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            sram_probe::probe_inc!("serve.cache.misses");
         }
         hit
     }
@@ -264,6 +273,17 @@ mod tests {
         assert_eq!(got.as_str(), Some("r1"));
         let c = cache.counters();
         assert_eq!((c.hits, c.misses, c.insertions), (1, 1, 1));
+    }
+
+    #[test]
+    fn get_hit_counts_a_hit_and_never_a_miss() {
+        let cache = small_cache(1 << 20);
+        assert!(cache.get_hit(1, "q1").is_none());
+        assert_eq!(cache.counters().misses, 0);
+        cache.insert(1, "q1", val("r1"));
+        assert_eq!(cache.get_hit(1, "q1").unwrap().as_str(), Some("r1"));
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses), (1, 0));
     }
 
     #[test]

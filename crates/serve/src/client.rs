@@ -14,6 +14,11 @@ use crate::query::Request;
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The reply line read so far. A read that times out mid-line
+    /// leaves its bytes here, and the next read continues the line.
+    partial: Vec<u8>,
+    /// The read timeout the socket has now.
+    timeout: Option<Duration>,
 }
 
 impl Client {
@@ -28,16 +33,22 @@ impl Client {
         Ok(Self {
             writer,
             reader: BufReader::new(stream),
+            partial: Vec::new(),
+            timeout: None,
         })
     }
 
-    /// Bounds how long [`Self::call`] waits for a response line.
+    /// Bounds how long [`Self::call`] waits for a response line. A
+    /// timeout equal to the one already set costs no system call.
     ///
     /// # Errors
     ///
     /// Propagates socket-option failures.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ServeError> {
-        self.reader.get_ref().set_read_timeout(timeout)?;
+        if timeout != self.timeout {
+            self.reader.get_ref().set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
         Ok(())
     }
 
@@ -58,18 +69,72 @@ impl Client {
     ///
     /// Same as [`Self::call`].
     pub fn call_line(&mut self, line: &str) -> Result<Json, ServeError> {
-        let mut payload = line.to_string();
+        self.send_line(line)?;
+        self.recv_line()
+    }
+
+    /// Sends a raw request line without waiting for its response; read
+    /// that with [`Self::recv_line`] or [`Self::recv_within`].
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn send_line(&mut self, line: &str) -> Result<(), ServeError> {
+        let mut payload = String::with_capacity(line.len() + 1);
+        payload.push_str(line);
         payload.push('\n');
         self.writer.write_all(payload.as_bytes())?;
         self.writer.flush()?;
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(ServeError::Remote("server closed the connection".into()));
+        Ok(())
+    }
+
+    /// Reads one response line, waiting at most the read timeout. A
+    /// timeout is an [`ServeError::Io`] error that
+    /// [`ServeError::is_timeout`] recognizes; the bytes read before it
+    /// stay buffered, so the next read continues the same line.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures and timeouts, [`ServeError::Remote`] when the server
+    /// closed the connection, or [`ServeError::Protocol`] when the line
+    /// is not valid JSON.
+    pub fn recv_line(&mut self) -> Result<Json, ServeError> {
+        // `read_until`, not `read_line`: a timeout that splits a UTF-8
+        // character must keep the bytes read so far, and `read_line`
+        // drops them.
+        let n = self.reader.read_until(b'\n', &mut self.partial)?;
+        let reply = if n == 0 {
+            Err(ServeError::Remote("server closed the connection".into()))
+        } else {
+            std::str::from_utf8(&self.partial)
+                .map_err(|e| ServeError::Protocol(e.to_string()))
+                .and_then(|text| {
+                    Json::parse(text.trim_end()).map_err(|e| ServeError::Protocol(e.to_string()))
+                })
+        };
+        self.partial.clear();
+        reply
+    }
+
+    /// Waits at most `wait` for one response line. `Ok(None)` means the
+    /// wait ran out first; the bytes read so far stay buffered, and a
+    /// later [`Self::recv_line`] or `recv_within` continues the line.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::recv_line`], except a timeout.
+    pub fn recv_within(&mut self, wait: Duration) -> Result<Option<Json>, ServeError> {
+        self.set_timeout(Some(wait.max(MIN_WAIT)))?;
+        match self.recv_line() {
+            Err(e) if e.is_timeout() => Ok(None),
+            reply => reply.map(Some),
         }
-        Json::parse(reply.trim_end()).map_err(|e| ServeError::Protocol(e.to_string()))
     }
 }
+
+/// The shortest read timeout a bounded wait sets: the socket rejects a
+/// zero timeout.
+const MIN_WAIT: Duration = Duration::from_millis(1);
 
 /// A reusable connection to one serve node that survives node restarts.
 ///
@@ -126,15 +191,68 @@ impl NodeConn {
         }
     }
 
-    /// Sends one raw request line, dialing or redialing as needed.
+    /// Sends one raw request line, dialing or redialing as needed, and
+    /// reads its reply within the handle's timeout.
     ///
     /// # Errors
     ///
-    /// Connection or I/O failures (the handle disconnects itself so the
-    /// next call redials), or [`ServeError::Protocol`] on a malformed
-    /// reply (the connection is kept — the transport itself is fine).
+    /// Connection or I/O failures, a timeout included (the handle
+    /// disconnects itself so the next call redials), or
+    /// [`ServeError::Protocol`] on a malformed reply (the connection is
+    /// kept — the transport itself is fine).
     pub fn call_line(&mut self, line: &str) -> Result<Json, ServeError> {
-        let result = self.ensure().and_then(|c| c.call_line(line));
+        self.send_line(line)?;
+        self.recv_line()
+    }
+
+    /// Sends one raw request line, dialing or redialing as needed,
+    /// without waiting for its reply.
+    ///
+    /// # Errors
+    ///
+    /// Connection or I/O failures (the handle disconnects itself).
+    pub fn send_line(&mut self, line: &str) -> Result<(), ServeError> {
+        let result = self.ensure().and_then(|c| c.send_line(line));
+        self.settle(result)
+    }
+
+    /// Reads the reply to the line sent last within the handle's
+    /// timeout, continuing any part of it an earlier
+    /// [`Self::recv_within`] read.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::call_line`].
+    pub fn recv_line(&mut self) -> Result<Json, ServeError> {
+        let timeout = self.timeout;
+        let result = self.connected().and_then(|c| {
+            c.set_timeout(timeout)?;
+            c.recv_line()
+        });
+        self.settle(result)
+    }
+
+    /// Waits at most `wait` for the reply to the line sent last.
+    /// `Ok(None)` means the wait ran out first: the connection stays
+    /// open with the reply in flight, for a later [`Self::recv_line`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::call_line`], except a timeout.
+    pub fn recv_within(&mut self, wait: Duration) -> Result<Option<Json>, ServeError> {
+        let result = self.connected().and_then(|c| c.recv_within(wait));
+        self.settle(result)
+    }
+
+    fn connected(&mut self) -> Result<&mut Client, ServeError> {
+        self.conn
+            .as_mut()
+            .ok_or_else(|| ServeError::Remote("no request in flight".into()))
+    }
+
+    /// Drops the connection after a transport failure, so the next call
+    /// redials; a protocol error keeps it.
+    fn settle<T>(&mut self, result: Result<T, ServeError>) -> Result<T, ServeError> {
         if matches!(result, Err(ServeError::Io(_)) | Err(ServeError::Remote(_))) {
             self.disconnect();
         }

@@ -229,6 +229,24 @@ impl Engine {
             })
     }
 
+    /// Answers `request` from the result cache alone, with the reply
+    /// [`Engine::handle_batch`] would give for it. `None` for a miss
+    /// and for the introspection ops; a miss is not counted here, so
+    /// the batch that runs the request next counts it once.
+    #[must_use]
+    pub fn cached_response(&self, request: &Request) -> Option<Json> {
+        if matches!(request.query, Query::Metrics | Query::Health) {
+            return None;
+        }
+        let canonical = request.query.canonical();
+        let result = self
+            .cache
+            .get_hit(fnv1a64(canonical.as_bytes()), &canonical)?;
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        sram_probe::probe_inc!("serve.request.total");
+        Some(ok_response(request.id.as_deref(), true, &result))
+    }
+
     /// Handles a batch with no deadlines or shutdown awareness — every
     /// request runs under a never-cancelled token. See
     /// [`Engine::handle_batch_cancel`].

@@ -44,6 +44,13 @@ impl ServeError {
             _ => false,
         }
     }
+
+    /// Whether this is a socket read that ran out its timeout.
+    #[must_use]
+    pub fn is_timeout(&self) -> bool {
+        matches!(self, ServeError::Io(e)
+            if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut))
+    }
 }
 
 impl fmt::Display for ServeError {

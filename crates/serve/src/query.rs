@@ -268,7 +268,17 @@ impl Request {
     /// valid query (wrong shape, unknown op/field, out-of-range value).
     pub fn from_line(line: &str) -> Result<Self, ServeError> {
         let json = Json::parse(line).map_err(|e| ServeError::Protocol(e.to_string()))?;
-        let obj = match &json {
+        Self::from_json(&json)
+    }
+
+    /// Validates one already-parsed request.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidQuery`] for a value that is not a valid
+    /// query (wrong shape, unknown op/field, out-of-range value).
+    pub fn from_json(json: &Json) -> Result<Self, ServeError> {
+        let obj = match json {
             Json::Obj(pairs) => pairs.as_slice(),
             _ => return Err(ServeError::InvalidQuery("request must be an object".into())),
         };

@@ -6,8 +6,9 @@
 //! * **acceptor** — a nonblocking `accept` loop that polls the shutdown
 //!   flag between attempts and spawns one connection thread per client;
 //! * **connection threads** — read request lines (with a short read
-//!   timeout so the shutdown flag is observed), enqueue jobs, and write
-//!   back whatever reply the worker sends;
+//!   timeout so the shutdown flag is observed), answer result-cache hits
+//!   themselves, enqueue everything else, and write back whatever reply
+//!   the worker sends;
 //! * **workers** — drain the bounded job queue in batches and run them
 //!   through [`Engine::handle_batch`], so queries that pile up under
 //!   load are coalesced into shared characterization passes.
@@ -263,12 +264,15 @@ impl Server {
             reason = "the acceptor exits on `shutdown` and is joined first on shutdown"
         )]
         let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let queue = Arc::clone(&queue);
+            let front = Front {
+                shutdown: Arc::clone(&shutdown),
+                queue: Arc::clone(&queue),
+                engine: Arc::clone(&engine),
+            };
             let conns = Arc::clone(&conns);
             let poll = config.poll_interval;
             std::thread::spawn(move || {
-                accept_loop(&listener, &shutdown, &queue, &conns, poll);
+                accept_loop(&listener, &front, &conns, poll);
             })
         };
 
@@ -384,13 +388,22 @@ fn bind(addr: &str) -> Result<TcpListener, ServeError> {
     })))
 }
 
+/// What every connection thread shares: the shutdown flag, the job
+/// queue, and the engine whose result cache it answers hits from.
+#[derive(Clone)]
+struct Front {
+    shutdown: Arc<AtomicBool>,
+    queue: Arc<JobQueue>,
+    engine: Arc<Engine>,
+}
+
 fn accept_loop(
     listener: &TcpListener,
-    shutdown: &Arc<AtomicBool>,
-    queue: &Arc<JobQueue>,
+    front: &Front,
     conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
     poll: Duration,
 ) {
+    let shutdown = &front.shutdown;
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -409,14 +422,13 @@ fn accept_loop(
                     return;
                 }
                 sram_probe::probe_inc!("serve.conn.accepted");
-                let shutdown = Arc::clone(shutdown);
-                let queue = Arc::clone(queue);
+                let front = front.clone();
                 #[expect(
                     clippy::disallowed_methods,
                     reason = "each connection handle goes into `conns`, drained and joined on shutdown"
                 )]
                 let handle = std::thread::spawn(move || {
-                    connection_loop(stream, &shutdown, &queue, poll);
+                    connection_loop(stream, &front, poll);
                 });
                 conns
                     .lock()
@@ -435,7 +447,7 @@ fn accept_loop(
 }
 
 /// Serves one client: read a line, run it, write the reply line.
-fn connection_loop(stream: TcpStream, shutdown: &AtomicBool, queue: &JobQueue, poll: Duration) {
+fn connection_loop(stream: TcpStream, front: &Front, poll: Duration) {
     if stream.set_read_timeout(Some(poll)).is_err() {
         return;
     }
@@ -447,7 +459,7 @@ fn connection_loop(stream: TcpStream, shutdown: &AtomicBool, queue: &JobQueue, p
     let mut line = String::new();
 
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if front.shutdown.load(Ordering::SeqCst) {
             return; // drain point: any in-flight request already replied
         }
         match reader.read_line(&mut line) {
@@ -462,7 +474,7 @@ fn connection_loop(stream: TcpStream, shutdown: &AtomicBool, queue: &JobQueue, p
                     sram_probe::probe_inc!("serve.conn.injected_drops");
                     return;
                 }
-                let response = serve_line(line.trim_end(), shutdown, queue);
+                let response = serve_line(line.trim_end(), front);
                 line.clear();
                 if write_line(&mut writer, &response).is_err() {
                     return;
@@ -479,13 +491,15 @@ fn connection_loop(stream: TcpStream, shutdown: &AtomicBool, queue: &JobQueue, p
     }
 }
 
-/// Parses, enqueues, and awaits one request line.
+/// Parses one request line and answers it: a result-cache hit here, on
+/// the connection thread, anything else through the job queue.
 ///
 /// A request with `"trace": true` opens its own trace scope and a
 /// `serve.request` root span covering parse → queue wait → evaluate →
-/// respond; the span tree rebuilt from the scope's events is inlined in
-/// the response under `"trace"`.
-fn serve_line(line: &str, shutdown: &AtomicBool, queue: &JobQueue) -> Json {
+/// respond (a hit has no queue wait and no evaluate); the span tree
+/// rebuilt from the scope's events is inlined in the response under
+/// `"trace"`.
+fn serve_line(line: &str, front: &Front) -> Json {
     let t_parse = sram_probe::trace::now_ns();
     if line.is_empty() {
         return error_response(None, &ServeError::Protocol("empty request line".into()));
@@ -497,7 +511,7 @@ fn serve_line(line: &str, shutdown: &AtomicBool, queue: &JobQueue) -> Json {
             return error_response(None, &e);
         }
     };
-    if shutdown.load(Ordering::SeqCst) {
+    if front.shutdown.load(Ordering::SeqCst) {
         return error_response(request.id.as_deref(), &ServeError::ShuttingDown);
     }
 
@@ -537,28 +551,33 @@ fn serve_line(line: &str, shutdown: &AtomicBool, queue: &JobQueue) -> Json {
     let deadline = request
         .deadline_ms
         .map(|ms| now + Duration::from_millis(ms));
-    let (tx, rx) = mpsc::channel();
     let id = request.id.clone();
     let op = request.query.op();
-    let job = Job {
-        request,
-        enqueued: now,
-        enqueued_ns: sram_probe::trace::now_ns(),
-        deadline,
-        trace,
-        reply: tx,
-    };
-    if let Err(e) = queue.push(job) {
-        if matches!(e, ServeError::Busy) {
-            // Ungated (health keys off the busy-reject rate).
-            sram_probe::counter("serve.request.rejected").inc();
+    let mut response = match inline_hit(&front.engine, &request, deadline) {
+        Some(hit) => hit,
+        None => {
+            let (tx, rx) = mpsc::channel();
+            let job = Job {
+                request,
+                enqueued: now,
+                enqueued_ns: sram_probe::trace::now_ns(),
+                deadline,
+                trace,
+                reply: tx,
+            };
+            if let Err(e) = front.queue.push(job) {
+                if matches!(e, ServeError::Busy) {
+                    // Ungated (health keys off the busy-reject rate).
+                    sram_probe::counter("serve.request.rejected").inc();
+                }
+                return error_response(id.as_deref(), &e);
+            }
+            match rx.recv() {
+                Ok(json) => json,
+                // Worker pool went away mid-request (shutdown race).
+                Err(_) => error_response(id.as_deref(), &ServeError::ShuttingDown),
+            }
         }
-        return error_response(id.as_deref(), &e);
-    }
-    let mut response = match rx.recv() {
-        Ok(json) => json,
-        // Worker pool went away mid-request (shutdown race).
-        Err(_) => error_response(id.as_deref(), &ServeError::ShuttingDown),
     };
     let latency_ns = now.elapsed().as_nanos() as u64;
     sram_probe::probe_record!("serve.request.latency_ns", latency_ns);
@@ -613,6 +632,20 @@ fn serve_line(line: &str, shutdown: &AtomicBool, queue: &JobQueue) -> Json {
         sram_probe::log::log_event(sram_probe::log::LogLevel::Warn, "serve.slow_query", &fields);
     }
     response
+}
+
+/// Answers a result-cache hit on the connection thread, with the reply
+/// a worker would give it. `None` sends the request to the job queue:
+/// a miss, an introspection op, or a request whose deadline has already
+/// passed, which the worker expires with the reply and counters such a
+/// request has always had.
+fn inline_hit(engine: &Engine, request: &Request, deadline: Option<Instant>) -> Option<Json> {
+    if deadline.is_some_and(|d| d <= Instant::now()) {
+        return None;
+    }
+    let hit = engine.cached_response(request)?;
+    sram_probe::probe_inc!("serve.request.inline_hits");
+    Some(hit)
 }
 
 fn write_line(writer: &mut TcpStream, response: &Json) -> std::io::Result<()> {
@@ -800,6 +833,52 @@ mod tests {
         queue.close();
         let (c, _rx_c) = tx_only_job("c");
         assert!(matches!(queue.push(c), Err(ServeError::ShuttingDown)));
+    }
+
+    #[test]
+    fn an_expired_hit_gets_the_reply_an_expired_job_gets() {
+        let engine = Engine::new(
+            sram_coopt::CoOptimizationFramework::paper_mode()
+                .with_space(sram_coopt::DesignSpace::coarse()),
+            crate::cache::CacheConfig::default(),
+        );
+        let request = Request::from_line(
+            r#"{"id":"late","op":"optimize","capacity_bytes":128,"flavor":"hvt","method":"m2","deadline_ms":1}"#,
+        )
+        .unwrap();
+        let fresh = engine.handle(&request);
+        assert_eq!(fresh.get("cached").and_then(Json::as_bool), Some(false));
+
+        // A live deadline: the hit is answered here, with the bytes the
+        // batch path gives.
+        let live = inline_hit(
+            &engine,
+            &request,
+            Some(Instant::now() + Duration::from_secs(60)),
+        );
+        assert_eq!(
+            live.map(|r| r.render()),
+            Some(engine.handle(&request).render())
+        );
+
+        // A passed deadline: no lookup here; the request queues, and
+        // the worker expires it as it always has.
+        let before = engine.cache_counters();
+        let deadline = Some(Instant::now());
+        assert!(inline_hit(&engine, &request, deadline).is_none());
+        assert_eq!(engine.cache_counters(), before);
+        let (mut job, rx) = tx_only_job("late");
+        job.request = request;
+        job.deadline = deadline;
+        let queue = JobQueue::new(1);
+        queue.push(job).unwrap();
+        queue.close();
+        worker_thread(&engine, &queue, 1, &Arc::new(AtomicBool::new(false)));
+        assert_eq!(
+            rx.recv().unwrap().render(),
+            error_response(Some("late"), &ServeError::DeadlineExceeded).render()
+        );
+        assert_eq!(engine.cache_counters(), before);
     }
 
     #[test]

@@ -14,6 +14,14 @@ use sram_coopt::{CoOptimizationFramework, DesignSpace};
 use sram_faults::{FaultPlan, FaultRule};
 use sram_serve::{CacheConfig, Client, Engine, Json, Request, Server, ServerConfig};
 
+/// The fires a plan's point has drawn so far.
+fn fired(point: &str) -> u64 {
+    sram_faults::counts()
+        .into_iter()
+        .find(|(p, _)| p == point)
+        .map_or(0, |(_, n)| n)
+}
+
 static GATE: Mutex<()> = Mutex::new(());
 
 /// Installs a plan for the duration of one test, holding the gate so
@@ -24,10 +32,17 @@ struct PlanGuard {
 
 impl PlanGuard {
     fn install(plan: &FaultPlan) -> Self {
+        let guard = Self::hold();
+        sram_faults::install(plan);
+        guard
+    }
+
+    /// Holds the gate with no plan installed yet, for set-up that must
+    /// run fault-free before the test installs its plan.
+    fn hold() -> Self {
         let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         // Counters default to off; these tests assert on their deltas.
         sram_probe::set_level(sram_probe::Level::Summary);
-        sram_faults::install(plan);
         Self { _gate: gate }
     }
 }
@@ -276,6 +291,76 @@ fn deadline_firing_mid_request_returns_a_typed_error_promptly() {
         "cancellation took {:?}",
         started.elapsed()
     );
+
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_warm_hit_is_answered_while_the_only_worker_is_pinned() {
+    let _guard = PlanGuard::hold();
+    let config = ServerConfig {
+        workers: 1,
+        cache_file: None,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(engine(), config).expect("server binds");
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).expect("client connects");
+    let warm = client
+        .call_line(&optimize_line(1024, "warm"))
+        .expect("cold miss replies");
+    assert_eq!(warm.get("cached").and_then(Json::as_bool), Some(false));
+    let inline_before = counter("serve.request.inline_hits");
+
+    // The next characterization (lvt/m1, a miss) sleeps 400 ms inside
+    // the only worker.
+    sram_faults::install(
+        &FaultPlan::new(23).rule(FaultRule::always("cell.slow", 1).with_latency_ms(400)),
+    );
+    std::thread::scope(|scope| {
+        let pin = scope.spawn(move || {
+            let mut client = Client::connect(addr).expect("pin client connects");
+            client
+                .call_line(r#"{"id":"pin","op":"optimize","capacity_bytes":1024,"flavor":"lvt","method":"m1"}"#)
+                .expect("pin replies")
+        });
+        let pinned_by = Instant::now() + Duration::from_secs(30);
+        while fired("cell.slow") == 0 {
+            assert!(
+                Instant::now() < pinned_by,
+                "the miss never reached the worker"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // A queued hit would wait out the 400 ms sleep; an inline one
+        // does not wait for the worker at all.
+        let started = Instant::now();
+        let hit = client
+            .call_line(&optimize_line(1024, "hit"))
+            .expect("hit replies");
+        let waited = started.elapsed();
+        assert_eq!(hit.get("id").and_then(Json::as_str), Some("hit"));
+        assert_eq!(
+            hit.get("cached").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            hit.render()
+        );
+        assert!(
+            waited < Duration::from_millis(200),
+            "the hit waited {waited:?} for the pinned worker"
+        );
+        assert!(!pin.is_finished(), "the pinned miss finished first");
+        let pinned = pin.join().expect("pin");
+        assert_eq!(
+            pinned.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "{}",
+            pinned.render()
+        );
+    });
+    assert_eq!(counter("serve.request.inline_hits") - inline_before, 1);
 
     drop(client);
     server.shutdown();

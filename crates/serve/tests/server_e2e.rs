@@ -45,6 +45,70 @@ fn optimize_roundtrip_caches_and_shuts_down_cleanly() {
 }
 
 #[test]
+fn cache_counters_over_tcp_match_the_in_process_engine() {
+    // Misses, hits (one traced), and introspection ops, in one order.
+    // Over TCP the hits are answered on the connection thread and the
+    // rest through the job queue; the counters must not tell.
+    let a = r#"{"id":"a","op":"optimize","capacity_bytes":1024,"flavor":"hvt","method":"m2"}"#;
+    let b = r#"{"id":"b","op":"optimize","capacity_bytes":2048,"flavor":"hvt","method":"m2"}"#;
+    let c = r#"{"id":"c","op":"evaluate-point","capacity_bytes":1024,"flavor":"lvt","method":"m1","rows":64,"vssc_mv":0,"n_pre":10,"n_wr":8}"#;
+    let traced = r#"{"id":"t","op":"optimize","capacity_bytes":1024,"flavor":"hvt","method":"m2","trace":true}"#;
+    let lines = [
+        a,
+        a,
+        b,
+        r#"{"op":"health"}"#,
+        traced,
+        b,
+        c,
+        c,
+        a,
+        r#"{"op":"metrics"}"#,
+    ];
+    let direct = engine();
+    let direct_replies: Vec<Json> = lines
+        .iter()
+        .map(|line| direct.handle(&Request::from_line(line).expect("well-formed")))
+        .collect();
+
+    let served = engine();
+    let server = Server::start(
+        Arc::clone(&served),
+        ServerConfig {
+            cache_file: None,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds");
+    let mut client = Client::connect(server.local_addr()).expect("client connects");
+    for (line, direct_reply) in lines.iter().zip(&direct_replies) {
+        let reply = client.call_line(line).expect("reply arrives");
+        assert_eq!(
+            reply.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "{}",
+            reply.render()
+        );
+        if line.contains("optimize") || line.contains("evaluate-point") {
+            for field in ["id", "cached", "result"] {
+                assert_eq!(
+                    reply.get(field).map(Json::render),
+                    direct_reply.get(field).map(Json::render),
+                    "{field} of {line}"
+                );
+            }
+        }
+    }
+    drop(client);
+    server.shutdown();
+
+    assert_eq!(served.cache_counters(), direct.cache_counters());
+    assert_eq!(served.requests(), direct.requests());
+    let counters = served.cache_counters();
+    assert_eq!((counters.hits, counters.misses), (5, 3));
+}
+
+#[test]
 fn protocol_errors_come_back_as_envelopes_not_disconnects() {
     let server = Server::start(engine(), ServerConfig::default()).expect("server binds");
     let mut client = Client::connect(server.local_addr()).expect("client connects");
