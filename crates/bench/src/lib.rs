@@ -2,8 +2,8 @@
 //!
 //! Each module reproduces one evaluation artifact (see DESIGN.md §4 for
 //! the experiment index) and returns both structured data (consumed by
-//! the criterion benches and the integration tests) and formatted text
-//! (emitted by the `reproduce` binary):
+//! the integration tests) and formatted text (emitted by the `reproduce`
+//! binary):
 //!
 //! | module | artifact |
 //! |---|---|
@@ -44,6 +44,8 @@ pub mod fig3;
 pub mod fig5;
 pub mod fig7;
 pub mod readfit;
+#[cfg(test)]
+mod rules;
 pub mod serve;
 pub mod soak;
 pub mod table4;

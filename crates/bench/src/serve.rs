@@ -61,6 +61,12 @@ pub struct ServeBench {
     /// Queries that reused a LUT characterized by an earlier batch
     /// (must equal `cross_batch_size`).
     pub cross_coalesced: u64,
+    /// `serve.batch.characterizations` over the whole run, every phase
+    /// and engine included.
+    pub run_characterizations: u64,
+    /// `serve.batch.cross_coalesced` over the whole run, every phase
+    /// and engine included.
+    pub run_cross_coalesced: u64,
     /// Wall time of the cold (uncached) optimization, nanoseconds.
     pub cold_ns: u128,
     /// Wall time of the repeated (cached) query, nanoseconds.
@@ -149,13 +155,20 @@ fn request(line: &str) -> Result<Request, ServeError> {
 
 /// Reads a global probe counter registered by another crate (the
 /// bench asserts cell-layer metrics it does not own).
-fn probe_counter(name: &'static str) -> u64 {
-    sram_probe::counter(name).get()
+fn probe_counter(name: &str) -> u64 {
+    sram_probe::snapshot()
+        .counters
+        .get(name)
+        .copied()
+        .unwrap_or(0)
 }
 
 /// Sample count of a global probe histogram registered elsewhere.
-fn probe_histogram_count(name: &'static str) -> u64 {
-    sram_probe::histogram(name).count()
+fn probe_histogram_count(name: &str) -> u64 {
+    sram_probe::snapshot()
+        .histograms
+        .get(name)
+        .map_or(0, |h| h.count)
 }
 
 fn result_payload(response: &Json) -> Option<String> {
@@ -317,6 +330,8 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     let cell_char_ns_before = probe_histogram_count("cell.characterize_ns");
     let mc_runs_before = probe_counter("cell.mc_runs");
     let mc_samples_before = probe_counter("cell.mc_samples");
+    let run_chars_before = probe_counter("serve.batch.characterizations");
+    let run_cross_before = probe_counter("serve.batch.cross_coalesced");
 
     let engine = Arc::new(engine(threads));
 
@@ -431,7 +446,7 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     let trace_layers_ok = ["spice.", "cell.", "coopt.", "serve."]
         .iter()
         .all(|layer| flame.contains(layer));
-    if let Ok(path) = std::env::var("SRAM_TRACE_OUT") {
+    if let Some(path) = sram_probe::env_var!("SRAM_TRACE_OUT").get() {
         if !path.is_empty() {
             std::fs::write(&path, &chrome)
                 .map_err(|e| ServeError::Remote(format!("writing {path}: {e}")))?;
@@ -470,6 +485,8 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
         probe_histogram_count("cell.characterize_ns") - cell_char_ns_before;
     let mc_runs = probe_counter("cell.mc_runs") - mc_runs_before;
     let mc_samples = probe_counter("cell.mc_samples") - mc_samples_before;
+    let run_characterizations = probe_counter("serve.batch.characterizations") - run_chars_before;
+    let run_cross_coalesced = probe_counter("serve.batch.cross_coalesced") - run_cross_before;
 
     let counters = engine.cache_counters();
     Ok(ServeBench {
@@ -478,6 +495,8 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
         coalesced,
         cross_batch_size: cross_batch.len(),
         cross_coalesced,
+        run_characterizations,
+        run_cross_coalesced,
         cold_ns,
         warm_ns,
         speedup: cold_ns as f64 / warm_ns as f64,
@@ -508,7 +527,11 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
 ///
 /// Propagates [`bench`] failures.
 pub fn run(threads: usize) -> Result<String, ServeError> {
-    let b = bench(threads)?;
+    report(&bench(threads)?)
+}
+
+/// Renders one bench outcome, failing on any broken check.
+fn report(b: &ServeBench) -> Result<String, ServeError> {
     let mut out = String::from("Query server (sram-serve): batching + content-addressed cache\n\n");
     out.push_str(&format!(
         "  batch:  {} same-technology queries -> {} characterization pass(es), {} coalesced\n",
@@ -620,10 +643,28 @@ pub fn run(threads: usize) -> Result<String, ServeError> {
 mod tests {
     use super::*;
 
+    /// One bench run shared by the tests that read it: the run's
+    /// whole-run counter deltas are exact only when no other bench runs
+    /// at the same time.
+    fn shared_bench() -> &'static ServeBench {
+        static BENCH: std::sync::OnceLock<ServeBench> = std::sync::OnceLock::new();
+        BENCH.get_or_init(|| bench(2).expect("bench runs"))
+    }
+
     #[test]
     fn serve_bench_coalesces_and_caches() {
-        let b = bench(2).expect("bench runs");
+        let b = shared_bench();
         assert_eq!(b.characterizations, 1, "one LUT pass for the whole batch");
+        // One LUT pass for the hvt batch, one for the traced lvt
+        // simulation run.
+        assert_eq!(
+            b.run_characterizations, 2,
+            "batches did not share LUT passes"
+        );
+        // 2 from the cross-batch phase, plus the cache phase's cold
+        // query and the yield phase's hvt/m2 check, both of which also
+        // ride on the first batch's LUT.
+        assert_eq!(b.run_cross_coalesced, 4, "cross-batch reuse not counted");
         assert_eq!(b.coalesced, b.batch_size as u64 - 1);
         assert_eq!(
             b.cross_coalesced, b.cross_batch_size as u64,
@@ -691,7 +732,7 @@ mod tests {
 
     #[test]
     fn report_mentions_the_headline_numbers() {
-        let text = run(2).expect("report renders");
+        let text = report(shared_bench()).expect("report renders");
         assert!(text.contains("characterization pass(es)"));
         assert!(text.contains("speedup"));
         assert!(text.contains("graceful shutdown: yes"));

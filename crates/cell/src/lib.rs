@@ -64,7 +64,6 @@ mod leakage;
 mod lut;
 mod montecarlo;
 mod ncurve;
-mod persist;
 mod read;
 mod retention;
 mod snapshot;

@@ -322,47 +322,6 @@ impl CellCharacterization {
         self.hsnm.min(self.rsnm(vssc)).min(self.wm)
     }
 
-    /// Reassembles a snapshot from its parts (the persistence layer's
-    /// constructor).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        flavor: VtFlavor,
-        vdd: Voltage,
-        vddc: Voltage,
-        vwl: Voltage,
-        leakage: Power,
-        hsnm: Voltage,
-        rsnm_vs_vssc: Lut1d,
-        read_current_vs_vssc: Lut1d,
-        wm: Voltage,
-        write_delay_vs_vwl: Lut1d,
-    ) -> Self {
-        Self {
-            flavor,
-            vdd,
-            vddc,
-            vwl,
-            leakage,
-            hsnm,
-            rsnm_vs_vssc,
-            read_current_vs_vssc,
-            wm,
-            write_delay_vs_vwl,
-        }
-    }
-
-    pub(crate) fn rsnm_lut(&self) -> &Lut1d {
-        &self.rsnm_vs_vssc
-    }
-
-    pub(crate) fn read_current_lut(&self) -> &Lut1d {
-        &self.read_current_vs_vssc
-    }
-
-    pub(crate) fn write_delay_lut(&self) -> &Lut1d {
-        &self.write_delay_vs_vwl
-    }
-
     /// Returns a copy with the hold leakage power replaced — used to
     /// transplant an independently measured leakage (e.g. at a different
     /// temperature) into a paper-constant snapshot.

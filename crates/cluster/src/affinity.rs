@@ -70,8 +70,8 @@ pub fn audit(observations: &[Observation]) -> Report {
             }
         }
     }
-    sram_probe::counter("cluster.affinity.checked").add(report.checked);
-    sram_probe::counter("cluster.affinity.violations").add(report.violations);
+    sram_probe::probe_handle!(counter "cluster.affinity.checked").add(report.checked);
+    sram_probe::probe_handle!(counter "cluster.affinity.violations").add(report.violations);
     report
 }
 

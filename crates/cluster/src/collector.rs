@@ -107,7 +107,7 @@ where
     F: FnMut(&str, &str) -> Result<Json, ServeError>,
 {
     // Ungated: the collector must count with probes off.
-    sram_probe::counter("cluster.metrics.polls").inc();
+    sram_probe::probe_handle!(counter "cluster.metrics.polls").inc();
     let mut sweep = ClusterMetrics::default();
     for node in nodes {
         let mut poll = NodePoll::default();
@@ -116,7 +116,7 @@ where
             Err(e) => poll.error = Some(e.to_string()),
         }
         if poll.error.is_some() {
-            sram_probe::counter("cluster.metrics.poll_errors").inc();
+            sram_probe::probe_handle!(counter "cluster.metrics.poll_errors").inc();
         }
         for (name, snap) in &poll.quantiles {
             let slot = sweep.merged.entry(name.clone()).or_default();
@@ -126,9 +126,9 @@ where
     }
     if let Some(latency) = sweep.merged.get("serve.request.latency_ns") {
         // Ungated gauges: CI asserts these keys exist in --probe-json.
-        sram_probe::gauge("cluster.metrics.merged_p50").set(latency.quantile(0.50));
-        sram_probe::gauge("cluster.metrics.merged_p90").set(latency.quantile(0.90));
-        sram_probe::gauge("cluster.metrics.merged_p99").set(latency.quantile(0.99));
+        sram_probe::probe_handle!(gauge "cluster.metrics.merged_p50").set(latency.quantile(0.50));
+        sram_probe::probe_handle!(gauge "cluster.metrics.merged_p90").set(latency.quantile(0.90));
+        sram_probe::probe_handle!(gauge "cluster.metrics.merged_p99").set(latency.quantile(0.99));
     }
     sweep
 }

@@ -75,15 +75,17 @@ pub use sram_probe::hash::splitmix64;
 
 /// Comma-separated backend node addresses for a router launched from
 /// the environment ([`RouterConfig::from_env`]).
-pub const SRAM_CLUSTER_NODES_ENV: &str = "SRAM_CLUSTER_NODES";
+pub const SRAM_CLUSTER_NODES_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CLUSTER_NODES");
 
 /// Distinct ring candidates tried per key (primary + hedge/failover
 /// targets); default 2.
-pub const SRAM_CLUSTER_REPLICAS_ENV: &str = "SRAM_CLUSTER_REPLICAS";
+pub const SRAM_CLUSTER_REPLICAS_ENV: sram_probe::EnvVar =
+    sram_probe::env_var!("SRAM_CLUSTER_REPLICAS");
 
 /// Floor (and cold-start value) of the derived hedge delay in
 /// milliseconds; default 10.
-pub const SRAM_CLUSTER_HEDGE_MS_ENV: &str = "SRAM_CLUSTER_HEDGE_MS";
+pub const SRAM_CLUSTER_HEDGE_MS_ENV: sram_probe::EnvVar =
+    sram_probe::env_var!("SRAM_CLUSTER_HEDGE_MS");
 
 /// Virtual nodes per ring member; default 64.
-pub const SRAM_CLUSTER_VNODES_ENV: &str = "SRAM_CLUSTER_VNODES";
+pub const SRAM_CLUSTER_VNODES_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CLUSTER_VNODES");

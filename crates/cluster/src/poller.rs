@@ -125,7 +125,7 @@ fn apply_health(membership: &mut Membership, node: &str, reply: &Json) -> bool {
         return false;
     };
     if revision != 0 && revision <= status.last_revision {
-        sram_probe::counter("cluster.health.stale").inc();
+        sram_probe::probe_handle!(counter "cluster.health.stale").inc();
         return false;
     }
     status.last_revision = revision;
@@ -134,12 +134,12 @@ fn apply_health(membership: &mut Membership, node: &str, reply: &Json) -> bool {
     if verdict == "unhealthy" {
         status.state = NodeState::Draining;
         if membership.ring.remove(node) {
-            sram_probe::counter("cluster.node.drained").inc();
+            sram_probe::probe_handle!(counter "cluster.node.drained").inc();
         }
     } else {
         status.state = NodeState::Healthy;
         if membership.ring.add(node) && was != NodeState::Healthy {
-            sram_probe::counter("cluster.node.rejoined").inc();
+            sram_probe::probe_handle!(counter "cluster.node.rejoined").inc();
         }
     }
     true
@@ -157,7 +157,7 @@ fn apply_failure(membership: &mut Membership, node: &str) {
         status.state = NodeState::Down;
         status.last_revision = 0;
         membership.ring.remove(node);
-        sram_probe::counter("cluster.node.evicted").inc();
+        sram_probe::probe_handle!(counter "cluster.node.evicted").inc();
     }
 }
 

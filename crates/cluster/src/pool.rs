@@ -80,7 +80,10 @@ impl Pool {
         loop {
             let mut conn = self.checkout(addr);
             let left = until.saturating_duration_since(Instant::now());
-            match conn.send_line(line).and_then(|()| conn.recv_within(left)) {
+            let sent = conn.send_line_within(line, left);
+            match sent
+                .and_then(|()| conn.recv_within(until.saturating_duration_since(Instant::now())))
+            {
                 Ok(Some(reply)) => {
                     self.checkin(addr, conn);
                     return Exchange::Done(Ok(reply));

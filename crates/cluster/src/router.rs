@@ -45,11 +45,12 @@
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sram_faults::CancelToken;
+use sram_probe::probe_handle;
 use sram_probe::trace::TraceCtx;
 use sram_serve::{error_response, Json, Request, ServeError};
 
@@ -67,24 +68,9 @@ const HEDGE_RECOMPUTE: Duration = Duration::from_millis(250);
 /// longer rescues tail latency, it just doubles load.
 const HEDGE_CAP_MS: f64 = 250.0;
 
-/// Default router slow-query threshold (ms), overridden by
-/// `SRAM_LOG_SLOW_MS` — same knob the nodes honor.
-const DEFAULT_SLOW_QUERY_MS: u64 = 1000;
-
 /// Monotonic per-request key feeding the seeded trace sampler and the
 /// deterministic trace-id stream.
 static ROUTE_KEY: AtomicU64 = AtomicU64::new(0);
-
-fn slow_threshold_ns() -> u64 {
-    static THRESHOLD: OnceLock<u64> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("SRAM_LOG_SLOW_MS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_SLOW_QUERY_MS)
-            .saturating_mul(1_000_000)
-    })
-}
 
 /// Router sizing and timing knobs. [`RouterConfig::from_env`] reads
 /// the `SRAM_CLUSTER_*` family; in-process clusters set fields
@@ -130,7 +116,7 @@ impl RouterConfig {
     #[must_use]
     pub fn from_env() -> Self {
         let mut config = Self::default();
-        if let Ok(nodes) = std::env::var(crate::SRAM_CLUSTER_NODES_ENV) {
+        if let Some(nodes) = crate::SRAM_CLUSTER_NODES_ENV.get() {
             config.nodes = nodes
                 .split(',')
                 .map(str::trim)
@@ -151,8 +137,8 @@ impl RouterConfig {
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
+fn env_u64(var: sram_probe::EnvVar) -> Option<u64> {
+    var.get().and_then(|v| v.trim().parse().ok())
 }
 
 /// Cached hedge-delay derivation (see [`hedge_delay`]).
@@ -529,7 +515,7 @@ fn forward(
         };
         let mut forwarded = request.clone();
         forwarded.trace_ctx = Some(ctx);
-        sram_probe::counter("cluster.trace.propagated").inc();
+        probe_handle!(counter "cluster.trace.propagated").inc();
         Some((ctx, forwarded.to_json().render()))
     } else {
         None
@@ -622,7 +608,7 @@ fn race(
         }
         Seed::Pending(handoff) => {
             // Ungated: tests assert a warm forward never gets here.
-            sram_probe::counter("cluster.forward.handoffs").inc();
+            probe_handle!(counter "cluster.forward.handoffs").inc();
             spawn_attempt(&shared, candidates, 0, Via::Primary, Some(handoff));
             hedge_wait = Duration::ZERO;
         }
@@ -653,7 +639,7 @@ fn race(
                 if winner.is_none() && !report.loser && report.result.is_ok() {
                     token.cancel();
                     if report.via == Via::Hedge {
-                        sram_probe::counter("cluster.hedge.wins").inc();
+                        probe_handle!(counter "cluster.hedge.wins").inc();
                     }
                     winner = Some(report);
                     if route.stitch.is_none() {
@@ -686,7 +672,7 @@ fn race(
                     hedged = true;
                     // Ungated: CI asserts the hedge fired under the
                     // soak's injected `cell.slow` latency.
-                    sram_probe::counter("cluster.hedge.fired").inc();
+                    probe_handle!(counter "cluster.hedge.fired").inc();
                     spawn_attempt(&shared, candidates, spawned, Via::Hedge, None);
                     spawned += 1;
                 }
@@ -712,7 +698,7 @@ fn record_rtt(started: Instant, result: &Result<Json, ServeError>) -> u64 {
         sram_probe::probe_record!("cluster.forward.latency_ns", rtt_ns);
         // Ungated: the hedge-delay derivation needs the p99 stream even
         // with probes off.
-        sram_probe::telemetry::record("cluster.forward.latency_ns", rtt_ns);
+        probe_handle!(quantiles "cluster.forward.latency_ns").record(rtt_ns);
     }
     rtt_ns
 }
@@ -748,7 +734,7 @@ fn spawn_attempt(
             None if token.is_cancelled() => {
                 // Cancelled before the wire was touched: the race was
                 // already decided, don't load the node at all.
-                sram_probe::counter("cluster.hedge.cancelled").inc();
+                probe_handle!(counter "cluster.hedge.cancelled").inc();
                 let _ = tx.send(AttemptReport {
                     index,
                     via,
@@ -772,7 +758,7 @@ fn spawn_attempt(
         // race on the timeline.
         let loser = token.is_cancelled();
         if loser {
-            sram_probe::counter("cluster.hedge.cancelled").inc();
+            probe_handle!(counter "cluster.hedge.cancelled").inc();
         }
         let _ = tx.send(AttemptReport {
             index,
@@ -863,18 +849,19 @@ fn respond(
             .filter(|p| p.hedge_loser && p.tree.is_some())
             .count() as u64;
         let stitched = stitch::stitch(ctx, total_ns, &pieces);
-        sram_probe::counter("cluster.trace.stitched").inc();
-        sram_probe::counter("cluster.trace.losers").add(losers);
+        probe_handle!(counter "cluster.trace.stitched").inc();
+        probe_handle!(counter "cluster.trace.losers").add(losers);
         match stitch::validate(&stitched) {
-            Ok(spans) => sram_probe::counter("cluster.trace.stitched_spans").add(spans),
-            Err(_) => sram_probe::counter("cluster.trace.forests").inc(),
+            Ok(spans) => probe_handle!(counter "cluster.trace.stitched_spans").add(spans),
+            Err(_) => probe_handle!(counter "cluster.trace.forests").inc(),
         }
         if let Json::Obj(pairs) = &mut reply {
             pairs.retain(|(k, _)| k != "trace");
             pairs.push(("trace".into(), stitched));
         }
     }
-    if total_ns >= slow_threshold_ns() && sram_probe::log::enabled(sram_probe::log::LogLevel::Warn)
+    if total_ns >= sram_serve::slow_query_threshold_ns()
+        && sram_probe::log::enabled(sram_probe::log::LogLevel::Warn)
     {
         use sram_probe::log::LogValue;
         let mut fields: Vec<(&str, LogValue)> = vec![
@@ -919,7 +906,7 @@ fn hedge_delay(inner: &RouterInner) -> Duration {
         .get("cluster.forward.latency_ns")
         .map_or(0.0, |q| q.p99 / 1e6);
     let ms = (p99_ms * 1.2).clamp(floor, HEDGE_CAP_MS.max(floor));
-    sram_probe::gauge("cluster.hedge.delay_ms").set(ms);
+    probe_handle!(gauge "cluster.hedge.delay_ms").set(ms);
     cached.computed_at = Some(Instant::now());
     cached.delay = Duration::from_micros((ms * 1_000.0) as u64);
     cached.delay
@@ -952,7 +939,11 @@ fn fan_out(inner: &Arc<RouterInner>, id: Option<&str>, line: &str, op: &str) -> 
 /// poller state, hedge policy, and the router's counters. Never
 /// cached, never forwarded.
 fn cluster_stats(inner: &Arc<RouterInner>, id: Option<&str>) -> Json {
-    let counter = |name: &'static str| Json::Num(sram_probe::counter(name).get() as f64);
+    macro_rules! counter {
+        ($name:literal) => {
+            Json::Num(probe_handle!(counter $name).get() as f64)
+        };
+    }
     let (epoch, members, vnodes, nodes) = {
         let guard = inner
             .membership
@@ -1000,28 +991,28 @@ fn cluster_stats(inner: &Arc<RouterInner>, id: Option<&str>) -> Json {
             Json::Obj(vec![
                 (
                     "delay_ms".into(),
-                    Json::Num(sram_probe::gauge("cluster.hedge.delay_ms").get()),
+                    Json::Num(probe_handle!(gauge "cluster.hedge.delay_ms").get()),
                 ),
-                ("fired".into(), counter("cluster.hedge.fired")),
-                ("wins".into(), counter("cluster.hedge.wins")),
-                ("cancelled".into(), counter("cluster.hedge.cancelled")),
+                ("fired".into(), counter!("cluster.hedge.fired")),
+                ("wins".into(), counter!("cluster.hedge.wins")),
+                ("cancelled".into(), counter!("cluster.hedge.cancelled")),
             ]),
         ),
         (
             "forward".to_owned(),
             Json::Obj(vec![
-                ("routed".into(), counter("cluster.request.routed")),
-                ("retries".into(), counter("cluster.forward.retries")),
-                ("failovers".into(), counter("cluster.forward.failovers")),
+                ("routed".into(), counter!("cluster.request.routed")),
+                ("retries".into(), counter!("cluster.forward.retries")),
+                ("failovers".into(), counter!("cluster.forward.failovers")),
             ]),
         ),
         (
             "membership".to_owned(),
             Json::Obj(vec![
-                ("evicted".into(), counter("cluster.node.evicted")),
-                ("rejoined".into(), counter("cluster.node.rejoined")),
-                ("drained".into(), counter("cluster.node.drained")),
-                ("stale".into(), counter("cluster.health.stale")),
+                ("evicted".into(), counter!("cluster.node.evicted")),
+                ("rejoined".into(), counter!("cluster.node.rejoined")),
+                ("drained".into(), counter!("cluster.node.drained")),
+                ("stale".into(), counter!("cluster.health.stale")),
             ]),
         ),
     ]);

@@ -37,9 +37,9 @@ fn hedge_fires_yields_one_reply_and_cancels_the_loser() {
     })
     .unwrap();
 
-    let fired_before = sram_probe::counter("cluster.hedge.fired").get();
-    let cancelled_before = sram_probe::counter("cluster.hedge.cancelled").get();
-    let handoffs_before = sram_probe::counter("cluster.forward.handoffs").get();
+    let fired_before = sram_probe::probe_handle!(counter "cluster.hedge.fired").get();
+    let cancelled_before = sram_probe::probe_handle!(counter "cluster.hedge.cancelled").get();
+    let handoffs_before = sram_probe::probe_handle!(counter "cluster.forward.handoffs").get();
 
     let mut client = Client::connect(router.local_addr()).unwrap();
     client.set_timeout(Some(Duration::from_secs(120))).unwrap();
@@ -65,11 +65,11 @@ fn hedge_fires_yields_one_reply_and_cancels_the_loser() {
     // primary's exchange must have moved to a thread and the hedge
     // fired.
     assert!(
-        sram_probe::counter("cluster.forward.handoffs").get() > handoffs_before,
+        sram_probe::probe_handle!(counter "cluster.forward.handoffs").get() > handoffs_before,
         "the slow primary was never handed off"
     );
     assert!(
-        sram_probe::counter("cluster.hedge.fired").get() > fired_before,
+        sram_probe::probe_handle!(counter "cluster.hedge.fired").get() > fired_before,
         "hedge never fired"
     );
     // The primary drew the 400 ms fault, so the hedge won. The traced
@@ -115,7 +115,7 @@ fn hedge_fires_yields_one_reply_and_cancels_the_loser() {
     // discards its reply.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        if sram_probe::counter("cluster.hedge.cancelled").get() > cancelled_before {
+        if sram_probe::probe_handle!(counter "cluster.hedge.cancelled").get() > cancelled_before {
             break;
         }
         assert!(

@@ -53,7 +53,7 @@ fn warm_forwards_stay_on_the_connection_thread() {
         );
     }
 
-    let handoffs = sram_probe::counter("cluster.forward.handoffs").get();
+    let handoffs = sram_probe::probe_handle!(counter "cluster.forward.handoffs").get();
     for line in lines.iter().cycle().take(FORWARDS) {
         let reply = client.call_line(line).unwrap();
         assert_eq!(
@@ -70,7 +70,7 @@ fn warm_forwards_stay_on_the_connection_thread() {
         );
     }
     assert_eq!(
-        sram_probe::counter("cluster.forward.handoffs").get(),
+        sram_probe::probe_handle!(counter "cluster.forward.handoffs").get(),
         handoffs,
         "a warm forward was handed off to a thread"
     );

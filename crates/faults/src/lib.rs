@@ -57,4 +57,4 @@ pub use registry::{
 
 /// Environment variable naming a fault-plan JSON file; read by
 /// [`install_from_env`].
-pub const SRAM_FAULTS_ENV: &str = "SRAM_FAULTS";
+pub const SRAM_FAULTS_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_FAULTS");

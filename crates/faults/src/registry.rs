@@ -155,8 +155,8 @@ pub fn uninstall() {
 ///
 /// Propagates [`FaultError`] from reading or parsing the plan file.
 pub fn install_from_env() -> Result<bool, FaultError> {
-    match std::env::var(SRAM_FAULTS_ENV) {
-        Ok(path) if !path.is_empty() => {
+    match SRAM_FAULTS_ENV.get() {
+        Some(path) if !path.is_empty() => {
             let plan = FaultPlan::from_file(std::path::Path::new(&path))?;
             install(&plan);
             Ok(true)

@@ -31,13 +31,13 @@ impl Level {
 }
 
 fn init_from_env() -> u8 {
-    let raw = match std::env::var("SRAM_PROBE") {
-        Ok(value) => match value.trim() {
+    let raw = match crate::env_var!("SRAM_PROBE").get() {
+        Some(value) => match value.trim() {
             "1" => Level::Summary as u8,
             "2" => Level::Detail as u8,
             _ => Level::Off as u8,
         },
-        Err(_) => Level::Off as u8,
+        None => Level::Off as u8,
     };
     // A concurrent set_level may have run while we read the
     // environment; it wins.

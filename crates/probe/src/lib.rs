@@ -23,24 +23,35 @@
 //! Call sites use the `probe_*` macros, which cache their registry
 //! handle in a per-site `OnceLock` so the steady-state cost is one
 //! relaxed atomic load (the level check) plus, when enabled, one
-//! relaxed RMW:
+//! relaxed RMW. Every name is checked against the [`catalogue`] at
+//! compile time:
 //!
 //! ```
 //! use sram_probe::{probe_add, probe_inc, probe_span};
 //!
 //! sram_probe::set_level(sram_probe::Level::Summary);
-//! probe_inc!("doc.calls");
-//! probe_add!("doc.items", 3);
+//! probe_inc!("spice.dc_solves");
+//! probe_add!("spice.newton_iterations", 3);
 //! {
-//!     let _span = probe_span!("doc.work_time");
+//!     let _span = probe_span!("spice.dc_solve_ns");
 //!     // ... timed region ...
 //! }
 //! let snap = sram_probe::snapshot();
-//! assert_eq!(snap.counters["doc.calls"], 1);
-//! assert_eq!(snap.counters["doc.items"], 3);
-//! assert_eq!(snap.histograms["doc.work_time"].count, 1);
+//! assert_eq!(snap.counters["spice.dc_solves"], 1);
+//! assert_eq!(snap.counters["spice.newton_iterations"], 3);
+//! assert_eq!(snap.histograms["spice.dc_solve_ns"].count, 1);
 //! # sram_probe::set_level(sram_probe::Level::Off);
 //! ```
+//!
+//! A name missing from the catalogue, recorded as the wrong kind, or
+//! recorded from another workspace library does not compile:
+//!
+//! ```compile_fail
+//! sram_probe::probe_gauge!("spice.dc_solves", 1.0); // catalogued as a counter
+//! ```
+//!
+//! Metrics that must count with probes off take an ungated handle from
+//! [`probe_handle!`]; `SRAM_*` variables are read through [`env_var!`].
 //!
 //! # Reading
 //!
@@ -92,19 +103,83 @@
     )
 )]
 
+pub mod catalogue;
 pub mod hash;
 mod level;
 pub mod log;
 mod metrics;
 mod registry;
+#[cfg(test)]
+mod rules;
 mod snapshot;
 pub mod telemetry;
 pub mod trace;
 
+pub use catalogue::EnvVar;
 pub use level::{enabled, level, set_level, Level};
 pub use metrics::{Counter, Gauge, Histogram, Span};
 pub use registry::{counter, gauge, histogram, reset};
 pub use snapshot::{snapshot, HistogramSnapshot, Snapshot};
+
+/// The `&'static` handle of a catalogued probe, looked up once per
+/// call site and never gated by the level: for metrics that must count
+/// with probes off, reads of a crate's own metrics, and span names
+/// emitted as intervals.
+///
+/// | form | returns |
+/// | --- | --- |
+/// | `probe_handle!(counter "name")` | `&'static` [`Counter`] |
+/// | `probe_handle!(gauge "name")` | `&'static` [`Gauge`] |
+/// | `probe_handle!(histogram "name")` | `&'static` [`Histogram`] |
+/// | `probe_handle!(quantiles "name")` | `&'static` [`telemetry::LogLinear`] |
+/// | `probe_handle!(trace "name")` | the interned span-name id (`u32`) |
+///
+/// Like every probe macro it checks the name against
+/// [`catalogue::PROBES`] at compile time (see [`catalogue`]).
+#[macro_export]
+macro_rules! probe_handle {
+    (counter $name:expr) => {
+        $crate::__probe_handle!($name, Counter, &'static $crate::Counter, $crate::counter)
+    };
+    (gauge $name:expr) => {
+        $crate::__probe_handle!($name, Gauge, &'static $crate::Gauge, $crate::gauge)
+    };
+    (histogram $name:expr) => {
+        $crate::__probe_handle!(
+            $name,
+            Histogram,
+            &'static $crate::Histogram,
+            $crate::histogram
+        )
+    };
+    (quantiles $name:expr) => {
+        $crate::__probe_handle!(
+            $name,
+            Histogram,
+            &'static $crate::telemetry::LogLinear,
+            $crate::telemetry::quantiles
+        )
+    };
+    (trace $name:expr) => {
+        $crate::__probe_handle!($name, Trace, u32, $crate::trace::intern)
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __probe_handle {
+    ($name:expr, $kind:ident, $handle:ty, $make:path) => {{
+        const _: () = $crate::catalogue::check(
+            $name,
+            $crate::catalogue::Kind::$kind,
+            ::core::module_path!(),
+        );
+        static HANDLE: ::std::sync::OnceLock<$handle> = ::std::sync::OnceLock::new();
+        #[allow(clippy::disallowed_methods)]
+        let handle = *HANDLE.get_or_init(|| $make($name));
+        handle
+    }};
+}
 
 /// Increments a named counter by one.
 ///
@@ -128,16 +203,12 @@ macro_rules! probe_inc {
 macro_rules! probe_add {
     (detail $name:expr, $n:expr) => {{
         if $crate::enabled($crate::Level::Detail) {
-            static HANDLE: ::std::sync::OnceLock<&'static $crate::Counter> =
-                ::std::sync::OnceLock::new();
-            HANDLE.get_or_init(|| $crate::counter($name)).add($n as u64);
+            $crate::probe_handle!(counter $name).add($n as u64);
         }
     }};
     ($name:expr, $n:expr) => {{
         if $crate::enabled($crate::Level::Summary) {
-            static HANDLE: ::std::sync::OnceLock<&'static $crate::Counter> =
-                ::std::sync::OnceLock::new();
-            HANDLE.get_or_init(|| $crate::counter($name)).add($n as u64);
+            $crate::probe_handle!(counter $name).add($n as u64);
         }
     }};
 }
@@ -147,11 +218,7 @@ macro_rules! probe_add {
 macro_rules! probe_gauge {
     ($name:expr, $value:expr) => {{
         if $crate::enabled($crate::Level::Summary) {
-            static HANDLE: ::std::sync::OnceLock<&'static $crate::Gauge> =
-                ::std::sync::OnceLock::new();
-            HANDLE
-                .get_or_init(|| $crate::gauge($name))
-                .set($value as f64);
+            $crate::probe_handle!(gauge $name).set($value as f64);
         }
     }};
 }
@@ -164,20 +231,12 @@ macro_rules! probe_gauge {
 macro_rules! probe_record {
     (detail $name:expr, $value:expr) => {{
         if $crate::enabled($crate::Level::Detail) {
-            static HANDLE: ::std::sync::OnceLock<&'static $crate::Histogram> =
-                ::std::sync::OnceLock::new();
-            HANDLE
-                .get_or_init(|| $crate::histogram($name))
-                .record($value as u64);
+            $crate::probe_handle!(histogram $name).record($value as u64);
         }
     }};
     ($name:expr, $value:expr) => {{
         if $crate::enabled($crate::Level::Summary) {
-            static HANDLE: ::std::sync::OnceLock<&'static $crate::Histogram> =
-                ::std::sync::OnceLock::new();
-            HANDLE
-                .get_or_init(|| $crate::histogram($name))
-                .record($value as u64);
+            $crate::probe_handle!(histogram $name).record($value as u64);
         }
     }};
 }
@@ -194,7 +253,7 @@ macro_rules! probe_record {
 /// ```
 /// let scope = sram_probe::trace::Scope::begin();
 /// {
-///     let mut span = sram_probe::trace_span!("doc.slice");
+///     let mut span = sram_probe::trace_span!("coopt.slice");
 ///     span.arg("examined", 128);
 /// }
 /// let events = scope.finish();
@@ -210,8 +269,7 @@ macro_rules! probe_record {
 macro_rules! trace_span {
     ($name:expr) => {{
         if $crate::trace::tracing_enabled() {
-            static NAME: ::std::sync::OnceLock<u32> = ::std::sync::OnceLock::new();
-            $crate::trace::TraceSpan::begin(*NAME.get_or_init(|| $crate::trace::intern($name)))
+            $crate::trace::TraceSpan::begin($crate::probe_handle!(trace $name))
         } else {
             $crate::trace::TraceSpan::disabled()
         }
@@ -232,20 +290,35 @@ macro_rules! trace_span {
 macro_rules! probe_span {
     (detail $name:expr) => {{
         if $crate::enabled($crate::Level::Detail) {
-            static HANDLE: ::std::sync::OnceLock<&'static $crate::Histogram> =
-                ::std::sync::OnceLock::new();
-            HANDLE.get_or_init(|| $crate::histogram($name)).start_span()
+            $crate::probe_handle!(histogram $name).start_span()
         } else {
             $crate::Span::disabled()
         }
     }};
     ($name:expr) => {{
         if $crate::enabled($crate::Level::Summary) {
-            static HANDLE: ::std::sync::OnceLock<&'static $crate::Histogram> =
-                ::std::sync::OnceLock::new();
-            HANDLE.get_or_init(|| $crate::histogram($name)).start_span()
+            $crate::probe_handle!(histogram $name).start_span()
         } else {
             $crate::Span::disabled()
         }
+    }};
+}
+
+/// A catalogued `SRAM_*` environment variable as a checked
+/// [`EnvVar`], usable in a `const`:
+///
+/// ```
+/// const PROBE_LEVEL: sram_probe::EnvVar = sram_probe::env_var!("SRAM_PROBE");
+/// assert_eq!(PROBE_LEVEL.name(), "SRAM_PROBE");
+/// let _level: Option<String> = PROBE_LEVEL.get();
+/// ```
+///
+/// The name is checked against [`catalogue::ENV_VARS`] at compile time;
+/// `std::env::var` itself is a disallowed method.
+#[macro_export]
+macro_rules! env_var {
+    ($name:expr) => {{
+        const VAR: $crate::EnvVar = $crate::EnvVar::checked($name, ::core::module_path!());
+        VAR
     }};
 }

@@ -24,10 +24,8 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Mutex, Once, OnceLock, PoisonError};
+use std::sync::{Mutex, Once, PoisonError};
 use std::time::SystemTime;
-
-use crate::metrics::Counter;
 
 /// Event severity, ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -102,27 +100,17 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 static MIN_LEVEL: AtomicU8 = AtomicU8::new(LogLevel::Info as u8);
 static INIT: Once = Once::new();
 
-fn written_counter() -> &'static Counter {
-    static HANDLE: OnceLock<&'static Counter> = OnceLock::new();
-    HANDLE.get_or_init(|| crate::registry::counter("log.events.written"))
-}
-
-fn dropped_counter() -> &'static Counter {
-    static HANDLE: OnceLock<&'static Counter> = OnceLock::new();
-    HANDLE.get_or_init(|| crate::registry::counter("log.events.dropped"))
-}
-
 /// Reads `SRAM_LOG` / `SRAM_LOG_LEVEL` once. Called lazily by
 /// [`enabled`] and [`log_event`]; call it directly to force the env
 /// read at a known point.
 pub fn init_from_env() {
     INIT.call_once(|| {
-        if let Ok(level) = std::env::var("SRAM_LOG_LEVEL") {
+        if let Some(level) = crate::env_var!("SRAM_LOG_LEVEL").get() {
             if let Some(level) = LogLevel::parse(&level) {
                 MIN_LEVEL.store(level as u8, Ordering::Relaxed);
             }
         }
-        if let Ok(path) = std::env::var("SRAM_LOG") {
+        if let Some(path) = crate::env_var!("SRAM_LOG").get() {
             let path = path.trim();
             if !path.is_empty() {
                 let _ = open(Path::new(path));
@@ -258,9 +246,9 @@ pub fn log_event(level: LogLevel, event: &str, fields: &[(&str, LogValue)]) {
     let ok = s.writer.write_all(line.as_bytes()).is_ok() && s.writer.flush().is_ok();
     drop(sink);
     if ok {
-        written_counter().inc();
+        crate::probe_handle!(counter "log.events.written").inc();
     } else {
-        dropped_counter().inc();
+        crate::probe_handle!(counter "log.events.dropped").inc();
     }
 }
 

@@ -43,7 +43,9 @@ fn register(name: &'static str, make: impl FnOnce() -> Handle, want: &'static st
     handle
 }
 
-/// The counter registered under `name`, created on first use.
+/// The counter registered under `name`, created on first use. Call sites
+/// use the probe macros, which check `name` against the
+/// [`catalogue`](crate::catalogue); a direct call is a disallowed method.
 ///
 /// # Panics
 ///
@@ -63,7 +65,9 @@ pub fn counter(name: &'static str) -> &'static Counter {
     }
 }
 
-/// The gauge registered under `name`, created on first use.
+/// The gauge registered under `name`, created on first use. Call sites
+/// use the probe macros, which check `name` against the
+/// [`catalogue`](crate::catalogue); a direct call is a disallowed method.
 ///
 /// # Panics
 ///
@@ -83,7 +87,9 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
     }
 }
 
-/// The histogram registered under `name`, created on first use.
+/// The histogram registered under `name`, created on first use. Call sites
+/// use the probe macros, which check `name` against the
+/// [`catalogue`](crate::catalogue); a direct call is a disallowed method.
 ///
 /// # Panics
 ///
@@ -129,6 +135,8 @@ pub(crate) fn for_each(mut f: impl FnMut(&'static str, Handle)) {
 }
 
 #[cfg(test)]
+// The registry's own tests register names of their own.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

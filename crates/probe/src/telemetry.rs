@@ -39,10 +39,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, LazyLock, Mutex, OnceLock, PoisonError};
+use std::sync::{Condvar, LazyLock, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::metrics::Counter;
 use crate::snapshot::{snapshot, Snapshot};
 
 /// Linear sub-buckets per power of two (must be a power of two).
@@ -246,19 +245,15 @@ impl QuantileSnapshot {
 static QUANTS: LazyLock<Mutex<BTreeMap<&'static str, &'static LogLinear>>> =
     LazyLock::new(|| Mutex::new(BTreeMap::new()));
 
-/// The named quantile histogram, created on first use. Hot call sites
-/// should cache the returned reference in a `OnceLock`.
+/// The named quantile histogram, created on first use. Call sites use
+/// [`probe_handle!`](crate::probe_handle)`(quantiles "…")`, which checks
+/// the name against the [`catalogue`](crate::catalogue) and caches the
+/// reference; a direct call is a disallowed method.
 #[must_use]
 pub fn quantiles(name: &'static str) -> &'static LogLinear {
     let mut map = QUANTS.lock().unwrap_or_else(PoisonError::into_inner);
     map.entry(name)
         .or_insert_with(|| Box::leak(Box::new(LogLinear::new())))
-}
-
-/// Records one sample into the named quantile histogram (registry
-/// lookup per call — fine off the hot path).
-pub fn record(name: &'static str, value: u64) {
-    quantiles(name).record(value);
 }
 
 fn quant_snapshots() -> BTreeMap<&'static str, QuantileSnapshot> {
@@ -310,27 +305,18 @@ static AGG: LazyLock<Mutex<AggState>> = LazyLock::new(|| {
 
 /// `SRAM_TELEMETRY_WINDOW` in ms, clamped to `[10, 600_000]`.
 fn window_ms_from_env() -> u64 {
-    std::env::var("SRAM_TELEMETRY_WINDOW")
-        .ok()
+    crate::env_var!("SRAM_TELEMETRY_WINDOW")
+        .get()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .map_or(DEFAULT_WINDOW_MS, |ms| ms.clamp(10, 600_000))
 }
 
 /// `SRAM_TELEMETRY_SLOTS`, clamped to `[4, 3600]`.
 fn slots_from_env() -> usize {
-    std::env::var("SRAM_TELEMETRY_SLOTS")
-        .ok()
+    crate::env_var!("SRAM_TELEMETRY_SLOTS")
+        .get()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .map_or(DEFAULT_SLOTS, |n| n.clamp(4, 3600))
-}
-
-/// Windows sampled, counted through the registry but **bypassing the
-/// probe level gate** (same pattern as `probe.trace.dropped`): the
-/// telemetry surface must be able to report on itself even with
-/// probes off.
-fn windows_counter() -> &'static Counter {
-    static HANDLE: OnceLock<&'static Counter> = OnceLock::new();
-    HANDLE.get_or_init(|| crate::registry::counter("telemetry.windows.sampled"))
 }
 
 fn unix_ms() -> u64 {
@@ -376,7 +362,9 @@ pub fn force_sample() {
         agg.ring.pop_front();
     }
     drop(agg);
-    windows_counter().inc();
+    // Counted bypassing the probe level gate (the `probe.trace.dropped`
+    // pattern): telemetry must report on itself with probes off.
+    crate::probe_handle!(counter "telemetry.windows.sampled").inc();
 }
 
 /// Clears the ring and re-baselines the next window at the current
@@ -697,6 +685,8 @@ fn fmt_f64(v: f64) -> String {
 }
 
 #[cfg(test)]
+// These tests register names of their own.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 
@@ -844,8 +834,8 @@ mod tests {
         let c = crate::registry::counter("telemetry.test.force_sample");
         reset();
         c.add(5);
-        record("telemetry.test.force_latency", 1000);
-        record("telemetry.test.force_latency", 2000);
+        quantiles("telemetry.test.force_latency").record(1000);
+        quantiles("telemetry.test.force_latency").record(2000);
         force_sample();
         let ring = windows();
         let w = ring.last().expect("one window");

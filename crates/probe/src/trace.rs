@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::hash::splitmix64;
@@ -116,8 +116,8 @@ const STATE_UNINIT: u32 = u32::MAX;
 static STATE: AtomicU32 = AtomicU32::new(STATE_UNINIT);
 
 fn init_state() -> u32 {
-    let base = match std::env::var("SRAM_TRACE") {
-        Ok(value) if value.trim() == "1" => 1,
+    let base = match crate::env_var!("SRAM_TRACE").get() {
+        Some(value) if value.trim() == "1" => 1,
         _ => 0,
     };
     // A concurrent set_tracing/Scope::begin may have initialized first;
@@ -179,8 +179,8 @@ fn sample_rate() -> f64 {
     if bits != SAMPLE_UNINIT {
         return f64::from_bits(bits);
     }
-    let rate = std::env::var("SRAM_TRACE_SAMPLE")
-        .ok()
+    let rate = crate::env_var!("SRAM_TRACE_SAMPLE")
+        .get()
         .and_then(|v| v.trim().parse::<f64>().ok())
         .map_or(1.0, |r| {
             if r.is_finite() {
@@ -189,8 +189,8 @@ fn sample_rate() -> f64 {
                 1.0
             }
         });
-    let seed = std::env::var("SRAM_TRACE_SAMPLE_SEED")
-        .ok()
+    let seed = crate::env_var!("SRAM_TRACE_SAMPLE_SEED")
+        .get()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .unwrap_or(DEFAULT_SAMPLE_SEED);
     SAMPLE_SEED.store(seed, Ordering::Relaxed);
@@ -346,9 +346,10 @@ struct NameTable {
 static NAMES: LazyLock<Mutex<NameTable>> = LazyLock::new(|| Mutex::new(NameTable::default()));
 
 /// Interns a span or argument name, returning its stable numeric id.
-/// Call sites cache the id (the [`trace_span!`](crate::trace_span)
-/// macro does so in a per-site `OnceLock`), so the intern lock is a
-/// once-per-name cost.
+/// Span names go through [`probe_handle!`](crate::probe_handle)`(trace
+/// "…")` or [`trace_span!`](crate::trace_span), which check the name
+/// against the [`catalogue`](crate::catalogue) and cache the id per
+/// call site; a direct call is a disallowed method.
 #[must_use]
 pub fn intern(name: &'static str) -> u32 {
     let mut table = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
@@ -381,8 +382,8 @@ fn name_snapshot() -> Vec<&'static str> {
 #[must_use]
 pub fn ring_slots() -> usize {
     static SLOTS: LazyLock<usize> = LazyLock::new(|| {
-        let requested = std::env::var("SRAM_TRACE_SLOTS")
-            .ok()
+        let requested = crate::env_var!("SRAM_TRACE_SLOTS")
+            .get()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .unwrap_or(DEFAULT_SLOTS);
         let clamped = requested.clamp(MIN_SLOTS, MAX_SLOTS);
@@ -483,18 +484,13 @@ struct ThreadSlot {
 static FREE_SLOTS: Mutex<Vec<ThreadSlot>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
-fn dropped_counter() -> &'static crate::Counter {
-    static HANDLE: OnceLock<&'static crate::Counter> = OnceLock::new();
-    HANDLE.get_or_init(|| crate::counter("probe.trace.dropped"))
-}
-
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 fn note_dropped() {
     DROPPED.fetch_add(1, Ordering::Relaxed);
     // Mirrored into the metric registry (bypassing the level gate —
     // a drop must be visible whenever it happens).
-    dropped_counter().inc();
+    crate::probe_handle!(counter "probe.trace.dropped").inc();
 }
 
 /// Events overwritten before any capture or [`clear`] released them,
@@ -782,7 +778,10 @@ impl TraceSpan {
     /// At most [`MAX_ARGS`] stick; later ones are silently ignored.
     pub fn arg(&mut self, key: &'static str, value: i64) {
         if self.live && usize::from(self.argc) < MAX_ARGS {
-            self.args[usize::from(self.argc)] = (intern(key), value);
+            // Argument keys are not probe names: no catalogue row.
+            #[allow(clippy::disallowed_methods)]
+            let key = intern(key);
+            self.args[usize::from(self.argc)] = (key, value);
             self.argc += 1;
         }
     }
@@ -805,16 +804,6 @@ impl Drop for TraceSpan {
             Some(())
         });
     }
-}
-
-/// Begins a span by name at an explicit start time (rare-path
-/// convenience that interns on every call; hot paths use the
-/// [`trace_span!`](crate::trace_span) macro's cached id).
-pub fn span_at(name: &'static str, t_ns: u64) -> TraceSpan {
-    if !tracing_enabled() {
-        return TraceSpan::disabled();
-    }
-    TraceSpan::begin_at(intern(name), t_ns)
 }
 
 /// What a thread working for another thread's request adopts: the
@@ -848,10 +837,11 @@ impl TraceContext {
     /// intervals that cannot be RAII spans — e.g. a queue wait whose
     /// start was stamped by the enqueuing thread — and rendered on a
     /// side lane so an overlap with the emitting thread's own spans
-    /// cannot break begin/end nesting.
+    /// cannot break begin/end nesting. `name` is a span-name id from
+    /// [`probe_handle!`](crate::probe_handle)`(trace "…")`.
     pub fn emit_complete(
         &self,
-        name: &'static str,
+        name: u32,
         start_ns: u64,
         end_ns: u64,
         args: &[(&'static str, i64)],
@@ -863,11 +853,14 @@ impl TraceContext {
         let mut encoded = [(0u32, 0i64); MAX_ARGS];
         let argc = args.len().min(MAX_ARGS);
         for (slot, &(key, value)) in encoded.iter_mut().zip(args.iter().take(argc)) {
-            *slot = (intern(key), value);
+            // Argument keys are not probe names: no catalogue row.
+            #[allow(clippy::disallowed_methods)]
+            let key = intern(key);
+            *slot = (key, value);
         }
         let complete = encode(
             Phase::Complete,
-            intern(name),
+            name,
             NEXT_SPAN.fetch_add(1, Ordering::Relaxed),
             self.parent,
             start_ns,
@@ -1327,6 +1320,9 @@ fn build_node(
 }
 
 #[cfg(test)]
+// These tests trace names of their own, so they intern directly rather
+// than through the catalogue-checked macros.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 
@@ -1336,6 +1332,15 @@ mod tests {
 
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// What `trace_span!` expands to, minus the catalogue check.
+    fn span(name: &'static str) -> TraceSpan {
+        if tracing_enabled() {
+            TraceSpan::begin(intern(name))
+        } else {
+            TraceSpan::disabled()
+        }
     }
 
     /// Runs `f` on a fresh thread and returns its result.
@@ -1381,9 +1386,9 @@ mod tests {
         let _guard = serial();
         set_tracing(true);
         let (outer_id, inner_id) = {
-            let outer = crate::trace_span!("test.outer_a");
+            let outer = span("test.outer_a");
             let inner = {
-                let mut inner = crate::trace_span!("test.inner_a");
+                let mut inner = span("test.inner_a");
                 inner.arg("examined", 42);
                 inner.arg("feasible", 7);
                 inner.id()
@@ -1418,7 +1423,7 @@ mod tests {
         // Base state may have been initialized from the env by another
         // test; pin it off explicitly.
         set_tracing(false);
-        let span = crate::trace_span!("test.should_not_record");
+        let span = span("test.should_not_record");
         assert!(!span.is_recording());
         drop(span);
         assert!(
@@ -1432,7 +1437,7 @@ mod tests {
         let _guard = serial();
         set_tracing(true);
         assert!(tracing_enabled());
-        let span = crate::trace_span!("test.enabled_by_set");
+        let span = span("test.enabled_by_set");
         assert!(span.is_recording());
         drop(span);
         set_tracing(false);
@@ -1483,11 +1488,14 @@ mod tests {
     fn emit_complete_records_an_x_event() {
         let _guard = serial();
         let scope = Scope::begin();
-        let root = span_at("test.root_x", now_ns());
+        let root = TraceSpan::begin_at(intern("test.root_x"), now_ns());
         let root_id = root.id();
-        scope
-            .context(root_id)
-            .emit_complete("test.queue_wait_x", 100, 350, &[("batch", 3)]);
+        scope.context(root_id).emit_complete(
+            intern("test.queue_wait_x"),
+            100,
+            350,
+            &[("batch", 3)],
+        );
         drop(root);
         let events = scope.finish();
         let x = events
@@ -1511,7 +1519,7 @@ mod tests {
         }
         assert_eq!(dropped() - before_drops, 10, "overwrites are counted");
         assert!(
-            dropped_counter().get() >= 10,
+            crate::probe_handle!(counter "probe.trace.dropped").get() >= 10,
             "mirrored into probe.trace.dropped"
         );
         let mut out = Vec::new();
@@ -1526,7 +1534,7 @@ mod tests {
     fn write_ring(name: &'static str, n: usize) {
         let ctx = TraceContext::default();
         for i in 0..n as u64 {
-            ctx.emit_complete(name, i, i + 1, &[]);
+            ctx.emit_complete(intern(name), i, i + 1, &[]);
         }
     }
 
@@ -1578,7 +1586,7 @@ mod tests {
         let _guard = serial();
         set_tracing(true);
         let marker = {
-            let span = crate::trace_span!("test.cleared_away");
+            let span = span("test.cleared_away");
             span.id()
         };
         clear();
@@ -1587,7 +1595,7 @@ mod tests {
             "cleared events must not be captured"
         );
         let kept = {
-            let span = crate::trace_span!("test.kept_after_clear");
+            let span = span("test.kept_after_clear");
             span.id()
         };
         assert!(capture().iter().any(|e| e.id == kept));
@@ -1601,10 +1609,10 @@ mod tests {
         clear();
         let rings_before = BUFFERS.lock().unwrap().len();
         let scope = Scope::begin();
-        let a = crate::trace_span!("test.iso_a");
+        let a = span("test.iso_a");
         assert!(a.is_recording());
         let b_recorded = on_fresh_thread(|| {
-            let b = crate::trace_span!("test.iso_b");
+            let b = span("test.iso_b");
             b.is_recording()
         });
         drop(a);
@@ -1626,7 +1634,7 @@ mod tests {
         let outer = Scope::begin();
         let inner = Scope::begin();
         let id = {
-            let span = crate::trace_span!("test.nested_scope");
+            let span = span("test.nested_scope");
             span.id()
         };
         let inner_events = inner.finish();
@@ -1643,7 +1651,7 @@ mod tests {
         clear();
         let scope = Scope::begin();
         let id = {
-            let span = crate::trace_span!("test.both");
+            let span = span("test.both");
             span.id()
         };
         let scoped = scope.finish();
@@ -1658,8 +1666,8 @@ mod tests {
         let _guard = serial();
         let scope = Scope::begin();
         {
-            let _outer = crate::trace_span!("test.chrome_outer");
-            let _inner = crate::trace_span!("test.chrome_inner");
+            let _outer = span("test.chrome_outer");
+            let _inner = span("test.chrome_inner");
         }
         let events = scope.finish();
         assert_chrome_well_formed(&events);
@@ -1679,9 +1687,9 @@ mod tests {
         let _guard = serial();
         let scope = Scope::begin();
         {
-            let _outer = crate::trace_span!("test.flame_outer");
+            let _outer = span("test.flame_outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
-            let inner = crate::trace_span!("test.flame_inner");
+            let inner = span("test.flame_inner");
             std::thread::sleep(std::time::Duration::from_millis(2));
             drop(inner);
         }
@@ -1711,13 +1719,16 @@ mod tests {
         let _guard = serial();
         let scope = Scope::begin();
         let root_id = {
-            let root = span_at("test.tree_root", now_ns());
+            let root = TraceSpan::begin_at(intern("test.tree_root"), now_ns());
             let id = root.id();
-            scope
-                .context(id)
-                .emit_complete("test.tree_parse", now_ns(), now_ns() + 10, &[]);
+            scope.context(id).emit_complete(
+                intern("test.tree_parse"),
+                now_ns(),
+                now_ns() + 10,
+                &[],
+            );
             {
-                let mut child = crate::trace_span!("test.tree_exec");
+                let mut child = span("test.tree_exec");
                 child.arg("capacity", 4096);
             }
             id
@@ -1742,13 +1753,13 @@ mod tests {
     fn cross_thread_adoption_parents_worker_spans() {
         let _guard = serial();
         let scope = Scope::begin();
-        let root = span_at("test.adopt_root", now_ns());
+        let root = TraceSpan::begin_at(intern("test.adopt_root"), now_ns());
         let root_id = root.id();
         let ctx = scope.context(root_id);
         let worker_span = on_fresh_thread(|| {
             let _adopt = adopt(&ctx);
             assert_eq!(TraceContext::current().parent, root_id);
-            let span = crate::trace_span!("test.adopt_child");
+            let span = span("test.adopt_child");
             span.id()
         });
         drop(root);
@@ -1837,7 +1848,7 @@ mod tests {
         let _guard = serial();
         let scope = Scope::begin();
         {
-            let _span = crate::trace_span!("test.labeled_export");
+            let _span = span("test.labeled_export");
         }
         let events = scope.finish();
         let json = chrome_trace_json_labeled(&[(1, "router", &events), (2, "node-0", &events)]);

@@ -1,5 +1,9 @@
 //! Counters and histograms must not lose updates under contention.
 
+// `concurrent_registration_yields_one_metric` registers a name of its
+// own through the unchecked registry function.
+#![allow(clippy::disallowed_methods)]
+
 use sram_probe::{probe_inc, probe_record, Level};
 
 const THREADS: usize = 8;
@@ -13,8 +17,8 @@ fn concurrent_increments_are_lossless() {
         for _ in 0..THREADS {
             scope.spawn(|| {
                 for i in 0..PER_THREAD {
-                    probe_inc!("conc.counter");
-                    probe_record!("conc.hist", i);
+                    probe_inc!("spice.newton_iterations");
+                    probe_record!("spice.newton_iters_per_solve", i);
                 }
             });
         }
@@ -22,9 +26,9 @@ fn concurrent_increments_are_lossless() {
 
     let snap = sram_probe::snapshot();
     let expected = THREADS as u64 * PER_THREAD;
-    assert_eq!(snap.counters["conc.counter"], expected);
+    assert_eq!(snap.counters["spice.newton_iterations"], expected);
 
-    let hist = &snap.histograms["conc.hist"];
+    let hist = &snap.histograms["spice.newton_iters_per_solve"];
     assert_eq!(hist.count, expected);
     // Each thread records 0..PER_THREAD, so the sum is THREADS * (sum 0..PER_THREAD).
     assert_eq!(

@@ -12,9 +12,9 @@ fn disabled_spans_are_near_zero_work() {
     // Phase 1: Level::Off — nothing registers, nothing records.
     sram_probe::set_level(Level::Off);
     {
-        let _span = probe_span!("off.never_registered");
-        let _detail = probe_span!(detail "off.never_registered_detail");
-        let _trace = trace_span!("off.never_traced");
+        let _span = probe_span!("spice.dc_solve_ns");
+        let _detail = probe_span!(detail "spice.transient_ns");
+        let _trace = trace_span!("spice.dc_solve");
     }
     // Raising the level afterward must reveal an empty registry: the
     // disabled branch never called `sram_probe::histogram`, so nothing
@@ -22,32 +22,32 @@ fn disabled_spans_are_near_zero_work() {
     sram_probe::set_level(Level::Summary);
     let snap = sram_probe::snapshot();
     assert!(
-        !snap.histograms.contains_key("off.never_registered"),
+        !snap.histograms.contains_key("spice.dc_solve_ns"),
         "disabled probe_span! must not register its histogram: {:?}",
         snap.histograms.keys().collect::<Vec<_>>()
     );
-    assert!(!snap.histograms.contains_key("off.never_registered_detail"));
+    assert!(!snap.histograms.contains_key("spice.transient_ns"));
     assert!(snap.is_empty(), "no metric activity at all was expected");
     // The disabled trace span likewise left no events behind.
     assert!(
         !sram_probe::trace::capture()
             .iter()
-            .any(|e| e.name == "off.never_traced"),
+            .any(|e| e.name == "spice.dc_solve"),
         "disabled trace_span! must not emit events"
     );
 
     // Phase 2: Summary — detail spans stay unregistered, summary spans
     // record.
     {
-        let _detail = probe_span!(detail "off.detail_at_summary");
-        let _summary = probe_span!("off.summary_at_summary");
+        let _detail = probe_span!(detail "cell.mc_run_ns");
+        let _summary = probe_span!("cell.characterize_ns");
     }
     let snap = sram_probe::snapshot();
     assert!(
-        !snap.histograms.contains_key("off.detail_at_summary"),
+        !snap.histograms.contains_key("cell.mc_run_ns"),
         "detail spans must stay unregistered at Summary"
     );
-    assert_eq!(snap.histograms["off.summary_at_summary"].count, 1);
+    assert_eq!(snap.histograms["cell.characterize_ns"].count, 1);
 
     // Phase 3: a coarse budget check. A disabled span site must cost
     // on the order of a branch, not a clock read. The budget is loose
@@ -65,8 +65,8 @@ fn disabled_spans_are_near_zero_work() {
     for _ in 0..ROUNDS {
         let start = std::time::Instant::now();
         for _ in 0..CALLS {
-            let _span = probe_span!("off.cost_probe");
-            let _trace = trace_span!("off.cost_trace");
+            let _span = probe_span!("coopt.search_ns");
+            let _trace = trace_span!("coopt.search");
             std::hint::black_box(());
         }
         let per_call = start.elapsed().as_nanos() as f64 / f64::from(CALLS);
@@ -79,7 +79,7 @@ fn disabled_spans_are_near_zero_work() {
     assert!(
         !sram_probe::snapshot()
             .histograms
-            .contains_key("off.cost_probe"),
+            .contains_key("coopt.search_ns"),
         "the cost loop must not have registered anything"
     );
 }

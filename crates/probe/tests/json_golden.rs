@@ -1,5 +1,9 @@
 //! Golden test: the JSON export is byte-exact for known inputs.
 
+// The golden names are this test's own, registered through the
+// unchecked registry functions.
+#![allow(clippy::disallowed_methods)]
+
 use sram_probe::Level;
 
 #[test]

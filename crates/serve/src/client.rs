@@ -2,9 +2,9 @@
 //! used by the end-to-end tests and handy for scripting against a
 //! running server.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
 use crate::json::Json;
@@ -28,7 +28,34 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
-        let stream = TcpStream::connect(addr)?;
+        Self::over(TcpStream::connect(addr)?)
+    }
+
+    /// Connects to a server within `wait`: each resolved address is
+    /// dialed with the part of the wait that is left, so a host that
+    /// drops SYNs costs the wait, not the kernel's connect timeout.
+    ///
+    /// # Errors
+    ///
+    /// The last address's connection failure, or a timeout when the
+    /// wait ran out first.
+    pub fn connect_within(addr: impl ToSocketAddrs, wait: Duration) -> Result<Self, ServeError> {
+        let until = Instant::now() + wait.max(MIN_WAIT);
+        let mut failure = std::io::Error::new(ErrorKind::TimedOut, "no address dialed in time");
+        for addr in addr.to_socket_addrs()? {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            match TcpStream::connect_timeout(&addr, left) {
+                Ok(stream) => return Self::over(stream),
+                Err(e) => failure = e,
+            }
+        }
+        Err(failure.into())
+    }
+
+    fn over(stream: TcpStream) -> Result<Self, ServeError> {
         let writer = stream.try_clone()?;
         Ok(Self {
             writer,
@@ -145,6 +172,8 @@ const MIN_WAIT: Duration = Duration::from_millis(1);
 /// down so the *next* call redials from scratch. The failed call still
 /// reports its error: the caller decides whether to retry, hedge, or
 /// fail over, so a half-written request is never silently resent.
+/// A dial waits at most the handle's timeout, or the wait a
+/// [`Self::send_line_within`] caller has left.
 pub struct NodeConn {
     addr: String,
     timeout: Option<Duration>,
@@ -180,11 +209,14 @@ impl NodeConn {
         self.conn = None;
     }
 
-    fn ensure(&mut self) -> Result<&mut Client, ServeError> {
+    fn ensure(&mut self, wait: Option<Duration>) -> Result<&mut Client, ServeError> {
         match self.conn {
             Some(ref mut client) => Ok(client),
             ref mut slot => {
-                let mut client = Client::connect(&self.addr)?;
+                let mut client = match wait.or(self.timeout) {
+                    Some(wait) => Client::connect_within(&self.addr, wait)?,
+                    None => Client::connect(&self.addr)?,
+                };
                 client.set_timeout(self.timeout)?;
                 Ok(slot.insert(client))
             }
@@ -212,7 +244,18 @@ impl NodeConn {
     ///
     /// Connection or I/O failures (the handle disconnects itself).
     pub fn send_line(&mut self, line: &str) -> Result<(), ServeError> {
-        let result = self.ensure().and_then(|c| c.send_line(line));
+        let result = self.ensure(None).and_then(|c| c.send_line(line));
+        self.settle(result)
+    }
+
+    /// [`Self::send_line`] whose dial, when it must dial, waits at most
+    /// `wait`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::send_line`], a dial that outlasts `wait` included.
+    pub fn send_line_within(&mut self, line: &str, wait: Duration) -> Result<(), ServeError> {
+        let result = self.ensure(Some(wait)).and_then(|c| c.send_line(line));
         self.settle(result)
     }
 

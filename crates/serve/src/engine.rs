@@ -209,7 +209,9 @@ impl Engine {
             return self.handle_one(request);
         }
         let scope = sram_probe::trace::Scope::begin();
-        let root = sram_probe::trace::span_at("serve.request", sram_probe::trace::now_ns());
+        let request_span = sram_probe::probe_handle!(trace "serve.request");
+        let root =
+            sram_probe::trace::TraceSpan::begin_at(request_span, sram_probe::trace::now_ns());
         let root_id = root.id();
         let mut response = self.handle_one(request);
         drop(root);
@@ -637,24 +639,25 @@ impl Engine {
     pub fn health_json(&self) -> Json {
         let revision = self.health_revision.fetch_add(1, Ordering::Relaxed) + 1;
         // Ungated direct handle: health must report with probes off.
-        sram_probe::gauge("serve.health.revision").set(revision as f64);
+        sram_probe::probe_handle!(gauge "serve.health.revision").set(revision as f64);
         let export = sram_probe::telemetry::export();
         let has_ring = !export.windows.is_empty();
         // Windowed delta when the ring has data; lifetime total as the
         // cold-start fallback so faults are never invisible.
-        let recent = |name: &'static str| {
+        let recent = |counter: &'static sram_probe::Counter| {
             if has_ring {
-                export.counters.get(name).map_or(0, |s| s.delta)
+                export.counters.get(counter.name()).map_or(0, |s| s.delta)
             } else {
-                sram_probe::counter(name).get()
+                counter.get()
             }
         };
         let rate = |name: &str| export.counters.get(name).map_or(0.0, |s| s.rate);
 
-        let panics = sram_probe::counter("serve.worker.panics").get();
-        let respawns = sram_probe::counter("serve.worker.respawns").get();
-        let depth = sram_probe::gauge("serve.queue.depth").get();
-        let capacity = sram_probe::gauge("serve.queue.capacity").get();
+        let panics_counter = sram_probe::probe_handle!(counter "serve.worker.panics");
+        let panics = panics_counter.get();
+        let respawns = sram_probe::probe_handle!(counter "serve.worker.respawns").get();
+        let depth = sram_probe::probe_handle!(gauge "serve.queue.depth").get();
+        let capacity = sram_probe::probe_handle!(gauge "serve.queue.capacity").get();
         let cache = self.cache.counters();
         let slo = crate::slo::statuses(&export);
 
@@ -664,20 +667,20 @@ impl Engine {
             unhealthy.push(format!(
                 "worker down: {panics} panics but only {respawns} respawns"
             ));
-        } else if recent("serve.worker.panics") > 0 {
+        } else if recent(panics_counter) > 0 {
             degraded.push(format!(
                 "worker panics in window: {}",
-                recent("serve.worker.panics")
+                recent(panics_counter)
             ));
         }
         if capacity > 0.0 && depth / capacity >= QUEUE_PRESSURE_DEGRADED {
             degraded.push(format!("queue pressure: {depth:.0}/{capacity:.0}"));
         }
-        let rejected = recent("serve.request.rejected");
+        let rejected = recent(sram_probe::probe_handle!(counter "serve.request.rejected"));
         if rejected > 0 {
             degraded.push(format!("busy rejections in window: {rejected}"));
         }
-        let expired = recent("serve.request.expired");
+        let expired = recent(sram_probe::probe_handle!(counter "serve.request.expired"));
         if expired > 0 {
             degraded.push(format!("deadline expiries in window: {expired}"));
         }

@@ -104,4 +104,6 @@ pub use json::{Json, JsonError};
 pub use query::{
     ObjectiveKind, Query, Request, MAX_CAPACITY_BYTES, MAX_DEADLINE_MS, MAX_YIELD_SAMPLES,
 };
-pub use server::{spawn_local_node, Server, ServerConfig, SRAM_CACHE_FILE_ENV};
+pub use server::{
+    slow_query_threshold_ns, spawn_local_node, Server, ServerConfig, SRAM_CACHE_FILE_ENV,
+};

@@ -1,7 +1,7 @@
 //! The TCP front end: line-delimited JSON over `std::net`.
 //!
-//! Thread layout (all plain `std::thread` — sanctioned for this crate
-//! by the workspace lint's thread-discipline rule):
+//! Thread layout (all plain `std::thread` — each spawn carries the
+//! `#[expect]` that clippy's thread-discipline ban asks for):
 //!
 //! * **acceptor** — a nonblocking `accept` loop that polls the shutdown
 //!   flag between attempts and spawns one connection thread per client;
@@ -31,6 +31,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sram_faults::CancelToken;
+use sram_probe::probe_handle;
+use sram_probe::trace::TraceSpan;
 
 use crate::engine::{error_response, Engine};
 use crate::error::ServeError;
@@ -40,30 +42,25 @@ use crate::query::Request;
 /// Environment variable naming the cache spill file ([`ServerConfig`]
 /// default). When set, the server warm-starts its result cache from the
 /// file at startup and spills the cache back on graceful shutdown.
-pub const SRAM_CACHE_FILE_ENV: &str = "SRAM_CACHE_FILE";
+pub const SRAM_CACHE_FILE_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CACHE_FILE");
 
 /// Default slow-query threshold (`SRAM_LOG_SLOW_MS` overrides): a
 /// request slower than this is logged as a `serve.slow_query` event,
 /// with its span tree attached when the request was traced.
 pub(crate) const DEFAULT_SLOW_QUERY_MS: u64 = 1_000;
 
-/// Queue-depth gauge, written directly (bypassing the probe level
-/// gate) because the `health` verdict needs queue pressure even with
-/// probes off. Cached: the gauge sits on the per-request hot path.
-fn queue_depth_gauge() -> &'static sram_probe::Gauge {
-    static HANDLE: OnceLock<&'static sram_probe::Gauge> = OnceLock::new();
-    HANDLE.get_or_init(|| sram_probe::gauge("serve.queue.depth"))
-}
-
 /// Monotone key distinguishing traced roots for deterministic
 /// per-root sampling ([`sram_probe::trace::sampled`]).
 static REQUEST_KEY: AtomicU64 = AtomicU64::new(0);
 
-fn slow_threshold_ns() -> u64 {
+/// The slow-query log threshold in nanoseconds, read once from
+/// `SRAM_LOG_SLOW_MS`; the router logs against the same threshold.
+#[must_use]
+pub fn slow_query_threshold_ns() -> u64 {
     static THRESHOLD: OnceLock<u64> = OnceLock::new();
     *THRESHOLD.get_or_init(|| {
-        std::env::var("SRAM_LOG_SLOW_MS")
-            .ok()
+        sram_probe::env_var!("SRAM_LOG_SLOW_MS")
+            .get()
             .and_then(|v| v.trim().parse::<u64>().ok())
             .unwrap_or(DEFAULT_SLOW_QUERY_MS)
             .saturating_mul(1_000_000)
@@ -98,7 +95,7 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             max_batch: 16,
             poll_interval: Duration::from_millis(25),
-            cache_file: std::env::var_os(SRAM_CACHE_FILE_ENV).map(PathBuf::from),
+            cache_file: SRAM_CACHE_FILE_ENV.get_os().map(PathBuf::from),
         }
     }
 }
@@ -151,7 +148,8 @@ impl JobQueue {
             return Err(ServeError::Busy);
         }
         inner.jobs.push_back(job);
-        queue_depth_gauge().set(inner.jobs.len() as f64);
+        // Ungated: `health` reads queue pressure with probes off.
+        probe_handle!(gauge "serve.queue.depth").set(inner.jobs.len() as f64);
         drop(inner);
         self.ready.notify_one();
         Ok(())
@@ -165,7 +163,7 @@ impl JobQueue {
             if !inner.jobs.is_empty() {
                 let n = inner.jobs.len().min(max.max(1));
                 let batch: Vec<Job> = inner.jobs.drain(..n).collect();
-                queue_depth_gauge().set(inner.jobs.len() as f64);
+                probe_handle!(gauge "serve.queue.depth").set(inner.jobs.len() as f64);
                 return Some(batch);
             }
             if !inner.open {
@@ -233,7 +231,7 @@ impl Server {
         // starts here and is joined by `stop`. The capacity gauge is
         // set directly (ungated) — `health` reads queue pressure as
         // depth/capacity and must work with probes off.
-        sram_probe::gauge("serve.queue.capacity").set(config.queue_capacity.max(1) as f64);
+        probe_handle!(gauge "serve.queue.capacity").set(config.queue_capacity.max(1) as f64);
         sram_probe::telemetry::start();
         sram_probe::log::log_event(
             sram_probe::log::LogLevel::Info,
@@ -416,7 +414,7 @@ fn accept_loop(
                     // cluster gets to `kill -9` without owning real
                     // processes. Ungated counter: the soak asserts the
                     // kill count regardless of probe level.
-                    sram_probe::counter("serve.node.injected_kills").inc();
+                    probe_handle!(counter "serve.node.injected_kills").inc();
                     shutdown.store(true, Ordering::SeqCst);
                     drop(stream);
                     return;
@@ -533,18 +531,20 @@ fn serve_line(line: &str, front: &Front) -> Json {
         }
     };
     let scope = sampled.then(sram_probe::trace::Scope::begin);
+    let request_span = probe_handle!(trace "serve.request");
     let root = match (&scope, trace_ctx) {
         (Some(scope), Some(ctx)) => {
             let _adopt = sram_probe::trace::adopt(&scope.context(ctx.parent_span));
-            sram_probe::trace::span_at("serve.request", t_parse)
+            TraceSpan::begin_at(request_span, t_parse)
         }
-        (Some(_), None) => sram_probe::trace::span_at("serve.request", t_parse),
-        (None, _) => sram_probe::trace::TraceSpan::disabled(),
+        (Some(_), None) => TraceSpan::begin_at(request_span, t_parse),
+        (None, _) => TraceSpan::disabled(),
     };
     let root_id = root.id();
     let trace = scope.as_ref().map(|scope| scope.context(root_id));
     if let Some(trace) = &trace {
-        trace.emit_complete("serve.parse", t_parse, sram_probe::trace::now_ns(), &[]);
+        let parse = probe_handle!(trace "serve.parse");
+        trace.emit_complete(parse, t_parse, sram_probe::trace::now_ns(), &[]);
     }
 
     let now = Instant::now();
@@ -568,7 +568,7 @@ fn serve_line(line: &str, front: &Front) -> Json {
             if let Err(e) = front.queue.push(job) {
                 if matches!(e, ServeError::Busy) {
                     // Ungated (health keys off the busy-reject rate).
-                    sram_probe::counter("serve.request.rejected").inc();
+                    probe_handle!(counter "serve.request.rejected").inc();
                 }
                 return error_response(id.as_deref(), &e);
             }
@@ -583,7 +583,7 @@ fn serve_line(line: &str, front: &Front) -> Json {
     sram_probe::probe_record!("serve.request.latency_ns", latency_ns);
     // The telemetry quantile stream and SLO counters bypass the probe
     // level gate: `metrics`/`health` must report with probes off.
-    sram_probe::telemetry::record("serve.request.latency_ns", latency_ns);
+    probe_handle!(quantiles "serve.request.latency_ns").record(latency_ns);
     crate::slo::record(op, latency_ns);
     if let Some(scope) = scope {
         drop(root); // close the root before reading its interval back
@@ -611,7 +611,7 @@ fn serve_line(line: &str, front: &Front) -> Json {
             }
         }
     }
-    if latency_ns >= slow_threshold_ns()
+    if latency_ns >= slow_query_threshold_ns()
         && sram_probe::log::enabled(sram_probe::log::LogLevel::Warn)
     {
         use sram_probe::log::LogValue;
@@ -680,7 +680,7 @@ fn worker_thread(engine: &Engine, queue: &JobQueue, max_batch: usize, shutdown: 
                 // health verdict keys off these counters even with
                 // probes off, and panics are rare enough that the
                 // registry lookup cost is irrelevant.
-                sram_probe::counter("serve.worker.panics").inc();
+                probe_handle!(counter "serve.worker.panics").inc();
                 let stranded: Vec<(Option<String>, mpsc::Sender<Json>)> = {
                     let mut guard = inflight.lock().unwrap_or_else(PoisonError::into_inner);
                     guard.drain(..).collect()
@@ -691,7 +691,7 @@ fn worker_thread(engine: &Engine, queue: &JobQueue, max_batch: usize, shutdown: 
                         &ServeError::Internal("worker panicked while processing request".into()),
                     ));
                 }
-                sram_probe::counter("serve.worker.respawns").inc();
+                probe_handle!(counter "serve.worker.respawns").inc();
                 sram_probe::log::log_event(
                     sram_probe::log::LogLevel::Error,
                     "serve.worker_panic",
@@ -737,7 +737,7 @@ fn worker_loop(
             match job.deadline {
                 Some(deadline) if deadline <= now => {
                     // Ungated (health keys off the expiry rate).
-                    sram_probe::counter("serve.request.expired").inc();
+                    probe_handle!(counter "serve.request.expired").inc();
                     let _ = job.reply.send(error_response(
                         job.request.id.as_deref(),
                         &ServeError::DeadlineExceeded,
@@ -766,7 +766,8 @@ fn worker_loop(
         let t_eval = sram_probe::trace::now_ns();
         for job in &live {
             if let Some(trace) = &job.trace {
-                trace.emit_complete("serve.queue_wait", job.enqueued_ns, t_eval, &[]);
+                let queue_wait = probe_handle!(trace "serve.queue_wait");
+                trace.emit_complete(queue_wait, job.enqueued_ns, t_eval, &[]);
             }
         }
         let requests: Vec<Request> = live.iter().map(|j| j.request.clone()).collect();
@@ -789,7 +790,8 @@ fn worker_loop(
                 job.enqueued.elapsed().as_nanos() as u64
             );
             if let Some(trace) = &job.trace {
-                trace.emit_complete("serve.evaluate", t_eval, t_done, &[("batch", batch)]);
+                let evaluate = probe_handle!(trace "serve.evaluate");
+                trace.emit_complete(evaluate, t_eval, t_done, &[("batch", batch)]);
             }
             let _ = job.reply.send(response);
         }

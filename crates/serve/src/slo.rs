@@ -20,7 +20,7 @@
 use std::sync::OnceLock;
 
 use sram_probe::telemetry::Export;
-use sram_probe::Counter;
+use sram_probe::{env_var, probe_handle, Counter, EnvVar};
 
 /// Default per-request latency objective in milliseconds.
 pub const DEFAULT_SLO_MS: u64 = 250;
@@ -28,83 +28,73 @@ pub const DEFAULT_SLO_MS: u64 = 250;
 /// Target success ratio: 99% of requests inside the objective.
 pub const TARGET_SUCCESS: f64 = 0.99;
 
-/// One op's SLO wiring: wire name, env override, counter names.
-struct OpSlo {
-    op: &'static str,
-    env: &'static str,
-    total: &'static str,
-    breach: &'static str,
-}
-
-/// Every wire op, in registry order. Counter names replace `-` with
-/// `_` to stay inside the probe naming grammar.
-const OPS: &[OpSlo] = &[
-    OpSlo {
-        op: "optimize",
-        env: "SRAM_SLO_OPTIMIZE_MS",
-        total: "serve.slo.optimize.total",
-        breach: "serve.slo.optimize.breach",
-    },
-    OpSlo {
-        op: "evaluate-point",
-        env: "SRAM_SLO_EVALUATE_POINT_MS",
-        total: "serve.slo.evaluate_point.total",
-        breach: "serve.slo.evaluate_point.breach",
-    },
-    OpSlo {
-        op: "pareto-front",
-        env: "SRAM_SLO_PARETO_FRONT_MS",
-        total: "serve.slo.pareto_front.total",
-        breach: "serve.slo.pareto_front.breach",
-    },
-    OpSlo {
-        op: "yield-check",
-        env: "SRAM_SLO_YIELD_CHECK_MS",
-        total: "serve.slo.yield_check.total",
-        breach: "serve.slo.yield_check.breach",
-    },
-    OpSlo {
-        op: "metrics",
-        env: "SRAM_SLO_METRICS_MS",
-        total: "serve.slo.metrics.total",
-        breach: "serve.slo.metrics.breach",
-    },
-    OpSlo {
-        op: "health",
-        env: "SRAM_SLO_HEALTH_MS",
-        total: "serve.slo.health.total",
-        breach: "serve.slo.health.breach",
-    },
-];
-
+/// One op's SLO: wire name, objective, and its two counters.
 struct Resolved {
-    spec: &'static OpSlo,
+    op: &'static str,
+    objective_ms: u64,
     total: &'static Counter,
     breach: &'static Counter,
-    objective_ms: u64,
 }
 
-fn parse_ms(var: &str) -> Option<u64> {
-    std::env::var(var).ok()?.trim().parse::<u64>().ok()
+fn parse_ms(var: EnvVar) -> Option<u64> {
+    var.get()?.trim().parse::<u64>().ok()
 }
 
-/// Counter handles and objectives, resolved once per process (env is
-/// read at first use, like the telemetry window knobs).
+/// Every wire op, in registry order, with its counter handles and
+/// objective, resolved once per process (env is read at first use, like
+/// the telemetry window knobs). Counter names replace `-` with `_` to
+/// stay inside the probe naming grammar.
 fn resolved() -> &'static [Resolved] {
     static TABLE: OnceLock<Vec<Resolved>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let global = parse_ms("SRAM_SLO_MS");
-        OPS.iter()
-            .map(|spec| Resolved {
-                spec,
-                total: sram_probe::counter(spec.total),
-                breach: sram_probe::counter(spec.breach),
-                objective_ms: parse_ms(spec.env)
-                    .or(global)
-                    .unwrap_or(DEFAULT_SLO_MS)
-                    .clamp(1, 3_600_000),
-            })
-            .collect()
+        let global = parse_ms(env_var!("SRAM_SLO_MS"));
+        let op = |op, env, total, breach| Resolved {
+            op,
+            objective_ms: parse_ms(env)
+                .or(global)
+                .unwrap_or(DEFAULT_SLO_MS)
+                .clamp(1, 3_600_000),
+            total,
+            breach,
+        };
+        vec![
+            op(
+                "optimize",
+                env_var!("SRAM_SLO_OPTIMIZE_MS"),
+                probe_handle!(counter "serve.slo.optimize.total"),
+                probe_handle!(counter "serve.slo.optimize.breach"),
+            ),
+            op(
+                "evaluate-point",
+                env_var!("SRAM_SLO_EVALUATE_POINT_MS"),
+                probe_handle!(counter "serve.slo.evaluate_point.total"),
+                probe_handle!(counter "serve.slo.evaluate_point.breach"),
+            ),
+            op(
+                "pareto-front",
+                env_var!("SRAM_SLO_PARETO_FRONT_MS"),
+                probe_handle!(counter "serve.slo.pareto_front.total"),
+                probe_handle!(counter "serve.slo.pareto_front.breach"),
+            ),
+            op(
+                "yield-check",
+                env_var!("SRAM_SLO_YIELD_CHECK_MS"),
+                probe_handle!(counter "serve.slo.yield_check.total"),
+                probe_handle!(counter "serve.slo.yield_check.breach"),
+            ),
+            op(
+                "metrics",
+                env_var!("SRAM_SLO_METRICS_MS"),
+                probe_handle!(counter "serve.slo.metrics.total"),
+                probe_handle!(counter "serve.slo.metrics.breach"),
+            ),
+            op(
+                "health",
+                env_var!("SRAM_SLO_HEALTH_MS"),
+                probe_handle!(counter "serve.slo.health.total"),
+                probe_handle!(counter "serve.slo.health.breach"),
+            ),
+        ]
     })
 }
 
@@ -112,7 +102,7 @@ fn resolved() -> &'static [Resolved] {
 /// (future protocol growth) are ignored rather than miscounted.
 pub fn record(op: &str, latency_ns: u64) {
     for r in resolved() {
-        if r.spec.op == op {
+        if r.op == op {
             r.total.inc();
             if latency_ns > r.objective_ms.saturating_mul(1_000_000) {
                 r.breach.inc();
@@ -167,7 +157,7 @@ pub fn statuses(export: &Export) -> Vec<SloStatus> {
         .iter()
         .filter_map(|r| {
             let (total, breach) = if has_ring {
-                (ring_delta(r.spec.total), ring_delta(r.spec.breach))
+                (ring_delta(r.total.name()), ring_delta(r.breach.name()))
             } else {
                 (r.total.get(), r.breach.get())
             };
@@ -176,12 +166,12 @@ pub fn statuses(export: &Export) -> Vec<SloStatus> {
             }
             let burn_long = burn_rate(breach, total);
             let burn_short = if has_ring {
-                burn_rate(last_delta(r.spec.breach), last_delta(r.spec.total))
+                burn_rate(last_delta(r.breach.name()), last_delta(r.total.name()))
             } else {
                 burn_long
             };
             Some(SloStatus {
-                op: r.spec.op,
+                op: r.op,
                 objective_ms: r.objective_ms,
                 total,
                 breach,
@@ -208,16 +198,10 @@ mod tests {
 
     #[test]
     fn op_table_is_well_formed() {
-        for spec in OPS {
-            assert!(spec.total.starts_with("serve.slo."), "{}", spec.total);
-            assert!(spec.breach.starts_with("serve.slo."), "{}", spec.breach);
-            assert!(!spec.total.contains('-'), "{}", spec.total);
-            assert!(spec.env.starts_with("SRAM_SLO_"), "{}", spec.env);
+        for r in resolved() {
+            let op = r.op.replace('-', "_");
+            assert_eq!(r.total.name(), format!("serve.slo.{op}.total"));
+            assert_eq!(r.breach.name(), format!("serve.slo.{op}.breach"));
         }
-        // Names are unique across the table.
-        let mut names: Vec<&str> = OPS.iter().flat_map(|s| [s.total, s.breach]).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), OPS.len() * 2);
     }
 }

@@ -63,7 +63,11 @@ fn engine() -> Arc<Engine> {
 }
 
 fn counter(name: &'static str) -> u64 {
-    sram_probe::counter(name).get()
+    sram_probe::snapshot()
+        .counters
+        .get(name)
+        .copied()
+        .unwrap_or(0)
 }
 
 fn optimize_line(capacity: u64, id: &str) -> String {

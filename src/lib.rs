@@ -64,3 +64,9 @@ pub use sram_coopt as coopt;
 pub use sram_device as device;
 pub use sram_spice as spice;
 pub use sram_units as units;
+
+/// Source rules the compiler does not check, as tests.
+#[cfg(test)]
+mod rules {
+    mod unit_hygiene;
+}
