@@ -26,8 +26,9 @@
 //!    (written to `$SRAM_TRACE_OUT` when set), and name spans from the
 //!    spice, cell, core, and serve layers in the flame summary. Two overhead
 //!    gates ride on the traced run's wall time: the *disabled*
-//!    `trace_span!` fast path, times the run's span count, must cost
-//!    under [`MAX_DISABLED_OVERHEAD`] of it, and stitching plus
+//!    `trace_span!` fast path, which must record nothing, times the
+//!    run's span count, must cost under [`MAX_DISABLED_OVERHEAD`] of
+//!    it, and stitching plus
 //!    validating one cross-node timeline (a winner and a cancelled
 //!    hedge loser, both carrying the run's span tree) — what every
 //!    traced, sampled router forward pays — under
@@ -67,6 +68,12 @@ pub struct ServeBench {
     /// `serve.batch.cross_coalesced` over the whole run, every phase
     /// and engine included.
     pub run_cross_coalesced: u64,
+    /// `serve.request.total` over the whole run, every phase and engine
+    /// included.
+    pub run_requests: u64,
+    /// `serve.cache.hits` over the whole run, every phase and engine
+    /// included.
+    pub run_cache_hits: u64,
     /// Wall time of the cold (uncached) optimization, nanoseconds.
     pub cold_ns: u128,
     /// Wall time of the repeated (cached) query, nanoseconds.
@@ -332,6 +339,8 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     let mc_samples_before = probe_counter("cell.mc_samples");
     let run_chars_before = probe_counter("serve.batch.characterizations");
     let run_cross_before = probe_counter("serve.batch.cross_coalesced");
+    let run_requests_before = probe_counter("serve.request.total");
+    let run_hits_before = probe_counter("serve.cache.hits");
 
     let engine = Arc::new(engine(threads));
 
@@ -460,6 +469,12 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
         std::hint::black_box(&span);
     }
     let disabled_ns_per_call = started.elapsed().as_nanos() as f64 / DISABLED_SPAN_ITERS as f64;
+    let calibration = |e: &TraceEvent| e.name == "bench.overhead_calibration";
+    if sram_probe::trace::capture().iter().any(calibration) {
+        return Err(ServeError::Remote(
+            "a trace_span! recorded an event with tracing off".into(),
+        ));
+    }
     let (stitch_spans, stitch_ns_per_call) = time_stitching(traced_tree, traced_wall_ns as u64)?;
 
     // Phase 6: a yield-check against the batch engine. Unlike the
@@ -487,6 +502,8 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     let mc_samples = probe_counter("cell.mc_samples") - mc_samples_before;
     let run_characterizations = probe_counter("serve.batch.characterizations") - run_chars_before;
     let run_cross_coalesced = probe_counter("serve.batch.cross_coalesced") - run_cross_before;
+    let run_requests = probe_counter("serve.request.total") - run_requests_before;
+    let run_cache_hits = probe_counter("serve.cache.hits") - run_hits_before;
 
     let counters = engine.cache_counters();
     Ok(ServeBench {
@@ -497,6 +514,8 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
         cross_coalesced,
         run_characterizations,
         run_cross_coalesced,
+        run_requests,
+        run_cache_hits,
         cold_ns,
         warm_ns,
         speedup: cold_ns as f64 / warm_ns as f64,
@@ -665,6 +684,10 @@ mod tests {
         // query and the yield phase's hvt/m2 check, both of which also
         // ride on the first batch's LUT.
         assert_eq!(b.run_cross_coalesced, 4, "cross-batch reuse not counted");
+        // 3 batch + 2 cross-batch queries, the cold, warm and TCP
+        // repeats, the traced run and the yield check.
+        assert_eq!(b.run_requests, 10, "serve.request.total missed a query");
+        assert_eq!(b.run_cache_hits, 2, "the warm and TCP repeats are hits");
         assert_eq!(b.coalesced, b.batch_size as u64 - 1);
         assert_eq!(
             b.cross_coalesced, b.cross_batch_size as u64,

@@ -60,6 +60,14 @@ pub(crate) const SCENARIO: Scenario = Scenario {
             Rhs::Cap("serve.worker_panic"),
         ),
         per_round("internal", Op::Ge, Rhs::Cap("serve.worker_panic")),
+        // A worker counts its respawn only after it has answered the
+        // stranded jobs, so a round's snapshot can miss it; the whole
+        // soak is read after the node has shut down.
+        inv(
+            "serve.worker.respawns",
+            Op::Ge,
+            Rhs::Key("serve.worker.panics"),
+        ),
         per_round("serve.retry.recovered", Op::Eq, Rhs::Num(1.0)),
         per_round("reconnects", Op::Eq, Rhs::Cap("serve.conn_drop")),
         inv("deadline_typed", Op::Eq, Rhs::Num(1.0)),

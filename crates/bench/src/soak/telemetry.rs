@@ -74,6 +74,11 @@ pub(crate) const SCENARIO: Scenario = Scenario {
         inv("quantile_drift", Op::Eq, Rhs::Num(0.0)),
         inv("probe.trace.dropped", Op::Eq, Rhs::Num(0.0)),
         inv("fault_verdict", Op::Ge, Rhs::Num(1.0)),
+        // The soak's two forced samples, at least.
+        inv("telemetry.windows.sampled", Op::Ge, Rhs::Num(2.0)),
+        // The panics the health surface degrades on.
+        inv("serve.worker.panics", Op::Ge, Rhs::Num(1.0)),
+        inv("serve.slo.optimize.total", Op::Ge, Rhs::Num(1.0)),
         // One `health` call after each round.
         inv("serve.health.revision", Op::Ge, Rhs::Num(2.0)),
     ],

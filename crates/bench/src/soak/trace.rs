@@ -93,15 +93,22 @@ pub(crate) const SCENARIO: Scenario = Scenario {
         inv("chrome_pids", Op::Ge, Rhs::Num(2.0)),
         inv("p50_drift", Op::Le, Rhs::Num(MAX_QUANTILE_RELATIVE_ERROR)),
         inv("p99_drift", Op::Le, Rhs::Num(MAX_QUANTILE_RELATIVE_ERROR)),
+        // The router's collector polled the nodes, and the killed node
+        // surfaced as a poll error rather than vanishing.
+        inv("cluster.metrics.polls", Op::Ge, Rhs::Num(1.0)),
+        inv("cluster.metrics.poll_errors", Op::Ge, Rhs::Num(1.0)),
+        // A latency in nanoseconds: set at all means at least 1; the
+        // quantiles rise with their rank.
+        inv("cluster.metrics.merged_p50", Op::Ge, Rhs::Num(1.0)),
         inv(
             "cluster.metrics.merged_p90",
             Op::Ge,
             Rhs::Key("cluster.metrics.merged_p50"),
         ),
         inv(
-            "cluster.metrics.merged_p90",
-            Op::Le,
-            Rhs::Key("cluster.metrics.merged_p99"),
+            "cluster.metrics.merged_p99",
+            Op::Ge,
+            Rhs::Key("cluster.metrics.merged_p90"),
         ),
         inv("nodes_failed", Op::Eq, Rhs::Num(1.0)),
         inv("cluster_verdict", Op::Ge, Rhs::Num(1.0)),

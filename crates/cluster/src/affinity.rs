@@ -45,7 +45,7 @@ pub struct Report {
 
 /// Audits a batch of observations and publishes the totals to the
 /// `cluster.affinity.checked` / `cluster.affinity.violations` counters
-/// (ungated — CI asserts them from the probe snapshot).
+/// (ungated — the cluster soak's invariant rows read them).
 #[must_use]
 pub fn audit(observations: &[Observation]) -> Report {
     let mut owners: BTreeMap<(u64, u64), &str> = BTreeMap::new();

@@ -670,8 +670,8 @@ fn race(
             Err(RecvTimeoutError::Timeout) => {
                 if winner.is_none() && !hedged && spawned < candidates.len() {
                     hedged = true;
-                    // Ungated: CI asserts the hedge fired under the
-                    // soak's injected `cell.slow` latency.
+                    // Ungated: the soaks assert the hedge fired under
+                    // their injected `cell.slow` latency.
                     probe_handle!(counter "cluster.hedge.fired").inc();
                     spawn_attempt(&shared, candidates, spawned, Via::Hedge, None);
                     spawned += 1;

@@ -265,20 +265,12 @@ impl CoOptimizationFramework {
         objective: &(impl Objective + Sync + ?Sized),
     ) -> Result<OptimalDesign, CooptError> {
         self.characterization(flavor, method)?;
-        let cell = &self.cache[&(flavor, method)];
-        Self::optimize_with_cell_inner(
-            cell,
-            &self.periphery,
-            &self.params,
-            &self.space,
-            self.delta(),
-            self.word_bits,
-            self.threads,
+        self.optimize_with_cell(
+            &self.cache[&(flavor, method)],
             capacity,
             flavor,
             method,
             objective,
-            &CancelToken::never(),
         )
     }
 
@@ -335,54 +327,21 @@ impl CoOptimizationFramework {
         objective: &(impl Objective + Sync + ?Sized),
         cancel: &CancelToken,
     ) -> Result<OptimalDesign, CooptError> {
-        Self::optimize_with_cell_inner(
-            cell,
-            &self.periphery,
-            &self.params,
-            &self.space,
-            self.delta(),
-            self.word_bits,
-            self.threads,
-            capacity,
-            flavor,
-            method,
-            objective,
-            cancel,
-        )
-    }
-
-    /// The shared search body behind [`Self::optimize_with`] and
-    /// [`Self::optimize_with_cell`] (free of `self` borrows so the
-    /// cached-characterization path can split its borrow). The design's
-    /// rails are the ones `cell` was characterized at.
-    #[allow(clippy::too_many_arguments)]
-    fn optimize_with_cell_inner(
-        cell: &CellCharacterization,
-        periphery: &Periphery,
-        params: &ArrayParams,
-        space: &DesignSpace,
-        delta: Voltage,
-        word_bits: u32,
-        threads: usize,
-        capacity: Capacity,
-        flavor: VtFlavor,
-        method: Method,
-        objective: &(impl Objective + Sync + ?Sized),
-        cancel: &CancelToken,
-    ) -> Result<OptimalDesign, CooptError> {
         let space = match method {
-            Method::M1 => space.clone().without_negative_gnd(),
-            Method::M2 => space.clone(),
+            Method::M1 => self.space.clone().without_negative_gnd(),
+            Method::M2 => self.space.clone(),
         };
         let search = ExhaustiveSearch::new(
             cell,
-            periphery,
-            params,
+            &self.periphery,
+            &self.params,
             &space,
-            YieldConstraint::MinMargin { delta },
-            word_bits,
+            YieldConstraint::MinMargin {
+                delta: self.delta(),
+            },
+            self.word_bits,
         )
-        .with_threads(threads)
+        .with_threads(self.threads)
         .with_cancel(cancel.clone());
         let outcome = search.run(capacity, objective)?;
 

@@ -1,11 +1,12 @@
 //! Fault plans: which injection points can fire, with what probability,
-//! latency, and cap — plus a dependency-free JSON reader so plans load
-//! from `SRAM_FAULTS=plan.json` without pulling the serve codec down the
-//! dependency graph.
+//! latency, and cap — read from `SRAM_FAULTS=plan.json` with the
+//! workspace's JSON codec ([`sram_probe::json`]).
 
 use std::fmt;
 use std::fs;
 use std::path::Path;
+
+use sram_probe::json::Json;
 
 /// One injection rule: a named point, a firing probability, an optional
 /// injected latency, and an optional hard cap on total fires.
@@ -98,24 +99,23 @@ impl FaultPlan {
     ///
     /// Returns [`FaultError::Parse`] on malformed JSON and
     /// [`FaultError::Invalid`] on a well-formed plan that is semantically
-    /// bad (empty point name, probability outside `[0, 1]`).
+    /// bad (unknown key, wrong value type, empty point name, probability
+    /// outside `[0, 1]`).
     pub fn parse(json: &str) -> Result<Self, FaultError> {
-        let value = Parser::new(json).document()?;
-        let top = value.as_object("plan")?;
+        let value = Json::parse(json).map_err(|e| FaultError::Parse {
+            offset: e.offset,
+            message: e.message,
+        })?;
         let mut plan = FaultPlan::default();
-        for (key, val) in top {
+        for (key, val) in object(&value, "plan")? {
             match key.as_str() {
-                "seed" => plan.seed = val.as_u64("seed")?,
+                "seed" => plan.seed = integer(val, "seed")?,
                 "rules" => {
-                    for entry in val.as_array("rules")? {
+                    for entry in typed(val, Json::as_array, "rules", "array")? {
                         plan.rules.push(rule_from(entry)?);
                     }
                 }
-                other => {
-                    return Err(FaultError::Invalid {
-                        message: format!("unknown plan key `{other}`"),
-                    })
-                }
+                other => return Err(invalid(format!("unknown plan key `{other}`"))),
             }
         }
         plan.validate()?;
@@ -139,45 +139,73 @@ impl FaultPlan {
     fn validate(&self) -> Result<(), FaultError> {
         for rule in &self.rules {
             if rule.point.is_empty() {
-                return Err(FaultError::Invalid {
-                    message: "rule with empty point name".to_string(),
-                });
+                return Err(invalid("rule with empty point name".to_string()));
             }
             if !(0.0..=1.0).contains(&rule.probability) {
-                return Err(FaultError::Invalid {
-                    message: format!(
-                        "rule `{}`: probability {} outside [0, 1]",
-                        rule.point, rule.probability
-                    ),
-                });
+                return Err(invalid(format!(
+                    "rule `{}`: probability {} outside [0, 1]",
+                    rule.point, rule.probability
+                )));
             }
         }
         Ok(())
     }
 }
 
-fn rule_from(value: &Value) -> Result<FaultRule, FaultError> {
-    let fields = value.as_object("rule")?;
+fn rule_from(value: &Json) -> Result<FaultRule, FaultError> {
     let mut rule = FaultRule {
         point: String::new(),
         probability: 1.0,
         latency_ms: 0,
         max_fires: None,
     };
-    for (key, val) in fields {
+    for (key, val) in object(value, "rule")? {
         match key.as_str() {
-            "point" => rule.point = val.as_str("point")?.to_string(),
-            "probability" | "p" => rule.probability = val.as_f64("probability")?,
-            "latency_ms" => rule.latency_ms = val.as_u64("latency_ms")?,
-            "max_fires" => rule.max_fires = Some(val.as_u64("max_fires")?),
-            other => {
-                return Err(FaultError::Invalid {
-                    message: format!("unknown rule key `{other}`"),
-                })
+            "point" => rule.point = typed(val, Json::as_str, "point", "string")?.to_string(),
+            "probability" | "p" => {
+                rule.probability = typed(val, Json::as_f64, "probability", "number")?;
             }
+            "latency_ms" => rule.latency_ms = integer(val, "latency_ms")?,
+            "max_fires" => rule.max_fires = Some(integer(val, "max_fires")?),
+            other => return Err(invalid(format!("unknown rule key `{other}`"))),
         }
     }
     Ok(rule)
+}
+
+fn invalid(message: String) -> FaultError {
+    FaultError::Invalid { message }
+}
+
+/// `value` read by `read`, or [`FaultError::Invalid`] saying that
+/// `what` must be a JSON `kind`.
+fn typed<'a, T>(
+    value: &'a Json,
+    read: impl Fn(&'a Json) -> Option<T>,
+    what: &str,
+    kind: &str,
+) -> Result<T, FaultError> {
+    read(value).ok_or_else(|| invalid(format!("{what} must be a JSON {kind}")))
+}
+
+fn object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], FaultError> {
+    match value {
+        Json::Obj(fields) => Ok(fields),
+        _ => Err(invalid(format!("{what} must be a JSON object"))),
+    }
+}
+
+/// A non-negative integral number up to `u64::MAX`. Seeds use the full
+/// `u64` range, so this does not stop at 2^53 as [`Json::as_u64`] does.
+fn integer(value: &Json, what: &str) -> Result<u64, FaultError> {
+    let n = typed(value, Json::as_f64, what, "number")?;
+    if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
+        Ok(n as u64)
+    } else {
+        Err(invalid(format!(
+            "{what} must be a non-negative integer, got {n}"
+        )))
+    }
 }
 
 /// Errors loading or validating a fault plan.
@@ -191,7 +219,7 @@ pub enum FaultError {
         /// Underlying I/O error text.
         message: String,
     },
-    /// The plan text is not well-formed JSON (of the subset we accept).
+    /// The plan text is not well-formed JSON.
     Parse {
         /// Byte offset of the failure.
         offset: usize,
@@ -218,212 +246,6 @@ impl fmt::Display for FaultError {
 }
 
 impl std::error::Error for FaultError {}
-
-/// Minimal JSON value tree — just enough for fault plans. The serve crate
-/// has a full codec, but it sits *above* this crate in the dependency
-/// graph, so plans get their own ~150-line reader.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn as_object(&self, what: &str) -> Result<&[(String, Value)], FaultError> {
-        match self {
-            Self::Obj(fields) => Ok(fields),
-            _ => Err(FaultError::Invalid {
-                message: format!("{what} must be a JSON object"),
-            }),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Value], FaultError> {
-        match self {
-            Self::Arr(items) => Ok(items),
-            _ => Err(FaultError::Invalid {
-                message: format!("{what} must be a JSON array"),
-            }),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, FaultError> {
-        match self {
-            Self::Str(s) => Ok(s),
-            _ => Err(FaultError::Invalid {
-                message: format!("{what} must be a JSON string"),
-            }),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, FaultError> {
-        match self {
-            Self::Num(n) => Ok(*n),
-            _ => Err(FaultError::Invalid {
-                message: format!("{what} must be a JSON number"),
-            }),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, FaultError> {
-        let n = self.as_f64(what)?;
-        if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
-            Ok(n as u64)
-        } else {
-            Err(FaultError::Invalid {
-                message: format!("{what} must be a non-negative integer, got {n}"),
-            })
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn document(&mut self) -> Result<Value, FaultError> {
-        let value = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing content after document"));
-        }
-        Ok(value)
-    }
-
-    fn err(&self, message: &str) -> FaultError {
-        FaultError::Parse {
-            offset: self.pos,
-            message: message.to_string(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, byte: u8) -> Result<(), FaultError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", byte as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, FaultError> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, FaultError> {
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect_byte(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, FaultError> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, FaultError> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return Err(self.err("expected string"));
-        }
-        self.pos += 1;
-        let start = self.pos;
-        while let Some(&c) = self.bytes.get(self.pos) {
-            if c == b'\\' {
-                return Err(self.err("escapes are not supported in plan strings"));
-            }
-            if c == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<Value, FaultError> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -480,6 +302,50 @@ mod tests {
             FaultPlan::parse("[1, 2]").is_err(),
             "top level must be an object"
         );
+    }
+
+    #[test]
+    fn plan_strings_take_json_escapes() {
+        let plan = FaultPlan::parse(r#"{"rules": [{"point": "spice\u002enonconverge"}]}"#)
+            .expect("an escaped point name parses");
+        assert_eq!(plan.rules[0].point, "spice.nonconverge");
+    }
+
+    #[test]
+    fn a_truncated_plan_fails_at_the_codecs_offset() {
+        let text = r#"{"seed": 1, "rules": [{"point": "cell.slow""#;
+        let codec = Json::parse(text).unwrap_err();
+        assert_eq!(
+            FaultPlan::parse(text).unwrap_err(),
+            FaultError::Parse {
+                offset: codec.offset,
+                message: codec.message,
+            }
+        );
+    }
+
+    #[test]
+    fn literals_are_invalid_values_not_parse_errors() {
+        for text in [
+            r#"{"seed": null}"#,
+            r#"{"seed": true}"#,
+            r#"{"rules": [{"point": "x", "p": false}]}"#,
+        ] {
+            let err = FaultPlan::parse(text).unwrap_err();
+            assert!(matches!(err, FaultError::Invalid { .. }), "{text}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn seeds_above_two_to_the_53_keep_their_value() {
+        let plan =
+            FaultPlan::parse(r#"{"seed": 1152921504606846976}"#).expect("a 2^60 seed parses");
+        assert_eq!(plan.seed, 1 << 60);
+        let top =
+            FaultPlan::parse(r#"{"seed": 18446744073709549568}"#).expect("2^64 - 2048 parses");
+        assert_eq!(top.seed, u64::MAX - 2047);
+        let err = FaultPlan::parse(r#"{"seed": 1.5}"#).unwrap_err();
+        assert!(matches!(err, FaultError::Invalid { .. }), "{err:?}");
     }
 
     #[test]

@@ -88,8 +88,8 @@ impl Owner {
 /// Where a probe's value is asserted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// A repository file (a test, a soak table, a CI step) whose text
-    /// contains the quoted name.
+    /// A repository file (a test, a soak table) whose text quotes the
+    /// name outside a recording macro.
     At(&'static str),
     /// Nothing asserts the value yet, and why.
     Unchecked(&'static str),
@@ -172,8 +172,8 @@ pub const PROBES: &[ProbeRow] = &[
     row("cluster.metrics.merged_p50", Gauge, Cluster, At("crates/bench/src/soak/trace.rs")),
     row("cluster.metrics.merged_p90", Gauge, Cluster, At("crates/bench/src/soak/trace.rs")),
     row("cluster.metrics.merged_p99", Gauge, Cluster, At("crates/bench/src/soak/trace.rs")),
-    row("cluster.metrics.poll_errors", Counter, Cluster, At(".github/workflows/ci.yml")),
-    row("cluster.metrics.polls", Counter, Cluster, At(".github/workflows/ci.yml")),
+    row("cluster.metrics.poll_errors", Counter, Cluster, At("crates/bench/src/soak/trace.rs")),
+    row("cluster.metrics.polls", Counter, Cluster, At("crates/bench/src/soak/trace.rs")),
     row("cluster.node.drained", Counter, Cluster, OBSERVABILITY_ONLY),
     row("cluster.node.evicted", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
     row("cluster.node.rejoined", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
@@ -207,7 +207,7 @@ pub const PROBES: &[ProbeRow] = &[
     row("serve.batch.size", Histogram, Serve, OBSERVABILITY_ONLY),
     row("serve.cache.bytes", Gauge, Serve, OBSERVABILITY_ONLY),
     row("serve.cache.evictions", Counter, Serve, OBSERVABILITY_ONLY),
-    row("serve.cache.hits", Counter, Serve, At(".github/workflows/ci.yml")),
+    row("serve.cache.hits", Counter, Serve, At("crates/bench/src/serve.rs")),
     row("serve.cache.insertions", Counter, Serve, At("crates/bench/src/soak/mod.rs")),
     row("serve.cache.load_errors", Counter, Serve, OBSERVABILITY_ONLY),
     row("serve.cache.load_failed", Counter, Serve, OBSERVABILITY_ONLY),
@@ -237,7 +237,7 @@ pub const PROBES: &[ProbeRow] = &[
     row("serve.request.parse_errors", Counter, Serve, OBSERVABILITY_ONLY),
     row("serve.request.queue_wait_ns", Histogram, Serve, At("crates/bench/src/soak/mod.rs")),
     row("serve.request.rejected", Counter, Serve, At("crates/serve/tests/faults_e2e.rs")),
-    row("serve.request.total", Counter, Serve, At("crates/probe/src/telemetry.rs")),
+    row("serve.request.total", Counter, Serve, At("crates/bench/src/serve.rs")),
     row("serve.retry.attempts", Counter, Serve, At("crates/serve/tests/faults_e2e.rs")),
     row("serve.retry.recovered", Counter, Serve, At("crates/serve/tests/faults_e2e.rs")),
     row("serve.slo.evaluate_point.breach", Counter, Serve, SLO_HEALTH),
@@ -247,7 +247,7 @@ pub const PROBES: &[ProbeRow] = &[
     row("serve.slo.metrics.breach", Counter, Serve, SLO_HEALTH),
     row("serve.slo.metrics.total", Counter, Serve, SLO_HEALTH),
     row("serve.slo.optimize.breach", Counter, Serve, SLO_HEALTH),
-    row("serve.slo.optimize.total", Counter, Serve, At(".github/workflows/ci.yml")),
+    row("serve.slo.optimize.total", Counter, Serve, At("crates/bench/src/soak/telemetry.rs")),
     row("serve.slo.pareto_front.breach", Counter, Serve, SLO_HEALTH),
     row("serve.slo.pareto_front.total", Counter, Serve, SLO_HEALTH),
     row("serve.slo.yield_check.breach", Counter, Serve, SLO_HEALTH),
@@ -257,17 +257,17 @@ pub const PROBES: &[ProbeRow] = &[
     row("spice.dc_nonconvergent", Counter, Spice, OBSERVABILITY_ONLY),
     row("spice.dc_solve", Trace, Spice, At("crates/bench/src/serve.rs")),
     row("spice.dc_solve_ns", Histogram, Spice, OBSERVABILITY_ONLY),
-    row("spice.dc_solves", Counter, Spice, At(".github/workflows/ci.yml")),
+    row("spice.dc_solves", Counter, Spice, At("crates/bench/tests/reproduce_cli.rs")),
     row("spice.dc_sweep", Trace, Spice, At("crates/bench/src/serve.rs")),
     row("spice.lu_factorizations", Counter, Spice, OBSERVABILITY_ONLY),
-    row("spice.newton_iterations", Counter, Spice, At(".github/workflows/ci.yml")),
+    row("spice.newton_iterations", Counter, Spice, At("crates/bench/tests/reproduce_cli.rs")),
     row("spice.newton_iters_per_solve", Histogram, Spice, OBSERVABILITY_ONLY),
     row("spice.transient", Trace, Spice, At("crates/bench/src/serve.rs")),
     row("spice.transient_ns", Histogram, Spice, OBSERVABILITY_ONLY),
     row("spice.transient_rejected_steps", Counter, Spice, OBSERVABILITY_ONLY),
     row("spice.transient_runs", Counter, Spice, OBSERVABILITY_ONLY),
     row("spice.transient_steps", Counter, Spice, OBSERVABILITY_ONLY),
-    row("telemetry.windows.sampled", Counter, Probe, At(".github/workflows/ci.yml")),
+    row("telemetry.windows.sampled", Counter, Probe, At("crates/bench/src/soak/telemetry.rs")),
 ];
 
 /// Every `SRAM_*` environment variable the workspace reads, sorted by

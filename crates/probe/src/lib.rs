@@ -60,7 +60,10 @@
 //! [rendered](Snapshot::render_table) as an aligned table, or
 //! [exported](Snapshot::to_json) as JSON (hand-rolled serializer —
 //! this workspace links no serialization ecosystem). [`reset`] zeroes
-//! every registered metric in place.
+//! every registered metric in place. The [`json`] module is the
+//! workspace's JSON codec: the value type the serve wire protocol and
+//! fault plans parse with, and the string escaper every JSON writer in
+//! this crate uses.
 //!
 //! # Tracing
 //!
@@ -105,6 +108,7 @@
 
 pub mod catalogue;
 pub mod hash;
+pub mod json;
 mod level;
 pub mod log;
 mod metrics;

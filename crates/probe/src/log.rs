@@ -27,6 +27,8 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Mutex, Once, PoisonError};
 use std::time::SystemTime;
 
+use crate::json::escape_into;
+
 /// Event severity, ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
@@ -171,22 +173,6 @@ pub fn min_level() -> LogLevel {
 pub fn enabled(level: LogLevel) -> bool {
     init_from_env();
     ACTIVE.load(Ordering::Relaxed) && level >= min_level()
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 fn render_line(level: LogLevel, event: &str, fields: &[(&str, LogValue)]) -> String {

@@ -1,7 +1,7 @@
 //! The catalogue and what stands beside it agree: PROBES.md is the
 //! catalogue's rendering, every row is recorded in its owner's source,
-//! every `At` site quotes its name, and a site records only catalogued
-//! names, as their rows' kinds.
+//! every `At` site quotes its name outside a recording macro, and a site
+//! records only catalogued names, as their rows' kinds.
 
 use super::{layout, rejection, sources, workspace_root};
 use crate::catalogue::{ProbeRow, Site, ENV_VARS, PROBES};
@@ -50,16 +50,32 @@ fn probes_md_finding(on_disk: Option<&str>) -> Option<String> {
     })
 }
 
-/// The rows whose `At` site does not quote their name; `text` reads a
-/// site, `None` when it does not exist. A name the site mentions without
-/// quotes (in prose, in a comment) asserts nothing.
+/// The macros that record a probe. A name quoted as one's argument is
+/// a recording, not an assertion; `probe_handle!` is not among them,
+/// since tests read values through it.
+const RECORDING: &[&str] = &[
+    "probe_inc!(",
+    "probe_add!(",
+    "probe_gauge!(",
+    "probe_record!(",
+    "probe_span!(",
+    "trace_span!(",
+];
+
+/// The rows whose `At` site does not quote their name outside a
+/// recording macro; `text` reads a site, `None` when it does not exist.
+/// A name the site mentions without quotes (in prose, in a comment)
+/// asserts nothing, and neither does the site's own recording of it.
 fn unasserted(rows: &[ProbeRow], text: impl Fn(&str) -> Option<String>) -> Vec<&str> {
-    let quotes = |text: &str, name: &str| {
-        text.contains(&format!("\"{name}\"")) || text.contains(&format!("'{name}'"))
+    let asserts = |text: &str, name: &str| {
+        text.match_indices(&format!("\"{name}\"")).any(|(at, _)| {
+            let before = text[..at].trim_end();
+            !RECORDING.iter().any(|call| before.ends_with(call))
+        })
     };
     rows.iter()
         .filter(|row| match row.site {
-            Site::At(path) => !text(path).is_some_and(|text| quotes(&text, row.name)),
+            Site::At(path) => !text(path).is_some_and(|text| asserts(&text, row.name)),
             Site::Unchecked(_) => false,
         })
         .map(|row| row.name)
@@ -115,8 +131,24 @@ mod tests {
         let found = unasserted(PROBES, |path| std::fs::read_to_string(root.join(path)).ok());
         assert!(
             found.is_empty(),
-            "assertion sites that never quote: {found:?}"
+            "assertion sites that never quote their name outside a recording macro: {found:?}"
         );
+    }
+
+    #[test]
+    fn a_site_that_only_records_the_name_asserts_nothing() {
+        let rows = [row("x", Kind::Trace, Owner::Bench, Site::At("t.rs"))];
+        for site in [
+            "trace_span!(\"x\")",
+            "sram_probe::trace_span!(\n    \"x\"\n)",
+        ] {
+            assert_eq!(unasserted(&rows, |_| Some(site.into())), ["x"], "{site}");
+        }
+        let also_reads =
+            |_: &str| Some("sram_probe::probe_inc!(\"x\");\nassert_eq!(c(\"x\"), 1);".into());
+        assert!(unasserted(&rows, also_reads).is_empty());
+        let reads_a_handle = |_: &str| Some("probe_handle!(counter \"x\").get()".into());
+        assert!(unasserted(&rows, reads_a_handle).is_empty());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::escape_into;
 use crate::metrics::BUCKETS;
 use crate::registry::{self, Handle};
 
@@ -236,9 +237,9 @@ fn write_entries<'s, V: 's>(
 ) {
     let n = entries.len();
     for (i, (name, value)) in entries.enumerate() {
-        out.push_str("\n    ");
-        write_json_string(out, name);
-        out.push_str(": ");
+        out.push_str("\n    \"");
+        escape_into(out, name);
+        out.push_str("\": ");
         write_value(out, value);
         if i + 1 < n {
             out.push(',');
@@ -246,24 +247,6 @@ fn write_entries<'s, V: 's>(
             out.push_str("\n  ");
         }
     }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn write_json_f64(out: &mut String, value: f64) {

@@ -53,6 +53,7 @@ use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::hash::splitmix64;
+use crate::json::escape_into;
 use crate::snapshot::format_nanos;
 
 /// Maximum `(key, value)` argument pairs one event can carry.
@@ -1085,21 +1086,21 @@ pub fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> Stri
         first = false;
         let _ = write!(
             out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(label),
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\""
         );
+        escape_into(&mut out, label);
+        out.push_str("\"}}");
         for event in *events {
-            out.push(',');
             let (ph, tid) = match event.phase {
                 Phase::Begin => ("B", event.tid),
                 Phase::End => ("E", event.tid),
                 Phase::Complete => ("X", event.tid + COMPLETE_LANE_OFFSET),
             };
+            out.push_str(",{\"name\":\"");
+            escape_into(&mut out, event.name);
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"sram\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3}",
-                escape(event.name),
+                "\",\"cat\":\"sram\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3}",
                 event.t_ns as f64 / 1e3,
             );
             if event.phase == Phase::Complete {
@@ -1114,13 +1115,10 @@ pub fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> Stri
                 }
             }
             for (key, value) in &event.args {
-                if !wrote_args {
-                    out.push_str(",\"args\":{");
-                    wrote_args = true;
-                    let _ = write!(out, "\"{}\":{value}", escape(key));
-                } else {
-                    let _ = write!(out, ",\"{}\":{value}", escape(key));
-                }
+                out.push_str(if wrote_args { ",\"" } else { ",\"args\":{\"" });
+                wrote_args = true;
+                escape_into(&mut out, key);
+                let _ = write!(out, "\":{value}");
             }
             if wrote_args {
                 out.push('}');
@@ -1129,21 +1127,6 @@ pub fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> Stri
         }
     }
     out.push_str("]}");
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -1861,5 +1844,20 @@ mod tests {
         // The single-source path still pins everything to pid 1.
         let solo = chrome_trace_json(&events);
         assert!(!solo.contains("\"pid\":2"), "{solo}");
+    }
+
+    #[test]
+    fn chrome_export_labels_parse_back_through_the_codec() {
+        use crate::json::Json;
+        let label = "node \"a\"\nsecond line";
+        let export = chrome_trace_json_labeled(&[(3, label, &[])]);
+        let parsed = Json::parse(&export).unwrap_or_else(|e| panic!("{e}: {export}"));
+        let events = parsed.get("traceEvents").and_then(Json::as_array);
+        let name = events
+            .and_then(|events| events.first())
+            .and_then(|meta| meta.get("args"))
+            .and_then(|args| args.get("name"))
+            .and_then(Json::as_str);
+        assert_eq!(name, Some(label), "{export}");
     }
 }

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::json::Json;
+use crate::Json;
 
 /// Cache sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,8 +7,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
-use crate::json::Json;
 use crate::query::Request;
+use crate::Json;
 
 /// One connection speaking the request/response line protocol.
 pub struct Client {

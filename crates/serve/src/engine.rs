@@ -30,8 +30,8 @@ use sram_faults::CancelToken;
 
 use crate::cache::{CacheConfig, CacheCounters, ResultCache};
 use crate::error::{wire_status, ServeError};
-use crate::json::Json;
 use crate::query::{Query, Request};
+use crate::Json;
 use sram_array::{ArrayModel, ArrayOrganization, Capacity};
 use sram_cell::{CellCharacterization, MarginStats, YieldAnalysis};
 use sram_coopt::{

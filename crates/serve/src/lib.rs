@@ -91,7 +91,6 @@ mod cache;
 mod client;
 mod engine;
 mod error;
-mod json;
 mod query;
 mod server;
 pub mod slo;
@@ -100,10 +99,10 @@ pub use cache::{CacheConfig, CacheCounters, ResultCache};
 pub use client::{Client, NodeConn};
 pub use engine::{design_json, error_response, ok_response, Engine};
 pub use error::{wire_status, ServeError};
-pub use json::{Json, JsonError};
 pub use query::{
     ObjectiveKind, Query, Request, MAX_CAPACITY_BYTES, MAX_DEADLINE_MS, MAX_YIELD_SAMPLES,
 };
 pub use server::{
     slow_query_threshold_ns, spawn_local_node, Server, ServerConfig, SRAM_CACHE_FILE_ENV,
 };
+pub use sram_probe::json::{Json, JsonError};

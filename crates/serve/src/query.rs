@@ -17,7 +17,7 @@
 //! *canonical* rendering of the parsed query, never from the raw line.
 
 use crate::error::ServeError;
-use crate::json::Json;
+use crate::Json;
 use sram_coopt::{
     DelayOnly, EnergyDelayProduct, EnergyDelaySquared, EnergyOnly, Method, Objective,
 };

@@ -36,8 +36,8 @@ use sram_probe::trace::TraceSpan;
 
 use crate::engine::{error_response, Engine};
 use crate::error::ServeError;
-use crate::json::Json;
 use crate::query::Request;
+use crate::Json;
 
 /// Environment variable naming the cache spill file ([`ServerConfig`]
 /// default). When set, the server warm-starts its result cache from the
