@@ -160,24 +160,6 @@ fn request(line: &str) -> Result<Request, ServeError> {
     Request::from_line(line)
 }
 
-/// Reads a global probe counter registered by another crate (the
-/// bench asserts cell-layer metrics it does not own).
-fn probe_counter(name: &str) -> u64 {
-    sram_probe::snapshot()
-        .counters
-        .get(name)
-        .copied()
-        .unwrap_or(0)
-}
-
-/// Sample count of a global probe histogram registered elsewhere.
-fn probe_histogram_count(name: &str) -> u64 {
-    sram_probe::snapshot()
-        .histograms
-        .get(name)
-        .map_or(0, |h| h.count)
-}
-
 fn result_payload(response: &Json) -> Option<String> {
     response.get("result").map(Json::render)
 }
@@ -333,14 +315,9 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     if !sram_probe::enabled(sram_probe::Level::Summary) {
         sram_probe::set_level(sram_probe::Level::Summary);
     }
-    let cell_chars_before = probe_counter("cell.characterizations");
-    let cell_char_ns_before = probe_histogram_count("cell.characterize_ns");
-    let mc_runs_before = probe_counter("cell.mc_runs");
-    let mc_samples_before = probe_counter("cell.mc_samples");
-    let run_chars_before = probe_counter("serve.batch.characterizations");
-    let run_cross_before = probe_counter("serve.batch.cross_coalesced");
-    let run_requests_before = probe_counter("serve.request.total");
-    let run_hits_before = probe_counter("serve.cache.hits");
+    // The whole-run deltas below come from this snapshot and one more
+    // at the end; the bench asserts metrics of crates it does not own.
+    let before = sram_probe::snapshot();
 
     let engine = Arc::new(engine(threads));
 
@@ -495,15 +472,19 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
             yielded.render()
         )));
     }
-    let cell_characterizations = probe_counter("cell.characterizations") - cell_chars_before;
-    let cell_characterize_ns_samples =
-        probe_histogram_count("cell.characterize_ns") - cell_char_ns_before;
-    let mc_runs = probe_counter("cell.mc_runs") - mc_runs_before;
-    let mc_samples = probe_counter("cell.mc_samples") - mc_samples_before;
-    let run_characterizations = probe_counter("serve.batch.characterizations") - run_chars_before;
-    let run_cross_coalesced = probe_counter("serve.batch.cross_coalesced") - run_cross_before;
-    let run_requests = probe_counter("serve.request.total") - run_requests_before;
-    let run_cache_hits = probe_counter("serve.cache.hits") - run_hits_before;
+    let run = sram_probe::snapshot().diff(&before);
+    let counter = |name: &str| run.counters.get(name).copied().unwrap_or(0);
+    let cell_characterizations = counter("cell.characterizations");
+    let cell_characterize_ns_samples = run
+        .histograms
+        .get("cell.characterize_ns")
+        .map_or(0, |h| h.count);
+    let mc_runs = counter("cell.mc_runs");
+    let mc_samples = counter("cell.mc_samples");
+    let run_characterizations = counter("serve.batch.characterizations");
+    let run_cross_coalesced = counter("serve.batch.cross_coalesced");
+    let run_requests = counter("serve.request.total");
+    let run_cache_hits = counter("serve.cache.hits");
 
     let counters = engine.cache_counters();
     Ok(ServeBench {

@@ -811,8 +811,10 @@ pub(crate) fn report(s: &Scenario, o: &Outcome) -> Result<String, String> {
 }
 
 /// An outcome in which every row of `s` holds, derived from the table
-/// itself: one faulted round, and each broken row's key set to its
-/// bound (a missing bound key reads 0) until nothing is broken.
+/// itself: one faulted round, and passes over the rows until none is
+/// broken, each broken row's key set to its bound (a missing bound key
+/// reads 0) — except that a broken `<=`/`<` row with a key bound raises
+/// that key, so every step raises a value and the passes converge.
 #[cfg(test)]
 pub(crate) fn healthy(s: &Scenario) -> Outcome {
     let faulted = Values::from([("fault_rounds", 1.0)]);
@@ -821,7 +823,9 @@ pub(crate) fn healthy(s: &Scenario) -> Outcome {
         soak: faulted,
         notes: Vec::new(),
     };
-    for _ in 0..3 {
+    let mut broken = Vec::new();
+    for _ in 0..32 {
+        broken.clear();
         for row in s.checks() {
             let values = if row.each_round {
                 &mut o.rounds[0]
@@ -831,12 +835,23 @@ pub(crate) fn healthy(s: &Scenario) -> Outcome {
             for key in row.rhs.keys() {
                 values.entry(key).or_insert(0.0);
             }
-            if let (_, Some(bound), false) = s.eval(&row, values) {
-                values.insert(row.key, bound - flag(row.op == Op::Lt));
-            }
+            let (value, Some(bound), false) = s.eval(&row, values) else {
+                continue;
+            };
+            broken.push(row.key);
+            let strict = flag(row.op == Op::Lt);
+            match (row.rhs, value) {
+                (Rhs::Key(key), Some(v)) if matches!(row.op, Op::Le | Op::Lt) => {
+                    values.insert(key, v + strict)
+                }
+                _ => values.insert(row.key, bound - strict),
+            };
+        }
+        if broken.is_empty() {
+            return o;
         }
     }
-    o
+    panic!("{}: rows still broken after 32 passes: {broken:?}", s.title);
 }
 
 /// Asserts that the healthy outcome passes and names every row, and
@@ -914,6 +929,22 @@ mod tests {
         for s in SCENARIOS {
             assert_every_row_is_enforced(s);
         }
+    }
+
+    #[test]
+    fn healthy_converges_when_a_later_row_raises_a_bound_key() {
+        // `merged_p50 >= 1` raises p50 after the first row set p90 to
+        // it; fixing the second row by lowering p90 would undo the first.
+        const ROWS: &[Invariant] = &[
+            inv("merged_p90", Op::Ge, Rhs::Key("merged_p50")),
+            inv("merged_p90", Op::Le, Rhs::Key("merged_p99")),
+            inv("merged_p50", Op::Ge, Rhs::Num(1.0)),
+        ];
+        let s = Scenario {
+            invariants: ROWS,
+            ..chaos::SCENARIO
+        };
+        report(&s, &healthy(&s)).unwrap_or_else(|e| panic!("healthy outcome fails: {e}"));
     }
 
     #[test]

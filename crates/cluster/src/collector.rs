@@ -226,20 +226,16 @@ pub fn cluster_metrics_json(sweep: &ClusterMetrics, id: Option<&str>) -> Json {
             shards.push((node.clone(), Json::Obj(pairs)));
         }
     }
-    let mut pairs = vec![
-        ("status".to_owned(), Json::Str("ok".into())),
-        ("op".to_owned(), Json::Str("cluster-metrics".into())),
-    ];
-    if let Some(id) = id {
-        pairs.push(("id".to_owned(), Json::Str(id.into())));
-    }
-    pairs.extend([
-        ("nodes".to_owned(), Json::Obj(nodes)),
-        ("merged".to_owned(), Json::Obj(merged)),
-        ("shards".to_owned(), Json::Obj(shards)),
-        ("slo".to_owned(), slo_json(sweep)),
-    ]);
-    Json::Obj(pairs)
+    crate::own_reply(
+        "cluster-metrics",
+        id,
+        [
+            ("nodes".to_owned(), Json::Obj(nodes)),
+            ("merged".to_owned(), Json::Obj(merged)),
+            ("shards".to_owned(), Json::Obj(shards)),
+            ("slo".to_owned(), slo_json(sweep)),
+        ],
+    )
 }
 
 /// The `cluster-health` reply: a verdict over the merged SLO burn plus
@@ -276,24 +272,20 @@ pub fn cluster_health_json(sweep: &ClusterMetrics, id: Option<&str>) -> Json {
             ));
         }
     }
-    let mut pairs = vec![
-        ("status".to_owned(), Json::Str("ok".into())),
-        ("op".to_owned(), Json::Str("cluster-health".into())),
-    ];
-    if let Some(id) = id {
-        pairs.push(("id".to_owned(), Json::Str(id.into())));
-    }
-    pairs.extend([
-        ("verdict".to_owned(), Json::Str(verdict.into())),
-        (
-            "reasons".to_owned(),
-            Json::Arr(reasons.into_iter().map(Json::Str).collect()),
-        ),
-        ("nodes_polled".to_owned(), Json::Num(polled as f64)),
-        ("nodes_failed".to_owned(), Json::Num(failed as f64)),
-        ("slo".to_owned(), slo_json(sweep)),
-    ]);
-    Json::Obj(pairs)
+    crate::own_reply(
+        "cluster-health",
+        id,
+        [
+            ("verdict".to_owned(), Json::Str(verdict.into())),
+            (
+                "reasons".to_owned(),
+                Json::Arr(reasons.into_iter().map(Json::Str).collect()),
+            ),
+            ("nodes_polled".to_owned(), Json::Num(polled as f64)),
+            ("nodes_failed".to_owned(), Json::Num(failed as f64)),
+            ("slo".to_owned(), slo_json(sweep)),
+        ],
+    )
 }
 
 #[cfg(test)]

@@ -73,6 +73,8 @@ pub use ring::{Ring, DEFAULT_VNODES};
 pub use router::{Router, RouterConfig};
 pub use sram_probe::hash::splitmix64;
 
+use sram_serve::Json;
+
 /// Comma-separated backend node addresses for a router launched from
 /// the environment ([`RouterConfig::from_env`]).
 pub const SRAM_CLUSTER_NODES_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CLUSTER_NODES");
@@ -89,3 +91,17 @@ pub const SRAM_CLUSTER_HEDGE_MS_ENV: sram_probe::EnvVar =
 
 /// Virtual nodes per ring member; default 64.
 pub const SRAM_CLUSTER_VNODES_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CLUSTER_VNODES");
+
+/// A reply the router answers itself: `status` ok, the `op`, the
+/// request's `id` when it had one, then `body`.
+pub(crate) fn own_reply(
+    op: &str,
+    id: Option<&str>,
+    body: impl IntoIterator<Item = (String, Json)>,
+) -> Json {
+    let head = [("status", Some("ok")), ("op", Some(op)), ("id", id)];
+    let head = head
+        .into_iter()
+        .filter_map(|(key, value)| Some((key.to_owned(), Json::Str(value?.into()))));
+    Json::Obj(head.chain(body).collect())
+}

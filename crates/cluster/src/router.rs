@@ -42,7 +42,7 @@
 //! ([`crate::stitch`]) that replaces the winner's node-local tree in
 //! the reply.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -50,8 +50,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sram_faults::CancelToken;
+use sram_probe::log::LogValue;
 use sram_probe::probe_handle;
 use sram_probe::trace::TraceCtx;
+use sram_serve::front::{self, Front, Service, Serving};
 use sram_serve::{error_response, Json, Request, ServeError};
 
 use crate::collector;
@@ -147,7 +149,7 @@ struct HedgeState {
     delay: Duration,
 }
 
-/// State shared by the acceptor, connection threads, and poller.
+/// State shared by the connection threads and the poller.
 struct RouterInner {
     config: RouterConfig,
     membership: Mutex<Membership>,
@@ -176,14 +178,12 @@ impl Via {
 /// A running router; [`Router::shutdown`] (or drop) stops it.
 pub struct Router {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    front: Serving,
     poller: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Router {
-    /// Binds the front door and starts the acceptor and health poller.
+    /// Binds the front door and starts the health poller and acceptor.
     ///
     /// # Errors
     ///
@@ -195,9 +195,8 @@ impl Router {
                 "router config names no backend nodes".into(),
             ));
         }
-        let listener = bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let front = Front::bind(&config.addr)?;
+        let addr = front.local_addr();
 
         sram_probe::telemetry::start();
         let inner = Arc::new(RouterInner {
@@ -210,7 +209,6 @@ impl Router {
             config,
         });
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         #[expect(
             clippy::disallowed_methods,
@@ -229,25 +227,11 @@ impl Router {
                 );
             })
         };
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the acceptor exits on `stop` and is joined first by `halt` (shutdown or drop)"
-        )]
-        let acceptor = {
-            let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || {
-                accept_loop(&listener, &inner, &stop, &conns);
-            })
-        };
 
         Ok(Self {
             addr,
-            stop,
-            acceptor: Some(acceptor),
+            front: front.serve(stop, Routing(inner)),
             poller: Some(poller),
-            conns,
         })
     }
 
@@ -264,17 +248,7 @@ impl Router {
     }
 
     fn halt(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
-            conns.drain(..).collect()
-        };
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.front.stop();
         if let Some(poller) = self.poller.take() {
             let _ = poller.join();
         }
@@ -284,101 +258,24 @@ impl Router {
 
 impl Drop for Router {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || self.poller.is_some() {
+        if self.poller.is_some() {
             self.halt();
         }
     }
 }
 
-fn bind(addr: &str) -> Result<TcpListener, ServeError> {
-    let mut last: Option<std::io::Error> = None;
-    for candidate in addr.to_socket_addrs()? {
-        match TcpListener::bind(candidate) {
-            Ok(listener) => return Ok(listener),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(ServeError::Io(last.unwrap_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "address resolved to nothing",
-        )
-    })))
-}
+/// The router's [`Service`]: every line is routed by [`handle_line`].
+struct Routing(Arc<RouterInner>);
 
-fn accept_loop(
-    listener: &TcpListener,
-    inner: &Arc<RouterInner>,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let poll = inner.config.poll_interval;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let inner = Arc::clone(inner);
-                let stop = Arc::clone(stop);
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "each connection handle goes into `conns`, which `halt` drains and joins"
-                )]
-                let handle = std::thread::spawn(move || {
-                    connection_loop(stream, &inner, &stop);
-                });
-                conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
+impl Service for Routing {
+    fn reply(&self, line: &[u8]) -> Option<Json> {
+        Some(match front::text(line) {
+            Ok(text) => handle_line(&self.0, text),
+            Err(e) => {
+                sram_probe::probe_inc!("cluster.request.parse_errors");
+                error_response(None, &e)
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(poll);
-            }
-            Err(_) => std::thread::sleep(poll),
-        }
-    }
-}
-
-/// Serves one client: read a line, route it, write exactly one reply
-/// line. The one-in/one-out structure is what makes "zero dropped or
-/// duplicate replies" a property of the code rather than a hope.
-fn connection_loop(stream: TcpStream, inner: &Arc<RouterInner>, stop: &AtomicBool) {
-    use std::io::{BufRead, BufReader, Write};
-    let poll = inner.config.poll_interval;
-    if stream.set_read_timeout(Some(poll)).is_err() {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                if !line.ends_with('\n') {
-                    continue; // timeout split the line; keep reading
-                }
-                let response = handle_line(inner, line.trim_end());
-                line.clear();
-                let mut payload = response.render();
-                payload.push('\n');
-                if writer.write_all(payload.as_bytes()).is_err() || writer.flush().is_err() {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => return,
-        }
+        })
     }
 }
 
@@ -860,32 +757,17 @@ fn respond(
             pairs.push(("trace".into(), stitched));
         }
     }
-    if total_ns >= sram_serve::slow_query_threshold_ns()
-        && sram_probe::log::enabled(sram_probe::log::LogLevel::Warn)
-    {
-        use sram_probe::log::LogValue;
-        let mut fields: Vec<(&str, LogValue)> = vec![
-            ("op", LogValue::Str(request.query.op().into())),
-            ("latency_ms", LogValue::U64(total_ns / 1_000_000)),
+    front::log_slow_query(
+        "cluster.slow_query",
+        request.query.op(),
+        id,
+        total_ns,
+        &reply,
+        &[
             ("via", LogValue::Str(winner.via.as_str().into())),
             ("hedged", LogValue::Bool(hedged)),
-        ];
-        if let Some(id) = id {
-            fields.push(("id", LogValue::Str(id.into())));
-        }
-        if let Json::Obj(pairs) = &reply {
-            // A traced slow query carries its stitched cross-node tree
-            // into the log verbatim.
-            if let Some((_, tree)) = pairs.iter().find(|(k, _)| k == "trace") {
-                fields.push(("trace", LogValue::Raw(tree.render())));
-            }
-        }
-        sram_probe::log::log_event(
-            sram_probe::log::LogLevel::Warn,
-            "cluster.slow_query",
-            &fields,
-        );
-    }
+        ],
+    );
     reply
 }
 
@@ -924,15 +806,7 @@ fn fan_out(inner: &Arc<RouterInner>, id: Option<&str>, line: &str, op: &str) -> 
             .unwrap_or_else(|e| error_response(None, &e));
         nodes.push((node.clone(), reply));
     }
-    let mut pairs = vec![
-        ("status".to_owned(), Json::Str("ok".into())),
-        ("op".to_owned(), Json::Str(op.into())),
-    ];
-    if let Some(id) = id {
-        pairs.push(("id".to_owned(), Json::Str(id.into())));
-    }
-    pairs.push(("nodes".to_owned(), Json::Obj(nodes)));
-    Json::Obj(pairs)
+    crate::own_reply(op, id, [("nodes".to_owned(), Json::Obj(nodes))])
 }
 
 /// The router-local `cluster-stats` reply: ring membership, per-node
@@ -969,54 +843,50 @@ fn cluster_stats(inner: &Arc<RouterInner>, id: Option<&str>) -> Json {
             .collect();
         (guard.ring.epoch(), members, guard.ring.vnodes(), nodes)
     };
-    let mut pairs = vec![
-        ("status".to_owned(), Json::Str("ok".into())),
-        ("op".to_owned(), Json::Str("cluster-stats".into())),
-    ];
-    if let Some(id) = id {
-        pairs.push(("id".to_owned(), Json::Str(id.into())));
-    }
-    pairs.extend([
-        ("epoch".to_owned(), Json::Num(epoch as f64)),
-        (
-            "ring".to_owned(),
-            Json::Obj(vec![
-                ("members".into(), Json::Arr(members)),
-                ("vnodes".into(), Json::Num(vnodes as f64)),
-            ]),
-        ),
-        ("nodes".to_owned(), Json::Arr(nodes)),
-        (
-            "hedge".to_owned(),
-            Json::Obj(vec![
-                (
-                    "delay_ms".into(),
-                    Json::Num(probe_handle!(gauge "cluster.hedge.delay_ms").get()),
-                ),
-                ("fired".into(), counter!("cluster.hedge.fired")),
-                ("wins".into(), counter!("cluster.hedge.wins")),
-                ("cancelled".into(), counter!("cluster.hedge.cancelled")),
-            ]),
-        ),
-        (
-            "forward".to_owned(),
-            Json::Obj(vec![
-                ("routed".into(), counter!("cluster.request.routed")),
-                ("retries".into(), counter!("cluster.forward.retries")),
-                ("failovers".into(), counter!("cluster.forward.failovers")),
-            ]),
-        ),
-        (
-            "membership".to_owned(),
-            Json::Obj(vec![
-                ("evicted".into(), counter!("cluster.node.evicted")),
-                ("rejoined".into(), counter!("cluster.node.rejoined")),
-                ("drained".into(), counter!("cluster.node.drained")),
-                ("stale".into(), counter!("cluster.health.stale")),
-            ]),
-        ),
-    ]);
-    Json::Obj(pairs)
+    crate::own_reply(
+        "cluster-stats",
+        id,
+        [
+            ("epoch".to_owned(), Json::Num(epoch as f64)),
+            (
+                "ring".to_owned(),
+                Json::Obj(vec![
+                    ("members".into(), Json::Arr(members)),
+                    ("vnodes".into(), Json::Num(vnodes as f64)),
+                ]),
+            ),
+            ("nodes".to_owned(), Json::Arr(nodes)),
+            (
+                "hedge".to_owned(),
+                Json::Obj(vec![
+                    (
+                        "delay_ms".into(),
+                        Json::Num(probe_handle!(gauge "cluster.hedge.delay_ms").get()),
+                    ),
+                    ("fired".into(), counter!("cluster.hedge.fired")),
+                    ("wins".into(), counter!("cluster.hedge.wins")),
+                    ("cancelled".into(), counter!("cluster.hedge.cancelled")),
+                ]),
+            ),
+            (
+                "forward".to_owned(),
+                Json::Obj(vec![
+                    ("routed".into(), counter!("cluster.request.routed")),
+                    ("retries".into(), counter!("cluster.forward.retries")),
+                    ("failovers".into(), counter!("cluster.forward.failovers")),
+                ]),
+            ),
+            (
+                "membership".to_owned(),
+                Json::Obj(vec![
+                    ("evicted".into(), counter!("cluster.node.evicted")),
+                    ("rejoined".into(), counter!("cluster.node.rejoined")),
+                    ("drained".into(), counter!("cluster.node.drained")),
+                    ("stale".into(), counter!("cluster.health.stale")),
+                ]),
+            ),
+        ],
+    )
 }
 
 #[cfg(test)]

@@ -99,8 +99,8 @@ impl FaultPlan {
     ///
     /// Returns [`FaultError::Parse`] on malformed JSON and
     /// [`FaultError::Invalid`] on a well-formed plan that is semantically
-    /// bad (unknown key, wrong value type, empty point name, probability
-    /// outside `[0, 1]`).
+    /// bad (unknown or repeated key, wrong value type, empty point name,
+    /// probability outside `[0, 1]`).
     pub fn parse(json: &str) -> Result<Self, FaultError> {
         let value = Json::parse(json).map_err(|e| FaultError::Parse {
             offset: e.offset,
@@ -188,10 +188,15 @@ fn typed<'a, T>(
     read(value).ok_or_else(|| invalid(format!("{what} must be a JSON {kind}")))
 }
 
+/// `value`'s pairs, or [`FaultError::Invalid`] when it is not an
+/// object or repeats a key.
 fn object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], FaultError> {
-    match value {
-        Json::Obj(fields) => Ok(fields),
-        _ => Err(invalid(format!("{what} must be a JSON object"))),
+    let Json::Obj(fields) = value else {
+        return Err(invalid(format!("{what} must be a JSON object")));
+    };
+    match sram_probe::json::repeated_key(fields) {
+        Some(key) => Err(invalid(format!("repeated {what} key `{key}`"))),
+        None => Ok(fields),
     }
 }
 
@@ -278,6 +283,19 @@ mod tests {
         assert_eq!(rule.probability, 1.0);
         assert_eq!(rule.latency_ms, 0);
         assert_eq!(rule.max_fires, None);
+    }
+
+    #[test]
+    fn a_repeated_key_is_rejected_in_plans_and_rules() {
+        for text in [
+            r#"{"seed": 1, "seed": 2, "rules": []}"#,
+            r#"{"rules": [{"point": "a"}], "rules": [{"point": "b"}]}"#,
+            r#"{"rules": [{"point": "a", "max_fires": 1, "max_fires": 2}]}"#,
+        ] {
+            let err = FaultPlan::parse(text).unwrap_err();
+            assert!(matches!(err, FaultError::Invalid { .. }), "{text}: {err:?}");
+            assert!(err.to_string().contains("repeated"), "{err}");
+        }
     }
 
     #[test]

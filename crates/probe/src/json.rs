@@ -30,9 +30,10 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in insertion order (duplicate keys: last one wins on
-    /// [`Json::get`] lookups is *not* the rule here — first match wins,
-    /// and the serve layer's query parsing rejects duplicates outright).
+    /// An object, in insertion order. The codec keeps every pair, a
+    /// repeated key included; [`Json::get`] returns the first match,
+    /// and the request and fault-plan validators reject a repeated key
+    /// ([`repeated_key`]).
     Obj(Vec<(String, Json)>),
 }
 
@@ -191,6 +192,17 @@ fn render_number(v: f64, out: &mut String) {
     } else {
         let _ = write!(out, "{v:e}");
     }
+}
+
+/// The first key of an object's pairs that occurs again later, if any.
+#[must_use]
+pub fn repeated_key(pairs: &[(String, Json)]) -> Option<&str> {
+    pairs.iter().enumerate().find_map(|(i, (key, _))| {
+        pairs[i + 1..]
+            .iter()
+            .any(|(k, _)| k == key)
+            .then_some(key.as_str())
+    })
 }
 
 /// Renders a string literal with escaping.

@@ -198,12 +198,6 @@ impl NodeConn {
         &self.addr
     }
 
-    /// Whether a live (last call succeeded) connection is being held.
-    #[must_use]
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
     /// Drops the held connection; the next call redials.
     pub fn disconnect(&mut self) {
         self.conn = None;

@@ -15,7 +15,9 @@
 //! The same [`Engine`] backs two transports: an in-process API (used by
 //! the `reproduce serve-bench` experiment) and a line-delimited JSON
 //! protocol over TCP ([`Server`], `std::net` only — no async runtime,
-//! see `DESIGN.md` §9 for why).
+//! see `DESIGN.md` §9 for why). The TCP front door itself — bind,
+//! accept loop, one thread per connection, line framing, stop and
+//! join — is [`front`], which the cluster router serves through too.
 //!
 //! # Wire protocol
 //!
@@ -91,6 +93,7 @@ mod cache;
 mod client;
 mod engine;
 mod error;
+pub mod front;
 mod query;
 mod server;
 pub mod slo;
@@ -102,7 +105,5 @@ pub use error::{wire_status, ServeError};
 pub use query::{
     ObjectiveKind, Query, Request, MAX_CAPACITY_BYTES, MAX_DEADLINE_MS, MAX_YIELD_SAMPLES,
 };
-pub use server::{
-    slow_query_threshold_ns, spawn_local_node, Server, ServerConfig, SRAM_CACHE_FILE_ENV,
-};
+pub use server::{spawn_local_node, Server, ServerConfig, SRAM_CACHE_FILE_ENV};
 pub use sram_probe::json::{Json, JsonError};

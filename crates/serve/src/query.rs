@@ -265,7 +265,8 @@ impl Request {
     ///
     /// [`ServeError::Protocol`] for malformed JSON,
     /// [`ServeError::InvalidQuery`] for well-formed JSON that is not a
-    /// valid query (wrong shape, unknown op/field, out-of-range value).
+    /// valid query (wrong shape, unknown op/field, repeated field,
+    /// out-of-range value).
     pub fn from_line(line: &str) -> Result<Self, ServeError> {
         let json = Json::parse(line).map_err(|e| ServeError::Protocol(e.to_string()))?;
         Self::from_json(&json)
@@ -276,12 +277,16 @@ impl Request {
     /// # Errors
     ///
     /// [`ServeError::InvalidQuery`] for a value that is not a valid
-    /// query (wrong shape, unknown op/field, out-of-range value).
+    /// query (wrong shape, unknown op/field, repeated field, out-of-range
+    /// value).
     pub fn from_json(json: &Json) -> Result<Self, ServeError> {
         let obj = match json {
             Json::Obj(pairs) => pairs.as_slice(),
             _ => return Err(ServeError::InvalidQuery("request must be an object".into())),
         };
+        if let Some(key) = sram_probe::json::repeated_key(obj) {
+            return Err(ServeError::InvalidQuery(format!("repeated field {key:?}")));
+        }
         let fields = Fields { obj };
 
         let id = match fields.get("id") {
@@ -708,6 +713,19 @@ mod tests {
             Request::from_line("[1,2,3]"),
             Err(ServeError::InvalidQuery(_))
         ));
+    }
+
+    #[test]
+    fn a_repeated_field_is_rejected() {
+        // Two readings of one field: neither may win silently.
+        for line in [
+            r#"{"op":"optimize","capacity_bytes":1024,"capacity_bytes":2048,"flavor":"hvt","method":"m2"}"#,
+            r#"{"op":"health","id":"a","id":"b"}"#,
+        ] {
+            let err = Request::from_line(line).unwrap_err();
+            assert!(matches!(err, ServeError::InvalidQuery(_)), "{line}: {err}");
+            assert!(err.to_string().contains("repeated field"), "{err}");
+        }
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! The TCP front end: line-delimited JSON over `std::net`.
+//! The serve node: a [`crate::front`] over a bounded job queue.
 //!
 //! Thread layout (all plain `std::thread` — each spawn carries the
 //! `#[expect]` that clippy's thread-discipline ban asks for):
 //!
-//! * **acceptor** — a nonblocking `accept` loop that polls the shutdown
-//!   flag between attempts and spawns one connection thread per client;
-//! * **connection threads** — read request lines (with a short read
-//!   timeout so the shutdown flag is observed), answer result-cache hits
-//!   themselves, enqueue everything else, and write back whatever reply
-//!   the worker sends;
+//! * **acceptor and connection threads** — the shared TCP front
+//!   ([`crate::front`]). A connection thread parses each request line,
+//!   answers a result-cache hit itself, enqueues everything else, and
+//!   writes back whatever reply the worker sends;
 //! * **workers** — drain the bounded job queue in batches and run them
 //!   through [`Engine::handle_batch`], so queries that pile up under
 //!   load are coalesced into shared characterization passes.
@@ -20,13 +18,12 @@
 //! joined in accept → connection → worker order.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -36,6 +33,7 @@ use sram_probe::trace::TraceSpan;
 
 use crate::engine::{error_response, Engine};
 use crate::error::ServeError;
+use crate::front::{self, Front, Service, Serving};
 use crate::query::Request;
 use crate::Json;
 
@@ -44,30 +42,14 @@ use crate::Json;
 /// file at startup and spills the cache back on graceful shutdown.
 pub const SRAM_CACHE_FILE_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CACHE_FILE");
 
-/// Default slow-query threshold (`SRAM_LOG_SLOW_MS` overrides): a
-/// request slower than this is logged as a `serve.slow_query` event,
-/// with its span tree attached when the request was traced.
-pub(crate) const DEFAULT_SLOW_QUERY_MS: u64 = 1_000;
+/// Most jobs a worker drains into one [`Engine::handle_batch`] call.
+const MAX_BATCH: usize = 16;
 
 /// Monotone key distinguishing traced roots for deterministic
 /// per-root sampling ([`sram_probe::trace::sampled`]).
 static REQUEST_KEY: AtomicU64 = AtomicU64::new(0);
 
-/// The slow-query log threshold in nanoseconds, read once from
-/// `SRAM_LOG_SLOW_MS`; the router logs against the same threshold.
-#[must_use]
-pub fn slow_query_threshold_ns() -> u64 {
-    static THRESHOLD: OnceLock<u64> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        sram_probe::env_var!("SRAM_LOG_SLOW_MS")
-            .get()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_SLOW_QUERY_MS)
-            .saturating_mul(1_000_000)
-    })
-}
-
-/// Server sizing and timing knobs.
+/// Server sizing knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
@@ -76,11 +58,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded job-queue capacity; a full queue rejects with `"busy"`.
     pub queue_capacity: usize,
-    /// Most jobs a worker drains into one [`Engine::handle_batch`] call.
-    pub max_batch: usize,
-    /// Connection read timeout — the cadence at which idle connections
-    /// notice shutdown.
-    pub poll_interval: Duration,
     /// Result-cache spill file: loaded (if present) at startup, written
     /// on graceful shutdown. `None` disables persistence. The default
     /// reads the `SRAM_CACHE_FILE` environment variable.
@@ -93,8 +70,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_capacity: 64,
-            max_batch: 16,
-            poll_interval: Duration::from_millis(25),
             cache_file: SRAM_CACHE_FILE_ENV.get_os().map(PathBuf::from),
         }
     }
@@ -194,25 +169,22 @@ type Inflight = Mutex<Vec<(Option<String>, mpsc::Sender<Json>)>>;
 /// A running server; dropped or [`Server::shutdown`] to stop.
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    front: Serving,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     queue: Arc<JobQueue>,
     engine: Arc<Engine>,
     cache_file: Option<PathBuf>,
 }
 
 impl Server {
-    /// Binds and starts the accept loop, connection pool, and workers.
+    /// Binds and starts the front, connection pool, and workers.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
     pub fn start(engine: Arc<Engine>, config: ServerConfig) -> Result<Self, ServeError> {
-        let listener = bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let front = Front::bind(&config.addr)?;
+        let addr = front.local_addr();
 
         if let Some(path) = &config.cache_file {
             if path.exists() {
@@ -225,7 +197,6 @@ impl Server {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(JobQueue::new(config.queue_capacity));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         // Telemetry rides along with the server: the sampler thread
         // starts here and is joined by `stop`. The capacity gauge is
@@ -247,39 +218,24 @@ impl Server {
             let engine = Arc::clone(&engine);
             let queue = Arc::clone(&queue);
             let shutdown = Arc::clone(&shutdown);
-            let max_batch = config.max_batch;
             #[expect(
                 clippy::disallowed_methods,
                 reason = "worker handles are kept in `workers` and joined last on shutdown"
             )]
             workers.push(std::thread::spawn(move || {
-                worker_thread(&engine, &queue, max_batch, &shutdown);
+                worker_thread(&engine, &queue, MAX_BATCH, &shutdown);
             }));
         }
 
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the acceptor exits on `shutdown` and is joined first on shutdown"
-        )]
-        let acceptor = {
-            let front = Front {
-                shutdown: Arc::clone(&shutdown),
-                queue: Arc::clone(&queue),
-                engine: Arc::clone(&engine),
-            };
-            let conns = Arc::clone(&conns);
-            let poll = config.poll_interval;
-            std::thread::spawn(move || {
-                accept_loop(&listener, &front, &conns, poll);
-            })
+        let node = Node {
+            shutdown: Arc::clone(&shutdown),
+            queue: Arc::clone(&queue),
+            engine: Arc::clone(&engine),
         };
-
         Ok(Server {
             addr,
-            shutdown,
-            acceptor: Some(acceptor),
+            front: front.serve(shutdown, node),
             workers,
-            conns,
             queue,
             engine,
             cache_file: config.cache_file,
@@ -299,19 +255,9 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         // Connections exit at their next poll tick (after receiving any
         // in-flight reply, which needs the workers still running).
-        let handles: Vec<JoinHandle<()>> = {
-            let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
-            conns.drain(..).collect()
-        };
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.front.stop();
         self.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -332,7 +278,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() {
+        if !self.workers.is_empty() {
             self.stop();
         }
     }
@@ -365,127 +311,49 @@ pub fn spawn_local_node(
             workers,
             queue_capacity,
             cache_file: None,
-            ..ServerConfig::default()
         },
     )
 }
 
-fn bind(addr: &str) -> Result<TcpListener, ServeError> {
-    let mut last: Option<std::io::Error> = None;
-    for candidate in addr.to_socket_addrs()? {
-        match TcpListener::bind(candidate) {
-            Ok(listener) => return Ok(listener),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(ServeError::Io(last.unwrap_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "address resolved to nothing",
-        )
-    })))
-}
-
-/// What every connection thread shares: the shutdown flag, the job
-/// queue, and the engine whose result cache it answers hits from.
-#[derive(Clone)]
-struct Front {
+/// The node's [`Service`]: the shutdown flag, the job queue, and the
+/// engine whose result cache it answers hits from.
+struct Node {
     shutdown: Arc<AtomicBool>,
     queue: Arc<JobQueue>,
     engine: Arc<Engine>,
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    front: &Front,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    poll: Duration,
-) {
-    let shutdown = &front.shutdown;
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if sram_faults::should_fire("serve.node_kill") {
-                    // Process-scope kill: the node goes dark as a unit.
-                    // Raising the shutdown flag makes every connection
-                    // and worker wind down at its next poll tick, and
-                    // returning here drops the listener so new dials
-                    // are refused — the closest a thread-per-node test
-                    // cluster gets to `kill -9` without owning real
-                    // processes. Ungated counter: the soak asserts the
-                    // kill count regardless of probe level.
-                    probe_handle!(counter "serve.node.injected_kills").inc();
-                    shutdown.store(true, Ordering::SeqCst);
-                    drop(stream);
-                    return;
-                }
-                sram_probe::probe_inc!("serve.conn.accepted");
-                let front = front.clone();
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "each connection handle goes into `conns`, drained and joined on shutdown"
-                )]
-                let handle = std::thread::spawn(move || {
-                    connection_loop(stream, &front, poll);
-                });
-                conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(poll);
-            }
-            Err(_) => std::thread::sleep(poll),
+impl Service for Node {
+    fn admit(&self) -> bool {
+        if sram_faults::should_fire("serve.node_kill") {
+            // Process-scope kill: the node goes dark as a unit. The
+            // front raises the shutdown flag, so every connection and
+            // worker winds down at its next poll tick, and drops the
+            // listener, so new dials are refused — the closest a
+            // thread-per-node test cluster gets to `kill -9` without
+            // owning real processes. Ungated counter: the soak asserts
+            // the kill count regardless of probe level.
+            probe_handle!(counter "serve.node.injected_kills").inc();
+            return false;
         }
+        sram_probe::probe_inc!("serve.conn.accepted");
+        true
     }
-}
 
-/// Serves one client: read a line, run it, write the reply line.
-fn connection_loop(stream: TcpStream, front: &Front, poll: Duration) {
-    if stream.set_read_timeout(Some(poll)).is_err() {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-
-    loop {
-        if front.shutdown.load(Ordering::SeqCst) {
-            return; // drain point: any in-flight request already replied
+    fn reply(&self, line: &[u8]) -> Option<Json> {
+        if sram_faults::should_fire("serve.conn_drop") {
+            // Simulated transport failure: the client sees a clean EOF
+            // with no reply and must reconnect.
+            sram_probe::probe_inc!("serve.conn.injected_drops");
+            return None;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {
-                if !line.ends_with('\n') {
-                    continue; // timeout split the line; keep reading
-                }
-                if sram_faults::should_fire("serve.conn_drop") {
-                    // Simulated transport failure: the client sees a
-                    // clean EOF with no reply and must reconnect.
-                    sram_probe::probe_inc!("serve.conn.injected_drops");
-                    return;
-                }
-                let response = serve_line(line.trim_end(), front);
-                line.clear();
-                if write_line(&mut writer, &response).is_err() {
-                    return;
-                }
+        Some(match front::text(line) {
+            Ok(text) => serve_line(text, self),
+            Err(e) => {
+                sram_probe::probe_inc!("serve.request.parse_errors");
+                error_response(None, &e)
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Idle (or mid-line) — loop to observe the shutdown flag.
-            }
-            Err(_) => return,
-        }
+        })
     }
 }
 
@@ -497,7 +365,7 @@ fn connection_loop(stream: TcpStream, front: &Front, poll: Duration) {
 /// respond (a hit has no queue wait and no evaluate); the span tree
 /// rebuilt from the scope's events is inlined in the response under
 /// `"trace"`.
-fn serve_line(line: &str, front: &Front) -> Json {
+fn serve_line(line: &str, node: &Node) -> Json {
     let t_parse = sram_probe::trace::now_ns();
     if line.is_empty() {
         return error_response(None, &ServeError::Protocol("empty request line".into()));
@@ -509,7 +377,7 @@ fn serve_line(line: &str, front: &Front) -> Json {
             return error_response(None, &e);
         }
     };
-    if front.shutdown.load(Ordering::SeqCst) {
+    if node.shutdown.load(Ordering::SeqCst) {
         return error_response(request.id.as_deref(), &ServeError::ShuttingDown);
     }
 
@@ -553,7 +421,7 @@ fn serve_line(line: &str, front: &Front) -> Json {
         .map(|ms| now + Duration::from_millis(ms));
     let id = request.id.clone();
     let op = request.query.op();
-    let mut response = match inline_hit(&front.engine, &request, deadline) {
+    let mut response = match inline_hit(&node.engine, &request, deadline) {
         Some(hit) => hit,
         None => {
             let (tx, rx) = mpsc::channel();
@@ -565,7 +433,7 @@ fn serve_line(line: &str, front: &Front) -> Json {
                 trace,
                 reply: tx,
             };
-            if let Err(e) = front.queue.push(job) {
+            if let Err(e) = node.queue.push(job) {
                 if matches!(e, ServeError::Busy) {
                     // Ungated (health keys off the busy-reject rate).
                     probe_handle!(counter "serve.request.rejected").inc();
@@ -611,26 +479,14 @@ fn serve_line(line: &str, front: &Front) -> Json {
             }
         }
     }
-    if latency_ns >= slow_query_threshold_ns()
-        && sram_probe::log::enabled(sram_probe::log::LogLevel::Warn)
-    {
-        use sram_probe::log::LogValue;
-        let mut fields: Vec<(&str, LogValue)> = vec![
-            ("op", LogValue::Str(op.into())),
-            ("latency_ms", LogValue::U64(latency_ns / 1_000_000)),
-        ];
-        if let Some(id) = id.as_deref() {
-            fields.push(("id", LogValue::Str(id.into())));
-        }
-        if let Json::Obj(pairs) = &response {
-            // A traced slow query carries its span tree into the log
-            // verbatim — the tree is already rendered JSON.
-            if let Some((_, tree)) = pairs.iter().find(|(k, _)| k == "trace") {
-                fields.push(("trace", LogValue::Raw(tree.render())));
-            }
-        }
-        sram_probe::log::log_event(sram_probe::log::LogLevel::Warn, "serve.slow_query", &fields);
-    }
+    front::log_slow_query(
+        "serve.slow_query",
+        op,
+        id.as_deref(),
+        latency_ns,
+        &response,
+        &[],
+    );
     response
 }
 
@@ -646,13 +502,6 @@ fn inline_hit(engine: &Engine, request: &Request, deadline: Option<Instant>) -> 
     let hit = engine.cached_response(request)?;
     sram_probe::probe_inc!("serve.request.inline_hits");
     Some(hit)
-}
-
-fn write_line(writer: &mut TcpStream, response: &Json) -> std::io::Result<()> {
-    let mut payload = response.render();
-    payload.push('\n');
-    writer.write_all(payload.as_bytes())?;
-    writer.flush()
 }
 
 /// Worker shell: runs [`worker_loop`] inside `catch_unwind` and respawns
