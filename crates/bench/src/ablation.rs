@@ -5,18 +5,18 @@
 //!   them, arguing that raising either only costs energy. This ablation
 //!   *does* sweep `V_DDC` and confirms the minimum-EDP point sits at the
 //!   pinned level.
-//! * **A2 — Pareto pruning**: evaluate the whole space once, keep the
-//!   energy-delay Pareto front, and verify the EDP optimum lies on the
-//!   (much smaller) front — quantifying how much a dominance-pruned
-//!   search could skip.
+//! * **A2 — Pareto pruning**: walk the whole space once for the
+//!   energy-delay Pareto front, and verify the exhaustive search's EDP
+//!   optimum lies on the (much smaller) front — quantifying how much a
+//!   dominance-pruned search could skip.
+//! * **A4 — coordinate descent**: how close the greedy
+//!   [`Search::descend`] gets to the exhaustive optimum, and at how many
+//!   fewer evaluations.
 
 use crate::format_series;
-use sram_array::{ArrayModel, ArrayOrganization, ArrayParams, Capacity, Periphery};
+use sram_array::{ArrayParams, Capacity, Periphery};
 use sram_cell::CellCharacterization;
-use sram_coopt::{
-    CooptError, DesignSpace, EnergyDelayProduct, ExhaustiveSearch, Objective, ParetoFront,
-    ParetoPoint, YieldConstraint,
-};
+use sram_coopt::{CooptError, DesignSpace, EnergyDelayProduct, Search, YieldConstraint};
 use sram_device::{DeviceLibrary, VtFlavor};
 use sram_units::Voltage;
 
@@ -38,7 +38,7 @@ pub fn rail_pinning_sweep(capacity: Capacity) -> Result<Vec<(f64, f64)>, CooptEr
     for boost_mv in [0.0, 30.0, 60.0, 90.0] {
         let vddc = Voltage::from_millivolts(550.0 + boost_mv);
         let cell = CellCharacterization::paper_with_rails(VtFlavor::Hvt, vdd, vddc, vwl);
-        let search = ExhaustiveSearch::new(
+        let search = Search::new(
             &cell,
             &periphery,
             &params,
@@ -70,7 +70,7 @@ pub struct ParetoAblation {
 ///
 /// # Errors
 ///
-/// Propagates evaluation failures.
+/// Propagates search failures.
 pub fn pareto_ablation(capacity: Capacity) -> Result<ParetoAblation, CooptError> {
     let lib = DeviceLibrary::sevennm();
     let vdd = lib.nominal_vdd();
@@ -79,38 +79,18 @@ pub fn pareto_ablation(capacity: Capacity) -> Result<ParetoAblation, CooptError>
     let params = ArrayParams::paper_defaults();
     let space = DesignSpace::paper_default().with_strides(3, 2);
     let constraint = YieldConstraint::paper_delta(vdd);
+    let search = Search::new(&cell, &periphery, &params, &space, constraint, 64);
 
-    let (npre_values, nwr_values) = (space.npre_values(), space.nwr_values());
-    let mut front: ParetoFront<(u32, u32, u32, i32)> = ParetoFront::new();
-    let mut evaluated = 0usize;
-    let mut best_edp = f64::INFINITY;
-    for org in ArrayOrganization::enumerate(capacity, 64, space.rows_range()) {
-        for &vssc in space.vssc_values() {
-            if !constraint.check_snapshot(&cell, vssc) {
-                continue;
-            }
-            let slice = ArrayModel::new(org, &cell, &periphery, &params)
-                .with_vssc(vssc)
-                .slice()?;
-            slice.sweep(&npre_values, &nwr_values, |n_pre, n_wr, metrics| {
-                evaluated += 1;
-                best_edp = best_edp.min(EnergyDelayProduct.score(metrics));
-                front.offer(ParetoPoint {
-                    energy: metrics.energy,
-                    delay: metrics.delay,
-                    tag: (org.rows(), n_pre, n_wr, vssc.millivolts() as i32),
-                });
-            });
-        }
-    }
+    let (front, stats) = search.pareto_front(capacity)?;
+    let exhaustive = search.run(capacity, &EnergyDelayProduct)?;
     let front_edp = front
         .min_edp()
         .map(|p| (p.energy * p.delay).joule_seconds())
         .unwrap_or(f64::INFINITY);
     Ok(ParetoAblation {
-        evaluated,
+        evaluated: stats.evaluated,
         front_size: front.len(),
-        exhaustive_edp: best_edp,
+        exhaustive_edp: exhaustive.score,
         front_edp,
     })
 }
@@ -133,7 +113,6 @@ pub struct HeuristicAblation {
 ///
 /// Propagates search failures.
 pub fn heuristic_ablation(capacity: Capacity) -> Result<HeuristicAblation, CooptError> {
-    use sram_coopt::CoordinateDescent;
     let lib = DeviceLibrary::sevennm();
     let vdd = lib.nominal_vdd();
     let cell = CellCharacterization::paper_hvt(vdd);
@@ -142,10 +121,9 @@ pub fn heuristic_ablation(capacity: Capacity) -> Result<HeuristicAblation, Coopt
     let space = DesignSpace::paper_default();
     let constraint = YieldConstraint::paper_delta(vdd);
 
-    let exhaustive = ExhaustiveSearch::new(&cell, &periphery, &params, &space, constraint, 64)
-        .run(capacity, &EnergyDelayProduct)?;
-    let descent = CoordinateDescent::new(&cell, &periphery, &params, &space, constraint, 64)
-        .run(capacity, &EnergyDelayProduct)?;
+    let search = Search::new(&cell, &periphery, &params, &space, constraint, 64);
+    let exhaustive = search.run(capacity, &EnergyDelayProduct)?;
+    let descent = search.descend(capacity, &EnergyDelayProduct)?;
     Ok(HeuristicAblation {
         exhaustive_evals: exhaustive.stats.examined,
         descent_evals: descent.stats.examined,
@@ -172,7 +150,7 @@ pub fn accounting_ablation(capacity: Capacity) -> Result<String, CooptError> {
         ("Table 3 (paper)", ArrayParams::paper_defaults()),
         ("per-word", ArrayParams::per_word_accounting()),
     ] {
-        let outcome = ExhaustiveSearch::new(&cell, &periphery, &params, &space, constraint, 64)
+        let outcome = Search::new(&cell, &periphery, &params, &space, constraint, 64)
             .run(capacity, &EnergyDelayProduct)?;
         lines.push_str(&format!(
             "  {name:<16}: best {}x{} N_pre={} N_wr={} V_SSC={:.0}mV  E={}  D={}\n",

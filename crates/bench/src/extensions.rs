@@ -7,8 +7,8 @@ use sram_cell::{
     AssistVoltages, CellCharacterization, CellCharacterizer, MonteCarloConfig, YieldAnalyzer,
 };
 use sram_coopt::{
-    evaluate_bank_count, optimize_standby, CooptError, DesignSpace, EnergyDelayProduct,
-    ExhaustiveSearch, YieldConstraint,
+    evaluate_bank_count, optimize_standby, CooptError, DesignSpace, EnergyDelayProduct, Search,
+    YieldConstraint,
 };
 use sram_device::{DeviceLibrary, VtFlavor};
 use sram_units::Voltage;
@@ -25,13 +25,12 @@ pub fn banking_sweep() -> Result<String, CooptError> {
     let params = ArrayParams::paper_defaults();
     let space = DesignSpace::paper_default().with_strides(3, 2);
     let constraint = YieldConstraint::paper_delta(lib.nominal_vdd());
+    let search = Search::new(&cell, &periphery, &params, &space, constraint, 64);
     let capacity = Capacity::from_bytes(16 * 1024);
 
     let mut rows = Vec::new();
     for bank_bits in 0..=3 {
-        let d = evaluate_bank_count(
-            capacity, bank_bits, &cell, &periphery, &params, &space, constraint, 64,
-        )?;
+        let d = evaluate_bank_count(&search, capacity, bank_bits)?;
         rows.push(vec![
             format!("{}", d.banks()),
             d.bank.capacity.to_string(),
@@ -150,7 +149,7 @@ pub fn derated_optimization(samples: usize) -> Result<String, CooptError> {
             analysis.rsnm.sigma,
             analysis.wm.sigma,
         );
-        let search = ExhaustiveSearch::new(&cell, &periphery, &params, &space, constraint, 64);
+        let search = Search::new(&cell, &periphery, &params, &space, constraint, 64);
         match search.run(capacity, &EnergyDelayProduct) {
             Ok(outcome) => {
                 let edp = outcome.score * 1e24;
@@ -261,7 +260,7 @@ pub fn temperature_report() -> Result<String, CooptError> {
         let lvt = lvt.clone().with_leakage(lvt.leakage() * lvt_ratio);
         let hvt = hvt.clone().with_leakage(hvt.leakage() * hvt_ratio);
         let run = |cell: &CellCharacterization| {
-            ExhaustiveSearch::new(cell, &periphery, &params, &space, constraint, 64)
+            Search::new(cell, &periphery, &params, &space, constraint, 64)
                 .run(capacity, &EnergyDelayProduct)
                 .map(|o| o.score)
         };
@@ -320,7 +319,7 @@ pub fn simulated_rail_ablation() -> Result<String, CooptError> {
             vwl_values: vec![Voltage::from_millivolts(450.0), vwl],
         };
         let cell = CellCharacterization::characterize(&chr, &grid).map_err(CooptError::Cell)?;
-        let search = ExhaustiveSearch::new(&cell, &periphery, &params, &space, constraint, 64);
+        let search = Search::new(&cell, &periphery, &params, &space, constraint, 64);
         match search.run(capacity, &EnergyDelayProduct) {
             Ok(outcome) => rows.push(vec![
                 format!("{vddc_mv:.0}"),

@@ -13,11 +13,8 @@
 //! This module reuses the single-array optimizer per bank and layers the
 //! banking overheads on top, exposing the EDP-optimal bank count.
 
-use crate::{
-    CooptError, DesignSpace, EnergyDelayProduct, ExhaustiveSearch, OptimalDesign, YieldConstraint,
-};
-use sram_array::{Capacity, DecoderModel, Periphery};
-use sram_cell::CellCharacterization;
+use crate::{CooptError, EnergyDelayProduct, Method, OptimalDesign, Search};
+use sram_array::{Capacity, DecoderModel};
 use sram_units::{Energy, EnergyDelay, Time};
 
 /// A banked memory design: `2^bank_bits` copies of one optimized array.
@@ -49,7 +46,7 @@ impl BankedDesign {
 
 /// Optimizes the bank count for a total `capacity`, evaluating
 /// `2^0 … 2^max_bank_bits` banks. Each candidate's bank array is
-/// optimized by the usual exhaustive search; bank-level overheads are a
+/// optimized by `search`'s exhaustive search; bank-level overheads are a
 /// bank decoder (address width = `bank_bits`) on the critical path and
 /// the idle banks' leakage over the (banked) cycle.
 ///
@@ -59,22 +56,14 @@ impl BankedDesign {
 /// capacity has no valid organization is skipped, and
 /// [`CooptError::EmptyDesignSpace`] is returned only if *no* bank count
 /// works.
-#[allow(clippy::too_many_arguments)]
 pub fn optimize_banked(
+    search: &Search<'_>,
     capacity: Capacity,
-    cell: &CellCharacterization,
-    periphery: &Periphery,
-    params: &sram_array::ArrayParams,
-    space: &DesignSpace,
-    constraint: YieldConstraint,
-    word_bits: u32,
     max_bank_bits: u32,
 ) -> Result<BankedDesign, CooptError> {
     let mut best: Option<BankedDesign> = None;
     for bank_bits in 0..=max_bank_bits {
-        let candidate = match evaluate_bank_count(
-            capacity, bank_bits, cell, periphery, params, space, constraint, word_bits,
-        ) {
+        let candidate = match evaluate_bank_count(search, capacity, bank_bits) {
             Ok(c) => c,
             Err(CooptError::EmptyDesignSpace { .. }) => continue,
             Err(e) => return Err(e),
@@ -89,8 +78,9 @@ pub fn optimize_banked(
 }
 
 /// Scores one explicit bank count (for sweeps/plots): optimizes the
-/// bank array for `2^bank_bits` banks and layers the bank-level
-/// overheads on top.
+/// bank array for `2^bank_bits` banks with `search` and layers the
+/// bank-level overheads on top. The bank is reported as an M2 design of
+/// the search's cell.
 ///
 /// # Errors
 ///
@@ -98,16 +88,10 @@ pub fn optimize_banked(
 /// [`CooptError::EmptyDesignSpace`] when the bank capacity admits no
 /// organization; also [`CooptError::EmptyDesignSpace`] when
 /// `2^bank_bits` does not divide the capacity.
-#[allow(clippy::too_many_arguments)]
 pub fn evaluate_bank_count(
+    search: &Search<'_>,
     capacity: Capacity,
     bank_bits: u32,
-    cell: &CellCharacterization,
-    periphery: &Periphery,
-    params: &sram_array::ArrayParams,
-    space: &DesignSpace,
-    constraint: YieldConstraint,
-    word_bits: u32,
 ) -> Result<BankedDesign, CooptError> {
     let banks = 1usize << bank_bits;
     if !capacity.bits().is_multiple_of(banks) {
@@ -115,9 +99,8 @@ pub fn evaluate_bank_count(
             capacity_bits: capacity.bits(),
         });
     }
-    let decoder = DecoderModel::new(periphery);
+    let (cell, decoder) = (search.cell, DecoderModel::new(search.periphery));
     let bank_capacity = Capacity::from_bits(capacity.bits() / banks);
-    let search = ExhaustiveSearch::new(cell, periphery, params, space, constraint, word_bits);
     let outcome = search.run(bank_capacity, &EnergyDelayProduct)?;
     // Bank-level overheads: decoder in series; output mux lumped as one
     // more decoder stage of the same width.
@@ -132,19 +115,7 @@ pub fn evaluate_bank_count(
     let energy = outcome.metrics.energy + decoder.energy(bank_bits) * 2.0 + idle_leakage;
     Ok(BankedDesign {
         bank_bits,
-        bank: OptimalDesign {
-            capacity: bank_capacity,
-            flavor: cell.flavor(),
-            method: crate::Method::M2,
-            organization: outcome.best.organization,
-            n_pre: outcome.best.n_pre,
-            n_wr: outcome.best.n_wr,
-            vddc: cell.vddc(),
-            vssc: outcome.best.vssc,
-            vwl: cell.vwl(),
-            metrics: outcome.metrics,
-            stats: outcome.stats,
-        },
+        bank: outcome.into_design(bank_capacity, cell.flavor(), Method::M2, cell),
         delay,
         energy,
     })
@@ -153,7 +124,9 @@ pub fn evaluate_bank_count(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sram_array::ArrayParams;
+    use crate::{DesignSpace, YieldConstraint};
+    use sram_array::{ArrayParams, Periphery};
+    use sram_cell::CellCharacterization;
     use sram_device::DeviceLibrary;
 
     struct Fixture {
@@ -161,6 +134,17 @@ mod tests {
         periphery: Periphery,
         params: ArrayParams,
         space: DesignSpace,
+    }
+
+    fn search(fx: &Fixture) -> Search<'_> {
+        Search::new(
+            &fx.cell,
+            &fx.periphery,
+            &fx.params,
+            &fx.space,
+            YieldConstraint::paper_delta(fx.cell.vdd()),
+            64,
+        )
     }
 
     fn fixture() -> Fixture {
@@ -176,58 +160,16 @@ mod tests {
     #[test]
     fn banking_never_loses_to_monolithic() {
         let fx = fixture();
-        let constraint = YieldConstraint::paper_delta(fx.cell.vdd());
-        let banked = optimize_banked(
-            Capacity::from_bytes(16 * 1024),
-            &fx.cell,
-            &fx.periphery,
-            &fx.params,
-            &fx.space,
-            constraint,
-            64,
-            3,
-        )
-        .unwrap();
-        let mono = evaluate_bank_count(
-            Capacity::from_bytes(16 * 1024),
-            0,
-            &fx.cell,
-            &fx.periphery,
-            &fx.params,
-            &fx.space,
-            constraint,
-            64,
-        )
-        .unwrap();
+        let banked = optimize_banked(&search(&fx), Capacity::from_bytes(16 * 1024), 3).unwrap();
+        let mono = evaluate_bank_count(&search(&fx), Capacity::from_bytes(16 * 1024), 0).unwrap();
         assert!(banked.edp() <= mono.edp(), "the search includes 1 bank");
     }
 
     #[test]
     fn banking_cuts_delay_at_large_capacity() {
         let fx = fixture();
-        let constraint = YieldConstraint::paper_delta(fx.cell.vdd());
-        let mono = evaluate_bank_count(
-            Capacity::from_bytes(16 * 1024),
-            0,
-            &fx.cell,
-            &fx.periphery,
-            &fx.params,
-            &fx.space,
-            constraint,
-            64,
-        )
-        .unwrap();
-        let four = evaluate_bank_count(
-            Capacity::from_bytes(16 * 1024),
-            2,
-            &fx.cell,
-            &fx.periphery,
-            &fx.params,
-            &fx.space,
-            constraint,
-            64,
-        )
-        .unwrap();
+        let mono = evaluate_bank_count(&search(&fx), Capacity::from_bytes(16 * 1024), 0).unwrap();
+        let four = evaluate_bank_count(&search(&fx), Capacity::from_bytes(16 * 1024), 2).unwrap();
         assert!(four.delay < mono.delay, "4 banks should cut the delay");
         assert_eq!(four.banks(), 4);
         assert_eq!(four.bank.capacity.bytes(), 4096);
@@ -238,30 +180,9 @@ mod tests {
         // Eq. (4): all M bits leak regardless of partitioning; the
         // leakage *energy* differs only through the cycle time.
         let fx = fixture();
-        let constraint = YieldConstraint::paper_delta(fx.cell.vdd());
         let capacity = Capacity::from_bytes(4096);
-        let mono = evaluate_bank_count(
-            capacity,
-            0,
-            &fx.cell,
-            &fx.periphery,
-            &fx.params,
-            &fx.space,
-            constraint,
-            64,
-        )
-        .unwrap();
-        let banked = evaluate_bank_count(
-            capacity,
-            2,
-            &fx.cell,
-            &fx.periphery,
-            &fx.params,
-            &fx.space,
-            constraint,
-            64,
-        )
-        .unwrap();
+        let mono = evaluate_bank_count(&search(&fx), capacity, 0).unwrap();
+        let banked = evaluate_bank_count(&search(&fx), capacity, 2).unwrap();
         // Leakage power = leakage energy / cycle: must equal M * P_cell
         // in both partitionings.
         let expect = fx.cell.leakage().watts() * capacity.bits() as f64;

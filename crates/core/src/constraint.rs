@@ -1,69 +1,37 @@
-//! Yield constraints.
+//! The yield constraint.
 //!
 //! The paper's accurate constraint is statistical
 //! (`min over margins of (μ − kσ) ≥ 0`); "for simplicity" it actually
 //! uses the deterministic `min(HSNM, RSNM, WM) ≥ δ` with
-//! `δ = 0.35 · Vdd`. Both are provided; the optimizer checks the
-//! deterministic form per candidate (it only depends on `V_SSC` through
-//! the cell look-up tables), while the statistical form is exposed for
-//! the Monte Carlo extension experiment.
+//! `δ = 0.35 · Vdd`. The optimizer checks the deterministic form per
+//! candidate (it only depends on `V_SSC` through the cell look-up
+//! tables); the statistical form is checked on a winning design by
+//! Monte Carlo ([`crate::CoOptimizationFramework::verify_statistical_yield`]).
 
-use sram_cell::{CellCharacterization, YieldAnalysis};
+use sram_cell::CellCharacterization;
 use sram_units::Voltage;
 
-/// A yield requirement on the three cell margins.
+/// The yield requirement on the three cell margins:
+/// `min(HSNM, RSNM, WM) ≥ δ` (the paper's Section 5 simplification,
+/// `δ = 0.35·Vdd`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum YieldConstraint {
-    /// Deterministic: `min(HSNM, RSNM, WM) ≥ δ` (the paper's Section 5
-    /// simplification, `δ = 0.35·Vdd`).
-    MinMargin {
-        /// The minimum acceptable margin `δ`.
-        delta: Voltage,
-    },
-    /// Statistical: `min over margins of (μ − kσ) ≥ 0` with `1 ≤ k ≤ 6`
-    /// (the paper's "accurate way"; evaluated via Monte Carlo).
-    Statistical {
-        /// Sigma multiplier `k`.
-        k: f64,
-    },
+pub struct YieldConstraint {
+    /// The minimum acceptable margin `δ`.
+    pub delta: Voltage,
 }
 
 impl YieldConstraint {
-    /// The paper's deterministic constraint at supply `vdd`:
-    /// `δ = 0.35 · Vdd`.
+    /// The paper's constraint at supply `vdd`: `δ = 0.35 · Vdd`.
     #[must_use]
     pub fn paper_delta(vdd: Voltage) -> Self {
-        YieldConstraint::MinMargin { delta: vdd * 0.35 }
+        Self { delta: vdd * 0.35 }
     }
 
-    /// Checks the deterministic form against a characterization snapshot
-    /// at cell ground `vssc`.
-    ///
-    /// The statistical form cannot be decided from a snapshot (it needs
-    /// Monte Carlo margins) and conservatively returns `false`; use
-    /// [`YieldConstraint::check_statistical`] with a [`YieldAnalysis`]
-    /// instead.
+    /// Checks the constraint against a characterization snapshot at cell
+    /// ground `vssc`.
     #[must_use]
     pub fn check_snapshot(&self, cell: &CellCharacterization, vssc: Voltage) -> bool {
-        match *self {
-            YieldConstraint::MinMargin { delta } => cell.min_margin(vssc) >= delta,
-            YieldConstraint::Statistical { .. } => false,
-        }
-    }
-
-    /// Checks the statistical form against Monte Carlo margin statistics.
-    /// The deterministic form checks `μ ≥ δ`-style bounds trivially via
-    /// the analysis means.
-    #[must_use]
-    pub fn check_statistical(&self, analysis: &YieldAnalysis) -> bool {
-        match *self {
-            YieldConstraint::MinMargin { delta } => {
-                analysis.hsnm.mean >= delta
-                    && analysis.rsnm.mean >= delta
-                    && analysis.wm.mean >= delta
-            }
-            YieldConstraint::Statistical { k } => analysis.passes(k),
-        }
+        cell.min_margin(vssc) >= self.delta
     }
 }
 
@@ -78,13 +46,8 @@ mod tests {
 
     #[test]
     fn paper_delta_is_35_percent() {
-        let c = YieldConstraint::paper_delta(vdd());
-        match c {
-            YieldConstraint::MinMargin { delta } => {
-                assert!((delta.millivolts() - 157.5).abs() < 1e-9);
-            }
-            YieldConstraint::Statistical { .. } => panic!("wrong variant"),
-        }
+        let YieldConstraint { delta } = YieldConstraint::paper_delta(vdd());
+        assert!((delta.millivolts() - 157.5).abs() < 1e-9);
     }
 
     #[test]
@@ -102,16 +65,9 @@ mod tests {
     #[test]
     fn tighter_delta_fails() {
         let cell = CellCharacterization::paper_hvt(vdd());
-        let c = YieldConstraint::MinMargin {
+        let c = YieldConstraint {
             delta: Voltage::from_millivolts(200.0),
         };
-        assert!(!c.check_snapshot(&cell, Voltage::ZERO));
-    }
-
-    #[test]
-    fn statistical_variant_defers_to_monte_carlo() {
-        let cell = CellCharacterization::paper_hvt(vdd());
-        let c = YieldConstraint::Statistical { k: 3.0 };
         assert!(!c.check_snapshot(&cell, Voltage::ZERO));
     }
 }

@@ -2,8 +2,8 @@
 
 use crate::rails::{minimize_vddc, minimize_vwl};
 use crate::{
-    CooptError, DesignSpace, EnergyDelayProduct, ExhaustiveSearch, Method, Objective,
-    OptimalDesign, RailSelection, YieldConstraint,
+    CooptError, DesignPoint, DesignSpace, EnergyDelayProduct, Method, Objective, OptimalDesign,
+    ParetoFront, RailSelection, Search, SearchStatistics, YieldConstraint,
 };
 use sram_array::{ArrayParams, Capacity, Periphery};
 use sram_cell::{CellCharacterization, CellCharacterizer, CharacterizationGrid};
@@ -327,37 +327,54 @@ impl CoOptimizationFramework {
         objective: &(impl Objective + Sync + ?Sized),
         cancel: &CancelToken,
     ) -> Result<OptimalDesign, CooptError> {
+        let outcome = self.with_search(cell, method, cancel, |search| {
+            search.run(capacity, objective)
+        })?;
+        Ok(outcome.into_design(capacity, flavor, method, cell))
+    }
+
+    /// The energy-delay Pareto front of `method`'s space for `capacity`
+    /// against an injected `cell`, as [`Self::optimize_with_cell_cancel`]
+    /// searches it; `cancel` is polled once per slice.
+    ///
+    /// # Errors
+    ///
+    /// [`CooptError::Cancelled`] when the token fires mid-walk.
+    pub fn pareto_front(
+        &self,
+        cell: &CellCharacterization,
+        capacity: Capacity,
+        method: Method,
+        cancel: &CancelToken,
+    ) -> Result<(ParetoFront<DesignPoint>, SearchStatistics), CooptError> {
+        self.with_search(cell, method, cancel, |search| search.pareto_front(capacity))
+    }
+
+    /// Hands `f` the search of `cell` over `method`'s space (M1 has no
+    /// negative-Gnd rail) under the δ rule, with this framework's
+    /// threads and `cancel`.
+    fn with_search<R>(
+        &self,
+        cell: &CellCharacterization,
+        method: Method,
+        cancel: &CancelToken,
+        f: impl FnOnce(&Search<'_>) -> R,
+    ) -> R {
         let space = match method {
             Method::M1 => self.space.clone().without_negative_gnd(),
             Method::M2 => self.space.clone(),
         };
-        let search = ExhaustiveSearch::new(
+        let search = Search::new(
             cell,
             &self.periphery,
             &self.params,
             &space,
-            YieldConstraint::MinMargin {
-                delta: self.delta(),
-            },
+            YieldConstraint::paper_delta(self.vdd),
             self.word_bits,
         )
         .with_threads(self.threads)
         .with_cancel(cancel.clone());
-        let outcome = search.run(capacity, objective)?;
-
-        Ok(OptimalDesign {
-            capacity,
-            flavor,
-            method,
-            organization: outcome.best.organization,
-            n_pre: outcome.best.n_pre,
-            n_wr: outcome.best.n_wr,
-            vddc: cell.vddc(),
-            vssc: outcome.best.vssc,
-            vwl: cell.vwl(),
-            metrics: outcome.metrics,
-            stats: outcome.stats,
-        })
+        f(&search)
     }
 
     /// Verifies a winning design against the paper's *accurate* yield

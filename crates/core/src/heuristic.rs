@@ -1,155 +1,102 @@
-//! Coordinate-descent search: a cheap alternative to exhaustive search.
+//! Coordinate descent: a cheap alternative to exhaustive search.
 //!
 //! The paper justifies exhaustive search by the small variable count
-//! ("only four variables with relatively small ranges"). This module
-//! provides the obvious cheaper alternative — cyclic coordinate descent
-//! over `(n_r, V_SSC, N_pre, N_wr)` — so the trade-off can be measured:
-//! how often does the greedy search land on the true optimum, and how
-//! many evaluations does it save? (See the ablation benches.)
+//! ("only four variables with relatively small ranges").
+//! [`Search::descend`] is the obvious cheaper alternative — cyclic
+//! coordinate descent over `(n_r, V_SSC, N_pre, N_wr)` — so the
+//! trade-off can be measured: how often does the greedy search land on
+//! the true optimum, and how many evaluations does it save? (See
+//! ablation A4, `reproduce ablation`.)
 
-use crate::{
-    CooptError, DesignPoint, DesignSpace, Objective, SearchOutcome, SearchStatistics,
-    YieldConstraint,
-};
-use sram_array::{ArrayModel, ArrayOrganization, ArrayParams, Capacity, Periphery};
-use sram_cell::CellCharacterization;
-use sram_units::Voltage;
+use crate::search::finite_score;
+use crate::{CooptError, DesignPoint, Objective, Search, SearchOutcome, SearchStatistics};
+use sram_array::{ArrayMetrics, Capacity};
 
-/// Cyclic coordinate descent over the design space.
-#[derive(Debug, Clone)]
-pub struct CoordinateDescent<'a> {
-    cell: &'a CellCharacterization,
-    periphery: &'a Periphery,
-    params: &'a ArrayParams,
-    space: &'a DesignSpace,
-    constraint: YieldConstraint,
-    word_bits: u32,
-    max_rounds: usize,
-}
+/// Full coordinate rounds before the descent stops unconverged.
+const MAX_ROUNDS: usize = 8;
 
-impl<'a> CoordinateDescent<'a> {
-    /// Creates a descent bound to the same inputs as
-    /// [`crate::ExhaustiveSearch`].
-    #[must_use]
-    pub fn new(
-        cell: &'a CellCharacterization,
-        periphery: &'a Periphery,
-        params: &'a ArrayParams,
-        space: &'a DesignSpace,
-        constraint: YieldConstraint,
-        word_bits: u32,
-    ) -> Self {
-        Self {
-            cell,
-            periphery,
-            params,
-            space,
-            constraint,
-            word_bits,
-            max_rounds: 8,
-        }
-    }
-
-    /// Scores one visited candidate under the exhaustive search's
-    /// policy: a `V_SSC` that fails the yield constraint counts as
-    /// infeasible, and a model error or non-finite score counts as an
-    /// evaluation error and never becomes the incumbent.
-    fn evaluate(
+impl Search<'_> {
+    /// Scores one visited candidate as a one-point slice of the walk,
+    /// under the exhaustive search's yield gate, error and NaN policies.
+    fn score_point(
         &self,
-        org: ArrayOrganization,
-        vssc: Voltage,
-        n_pre: u32,
-        n_wr: u32,
+        point: DesignPoint,
         objective: &(impl Objective + ?Sized),
         stats: &mut SearchStatistics,
-    ) -> Option<(f64, sram_array::ArrayMetrics)> {
-        stats.examined += 1;
-        if !self.constraint.check_snapshot(self.cell, vssc) {
-            stats.infeasible += 1;
-            return None;
-        }
-        stats.feasible += 1;
-        let scored = ArrayModel::new(org, self.cell, self.periphery, self.params)
-            .with_precharge_fins(n_pre)
-            .with_write_fins(n_wr)
-            .with_vssc(vssc)
-            .evaluate()
-            .ok()
-            .map(|metrics| (objective.score(&metrics), metrics))
-            .filter(|(score, _)| score.is_finite());
-        if scored.is_some() {
-            stats.evaluated += 1;
-        } else {
-            stats.eval_errors += 1;
-        }
-        scored
+    ) -> Result<Option<(f64, ArrayMetrics)>, CooptError> {
+        self.poll_cancel()?;
+        let mut scored = None;
+        let (org, vssc) = (point.organization, point.vssc);
+        stats.merge(
+            &self.walk_slice(org, vssc, &[point.n_pre], &[point.n_wr], |_, metrics| {
+                scored = finite_score(objective, metrics).map(|score| (score, *metrics));
+                scored.is_some()
+            }),
+        );
+        Ok(scored)
     }
 
     /// Runs the descent: starting from the median of every range, sweep
     /// one variable at a time to its best value and repeat until a full
-    /// round makes no improvement (or the round budget is hit).
+    /// round makes no improvement (or `MAX_ROUNDS` rounds have run).
     ///
     /// # Errors
     ///
     /// * [`CooptError::EmptyDesignSpace`] when the capacity admits no
     ///   organization;
     /// * [`CooptError::Infeasible`] when no visited candidate meets the
-    ///   yield constraint with a finite score.
-    pub fn run(
+    ///   yield constraint with a finite score;
+    /// * [`CooptError::Cancelled`] when the attached cancel token fires
+    ///   (checked before each visited candidate).
+    pub fn descend(
         &self,
         capacity: Capacity,
         objective: &(impl Objective + ?Sized),
     ) -> Result<SearchOutcome, CooptError> {
-        let orgs = ArrayOrganization::enumerate(capacity, self.word_bits, self.space.rows_range());
+        let orgs = self.organizations(capacity);
         if orgs.is_empty() {
             return Err(CooptError::EmptyDesignSpace {
                 capacity_bits: capacity.bits(),
             });
         }
-        let vsscs = self.space.vssc_values().to_vec();
+        let vsscs = self.space.vssc_values();
         let npres = self.space.npre_values();
         let nwrs = self.space.nwr_values();
+        let lens = [orgs.len(), vsscs.len(), npres.len(), nwrs.len()];
+        let point_at = |at: [usize; 4]| DesignPoint {
+            organization: orgs[at[0]],
+            vssc: vsscs[at[1]],
+            n_pre: npres[at[2]],
+            n_wr: nwrs[at[3]],
+        };
 
-        let mut org_i = orgs.len() / 2;
-        let mut vssc_i = vsscs.len() / 2;
-        let mut npre_i = npres.len() / 2;
-        let mut nwr_i = nwrs.len() / 2;
-
+        // The current index of each coordinate, `(n_r, V_SSC, N_pre, N_wr)`.
+        let mut at = lens.map(|len| len / 2);
         let mut stats = SearchStatistics::default();
-        let mut best: Option<(f64, sram_array::ArrayMetrics, usize, usize, usize, usize)> = None;
+        let mut best: Option<(f64, ArrayMetrics, DesignPoint)> = None;
 
-        for _ in 0..self.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             let before = best.as_ref().map(|b| b.0);
 
             // One coordinate at a time; each sweep fixes the others at
             // their current indices.
             for dim in 0..4 {
-                let len = [orgs.len(), vsscs.len(), npres.len(), nwrs.len()][dim];
-                let mut local: Option<(f64, sram_array::ArrayMetrics, usize)> = None;
-                for idx in 0..len {
-                    let (oi, vi, pi, wi) = match dim {
-                        0 => (idx, vssc_i, npre_i, nwr_i),
-                        1 => (org_i, idx, npre_i, nwr_i),
-                        2 => (org_i, vssc_i, idx, nwr_i),
-                        _ => (org_i, vssc_i, npre_i, idx),
-                    };
-                    if let Some((score, metrics)) = self.evaluate(
-                        orgs[oi], vsscs[vi], npres[pi], nwrs[wi], objective, &mut stats,
-                    ) {
+                let mut local: Option<(f64, ArrayMetrics, usize)> = None;
+                for idx in 0..lens[dim] {
+                    let mut probe = at;
+                    probe[dim] = idx;
+                    if let Some((score, metrics)) =
+                        self.score_point(point_at(probe), objective, &mut stats)?
+                    {
                         if local.as_ref().is_none_or(|(s, ..)| score < *s) {
                             local = Some((score, metrics, idx));
                         }
                     }
                 }
                 if let Some((score, metrics, idx)) = local {
-                    match dim {
-                        0 => org_i = idx,
-                        1 => vssc_i = idx,
-                        2 => npre_i = idx,
-                        _ => nwr_i = idx,
-                    }
+                    at[dim] = idx;
                     if best.as_ref().is_none_or(|(s, ..)| score < *s) {
-                        best = Some((score, metrics, org_i, vssc_i, npre_i, nwr_i));
+                        best = Some((score, metrics, point_at(at)));
                     }
                 }
             }
@@ -159,17 +106,12 @@ impl<'a> CoordinateDescent<'a> {
             }
         }
 
-        let (score, metrics, oi, vi, pi, wi) = best.ok_or(CooptError::Infeasible {
+        let (score, metrics, best) = best.ok_or(CooptError::Infeasible {
             capacity_bits: capacity.bits(),
             examined: stats.examined,
         })?;
         Ok(SearchOutcome {
-            best: DesignPoint {
-                organization: orgs[oi],
-                vssc: vsscs[vi],
-                n_pre: npres[pi],
-                n_wr: nwrs[wi],
-            },
+            best,
             metrics,
             score,
             stats,
@@ -180,8 +122,11 @@ impl<'a> CoordinateDescent<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EnergyDelayProduct, ExhaustiveSearch};
+    use crate::{DesignSpace, EnergyDelayProduct, YieldConstraint};
+    use sram_array::{ArrayParams, Periphery};
+    use sram_cell::CellCharacterization;
     use sram_device::DeviceLibrary;
+    use sram_units::Voltage;
 
     struct Fixture {
         cell: CellCharacterization,
@@ -206,7 +151,7 @@ mod tests {
         let constraint = YieldConstraint::paper_delta(fx.cell.vdd());
         let capacity = Capacity::from_bytes(4096);
 
-        let exhaustive = ExhaustiveSearch::new(
+        let exhaustive = Search::new(
             &fx.cell,
             &fx.periphery,
             &fx.params,
@@ -216,7 +161,7 @@ mod tests {
         )
         .run(capacity, &EnergyDelayProduct)
         .unwrap();
-        let descent = CoordinateDescent::new(
+        let descent = Search::new(
             &fx.cell,
             &fx.periphery,
             &fx.params,
@@ -224,7 +169,7 @@ mod tests {
             constraint,
             64,
         )
-        .run(capacity, &EnergyDelayProduct)
+        .descend(capacity, &EnergyDelayProduct)
         .unwrap();
 
         // Coordinate descent must reach within 5% of the global optimum
@@ -246,17 +191,17 @@ mod tests {
     #[test]
     fn descent_respects_constraints() {
         let fx = fixture();
-        let err = CoordinateDescent::new(
+        let err = Search::new(
             &fx.cell,
             &fx.periphery,
             &fx.params,
             &fx.space,
-            YieldConstraint::MinMargin {
+            YieldConstraint {
                 delta: Voltage::from_volts(2.0),
             },
             64,
         )
-        .run(Capacity::from_bytes(1024), &EnergyDelayProduct)
+        .descend(Capacity::from_bytes(1024), &EnergyDelayProduct)
         .unwrap_err();
         assert!(matches!(err, CooptError::Infeasible { .. }));
     }
@@ -276,7 +221,7 @@ mod tests {
         }
         let fx = fixture();
         let space = DesignSpace::coarse();
-        let err = CoordinateDescent::new(
+        let err = Search::new(
             &fx.cell,
             &fx.periphery,
             &fx.params,
@@ -284,7 +229,7 @@ mod tests {
             YieldConstraint::paper_delta(fx.cell.vdd()),
             64,
         )
-        .run(Capacity::from_bytes(1024), &NanObjective)
+        .descend(Capacity::from_bytes(1024), &NanObjective)
         .unwrap_err();
         assert!(matches!(err, CooptError::Infeasible { .. }), "{err:?}");
     }

@@ -15,8 +15,10 @@
 //!
 //! The search space (`V_SSC ∈ {0,−10,…,−240 mV}`, `n_r ∈ {2¹…2¹⁰}`,
 //! `N_pre ∈ {1…50}`, `N_wr ∈ {1…20}`) is small enough for **exhaustive
-//! search** ([`ExhaustiveSearch`], with a std::thread::scope-parallel variant),
-//! evaluated through the `sram-array` look-up-table model.
+//! search** ([`Search::run`], with a std::thread::scope-parallel variant),
+//! evaluated through the `sram-array` look-up-table model. The same
+//! [`Search`] walks the space for the energy-delay Pareto front and by
+//! coordinate descent.
 //!
 //! Two rail-count policies are modeled (Section 5): **M1** — one extra
 //! voltage rail, set to `max(V_DDC, V_WL)`, no negative rail; **M2** —
@@ -75,7 +77,6 @@ pub use banking::{evaluate_bank_count, optimize_banked, BankedDesign};
 pub use constraint::YieldConstraint;
 pub use error::CooptError;
 pub use framework::{CharacterizationMode, CoOptimizationFramework};
-pub use heuristic::CoordinateDescent;
 pub use objective::{
     DelayOnly, EnergyDelayProduct, EnergyDelaySquared, EnergyOnly, Objective, WeightedEnergyDelay,
 };
@@ -83,6 +84,6 @@ pub use pareto::{ParetoFront, ParetoPoint};
 pub use rails::{Method, RailSelection};
 pub use report::{csv_table, format_table4};
 pub use result::{OptimalDesign, SearchStatistics};
-pub use search::{DesignPoint, ExhaustiveSearch, SearchOutcome};
+pub use search::{DesignPoint, Search, SearchOutcome};
 pub use space::DesignSpace;
 pub use standby::{optimize_standby, StandbyPolicy};

@@ -1,8 +1,8 @@
 //! Optimization objectives.
 //!
 //! The paper minimizes the energy-delay product; alternative objectives
-//! are provided for the ablation benches (what changes when the target is
-//! ED²P or delay under an energy cap is a natural reviewer question).
+//! are provided for serve's `optimize` op and the `cache_design` example,
+//! to show what changes when the target is ED²P, delay or energy.
 
 use sram_array::ArrayMetrics;
 

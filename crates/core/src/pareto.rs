@@ -1,6 +1,7 @@
 //! Energy-delay Pareto fronts.
 //!
-//! Used by the ablation bench: how much of the exhaustive search could a
+//! Built by [`crate::Search::pareto_front`] for serve's `pareto-front`
+//! op and ablation A2: how much of the exhaustive search could a
 //! dominance-pruned search skip, and what do the energy/delay trade-offs
 //! around the EDP optimum look like?
 

@@ -7,8 +7,8 @@ use sram_units::{Energy, EnergyDelay, Time, Voltage};
 
 /// Search bookkeeping.
 ///
-/// Invariants (maintained by [`crate::ExhaustiveSearch`], identical for
-/// serial and parallel runs): `examined = feasible + infeasible` and
+/// Invariants (maintained by every walk of [`crate::Search`], identical
+/// for serial and parallel runs): `examined = feasible + infeasible` and
 /// `feasible = evaluated + eval_errors`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStatistics {

@@ -1,8 +1,15 @@
-//! Exhaustive (and parallel) search over the design space.
+//! The one walk over the design space: the exhaustive search (serial or
+//! parallel), the energy-delay Pareto front and coordinate descent
+//! ([`Search::descend`], in `heuristic.rs`) share its slice walk, yield
+//! gate, error and NaN policies, cancel polling and statistics.
 
-use crate::{CooptError, DesignSpace, Objective, SearchStatistics, YieldConstraint};
+use crate::{
+    CooptError, DesignSpace, EnergyDelayProduct, Method, Objective, OptimalDesign, ParetoFront,
+    ParetoPoint, SearchStatistics, YieldConstraint,
+};
 use sram_array::{ArrayMetrics, ArrayModel, ArrayOrganization, ArrayParams, Capacity, Periphery};
 use sram_cell::CellCharacterization;
+use sram_device::VtFlavor;
 use sram_faults::{CancelReason, CancelToken};
 use sram_units::Voltage;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,25 +40,73 @@ pub struct SearchOutcome {
     pub stats: SearchStatistics,
 }
 
+impl SearchOutcome {
+    /// The Table-4 row of this outcome: a `capacity` array of `cell`
+    /// (characterized for `flavor` under `method`), reporting the rails
+    /// the cell was characterized at.
+    #[must_use]
+    pub(crate) fn into_design(
+        self,
+        capacity: Capacity,
+        flavor: VtFlavor,
+        method: Method,
+        cell: &CellCharacterization,
+    ) -> OptimalDesign {
+        OptimalDesign {
+            capacity,
+            flavor,
+            method,
+            organization: self.best.organization,
+            n_pre: self.best.n_pre,
+            n_wr: self.best.n_wr,
+            vddc: cell.vddc(),
+            vssc: self.best.vssc,
+            vwl: cell.vwl(),
+            metrics: self.metrics,
+            stats: self.stats,
+        }
+    }
+}
+
 /// A feasible candidate with its evaluated metrics and objective score.
 type ScoredCandidate = (DesignPoint, ArrayMetrics, f64);
 
-/// Exhaustive search over [`DesignSpace`] (Section 5: "we can derive the
-/// minimum energy-delay product point of the array using an exhaustive
-/// search").
+/// The NaN policy of every walk: a non-finite score is an evaluation
+/// error and never competes (a NaN first candidate would win `score < s`
+/// comparisons by default forever after).
+pub(crate) fn finite_score(
+    objective: &(impl Objective + ?Sized),
+    metrics: &ArrayMetrics,
+) -> Option<f64> {
+    let score = objective.score(metrics);
+    score.is_finite().then_some(score)
+}
+
+/// Builds the typed cancellation error (and counts the abort).
+fn cancelled(reason: CancelReason) -> CooptError {
+    sram_probe::probe_inc!("coopt.search_cancelled");
+    CooptError::Cancelled(reason)
+}
+
+/// A search problem over [`DesignSpace`]: one characterized cell, the
+/// shared array parameters and the yield constraint. It walks the space
+/// exhaustively ([`Self::run`]; Section 5: "we can derive the minimum
+/// energy-delay product point of the array using an exhaustive search"),
+/// for the energy-delay Pareto front ([`Self::pareto_front`]) or by
+/// coordinate descent ([`Self::descend`]).
 #[derive(Debug, Clone)]
-pub struct ExhaustiveSearch<'a> {
-    cell: &'a CellCharacterization,
-    periphery: &'a Periphery,
+pub struct Search<'a> {
+    pub(crate) cell: &'a CellCharacterization,
+    pub(crate) periphery: &'a Periphery,
     params: &'a ArrayParams,
-    space: &'a DesignSpace,
+    pub(crate) space: &'a DesignSpace,
     constraint: YieldConstraint,
     word_bits: u32,
     threads: usize,
     cancel: CancelToken,
 }
 
-impl<'a> ExhaustiveSearch<'a> {
+impl<'a> Search<'a> {
     /// Creates a search bound to a characterized cell and the shared
     /// array parameters. `word_bits` is the paper's `W = 64`.
     #[must_use]
@@ -75,8 +130,8 @@ impl<'a> ExhaustiveSearch<'a> {
         }
     }
 
-    /// Enables a scoped thread pool of `n` workers, splitting the space
-    /// by `(organization, V_SSC)` slice.
+    /// Enables a scoped thread pool of `n` workers for [`Self::run`],
+    /// splitting the space by `(organization, V_SSC)` slice.
     #[must_use]
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
@@ -84,18 +139,24 @@ impl<'a> ExhaustiveSearch<'a> {
     }
 
     /// Attaches a cooperative cancellation token, polled once per slice
-    /// on both the serial and parallel paths — a fired token aborts the
-    /// sweep within one slice's work instead of running to completion.
+    /// by every walk (on both of [`Self::run`]'s paths) — a fired token
+    /// aborts the walk within one slice's work instead of running to
+    /// completion.
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
     }
 
+    /// The organizations of a capacity within the space's row range.
+    pub(crate) fn organizations(&self, capacity: Capacity) -> Vec<ArrayOrganization> {
+        ArrayOrganization::enumerate(capacity, self.word_bits, self.space.rows_range())
+    }
+
     /// Enumerates the candidate `(organization, V_SSC)` slices for a
-    /// capacity (the fin loops run inside each slice).
+    /// capacity, organization outer (the fin loops run inside each slice).
     fn slices(&self, capacity: Capacity) -> Vec<(ArrayOrganization, Voltage)> {
-        let orgs = ArrayOrganization::enumerate(capacity, self.word_bits, self.space.rows_range());
+        let orgs = self.organizations(capacity);
         let mut out = Vec::with_capacity(orgs.len() * self.space.vssc_values().len());
         for org in orgs {
             for &vssc in self.space.vssc_values() {
@@ -103,6 +164,71 @@ impl<'a> ExhaustiveSearch<'a> {
             }
         }
         out
+    }
+
+    /// Fails with [`CooptError::Cancelled`] once the token has fired.
+    pub(crate) fn poll_cancel(&self) -> Result<(), CooptError> {
+        self.cancel
+            .cancelled()
+            .map_or(Ok(()), |reason| Err(cancelled(reason)))
+    }
+
+    /// Walks one `(organization, V_SSC)` slice over the given fin values
+    /// and returns its statistics. The yield constraint depends only on
+    /// `V_SSC` (through the cell tables), so it gates the whole slice;
+    /// a slice whose model fails to build (only invalid array parameters
+    /// do) counts every candidate as an evaluation error. Each other
+    /// candidate goes to `visit`, which returns `false` to reject it as
+    /// an evaluation error.
+    pub(crate) fn walk_slice(
+        &self,
+        org: ArrayOrganization,
+        vssc: Voltage,
+        npre_values: &[u32],
+        nwr_values: &[u32],
+        mut visit: impl FnMut(DesignPoint, &ArrayMetrics) -> bool,
+    ) -> SearchStatistics {
+        // One trace span per slice — the unit of parallel work — with
+        // the slice's outcome attached as args on the end event.
+        let mut trace = sram_probe::trace_span!("coopt.slice");
+        trace.arg("rows", i64::from(org.rows()));
+        trace.arg("vssc_mv", vssc.millivolts().round() as i64);
+
+        let examined = npre_values.len() * nwr_values.len();
+        let mut stats = SearchStatistics {
+            examined,
+            ..SearchStatistics::default()
+        };
+        let feasible = self.constraint.check_snapshot(self.cell, vssc);
+        trace.arg("examined", examined as i64);
+        trace.arg("feasible", if feasible { examined as i64 } else { 0 });
+        if !feasible {
+            stats.infeasible = examined;
+            return stats;
+        }
+        stats.feasible = examined;
+
+        let Ok(slice) = ArrayModel::new(org, self.cell, self.periphery, self.params)
+            .with_vssc(vssc)
+            .slice()
+        else {
+            stats.eval_errors = examined;
+            return stats;
+        };
+        slice.sweep(npre_values, nwr_values, |n_pre, n_wr, metrics| {
+            let point = DesignPoint {
+                organization: org,
+                vssc,
+                n_pre,
+                n_wr,
+            };
+            if visit(point, metrics) {
+                stats.evaluated += 1;
+            } else {
+                stats.eval_errors += 1;
+            }
+        });
+        stats
     }
 
     /// Evaluates one slice, returning the best feasible candidate in it.
@@ -114,75 +240,20 @@ impl<'a> ExhaustiveSearch<'a> {
         nwr_values: &[u32],
         objective: &(impl Objective + ?Sized),
     ) -> (Option<ScoredCandidate>, SearchStatistics) {
-        // One trace span per (V_SSC, n_r) slice — the unit of parallel
-        // work — with the slice's outcome attached as args on the end
-        // event.
-        let mut trace = sram_probe::trace_span!("coopt.slice");
-        trace.arg("rows", i64::from(org.rows()));
-        trace.arg("vssc_mv", vssc.millivolts().round() as i64);
-
-        let mut stats = SearchStatistics {
-            examined: npre_values.len() * nwr_values.len(),
-            ..SearchStatistics::default()
-        };
-
-        // The yield constraint depends only on V_SSC (through the cell
-        // tables), so it gates the whole slice.
-        if !self.constraint.check_snapshot(self.cell, vssc) {
-            stats.infeasible = stats.examined;
-            trace.arg("examined", stats.examined as i64);
-            trace.arg("feasible", 0);
-            return (None, stats);
-        }
-        stats.feasible = stats.examined;
-        trace.arg("examined", stats.examined as i64);
-        trace.arg("feasible", stats.feasible as i64);
-
-        // Only invalid array parameters fail a slice; every candidate in
-        // it would have failed the same way.
-        let Ok(slice) = ArrayModel::new(org, self.cell, self.periphery, self.params)
-            .with_vssc(vssc)
-            .slice()
-        else {
-            stats.eval_errors = stats.feasible;
-            return (None, stats);
-        };
         let mut best: Option<ScoredCandidate> = None;
-        slice.sweep(npre_values, nwr_values, |n_pre, n_wr, metrics| {
-            let score = objective.score(metrics);
-            // NaN policy: a non-finite score can never become the
-            // incumbent (a NaN first candidate would win `score < s`
-            // comparisons by default forever after). Count it with the
-            // evaluation errors so the statistics partition
-            // (`feasible = evaluated + eval_errors`) still holds.
-            if !score.is_finite() {
-                stats.eval_errors += 1;
-                return;
-            }
-            stats.evaluated += 1;
+        let stats = self.walk_slice(org, vssc, npre_values, nwr_values, |point, metrics| {
+            let Some(score) = finite_score(objective, metrics) else {
+                return false;
+            };
             if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
-                best = Some((
-                    DesignPoint {
-                        organization: org,
-                        vssc,
-                        n_pre,
-                        n_wr,
-                    },
-                    *metrics,
-                    score,
-                ));
+                best = Some((point, *metrics, score));
             }
+            true
         });
         (best, stats)
     }
 
-    /// Builds the typed cancellation error (and counts the abort).
-    fn cancelled(&self, reason: CancelReason) -> CooptError {
-        sram_probe::probe_inc!("coopt.search_cancelled");
-        CooptError::Cancelled(reason)
-    }
-
-    /// Runs the search for `capacity` under `objective`.
+    /// Runs the exhaustive search for `capacity` under `objective`.
     ///
     /// # Errors
     ///
@@ -218,9 +289,7 @@ impl<'a> ExhaustiveSearch<'a> {
         let results: Vec<(Option<ScoredCandidate>, SearchStatistics)> = if self.threads <= 1 {
             let mut out = Vec::with_capacity(slices.len());
             for &(org, vssc) in &slices {
-                if let Some(reason) = self.cancel.cancelled() {
-                    return Err(self.cancelled(reason));
-                }
+                self.poll_cancel()?;
                 out.push(self.best_in_slice(org, vssc, &npre_values, &nwr_values, objective));
             }
             out
@@ -274,7 +343,7 @@ impl<'a> ExhaustiveSearch<'a> {
                 // Deadlines and shutdown flags are monotonic, so the token
                 // still reports the reason the workers observed.
                 let reason = self.cancel.cancelled().unwrap_or(CancelReason::Shutdown);
-                return Err(self.cancelled(reason));
+                return Err(cancelled(reason));
             }
             results
         };
@@ -306,12 +375,47 @@ impl<'a> ExhaustiveSearch<'a> {
             stats,
         })
     }
+
+    /// Walks the space for `capacity` serially, in [`Self::run`]'s slice
+    /// order, and keeps the non-dominated energy/delay points. A
+    /// candidate whose energy-delay product is not finite is an
+    /// evaluation error, so the statistics equal those of
+    /// [`Self::run`] under [`EnergyDelayProduct`]. A capacity
+    /// with no organization gives an empty front.
+    ///
+    /// # Errors
+    ///
+    /// [`CooptError::Cancelled`] when the attached [`CancelToken`] fires
+    /// (checked at slice boundaries).
+    pub fn pareto_front(
+        &self,
+        capacity: Capacity,
+    ) -> Result<(ParetoFront<DesignPoint>, SearchStatistics), CooptError> {
+        let (npre_values, nwr_values) = (self.space.npre_values(), self.space.nwr_values());
+        let mut front = ParetoFront::new();
+        let mut stats = SearchStatistics::default();
+        for (org, vssc) in self.slices(capacity) {
+            self.poll_cancel()?;
+            let slice_stats = self.walk_slice(org, vssc, &npre_values, &nwr_values, |tag, m| {
+                let finite = finite_score(&EnergyDelayProduct, m).is_some();
+                if finite {
+                    front.offer(ParetoPoint {
+                        energy: m.energy,
+                        delay: m.delay,
+                        tag,
+                    });
+                }
+                finite
+            });
+            stats.merge(&slice_stats);
+        }
+        Ok((front, stats))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EnergyDelayProduct;
     use sram_device::DeviceLibrary;
 
     struct Fixture {
@@ -331,8 +435,8 @@ mod tests {
         }
     }
 
-    fn search(fx: &Fixture) -> ExhaustiveSearch<'_> {
-        ExhaustiveSearch::new(
+    fn search(fx: &Fixture) -> Search<'_> {
+        Search::new(
             &fx.cell,
             &fx.periphery,
             &fx.params,
@@ -381,6 +485,18 @@ mod tests {
         assert!((serial.score - parallel.score).abs() < 1e-30);
     }
 
+    /// A walk of the space reduced to its error.
+    type Walk = fn(&Search<'_>, Capacity) -> Option<CooptError>;
+
+    /// Every walk, each of which polls the cancel token once per slice.
+    fn walks() -> [(&'static str, Walk); 3] {
+        [
+            ("run", |s, c| s.run(c, &EnergyDelayProduct).err()),
+            ("pareto_front", |s, c| s.pareto_front(c).err()),
+            ("descend", |s, c| s.descend(c, &EnergyDelayProduct).err()),
+        ]
+    }
+
     #[test]
     fn expired_deadline_cancels_within_one_slice() {
         use std::time::{Duration, Instant};
@@ -396,26 +512,27 @@ mod tests {
         let slice_budget = full_run / slice_count as u32;
 
         // An already-expired deadline must abort before the first slice.
-        let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        let started = Instant::now();
-        let err = search(&fx)
-            .with_cancel(token)
-            .run(Capacity::from_bytes(4096), &EnergyDelayProduct)
-            .unwrap_err();
-        let stopped_after = started.elapsed();
-        assert!(
-            matches!(err, CooptError::Cancelled(CancelReason::Deadline)),
-            "{err}"
-        );
-        assert_eq!(err.cancel_reason(), Some(CancelReason::Deadline));
-        assert!(!err.is_transient(), "cancellation must not be retried");
-        // "Within one slice of expiry": generous scheduling slack plus the
-        // measured per-slice cost, still far below the full-run duration.
-        assert!(
-            stopped_after <= slice_budget + Duration::from_millis(250),
-            "took {stopped_after:?} to observe an already-expired deadline \
-             (slice budget {slice_budget:?}, full run {full_run:?})"
-        );
+        for (name, walk) in walks() {
+            let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+            let started = Instant::now();
+            let err =
+                walk(&search(&fx).with_cancel(token), Capacity::from_bytes(4096)).expect(name);
+            let stopped_after = started.elapsed();
+            assert!(
+                matches!(err, CooptError::Cancelled(CancelReason::Deadline)),
+                "{name}: {err}"
+            );
+            assert_eq!(err.cancel_reason(), Some(CancelReason::Deadline));
+            assert!(!err.is_transient(), "cancellation must not be retried");
+            // "Within one slice of expiry": generous scheduling slack plus
+            // the measured per-slice cost, still far below the full-run
+            // duration.
+            assert!(
+                stopped_after <= slice_budget + Duration::from_millis(250),
+                "{name} took {stopped_after:?} to observe an already-expired deadline \
+                 (slice budget {slice_budget:?}, full run {full_run:?})"
+            );
+        }
     }
 
     #[test]
@@ -423,15 +540,14 @@ mod tests {
         let fx = fixture();
         let token = CancelToken::never();
         token.cancel();
-        let err = search(&fx)
-            .with_threads(4)
-            .with_cancel(token)
-            .run(Capacity::from_bytes(1024), &EnergyDelayProduct)
-            .unwrap_err();
-        assert!(
-            matches!(err, CooptError::Cancelled(CancelReason::Shutdown)),
-            "{err}"
-        );
+        for (name, walk) in walks() {
+            let search = search(&fx).with_threads(4).with_cancel(token.clone());
+            let err = walk(&search, Capacity::from_bytes(1024)).expect(name);
+            assert!(
+                matches!(err, CooptError::Cancelled(CancelReason::Shutdown)),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -451,12 +567,12 @@ mod tests {
     #[test]
     fn infeasible_constraint_is_reported() {
         let fx = fixture();
-        let strict = ExhaustiveSearch::new(
+        let strict = Search::new(
             &fx.cell,
             &fx.periphery,
             &fx.params,
             &fx.space,
-            YieldConstraint::MinMargin {
+            YieldConstraint {
                 delta: Voltage::from_volts(1.0),
             },
             64,

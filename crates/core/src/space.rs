@@ -13,7 +13,8 @@ use sram_units::Voltage;
 ///
 /// let space = DesignSpace::paper_default();
 /// assert_eq!(space.vssc_values().len(), 25);
-/// assert_eq!(space.npre_range(), (1, 50));
+/// assert_eq!(space.npre_values(), (1..=50).collect::<Vec<u32>>());
+/// assert_eq!(space.nwr_values(), (1..=20).collect::<Vec<u32>>());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
@@ -94,18 +95,6 @@ impl DesignSpace {
     #[must_use]
     pub fn rows_range(&self) -> (u32, u32) {
         self.rows_range
-    }
-
-    /// Inclusive `N_pre` range.
-    #[must_use]
-    pub fn npre_range(&self) -> (u32, u32) {
-        self.npre_range
-    }
-
-    /// Inclusive `N_wr` range.
-    #[must_use]
-    pub fn nwr_range(&self) -> (u32, u32) {
-        self.nwr_range
     }
 
     /// `N_pre` candidates (range with stride).

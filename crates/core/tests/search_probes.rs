@@ -8,8 +8,7 @@
 use sram_array::{ArrayParams, Capacity, Periphery};
 use sram_cell::CellCharacterization;
 use sram_coopt::{
-    CooptError, DesignSpace, EnergyDelayProduct, ExhaustiveSearch, SearchStatistics,
-    YieldConstraint,
+    CooptError, DesignSpace, EnergyDelayProduct, Search, SearchStatistics, YieldConstraint,
 };
 use sram_device::DeviceLibrary;
 use sram_probe::{Level, Snapshot};
@@ -51,8 +50,7 @@ fn search_probes_equal_search_statistics() {
     let params = ArrayParams::paper_defaults();
     let space = DesignSpace::coarse();
     let capacity = Capacity::from_bytes(1024);
-    let search =
-        |constraint| ExhaustiveSearch::new(&cell, &periphery, &params, &space, constraint, 64);
+    let search = |constraint| Search::new(&cell, &periphery, &params, &space, constraint, 64);
 
     // Serial, then three workers: 35 slices split into chunks of 12,
     // 12 and 11, one `slices_per_worker` sample per chunk.
@@ -70,7 +68,7 @@ fn search_probes_equal_search_statistics() {
     }
 
     // No V_SSC meets a 1 V margin: every candidate is yield-infeasible.
-    let strict = YieldConstraint::MinMargin {
+    let strict = YieldConstraint {
         delta: Voltage::from_volts(1.0),
     };
     let before = sram_probe::snapshot();

@@ -34,10 +34,7 @@ use crate::query::{Query, Request};
 use crate::Json;
 use sram_array::{ArrayModel, ArrayOrganization, Capacity};
 use sram_cell::{CellCharacterization, MarginStats, YieldAnalysis};
-use sram_coopt::{
-    CoOptimizationFramework, CooptError, Method, OptimalDesign, ParetoFront, ParetoPoint,
-    YieldConstraint,
-};
+use sram_coopt::{CoOptimizationFramework, CooptError, Method, OptimalDesign, YieldConstraint};
 use sram_device::VtFlavor;
 use sram_probe::hash::fnv1a64;
 use sram_units::Voltage;
@@ -388,8 +385,7 @@ impl Engine {
 
     /// Executes one cache-missing query against a resolved
     /// characterization, honoring `cancel` at each query's natural
-    /// cooperation points (search slices, Monte Carlo samples, Pareto
-    /// sweep rows).
+    /// cooperation points (search slices, Monte Carlo samples).
     fn execute(
         &self,
         query: &Query,
@@ -439,7 +435,7 @@ impl Engine {
                 let cols = (bits / rows as usize) as u32;
                 let org = ArrayOrganization::new(rows, cols, self.framework.word_bits())
                     .map_err(|e| ServeError::InvalidQuery(e.to_string()))?;
-                let constraint = YieldConstraint::MinMargin {
+                let constraint = YieldConstraint {
                     delta: self.framework.delta(),
                 };
                 let feasible = constraint.check_snapshot(cell, vssc);
@@ -474,19 +470,25 @@ impl Engine {
                 flavor: _,
                 method,
             } => {
-                let front = self.pareto_front(cell, capacity_bytes, method, cancel)?;
+                let capacity = Capacity::from_bytes(capacity_bytes as usize);
+                let (front, _) = self
+                    .framework
+                    .pareto_front(cell, capacity, method, cancel)?;
                 let points: Vec<Json> = front
                     .sorted_by_delay()
                     .into_iter()
                     .map(|p| {
-                        let (rows, n_pre, n_wr, vssc_mv) = p.tag;
+                        let d = p.tag;
                         Json::Obj(vec![
                             ("energy_j".into(), Json::Num(p.energy.joules())),
                             ("delay_s".into(), Json::Num(p.delay.seconds())),
-                            ("rows".into(), Json::Num(f64::from(rows))),
-                            ("n_pre".into(), Json::Num(f64::from(n_pre))),
-                            ("n_wr".into(), Json::Num(f64::from(n_wr))),
-                            ("vssc_mv".into(), Json::Num(f64::from(vssc_mv))),
+                            ("rows".into(), Json::Num(f64::from(d.organization.rows()))),
+                            ("n_pre".into(), Json::Num(f64::from(d.n_pre))),
+                            ("n_wr".into(), Json::Num(f64::from(d.n_wr))),
+                            (
+                                "vssc_mv".into(),
+                                Json::Num(f64::from(metrics_vssc_mv(d.vssc))),
+                            ),
                         ])
                     })
                     .collect();
@@ -773,58 +775,6 @@ impl Engine {
         ])
     }
 
-    /// Sweeps the feasible design space and keeps the non-dominated
-    /// energy/delay points.
-    fn pareto_front(
-        &self,
-        cell: &CellCharacterization,
-        capacity_bytes: u64,
-        method: Method,
-        cancel: &CancelToken,
-    ) -> Result<ParetoFront<(u32, u32, u32, i32)>, ServeError> {
-        let space = match method {
-            Method::M1 => self.framework.space().clone().without_negative_gnd(),
-            Method::M2 => self.framework.space().clone(),
-        };
-        let constraint = YieldConstraint::MinMargin {
-            delta: self.framework.delta(),
-        };
-        let capacity = Capacity::from_bytes(capacity_bytes as usize);
-        let (npre_values, nwr_values) = (space.npre_values(), space.nwr_values());
-        let mut front = ParetoFront::new();
-        for org in
-            ArrayOrganization::enumerate(capacity, self.framework.word_bits(), space.rows_range())
-        {
-            // One cooperation point per organization — the sweep's
-            // outer loop is the natural slice boundary.
-            if let Some(reason) = cancel.cancelled() {
-                return Err(CooptError::Cancelled(reason).into());
-            }
-            for &vssc in space.vssc_values() {
-                if !constraint.check_snapshot(cell, vssc) {
-                    continue;
-                }
-                let slice = ArrayModel::new(
-                    org,
-                    cell,
-                    self.framework.periphery(),
-                    self.framework.params(),
-                )
-                .with_vssc(vssc)
-                .slice()
-                .map_err(CooptError::Array)?;
-                slice.sweep(&npre_values, &nwr_values, |n_pre, n_wr, metrics| {
-                    front.offer(ParetoPoint {
-                        energy: metrics.energy,
-                        delay: metrics.delay,
-                        tag: (org.rows(), n_pre, n_wr, metrics_vssc_mv(vssc)),
-                    });
-                });
-            }
-        }
-        Ok(front)
-    }
-
     /// Spills the result cache to `path`, one `{"q":…,"r":…}` JSON
     /// object per line, sorted by canonical query so the file is
     /// byte-stable for identical cache contents. Returns the number of
@@ -948,7 +898,7 @@ fn trace_json_rebased(node: &sram_probe::trace::SpanNode, epoch: u64) -> Json {
 }
 
 fn metrics_vssc_mv(vssc: Voltage) -> i32 {
-    // Millivolt grid values round exactly; the cast is for the tag only.
+    // Millivolt grid values round exactly.
     vssc.millivolts().round() as i32
 }
 
@@ -1151,8 +1101,8 @@ mod tests {
 
     #[test]
     fn pareto_front_min_edp_point_is_the_optimize_winner() {
-        // The Pareto sweep and the exhaustive search walk the same slices
-        // by different loops; the front's least E*D point must be the
+        // The Pareto walk and the exhaustive search walk the same slices
+        // in the same order; the front's least E*D point must be the
         // search's winner, bit for bit.
         let engine = coarse_engine();
         let num = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64).unwrap();

@@ -12,7 +12,7 @@
 use sram_edp::array::{ArrayParams, Capacity, Periphery};
 use sram_edp::cell::CellCharacterization;
 use sram_edp::coopt::{
-    evaluate_bank_count, optimize_banked, CooptError, DesignSpace, YieldConstraint,
+    evaluate_bank_count, optimize_banked, CooptError, DesignSpace, Search, YieldConstraint,
 };
 use sram_edp::device::DeviceLibrary;
 
@@ -23,6 +23,7 @@ fn main() -> Result<(), CooptError> {
     let params = ArrayParams::paper_defaults();
     let space = DesignSpace::paper_default().with_strides(3, 2);
     let constraint = YieldConstraint::paper_delta(lib.nominal_vdd());
+    let search = Search::new(&cell, &periphery, &params, &space, constraint, 64);
     let capacity = Capacity::from_bytes(16 * 1024);
 
     println!("16 KB 6T-HVT macro, bank-count sweep:\n");
@@ -31,9 +32,7 @@ fn main() -> Result<(), CooptError> {
         "banks", "per-bank", "bank org", "delay", "energy", "EDP [1e-27 J*s]"
     );
     for bank_bits in 0..=3 {
-        let d = evaluate_bank_count(
-            capacity, bank_bits, &cell, &periphery, &params, &space, constraint, 64,
-        )?;
+        let d = evaluate_bank_count(&search, capacity, bank_bits)?;
         println!(
             "{:>6} {:>9} {:>12} {:>12} {:>12} {:>16.2}",
             d.banks(),
@@ -49,9 +48,7 @@ fn main() -> Result<(), CooptError> {
         );
     }
 
-    let best = optimize_banked(
-        capacity, &cell, &periphery, &params, &space, constraint, 64, 3,
-    )?;
+    let best = optimize_banked(&search, capacity, 3)?;
     println!(
         "\nEDP-optimal partitioning: {} banks of {} ({} per bank, V_SSC = {})",
         best.banks(),
