@@ -7,8 +7,8 @@ use sram_cell::{
     AssistVoltages, CellCharacterization, CellCharacterizer, MonteCarloConfig, YieldAnalyzer,
 };
 use sram_coopt::{
-    evaluate_bank_count, optimize_standby, CooptError, DesignSpace, EnergyDelayProduct, Search,
-    YieldConstraint,
+    evaluate_bank_count, optimize_standby, CooptError, DesignSpace, EnergyDelayProduct, Method,
+    Search, YieldConstraint,
 };
 use sram_device::{DeviceLibrary, VtFlavor};
 use sram_units::Voltage;
@@ -30,7 +30,7 @@ pub fn banking_sweep() -> Result<String, CooptError> {
 
     let mut rows = Vec::new();
     for bank_bits in 0..=3 {
-        let d = evaluate_bank_count(&search, capacity, bank_bits)?;
+        let d = evaluate_bank_count(&search, Method::M2, capacity, bank_bits)?;
         rows.push(vec![
             format!("{}", d.banks()),
             d.bank.capacity.to_string(),

@@ -75,6 +75,12 @@ impl From<SpiceError> for CellError {
     }
 }
 
+impl From<CancelReason> for CellError {
+    fn from(reason: CancelReason) -> Self {
+        CellError::Cancelled(reason)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

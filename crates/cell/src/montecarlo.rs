@@ -9,7 +9,7 @@
 use crate::{AssistVoltages, CellCharacterizer, CellError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sram_faults::CancelToken;
+use sram_faults::{ordered_map, CancelToken};
 use sram_units::Voltage;
 
 /// Which margin a statistic describes.
@@ -162,8 +162,13 @@ impl YieldAnalyzer {
     }
 
     /// [`YieldAnalyzer::run`] with a cooperative [`CancelToken`], polled
-    /// once per sample so a deadline or shutdown aborts the analysis
+    /// before each sample so a deadline or shutdown aborts the analysis
     /// within one sample's work.
+    ///
+    /// The varied cells are drawn from the seeded RNG up front, in
+    /// sample order, and measured on [`ordered_map`]'s workers; the
+    /// statistics sum the margins in sample order, so the result is
+    /// that of one serial loop to the bit.
     ///
     /// # Errors
     ///
@@ -183,36 +188,42 @@ impl YieldAnalyzer {
         let write_bias = nominal.with_vwl(bias.vwl).with_vbl(bias.vbl);
 
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut hsnm = Vec::with_capacity(self.config.samples);
-        let mut rsnm = Vec::with_capacity(self.config.samples);
-        let mut wm = Vec::with_capacity(self.config.samples);
-        for _ in 0..self.config.samples {
-            if let Some(reason) = cancel.cancelled() {
-                sram_probe::probe_inc!("cell.mc_cancelled");
-                return Err(CellError::Cancelled(reason));
-            }
+        let samples: Vec<CellCharacterizer> = (0..self.config.samples)
+            .map(|_| {
+                let cell = self.characterizer.cell().with_variation(&mut rng);
+                self.characterizer
+                    .clone()
+                    .with_cell(cell)
+                    .with_vtc_points(self.config.vtc_points)
+            })
+            .collect();
+        let margins = ordered_map(&samples, cancel, |chr| {
             sram_probe::probe_inc!("cell.mc_samples");
-            let cell = self.characterizer.cell().with_variation(&mut rng);
-            let chr = self
-                .characterizer
-                .clone()
-                .with_cell(cell)
-                .with_vtc_points(self.config.vtc_points);
-            hsnm.push(margin_or_zero(chr.hold_snm(&hold_bias))?);
-            rsnm.push(margin_or_zero(chr.read_snm(&read_bias))?);
-            wm.push(match chr.write_margin(&write_bias) {
+            let hsnm = margin_or_zero(chr.hold_snm(&hold_bias))?;
+            let rsnm = margin_or_zero(chr.read_snm(&read_bias))?;
+            let wm = match chr.write_margin(&write_bias) {
                 Ok(v) => v.volts(),
                 Err(CellError::BracketingFailed { .. }) => {
                     sram_probe::probe_inc!("cell.mc_wm_bracketing_failed");
                     0.0
                 }
                 Err(e) => return Err(e),
-            });
-        }
+            };
+            Ok([hsnm, rsnm, wm])
+        })
+        .inspect_err(|e| {
+            if matches!(e, CellError::Cancelled(_)) {
+                sram_probe::probe_inc!("cell.mc_cancelled");
+            }
+        })?;
+        let stats = |kind, at: usize| {
+            let values: Vec<f64> = margins.iter().map(|m| m[at]).collect();
+            MarginStats::from_samples(kind, &values)
+        };
         Ok(YieldAnalysis {
-            hsnm: MarginStats::from_samples(MarginKind::Hsnm, &hsnm),
-            rsnm: MarginStats::from_samples(MarginKind::Rsnm, &rsnm),
-            wm: MarginStats::from_samples(MarginKind::WriteMargin, &wm),
+            hsnm: stats(MarginKind::Hsnm, 0),
+            rsnm: stats(MarginKind::Rsnm, 1),
+            wm: stats(MarginKind::WriteMargin, 2),
         })
     }
 }

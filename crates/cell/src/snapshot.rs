@@ -17,6 +17,7 @@
 
 use crate::{AssistVoltages, CellCharacterizer, CellError, Lut1d};
 use sram_device::VtFlavor;
+use sram_faults::{ordered_map, CancelToken};
 use sram_units::{Current, Power, Time, Voltage};
 
 /// Grid specification for building a characterization snapshot.
@@ -74,7 +75,9 @@ pub struct CellCharacterization {
 }
 
 impl CellCharacterization {
-    /// Measures a snapshot from the simulator.
+    /// Measures a snapshot from the simulator. Its independent
+    /// measurements run on [`ordered_map`]'s workers, so the snapshot
+    /// and the error reported are those of one serial loop over them.
     ///
     /// # Errors
     ///
@@ -100,35 +103,32 @@ impl CellCharacterization {
         }
         let vdd = characterizer.vdd();
         let nominal = AssistVoltages::nominal(vdd);
-        let leakage = characterizer.leakage_power(&nominal)?;
-        let hsnm = characterizer.hold_snm(&nominal)?;
-
         let mut vssc_sorted = grid.vssc_values.clone();
         vssc_sorted.sort_by(|a, b| a.volts().total_cmp(&b.volts()));
-
-        let mut rsnm_pts = Vec::with_capacity(vssc_sorted.len());
-        let mut iread_pts = Vec::with_capacity(vssc_sorted.len());
-        for &vssc in &vssc_sorted {
-            let bias = nominal.with_vddc(grid.vddc).with_vssc(vssc);
-            let rsnm = match characterizer.read_snm(&bias) {
-                Ok(v) => v.volts(),
-                Err(CellError::MeasurementFailed { .. }) => 0.0,
-                Err(e) => return Err(e),
-            };
-            rsnm_pts.push((vssc.volts(), rsnm));
-            iread_pts.push((vssc.volts(), characterizer.read_current(&bias)?.amps()));
-        }
-
-        let wm_bias = nominal.with_vwl(grid.vwl);
-        let wm = characterizer.write_margin(&wm_bias)?;
-
         let mut vwl_sorted = grid.vwl_values.clone();
         vwl_sorted.sort_by(|a, b| a.volts().total_cmp(&b.volts()));
-        let mut wd_pts = Vec::with_capacity(vwl_sorted.len());
-        for &vwl in &vwl_sorted {
-            let bias = nominal.with_vwl(vwl);
-            let delay = characterizer.write_delay(&bias)?;
-            wd_pts.push((vwl.volts(), delay.seconds()));
+
+        let mut measurements = vec![Measurement::Leakage, Measurement::Hsnm];
+        measurements.extend(vssc_sorted.into_iter().map(Measurement::Read));
+        measurements.push(Measurement::WriteMargin);
+        measurements.extend(vwl_sorted.into_iter().map(Measurement::WriteDelay));
+        let values = ordered_map(&measurements, &CancelToken::never(), |m| {
+            m.measure(characterizer, nominal, grid)
+        })?;
+
+        let (mut leakage, mut hsnm, mut wm) = (Power::ZERO, Voltage::ZERO, Voltage::ZERO);
+        let (mut rsnm_pts, mut iread_pts, mut wd_pts) = (Vec::new(), Vec::new(), Vec::new());
+        for (m, [value, current]) in measurements.into_iter().zip(values) {
+            match m {
+                Measurement::Leakage => leakage = Power::from_watts(value),
+                Measurement::Hsnm => hsnm = Voltage::from_volts(value),
+                Measurement::Read(vssc) => {
+                    rsnm_pts.push((vssc.volts(), value));
+                    iread_pts.push((vssc.volts(), current));
+                }
+                Measurement::WriteMargin => wm = Voltage::from_volts(value),
+                Measurement::WriteDelay(vwl) => wd_pts.push((vwl.volts(), value)),
+            }
         }
 
         Ok(Self {
@@ -369,6 +369,54 @@ impl CellCharacterization {
             write_delay_vs_vwl: self.write_delay_vs_vwl.clone(),
             ..*self
         }
+    }
+}
+
+/// One of a simulated snapshot's independent measurements, in the
+/// order a serial loop takes them: leakage, HSNM, RSNM and read current
+/// per `V_SSC`, WM, write delay per `V_WL`.
+#[derive(Debug, Clone, Copy)]
+enum Measurement {
+    Leakage,
+    Hsnm,
+    Read(Voltage),
+    WriteMargin,
+    WriteDelay(Voltage),
+}
+
+impl Measurement {
+    /// The measured magnitude in its base unit and, for a read point,
+    /// the read current in amps (0 otherwise). A collapsed RSNM
+    /// butterfly reads as zero margin.
+    fn measure(
+        self,
+        characterizer: &CellCharacterizer,
+        nominal: AssistVoltages,
+        grid: &CharacterizationGrid,
+    ) -> Result<[f64; 2], CellError> {
+        Ok(match self {
+            Self::Leakage => [characterizer.leakage_power(&nominal)?.watts(), 0.0],
+            Self::Hsnm => [characterizer.hold_snm(&nominal)?.volts(), 0.0],
+            Self::Read(vssc) => {
+                let bias = nominal.with_vddc(grid.vddc).with_vssc(vssc);
+                let rsnm = match characterizer.read_snm(&bias) {
+                    Ok(v) => v.volts(),
+                    Err(CellError::MeasurementFailed { .. }) => 0.0,
+                    Err(e) => return Err(e),
+                };
+                [rsnm, characterizer.read_current(&bias)?.amps()]
+            }
+            Self::WriteMargin => [
+                characterizer
+                    .write_margin(&nominal.with_vwl(grid.vwl))?
+                    .volts(),
+                0.0,
+            ],
+            Self::WriteDelay(vwl) => [
+                characterizer.write_delay(&nominal.with_vwl(vwl))?.seconds(),
+                0.0,
+            ],
+        })
     }
 }
 

@@ -46,7 +46,8 @@ impl BankedDesign {
 
 /// Optimizes the bank count for a total `capacity`, evaluating
 /// `2^0 … 2^max_bank_bits` banks. Each candidate's bank array is
-/// optimized by `search`'s exhaustive search; bank-level overheads are a
+/// optimized by `search`'s exhaustive search and reported as a
+/// `method` design ([`evaluate_bank_count`]); bank-level overheads are a
 /// bank decoder (address width = `bank_bits`) on the critical path and
 /// the idle banks' leakage over the (banked) cycle.
 ///
@@ -58,12 +59,13 @@ impl BankedDesign {
 /// works.
 pub fn optimize_banked(
     search: &Search<'_>,
+    method: Method,
     capacity: Capacity,
     max_bank_bits: u32,
 ) -> Result<BankedDesign, CooptError> {
     let mut best: Option<BankedDesign> = None;
     for bank_bits in 0..=max_bank_bits {
-        let candidate = match evaluate_bank_count(search, capacity, bank_bits) {
+        let candidate = match evaluate_bank_count(search, method, capacity, bank_bits) {
             Ok(c) => c,
             Err(CooptError::EmptyDesignSpace { .. }) => continue,
             Err(e) => return Err(e),
@@ -79,8 +81,9 @@ pub fn optimize_banked(
 
 /// Scores one explicit bank count (for sweeps/plots): optimizes the
 /// bank array for `2^bank_bits` banks with `search` and layers the
-/// bank-level overheads on top. The bank is reported as an M2 design of
-/// the search's cell.
+/// bank-level overheads on top. The bank is reported as a `method`
+/// design of the search's cell: `method` names the rail policy that
+/// cell was characterized under.
 ///
 /// # Errors
 ///
@@ -90,6 +93,7 @@ pub fn optimize_banked(
 /// `2^bank_bits` does not divide the capacity.
 pub fn evaluate_bank_count(
     search: &Search<'_>,
+    method: Method,
     capacity: Capacity,
     bank_bits: u32,
 ) -> Result<BankedDesign, CooptError> {
@@ -115,7 +119,7 @@ pub fn evaluate_bank_count(
     let energy = outcome.metrics.energy + decoder.energy(bank_bits) * 2.0 + idle_leakage;
     Ok(BankedDesign {
         bank_bits,
-        bank: outcome.into_design(bank_capacity, cell.flavor(), Method::M2, cell),
+        bank: outcome.into_design(bank_capacity, cell.flavor(), method, cell),
         delay,
         energy,
     })
@@ -127,7 +131,8 @@ mod tests {
     use crate::{DesignSpace, YieldConstraint};
     use sram_array::{ArrayParams, Periphery};
     use sram_cell::CellCharacterization;
-    use sram_device::DeviceLibrary;
+    use sram_device::{DeviceLibrary, VtFlavor};
+    use sram_units::Voltage;
 
     struct Fixture {
         cell: CellCharacterization,
@@ -160,19 +165,47 @@ mod tests {
     #[test]
     fn banking_never_loses_to_monolithic() {
         let fx = fixture();
-        let banked = optimize_banked(&search(&fx), Capacity::from_bytes(16 * 1024), 3).unwrap();
-        let mono = evaluate_bank_count(&search(&fx), Capacity::from_bytes(16 * 1024), 0).unwrap();
+        let banked =
+            optimize_banked(&search(&fx), Method::M2, Capacity::from_bytes(16 * 1024), 3).unwrap();
+        let mono =
+            evaluate_bank_count(&search(&fx), Method::M2, Capacity::from_bytes(16 * 1024), 0)
+                .unwrap();
         assert!(banked.edp() <= mono.edp(), "the search includes 1 bank");
     }
 
     #[test]
     fn banking_cuts_delay_at_large_capacity() {
         let fx = fixture();
-        let mono = evaluate_bank_count(&search(&fx), Capacity::from_bytes(16 * 1024), 0).unwrap();
-        let four = evaluate_bank_count(&search(&fx), Capacity::from_bytes(16 * 1024), 2).unwrap();
+        let mono =
+            evaluate_bank_count(&search(&fx), Method::M2, Capacity::from_bytes(16 * 1024), 0)
+                .unwrap();
+        let four =
+            evaluate_bank_count(&search(&fx), Method::M2, Capacity::from_bytes(16 * 1024), 2)
+                .unwrap();
         assert!(four.delay < mono.delay, "4 banks should cut the delay");
         assert_eq!(four.banks(), 4);
         assert_eq!(four.bank.capacity.bytes(), 4096);
+    }
+
+    #[test]
+    fn banks_carry_the_callers_method() {
+        let lib = DeviceLibrary::sevennm();
+        let vdd = lib.nominal_vdd();
+        let rail = Voltage::from_millivolts(550.0);
+        let fx = Fixture {
+            cell: CellCharacterization::paper_with_rails(VtFlavor::Hvt, vdd, rail, rail),
+            periphery: Periphery::new(&lib),
+            params: ArrayParams::paper_defaults(),
+            space: DesignSpace::coarse().without_negative_gnd(),
+        };
+        let two =
+            evaluate_bank_count(&search(&fx), Method::M1, Capacity::from_bytes(4096), 1).unwrap();
+        assert_eq!(two.banks(), 2);
+        assert_eq!(two.bank.label(), "6T-HVT-M1");
+        assert_eq!(two.bank.vssc, Voltage::ZERO);
+        let best =
+            optimize_banked(&search(&fx), Method::M1, Capacity::from_bytes(4096), 1).unwrap();
+        assert_eq!(best.bank.method, Method::M1);
     }
 
     #[test]
@@ -181,8 +214,8 @@ mod tests {
         // leakage *energy* differs only through the cycle time.
         let fx = fixture();
         let capacity = Capacity::from_bytes(4096);
-        let mono = evaluate_bank_count(&search(&fx), capacity, 0).unwrap();
-        let banked = evaluate_bank_count(&search(&fx), capacity, 2).unwrap();
+        let mono = evaluate_bank_count(&search(&fx), Method::M2, capacity, 0).unwrap();
+        let banked = evaluate_bank_count(&search(&fx), Method::M2, capacity, 2).unwrap();
         // Leakage power = leakage energy / cycle: must equal M * P_cell
         // in both partitionings.
         let expect = fx.cell.leakage().watts() * capacity.bits() as f64;

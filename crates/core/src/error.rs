@@ -107,6 +107,12 @@ impl From<CellError> for CooptError {
     }
 }
 
+impl From<CancelReason> for CooptError {
+    fn from(reason: CancelReason) -> Self {
+        CooptError::Cancelled(reason)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,9 +8,12 @@ use crate::{
 use sram_array::{ArrayParams, Capacity, Periphery};
 use sram_cell::{CellCharacterization, CellCharacterizer, CharacterizationGrid};
 use sram_device::{DeviceLibrary, VtFlavor};
-use sram_faults::CancelToken;
+use sram_faults::{ordered_map, CancelToken};
 use sram_units::Voltage;
 use std::collections::HashMap;
+
+/// A rail minimization: the lowest level of one rail meeting `δ`.
+type RailSearch = fn(&CellCharacterizer, Voltage) -> Result<Voltage, CooptError>;
 
 /// Where cell look-up tables come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,11 +160,13 @@ impl CoOptimizationFramework {
     }
 
     /// Rail levels for a `(flavor, method)` pair: published values in
-    /// paper mode; measured by simulation otherwise.
+    /// paper mode; measured by simulation otherwise, the `V_DDC` and
+    /// `V_WL` searches running as two items of [`ordered_map`].
     ///
     /// # Errors
     ///
-    /// Propagates rail-search failures in simulated mode.
+    /// Propagates rail-search failures in simulated mode (the `V_DDC`
+    /// search's first).
     pub fn rails(&self, flavor: VtFlavor, method: Method) -> Result<RailSelection, CooptError> {
         let (vddc_min, vwl_min) = match self.mode {
             CharacterizationMode::PaperModel => RailSelection::paper_minimums(flavor),
@@ -169,10 +174,11 @@ impl CoOptimizationFramework {
                 let chr = CellCharacterizer::new(&self.library, flavor)
                     .with_vdd(self.vdd)
                     .with_vtc_points(31);
-                (
-                    minimize_vddc(&chr, self.delta())?,
-                    minimize_vwl(&chr, self.delta())?,
-                )
+                let searches: [RailSearch; 2] = [minimize_vddc, minimize_vwl];
+                let minimums = ordered_map(&searches, &CancelToken::never(), |search| {
+                    search(&chr, self.delta())
+                })?;
+                (minimums[0], minimums[1])
             }
         };
         Ok(RailSelection::from_minimums(method, vddc_min, vwl_min))
@@ -574,6 +580,20 @@ mod tests {
             .unwrap();
         assert_eq!(d.vddc, rail);
         assert_eq!(d.vwl, rail);
+    }
+
+    #[test]
+    fn simulated_rails_equal_the_two_serial_minimizations() {
+        let fw = CoOptimizationFramework::simulated_mode();
+        for flavor in [VtFlavor::Lvt, VtFlavor::Hvt] {
+            let chr = CellCharacterizer::new(&fw.library, flavor)
+                .with_vdd(fw.vdd())
+                .with_vtc_points(31);
+            let vddc = minimize_vddc(&chr, fw.delta()).unwrap();
+            let vwl = minimize_vwl(&chr, fw.delta()).unwrap();
+            let rails = fw.rails(flavor, Method::M2).unwrap();
+            assert_eq!((rails.vddc, rails.vwl), (vddc, vwl), "{flavor}");
+        }
     }
 
     #[test]

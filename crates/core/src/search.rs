@@ -82,6 +82,14 @@ pub(crate) fn finite_score(
     score.is_finite().then_some(score)
 }
 
+/// Counts a finished walk's candidates, once per walk.
+fn record_candidates(stats: &SearchStatistics) {
+    sram_probe::probe_add!("coopt.candidates_examined", stats.examined as u64);
+    sram_probe::probe_add!("coopt.candidates_infeasible_yield", stats.infeasible as u64);
+    sram_probe::probe_add!("coopt.candidates_evaluated", stats.evaluated as u64);
+    sram_probe::probe_add!("coopt.candidate_eval_errors", stats.eval_errors as u64);
+}
+
 /// Builds the typed cancellation error (and counts the abort).
 fn cancelled(reason: CancelReason) -> CooptError {
     sram_probe::probe_inc!("coopt.search_cancelled");
@@ -358,10 +366,7 @@ impl<'a> Search<'a> {
                 }
             }
         }
-        sram_probe::probe_add!("coopt.candidates_examined", stats.examined as u64);
-        sram_probe::probe_add!("coopt.candidates_infeasible_yield", stats.infeasible as u64);
-        sram_probe::probe_add!("coopt.candidates_evaluated", stats.evaluated as u64);
-        sram_probe::probe_add!("coopt.candidate_eval_errors", stats.eval_errors as u64);
+        record_candidates(&stats);
 
         let (best, metrics, score) = best.ok_or(CooptError::Infeasible {
             capacity_bits: capacity.bits(),
@@ -379,7 +384,8 @@ impl<'a> Search<'a> {
     /// Walks the space for `capacity` serially, in [`Self::run`]'s slice
     /// order, and keeps the non-dominated energy/delay points. A
     /// candidate whose energy-delay product is not finite is an
-    /// evaluation error, so the statistics equal those of
+    /// evaluation error, so the statistics, and the `coopt.slices` and
+    /// `coopt.candidate*` counts the walk adds, equal those of
     /// [`Self::run`] under [`EnergyDelayProduct`]. A capacity
     /// with no organization gives an empty front.
     ///
@@ -392,9 +398,11 @@ impl<'a> Search<'a> {
         capacity: Capacity,
     ) -> Result<(ParetoFront<DesignPoint>, SearchStatistics), CooptError> {
         let (npre_values, nwr_values) = (self.space.npre_values(), self.space.nwr_values());
+        let slices = self.slices(capacity);
+        sram_probe::probe_add!("coopt.slices", slices.len() as u64);
         let mut front = ParetoFront::new();
         let mut stats = SearchStatistics::default();
-        for (org, vssc) in self.slices(capacity) {
+        for (org, vssc) in slices {
             self.poll_cancel()?;
             let slice_stats = self.walk_slice(org, vssc, &npre_values, &nwr_values, |tag, m| {
                 let finite = finite_score(&EnergyDelayProduct, m).is_some();
@@ -409,6 +417,7 @@ impl<'a> Search<'a> {
             });
             stats.merge(&slice_stats);
         }
+        record_candidates(&stats);
         Ok((front, stats))
     }
 }

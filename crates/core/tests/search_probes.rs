@@ -1,5 +1,5 @@
-//! The exhaustive search's `coopt.*` probes report exactly the work its
-//! `SearchStatistics` count.
+//! The `coopt.*` probes of the exhaustive search and of the Pareto
+//! front report exactly the work their `SearchStatistics` count.
 //!
 //! The probe registry is process-global, so this binary holds exactly
 //! one test: a second test in the same process could move the counters
@@ -28,8 +28,14 @@ fn samples(diff: &Snapshot, name: &str) -> u64 {
 /// Asserts the per-search probes of one run against its statistics.
 fn assert_probes_match(diff: &Snapshot, stats: &SearchStatistics) {
     assert_eq!(counter(diff, "coopt.searches"), 1);
-    assert_eq!(counter(diff, "coopt.slices"), SLICES);
     assert_eq!(samples(diff, "coopt.search_ns"), 1);
+    assert_walk_probes_match(diff, stats);
+}
+
+/// Asserts the work probes every walk adds, once, against its
+/// statistics.
+fn assert_walk_probes_match(diff: &Snapshot, stats: &SearchStatistics) {
+    assert_eq!(counter(diff, "coopt.slices"), SLICES);
     let pairs = [
         ("coopt.candidates_examined", stats.examined),
         ("coopt.candidates_evaluated", stats.evaluated),
@@ -66,6 +72,18 @@ fn search_probes_equal_search_statistics() {
         assert_eq!(samples(&diff, "coopt.slices_per_worker"), chunks);
         assert_eq!(diff.gauges.get("coopt.best_score"), Some(&out.score));
     }
+
+    // The Pareto front walks the same space and adds the same work
+    // counts, though it is no search run.
+    let before = sram_probe::snapshot();
+    let (front, stats) = search(YieldConstraint::paper_delta(cell.vdd()))
+        .pareto_front(capacity)
+        .expect("an uncancelled front");
+    let diff = sram_probe::snapshot().diff(&before);
+    assert!(!front.is_empty());
+    assert_eq!(counter(&diff, "coopt.candidates_evaluated"), 1_120);
+    assert_walk_probes_match(&diff, &stats);
+    assert_eq!(counter(&diff, "coopt.searches"), 0);
 
     // No V_SSC meets a 1 V margin: every candidate is yield-infeasible.
     let strict = YieldConstraint {

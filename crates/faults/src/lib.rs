@@ -22,7 +22,10 @@
 //!    `optimize_with_cell` into the exhaustive-search slice loop and the
 //!    Monte Carlo sample loop, which poll it cooperatively — an expired
 //!    deadline aborts a sweep mid-flight with a typed error instead of
-//!    running to completion.
+//!    running to completion. [`ordered_map`] runs such a per-item loop
+//!    on scoped workers, one per core, polling the token before each
+//!    item and returning results (or the serial loop's error) in input
+//!    order.
 //!
 //! The crate sits below `serve`, `core`, `cell`, and `spice` in the
 //! dependency graph (it depends only on `sram-probe` and the vendored
@@ -48,7 +51,7 @@ mod cancel;
 mod plan;
 mod registry;
 
-pub use cancel::{CancelReason, CancelToken};
+pub use cancel::{ordered_map, CancelReason, CancelToken};
 pub use plan::{FaultError, FaultPlan, FaultRule};
 pub use registry::{
     counts, enabled, injected_total, install, install_from_env, maybe_sleep, should_fire,

@@ -148,9 +148,9 @@ pub const PROBES: &[ProbeRow] = &[
     row("cell.characterizations", Counter, Cell, At("crates/bench/src/serve.rs")),
     row("cell.characterize", Trace, Cell, At("crates/bench/src/serve.rs")),
     row("cell.characterize_ns", Histogram, Cell, At("crates/bench/src/serve.rs")),
-    row("cell.mc_cancelled", Counter, Cell, OBSERVABILITY_ONLY),
+    row("cell.mc_cancelled", Counter, Cell, At("crates/cell/tests/mc_probes.rs")),
     row("cell.mc_collapsed", Counter, Cell, OBSERVABILITY_ONLY),
-    row("cell.mc_run", Trace, Cell, OBSERVABILITY_ONLY),
+    row("cell.mc_run", Trace, Cell, At("crates/cell/tests/mc_probes.rs")),
     row("cell.mc_run_ns", Histogram, Cell, OBSERVABILITY_ONLY),
     row("cell.mc_runs", Counter, Cell, At("crates/bench/src/serve.rs")),
     row("cell.mc_samples", Counter, Cell, At("crates/bench/src/serve.rs")),

@@ -12,7 +12,7 @@
 use sram_edp::array::{ArrayParams, Capacity, Periphery};
 use sram_edp::cell::CellCharacterization;
 use sram_edp::coopt::{
-    evaluate_bank_count, optimize_banked, CooptError, DesignSpace, Search, YieldConstraint,
+    evaluate_bank_count, optimize_banked, CooptError, DesignSpace, Method, Search, YieldConstraint,
 };
 use sram_edp::device::DeviceLibrary;
 
@@ -32,7 +32,7 @@ fn main() -> Result<(), CooptError> {
         "banks", "per-bank", "bank org", "delay", "energy", "EDP [1e-27 J*s]"
     );
     for bank_bits in 0..=3 {
-        let d = evaluate_bank_count(&search, capacity, bank_bits)?;
+        let d = evaluate_bank_count(&search, Method::M2, capacity, bank_bits)?;
         println!(
             "{:>6} {:>9} {:>12} {:>12} {:>12} {:>16.2}",
             d.banks(),
@@ -48,7 +48,7 @@ fn main() -> Result<(), CooptError> {
         );
     }
 
-    let best = optimize_banked(&search, capacity, 3)?;
+    let best = optimize_banked(&search, Method::M2, capacity, 3)?;
     println!(
         "\nEDP-optimal partitioning: {} banks of {} ({} per bank, V_SSC = {})",
         best.banks(),
