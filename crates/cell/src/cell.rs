@@ -219,8 +219,9 @@ impl Sram6t {
 
     /// Builds the DC write netlist for flipping `Q` from 1 to 0: BL driven
     /// to `bias.vbl` (0, or negative with the negative-BL assist), BLB
-    /// held at `vdd`, WL at an arbitrary test level `vwl_test` (the write
-    /// margin search bisects over it).
+    /// held at `vdd`, WL at an arbitrary test level `vwl_test` (the
+    /// write-margin search starts it at 0 and walks the `VWL` source up
+    /// to the fold).
     pub fn write_dc_circuit(
         &self,
         bias: &AssistVoltages,

@@ -20,7 +20,7 @@ pub enum CellError {
     },
     /// A bias/assist configuration is outside the modeled range.
     InvalidBias(String),
-    /// Bisection failed to bracket the quantity being searched for.
+    /// A search found no range that holds the quantity it looks for.
     BracketingFailed {
         /// Which search failed.
         what: &'static str,
@@ -53,7 +53,7 @@ impl fmt::Display for CellError {
             }
             CellError::InvalidBias(msg) => write!(f, "invalid bias configuration: {msg}"),
             CellError::BracketingFailed { what } => {
-                write!(f, "bisection could not bracket {what}")
+                write!(f, "search could not bracket {what}")
             }
             CellError::Cancelled(reason) => write!(f, "characterization cancelled: {reason}"),
         }

@@ -150,9 +150,10 @@ impl YieldAnalyzer {
     ///
     /// Collapsed butterflies (cells that lost bistability under variation)
     /// are recorded as zero margin; write-margin bracketing failures as
-    /// zero WM. A write probe whose DC solve does not converge lets the
-    /// cell settle instead ([`CellCharacterizer::write_flips`]), so it
-    /// does not fail the run.
+    /// zero WM. The flip search walks the stored state's branch by
+    /// continuation ([`CellCharacterizer::wordline_flip_voltage`]); a
+    /// step that does not converge there marks the fold rather than
+    /// failing the run.
     ///
     /// # Errors
     ///

@@ -12,19 +12,86 @@
 //! * **Cell write delay**: time from the wordline reaching 50 % of `Vdd`
 //!   until `Q` and `QB` cross.
 //!
-//! Each flip probe is a DC solve pinned toward `Q = 1`. Just past the
-//! fold where that state vanishes, Newton can fail to converge; such a
-//! probe is answered by letting the cell settle instead (a transient from
-//! the stored state with the wordline stepped to the probe level), so one
-//! hard cell never fails a Monte Carlo run.
+//! The flip voltage is found by continuation: starting from the hold
+//! state (wordline off, `Q = 1`), the search raises `V_WL` in strides and
+//! warm-starts each plain-Newton step from the last solution that still
+//! held `Q = 1`, until a one-cell step loses that branch at its fold. The
+//! steps land on the cell grid of a 1 mV bisection of
+//! `[0, 2·Vdd + |V_BL|]`, and the answer is that bisection's midpoint of
+//! the cell holding the fold, to the bit.
+//!
+//! [`CellCharacterizer::write_flips`] is the cold, one-voltage form of
+//! the same question: a DC solve pinned toward `Q = 1`. Just past the
+//! fold Newton can fail to converge there; such a probe is answered by
+//! letting the cell settle instead (a transient from the stored state
+//! with the wordline stepped to the probe level).
 
 use crate::{AssistVoltages, CellCharacterizer, CellError};
 use sram_spice::{CrossingEdge, DcSolver, SpiceError, Transient};
 use sram_units::{Time, Voltage};
 
+/// Grid cells in the flip search's first stride (a power of two).
+const FIRST_STRIDE: usize = 32;
+
+/// Newton iterations a continuation step may take before it counts as
+/// having lost the `Q = 1` branch.
+const STEP_ITERATIONS: usize = 20;
+
+/// The grid the flip search walks: the final cells of a bisection that
+/// halves `[0, top]` until a cell is at most 1 mV wide. Every point is
+/// the value that bisection computes for it, so the search can return
+/// the bisection's answer to the bit.
+struct FlipGrid {
+    top: Voltage,
+    /// Number of final cells, a power of two.
+    cells: usize,
+}
+
+impl FlipGrid {
+    /// The bisection's halving loop, run down its lowest cell: the
+    /// count of halvings sets the cell count.
+    fn new(top: Voltage) -> Self {
+        let mut width = top;
+        let mut cells = 1;
+        while width.millivolts() > 1.0 {
+            width = width * 0.5;
+            cells *= 2;
+        }
+        Self { top, cells }
+    }
+
+    /// Bounds of cell `i` (`i < cells`) as the bisection computes them
+    /// when every midpoint above the cell flips it and every other
+    /// holds: the same `lo.lerp(hi, 0.5)` steps in the same order.
+    fn cell(&self, i: usize) -> (Voltage, Voltage) {
+        let (mut lo, mut hi) = (Voltage::ZERO, self.top);
+        let (mut lo_i, mut hi_i) = (0, self.cells);
+        while hi_i - lo_i > 1 {
+            let mid = lo.lerp(hi, 0.5);
+            let mid_i = (lo_i + hi_i) / 2;
+            if i < mid_i {
+                (hi, hi_i) = (mid, mid_i);
+            } else {
+                (lo, lo_i) = (mid, mid_i);
+            }
+        }
+        (lo, hi)
+    }
+
+    /// Grid point `i` (`i ≤ cells`).
+    fn point(&self, i: usize) -> Voltage {
+        if i == self.cells {
+            self.top
+        } else {
+            self.cell(i).0
+        }
+    }
+}
+
 impl CellCharacterizer {
     /// Checks whether a DC write with the wordline at `vwl_test` flips a
-    /// cell that stores `Q = 1` (BL driven to `bias.vbl`, BLB at `Vdd`).
+    /// cell that stores `Q = 1` (BL driven to `bias.vbl`, BLB at `Vdd`):
+    /// one cold DC solve pinned toward `Q = 1`.
     ///
     /// When the DC solve does not converge, the probe lets the cell
     /// settle instead: a transient from the stored state with the
@@ -83,31 +150,67 @@ impl CellCharacterizer {
         Ok(end.voltage(nodes.q) < end.voltage(nodes.qb))
     }
 
-    /// Minimum wordline voltage that flips the cell, by bisection.
+    /// Minimum wordline voltage that flips the cell, by continuation
+    /// along the `Q = 1` branch.
+    ///
+    /// The search solves the hold state (wordline off, pinned toward
+    /// `Q = 1`), then raises `V_WL` over the final cells of a 1 mV
+    /// bisection of `[0, 2·Vdd + |V_BL|]`, 32 cells per stride at first.
+    /// Each step is a plain-Newton solve
+    /// ([`DcSolver::continue_from`], at most 20 iterations) warm-started
+    /// from the last solution that held `Q = 1`. A step that fails or
+    /// lands flipped halves the stride; the first one-cell step that
+    /// does not hold puts the fold in that cell. The result is the
+    /// midpoint that bisection returns for the cell, computed with its
+    /// halving arithmetic.
     ///
     /// # Errors
     ///
-    /// [`CellError::BracketingFailed`] when even `2 × Vdd + |V_BL|` cannot
-    /// flip the cell; simulation failures otherwise.
+    /// [`CellError::BracketingFailed`] when the cell still holds at
+    /// `2 × Vdd + |V_BL|`; [`CellError::InvalidBias`] for a bias outside
+    /// the modeled range; a simulation failure of the hold-state solve.
     pub fn wordline_flip_voltage(&self, bias: &AssistVoltages) -> Result<Voltage, CellError> {
         bias.validate().map_err(CellError::InvalidBias)?;
-        let mut lo = Voltage::ZERO; // never flips with WL off
-        let mut hi = self.vdd() * 2.0 + bias.vbl.abs();
-        if !self.write_flips(bias, hi)? {
+        let _trace = sram_probe::trace_span!("cell.wm_flip_search");
+        let grid = FlipGrid::new(self.vdd() * 2.0 + bias.vbl.abs());
+        let held = self.last_held_point(bias, &grid)?;
+        if held == grid.cells {
             return Err(CellError::BracketingFailed {
                 what: "wordline flip voltage",
             });
         }
-        // 1 mV resolution.
-        while (hi - lo).millivolts() > 1.0 {
-            let mid = lo.lerp(hi, 0.5);
-            if self.write_flips(bias, mid)? {
-                hi = mid;
-            } else {
-                lo = mid;
+        let (lo, hi) = grid.cell(held);
+        Ok(lo.lerp(hi, 0.5))
+    }
+
+    /// The highest point of `grid` that the walk up the `Q = 1` branch
+    /// reaches: the fold lies in the cell above it, or the cell never
+    /// flips on the grid when this is `grid.cells`.
+    fn last_held_point(&self, bias: &AssistVoltages, grid: &FlipGrid) -> Result<usize, CellError> {
+        let (mut ckt, nodes) = self
+            .cell()
+            .write_dc_circuit(bias, self.vdd(), Voltage::ZERO);
+        let mut held = DcSolver::new()
+            .nodeset(nodes.q, bias.vddc)
+            .nodeset(nodes.qb, bias.vssc)
+            .solve(&ckt)?;
+        let step = DcSolver::new().with_max_iterations(STEP_ITERATIONS);
+        let mut at = 0;
+        // `at` stays a multiple of `stride`, and `grid.cells` is one too,
+        // so no step overshoots the top.
+        let mut stride = FIRST_STRIDE.min(grid.cells);
+        while at < grid.cells {
+            let next = at + stride;
+            ckt.set_source_voltage("VWL", grid.point(next))?;
+            match step.continue_from(&ckt, &held) {
+                Ok(sol) if sol.voltage(nodes.q) >= sol.voltage(nodes.qb) => {
+                    (at, held) = (next, sol);
+                }
+                _ if stride == 1 => return Ok(at),
+                _ => stride /= 2,
             }
         }
-        Ok(lo.lerp(hi, 0.5))
+        Ok(at)
     }
 
     /// Write margin: `bias.vwl − wordline_flip_voltage(bias)`.

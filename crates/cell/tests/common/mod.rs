@@ -1,0 +1,146 @@
+//! Shared by the write-margin and Monte Carlo tests: the cold
+//! bisection the continuation flip search replaced, kept as its oracle;
+//! the varied cells `YieldAnalyzer` draws; and a serial Monte Carlo
+//! loop written out from the public API.
+//!
+//! Each test binary uses part of this module.
+#![allow(dead_code)]
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sram_cell::{
+    AssistVoltages, CellCharacterizer, CellError, MarginKind, MarginStats, MonteCarloConfig,
+    Sram6t, YieldAnalysis,
+};
+use sram_device::{DeviceLibrary, VtFlavor};
+use sram_units::Voltage;
+
+/// The `(V_DDC, V_WL, V_SSC)` rails (mV) of the flavor's M1 and M2
+/// sim-stack designs.
+pub fn sim_stack_rails(flavor: VtFlavor) -> [(f64, f64, f64); 2] {
+    match flavor {
+        VtFlavor::Lvt => [(610.0, 610.0, 0.0), (610.0, 490.0, -240.0)],
+        VtFlavor::Hvt => [(560.0, 560.0, 0.0), (560.0, 530.0, -240.0)],
+    }
+}
+
+/// The nominal bias with the given rails (mV) applied.
+pub fn rails_bias(vdd: Voltage, (vddc, vwl, vssc): (f64, f64, f64)) -> AssistVoltages {
+    let mv = Voltage::from_millivolts;
+    AssistVoltages::nominal(vdd)
+        .with_vddc(mv(vddc))
+        .with_vwl(mv(vwl))
+        .with_vssc(mv(vssc))
+}
+
+/// Monte Carlo samples `(flavor, seed, index)` whose pinned DC write
+/// probe once failed to converge under one FinFET Jacobian or another.
+pub const CENSUS: [(VtFlavor, u64, usize); 9] = [
+    (VtFlavor::Lvt, 21, 8),
+    (VtFlavor::Lvt, 30, 1),
+    (VtFlavor::Lvt, 43, 3),
+    (VtFlavor::Lvt, 49, 15),
+    (VtFlavor::Hvt, 9, 9),
+    (VtFlavor::Hvt, 29, 4),
+    (VtFlavor::Hvt, 57, 10),
+    (VtFlavor::Hvt, 62, 13),
+    (VtFlavor::Hvt, 93, 9),
+];
+
+/// The characterizer `YieldAnalyzer` builds for draw `index` (0-based)
+/// of `seed`.
+pub fn sample(flavor: VtFlavor, seed: u64, index: usize) -> CellCharacterizer {
+    let lib = DeviceLibrary::sevennm();
+    let nominal = Sram6t::new(&lib, flavor);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cell = (0..=index)
+        .map(|_| nominal.with_variation(&mut rng))
+        .last()
+        .expect("at least one draw");
+    CellCharacterizer::new(&lib, flavor).with_cell(cell)
+}
+
+/// Minimum wordline voltage that flips the cell, by cold bisection over
+/// [`CellCharacterizer::write_flips`] to 1 mV:
+/// `CellCharacterizer::wordline_flip_voltage` must return its value to
+/// the bit, or its error.
+pub fn bisected_flip_voltage(
+    chr: &CellCharacterizer,
+    bias: &AssistVoltages,
+) -> Result<Voltage, CellError> {
+    bias.validate().map_err(CellError::InvalidBias)?;
+    let mut lo = Voltage::ZERO; // never flips with WL off
+    let mut hi = chr.vdd() * 2.0 + bias.vbl.abs();
+    if !chr.write_flips(bias, hi)? {
+        return Err(CellError::BracketingFailed {
+            what: "wordline flip voltage",
+        });
+    }
+    while (hi - lo).millivolts() > 1.0 {
+        let mid = lo.lerp(hi, 0.5);
+        if chr.write_flips(bias, mid)? {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Ok(lo.lerp(hi, 0.5))
+}
+
+/// Mean, sample standard deviation and minimum, summed in sample order.
+fn stats(kind: MarginKind, values: &[f64]) -> MarginStats {
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    MarginStats {
+        kind,
+        mean: Voltage::from_volts(mean),
+        sigma: Voltage::from_volts(var.sqrt()),
+        worst: Voltage::from_volts(values.iter().copied().fold(f64::INFINITY, f64::min)),
+        samples: values.len(),
+    }
+}
+
+/// A collapsed butterfly is a zero-margin sample.
+pub fn margin_or_zero(result: Result<Voltage, CellError>) -> f64 {
+    match result {
+        Ok(v) => v.volts(),
+        Err(CellError::MeasurementFailed { .. }) => 0.0,
+        Err(e) => panic!("margin: {e}"),
+    }
+}
+
+/// One sample after another: draw the varied cell, measure HSNM at the
+/// nominal rails, RSNM at the read assists, and WM at the write assists
+/// as `V_WL − flip(sample, write bias)`, a bracketing failure as zero.
+pub fn serial_monte_carlo(
+    chr: &CellCharacterizer,
+    config: MonteCarloConfig,
+    bias: &AssistVoltages,
+    flip: impl Fn(&CellCharacterizer, &AssistVoltages) -> Result<Voltage, CellError>,
+) -> YieldAnalysis {
+    let nominal = AssistVoltages::nominal(chr.vdd());
+    let read_bias = nominal.with_vddc(bias.vddc).with_vssc(bias.vssc);
+    let write_bias = nominal.with_vwl(bias.vwl).with_vbl(bias.vbl);
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let (mut hsnm, mut rsnm, mut wm) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..config.samples {
+        let cell = chr.cell().with_variation(&mut rng);
+        let sample = chr
+            .clone()
+            .with_cell(cell)
+            .with_vtc_points(config.vtc_points);
+        hsnm.push(margin_or_zero(sample.hold_snm(&nominal)));
+        rsnm.push(margin_or_zero(sample.read_snm(&read_bias)));
+        wm.push(match flip(&sample, &write_bias) {
+            Ok(v) => (write_bias.vwl - v).volts(),
+            Err(CellError::BracketingFailed { .. }) => 0.0,
+            Err(e) => panic!("write margin: {e}"),
+        });
+    }
+    YieldAnalysis {
+        hsnm: stats(MarginKind::Hsnm, &hsnm),
+        rsnm: stats(MarginKind::Rsnm, &rsnm),
+        wm: stats(MarginKind::WriteMargin, &wm),
+    }
+}

@@ -3,9 +3,9 @@
 //! Each cell below is a Monte Carlo sample — `(flavor, seed, index)`,
 //! the `index`-th (0-based) draw of `YieldAnalyzer`'s RNG for `seed` —
 //! whose pinned DC write probe once failed to converge under one FinFET
-//! Jacobian or another. The write margin must now come back, and its
-//! bisected flip voltage must sit where a dense probe scan puts the
-//! flip.
+//! Jacobian or another (`common::CENSUS`). The write margin must come
+//! back, and its flip voltage must sit where a dense scan of cold
+//! probes puts the flip.
 //!
 //! A probe that lets the cell settle instead decides after a fixed
 //! 2 ns. Every such probe in a 0.1 mV scan is checked against the same
@@ -16,37 +16,13 @@
 //! probe registry is process-global and the fallbacks are told apart
 //! by `cell.wm_probe_fallbacks`, so this binary holds exactly one test.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sram_cell::{AssistVoltages, CellCharacterizer, Sram6t};
-use sram_device::{DeviceLibrary, VtFlavor};
+mod common;
+
+use common::{sample, CENSUS};
+use sram_cell::{AssistVoltages, CellCharacterizer};
 use sram_probe::Level;
 use sram_spice::{DcSolver, Transient};
 use sram_units::{Time, Voltage};
-
-const CELLS: [(VtFlavor, u64, usize); 9] = [
-    (VtFlavor::Lvt, 21, 8),
-    (VtFlavor::Lvt, 30, 1),
-    (VtFlavor::Lvt, 43, 3),
-    (VtFlavor::Lvt, 49, 15),
-    (VtFlavor::Hvt, 9, 9),
-    (VtFlavor::Hvt, 29, 4),
-    (VtFlavor::Hvt, 57, 10),
-    (VtFlavor::Hvt, 62, 13),
-    (VtFlavor::Hvt, 93, 9),
-];
-
-/// The characterizer `YieldAnalyzer` builds for draw `index` of `seed`.
-fn sample(flavor: VtFlavor, seed: u64, index: usize) -> CellCharacterizer {
-    let lib = DeviceLibrary::sevennm();
-    let nominal = Sram6t::new(&lib, flavor);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cell = (0..=index)
-        .map(|_| nominal.with_variation(&mut rng))
-        .last()
-        .expect("at least one draw");
-    CellCharacterizer::new(&lib, flavor).with_cell(cell)
-}
 
 /// `write_flips` at `v`, and whether its DC solve fell back to letting
 /// the cell settle.
@@ -83,14 +59,14 @@ fn census_cells_flip_where_a_dense_scan_says() {
     sram_probe::set_level(Level::Summary);
     let mv = Voltage::from_millivolts;
     let mut fallbacks = 0;
-    for (flavor, seed, index) in CELLS {
+    for (flavor, seed, index) in CENSUS {
         let chr = sample(flavor, seed, index);
         let bias = AssistVoltages::nominal(chr.vdd());
         let wm = chr
             .write_margin(&bias)
             .unwrap_or_else(|e| panic!("{flavor} seed {seed} #{index}: {e}"));
         let flip = bias.vwl - wm;
-        // 0.25 mV probes over ±3 mV around the bisected flip voltage.
+        // 0.25 mV probes over ±3 mV around the flip voltage.
         let scan: Vec<(Voltage, bool)> = (0..=24)
             .map(|k| {
                 let v = flip - mv(3.0) + mv(0.25 * f64::from(k));
@@ -105,7 +81,7 @@ fn census_cells_flip_where_a_dense_scan_says() {
         let first = first.expect("the last probe flips");
         assert!(
             (flip - first).abs() <= mv(1.0),
-            "{flavor} seed {seed} #{index}: bisection {flip}, dense scan {first}"
+            "{flavor} seed {seed} #{index}: search {flip}, dense scan {first}"
         );
 
         // 0.1 mV probes over ±1.5 mV, fine enough to land inside the

@@ -1,67 +1,82 @@
-//! Whole Monte Carlo runs through the write-probe fallback.
+//! Whole Monte Carlo runs of the seeds whose write-margin probes once
+//! fell back to letting the cell settle.
 //!
 //! The 16-sample runs of these seeds once failed at the sim-stack
-//! biases because one write-margin DC probe did not converge. They must
-//! succeed now, and `cell.wm_probe_fallbacks` must count exactly the
-//! probes that let the cell settle instead.
+//! biases because one cold write-margin DC probe did not converge, and
+//! later needed one settling fallback per run. The continuation flip
+//! search runs no cold probe, so each run must now take no fallback
+//! (`cell.wm_probe_fallbacks` does not move) and must equal, to the
+//! bit, a serial run whose write margins come from the cold bisection
+//! (`common::bisected_flip_voltage`).
 //!
 //! The probe registry is process-global, so this binary holds exactly
 //! one test: a second test in the same process could move the counter
 //! between a snapshot and its diff.
 
-use sram_cell::{AssistVoltages, CellCharacterizer, MonteCarloConfig, YieldAnalyzer};
+mod common;
+
+use common::{bisected_flip_voltage, rails_bias, serial_monte_carlo, sim_stack_rails};
+use sram_cell::{CellCharacterizer, CellError, MonteCarloConfig, YieldAnalyzer};
 use sram_device::{DeviceLibrary, VtFlavor};
+use sram_faults::{ordered_map, CancelToken};
 use sram_probe::Level;
-use sram_units::Voltage;
 
 #[test]
 fn failing_seeds_now_complete_and_count_their_fallbacks() {
     sram_probe::set_level(Level::Detail);
     let lib = DeviceLibrary::sevennm();
-    let mv = Voltage::from_millivolts;
-    // (flavor, Monte Carlo seed, fallbacks per run): the seeds left out
-    // of the sim-stack seed pool.
+    // (flavor, Monte Carlo seed): the seeds left out of the sim-stack
+    // seed pool.
     let runs = [
-        (VtFlavor::Lvt, 21, 1),
-        (VtFlavor::Lvt, 49, 1),
-        (VtFlavor::Hvt, 29, 1),
-        (VtFlavor::Hvt, 57, 0),
-        (VtFlavor::Hvt, 62, 0),
+        (VtFlavor::Lvt, 21),
+        (VtFlavor::Lvt, 49),
+        (VtFlavor::Hvt, 29),
+        (VtFlavor::Hvt, 57),
+        (VtFlavor::Hvt, 62),
     ];
-    for (flavor, seed, fallbacks) in runs {
-        // The (V_DDC, V_WL, V_SSC) rails of the flavor's M1 and M2
-        // sim-stack designs.
-        let rails = match flavor {
-            VtFlavor::Lvt => [(610.0, 610.0, 0.0), (610.0, 490.0, -240.0)],
-            VtFlavor::Hvt => [(560.0, 560.0, 0.0), (560.0, 530.0, -240.0)],
-        };
-        for (vddc, vwl, vssc) in rails {
-            let bias = AssistVoltages::nominal(lib.nominal_vdd())
-                .with_vddc(mv(vddc))
-                .with_vwl(mv(vwl))
-                .with_vssc(mv(vssc));
-            let analyzer = YieldAnalyzer::new(
-                CellCharacterizer::new(&lib, flavor),
-                MonteCarloConfig {
-                    samples: 16,
-                    seed,
-                    vtc_points: 25,
-                },
-            );
+    let cases: Vec<_> = runs
+        .iter()
+        .flat_map(|&(flavor, seed)| sim_stack_rails(flavor).map(|rails| (flavor, seed, rails)))
+        .collect();
+    let config = |seed| MonteCarloConfig {
+        samples: 16,
+        seed,
+        vtc_points: 25,
+    };
+    let at = |&(flavor, seed, rails): &(VtFlavor, u64, (f64, f64, f64))| {
+        format!("{flavor} seed {seed} at V_WL {} mV", rails.1)
+    };
+    let analyses: Vec<_> = cases
+        .iter()
+        .map(|case @ &(flavor, seed, rails)| {
+            let analyzer = YieldAnalyzer::new(CellCharacterizer::new(&lib, flavor), config(seed));
             let before = sram_probe::snapshot();
             let analysis = analyzer
-                .run(&bias)
-                .unwrap_or_else(|e| panic!("{flavor} seed {seed} at V_WL {vwl} mV: {e}"));
+                .run(&rails_bias(lib.nominal_vdd(), rails))
+                .unwrap_or_else(|e| panic!("{}: {e}", at(case)));
             let diff = sram_probe::snapshot().diff(&before);
-            assert_eq!(analysis.wm.samples, 16);
-            assert_eq!(
-                diff.counters
-                    .get("cell.wm_probe_fallbacks")
-                    .copied()
-                    .unwrap_or(0),
-                fallbacks,
-                "{flavor} seed {seed} at V_WL {vwl} mV"
-            );
-        }
+            let fallbacks = diff.counters.get("cell.wm_probe_fallbacks").copied();
+            assert_eq!(fallbacks.unwrap_or(0), 0, "{}", at(case));
+            analysis
+        })
+        .collect();
+    // Each reference is one serial loop; the ten run side by side.
+    let references = ordered_map(&cases, &CancelToken::never(), |&(flavor, seed, rails)| {
+        let chr = CellCharacterizer::new(&lib, flavor);
+        let bias = rails_bias(lib.nominal_vdd(), rails);
+        Ok::<_, CellError>(serial_monte_carlo(
+            &chr,
+            config(seed),
+            &bias,
+            bisected_flip_voltage,
+        ))
+    })
+    .expect("never cancelled");
+    for ((case, analysis), reference) in cases.iter().zip(analyses).zip(references) {
+        assert!(
+            analysis == reference,
+            "{}: {analysis:?} != {reference:?}",
+            at(case)
+        );
     }
 }

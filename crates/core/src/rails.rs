@@ -113,7 +113,8 @@ pub(crate) fn minimize_vddc(
 /// `delta`, by simulation.
 ///
 /// The write netlist drives the wordline at the probe level and never
-/// reads `bias.vwl`, so the flip voltage is one bisection for the whole
+/// reads `bias.vwl`, so one continuation flip search
+/// ([`CellCharacterizer::wordline_flip_voltage`]) serves the whole
 /// scan; each step's margin is `V_WL − flip`, the subtraction
 /// [`CellCharacterizer::write_margin`] does.
 ///
@@ -174,8 +175,8 @@ mod tests {
         assert_eq!(sel.vwl.millivolts(), 550.0);
     }
 
-    /// The per-step scan `minimize_vwl` replaced: a fresh flip-voltage
-    /// bisection inside every `write_margin` call.
+    /// The per-step scan `minimize_vwl` replaced: a fresh flip search
+    /// inside every `write_margin` call.
     fn minimize_vwl_by_scan(
         characterizer: &CellCharacterizer,
         delta: Voltage,
@@ -197,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn one_bisection_matches_the_per_step_scan() {
+    fn one_flip_search_matches_the_per_step_scan() {
         use sram_device::DeviceLibrary;
         let lib = DeviceLibrary::sevennm();
         for flavor in [VtFlavor::Lvt, VtFlavor::Hvt] {

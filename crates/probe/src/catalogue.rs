@@ -155,6 +155,7 @@ pub const PROBES: &[ProbeRow] = &[
     row("cell.mc_runs", Counter, Cell, At("crates/bench/src/serve.rs")),
     row("cell.mc_samples", Counter, Cell, At("crates/bench/src/serve.rs")),
     row("cell.mc_wm_bracketing_failed", Counter, Cell, OBSERVABILITY_ONLY),
+    row("cell.wm_flip_search", Trace, Cell, At("crates/cell/tests/flip_search_probes.rs")),
     row("cell.wm_probe_fallbacks", Counter, Cell, At("crates/cell/tests/write_fallback.rs")),
     row("cluster.affinity.checked", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
     row("cluster.affinity.violations", Counter, Cluster, At("crates/bench/tests/cluster_soak.rs")),
@@ -254,14 +255,14 @@ pub const PROBES: &[ProbeRow] = &[
     row("serve.slo.yield_check.total", Counter, Serve, SLO_HEALTH),
     row("serve.worker.panics", Counter, Serve, At("crates/serve/tests/faults_e2e.rs")),
     row("serve.worker.respawns", Counter, Serve, At("crates/serve/tests/faults_e2e.rs")),
-    row("spice.dc_nonconvergent", Counter, Spice, OBSERVABILITY_ONLY),
+    row("spice.dc_nonconvergent", Counter, Spice, At("crates/cell/tests/flip_search_probes.rs")),
     row("spice.dc_solve", Trace, Spice, At("crates/bench/src/serve.rs")),
     row("spice.dc_solve_ns", Histogram, Spice, OBSERVABILITY_ONLY),
     row("spice.dc_solves", Counter, Spice, At("crates/bench/tests/reproduce_cli.rs")),
     row("spice.dc_sweep", Trace, Spice, At("crates/bench/src/serve.rs")),
-    row("spice.lu_factorizations", Counter, Spice, OBSERVABILITY_ONLY),
+    row("spice.lu_factorizations", Counter, Spice, At("crates/cell/tests/flip_search_probes.rs")),
     row("spice.newton_iterations", Counter, Spice, At("crates/bench/tests/reproduce_cli.rs")),
-    row("spice.newton_iters_per_solve", Histogram, Spice, OBSERVABILITY_ONLY),
+    row("spice.newton_iters_per_solve", Histogram, Spice, At("crates/cell/tests/flip_search_probes.rs")),
     row("spice.transient", Trace, Spice, At("crates/bench/src/serve.rs")),
     row("spice.transient_ns", Histogram, Spice, OBSERVABILITY_ONLY),
     row("spice.transient_rejected_steps", Counter, Spice, OBSERVABILITY_ONLY),

@@ -173,13 +173,7 @@ impl DcSolver {
         circuit: &Circuit,
         guess: &[f64],
     ) -> Result<DcSolution, SpiceError> {
-        if guess.len() != circuit.unknown_count() {
-            return Err(SpiceError::InvalidAnalysis(format!(
-                "guess length {} does not match unknown count {}",
-                guess.len(),
-                circuit.unknown_count()
-            )));
-        }
+        check_guess(circuit, guess)?;
         sram_probe::probe_inc!("spice.dc_solves");
         let _span = sram_probe::probe_span!("spice.dc_solve_ns");
         // Chaos hook: a plan rule for `spice.nonconverge` makes this solve
@@ -257,6 +251,37 @@ impl DcSolver {
         Ok(DcSolution::new(x3, circuit.node_count()))
     }
 
+    /// One continuation step: plain Newton warm-started from `from`, an
+    /// operating point of the same netlist with a source moved a little.
+    /// No nodeset stage and no gmin or source stepping run, so the
+    /// solution stays on the branch `from` lies on, or the step fails
+    /// and the caller shortens it.
+    ///
+    /// The solve is counted and timed like any other, but records no
+    /// trace span (the caller's search records one). A failed step is
+    /// an answer of that search, not a failed analysis: it draws no
+    /// `spice.nonconverge` fault and does not count as
+    /// `spice.dc_nonconvergent`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::NonConvergent`] when Newton does not converge within
+    /// the iteration budget; [`SpiceError::SingularMatrix`] when a
+    /// Jacobian has no usable pivot; [`SpiceError::InvalidAnalysis`] when
+    /// `from` does not belong to a netlist of `circuit`'s shape.
+    pub fn continue_from(
+        &self,
+        circuit: &Circuit,
+        from: &DcSolution,
+    ) -> Result<DcSolution, SpiceError> {
+        check_guess(circuit, &from.x)?;
+        sram_probe::probe_inc!("spice.dc_solves");
+        let _span = sram_probe::probe_span!("spice.dc_solve_ns");
+        let mut x = from.x.clone();
+        self.newton(circuit, &mut x, self.gmin, 1.0, None)?;
+        Ok(DcSolution::new(x, circuit.node_count()))
+    }
+
     /// One Newton solve at fixed gmin/source scale. `pin` optionally adds
     /// the nodeset conductance (in siemens).
     fn newton(
@@ -319,6 +344,18 @@ impl DcSolver {
             iterations: self.max_iterations,
         })
     }
+}
+
+/// Rejects a starting vector that does not fit `circuit`'s unknowns.
+fn check_guess(circuit: &Circuit, guess: &[f64]) -> Result<(), SpiceError> {
+    if guess.len() == circuit.unknown_count() {
+        return Ok(());
+    }
+    Err(SpiceError::InvalidAnalysis(format!(
+        "guess length {} does not match unknown count {}",
+        guess.len(),
+        circuit.unknown_count()
+    )))
 }
 
 #[cfg(test)]
@@ -428,6 +465,27 @@ mod tests {
             .unwrap();
         assert!(sol1.voltage(q).volts() > 0.40);
         assert!(sol1.voltage(qb).volts() < 0.05);
+    }
+
+    #[test]
+    fn continuation_steps_from_a_neighbouring_solution() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let mid = ckt.node("mid");
+        ckt.vsource("V1", a, Circuit::GROUND, Waveform::Dc(1.0));
+        ckt.resistor("R1", a, mid, 1.0e3);
+        ckt.resistor("R2", mid, Circuit::GROUND, 3.0e3);
+        let start = DcSolver::new().solve(&ckt).unwrap();
+        ckt.set_source_voltage("V1", Voltage::from_volts(1.2))
+            .unwrap();
+        let step = DcSolver::new().continue_from(&ckt, &start).unwrap();
+        assert!((step.voltage(mid).volts() - 0.9).abs() < 1e-9);
+
+        let mut other = Circuit::new();
+        let b = other.node("b");
+        other.vsource("V", b, Circuit::GROUND, Waveform::Dc(1.0));
+        let err = DcSolver::new().continue_from(&other, &start).unwrap_err();
+        assert!(matches!(err, SpiceError::InvalidAnalysis(_)));
     }
 
     #[test]
