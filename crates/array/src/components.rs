@@ -27,8 +27,7 @@ pub struct DelayEnergy {
 
 impl DelayEnergy {
     /// Evaluates Eq. (1) for a `C/V/ΔV/I` quadruple.
-    #[must_use]
-    pub fn from_eq1(c: sram_units::Capacitance, v: Voltage, delta_v: Voltage, i: Current) -> Self {
+    fn from_eq1(c: sram_units::Capacitance, v: Voltage, delta_v: Voltage, i: Current) -> Self {
         Self {
             delay: c * delta_v / i,
             energy: c * v * delta_v,
@@ -37,8 +36,7 @@ impl DelayEnergy {
 
     /// A zero contribution (used for absent components, e.g. the column
     /// path when `n_c ≤ W`).
-    #[must_use]
-    pub fn zero() -> Self {
+    fn zero() -> Self {
         Self {
             delay: Time::ZERO,
             energy: Energy::ZERO,
@@ -123,14 +121,9 @@ pub fn column_select(inp: &ComponentInputs<'_>) -> DelayEnergy {
 }
 
 /// Bitline during read: `C_BL`, `V = V_DDC − V_SSC`, `ΔV = ΔV_S`,
-/// `I = I_read(V_DDC, V_SSC)` — the row negative Gnd accelerates.
-#[must_use]
-pub fn bitline_read(inp: &ComponentInputs<'_>) -> DelayEnergy {
-    bitline_read_with(inp, inp.cell.read_current(inp.vssc))
-}
-
-/// [`bitline_read`] with `I_read(V_SSC)` already read from the cell table
-/// (a prepared slice reads it once).
+/// `I = I_read(V_DDC, V_SSC)` — the row negative Gnd accelerates. The
+/// caller reads `i_read` from the cell table (a prepared slice reads it
+/// once).
 #[must_use]
 pub(crate) fn bitline_read_with(inp: &ComponentInputs<'_>, i_read: Current) -> DelayEnergy {
     DelayEnergy::from_eq1(inp.wires.bitline, inp.vddc - inp.vssc, inp.delta_vs, i_read)
@@ -203,8 +196,11 @@ mod tests {
     #[test]
     fn negative_gnd_cuts_bitline_read_delay() {
         let fx = fixture(128, 64, 7, 1);
-        let base = bitline_read(&inputs(&fx, 0.0, 7, 1));
-        let assisted = bitline_read(&inputs(&fx, -240.0, 7, 1));
+        let read = |vssc_mv| {
+            let inp = inputs(&fx, vssc_mv, 7, 1);
+            bitline_read_with(&inp, inp.cell.read_current(inp.vssc))
+        };
+        let (base, assisted) = (read(0.0), read(-240.0));
         assert!(
             assisted.delay < base.delay * 0.5,
             "negative Gnd: {} -> {}",

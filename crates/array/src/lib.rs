@@ -65,12 +65,10 @@
     )
 )]
 
-mod area;
 pub mod components;
 mod decoder;
 mod driver;
 mod error;
-mod macro_model;
 mod model;
 mod organization;
 mod periphery;
@@ -79,11 +77,9 @@ mod technology;
 mod wire;
 mod workload;
 
-pub use area::ArrayFloorplan;
 pub use decoder::DecoderModel;
 pub use driver::Superbuffer;
 pub use error::ArrayError;
-pub use macro_model::{OperationLedger, SramMacro};
 pub use model::{
     ArrayMetrics, ArrayModel, ArrayParams, ArraySlice, DelayBreakdown, EnergyAccounting,
     EnergyBreakdown,

@@ -839,9 +839,12 @@ mod tests {
     }
 
     /// Table 3 and Eqs. (2)-(5) composed from scratch at one point, from
-    /// the public Table 1/2 pieces alone: the reference the slice's
-    /// hoisted terms must reproduce bit for bit.
+    /// the Table 1/2 pieces alone: the reference the slice's hoisted terms
+    /// must reproduce bit for bit.
     fn from_scratch(model: &ArrayModel<'_>) -> ArrayMetrics {
+        fn bitline_read(inp: &ComponentInputs<'_>) -> DelayEnergy {
+            components::bitline_read_with(inp, inp.cell.read_current(inp.vssc))
+        }
         let (cell, periphery, params) = (model.cell, model.periphery, model.params);
         let org = &model.organization;
         let (vdd, vddc, vwl) = (cell.vdd(), cell.vddc(), cell.vwl());
@@ -864,7 +867,7 @@ mod tests {
             components::wordline_read,
             components::wordline_write,
             components::column_select,
-            components::bitline_read,
+            bitline_read,
             components::bitline_write,
             components::precharge_read,
             components::precharge_write,

@@ -98,8 +98,7 @@ impl Periphery {
     }
 
     /// Per-fin NFET ON current at the nominal supply.
-    #[must_use]
-    pub fn ion_nfet(&self) -> Current {
+    fn ion_nfet(&self) -> Current {
         self.ion_nfet
     }
 

@@ -67,83 +67,4 @@ mod tests {
         assert!(sa.delay().picoseconds() > 0.1 && sa.delay().picoseconds() < 100.0);
         assert!(sa.energy().joules() > 0.0);
     }
-
-    #[test]
-    fn regeneration_matches_latch_transient() {
-        // Cross-validate the ln(Vdd/dV) model against a real latch: a
-        // cross-coupled inverter pair preset (via hard pins) to a +/-dV/2
-        // imbalance around mid-rail, then released in transient. The time
-        // to a 90%-of-Vdd output separation is the simulated resolution
-        // delay.
-        use sram_device::{FinFet, VtFlavor};
-        use sram_spice::{Circuit, DcSolver, Transient, Waveform};
-        use sram_units::Time;
-
-        let lib = DeviceLibrary::sevennm();
-        let p = Periphery::new(&lib);
-        let delta_vs = Voltage::from_millivolts(120.0);
-        let model = SenseAmp::new(&p, delta_vs);
-
-        let vdd = 0.45;
-        let mut ckt = Circuit::new();
-        let n_vdd = ckt.node("vdd");
-        let op = ckt.node("outp");
-        let on = ckt.node("outn");
-        ckt.vsource("Vdd", n_vdd, Circuit::GROUND, Waveform::Dc(vdd));
-        for (name, input, output) in [("p", on, op), ("n", op, on)] {
-            ckt.fet(
-                &format!("MP{name}"),
-                input,
-                output,
-                n_vdd,
-                FinFet::new(lib.pfet(VtFlavor::Lvt).clone(), 2),
-            );
-            ckt.fet(
-                &format!("MN{name}"),
-                input,
-                output,
-                Circuit::GROUND,
-                FinFet::new(lib.nfet(VtFlavor::Lvt).clone(), 2),
-            );
-        }
-        // Latch self-load: gates of the opposite side.
-        let c_node = (p.c_inverter_input() + p.c_inverter_output()) * 2.0;
-        ckt.capacitor("Cp", op, Circuit::GROUND, c_node.farads());
-        ckt.capacitor("Cn", on, Circuit::GROUND, c_node.farads());
-
-        let mid = vdd / 2.0;
-        let dv = delta_vs.volts() / 2.0;
-        let preset = DcSolver::new()
-            .nodeset(op, Voltage::from_volts(mid + dv))
-            .nodeset(on, Voltage::from_volts(mid - dv))
-            .hold_pins();
-        let trace = Transient::new(Time::from_picoseconds(20.0), Time::from_picoseconds(0.05))
-            .with_initial_solver(preset)
-            .run(&ckt)
-            .unwrap()
-            .into_trace();
-
-        // The seeded side must win and regenerate to the rails.
-        assert!(trace.final_voltage(op).volts() > 0.9 * vdd);
-        assert!(trace.final_voltage(on).volts() < 0.1 * vdd);
-        let t_resolve = (0..trace.len())
-            .map(|k| {
-                (
-                    trace.times().nth(k).expect("sample"),
-                    trace.voltage_at(op, trace.times().nth(k).expect("sample")),
-                )
-            })
-            .find(|(t, _)| {
-                (trace.voltage_at(op, *t).volts() - trace.voltage_at(on, *t).volts()) > 0.9 * vdd
-            })
-            .map(|(t, _)| t)
-            .expect("latch resolves");
-        let ratio = t_resolve / model.delay();
-        assert!(
-            ratio > 0.1 && ratio < 10.0,
-            "model {} vs simulated {} (x{ratio:.2})",
-            model.delay(),
-            t_resolve
-        );
-    }
 }

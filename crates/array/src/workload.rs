@@ -28,7 +28,11 @@ pub enum Access {
 /// ```
 /// use sram_array::{Access, AccessTrace};
 ///
-/// let trace = AccessTrace::from_counts(30, 10, 60);
+/// let trace: AccessTrace = [Access::Read; 3]
+///     .into_iter()
+///     .chain([Access::Write])
+///     .chain([Access::Idle; 6])
+///     .collect();
 /// assert!((trace.activity_factor() - 0.4).abs() < 1e-12);
 /// assert!((trace.read_ratio() - 0.75).abs() < 1e-12);
 /// ```
@@ -46,26 +50,6 @@ impl AccessTrace {
         Self::default()
     }
 
-    /// Builds a trace from aggregate counts.
-    #[must_use]
-    pub fn from_counts(reads: usize, writes: usize, idles: usize) -> Self {
-        Self {
-            reads,
-            writes,
-            idles,
-        }
-    }
-
-    /// Builds a trace from a cycle-by-cycle sequence.
-    #[must_use]
-    pub fn from_cycles<I: IntoIterator<Item = Access>>(cycles: I) -> Self {
-        let mut t = Self::new();
-        for c in cycles {
-            t.push(c);
-        }
-        t
-    }
-
     /// Appends one cycle.
     pub fn push(&mut self, access: Access) {
         match access {
@@ -79,18 +63,6 @@ impl AccessTrace {
     #[must_use]
     pub fn cycles(&self) -> usize {
         self.reads + self.writes + self.idles
-    }
-
-    /// Read cycles.
-    #[must_use]
-    pub fn reads(&self) -> usize {
-        self.reads
-    }
-
-    /// Write cycles.
-    #[must_use]
-    pub fn writes(&self) -> usize {
-        self.writes
     }
 
     /// The activity factor `α` this trace implies (accesses per cycle).
@@ -166,7 +138,9 @@ impl Extend<Access> for AccessTrace {
 
 impl FromIterator<Access> for AccessTrace {
     fn from_iter<I: IntoIterator<Item = Access>>(iter: I) -> Self {
-        Self::from_cycles(iter)
+        let mut t = Self::new();
+        t.extend(iter);
+        t
     }
 }
 
@@ -176,6 +150,14 @@ mod tests {
     use crate::{ArrayModel, ArrayOrganization, Periphery};
     use sram_cell::CellCharacterization;
     use sram_device::DeviceLibrary;
+
+    fn counts(reads: usize, writes: usize, idles: usize) -> AccessTrace {
+        AccessTrace {
+            reads,
+            writes,
+            idles,
+        }
+    }
 
     fn metrics() -> ArrayMetrics {
         let lib = DeviceLibrary::sevennm();
@@ -223,7 +205,7 @@ mod tests {
         // A trace whose alpha/beta equal the paper defaults must, per
         // cycle, reproduce Eq. (5): alpha*E_sw + E_leak.
         let m = metrics();
-        let t = AccessTrace::from_counts(25, 25, 50); // alpha=0.5, beta=0.5
+        let t = counts(25, 25, 50); // alpha=0.5, beta=0.5
         let per_cycle = t.energy(&m) / t.cycles() as f64;
         let eq5 = m.switching_energy * 0.5 + m.leakage_energy;
         assert!(
@@ -240,7 +222,7 @@ mod tests {
         let cell = CellCharacterization::paper_hvt(lib.nominal_vdd());
         let periphery = Periphery::new(&lib);
         let base = ArrayParams::paper_defaults();
-        let t = AccessTrace::from_counts(60, 20, 20); // alpha=0.8, beta=0.75
+        let t = counts(60, 20, 20); // alpha=0.8, beta=0.75
         let params = t.to_params(&base);
         let m = ArrayModel::new(
             ArrayOrganization::new(128, 64, 64).unwrap(),
@@ -258,8 +240,8 @@ mod tests {
     #[test]
     fn read_heavy_traces_cost_more_than_idle_ones() {
         let m = metrics();
-        let busy = AccessTrace::from_counts(90, 10, 0);
-        let quiet = AccessTrace::from_counts(5, 5, 90);
+        let busy = counts(90, 10, 0);
+        let quiet = counts(5, 5, 90);
         assert!(busy.energy(&m) > quiet.energy(&m));
         assert!(busy.average_power(&m) > quiet.average_power(&m));
     }

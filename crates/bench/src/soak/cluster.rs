@@ -82,12 +82,11 @@ pub(crate) const SCENARIO: Scenario = Scenario {
         inv("cluster.request.routed", Op::Ge, Rhs::Key("answered")),
         inv("cluster.forward.latency_ns", Op::Ge, Rhs::Key("answered")),
         inv("cluster.health.polls", Op::Ge, Rhs::Num(1.0)),
-        // Every failover follows a pool retry budget spent on transport
-        // errors.
+        // The router fails over only down a request's candidate list.
         inv(
-            "cluster.forward.retries",
-            Op::Ge,
-            Rhs::Key("cluster.forward.failovers"),
+            "cluster.forward.failovers",
+            Op::Le,
+            Rhs::Key("failover_budget"),
         ),
         inv("cluster.hedge.delay_ms", Op::Ge, Rhs::Key("hedge_ms")),
         inv("cluster.hedge.delay_ms", Op::Le, Rhs::Num(250.0)),

@@ -666,10 +666,22 @@ impl Soak<'_> {
         // The scenario constants rows compare against.
         soak.insert("clients", self.scenario.clients as f64);
         if let Topology::Cluster {
-            nodes, hedge_ms, ..
+            nodes,
+            replicas,
+            hedge_ms,
+            ..
         } = self.scenario.topology
         {
-            soak.extend([("nodes", nodes as f64), ("hedge_ms", hedge_ms as f64)]);
+            // A routed request tries at most its `replicas` ring
+            // candidates, so it fails over at most `replicas - 1` times.
+            let cap = replicas.saturating_sub(1) as f64;
+            let routed = soak.get("cluster.request.routed").copied();
+            soak.extend([
+                ("nodes", nodes as f64),
+                ("hedge_ms", hedge_ms as f64),
+                ("failover_cap", cap),
+                ("failover_budget", cap * routed.unwrap_or(0.0)),
+            ]);
         }
         soak.append(&mut self.out.soak);
         self.out.soak = soak;

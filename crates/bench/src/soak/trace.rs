@@ -115,13 +115,14 @@ pub(crate) const SCENARIO: Scenario = Scenario {
         inv("cluster.request.routed", Op::Ge, Rhs::Key("answered")),
         inv("cluster.forward.latency_ns", Op::Ge, Rhs::Key("answered")),
         inv("cluster.health.polls", Op::Ge, Rhs::Num(1.0)),
-        // Every failover follows a pool retry budget spent on transport
-        // errors.
+        // The router fails over only down a request's candidate list:
+        // summed over the soak, and per request from each reply's tree.
         inv(
-            "cluster.forward.retries",
-            Op::Ge,
-            Rhs::Key("cluster.forward.failovers"),
+            "cluster.forward.failovers",
+            Op::Le,
+            Rhs::Key("failover_budget"),
         ),
+        inv("request_failovers_max", Op::Le, Rhs::Key("failover_cap")),
         inv("cluster.hedge.delay_ms", Op::Ge, Rhs::Key("hedge_ms")),
         inv("cluster.hedge.delay_ms", Op::Le, Rhs::Num(250.0)),
     ],
@@ -134,22 +135,27 @@ struct Trees {
     forests: Vec<String>,
     /// Replies carrying a `hedge_loser: true` branch.
     losers: usize,
+    /// The most `failover` branches one reply's tree carries.
+    max_failovers: usize,
     /// The tree the Chrome audit runs on, ranked by span count — a
     /// loser-bearing tree outranks any other, since it exercises the
     /// cancelled branch's lane too.
     richest: Option<(u64, Json)>,
 }
 
+/// The `cluster.attempt` branches of a stitched tree, one per attempt.
+fn attempts(tree: &Json) -> &[Json] {
+    tree.get("children")
+        .and_then(Json::as_array)
+        .unwrap_or_default()
+}
+
 /// `true` if any `cluster.attempt` branch of the stitched tree is
 /// marked `hedge_loser: true`.
 fn has_loser_branch(tree: &Json) -> bool {
-    tree.get("children")
-        .and_then(Json::as_array)
-        .is_some_and(|children| {
-            children
-                .iter()
-                .any(|c| c.get("hedge_loser").and_then(Json::as_bool) == Some(true))
-        })
+    attempts(tree)
+        .iter()
+        .any(|c| c.get("hedge_loser").and_then(Json::as_bool) == Some(true))
 }
 
 /// The per-reply hook: validates the stitched tree and folds it into
@@ -170,8 +176,13 @@ fn audit_reply(reply: &Json, trees: &Mutex<Trees>) -> Result<(), String> {
         ));
     }
     let loser = has_loser_branch(tree);
+    let failovers = attempts(tree)
+        .iter()
+        .filter(|c| c.get("via").and_then(Json::as_str) == Some("failover"))
+        .count();
     let mut trees = trees.lock().unwrap_or_else(PoisonError::into_inner);
     trees.losers += usize::from(loser);
+    trees.max_failovers = trees.max_failovers.max(failovers);
     match stitch::validate(tree) {
         Ok(spans) => {
             let rank = spans + if loser { 1_000 } else { 0 };
@@ -291,6 +302,7 @@ pub(crate) fn soak(threads: usize) -> Result<Outcome, String> {
         let trees = trees.into_inner().unwrap_or_else(PoisonError::into_inner);
         soak.set("forest_replies", trees.forests.len() as f64);
         soak.set("loser_replies", trees.losers as f64);
+        soak.set("request_failovers_max", trees.max_failovers as f64);
         let pids = trees
             .richest
             .as_ref()

@@ -109,33 +109,6 @@ impl AssistVoltages {
     }
 }
 
-/// Read-assist techniques surveyed in Section 3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReadAssist {
-    /// No read assist.
-    None,
-    /// Wordline underdrive: `V_WL < Vdd`. Improves RSNM, *degrades* read
-    /// current — rejected by the paper.
-    WordlineUnderdrive,
-    /// Vdd boost: `V_DDC > Vdd`. Improves RSNM with no read-delay cost —
-    /// adopted.
-    VddBoost,
-    /// Negative Gnd: `V_SSC < 0`. Boosts read current strongly — adopted.
-    NegativeGnd,
-}
-
-/// Write-assist techniques surveyed in Section 3.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WriteAssist {
-    /// No write assist.
-    None,
-    /// Wordline overdrive: `V_WL > Vdd` — adopted (best WM improvement).
-    WordlineOverdrive,
-    /// Negative bitline: `V_BL < 0` — rejected (WLOD slightly better on
-    /// WM; cell write delay is not the bottleneck).
-    NegativeBitline,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

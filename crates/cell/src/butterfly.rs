@@ -62,12 +62,7 @@ impl Vtc {
             .map(|&(x, y)| (Voltage::from_volts(x), Voltage::from_volts(y)))
     }
 
-    /// Output at `vin` (linear interpolation, clamped at the ends).
-    #[must_use]
-    pub fn output_at(&self, vin: Voltage) -> Voltage {
-        Voltage::from_volts(self.eval(vin.volts()))
-    }
-
+    /// Output at `x` volts (linear interpolation, clamped at the ends).
     fn eval(&self, x: f64) -> f64 {
         let pts = &self.points;
         if x <= pts[0].0 {
@@ -215,10 +210,9 @@ mod tests {
             (Voltage::from_volts(1.0), Voltage::ZERO),
         ])
         .unwrap();
-        let mid = vtc.output_at(Voltage::from_volts(0.5));
-        assert!((mid.volts() - 0.5).abs() < 1e-12);
+        assert!((vtc.eval(0.5) - 0.5).abs() < 1e-12);
         // Clamped outside the range.
-        assert_eq!(vtc.output_at(Voltage::from_volts(2.0)).volts(), 0.0);
+        assert_eq!(vtc.eval(2.0), 0.0);
     }
 
     #[test]

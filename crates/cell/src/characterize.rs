@@ -94,12 +94,7 @@ impl CellCharacterizer {
     /// # Errors
     ///
     /// Propagates simulation failures.
-    pub fn vtc(
-        &self,
-        half: VtcHalf,
-        mode: VtcMode,
-        bias: &AssistVoltages,
-    ) -> Result<Vtc, CellError> {
+    fn vtc(&self, half: VtcHalf, mode: VtcMode, bias: &AssistVoltages) -> Result<Vtc, CellError> {
         bias.validate().map_err(CellError::InvalidBias)?;
         let (ckt, _u, out) = self.cell.vtc_circuit(half, mode, bias, self.vdd);
         let points = DcSweep::new("VU", bias.vssc, bias.vddc, self.vtc_points).run(&ckt)?;

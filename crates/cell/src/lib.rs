@@ -63,19 +63,16 @@ mod error;
 mod leakage;
 mod lut;
 mod montecarlo;
-mod ncurve;
 mod read;
-mod retention;
 mod snapshot;
 mod write;
 
-pub use assist::{AssistVoltages, ReadAssist, WriteAssist};
+pub use assist::AssistVoltages;
 pub use butterfly::{butterfly_snm, ButterflyCurves, Vtc};
 pub use cell::{CellNodes, Sram6t, VtcHalf, VtcMode};
 pub use characterize::CellCharacterizer;
 pub use error::CellError;
 pub use lut::Lut1d;
 pub use montecarlo::{MarginKind, MarginStats, MonteCarloConfig, YieldAnalysis, YieldAnalyzer};
-pub use ncurve::NCurve;
 pub use read::ReadCurrentFit;
 pub use snapshot::{CellCharacterization, CharacterizationGrid};

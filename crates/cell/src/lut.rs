@@ -48,23 +48,6 @@ impl Lut1d {
         Ok(Self { points })
     }
 
-    /// Builds a table by sampling `f` at `xs`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error from `f`, or the constructor's
-    /// validation errors.
-    pub fn tabulate<F>(xs: &[f64], mut f: F) -> Result<Self, CellError>
-    where
-        F: FnMut(f64) -> Result<f64, CellError>,
-    {
-        let mut points = Vec::with_capacity(xs.len());
-        for &x in xs {
-            points.push((x, f(x)?));
-        }
-        Self::new(points)
-    }
-
     /// Interpolated value at `x` (clamped to the table range).
     #[must_use]
     pub fn eval(&self, x: f64) -> f64 {
@@ -118,26 +101,5 @@ mod tests {
         assert!(Lut1d::new(vec![(1.0, 0.0), (0.0, 0.0)]).is_err());
         assert!(Lut1d::new(vec![]).is_err());
         assert!(Lut1d::new(vec![(1.0, 0.0), (1.0, 2.0)]).is_err());
-    }
-
-    #[test]
-    fn tabulate_samples_function() {
-        let lut = Lut1d::tabulate(&[0.0, 1.0, 2.0], |x| Ok(x * x)).unwrap();
-        assert_eq!(lut.eval(2.0), 4.0);
-        assert_eq!(lut.domain(), (0.0, 2.0));
-        assert_eq!(lut.breakpoints().len(), 3);
-    }
-
-    #[test]
-    fn tabulate_propagates_errors() {
-        let err = Lut1d::tabulate(&[0.0, 1.0], |x| {
-            if x > 0.5 {
-                Err(CellError::BracketingFailed { what: "test" })
-            } else {
-                Ok(x)
-            }
-        })
-        .unwrap_err();
-        assert!(matches!(err, CellError::BracketingFailed { .. }));
     }
 }

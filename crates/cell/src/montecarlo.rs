@@ -50,8 +50,7 @@ pub struct MarginStats {
 
 impl MarginStats {
     /// The statistical margin `μ − kσ` of the paper's accurate constraint.
-    #[must_use]
-    pub fn mu_minus_k_sigma(&self, k: f64) -> Voltage {
+    fn mu_minus_k_sigma(&self, k: f64) -> Voltage {
         self.mean - self.sigma * k
     }
 

@@ -2,7 +2,11 @@
 //!
 //! A cancelled run counts itself once and measures nothing, and a
 //! traced run nests every simulator span under its `cell.mc_run` span,
-//! whichever worker thread recorded it.
+//! whichever worker thread recorded it. Every run, cancelled or not,
+//! times itself once in `cell.mc_run_ns`. A read bias that collapses
+//! every butterfly counts each sample in `cell.mc_collapsed`, and a
+//! write bias under which no cell flips counts each sample in
+//! `cell.mc_wm_bracketing_failed`.
 //!
 //! The probe registry is process-global, so this binary holds exactly
 //! one test: a second test in the same process could move the counters
@@ -20,6 +24,10 @@ use sram_units::Voltage;
 
 fn counter(diff: &Snapshot, name: &str) -> u64 {
     diff.counters.get(name).copied().unwrap_or(0)
+}
+
+fn timed_runs(diff: &Snapshot) -> u64 {
+    diff.histograms.get("cell.mc_run_ns").map_or(0, |h| h.count)
 }
 
 #[test]
@@ -54,11 +62,17 @@ fn cancelled_and_traced_runs_report_their_probes() {
     assert!(matches!(err, CellError::Cancelled(_)), "{err}");
     assert_eq!(counter(&diff, "cell.mc_cancelled"), 1);
     assert_eq!(counter(&diff, "cell.mc_samples"), 0);
+    assert_eq!(timed_runs(&diff), 1, "a cancelled run is timed once");
 
     // A traced run: every simulator span descends from the run's span.
+    let before = sram_probe::snapshot();
     let scope = Scope::begin();
     analyzer(8).run(&bias).expect("the HVT-M2 run completes");
     let events = scope.finish();
+    let diff = sram_probe::snapshot().diff(&before);
+    assert_eq!(timed_runs(&diff), 1, "one run, one cell.mc_run_ns sample");
+    assert_eq!(counter(&diff, "cell.mc_collapsed"), 0);
+    assert_eq!(counter(&diff, "cell.mc_wm_bracketing_failed"), 0);
     let spans: HashMap<u64, (&str, u64)> = events
         .iter()
         .filter(|e| e.phase != Phase::End)
@@ -99,4 +113,33 @@ fn cancelled_and_traced_runs_report_their_probes() {
             "{cores} cores, but the samples ran on tids {tids:?}"
         );
     }
+
+    // A cell ground raised to 1 mV below a boosted cell supply: no read
+    // butterfly keeps an eye, so every sample's RSNM collapses to zero.
+    // The hold and write biases stay nominal.
+    let collapsed = AssistVoltages::nominal(lib.nominal_vdd())
+        .with_vddc(mv(700.0))
+        .with_vssc(mv(699.0));
+    let before = sram_probe::snapshot();
+    let analysis = analyzer(4)
+        .run(&collapsed)
+        .expect("collapse is a zero margin");
+    let diff = sram_probe::snapshot().diff(&before);
+    assert_eq!(counter(&diff, "cell.mc_collapsed"), 4);
+    assert_eq!(counter(&diff, "cell.mc_wm_bracketing_failed"), 0);
+    assert_eq!(analysis.rsnm.worst, Voltage::ZERO);
+
+    // A write bitline driven to twice Vdd holds the stored 1 through the
+    // access transistor: no wordline level on the search grid flips the
+    // cell, so every sample's write-margin search fails to bracket.
+    let unwritable = AssistVoltages::nominal(lib.nominal_vdd()).with_vbl(mv(900.0));
+    let before = sram_probe::snapshot();
+    let analysis = analyzer(4)
+        .run(&unwritable)
+        .expect("no flip is a zero margin");
+    let diff = sram_probe::snapshot().diff(&before);
+    assert_eq!(counter(&diff, "cell.mc_wm_bracketing_failed"), 4);
+    assert_eq!(counter(&diff, "cell.mc_collapsed"), 0);
+    assert_eq!(analysis.wm.worst, Voltage::ZERO);
+    assert_eq!(timed_runs(&diff), 1);
 }

@@ -35,13 +35,11 @@
 //!   p50/p90/p99 and the SLO burn are computed over one merged
 //!   distribution instead of averaged per-node percentiles.
 //!
-//! Deployment knobs are the `SRAM_CLUSTER_NODES`,
-//! `SRAM_CLUSTER_REPLICAS`, `SRAM_CLUSTER_HEDGE_MS`, and
-//! `SRAM_CLUSTER_VNODES` environment variables
-//! ([`RouterConfig::from_env`]); in-process clusters (tests, the
-//! `cluster-soak` reproducer) fill [`RouterConfig`] directly and spawn
-//! nodes with [`sram_serve::spawn_local_node`]. See DESIGN.md §14 for
-//! the design rationale.
+//! A router is configured by filling [`RouterConfig`] (members,
+//! replicas, hedge floor, virtual nodes); in-process clusters (tests,
+//! the `cluster-soak` reproducer, edpbench) spawn nodes with
+//! [`sram_serve::spawn_local_node`]. See DESIGN.md §14 for the design
+//! rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,23 +72,6 @@ pub use router::{Router, RouterConfig};
 pub use sram_probe::hash::splitmix64;
 
 use sram_serve::Json;
-
-/// Comma-separated backend node addresses for a router launched from
-/// the environment ([`RouterConfig::from_env`]).
-pub const SRAM_CLUSTER_NODES_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CLUSTER_NODES");
-
-/// Distinct ring candidates tried per key (primary + hedge/failover
-/// targets); default 2.
-pub const SRAM_CLUSTER_REPLICAS_ENV: sram_probe::EnvVar =
-    sram_probe::env_var!("SRAM_CLUSTER_REPLICAS");
-
-/// Floor (and cold-start value) of the derived hedge delay in
-/// milliseconds; default 10.
-pub const SRAM_CLUSTER_HEDGE_MS_ENV: sram_probe::EnvVar =
-    sram_probe::env_var!("SRAM_CLUSTER_HEDGE_MS");
-
-/// Virtual nodes per ring member; default 64.
-pub const SRAM_CLUSTER_VNODES_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CLUSTER_VNODES");
 
 /// A reply the router answers itself: `status` ok, the `op`, the
 /// request's `id` when it had one, then `body`.

@@ -175,6 +175,15 @@ mod tests {
 
     #[test]
     fn call_against_a_dead_address_fails_after_bounded_retries() {
+        sram_probe::set_level(sram_probe::Level::Summary);
+        let retries = || {
+            let counters = sram_probe::snapshot().counters;
+            counters
+                .get("cluster.forward.retries")
+                .copied()
+                .unwrap_or(0)
+        };
+        let before = retries();
         // Port 1 on localhost refuses immediately on any sane system.
         let pool = Pool::new(Some(Duration::from_millis(100)));
         let started = Instant::now();
@@ -183,6 +192,10 @@ mod tests {
         // 3 attempts with 1+2 ms backoff — nowhere near an unbounded
         // retry loop's runtime.
         assert!(started.elapsed() < Duration::from_secs(5));
+        // Each refused dial but the last is retried and counted (other
+        // tests in this binary may add retries of their own).
+        let counted = retries() - before;
+        assert!(counted >= u64::from(MAX_ATTEMPTS - 1), "{counted} retries");
     }
 
     #[test]

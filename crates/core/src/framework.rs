@@ -231,7 +231,7 @@ impl CoOptimizationFramework {
     /// # Errors
     ///
     /// Propagates characterization failures.
-    pub fn characterization(
+    fn characterization(
         &mut self,
         flavor: VtFlavor,
         method: Method,

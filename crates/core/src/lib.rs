@@ -77,9 +77,7 @@ pub use banking::{evaluate_bank_count, optimize_banked, BankedDesign};
 pub use constraint::YieldConstraint;
 pub use error::CooptError;
 pub use framework::{CharacterizationMode, CoOptimizationFramework};
-pub use objective::{
-    DelayOnly, EnergyDelayProduct, EnergyDelaySquared, EnergyOnly, Objective, WeightedEnergyDelay,
-};
+pub use objective::{DelayOnly, EnergyDelayProduct, EnergyDelaySquared, EnergyOnly, Objective};
 pub use pareto::{ParetoFront, ParetoPoint};
 pub use rails::{Method, RailSelection};
 pub use report::{csv_table, format_table4};

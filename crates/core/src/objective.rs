@@ -12,8 +12,7 @@ use sram_array::ArrayMetrics;
 /// error — the candidate is dropped and counted in
 /// [`crate::SearchStatistics::eval_errors`], never compared against the
 /// incumbent. Objectives are free to return NaN/±∞ for degenerate
-/// metrics (e.g. [`WeightedEnergyDelay`] takes logarithms) without
-/// corrupting the search.
+/// metrics without corrupting the search.
 pub trait Objective {
     /// Scalar score of the metrics (lower wins).
     fn score(&self, metrics: &ArrayMetrics) -> f64;
@@ -78,29 +77,6 @@ impl Objective for EnergyOnly {
     }
 }
 
-/// Log-domain weighted blend: `w·ln E + (1−w)·ln D`; `w = 0.5` ranks
-/// identically to EDP.
-///
-/// Zero or negative energy/delay (a broken model fit) makes the
-/// logarithms non-finite; the search's NaN policy then rejects the
-/// candidate rather than letting `-∞` win the minimization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedEnergyDelay {
-    /// Energy weight in `[0, 1]`.
-    pub energy_weight: f64,
-}
-
-impl Objective for WeightedEnergyDelay {
-    fn score(&self, metrics: &ArrayMetrics) -> f64 {
-        let w = self.energy_weight.clamp(0.0, 1.0);
-        w * metrics.energy.joules().ln() + (1.0 - w) * metrics.delay.seconds().ln()
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted energy-delay"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,16 +116,6 @@ mod tests {
         if slow.delay > fast.delay {
             assert!(ed2p_ratio > edp_ratio);
         }
-    }
-
-    #[test]
-    fn weighted_half_ranks_like_edp() {
-        let a = metrics(64, 128);
-        let b = metrics(512, 64);
-        let w = WeightedEnergyDelay { energy_weight: 0.5 };
-        let edp_order = EnergyDelayProduct.score(&a) < EnergyDelayProduct.score(&b);
-        let w_order = w.score(&a) < w.score(&b);
-        assert_eq!(edp_order, w_order);
     }
 
     #[test]

@@ -21,8 +21,7 @@ pub struct ParetoPoint<T> {
 impl<T> ParetoPoint<T> {
     /// `true` when `self` dominates `other` (no worse in both, strictly
     /// better in at least one).
-    #[must_use]
-    pub fn dominates(&self, other: &Self) -> bool {
+    fn dominates(&self, other: &Self) -> bool {
         let no_worse = self.energy <= other.energy && self.delay <= other.delay;
         let better = self.energy < other.energy || self.delay < other.delay;
         no_worse && better

@@ -1,6 +1,6 @@
 //! FinFET instances: a parameter card plus quantized width (fin count).
 
-use crate::{DeviceCapacitances, DeviceError, DeviceParams, IvModel};
+use crate::{DeviceError, DeviceParams, IvModel};
 use sram_units::{Current, Voltage};
 
 /// Channel polarity of a FinFET.
@@ -73,24 +73,16 @@ impl FinFet {
     ///
     /// # Panics
     ///
-    /// Panics if `fins` is zero; use [`FinFet::try_new`] for a fallible
-    /// variant.
+    /// Panics if `fins` is zero.
     #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panic contract; try_new is the fallible variant"
-    )]
+    #[expect(clippy::expect_used, reason = "documented panic contract")]
     pub fn new(params: DeviceParams, fins: u32) -> Self {
         Self::try_new(params, fins).expect("fin count must be at least 1")
     }
 
-    /// Fallible constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::ZeroFins`] when `fins == 0` and propagates
-    /// [`DeviceParams::validate`] failures.
-    pub fn try_new(params: DeviceParams, fins: u32) -> Result<Self, DeviceError> {
+    /// Fallible constructor: [`DeviceError::ZeroFins`] when `fins == 0`,
+    /// or a [`DeviceParams::validate`] failure.
+    fn try_new(params: DeviceParams, fins: u32) -> Result<Self, DeviceError> {
         if fins == 0 {
             return Err(DeviceError::ZeroFins);
         }
@@ -128,19 +120,13 @@ impl FinFet {
         self.params.polarity
     }
 
-    /// Applied threshold shift.
-    #[must_use]
-    pub fn vt_shift(&self) -> Voltage {
-        self.delta_vt
-    }
-
     /// Drain current for polarity-normalized terminal voltages.
     ///
     /// For N-type devices `vgs`/`vds` are the usual gate-source and
     /// drain-source voltages and positive current flows drain→source.
     /// For P-type devices pass **source-referenced magnitudes** `vsg`/`vsd`
     /// and the returned positive current flows source→drain. Use
-    /// [`FinFet::current_into_drain`] for raw node voltages.
+    /// [`FinFet::current_into_drain_with_partials`] for raw node voltages.
     #[must_use]
     pub fn ids(&self, vgs: Voltage, vds: Voltage) -> Current {
         let model = IvModel::new(&self.params, self.delta_vt);
@@ -148,20 +134,13 @@ impl FinFet {
     }
 
     /// Current flowing *into the drain terminal* given absolute node
-    /// voltages `(vg, vd, vs)`, handling polarity internally.
+    /// voltages `(vg, vd, vs)`, handling polarity internally, together
+    /// with its partials `[∂I/∂Vg, ∂I/∂Vd, ∂I/∂Vs]` in siemens, from one
+    /// compact-model evaluation — the MNA stamp of one Newton iteration.
     ///
     /// This is the sign convention the MNA stamping in `sram-spice` uses:
-    /// for an NFET in normal operation the returned value is positive (the
-    /// drain sinks current); for a PFET pulling its drain high it is
-    /// negative.
-    #[must_use]
-    pub fn current_into_drain(&self, vg: Voltage, vd: Voltage, vs: Voltage) -> Current {
-        self.current_into_drain_with_partials(vg, vd, vs).0
-    }
-
-    /// [`FinFet::current_into_drain`] together with its partials
-    /// `[∂I/∂Vg, ∂I/∂Vd, ∂I/∂Vs]` in siemens, from one compact-model
-    /// evaluation — the MNA stamp of one Newton iteration.
+    /// for an NFET in normal operation the current is positive (the drain
+    /// sinks current); for a PFET pulling its drain high it is negative.
     ///
     /// Only voltage differences matter, so `∂I/∂Vs = −(∂I/∂Vg + ∂I/∂Vd)`.
     #[must_use]
@@ -199,22 +178,12 @@ impl FinFet {
     pub fn c_drain(&self) -> sram_units::Capacitance {
         self.params.c_drain_per_fin * f64::from(self.fins)
     }
-
-    /// All capacitances bundled.
-    #[must_use]
-    pub fn capacitances(&self) -> DeviceCapacitances {
-        DeviceCapacitances {
-            gate: self.c_gate(),
-            drain: self.c_drain(),
-            source: self.c_drain(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::sevennm_card;
+    use crate::params::{sevennm_card, NOMINAL_VDD};
 
     fn nfet(fins: u32) -> FinFet {
         FinFet::new(sevennm_card(Polarity::N, VtFlavor::Hvt), fins)
@@ -240,7 +209,7 @@ mod tests {
 
     #[test]
     fn nfet_drain_sinks_current_when_on() {
-        let d = nfet(1).current_into_drain(
+        let (d, _) = nfet(1).current_into_drain_with_partials(
             Voltage::from_volts(0.45), // gate high
             Voltage::from_volts(0.45), // drain high
             Voltage::ZERO,             // source at ground
@@ -250,7 +219,7 @@ mod tests {
 
     #[test]
     fn pfet_drain_sources_current_when_on() {
-        let d = pfet(1).current_into_drain(
+        let (d, _) = pfet(1).current_into_drain_with_partials(
             Voltage::ZERO,             // gate low: PFET on
             Voltage::ZERO,             // drain at ground
             Voltage::from_volts(0.45), // source at Vdd
@@ -261,15 +230,21 @@ mod tests {
     #[test]
     fn off_pfet_leaks_little() {
         let on = pfet(1)
-            .current_into_drain(Voltage::ZERO, Voltage::ZERO, Voltage::from_volts(0.45))
+            .current_into_drain_with_partials(
+                Voltage::ZERO,
+                Voltage::ZERO,
+                Voltage::from_volts(0.45),
+            )
+            .0
             .amps()
             .abs();
         let off = pfet(1)
-            .current_into_drain(
+            .current_into_drain_with_partials(
                 Voltage::from_volts(0.45),
                 Voltage::ZERO,
                 Voltage::from_volts(0.45),
             )
+            .0
             .amps()
             .abs();
         assert!(off < on / 1e3);
@@ -280,6 +255,44 @@ mod tests {
         let c1 = nfet(1).c_gate();
         let c5 = nfet(5).c_gate();
         assert!((c5 / c1 - 5.0).abs() < 1e-12);
+    }
+
+    /// ON current (`Vgs = Vds = Vdd`) and OFF current (`Vgs = 0`,
+    /// `Vds = Vdd`) of a single-fin NFET.
+    fn on_off(flavor: VtFlavor, vdd: Voltage) -> (f64, f64) {
+        let fet = FinFet::new(sevennm_card(Polarity::N, flavor), 1);
+        (fet.ids(vdd, vdd).amps(), fet.ids(Voltage::ZERO, vdd).amps())
+    }
+
+    // Section 2: against LVT, HVT has 2× lower ION, 20× lower IOFF and a
+    // 10× higher ION/IOFF.
+    #[test]
+    fn hvt_has_roughly_half_the_on_current() {
+        let r = on_off(VtFlavor::Lvt, NOMINAL_VDD).0 / on_off(VtFlavor::Hvt, NOMINAL_VDD).0;
+        assert!(r > 1.6 && r < 2.4, "ION(LVT)/ION(HVT) = {r}");
+    }
+
+    #[test]
+    fn hvt_has_roughly_twenty_x_lower_off_current() {
+        let r = on_off(VtFlavor::Lvt, NOMINAL_VDD).1 / on_off(VtFlavor::Hvt, NOMINAL_VDD).1;
+        assert!(r > 14.0 && r < 28.0, "IOFF(LVT)/IOFF(HVT) = {r}");
+    }
+
+    #[test]
+    fn hvt_has_roughly_ten_x_better_on_off_ratio() {
+        let ratio = |flavor| {
+            let (on, off) = on_off(flavor, NOMINAL_VDD);
+            on / off
+        };
+        let r = ratio(VtFlavor::Hvt) / ratio(VtFlavor::Lvt);
+        assert!(r > 6.0 && r < 16.0, "(ION/IOFF) HVT / LVT = {r}");
+    }
+
+    #[test]
+    fn off_current_grows_with_supply() {
+        let low = on_off(VtFlavor::Hvt, Voltage::from_millivolts(100.0)).1;
+        let high = on_off(VtFlavor::Hvt, NOMINAL_VDD).1;
+        assert!(high > low); // DIBL + saturation factor
     }
 
     #[test]
@@ -308,7 +321,7 @@ mod tests {
             (vgs, vds)
         };
         let s = p.subthreshold_slope.volts() * p.alpha / core::f64::consts::LN_10;
-        let vt_eff = p.vt.volts() + fet.vt_shift().volts() - p.dibl * vds;
+        let vt_eff = p.vt.volts() + fet.delta_vt.volts() - p.dibl * vds;
         let x = (vgs - vt_eff) / s;
         let softplus = if x > 30.0 {
             x
@@ -342,7 +355,11 @@ mod tests {
                 for shift_mv in [-50.0, 0.0, 50.0] {
                     let fet = FinFet::new(sevennm_card(polarity, flavor), 2)
                         .with_vt_shift(Voltage::from_millivolts(shift_mv));
-                    let at = |g, d, s| fet.current_into_drain(v(g), v(d), v(s)).amps();
+                    let at = |g, d, s| {
+                        fet.current_into_drain_with_partials(v(g), v(d), v(s))
+                            .0
+                            .amps()
+                    };
                     for (vg, vd, vs) in volts
                         .iter()
                         .flat_map(|&g| volts.iter().map(move |&d| (g, d)))
@@ -354,7 +371,6 @@ mod tests {
                             fet.current_into_drain_with_partials(v(vg), v(vd), v(vs));
                         let (expected, x, swapped) = closed_form(&fet, vg, vd, vs);
                         assert_eq!(i.amps().to_bits(), expected.to_bits(), "{case}");
-                        assert_eq!(at(vg, vd, vs).to_bits(), expected.to_bits(), "{case}");
                         let numeric = [
                             (at(vg + h, vd, vs) - at(vg - h, vd, vs)) / (2.0 * h),
                             (at(vg, vd + h, vs) - at(vg, vd - h, vs)) / (2.0 * h),

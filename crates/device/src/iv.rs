@@ -128,18 +128,6 @@ impl<'a> IvModel<'a> {
             p.dibl * gm + p.k_per_fin * f_alpha * (decay / v_sat * clm + saturation * p.lambda);
         (i, gm, gds)
     }
-
-    /// Transconductance `∂I/∂Vgs` per fin, in siemens.
-    #[must_use]
-    pub fn gm_per_fin(&self, vgs: Voltage, vds: Voltage) -> f64 {
-        self.ids_with_partials_per_fin(vgs, vds).1
-    }
-
-    /// Output conductance `∂I/∂Vds` per fin, in siemens.
-    #[must_use]
-    pub fn gds_per_fin(&self, vgs: Voltage, vds: Voltage) -> f64 {
-        self.ids_with_partials_per_fin(vgs, vds).2
-    }
 }
 
 #[cfg(test)]
@@ -258,8 +246,9 @@ mod tests {
         let m = model(&p);
         let vgs = Voltage::from_volts(0.45);
         let vds = Voltage::from_volts(0.3);
-        assert!(m.gm_per_fin(vgs, vds) > 0.0);
-        assert!(m.gds_per_fin(vgs, vds) > 0.0);
+        let (_, gm, gds) = m.ids_with_partials_per_fin(vgs, vds);
+        assert!(gm > 0.0);
+        assert!(gds > 0.0);
     }
 
     #[test]

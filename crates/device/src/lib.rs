@@ -52,20 +52,16 @@
     )
 )]
 
-mod capacitance;
 mod error;
 mod finfet;
 mod iv;
-mod leakage;
 mod library;
 pub mod params;
 mod variation;
 
-pub use capacitance::DeviceCapacitances;
 pub use error::DeviceError;
 pub use finfet::{FinFet, Polarity, VtFlavor};
 pub use iv::IvModel;
-pub use leakage::{ioff, ion, on_off_ratio};
 pub use library::DeviceLibrary;
 pub use params::DeviceParams;
 pub use variation::{VariationModel, VtSampler};

@@ -23,8 +23,7 @@ pub struct VariationModel {
 
 impl VariationModel {
     /// Builds the variation model recorded in a device card.
-    #[must_use]
-    pub fn from_params(params: &DeviceParams) -> Self {
+    fn from_params(params: &DeviceParams) -> Self {
         Self {
             sigma_single_fin: params.sigma_vt_single_fin,
         }
@@ -55,7 +54,7 @@ impl VariationModel {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 /// let mut sampler = VtSampler::new(&mut rng);
 /// let sample = sampler.perturb(&nominal);
-/// assert_ne!(sample.vt_shift(), sram_units::Voltage::ZERO);
+/// assert_ne!(sample, nominal);
 /// ```
 #[derive(Debug)]
 pub struct VtSampler<'r, R: Rng> {
@@ -83,7 +82,7 @@ impl<'r, R: Rng> VtSampler<'r, R> {
 
     /// Draws a random Vt shift for a device with the given variation model
     /// and fin count.
-    pub fn sample_shift(&mut self, model: VariationModel, fins: u32) -> Voltage {
+    fn sample_shift(&mut self, model: VariationModel, fins: u32) -> Voltage {
         model.sigma(fins) * self.standard_normal()
     }
 
@@ -140,11 +139,12 @@ mod tests {
     #[test]
     fn perturb_is_reproducible_with_seed() {
         let dev = FinFet::new(sevennm_card(Polarity::N, VtFlavor::Hvt), 1);
-        let shift = |seed| {
+        let perturbed = |seed| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            VtSampler::new(&mut rng).perturb(&dev).vt_shift()
+            VtSampler::new(&mut rng).perturb(&dev)
         };
-        assert_eq!(shift(7), shift(7));
-        assert_ne!(shift(7), shift(8));
+        assert_eq!(perturbed(7), perturbed(7));
+        assert_ne!(perturbed(7), perturbed(8));
+        assert_ne!(perturbed(7), dev);
     }
 }

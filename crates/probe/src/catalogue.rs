@@ -149,12 +149,12 @@ pub const PROBES: &[ProbeRow] = &[
     row("cell.characterize", Trace, Cell, At("crates/bench/src/serve.rs")),
     row("cell.characterize_ns", Histogram, Cell, At("crates/bench/src/serve.rs")),
     row("cell.mc_cancelled", Counter, Cell, At("crates/cell/tests/mc_probes.rs")),
-    row("cell.mc_collapsed", Counter, Cell, OBSERVABILITY_ONLY),
+    row("cell.mc_collapsed", Counter, Cell, At("crates/cell/tests/mc_probes.rs")),
     row("cell.mc_run", Trace, Cell, At("crates/cell/tests/mc_probes.rs")),
-    row("cell.mc_run_ns", Histogram, Cell, OBSERVABILITY_ONLY),
+    row("cell.mc_run_ns", Histogram, Cell, At("crates/cell/tests/mc_probes.rs")),
     row("cell.mc_runs", Counter, Cell, At("crates/bench/src/serve.rs")),
     row("cell.mc_samples", Counter, Cell, At("crates/bench/src/serve.rs")),
-    row("cell.mc_wm_bracketing_failed", Counter, Cell, OBSERVABILITY_ONLY),
+    row("cell.mc_wm_bracketing_failed", Counter, Cell, At("crates/cell/tests/mc_probes.rs")),
     row("cell.wm_flip_search", Trace, Cell, At("crates/cell/tests/flip_search_probes.rs")),
     row("cell.wm_probe_fallbacks", Counter, Cell, At("crates/cell/tests/write_fallback.rs")),
     row("cluster.affinity.checked", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
@@ -163,7 +163,7 @@ pub const PROBES: &[ProbeRow] = &[
     row("cluster.forward.failovers", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
     row("cluster.forward.handoffs", Counter, Cluster, At("crates/cluster/tests/hedging.rs")),
     row("cluster.forward.latency_ns", Histogram, Cluster, At("crates/bench/src/soak/cluster.rs")),
-    row("cluster.forward.retries", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
+    row("cluster.forward.retries", Counter, Cluster, At("crates/cluster/src/pool.rs")),
     row("cluster.health.polls", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
     row("cluster.health.stale", Counter, Cluster, OBSERVABILITY_ONLY),
     row("cluster.hedge.cancelled", Counter, Cluster, At("crates/cluster/tests/hedging.rs")),
@@ -276,10 +276,6 @@ pub const PROBES: &[ProbeRow] = &[
 #[rustfmt::skip]
 pub const ENV_VARS: &[EnvRow] = &[
     var("SRAM_CACHE_FILE", Serve, "result-cache spill file, loaded at start and written at shutdown"),
-    var("SRAM_CLUSTER_HEDGE_MS", Cluster, "floor and cold-start hedge delay, ms (default 10)"),
-    var("SRAM_CLUSTER_NODES", Cluster, "comma-separated node addresses for `RouterConfig::from_env`"),
-    var("SRAM_CLUSTER_REPLICAS", Cluster, "ring candidates tried per key (default 2)"),
-    var("SRAM_CLUSTER_VNODES", Cluster, "virtual nodes per member on the ring (default 64)"),
     var("SRAM_FAULTS", Faults, "path to a fault-plan JSON file installed by `install_from_env`"),
     var("SRAM_LOG", Probe, "JSON-lines event log path, `-` for stderr (off when unset)"),
     var("SRAM_LOG_LEVEL", Probe, "minimum event level written to the log (default info)"),

@@ -94,34 +94,17 @@ impl Circuit {
         NodeId(idx)
     }
 
-    /// Looks up an existing node by name.
-    #[must_use]
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_index.get(name).copied().map(NodeId)
-    }
-
-    /// Name of a node.
-    #[must_use]
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0]
-    }
-
     /// Total node count including ground.
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.node_names.len()
     }
 
-    /// Number of voltage-source branches (extra MNA unknowns).
-    #[must_use]
-    pub fn branch_count(&self) -> usize {
-        self.vsource_elements.len()
-    }
-
-    /// Number of MNA unknowns: non-ground nodes plus source branches.
+    /// Number of MNA unknowns: non-ground nodes plus one branch current
+    /// per voltage source.
     #[must_use]
     pub fn unknown_count(&self) -> usize {
-        self.node_count() - 1 + self.branch_count()
+        self.node_count() - 1 + self.vsource_elements.len()
     }
 
     fn push(&mut self, name: &str, element: Element) -> ElementId {
@@ -344,7 +327,7 @@ mod tests {
             .unwrap();
         let (_, e) = ckt.elements().next().unwrap();
         match e {
-            Element::VoltageSource { waveform, .. } => assert_eq!(waveform.dc_value(), 0.45),
+            Element::VoltageSource { waveform, .. } => assert_eq!(waveform.value_at(0.0), 0.45),
             _ => panic!("expected voltage source"),
         }
         assert!(matches!(

@@ -38,8 +38,7 @@ impl DcSolution {
     /// (see [`Circuit::source_branch`]). Positive current flows *into the
     /// positive terminal* — a supply delivering power reports a negative
     /// value.
-    #[must_use]
-    pub fn branch_current(&self, branch: usize) -> Current {
+    fn branch_current(&self, branch: usize) -> Current {
         Current::from_amps(self.x[self.n_nodes - 1 + branch])
     }
 
@@ -110,13 +109,6 @@ impl DcSolver {
     #[must_use]
     pub fn nodeset(mut self, node: NodeId, volts: Voltage) -> Self {
         self.nodesets.push((node, volts.volts()));
-        self
-    }
-
-    /// Clears all nodeset hints.
-    #[must_use]
-    pub fn without_nodesets(mut self) -> Self {
-        self.nodesets.clear();
         self
     }
 

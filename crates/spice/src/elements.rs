@@ -120,12 +120,6 @@ impl Waveform {
             },
         }
     }
-
-    /// Value used for DC operating-point analysis (the `t = 0` value).
-    #[must_use]
-    pub fn dc_value(&self) -> f64 {
-        self.value_at(0.0)
-    }
 }
 
 /// One circuit element.
@@ -190,7 +184,6 @@ mod tests {
         let w = Waveform::dc(Voltage::from_volts(0.45));
         assert_eq!(w.value_at(0.0), 0.45);
         assert_eq!(w.value_at(1.0), 0.45);
-        assert_eq!(w.dc_value(), 0.45);
     }
 
     #[test]

@@ -60,20 +60,16 @@ mod circuit;
 mod dc;
 mod elements;
 mod error;
-mod export;
 mod linalg;
 pub mod measure;
 mod mna;
 mod sweep;
 mod transient;
-mod vcd;
 
 pub use circuit::{Circuit, ElementId, NodeId};
 pub use dc::{DcSolution, DcSolver};
 pub use elements::{Element, Waveform};
 pub use error::SpiceError;
-pub use export::netlist_to_spice;
 pub use measure::{CrossingEdge, Trace};
 pub use sweep::{DcSweep, SweepPoint};
 pub use transient::{Transient, TransientResult};
-pub use vcd::trace_to_vcd;

@@ -51,12 +51,6 @@ impl Trace {
         self.times.iter().map(|&t| Time::from_seconds(t))
     }
 
-    /// End time of the trace, or `None` when no samples were recorded.
-    #[must_use]
-    pub fn end_time(&self) -> Option<Time> {
-        self.times.last().map(|&t| Time::from_seconds(t))
-    }
-
     fn node_value(&self, sample: usize, node: NodeId) -> f64 {
         let i = node.index();
         assert!(i < self.n_nodes, "node does not belong to this circuit");
@@ -182,50 +176,6 @@ impl Trace {
         None
     }
 
-    /// Maximum voltage reached by `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty trace.
-    #[must_use]
-    pub fn max_voltage(&self, node: NodeId) -> Voltage {
-        assert!(!self.is_empty(), "empty trace");
-        Voltage::from_volts(
-            (0..self.len())
-                .map(|k| self.node_value(k, node))
-                .fold(f64::NEG_INFINITY, f64::max),
-        )
-    }
-
-    /// Minimum voltage reached by `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty trace.
-    #[must_use]
-    pub fn min_voltage(&self, node: NodeId) -> Voltage {
-        assert!(!self.is_empty(), "empty trace");
-        Voltage::from_volts(
-            (0..self.len())
-                .map(|k| self.node_value(k, node))
-                .fold(f64::INFINITY, f64::min),
-        )
-    }
-
-    /// Branch current of voltage source `branch` at sample `k`, in amperes
-    /// (positive into the positive terminal).
-    #[must_use]
-    pub fn branch_current_samples(&self, branch: usize) -> Vec<(Time, f64)> {
-        (0..self.len())
-            .map(|k| {
-                (
-                    Time::from_seconds(self.times[k]),
-                    self.states[k][self.n_nodes - 1 + branch],
-                )
-            })
-            .collect()
-    }
-
     /// Integrates the charge delivered by voltage source `branch` over the
     /// whole trace (trapezoidal rule), in coulombs. Negative when the
     /// source delivers current out of its positive terminal (a supply).
@@ -338,13 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_final() {
+    fn final_voltage_reads_the_last_sample() {
         let tr = ramp_trace();
-        assert_eq!(tr.max_voltage(NodeId(1)).volts(), 1.0);
-        assert_eq!(tr.min_voltage(NodeId(1)).volts(), 0.0);
+        assert_eq!(tr.final_voltage(NodeId(1)).volts(), 1.0);
         assert_eq!(tr.final_voltage(NodeId(2)).volts(), 0.0);
-        assert_eq!(tr.end_time().unwrap().seconds(), 10.0);
-        assert!(Trace::new(2, Vec::new(), Vec::new()).end_time().is_none());
     }
 
     #[test]

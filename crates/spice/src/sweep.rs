@@ -41,7 +41,6 @@ pub struct SweepPoint {
 pub struct DcSweep {
     source: String,
     values: Vec<Voltage>,
-    solver: DcSolver,
 }
 
 impl DcSweep {
@@ -60,25 +59,7 @@ impl DcSweep {
         Self {
             source: source.to_owned(),
             values,
-            solver: DcSolver::new(),
         }
-    }
-
-    /// Sweep over an explicit list of values.
-    #[must_use]
-    pub fn over_values<I: IntoIterator<Item = Voltage>>(source: &str, values: I) -> Self {
-        Self {
-            source: source.to_owned(),
-            values: values.into_iter().collect(),
-            solver: DcSolver::new(),
-        }
-    }
-
-    /// Uses a custom solver (e.g. with nodesets) for every point.
-    #[must_use]
-    pub fn with_solver(mut self, solver: DcSolver) -> Self {
-        self.solver = solver;
-        self
     }
 
     /// Runs the sweep on a copy of `circuit`.
@@ -94,22 +75,13 @@ impl DcSweep {
         let _trace = sram_probe::trace_span!("spice.dc_sweep");
         let mut ckt = circuit.clone();
         let mut out = Vec::with_capacity(self.values.len());
-        let mut guess: Option<Vec<f64>> = None;
+        let solver = DcSolver::new();
+        // After the first point the solver is warm-started from the last.
+        let mut guess = vec![0.0; ckt.unknown_count()];
         for &value in &self.values {
             ckt.set_source_voltage(&self.source, value)?;
-            let solution = match &guess {
-                // After the first point the solver is warm-started; the
-                // nodeset stage (if any) already did its job at point 0.
-                Some(g) => self
-                    .solver
-                    .clone()
-                    .without_nodesets()
-                    .solve_untraced(&ckt, g)?,
-                None => self
-                    .solver
-                    .solve_untraced(&ckt, &vec![0.0; ckt.unknown_count()])?,
-            };
-            guess = Some(solution.as_vector().to_vec());
+            let solution = solver.solve_untraced(&ckt, &guess)?;
+            guess = solution.as_vector().to_vec();
             out.push(SweepPoint { value, solution });
         }
         Ok(out)

@@ -52,7 +52,6 @@ mod current;
 mod edp;
 mod energy;
 mod format;
-mod frequency;
 mod power;
 mod time;
 mod voltage;
@@ -62,7 +61,6 @@ pub use charge::Charge;
 pub use current::Current;
 pub use edp::EnergyDelay;
 pub use energy::Energy;
-pub use frequency::Frequency;
 pub use power::Power;
 pub use time::Time;
 pub use voltage::Voltage;

@@ -68,5 +68,6 @@ pub use sram_units as units;
 /// Source rules the compiler does not check, as tests.
 #[cfg(test)]
 mod rules {
+    mod dead_surface;
     mod unit_hygiene;
 }

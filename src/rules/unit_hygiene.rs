@@ -19,19 +19,26 @@ fn model_sources() -> Vec<PathBuf> {
     files
 }
 
-/// The offending literals of one source file, with their line numbers;
-/// `code` is the source so far with comments and literals blanked.
-fn bare_magnitudes(src: &str) -> Vec<(usize, String)> {
+/// `src` with comments, string and char literals (raw ones too) and
+/// `#[cfg(test)]` items blanked to spaces. Newlines stay, so a position
+/// in the result has the line number it had in `src`.
+pub(super) fn blank(src: &str) -> String {
     let s: Vec<char> = src.chars().collect();
     let at = |i: usize, p: &str| p.chars().enumerate().all(|(k, c)| s.get(i + k) == Some(&c));
     let find = |i: usize, p: &str| (i..s.len()).find(|&j| at(j, p)).unwrap_or(s.len());
-    let word = |c: char| c.is_alphanumeric() || c == '_' || c == '.';
-    let (mut code, mut found, mut i) = (String::new(), Vec::new(), 0);
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    // The `#`s after an `r`, as a raw string literal opens `r#"`.
+    let hashes = |i: usize| s[i + 1..].iter().take_while(|&&c| c == '#').count();
+    let (mut code, mut i) = (String::new(), 0);
     let (mut depth, mut test_depth) = (0usize, None);
     while i < s.len() {
         let skip = match s[i] {
             '/' if at(i, "//") => find(i, "\n"),
             '/' if at(i, "/*") => find(i + 2, "*/") + 2,
+            'r' if !code.ends_with(ident) && at(i + 1 + hashes(i), "\"") => {
+                let close = format!("\"{}", "#".repeat(hashes(i)));
+                find(i + 2 + hashes(i), &close) + close.len()
+            }
             '"' | '\'' if s[i] == '"' || at(i + 1, "\\") || at(i + 2, "'") => {
                 let mut j = i + 1;
                 while j < s.len() && s[j] != s[i] {
@@ -42,15 +49,38 @@ fn bare_magnitudes(src: &str) -> Vec<(usize, String)> {
             _ => i,
         };
         if skip > i {
-            (code, i) = (code + " ", skip);
+            let skip = skip.min(s.len());
+            code.extend(s[i..skip].iter().map(|&c| if c == '\n' { c } else { ' ' }));
+            i = skip;
             continue;
         }
         test_depth = test_depth.or(code.ends_with("#[cfg(test)]").then_some(depth));
+        depth = (depth + usize::from(s[i] == '{')).saturating_sub(usize::from(s[i] == '}'));
+        code.push(if test_depth.is_some() && s[i] != '\n' {
+            ' '
+        } else {
+            s[i]
+        });
+        // A test item ends at its `;`, or when its braces close again.
+        if test_depth.is_some_and(|d| depth == d && matches!(s[i], ';' | '}')) {
+            test_depth = None;
+        }
+        i += 1;
+    }
+    code
+}
+
+/// The offending literals of one source file, with their line numbers.
+fn bare_magnitudes(src: &str) -> Vec<(usize, String)> {
+    let s: Vec<char> = blank(src).chars().collect();
+    let word = |c: char| c.is_alphanumeric() || c == '_' || c == '.';
+    let (mut code, mut found, mut i) = (String::new(), Vec::new(), 0);
+    while i < s.len() {
         if s[i].is_ascii_digit() && !code.ends_with(word) {
             let part = |j: usize| word(s[j]) || (s[j] == '-' && matches!(s[j - 1], 'e' | 'E'));
             let end = (i..s.len()).find(|&j| !part(j)).unwrap_or(s.len());
             let literal: String = s[i..end].iter().collect();
-            if test_depth.is_none() && negative_exponent(&literal) >= 3 && !exempt(&code) {
+            if negative_exponent(&literal) >= 3 && !exempt(&code) {
                 let line = s[..i].iter().filter(|&&c| c == '\n').count() + 1;
                 found.push((line, literal.clone()));
             }
@@ -58,11 +88,6 @@ fn bare_magnitudes(src: &str) -> Vec<(usize, String)> {
             continue;
         }
         code.push(s[i]);
-        depth = (depth + usize::from(s[i] == '{')).saturating_sub(usize::from(s[i] == '}'));
-        // A test item ends at its `;`, or when its braces close again.
-        if test_depth.is_some_and(|d| depth == d && matches!(s[i], ';' | '}')) {
-            test_depth = None;
-        }
         i += 1;
     }
     found
