@@ -68,7 +68,7 @@ mod snapshot;
 mod write;
 
 pub use assist::AssistVoltages;
-pub use butterfly::{butterfly_snm, ButterflyCurves, Vtc};
+pub use butterfly::{butterfly_snm, Vtc};
 pub use cell::{CellNodes, Sram6t, VtcHalf, VtcMode};
 pub use characterize::CellCharacterizer;
 pub use error::CellError;

@@ -1,18 +1,22 @@
-//! Shared by the write-margin and Monte Carlo tests: the cold
-//! bisection the continuation flip search replaced, kept as its oracle;
-//! the varied cells `YieldAnalyzer` draws; and a serial Monte Carlo
-//! loop written out from the public API.
+//! Shared by the margin and Monte Carlo tests: the cold bisection the
+//! continuation flip search replaced and the unpruned maximum-square walk
+//! (`square`), each kept as its search's oracle; the varied cells
+//! `YieldAnalyzer` draws; and a serial Monte Carlo loop written out from
+//! the public API.
 //!
 //! Each test binary uses part of this module.
 #![allow(dead_code)]
+
+pub mod square;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sram_cell::{
     AssistVoltages, CellCharacterizer, CellError, MarginKind, MarginStats, MonteCarloConfig,
-    Sram6t, YieldAnalysis,
+    Sram6t, Vtc, VtcHalf, VtcMode, YieldAnalysis,
 };
 use sram_device::{DeviceLibrary, VtFlavor};
+use sram_spice::DcSweep;
 use sram_units::Voltage;
 
 /// The `(V_DDC, V_WL, V_SSC)` rails (mV) of the flavor's M1 and M2
@@ -85,6 +89,55 @@ pub fn bisected_flip_voltage(
         }
     }
     Ok(lo.lerp(hi, 0.5))
+}
+
+/// The SNM of the butterfly of `forward` and `mirrored` by the unpruned
+/// walk: `butterfly_snm` must return the same result, its volts equal to
+/// the bit.
+pub fn oracle_snm(forward: &Vtc, mirrored: &Vtc) -> Result<Voltage, CellError> {
+    let volts = |vtc: &Vtc| -> Vec<(f64, f64)> {
+        vtc.points().map(|(x, y)| (x.volts(), y.volts())).collect()
+    };
+    let (upper, lower) = square::lobes(&volts(forward), &volts(mirrored));
+    if upper <= 0.0 || lower <= 0.0 {
+        return Err(CellError::MeasurementFailed {
+            what: "SNM",
+            reason: "a butterfly lobe has collapsed (cell not bistable)".into(),
+        });
+    }
+    Ok(Voltage::from_volts(upper.min(lower)))
+}
+
+/// Equal errors, or margins whose volts are equal to the bit.
+pub fn same_margin(a: &Result<Voltage, CellError>, b: &Result<Voltage, CellError>) -> bool {
+    match (a, b) {
+        (Ok(x), Ok(y)) => x.volts().to_bits() == y.volts().to_bits(),
+        (Err(x), Err(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// The `(left, right)` VTCs of `chr`'s cell as `CellCharacterizer`
+/// sweeps them for its hold (`VtcMode::Hold`) or read butterfly:
+/// `points` samples of each half's output, the input swept from `V_SSC`
+/// to `V_DDC`.
+pub fn butterfly_vtcs(
+    chr: &CellCharacterizer,
+    mode: VtcMode,
+    bias: &AssistVoltages,
+    points: usize,
+) -> Result<(Vtc, Vtc), CellError> {
+    let vtc = |half| {
+        let (ckt, _, out) = chr.cell().vtc_circuit(half, mode, bias, chr.vdd());
+        let sweep = DcSweep::new("VU", bias.vssc, bias.vddc, points).run(&ckt)?;
+        Vtc::new(
+            sweep
+                .into_iter()
+                .map(|p| (p.value, p.solution.voltage(out)))
+                .collect(),
+        )
+    };
+    Ok((vtc(VtcHalf::Left)?, vtc(VtcHalf::Right)?))
 }
 
 /// Mean, sample standard deviation and minimum, summed in sample order.
