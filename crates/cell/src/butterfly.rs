@@ -78,7 +78,10 @@ impl Vtc {
         if x >= pts[pts.len() - 1].0 {
             return pts[pts.len() - 1].1;
         }
-        let idx = pts.partition_point(|&(px, _)| px <= x);
+        // A NaN `x` passes both clamps and finds no sample at or below
+        // it; it interpolates the first segment (to NaN) instead of
+        // indexing below 0.
+        let idx = pts.partition_point(|&(px, _)| px <= x).max(1);
         let (x0, y0) = pts[idx - 1];
         let (x1, y1) = pts[idx];
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
@@ -157,11 +160,19 @@ where
 /// # Errors
 ///
 /// Returns [`CellError::MeasurementFailed`] if either lobe has collapsed
-/// (non-positive side — the cell is not bistable under this bias).
+/// (non-positive side — the cell is not bistable under this bias), or
+/// if the curves' joint input range is too wide for `f64` (its span
+/// overflows).
 pub fn butterfly_snm(forward: &Vtc, mirrored: &Vtc) -> Result<Voltage, CellError> {
     let (f_lo, f_hi) = forward.domain();
     let (g_lo, g_hi) = mirrored.domain();
     let range = (f_lo.min(g_lo), f_hi.max(g_hi));
+    if !(range.1 - range.0).is_finite() {
+        return Err(CellError::MeasurementFailed {
+            what: "SNM",
+            reason: "the curves' joint input range overflows".into(),
+        });
+    }
 
     // Upper lobe: bottom-left corner on the mirrored curve, top-right on
     // the forward curve.
@@ -275,6 +286,22 @@ mod tests {
                 ));
             }
         }
+    }
+
+    #[test]
+    fn overflowing_ranges_fail_the_measurement_instead_of_panicking() {
+        // Finite curves whose joint range, 2e308 V wide, overflows.
+        let v = Voltage::from_volts;
+        let forward = Vtc::new(vec![(v(-1e308), v(0.0)), (v(0.0), v(-1e308))]).unwrap();
+        let mirrored = Vtc::new(vec![(v(0.0), v(1e308)), (v(1e308), v(0.0))]).unwrap();
+        for (a, b) in [(&forward, &mirrored), (&mirrored, &forward)] {
+            let err = butterfly_snm(a, b).unwrap_err();
+            assert!(matches!(
+                err,
+                CellError::MeasurementFailed { what: "SNM", .. }
+            ));
+        }
+        assert!(forward.eval(f64::NAN).is_nan());
     }
 
     #[test]

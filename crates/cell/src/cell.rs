@@ -296,6 +296,12 @@ impl Sram6t {
         (ckt, u, out)
     }
 
+    /// Whether the left and right halves have equal devices, so that
+    /// [`Sram6t::vtc_circuit`] builds the same netlist for both.
+    pub(crate) fn halves_match(&self) -> bool {
+        self.pu_l == self.pu_r && self.pd_l == self.pd_r && self.acc_l == self.acc_r
+    }
+
     /// Access transistor of one half (used by read-current analysis).
     #[must_use]
     pub fn access(&self, half: VtcHalf) -> &FinFet {

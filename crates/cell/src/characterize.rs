@@ -113,9 +113,7 @@ impl CellCharacterizer {
     /// Propagates simulation failures; reports a collapsed butterfly as
     /// [`CellError::MeasurementFailed`].
     pub fn hold_snm(&self, bias: &AssistVoltages) -> Result<Voltage, CellError> {
-        let left = self.vtc(VtcHalf::Left, VtcMode::Hold, bias)?;
-        let right = self.vtc(VtcHalf::Right, VtcMode::Hold, bias)?;
-        butterfly_snm(&left, &right)
+        self.snm(VtcMode::Hold, bias)
     }
 
     /// Read static noise margin from the read-mode butterfly (WL asserted,
@@ -126,8 +124,18 @@ impl CellCharacterizer {
     /// Propagates simulation failures; reports a collapsed butterfly as
     /// [`CellError::MeasurementFailed`].
     pub fn read_snm(&self, bias: &AssistVoltages) -> Result<Voltage, CellError> {
-        let left = self.vtc(VtcHalf::Left, VtcMode::Read, bias)?;
-        let right = self.vtc(VtcHalf::Right, VtcMode::Read, bias)?;
+        self.snm(VtcMode::Read, bias)
+    }
+
+    /// The SNM of the butterfly of the two halves' VTCs. When the halves
+    /// have equal devices (every nominal cell) they are the same netlist,
+    /// so one sweep gives both curves.
+    fn snm(&self, mode: VtcMode, bias: &AssistVoltages) -> Result<Voltage, CellError> {
+        let left = self.vtc(VtcHalf::Left, mode, bias)?;
+        if self.cell.halves_match() {
+            return butterfly_snm(&left, &left);
+        }
+        let right = self.vtc(VtcHalf::Right, mode, bias)?;
         butterfly_snm(&left, &right)
     }
 }

@@ -20,14 +20,14 @@
 //! `[0, 2·Vdd + |V_BL|]`, and the answer is that bisection's midpoint of
 //! the cell holding the fold, to the bit.
 //!
-//! [`CellCharacterizer::write_flips`] is the cold, one-voltage form of
-//! the same question: a DC solve pinned toward `Q = 1`. Just past the
-//! fold Newton can fail to converge there; such a probe is answered by
-//! letting the cell settle instead (a transient from the stored state
-//! with the wordline stepped to the probe level).
+//! The write delay's transient ends at the first step whose waveforms
+//! already hold both of its events, the wordline's 50 % crossing and
+//! the `Q`/`QB` meeting after it: each is the first hit of a scan over
+//! the samples in time order, so the rest of the 60 ps window could not
+//! move either.
 
 use crate::{AssistVoltages, CellCharacterizer, CellError};
-use sram_spice::{CrossingEdge, DcSolver, SpiceError, Transient};
+use sram_spice::{CrossingEdge, DcSolver, Transient};
 use sram_units::{Time, Voltage};
 
 /// Grid cells in the flip search's first stride (a power of two).
@@ -89,67 +89,6 @@ impl FlipGrid {
 }
 
 impl CellCharacterizer {
-    /// Checks whether a DC write with the wordline at `vwl_test` flips a
-    /// cell that stores `Q = 1` (BL driven to `bias.vbl`, BLB at `Vdd`):
-    /// one cold DC solve pinned toward `Q = 1`.
-    ///
-    /// When the DC solve does not converge, the probe lets the cell
-    /// settle instead: a transient from the stored state with the
-    /// wordline stepped to `vwl_test` decides, and
-    /// `cell.wm_probe_fallbacks` counts it. Every probe that converges
-    /// keeps its DC decision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures other than DC non-convergence.
-    pub fn write_flips(&self, bias: &AssistVoltages, vwl_test: Voltage) -> Result<bool, CellError> {
-        let (ckt, nodes) = self.cell().write_dc_circuit(bias, self.vdd(), vwl_test);
-        let solved = DcSolver::new()
-            .nodeset(nodes.q, bias.vddc)
-            .nodeset(nodes.qb, bias.vssc)
-            .solve(&ckt);
-        match solved {
-            Ok(sol) => Ok(sol.voltage(nodes.q) < sol.voltage(nodes.qb)),
-            Err(SpiceError::NonConvergent { .. }) => {
-                sram_probe::probe_inc!("cell.wm_probe_fallbacks");
-                self.write_settles_flipped(bias, vwl_test)
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Whether the cell, storing `Q = 1` with the wordline off, ends up
-    /// flipped 2 ns after the wordline steps to `vwl_test` (BL at
-    /// `bias.vbl`, BLB at `Vdd`): the dynamic form of
-    /// [`CellCharacterizer::write_flips`]. Only the final state is kept,
-    /// so memory does not grow with the step count.
-    ///
-    /// The flip slows down toward the fold, so 2 ns is an assumed
-    /// settling time: 0.05 mV past the fold a varied cell takes about
-    /// 1 ns. `tests/write_fallback.rs` holds every fallback in a 0.1 mV
-    /// scan around the flip of each known non-converging cell to a
-    /// 20 ns run.
-    fn write_settles_flipped(
-        &self,
-        bias: &AssistVoltages,
-        vwl_test: Voltage,
-    ) -> Result<bool, CellError> {
-        let (ckt, nodes) = self.cell().write_transient_circuit(
-            &bias.with_vwl(vwl_test),
-            self.vdd(),
-            Time::from_picoseconds(2.0),
-            Time::from_picoseconds(0.5),
-        );
-        let end = Transient::new(Time::from_nanoseconds(2.0), Time::from_picoseconds(2.0))
-            .with_initial_solver(
-                DcSolver::new()
-                    .nodeset(nodes.q, bias.vddc)
-                    .nodeset(nodes.qb, bias.vssc),
-            )
-            .final_state(&ckt)?;
-        Ok(end.voltage(nodes.q) < end.voltage(nodes.qb))
-    }
-
     /// Minimum wordline voltage that flips the cell, by continuation
     /// along the `Q = 1` branch.
     ///
@@ -227,7 +166,9 @@ impl CellCharacterizer {
 
     /// Cell-level write delay: transient simulation of a `1 → 0` write.
     /// The wordline steps to `bias.vwl`; the delay runs from the WL
-    /// crossing 50 % of `Vdd` to `Q` meeting `QB`.
+    /// crossing 50 % of `Vdd` to `Q` meeting `QB`. The run ends at the
+    /// first accepted step where both events are on the trace; a cell
+    /// that does not flip runs the whole 60 ps window.
     ///
     /// # Errors
     ///
@@ -241,16 +182,40 @@ impl CellCharacterizer {
         let (ckt, nodes) = self
             .cell()
             .write_transient_circuit(bias, self.vdd(), t_start, t_rise);
+        let wl_level = self.vdd() * 0.5;
+        // The two scans below, one segment per accepted step: the WL
+        // crossing until it is found, then the meeting from the first
+        // segment on, as `meeting_time` walks it.
+        let mut wl_half = None;
+        let mut next_segment = 1;
         let result = Transient::new(Time::from_picoseconds(60.0), Time::from_picoseconds(0.25))
             .with_initial_solver(
                 DcSolver::new()
                     .nodeset(nodes.q, bias.vddc)
                     .nodeset(nodes.qb, bias.vssc),
             )
-            .run(&ckt)?;
+            .run_until(&ckt, |trace| {
+                let last = trace.len() - 1;
+                wl_half = wl_half.or_else(|| {
+                    trace.segment_crossing(
+                        last,
+                        nodes.wl,
+                        wl_level,
+                        CrossingEdge::Rising,
+                        Time::ZERO,
+                    )
+                });
+                let Some(after) = wl_half else {
+                    return false;
+                };
+                let met = (next_segment..=last)
+                    .any(|k| trace.segment_meeting(k, nodes.q, nodes.qb, after).is_some());
+                next_segment = last + 1;
+                met
+            })?;
         let trace = result.trace();
         let wl_half = trace
-            .crossing(nodes.wl, self.vdd() * 0.5, CrossingEdge::Rising, Time::ZERO)
+            .crossing(nodes.wl, wl_level, CrossingEdge::Rising, Time::ZERO)
             .ok_or_else(|| CellError::MeasurementFailed {
                 what: "write delay",
                 reason: "wordline never reached 50% of Vdd".into(),
@@ -276,42 +241,6 @@ mod tests {
 
     fn chr(flavor: VtFlavor) -> CellCharacterizer {
         CellCharacterizer::new(&DeviceLibrary::sevennm(), flavor)
-    }
-
-    #[test]
-    fn wordline_off_never_flips() {
-        let c = chr(VtFlavor::Hvt);
-        let bias = AssistVoltages::nominal(vdd());
-        assert!(!c.write_flips(&bias, Voltage::ZERO).unwrap());
-    }
-
-    #[test]
-    fn strong_wordline_flips() {
-        let c = chr(VtFlavor::Hvt);
-        let bias = AssistVoltages::nominal(vdd());
-        assert!(c.write_flips(&bias, Voltage::from_volts(0.9)).unwrap());
-    }
-
-    #[test]
-    fn settling_agrees_with_converged_probes_either_side_of_the_flip() {
-        for flavor in [VtFlavor::Lvt, VtFlavor::Hvt] {
-            let c = chr(flavor);
-            let bias = AssistVoltages::nominal(vdd());
-            let flip = c.wordline_flip_voltage(&bias).unwrap();
-            for (offset_mv, flips) in [(-20.0, false), (20.0, true)] {
-                let v = flip + Voltage::from_millivolts(offset_mv);
-                assert_eq!(
-                    c.write_flips(&bias, v).unwrap(),
-                    flips,
-                    "{flavor} DC at {v}"
-                );
-                assert_eq!(
-                    c.write_settles_flipped(&bias, v).unwrap(),
-                    flips,
-                    "{flavor} transient at {v}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! Shared by the margin and Monte Carlo tests: the cold bisection the
-//! continuation flip search replaced and the unpruned maximum-square walk
-//! (`square`), each kept as its search's oracle; the varied cells
+//! Shared by the margin and Monte Carlo tests: the paths that faster
+//! ones replaced, each kept as an oracle — the cold write probe and its
+//! bisection (the continuation flip search's), the unpruned
+//! maximum-square walk (`square`, the pruned walk's), both halves'
+//! VTC sweeps (the one-sweep symmetric butterfly's) and the full-window
+//! write-delay run (the early-ending one's); the varied cells
 //! `YieldAnalyzer` draws; and a serial Monte Carlo loop written out from
 //! the public API.
 //!
@@ -16,8 +19,8 @@ use sram_cell::{
     Sram6t, Vtc, VtcHalf, VtcMode, YieldAnalysis,
 };
 use sram_device::{DeviceLibrary, VtFlavor};
-use sram_spice::DcSweep;
-use sram_units::Voltage;
+use sram_spice::{CrossingEdge, DcSolver, DcSweep, SpiceError, Transient};
+use sram_units::{Time, Voltage};
 
 /// The `(V_DDC, V_WL, V_SSC)` rails (mV) of the flavor's M1 and M2
 /// sim-stack designs.
@@ -64,10 +67,70 @@ pub fn sample(flavor: VtFlavor, seed: u64, index: usize) -> CellCharacterizer {
     CellCharacterizer::new(&lib, flavor).with_cell(cell)
 }
 
+/// One cold write probe: whether a DC write with the wordline at
+/// `vwl_test` flips `chr`'s cell storing `Q = 1` (BL driven to
+/// `bias.vbl`, BLB at `Vdd`), and whether the probe fell back to
+/// letting the cell settle.
+///
+/// The probe is one DC solve pinned toward `Q = 1`. Just past the fold
+/// Newton can fail to converge there; then the cell settling for 2 ns
+/// decides ([`settles_flipped`]). Every probe that converges keeps its
+/// DC decision.
+pub fn write_flips(
+    chr: &CellCharacterizer,
+    bias: &AssistVoltages,
+    vwl_test: Voltage,
+) -> Result<(bool, bool), CellError> {
+    let (ckt, nodes) = chr.cell().write_dc_circuit(bias, chr.vdd(), vwl_test);
+    let solved = DcSolver::new()
+        .nodeset(nodes.q, bias.vddc)
+        .nodeset(nodes.qb, bias.vssc)
+        .solve(&ckt);
+    match solved {
+        Ok(sol) => Ok((sol.voltage(nodes.q) < sol.voltage(nodes.qb), false)),
+        Err(SpiceError::NonConvergent { .. }) => {
+            let settle = Time::from_nanoseconds(2.0);
+            Ok((settles_flipped(chr, bias, vwl_test, settle)?, true))
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Whether the cell, storing `Q = 1` with the wordline off, has flipped
+/// `settle` after the wordline steps to `vwl_test` (BL at `bias.vbl`,
+/// BLB at `Vdd`): the dynamic form of [`write_flips`]. Only the final
+/// state is kept, so memory does not grow with the step count.
+///
+/// The flip slows down toward the fold, so the probe's 2 ns is an
+/// assumed settling time: 0.05 mV past the fold a varied cell takes
+/// about 1 ns. `write_fallback.rs` holds every fallback in a 0.1 mV
+/// scan around the flip of each known non-converging cell to a 20 ns
+/// run.
+pub fn settles_flipped(
+    chr: &CellCharacterizer,
+    bias: &AssistVoltages,
+    vwl_test: Voltage,
+    settle: Time,
+) -> Result<bool, CellError> {
+    let (ckt, nodes) = chr.cell().write_transient_circuit(
+        &bias.with_vwl(vwl_test),
+        chr.vdd(),
+        Time::from_picoseconds(2.0),
+        Time::from_picoseconds(0.5),
+    );
+    let end = Transient::new(settle, Time::from_picoseconds(2.0))
+        .with_initial_solver(
+            DcSolver::new()
+                .nodeset(nodes.q, bias.vddc)
+                .nodeset(nodes.qb, bias.vssc),
+        )
+        .final_state(&ckt)?;
+    Ok(end.voltage(nodes.q) < end.voltage(nodes.qb))
+}
+
 /// Minimum wordline voltage that flips the cell, by cold bisection over
-/// [`CellCharacterizer::write_flips`] to 1 mV:
-/// `CellCharacterizer::wordline_flip_voltage` must return its value to
-/// the bit, or its error.
+/// [`write_flips`] to 1 mV: `CellCharacterizer::wordline_flip_voltage`
+/// must return its value to the bit, or its error.
 pub fn bisected_flip_voltage(
     chr: &CellCharacterizer,
     bias: &AssistVoltages,
@@ -75,20 +138,58 @@ pub fn bisected_flip_voltage(
     bias.validate().map_err(CellError::InvalidBias)?;
     let mut lo = Voltage::ZERO; // never flips with WL off
     let mut hi = chr.vdd() * 2.0 + bias.vbl.abs();
-    if !chr.write_flips(bias, hi)? {
+    if !write_flips(chr, bias, hi)?.0 {
         return Err(CellError::BracketingFailed {
             what: "wordline flip voltage",
         });
     }
     while (hi - lo).millivolts() > 1.0 {
         let mid = lo.lerp(hi, 0.5);
-        if chr.write_flips(bias, mid)? {
+        if write_flips(chr, bias, mid)?.0 {
             hi = mid;
         } else {
             lo = mid;
         }
     }
     Ok(lo.lerp(hi, 0.5))
+}
+
+/// The cell write delay as `CellCharacterizer::write_delay` measured it
+/// over the whole 60 ps window: the same transient run to its end, then
+/// the same WL 50 % crossing and `Q`/`QB` meeting.
+/// `CellCharacterizer::write_delay`, which ends the run at the meeting,
+/// must return its value to the bit, or its error.
+pub fn full_window_write_delay(
+    chr: &CellCharacterizer,
+    bias: &AssistVoltages,
+) -> Result<Time, CellError> {
+    bias.validate().map_err(CellError::InvalidBias)?;
+    let t_start = Time::from_picoseconds(2.0);
+    let t_rise = Time::from_picoseconds(0.5);
+    let (ckt, nodes) = chr
+        .cell()
+        .write_transient_circuit(bias, chr.vdd(), t_start, t_rise);
+    let result = Transient::new(Time::from_picoseconds(60.0), Time::from_picoseconds(0.25))
+        .with_initial_solver(
+            DcSolver::new()
+                .nodeset(nodes.q, bias.vddc)
+                .nodeset(nodes.qb, bias.vssc),
+        )
+        .run(&ckt)?;
+    let trace = result.trace();
+    let wl_half = trace
+        .crossing(nodes.wl, chr.vdd() * 0.5, CrossingEdge::Rising, Time::ZERO)
+        .ok_or_else(|| CellError::MeasurementFailed {
+            what: "write delay",
+            reason: "wordline never reached 50% of Vdd".into(),
+        })?;
+    let meet = trace
+        .meeting_time(nodes.q, nodes.qb, wl_half)
+        .ok_or_else(|| CellError::MeasurementFailed {
+            what: "write delay",
+            reason: "Q never met QB (write failed)".into(),
+        })?;
+    Ok(meet - wl_half)
 }
 
 /// The SNM of the butterfly of `forward` and `mirrored` by the unpruned

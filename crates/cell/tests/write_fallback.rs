@@ -5,58 +5,23 @@
 //! whose pinned DC write probe once failed to converge under one FinFET
 //! Jacobian or another (`common::CENSUS`). The write margin must come
 //! back, and its flip voltage must sit where a dense scan of cold
-//! probes puts the flip.
+//! probes (`common::write_flips`) puts the flip.
 //!
 //! A probe that lets the cell settle instead decides after a fixed
 //! 2 ns. Every such probe in a 0.1 mV scan is checked against the same
 //! settling run ten times longer, and the scan's decisions, fallbacks
 //! included, must rise monotonically from "holds" to "flips". The
 //! non-converging window is not narrow (over 1.5 mV of consecutive
-//! fallbacks for HVT seed 93 #9), so its answers carry the margin. The
-//! probe registry is process-global and the fallbacks are told apart
-//! by `cell.wm_probe_fallbacks`, so this binary holds exactly one test.
+//! fallbacks for HVT seed 93 #9), so its answers carry the margin.
 
 mod common;
 
-use common::{sample, CENSUS};
-use sram_cell::{AssistVoltages, CellCharacterizer};
-use sram_probe::Level;
-use sram_spice::{DcSolver, Transient};
+use common::{sample, settles_flipped, write_flips, CENSUS};
+use sram_cell::AssistVoltages;
 use sram_units::{Time, Voltage};
-
-/// `write_flips` at `v`, and whether its DC solve fell back to letting
-/// the cell settle.
-fn probe(chr: &CellCharacterizer, bias: &AssistVoltages, v: Voltage) -> (bool, bool) {
-    let before = sram_probe::snapshot();
-    let flips = chr.write_flips(bias, v).expect("a write probe never fails");
-    let diff = sram_probe::snapshot().diff(&before);
-    let fallbacks = diff.counters.get("cell.wm_probe_fallbacks").copied();
-    (flips, fallbacks.unwrap_or(0) > 0)
-}
-
-/// Whether the cell, storing `Q = 1`, has flipped 20 ns after the
-/// wordline steps to `v`: ten times as long as the fallback waits.
-fn flipped_after_20_ns(chr: &CellCharacterizer, bias: &AssistVoltages, v: Voltage) -> bool {
-    let (ckt, nodes) = chr.cell().write_transient_circuit(
-        &bias.with_vwl(v),
-        chr.vdd(),
-        Time::from_picoseconds(2.0),
-        Time::from_picoseconds(0.5),
-    );
-    let end = Transient::new(Time::from_nanoseconds(20.0), Time::from_picoseconds(2.0))
-        .with_initial_solver(
-            DcSolver::new()
-                .nodeset(nodes.q, bias.vddc)
-                .nodeset(nodes.qb, bias.vssc),
-        )
-        .final_state(&ckt)
-        .expect("the settling run converges");
-    end.voltage(nodes.q) < end.voltage(nodes.qb)
-}
 
 #[test]
 fn census_cells_flip_where_a_dense_scan_says() {
-    sram_probe::set_level(Level::Summary);
     let mv = Voltage::from_millivolts;
     let mut fallbacks = 0;
     for (flavor, seed, index) in CENSUS {
@@ -70,7 +35,7 @@ fn census_cells_flip_where_a_dense_scan_says() {
         let scan: Vec<(Voltage, bool)> = (0..=24)
             .map(|k| {
                 let v = flip - mv(3.0) + mv(0.25 * f64::from(k));
-                (v, chr.write_flips(&bias, v).unwrap())
+                (v, write_flips(&chr, &bias, v).unwrap().0)
             })
             .collect();
         assert!(
@@ -89,7 +54,8 @@ fn census_cells_flip_where_a_dense_scan_says() {
         let fine: Vec<(Voltage, bool, bool)> = (0..=30)
             .map(|k| {
                 let v = flip - mv(1.5) + mv(0.1 * f64::from(k));
-                let (flips, fell_back) = probe(&chr, &bias, v);
+                let (flips, fell_back) =
+                    write_flips(&chr, &bias, v).expect("a write probe never fails");
                 (v, flips, fell_back)
             })
             .collect();
@@ -102,8 +68,9 @@ fn census_cells_flip_where_a_dense_scan_says() {
         );
         for &(v, flips, _) in fine.iter().filter(|&&(_, _, fell_back)| fell_back) {
             fallbacks += 1;
+            let settled = settles_flipped(&chr, &bias, v, Time::from_nanoseconds(20.0));
             assert_eq!(
-                flipped_after_20_ns(&chr, &bias, v),
+                settled.expect("the settling run converges"),
                 flips,
                 "{flavor} seed {seed} #{index}: settling for 2 ns and 20 ns disagree at {v}"
             );

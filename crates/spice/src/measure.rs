@@ -34,6 +34,13 @@ impl Trace {
         }
     }
 
+    /// Appends the sample `x` (node voltages then branch currents) at
+    /// `t` seconds.
+    pub(crate) fn push(&mut self, t: f64, x: &[f64]) {
+        self.times.push(t);
+        self.states.push(x.to_vec());
+    }
+
     /// Number of recorded samples.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -119,34 +126,51 @@ impl Trace {
         edge: CrossingEdge,
         after: Time,
     ) -> Option<Time> {
+        (1..self.len()).find_map(|k| self.segment_crossing(k, node, level, edge, after))
+    }
+
+    /// What [`Trace::crossing`] reports on the segment from sample
+    /// `k − 1` to sample `k` (`1 ≤ k < len`): `crossing` is the first of
+    /// these over `k = 1, 2, …`, so a caller that checks each segment as
+    /// a run records it finds the same crossing in time linear in the
+    /// samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k` is 0 or not below [`Trace::len`].
+    #[must_use]
+    pub fn segment_crossing(
+        &self,
+        k: usize,
+        node: NodeId,
+        level: Voltage,
+        edge: CrossingEdge,
+        after: Time,
+    ) -> Option<Time> {
         let lvl = level.volts();
         let t_min = after.seconds();
-        for k in 1..self.len() {
-            if self.times[k] < t_min {
-                continue;
-            }
-            let v0 = self.node_value(k - 1, node);
-            let v1 = self.node_value(k, node);
-            let rising = v0 < lvl && v1 >= lvl;
-            let falling = v0 > lvl && v1 <= lvl;
-            let hit = match edge {
-                CrossingEdge::Rising => rising,
-                CrossingEdge::Falling => falling,
-                CrossingEdge::Any => rising || falling,
-            };
-            if hit {
-                let f = if (v1 - v0).abs() > 0.0 {
-                    (lvl - v0) / (v1 - v0)
-                } else {
-                    0.0
-                };
-                let t = self.times[k - 1] + (self.times[k] - self.times[k - 1]) * f;
-                if t >= t_min {
-                    return Some(Time::from_seconds(t));
-                }
-            }
+        if self.times[k] < t_min {
+            return None;
         }
-        None
+        let v0 = self.node_value(k - 1, node);
+        let v1 = self.node_value(k, node);
+        let rising = v0 < lvl && v1 >= lvl;
+        let falling = v0 > lvl && v1 <= lvl;
+        let hit = match edge {
+            CrossingEdge::Rising => rising,
+            CrossingEdge::Falling => falling,
+            CrossingEdge::Any => rising || falling,
+        };
+        if !hit {
+            return None;
+        }
+        let f = if (v1 - v0).abs() > 0.0 {
+            (lvl - v0) / (v1 - v0)
+        } else {
+            0.0
+        };
+        let t = self.times[k - 1] + (self.times[k] - self.times[k - 1]) * f;
+        (t >= t_min).then(|| Time::from_seconds(t))
     }
 
     /// First time after `after` at which two node waveforms meet (their
@@ -154,26 +178,33 @@ impl Trace {
     /// ("the time … until Q and QB reach the same value").
     #[must_use]
     pub fn meeting_time(&self, a: NodeId, b: NodeId, after: Time) -> Option<Time> {
+        (1..self.len()).find_map(|k| self.segment_meeting(k, a, b, after))
+    }
+
+    /// What [`Trace::meeting_time`] reports on the segment from sample
+    /// `k − 1` to sample `k`, in the way [`Trace::segment_crossing`]
+    /// splits [`Trace::crossing`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k` is 0 or not below [`Trace::len`].
+    #[must_use]
+    pub fn segment_meeting(&self, k: usize, a: NodeId, b: NodeId, after: Time) -> Option<Time> {
         let t_min = after.seconds();
-        for k in 1..self.len() {
-            if self.times[k] < t_min {
-                continue;
-            }
-            let d0 = self.node_value(k - 1, a) - self.node_value(k - 1, b);
-            let d1 = self.node_value(k, a) - self.node_value(k, b);
-            if d0 == 0.0 {
-                if self.times[k - 1] >= t_min {
-                    return Some(Time::from_seconds(self.times[k - 1]));
-                }
-            } else if d0 * d1 <= 0.0 {
-                let f = d0 / (d0 - d1);
-                let t = self.times[k - 1] + (self.times[k] - self.times[k - 1]) * f;
-                if t >= t_min {
-                    return Some(Time::from_seconds(t));
-                }
-            }
+        if self.times[k] < t_min {
+            return None;
         }
-        None
+        let d0 = self.node_value(k - 1, a) - self.node_value(k - 1, b);
+        let d1 = self.node_value(k, a) - self.node_value(k, b);
+        let t = if d0 == 0.0 {
+            self.times[k - 1]
+        } else if d0 * d1 <= 0.0 {
+            let f = d0 / (d0 - d1);
+            self.times[k - 1] + (self.times[k] - self.times[k - 1]) * f
+        } else {
+            return None;
+        };
+        (t >= t_min).then(|| Time::from_seconds(t))
     }
 
     /// Integrates the charge delivered by voltage source `branch` over the

@@ -72,15 +72,29 @@ impl Transient {
     /// * any DC-solver error from the initial operating point,
     /// * [`SpiceError::SingularMatrix`] for defective netlists.
     pub fn run(&self, circuit: &Circuit) -> Result<TransientResult, SpiceError> {
-        let mut times = Vec::new();
-        let mut states = Vec::new();
+        self.run_until(circuit, |_| false)
+    }
+
+    /// Runs the analysis until `t_stop`, or until `stop` returns `true`
+    /// for the waveforms recorded so far. `stop` is asked after each
+    /// accepted step, so a measurement that a prefix of the run already
+    /// settles (a first crossing, say) need not pay for the rest of it.
+    /// A `stop` that never fires makes this [`Transient::run`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Transient::run`], for the steps taken.
+    pub fn run_until(
+        &self,
+        circuit: &Circuit,
+        mut stop: impl FnMut(&Trace) -> bool,
+    ) -> Result<TransientResult, SpiceError> {
+        let mut trace = Trace::new(circuit.node_count(), Vec::new(), Vec::new());
         self.integrate(circuit, |t, x| {
-            times.push(t);
-            states.push(x.to_vec());
+            trace.push(t, x);
+            trace.len() > 1 && stop(&trace)
         })?;
-        Ok(TransientResult {
-            trace: Trace::new(circuit.node_count(), times, states),
-        })
+        Ok(TransientResult { trace })
     }
 
     /// Runs the analysis and keeps only the state at `t_stop`, in the
@@ -92,17 +106,17 @@ impl Transient {
     ///
     /// Same as [`Transient::run`].
     pub fn final_state(&self, circuit: &Circuit) -> Result<DcSolution, SpiceError> {
-        let x = self.integrate(circuit, |_, _| {})?;
+        let x = self.integrate(circuit, |_, _| false)?;
         Ok(DcSolution::new(x, circuit.node_count()))
     }
 
     /// The time-stepping loop: hands every accepted `(t, x)` (the DC
-    /// operating point at `t = 0` first) to `on_step` and returns the
-    /// final state.
+    /// operating point at `t = 0` first) to `on_step`, ends early when
+    /// that returns `true`, and returns the last state.
     fn integrate(
         &self,
         circuit: &Circuit,
-        mut on_step: impl FnMut(f64, &[f64]),
+        mut on_step: impl FnMut(f64, &[f64]) -> bool,
     ) -> Result<Vec<f64>, SpiceError> {
         sram_probe::probe_inc!("spice.transient_runs");
         let _span = sram_probe::probe_span!("spice.transient_ns");
@@ -111,7 +125,9 @@ impl Transient {
         let dc = self.dc_solver.solve_with_guess(circuit, &vec![0.0; n])?;
         let mut x = dc.as_vector().to_vec();
         let mut cap_state = init_cap_state(circuit, &x);
-        on_step(0.0, &x);
+        if on_step(0.0, &x) {
+            return Ok(x);
+        }
 
         let mut jacobian = Matrix::zeros(n);
         let mut residual = vec![0.0; n];
@@ -161,7 +177,9 @@ impl Transient {
             x = x_try;
             t = t_next;
             first_step = false;
-            on_step(t, &x);
+            if on_step(t, &x) {
+                break;
+            }
             if max_dv < self.max_dv_per_step / 4.0 {
                 dt *= 1.5;
             }
@@ -353,6 +371,57 @@ mod tests {
         let end = analysis.final_state(&ckt).unwrap();
         for node in [a, out] {
             assert_eq!(end.voltage(node), trace.final_voltage(node));
+        }
+    }
+
+    #[test]
+    fn a_stopped_run_is_a_prefix_of_the_full_run() {
+        let lib = DeviceLibrary::sevennm();
+        let mut ckt = Circuit::new();
+        let n_vdd = ckt.node("vdd");
+        let n_in = ckt.node("in");
+        let n_out = ckt.node("out");
+        ckt.vsource("Vdd", n_vdd, Circuit::GROUND, Waveform::Dc(0.45));
+        ckt.vsource(
+            "Vin",
+            n_in,
+            Circuit::GROUND,
+            Waveform::step(
+                Voltage::ZERO,
+                Voltage::from_volts(0.45),
+                Time::from_picoseconds(2.0),
+                Time::from_picoseconds(1.0),
+            ),
+        );
+        ckt.fet(
+            "MN",
+            n_in,
+            n_out,
+            Circuit::GROUND,
+            FinFet::new(lib.nfet(VtFlavor::Lvt).clone(), 1),
+        );
+        ckt.resistor("RL", n_vdd, n_out, 1.0e5);
+        ckt.capacitor("CL", n_out, Circuit::GROUND, 0.2e-15);
+        let analysis = Transient::new(Time::from_picoseconds(30.0), Time::from_picoseconds(0.2));
+        let full = analysis.run(&ckt).unwrap().into_trace();
+        let mut asked = 0;
+        let stopped = analysis
+            .run_until(&ckt, |trace| {
+                asked += 1;
+                assert_eq!(trace.len(), asked + 1, "asked once per accepted step");
+                trace.len() == 12
+            })
+            .unwrap()
+            .into_trace();
+        assert!(full.len() > 12);
+        assert_eq!(stopped.len(), 12);
+        let bits = |trace: &Trace, k: usize| {
+            let t = trace.times().nth(k).unwrap();
+            let v = trace.samples(n_out)[k].1;
+            (t.seconds().to_bits(), v.volts().to_bits())
+        };
+        for k in 0..12 {
+            assert_eq!(bits(&stopped, k), bits(&full, k), "sample {k}");
         }
     }
 
