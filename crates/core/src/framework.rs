@@ -415,7 +415,7 @@ impl CoOptimizationFramework {
         cancel: &CancelToken,
     ) -> Result<sram_cell::YieldAnalysis, CooptError> {
         use sram_cell::{AssistVoltages, MonteCarloConfig, YieldAnalyzer};
-        let chr = CellCharacterizer::new(&self.library, design.flavor);
+        let chr = CellCharacterizer::new(&self.library, design.flavor).with_vdd(self.vdd());
         let bias = AssistVoltages::nominal(self.vdd())
             .with_vddc(design.vddc)
             .with_vssc(design.vssc)
@@ -527,6 +527,34 @@ mod tests {
         assert_eq!(analysis.hsnm.samples, 8);
         // The delta-rule winner holds at least the k = 1 statistical bar.
         assert!(analysis.passes(1.0));
+    }
+
+    #[test]
+    fn statistical_yield_runs_at_the_framework_supply() {
+        use sram_cell::{MonteCarloConfig, YieldAnalyzer};
+        let vdd = Voltage::from_millivolts(400.0);
+        let mut fw = CoOptimizationFramework::simulated_mode()
+            .with_space(DesignSpace::coarse())
+            .with_supply(vdd);
+        let design = fw
+            .optimize(Capacity::from_bytes(1024), VtFlavor::Hvt, Method::M2)
+            .unwrap();
+        let analyzer = YieldAnalyzer::new(
+            CellCharacterizer::new(&fw.library, VtFlavor::Hvt).with_vdd(vdd),
+            MonteCarloConfig {
+                samples: 4,
+                seed: 0x51a7,
+                vtc_points: 25,
+            },
+        );
+        let bias = sram_cell::AssistVoltages::nominal(vdd)
+            .with_vddc(design.vddc)
+            .with_vssc(design.vssc)
+            .with_vwl(design.vwl);
+        assert_eq!(
+            fw.verify_statistical_yield(&design, 4).unwrap(),
+            analyzer.run(&bias).unwrap()
+        );
     }
 
     #[test]

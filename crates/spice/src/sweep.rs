@@ -66,9 +66,10 @@ impl DcSweep {
     ///
     /// # Errors
     ///
-    /// Propagates the first solver failure, annotated with the failing
-    /// sweep value via [`SpiceError::InvalidAnalysis`] context being
-    /// preserved in the underlying variant.
+    /// Stops at the first point that fails and returns its error
+    /// unchanged: [`SpiceError::UnknownElement`] when `circuit` has no
+    /// voltage source by the sweep's name, otherwise the DC solver's
+    /// error. The error does not carry the failing sweep value.
     pub fn run(&self, circuit: &Circuit) -> Result<Vec<SweepPoint>, SpiceError> {
         // One trace span for the whole sweep: per-point spans would make
         // a traced characterization's tree tens of times larger.
