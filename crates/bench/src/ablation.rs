@@ -26,7 +26,7 @@ use sram_units::Voltage;
 /// # Errors
 ///
 /// Propagates search failures.
-pub fn rail_pinning_sweep(capacity: Capacity) -> Result<Vec<(f64, f64)>, CooptError> {
+fn rail_pinning_sweep(capacity: Capacity) -> Result<Vec<(f64, f64)>, CooptError> {
     let lib = DeviceLibrary::sevennm();
     let vdd = lib.nominal_vdd();
     let periphery = Periphery::new(&lib);
@@ -71,7 +71,7 @@ pub struct ParetoAblation {
 /// # Errors
 ///
 /// Propagates search failures.
-pub fn pareto_ablation(capacity: Capacity) -> Result<ParetoAblation, CooptError> {
+fn pareto_ablation(capacity: Capacity) -> Result<ParetoAblation, CooptError> {
     let lib = DeviceLibrary::sevennm();
     let vdd = lib.nominal_vdd();
     let cell = CellCharacterization::paper_hvt(vdd);
@@ -112,7 +112,7 @@ pub struct HeuristicAblation {
 /// # Errors
 ///
 /// Propagates search failures.
-pub fn heuristic_ablation(capacity: Capacity) -> Result<HeuristicAblation, CooptError> {
+fn heuristic_ablation(capacity: Capacity) -> Result<HeuristicAblation, CooptError> {
     let lib = DeviceLibrary::sevennm();
     let vdd = lib.nominal_vdd();
     let cell = CellCharacterization::paper_hvt(vdd);
@@ -137,7 +137,7 @@ pub fn heuristic_ablation(capacity: Capacity) -> Result<HeuristicAblation, Coopt
 /// # Errors
 ///
 /// Propagates search failures.
-pub fn accounting_ablation(capacity: Capacity) -> Result<String, CooptError> {
+fn accounting_ablation(capacity: Capacity) -> Result<String, CooptError> {
     let lib = DeviceLibrary::sevennm();
     let vdd = lib.nominal_vdd();
     let cell = CellCharacterization::paper_hvt(vdd);

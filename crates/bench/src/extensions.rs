@@ -18,7 +18,7 @@ use sram_units::Voltage;
 /// # Errors
 ///
 /// Propagates search failures.
-pub fn banking_sweep() -> Result<String, CooptError> {
+fn banking_sweep() -> Result<String, CooptError> {
     let lib = DeviceLibrary::sevennm();
     let cell = CellCharacterization::paper_hvt(lib.nominal_vdd());
     let periphery = Periphery::new(&lib);
@@ -65,7 +65,7 @@ pub fn banking_sweep() -> Result<String, CooptError> {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn standby_report() -> Result<String, CooptError> {
+fn standby_report() -> Result<String, CooptError> {
     let lib = DeviceLibrary::sevennm();
     let mut rows = Vec::new();
     for flavor in [VtFlavor::Lvt, VtFlavor::Hvt] {
@@ -104,7 +104,7 @@ pub fn standby_report() -> Result<String, CooptError> {
 /// # Errors
 ///
 /// Propagates simulation and search failures.
-pub fn derated_optimization(samples: usize) -> Result<String, CooptError> {
+fn derated_optimization(samples: usize) -> Result<String, CooptError> {
     let lib = DeviceLibrary::sevennm();
     let vdd = lib.nominal_vdd();
     let periphery = Periphery::new(&lib);
@@ -197,7 +197,7 @@ pub fn derated_optimization(samples: usize) -> Result<String, CooptError> {
 /// # Errors
 ///
 /// Propagates simulation and search failures.
-pub fn temperature_report() -> Result<String, CooptError> {
+fn temperature_report() -> Result<String, CooptError> {
     let base = DeviceLibrary::sevennm();
     let vdd = base.nominal_vdd();
     let nominal = AssistVoltages::nominal(vdd);

@@ -26,7 +26,7 @@ fn column_c_bl(library: &DeviceLibrary) -> Capacitance {
 
 /// Bitline delay `C_BL · ΔV_S / I_read` for a 64-cell column.
 #[must_use]
-pub fn bitline_delay(library: &DeviceLibrary, i_read: Current) -> Time {
+fn bitline_delay(library: &DeviceLibrary, i_read: Current) -> Time {
     let delta_vs = Voltage::from_millivolts(120.0);
     column_c_bl(library) * delta_vs / i_read
 }
@@ -69,7 +69,7 @@ fn sample(
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn vdd_boost_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, CellError> {
+fn vdd_boost_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, CellError> {
     let chr = CellCharacterizer::new(library, VtFlavor::Hvt).with_vtc_points(41);
     let vdd = library.nominal_vdd();
     (450..=700)
@@ -88,7 +88,7 @@ pub fn vdd_boost_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, Cell
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn negative_gnd_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, CellError> {
+fn negative_gnd_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, CellError> {
     let chr = CellCharacterizer::new(library, VtFlavor::Hvt).with_vtc_points(41);
     let vdd = library.nominal_vdd();
     (0..=8)
@@ -110,7 +110,7 @@ pub fn negative_gnd_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, C
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn wl_underdrive_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, CellError> {
+fn wl_underdrive_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, CellError> {
     let vdd = library.nominal_vdd();
     let cell = Sram6t::new(library, VtFlavor::Hvt);
     let mut out = Vec::new();
@@ -174,7 +174,7 @@ pub fn wl_underdrive_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, 
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn hvt_vs_lvt_ratios(library: &DeviceLibrary) -> Result<(f64, f64), CellError> {
+fn hvt_vs_lvt_ratios(library: &DeviceLibrary) -> Result<(f64, f64), CellError> {
     let vdd = library.nominal_vdd();
     let bias = AssistVoltages::nominal(vdd);
     let hvt = CellCharacterizer::new(library, VtFlavor::Hvt).with_vtc_points(41);

@@ -27,7 +27,7 @@ pub struct WriteAssistPoint {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn wl_overdrive_sweep(library: &DeviceLibrary) -> Result<Vec<WriteAssistPoint>, CellError> {
+fn wl_overdrive_sweep(library: &DeviceLibrary) -> Result<Vec<WriteAssistPoint>, CellError> {
     let chr = CellCharacterizer::new(library, VtFlavor::Hvt);
     let vdd = library.nominal_vdd();
     let mut out = Vec::new();
@@ -48,7 +48,7 @@ pub fn wl_overdrive_sweep(library: &DeviceLibrary) -> Result<Vec<WriteAssistPoin
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn negative_bitline_sweep(library: &DeviceLibrary) -> Result<Vec<WriteAssistPoint>, CellError> {
+fn negative_bitline_sweep(library: &DeviceLibrary) -> Result<Vec<WriteAssistPoint>, CellError> {
     let chr = CellCharacterizer::new(library, VtFlavor::Hvt);
     let vdd = library.nominal_vdd();
     let mut out = Vec::new();

@@ -37,7 +37,7 @@ impl Fig7Data {
     /// Average EDP saving of HVT-M2 vs. LVT-M2 over capacities ≥ 1 KB
     /// (the paper's 59 % headline).
     #[must_use]
-    pub fn average_large_capacity_edp_saving(&self) -> f64 {
+    fn average_large_capacity_edp_saving(&self) -> f64 {
         let mut savings = Vec::new();
         for &c in &self.capacities {
             if c.bytes() >= 1024 {
@@ -52,7 +52,7 @@ impl Fig7Data {
     /// Maximum delay penalty of HVT-M2 vs. LVT-M2 (the paper's 12 %
     /// headline).
     #[must_use]
-    pub fn max_delay_penalty(&self) -> f64 {
+    fn max_delay_penalty(&self) -> f64 {
         self.capacities
             .iter()
             .map(|&c| {

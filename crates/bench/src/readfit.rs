@@ -42,7 +42,7 @@ pub fn fit(library: &DeviceLibrary) -> Result<ReadCurrentFit, CellError> {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn negative_gnd_gain(library: &DeviceLibrary) -> Result<f64, CellError> {
+fn negative_gnd_gain(library: &DeviceLibrary) -> Result<f64, CellError> {
     let chr = CellCharacterizer::new(library, VtFlavor::Hvt);
     let vdd = library.nominal_vdd();
     let base = AssistVoltages::nominal(vdd).with_vddc(Voltage::from_millivolts(550.0));

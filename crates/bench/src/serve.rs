@@ -27,12 +27,12 @@
 //!    spice, cell, core, and serve layers in the flame summary. Two overhead
 //!    gates ride on the traced run's wall time: the *disabled*
 //!    `trace_span!` fast path, which must record nothing, times the
-//!    run's span count, must cost under [`MAX_DISABLED_OVERHEAD`] of
+//!    run's span count, must cost under `MAX_DISABLED_OVERHEAD` of
 //!    it, and stitching plus
 //!    validating one cross-node timeline (a winner and a cancelled
 //!    hedge loser, both carrying the run's span tree) — what every
 //!    traced, sampled router forward pays — under
-//!    [`MAX_STITCH_OVERHEAD`].
+//!    `MAX_STITCH_OVERHEAD`.
 //! 6. **yield** — a `yield-check` op against the batch engine; the op
 //!    always enters the cell layer's Monte Carlo engine, so this is
 //!    where the `cell.*` observability probes earn their assertion
@@ -100,7 +100,7 @@ pub struct ServeBench {
     /// `cell.mc_runs`).
     pub mc_runs: u64,
     /// Monte Carlo samples the yield phase added (delta of
-    /// `cell.mc_samples`; must cover [`YIELD_SAMPLES`]).
+    /// `cell.mc_samples`; must cover `YIELD_SAMPLES`).
     pub mc_samples: u64,
     /// Did the yield-check reply carry a design plus a yield analysis?
     pub yield_ok: bool,
@@ -128,18 +128,18 @@ pub struct ServeBench {
 /// Monte Carlo samples the yield phase requests. Small on purpose:
 /// the phase asserts probe wiring, not statistical power (the `yield`
 /// experiment owns the real μ−kσ study).
-pub const YIELD_SAMPLES: u64 = 64;
+const YIELD_SAMPLES: u64 = 64;
 
 /// Ceiling on the disabled-tracing overhead: the instrumentation must
 /// cost less than 5 % of the traced workload's wall time when tracing
 /// is off.
-pub const MAX_DISABLED_OVERHEAD: f64 = 0.05;
+const MAX_DISABLED_OVERHEAD: f64 = 0.05;
 
 /// Ceiling on the span-stitching overhead: assembling and validating
 /// one cross-node timeline must cost less than 5 % of the traced
 /// workload's wall time (in practice it is orders of magnitude below —
 /// a regression tripwire, not a tuning target).
-pub const MAX_STITCH_OVERHEAD: f64 = 0.05;
+const MAX_STITCH_OVERHEAD: f64 = 0.05;
 
 /// Disabled `trace_span!` calls timed by the overhead gate.
 const DISABLED_SPAN_ITERS: u64 = 2_000_000;
@@ -309,7 +309,7 @@ fn time_stitching(tree: &Json, total_ns: u64) -> Result<(u64, f64), ServeError> 
 /// # Errors
 ///
 /// Propagates query, transport, and internal-consistency failures.
-pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
+fn bench(threads: usize) -> Result<ServeBench, ServeError> {
     // The cell.* probe assertions below read summary-level counters, so
     // the bench turns collection on when the environment hasn't.
     if !sram_probe::enabled(sram_probe::Level::Summary) {
@@ -525,7 +525,7 @@ pub fn bench(threads: usize) -> Result<ServeBench, ServeError> {
 ///
 /// # Errors
 ///
-/// Propagates [`bench`] failures.
+/// Propagates `bench` failures.
 pub fn run(threads: usize) -> Result<String, ServeError> {
     report(&bench(threads)?)
 }

@@ -918,7 +918,7 @@ mod tests {
             let mut set = sram_faults::ActiveSet::new(&s.plan());
             for _ in 0..1_000 {
                 for &(point, ..) in s.faults {
-                    set.decide(point);
+                    set.should_fire(point);
                 }
             }
             let mut expected: Vec<(String, u64)> = s

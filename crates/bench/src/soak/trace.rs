@@ -15,7 +15,7 @@
 //!    sample, the surviving nodes are polled directly for their raw
 //!    `serve.request.latency_ns` histograms, merged offline; the
 //!    router's `cluster-metrics` merged p50/p99 must agree within the
-//!    LogLinear [`MAX_QUANTILE_RELATIVE_ERROR`] (1/32) bound, and
+//!    histogram's [`MAX_QUANTILE_RELATIVE_ERROR`] (1/32) bound, and
 //!    `cluster-health` must report exactly the killed node unreachable;
 //! 3. **Chrome pid lanes** — the richest stitched tree (a hedge loser's
 //!    when there is one) must export as one Chrome trace with the
@@ -26,7 +26,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use sram_cluster::{collector, stitch};
-use sram_probe::telemetry::{QuantileSnapshot, MAX_QUANTILE_RELATIVE_ERROR};
+use sram_probe::{HistogramSnapshot, MAX_QUANTILE_RELATIVE_ERROR};
 use sram_serve::Json;
 
 use super::{inv, verdict_rank, Op, Outcome, Rhs, Scenario, Topology};
@@ -210,8 +210,8 @@ fn chrome_pids(tree: &Json) -> usize {
 /// independent recompute the router's federated plane is checked
 /// against. The killed node refuses dials and is skipped, exactly as
 /// the collector records it as a hole.
-fn offline_merge(nodes: &[String]) -> Result<QuantileSnapshot, String> {
-    let mut merged = QuantileSnapshot::default();
+fn offline_merge(nodes: &[String]) -> Result<HistogramSnapshot, String> {
+    let mut merged = HistogramSnapshot::default();
     let mut polled = 0usize;
     for node in nodes {
         let addr = node

@@ -14,7 +14,7 @@ use sram_units::Voltage;
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn analyze(library: &DeviceLibrary, samples: usize) -> Result<YieldAnalysis, CellError> {
+fn analyze(library: &DeviceLibrary, samples: usize) -> Result<YieldAnalysis, CellError> {
     let chr = CellCharacterizer::new(library, VtFlavor::Hvt);
     let bias = AssistVoltages::nominal(library.nominal_vdd())
         .with_vddc(Voltage::from_millivolts(550.0))

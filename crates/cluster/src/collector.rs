@@ -1,17 +1,17 @@
 //! Metrics federation: cluster-wide quantiles from per-node histograms.
 //!
-//! Each node's `metrics` op exports its windowed `LogLinear` histograms
-//! as sparse `[bucket, count]` arrays. Because the bucket layout is
+//! Each node's `metrics` op exports its windowed histograms as sparse
+//! `[bucket, count]` log-linear arrays. Because the bucket layout is
 //! identical on every node, the histograms merge losslessly: the
 //! collector polls every node, sums buckets per metric with
-//! [`QuantileSnapshot::merge`], and reads cluster-wide p50/p90/p99 off
-//! the merged distribution — still within the LogLinear
+//! [`HistogramSnapshot::merge`], and reads cluster-wide p50/p90/p99 off
+//! the merged distribution — still within the histogram's
 //! `MAX_QUANTILE_RELATIVE_ERROR` (1/32) bound, which averaging
 //! per-node percentiles would not be. The same reply carries each
 //! node's cache block (the per-shard hit breakdown) and its
-//! `serve.slo.*` totals, so one request per node feeds the whole sweep
-//! and the SLO burn is computed over the merged distribution of the
-//! whole cluster rather than per node.
+//! `serve.slo.*` counters over the node's telemetry ring, so one
+//! request per node feeds the whole sweep and the SLO burn is computed
+//! over the whole cluster's recent traffic rather than per node.
 //!
 //! The router answers `cluster-metrics` and `cluster-health` from a
 //! fresh poll on every call — never cached: a stale quantile plane is
@@ -19,23 +19,24 @@
 
 use std::collections::BTreeMap;
 
-use sram_probe::telemetry::QuantileSnapshot;
-use sram_serve::{Json, ServeError};
+use sram_probe::HistogramSnapshot;
+use sram_serve::{histogram_json, Json, ServeError};
 
 /// SLO burn at or above this is a `degraded` verdict (mirrors the
 /// node-local threshold in `sram-serve`).
-pub const BURN_DEGRADED: f64 = 1.0;
+const BURN_DEGRADED: f64 = 1.0;
 
 /// SLO burn at or above this is an `unhealthy` verdict.
-pub const BURN_UNHEALTHY: f64 = 10.0;
+const BURN_UNHEALTHY: f64 = 10.0;
 
 /// One node's parsed `metrics` poll.
 #[derive(Debug, Clone, Default)]
 pub struct NodePoll {
     /// Raw histograms by metric name.
-    pub quantiles: BTreeMap<String, QuantileSnapshot>,
-    /// Counter lifetime totals by name (the `serve.slo.*` family is
-    /// what the merged burn reads).
+    pub quantiles: BTreeMap<String, HistogramSnapshot>,
+    /// Counters by name over the node's telemetry ring, or their
+    /// lifetime totals when the node reports no window yet (the
+    /// `serve.slo.*` family is what the merged burn reads).
     pub counters: BTreeMap<String, u64>,
     /// The node's cache block from `metrics` (hits, misses, …).
     pub cache: Option<Json>,
@@ -49,33 +50,32 @@ pub struct ClusterMetrics {
     /// Per-node polls in configuration order.
     pub nodes: Vec<(String, NodePoll)>,
     /// Bucket-wise merged histograms across every answering node.
-    pub merged: BTreeMap<String, QuantileSnapshot>,
+    pub merged: BTreeMap<String, HistogramSnapshot>,
 }
 
-/// Parses one exported quantile object (`{"count":…,"sum":…,
-/// "buckets":[[index,count],…]}`) back into a mergeable snapshot.
+/// Parses one exported histogram object (`{"count":…,"sum":…,
+/// "buckets":[[index,count],…]}`, as [`histogram_json`] writes it) back
+/// into a mergeable snapshot.
 #[must_use]
-pub fn parse_snapshot(q: &Json) -> QuantileSnapshot {
-    let mut snap = QuantileSnapshot {
-        count: q.get("count").and_then(Json::as_u64).unwrap_or(0),
-        sum: q.get("sum").and_then(Json::as_u64).unwrap_or(0),
-        ..QuantileSnapshot::default()
-    };
-    if let Some(buckets) = q.get("buckets").and_then(Json::as_array) {
-        for pair in buckets {
-            if let Some(entries) = pair.as_array() {
-                if let (Some(idx), Some(count)) = (
-                    entries.first().and_then(Json::as_u64),
-                    entries.get(1).and_then(Json::as_u64),
-                ) {
-                    if let Ok(idx) = u16::try_from(idx) {
-                        snap.buckets.push((idx, count));
-                    }
+pub fn parse_snapshot(q: &Json) -> HistogramSnapshot {
+    let mut buckets = Vec::new();
+    for pair in q.get("buckets").and_then(Json::as_array).unwrap_or(&[]) {
+        if let Some(entries) = pair.as_array() {
+            if let (Some(idx), Some(count)) = (
+                entries.first().and_then(Json::as_u64),
+                entries.get(1).and_then(Json::as_u64),
+            ) {
+                if let Ok(idx) = u16::try_from(idx) {
+                    buckets.push((idx, count));
                 }
             }
         }
     }
-    snap
+    HistogramSnapshot::from_log_linear(
+        q.get("count").and_then(Json::as_u64).unwrap_or(0),
+        q.get("sum").and_then(Json::as_u64).unwrap_or(0),
+        buckets,
+    )
 }
 
 fn parse_metrics_reply(reply: &Json, poll: &mut NodePoll) {
@@ -88,10 +88,17 @@ fn parse_metrics_reply(reply: &Json, poll: &mut NodePoll) {
             poll.quantiles.insert(name.clone(), parse_snapshot(q));
         }
     }
+    // The ring's deltas, as the node's own `health` reads them; the
+    // lifetime totals only before its first window.
+    let has_ring = result
+        .get("windows")
+        .and_then(Json::as_u64)
+        .is_some_and(|windows| windows > 0);
+    let field = if has_ring { "delta" } else { "total" };
     if let Some(Json::Obj(counters)) = result.get("counters") {
         for (name, stat) in counters {
-            if let Some(total) = stat.get("total").and_then(Json::as_u64) {
-                poll.counters.insert(name.clone(), total);
+            if let Some(value) = stat.get(field).and_then(Json::as_u64) {
+                poll.counters.insert(name.clone(), value);
             }
         }
     }
@@ -134,9 +141,10 @@ where
 }
 
 /// Sums the `serve.slo.<op>.total` / `.breach` counter pairs across
-/// nodes and computes the burn over the merged totals.
+/// nodes (each over its telemetry ring, see [`NodePoll::counters`]) and
+/// computes the burn over the sums.
 #[must_use]
-pub fn merged_slo(sweep: &ClusterMetrics) -> BTreeMap<String, (u64, u64, f64)> {
+fn merged_slo(sweep: &ClusterMetrics) -> BTreeMap<String, (u64, u64, f64)> {
     let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for (_, poll) in &sweep.nodes {
         for (name, &value) in &poll.counters {
@@ -157,22 +165,6 @@ pub fn merged_slo(sweep: &ClusterMetrics) -> BTreeMap<String, (u64, u64, f64)> {
             (op, (total, breach, burn))
         })
         .collect()
-}
-
-fn quantile_json(snap: &QuantileSnapshot) -> Json {
-    let buckets = snap
-        .buckets
-        .iter()
-        .map(|&(idx, count)| Json::Arr(vec![Json::Num(f64::from(idx)), Json::Num(count as f64)]))
-        .collect();
-    Json::Obj(vec![
-        ("count".into(), Json::Num(snap.count as f64)),
-        ("sum".into(), Json::Num(snap.sum as f64)),
-        ("p50".into(), Json::Num(snap.quantile(0.50))),
-        ("p90".into(), Json::Num(snap.quantile(0.90))),
-        ("p99".into(), Json::Num(snap.quantile(0.99))),
-        ("buckets".into(), Json::Arr(buckets)),
-    ])
 }
 
 fn slo_json(sweep: &ClusterMetrics) -> Json {
@@ -201,7 +193,7 @@ pub fn cluster_metrics_json(sweep: &ClusterMetrics, id: Option<&str>) -> Json {
     let merged: Vec<(String, Json)> = sweep
         .merged
         .iter()
-        .map(|(name, snap)| (name.clone(), quantile_json(snap)))
+        .map(|(name, snap)| (name.clone(), histogram_json(snap)))
         .collect();
     let mut shards: Vec<(String, Json)> = Vec::with_capacity(sweep.nodes.len());
     let mut nodes: Vec<(String, Json)> = Vec::with_capacity(sweep.nodes.len());
@@ -291,44 +283,43 @@ pub fn cluster_health_json(sweep: &ClusterMetrics, id: Option<&str>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sram_probe::telemetry::LogLinear;
+    use sram_probe::Histogram;
 
-    fn metrics_reply(latencies: &[u64], slo_total: u64, slo_breach: u64) -> Json {
-        let hist = LogLinear::default();
+    /// A node's `metrics` reply: `latencies` in its latency histogram,
+    /// `windows` telemetry windows, and the optimize SLO counters as
+    /// `(lifetime total, ring delta)` pairs.
+    fn metrics_reply(
+        latencies: &[u64],
+        windows: u64,
+        total: (u64, u64),
+        breach: (u64, u64),
+    ) -> Json {
+        let hist = Histogram::new("serve.request.latency_ns");
         for &v in latencies {
             hist.record(v);
         }
-        let snap = hist.snapshot();
-        let buckets: Vec<Json> = snap
-            .buckets
-            .iter()
-            .map(|&(i, c)| Json::Arr(vec![Json::Num(f64::from(i)), Json::Num(c as f64)]))
-            .collect();
+        let counter = |(total, delta): (u64, u64)| {
+            Json::Obj(vec![
+                ("total".into(), Json::Num(total as f64)),
+                ("delta".into(), Json::Num(delta as f64)),
+            ])
+        };
         Json::Obj(vec![(
             "result".into(),
             Json::Obj(vec![
+                ("windows".into(), Json::Num(windows as f64)),
                 (
                     "quantiles".into(),
                     Json::Obj(vec![(
                         "serve.request.latency_ns".into(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Num(snap.count as f64)),
-                            ("sum".into(), Json::Num(snap.sum as f64)),
-                            ("buckets".into(), Json::Arr(buckets)),
-                        ]),
+                        histogram_json(&hist.snapshot()),
                     )]),
                 ),
                 (
                     "counters".into(),
                     Json::Obj(vec![
-                        (
-                            "serve.slo.optimize.total".into(),
-                            Json::Obj(vec![("total".into(), Json::Num(slo_total as f64))]),
-                        ),
-                        (
-                            "serve.slo.optimize.breach".into(),
-                            Json::Obj(vec![("total".into(), Json::Num(slo_breach as f64))]),
-                        ),
+                        ("serve.slo.optimize.total".into(), counter(total)),
+                        ("serve.slo.optimize.breach".into(), counter(breach)),
                     ]),
                 ),
                 (
@@ -353,20 +344,17 @@ mod tests {
         let mut calls = Vec::new();
         let sweep = poll(&nodes, |node, line| {
             calls.push(line.to_owned());
-            Ok(metrics_reply(
-                if node == "a" { &slow } else { &fast },
-                100,
-                0,
-            ))
+            let latencies = if node == "a" { &slow } else { &fast };
+            Ok(metrics_reply(latencies, 1, (100, 100), (0, 0)))
         });
         assert_eq!(calls, [r#"{"op":"metrics"}"#; 2], "one request per node");
-        let union = LogLinear::default();
+        let union = Histogram::new("union");
         for &v in slow.iter().chain(fast.iter()) {
             union.record(v);
         }
         let expected = union.snapshot();
         let merged = sweep.merged.get("serve.request.latency_ns").unwrap();
-        assert_eq!(merged.count, expected.count);
+        assert_eq!(*merged, expected);
         for q in [0.5, 0.9, 0.99] {
             let (a, b) = (merged.quantile(q), expected.quantile(q));
             assert!(
@@ -388,7 +376,7 @@ mod tests {
             if node == "down" {
                 Err(ServeError::Remote("connection refused".into()))
             } else {
-                Ok(metrics_reply(&[1_000, 2_000], 10, 9))
+                Ok(metrics_reply(&[1_000, 2_000], 1, (10, 10), (9, 9)))
             }
         });
         assert_eq!(calls, 2, "a 2-node sweep makes exactly 2 calls");
@@ -417,5 +405,38 @@ mod tests {
             health.render()
         );
         assert_eq!(health.get("nodes_failed").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn burn_reads_each_nodes_ring_not_its_lifetime() {
+        // An early burst: 50 of the node's 120 lifetime optimizes
+        // breached, none of the 20 its ring still holds. Like the
+        // node's own `health`, the cluster verdict is over the ring.
+        let nodes = vec!["recovered".to_string()];
+        let sweep = poll(&nodes, |_, _| {
+            Ok(metrics_reply(&[1_000], 3, (120, 20), (50, 0)))
+        });
+        assert_eq!(merged_slo(&sweep)["optimize"], (20, 0, 0.0));
+        let health = cluster_health_json(&sweep, None);
+        assert_eq!(
+            health.get("verdict").and_then(Json::as_str),
+            Some("ok"),
+            "{}",
+            health.render()
+        );
+
+        // A node with no window yet falls back to its lifetime totals,
+        // so a burst before the first window is not invisible.
+        let nodes = vec!["cold".to_string()];
+        let sweep = poll(&nodes, |_, _| {
+            Ok(metrics_reply(&[1_000], 0, (120, 0), (50, 0)))
+        });
+        assert_eq!(merged_slo(&sweep)["optimize"].0, 120);
+        assert_eq!(
+            cluster_health_json(&sweep, None)
+                .get("verdict")
+                .and_then(Json::as_str),
+            Some("unhealthy")
+        );
     }
 }

@@ -30,10 +30,10 @@
 //!   router stitches winner *and* cancelled hedge loser into one
 //!   clock-rebased timeline ([`stitch`]);
 //! * **federates metrics** — never-cached `cluster-metrics` and
-//!   `cluster-health` ops merge the nodes' windowed `LogLinear`
-//!   histograms bucket-wise ([`collector`]), so cluster-wide
-//!   p50/p90/p99 and the SLO burn are computed over one merged
-//!   distribution instead of averaged per-node percentiles.
+//!   `cluster-health` ops merge the nodes' windowed histograms
+//!   bucket-wise ([`collector`]), so cluster-wide p50/p90/p99 come
+//!   from one merged distribution instead of averaged per-node
+//!   percentiles, and sum the nodes' windowed SLO breach counts.
 //!
 //! A router is configured by filling [`RouterConfig`] (members,
 //! replicas, hedge floor, virtual nodes); in-process clusters (tests,
@@ -66,7 +66,7 @@ pub mod affinity;
 pub mod collector;
 pub mod stitch;
 
-pub use poller::{NodeState, NodeStatus, DOWN_AFTER_FAILURES};
+pub use poller::{NodeState, NodeStatus};
 pub use ring::{Ring, DEFAULT_VNODES};
 pub use router::{Router, RouterConfig};
 pub use sram_probe::hash::splitmix64;

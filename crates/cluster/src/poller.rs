@@ -14,7 +14,7 @@
 //! * **Draining** — the node answered but judged itself `unhealthy`;
 //!   it is removed from the ring (no new keys) but keeps being polled,
 //!   so it rejoins the moment its verdict recovers.
-//! * **Down** — [`DOWN_AFTER_FAILURES`] consecutive poll failures; the
+//! * **Down** — `DOWN_AFTER_FAILURES` consecutive poll failures; the
 //!   node is evicted and its last-seen health revision forgotten (a
 //!   restarted process restarts its revision counter at 1, which must
 //!   not read as stale).
@@ -37,7 +37,7 @@ use sram_serve::{Json, NodeConn};
 use crate::ring::Ring;
 
 /// Consecutive poll failures after which a node is declared down.
-pub const DOWN_AFTER_FAILURES: u32 = 2;
+const DOWN_AFTER_FAILURES: u32 = 2;
 
 /// Where a node stands in the drain/evict/rejoin state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

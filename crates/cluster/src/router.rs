@@ -30,9 +30,9 @@
 //!   and no node fault can disturb its answer.
 //! * **`cluster-metrics` / `cluster-health`** — answered by the router
 //!   from a fresh [`crate::collector`] sweep, one `metrics` request per
-//!   node: merged `LogLinear` histograms with cluster-wide
-//!   p50/p90/p99, the per-shard cache-hit breakdown, and an SLO burn
-//!   over the merged distribution. Never cached, never forwarded.
+//!   node: merged histograms with cluster-wide p50/p90/p99, the
+//!   per-shard cache-hit breakdown, and an SLO burn over every node's
+//!   telemetry ring. Never cached, never forwarded.
 //!
 //! A request with `"trace": true` additionally gets a distributed
 //! trace: the router makes one seeded sampling decision, attaches a
@@ -559,10 +559,9 @@ fn race(
 fn record_rtt(started: Instant, result: &Result<Json, ServeError>) -> u64 {
     let rtt_ns = started.elapsed().as_nanos() as u64;
     if result.is_ok() {
-        sram_probe::probe_record!("cluster.forward.latency_ns", rtt_ns);
         // Ungated: the hedge-delay derivation needs the p99 stream even
         // with probes off.
-        probe_handle!(quantiles "cluster.forward.latency_ns").record(rtt_ns);
+        probe_handle!(histogram "cluster.forward.latency_ns").record(rtt_ns);
     }
     rtt_ns
 }
@@ -751,9 +750,9 @@ fn hedge_delay(inner: &RouterInner) -> Duration {
     }
     let floor = inner.config.hedge_ms.max(1) as f64;
     let p99_ms = sram_probe::telemetry::export()
-        .quantiles
+        .histograms
         .get("cluster.forward.latency_ns")
-        .map_or(0.0, |q| q.p99 / 1e6);
+        .map_or(0.0, |h| h.quantile(0.99) / 1e6);
     let ms = (p99_ms * 1.2).clamp(floor, HEDGE_CAP_MS.max(floor));
     probe_handle!(gauge "cluster.hedge.delay_ms").set(ms);
     cached.computed_at = Some(Instant::now());

@@ -24,6 +24,7 @@
 
 use std::fmt::Write as _;
 
+use sram_probe::json::escape_into;
 use sram_probe::trace::TraceCtx;
 use sram_serve::Json;
 
@@ -68,7 +69,7 @@ fn rebase(node: &mut Json, offset_ns: u64) {
 /// The symmetric-delay clock offset for one attempt: its send time
 /// plus half the wire time the node tree does not account for.
 #[must_use]
-pub fn clock_offset_ns(send_ns: u64, rtt_ns: u64, node_dur_ns: u64) -> u64 {
+fn clock_offset_ns(send_ns: u64, rtt_ns: u64, node_dur_ns: u64) -> u64 {
     send_ns + rtt_ns.saturating_sub(node_dur_ns) / 2
 }
 
@@ -127,7 +128,7 @@ fn count_spans(node: &Json) -> u64 {
 /// Total span count of a stitched tree (root, attempts, and every
 /// node-side span).
 #[must_use]
-pub fn span_count(tree: &Json) -> u64 {
+fn span_count(tree: &Json) -> u64 {
     count_spans(tree)
 }
 
@@ -172,32 +173,30 @@ pub fn validate(tree: &Json) -> Result<u64, String> {
     Ok(span_count(tree))
 }
 
-fn chrome_event(out: &mut String, node: &Json, pid: u32, extra: &[(&str, String)]) {
+/// Writes one complete (`X`) event. Its name and `args` come from node
+/// replies, so they are written escaped.
+fn chrome_event(out: &mut String, node: &Json, pid: u32, args: Option<&Json>) {
     let name = node.get("name").and_then(Json::as_str).unwrap_or("span");
     let start = node.get("start_ns").and_then(Json::as_f64).unwrap_or(0.0);
     let dur = node.get("dur_ns").and_then(Json::as_f64).unwrap_or(0.0);
+    out.push_str(",{\"name\":\"");
+    escape_into(out, name);
     let _ = write!(
         out,
-        ",{{\"name\":\"{name}\",\"cat\":\"cluster\",\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\
+        "\",\"cat\":\"cluster\",\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\
          \"ts\":{:.3},\"dur\":{:.3}",
         start / 1e3,
         dur / 1e3,
     );
-    if !extra.is_empty() {
-        out.push_str(",\"args\":{");
-        for (i, (key, value)) in extra.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{key}\":{value}");
-        }
-        out.push('}');
+    if let Some(args) = args {
+        out.push_str(",\"args\":");
+        out.push_str(&args.render());
     }
     out.push('}');
 }
 
 fn chrome_subtree(out: &mut String, node: &Json, pid: u32) {
-    chrome_event(out, node, pid, &[]);
+    chrome_event(out, node, pid, None);
     if let Some(children) = node.get("children").and_then(Json::as_array) {
         for child in children {
             chrome_subtree(out, child, pid);
@@ -233,11 +232,13 @@ pub fn chrome_trace(tree: &Json) -> String {
         let _ = write!(
             out,
             ",{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-             \"args\":{{\"name\":\"{addr}\"}}}}",
+             \"args\":{{\"name\":\"",
             i as u32 + 2,
         );
+        escape_into(&mut out, addr);
+        out.push_str("\"}}");
     }
-    chrome_event(&mut out, tree, 1, &[]);
+    chrome_event(&mut out, tree, 1, None);
     for attempt in &attempts {
         let addr = attempt.get("node").and_then(Json::as_str).unwrap_or("?");
         let pid = nodes
@@ -251,16 +252,12 @@ pub fn chrome_trace(tree: &Json) -> String {
             .unwrap_or(false);
         // The attempt marker renders on the router lane (it is the
         // router's view of the wire), its node subtree on the node's.
-        chrome_event(
-            &mut out,
-            attempt,
-            1,
-            &[
-                ("via", format!("\"{via}\"")),
-                ("hedge_loser", loser.to_string()),
-                ("node", format!("\"{addr}\"")),
-            ],
-        );
+        let args = Json::Obj(vec![
+            ("via".into(), Json::Str(via.into())),
+            ("hedge_loser".into(), Json::Bool(loser)),
+            ("node".into(), Json::Str(addr.into())),
+        ]);
+        chrome_event(&mut out, attempt, 1, Some(&args));
         if let Some(children) = attempt.get("children").and_then(Json::as_array) {
             for child in children {
                 chrome_subtree(&mut out, child, pid);
@@ -424,5 +421,41 @@ mod tests {
             json.matches('}').count(),
             "{json}"
         );
+    }
+
+    #[test]
+    fn chrome_trace_escapes_names_and_addresses_from_node_replies() {
+        let odd = r#"serve."quoted"\path"#;
+        let mut tree = node_tree(7, 1_000.0);
+        if let Json::Obj(pairs) = &mut tree {
+            pairs[0].1 = Json::Str(odd.into());
+        }
+        let attempts = vec![AttemptPiece {
+            node: r#"node"a\b:9000"#.into(),
+            via: "primary",
+            hedge_loser: false,
+            send_ns: 0,
+            rtt_ns: 1_000,
+            tree: Some(tree),
+            error: None,
+        }];
+        let json = chrome_trace(&stitch(&ctx(), 1_000, &attempts));
+        let parsed = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        let events = parsed.get("traceEvents").and_then(Json::as_array).unwrap();
+        let named = |name: &str| {
+            events
+                .iter()
+                .any(|e| e.get("name").and_then(Json::as_str) == Some(name))
+        };
+        assert!(named(odd), "{json}");
+        let lane = events.iter().find(|e| {
+            e.get("ph").and_then(Json::as_str) == Some("M")
+                && e.get("pid").and_then(Json::as_u64) == Some(2)
+        });
+        let lane_name = lane
+            .and_then(|e| e.get("args"))
+            .and_then(|args| args.get("name"))
+            .and_then(Json::as_str);
+        assert_eq!(lane_name, Some(r#"node"a\b:9000"#));
     }
 }

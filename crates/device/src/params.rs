@@ -27,15 +27,12 @@ use sram_units::{Capacitance, Voltage};
 /// Nominal supply voltage of the adopted 7 nm library (450 mV).
 pub const NOMINAL_VDD: Voltage = Voltage::from_volts(0.450);
 
-/// Thermal voltage `kT/q` at 300 K.
-pub const THERMAL_VOLTAGE: Voltage = Voltage::from_volts(0.02585);
-
 /// Power-law exponent `a` of the drive-current model, taken directly from
 /// the paper's read-current fit (`a = 1.3`).
-pub const ALPHA: f64 = 1.3;
+const ALPHA: f64 = 1.3;
 
 /// Subthreshold slope in volts per decade (75 mV/dec).
-pub const SUBTHRESHOLD_SLOPE: Voltage = Voltage::from_volts(0.075);
+const SUBTHRESHOLD_SLOPE: Voltage = Voltage::from_volts(0.075);
 
 /// Complete parameter set of one FinFET device flavor.
 ///

@@ -7,8 +7,8 @@
 //!    `serve.worker_panic`, `serve.conn_drop`, `serve.node_kill`),
 //!    each with a firing
 //!    probability, an optional injected latency, and an optional cap on
-//!    total fires. Installing a plan ([`install`] / `SRAM_FAULTS=plan.json`
-//!    via [`install_from_env`]) arms the process-wide registry; hardened
+//!    total fires. Installing a plan ([`install`]) arms the
+//!    process-wide registry; hardened
 //!    call sites then ask [`should_fire`] / [`maybe_sleep`] at their named
 //!    point. Every point draws from its own PRNG stream seeded
 //!    `plan.seed ^ fnv1a64(point)` ([`sram_probe::hash`]), so the
@@ -54,10 +54,5 @@ mod registry;
 pub use cancel::{ordered_map, CancelReason, CancelToken};
 pub use plan::{FaultError, FaultPlan, FaultRule};
 pub use registry::{
-    counts, enabled, injected_total, install, install_from_env, maybe_sleep, should_fire,
-    uninstall, ActiveSet,
+    counts, enabled, injected_total, install, maybe_sleep, should_fire, uninstall, ActiveSet,
 };
-
-/// Environment variable naming a fault-plan JSON file; read by
-/// [`install_from_env`].
-pub const SRAM_FAULTS_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_FAULTS");

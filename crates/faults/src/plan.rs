@@ -1,10 +1,8 @@
 //! Fault plans: which injection points can fire, with what probability,
-//! latency, and cap — read from `SRAM_FAULTS=plan.json` with the
-//! workspace's JSON codec ([`sram_probe::json`]).
+//! latency, and cap — built in code or parsed from JSON with the
+//! workspace's codec ([`sram_probe::json`]).
 
 use std::fmt;
-use std::fs;
-use std::path::Path;
 
 use sram_probe::json::Json;
 
@@ -56,7 +54,7 @@ impl FaultRule {
 }
 
 /// A deterministic, seeded set of fault rules. Install with
-/// [`crate::install`] or load from a file via [`FaultPlan::from_file`].
+/// [`crate::install`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Master seed; each point derives its own stream as
@@ -120,20 +118,6 @@ impl FaultPlan {
         }
         plan.validate()?;
         Ok(plan)
-    }
-
-    /// Reads and parses a plan file (see [`FaultPlan::parse`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultError::Io`] if the file is unreadable, otherwise
-    /// whatever [`FaultPlan::parse`] returns.
-    pub fn from_file(path: &Path) -> Result<Self, FaultError> {
-        let text = fs::read_to_string(path).map_err(|e| FaultError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        Self::parse(&text)
     }
 
     fn validate(&self) -> Result<(), FaultError> {
@@ -217,13 +201,6 @@ fn integer(value: &Json, what: &str) -> Result<u64, FaultError> {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FaultError {
-    /// The plan file could not be read.
-    Io {
-        /// Path we tried to read.
-        path: String,
-        /// Underlying I/O error text.
-        message: String,
-    },
     /// The plan text is not well-formed JSON.
     Parse {
         /// Byte offset of the failure.
@@ -241,7 +218,6 @@ pub enum FaultError {
 impl fmt::Display for FaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Io { path, message } => write!(f, "fault plan `{path}`: {message}"),
             Self::Parse { offset, message } => {
                 write!(f, "fault plan parse error at byte {offset}: {message}")
             }
@@ -364,11 +340,5 @@ mod tests {
         assert_eq!(top.seed, u64::MAX - 2047);
         let err = FaultPlan::parse(r#"{"seed": 1.5}"#).unwrap_err();
         assert!(matches!(err, FaultError::Invalid { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn from_file_reports_missing_files_as_io_errors() {
-        let err = FaultPlan::from_file(Path::new("/nonexistent/plan.json")).unwrap_err();
-        assert!(matches!(err, FaultError::Io { .. }));
     }
 }

@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::plan::FaultPlan;
-use crate::{FaultError, SRAM_FAULTS_ENV};
 use sram_probe::hash::fnv1a64;
 
 struct PointState {
@@ -82,7 +81,7 @@ impl ActiveSet {
 
     /// One draw at `point`: `Some(latency)` if it fired. Points the plan
     /// does not mention never fire.
-    pub fn decide(&mut self, point: &str) -> Option<Duration> {
+    fn decide(&mut self, point: &str) -> Option<Duration> {
         self.points.get_mut(point).and_then(PointState::decide)
     }
 
@@ -108,12 +107,6 @@ impl ActiveSet {
     #[must_use]
     pub fn injected_total(&self) -> u64 {
         self.points.values().map(|state| state.fires).sum()
-    }
-
-    /// Total draws across all points (fires plus no-fires).
-    #[must_use]
-    pub fn draw_total(&self) -> u64 {
-        self.points.values().map(|state| state.draws).sum()
     }
 }
 
@@ -146,23 +139,6 @@ pub fn uninstall() {
     let mut guard = lock();
     ENABLED.store(false, Ordering::Release);
     *guard = None;
-}
-
-/// Installs the plan named by `SRAM_FAULTS` (a path to a plan JSON file),
-/// if the variable is set. Returns `Ok(true)` when a plan was installed.
-///
-/// # Errors
-///
-/// Propagates [`FaultError`] from reading or parsing the plan file.
-pub fn install_from_env() -> Result<bool, FaultError> {
-    match SRAM_FAULTS_ENV.get() {
-        Some(path) if !path.is_empty() => {
-            let plan = FaultPlan::from_file(std::path::Path::new(&path))?;
-            install(&plan);
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
 }
 
 /// Whether a plan is currently installed (single relaxed atomic load).
@@ -220,6 +196,11 @@ mod tests {
     use super::*;
     use crate::FaultRule;
 
+    /// Draws across all points of `set` (fires plus no-fires).
+    fn draws(set: &ActiveSet) -> u64 {
+        set.points.values().map(|state| state.draws).sum()
+    }
+
     fn replay_plan() -> FaultPlan {
         FaultPlan::new(0xC0FFEE)
             .rule(FaultRule::sometimes("spice.nonconverge", 0.37))
@@ -275,7 +256,7 @@ mod tests {
         assert_eq!(&fired[..2], &[true, true], "p=1 fires immediately");
         assert_eq!(set.injected_total(), 2);
         assert_eq!(set.counts(), vec![("serve.worker_panic".to_string(), 2)]);
-        assert_eq!(set.draw_total(), 2, "exhausted points stop drawing");
+        assert_eq!(draws(&set), 2, "exhausted points stop drawing");
     }
 
     #[test]
@@ -292,6 +273,6 @@ mod tests {
         let plan = replay_plan();
         let mut set = ActiveSet::new(&plan);
         assert!(!set.should_fire("serve.conn_drop"));
-        assert_eq!(set.draw_total(), 0);
+        assert_eq!(draws(&set), 0);
     }
 }

@@ -27,8 +27,7 @@ pub enum Kind {
     Counter,
     /// A last-write-wins level ([`Gauge`](crate::Gauge)).
     Gauge,
-    /// A log2 [`Histogram`](crate::Histogram) or a telemetry quantile
-    /// histogram.
+    /// A log-linear [`Histogram`](crate::Histogram).
     Histogram,
     /// A trace span name ([`trace`](crate::trace)).
     Trace,
@@ -209,14 +208,14 @@ pub const PROBES: &[ProbeRow] = &[
     row("serve.cache.evictions", Counter, Serve, OBSERVABILITY_ONLY),
     row("serve.cache.hits", Counter, Serve, At("crates/bench/src/serve.rs")),
     row("serve.cache.insertions", Counter, Serve, At("crates/bench/src/soak/mod.rs")),
-    row("serve.cache.load_errors", Counter, Serve, OBSERVABILITY_ONLY),
-    row("serve.cache.load_failed", Counter, Serve, OBSERVABILITY_ONLY),
+    row("serve.cache.load_errors", Counter, Serve, At("crates/serve/tests/cache_persist.rs")),
+    row("serve.cache.load_failed", Counter, Serve, At("crates/serve/tests/cache_persist.rs")),
     row("serve.cache.misses", Counter, Serve, At("crates/serve/tests/batch_coalesce.rs")),
-    row("serve.cache.persisted", Counter, Serve, OBSERVABILITY_ONLY),
-    row("serve.cache.save_failed", Counter, Serve, OBSERVABILITY_ONLY),
-    row("serve.cache.spilled", Counter, Serve, OBSERVABILITY_ONLY),
-    row("serve.cache.warm_started", Counter, Serve, OBSERVABILITY_ONLY),
-    row("serve.cache.warmed", Counter, Serve, OBSERVABILITY_ONLY),
+    row("serve.cache.persisted", Counter, Serve, At("crates/serve/tests/cache_persist.rs")),
+    row("serve.cache.save_failed", Counter, Serve, At("crates/serve/tests/cache_persist.rs")),
+    row("serve.cache.spilled", Counter, Serve, At("crates/serve/tests/cache_persist.rs")),
+    row("serve.cache.warm_started", Counter, Serve, At("crates/serve/tests/cache_persist.rs")),
+    row("serve.cache.warmed", Counter, Serve, At("crates/serve/tests/cache_persist.rs")),
     row("serve.characterize", Trace, Serve, At("crates/serve/tests/server_e2e.rs")),
     row("serve.conn.accepted", Counter, Serve, At("crates/bench/src/soak/mod.rs")),
     row("serve.conn.injected_drops", Counter, Serve, At("crates/bench/src/soak/mod.rs")),
@@ -275,7 +274,6 @@ pub const PROBES: &[ProbeRow] = &[
 #[rustfmt::skip]
 pub const ENV_VARS: &[EnvRow] = &[
     var("SRAM_CACHE_FILE", Serve, "result-cache spill file, loaded at start and written at shutdown"),
-    var("SRAM_FAULTS", Faults, "path to a fault-plan JSON file installed by `install_from_env`"),
     var("SRAM_LOG", Probe, "JSON-lines event log path, `-` for stderr (off when unset)"),
     var("SRAM_LOG_LEVEL", Probe, "minimum event level written to the log (default info)"),
     var("SRAM_LOG_SLOW_MS", Serve, "slow-query log threshold of nodes and router, ms (default 1000)"),

@@ -1,5 +1,5 @@
 //! Workspace-wide instrumentation: named counters, gauges, and timing
-//! spans feeding log2-bucketed histograms, behind a global registry.
+//! spans feeding log-linear histograms, behind a global registry.
 //!
 //! The crate is std-only (atomics, [`std::time::Instant`], one mutex on
 //! the registration slow path) so every layer of the workspace can
@@ -85,9 +85,8 @@
 //! The [`telemetry`] module turns point-in-time snapshots into a
 //! windowed time series: a background sampler stores per-interval
 //! deltas in a bounded ring (`SRAM_TELEMETRY_WINDOW` /
-//! `SRAM_TELEMETRY_SLOTS`), with streaming p50/p90/p99 quantiles from
-//! a mergeable log-linear histogram and a Prometheus-style text
-//! exposition. The [`log`] module writes structured JSON-lines events
+//! `SRAM_TELEMETRY_SLOTS`), with p50/p90/p99 read off the merged
+//! histogram windows and a Prometheus-style text exposition. The [`log`] module writes structured JSON-lines events
 //! (`SRAM_LOG=path`, leveled) for rare operator-relevant moments.
 
 #![forbid(unsafe_code)]
@@ -121,7 +120,7 @@ pub mod trace;
 
 pub use catalogue::EnvVar;
 pub use level::{enabled, level, set_level, Level};
-pub use metrics::{Counter, Gauge, Histogram, Span};
+pub use metrics::{Counter, Gauge, Histogram, Span, MAX_QUANTILE_RELATIVE_ERROR};
 pub use registry::{counter, gauge, histogram, reset};
 pub use snapshot::{snapshot, HistogramSnapshot, Snapshot};
 
@@ -135,7 +134,6 @@ pub use snapshot::{snapshot, HistogramSnapshot, Snapshot};
 /// | `probe_handle!(counter "name")` | `&'static` [`Counter`] |
 /// | `probe_handle!(gauge "name")` | `&'static` [`Gauge`] |
 /// | `probe_handle!(histogram "name")` | `&'static` [`Histogram`] |
-/// | `probe_handle!(quantiles "name")` | `&'static` [`telemetry::LogLinear`] |
 /// | `probe_handle!(trace "name")` | the interned span-name id (`u32`) |
 ///
 /// Like every probe macro it checks the name against
@@ -154,14 +152,6 @@ macro_rules! probe_handle {
             Histogram,
             &'static $crate::Histogram,
             $crate::histogram
-        )
-    };
-    (quantiles $name:expr) => {
-        $crate::__probe_handle!(
-            $name,
-            Histogram,
-            &'static $crate::telemetry::LogLinear,
-            $crate::telemetry::quantiles
         )
     };
     (trace $name:expr) => {
@@ -227,7 +217,7 @@ macro_rules! probe_gauge {
     }};
 }
 
-/// Records a value into a named log2-bucketed histogram.
+/// Records a value into a named log-linear [`Histogram`].
 ///
 /// `probe_record!("name", v)` records at [`Level::Summary`];
 /// `probe_record!(detail "name", v)` only at [`Level::Detail`].

@@ -1,8 +1,8 @@
 //! Structured JSON-lines event logging.
 //!
-//! Off by default. `SRAM_LOG=path` opens the sink at first use (or
-//! [`set_path`] at runtime); `SRAM_LOG_LEVEL=debug|info|warn|error`
-//! sets the floor (default `info`). One event is one line of JSON:
+//! Off by default. `SRAM_LOG=path` opens the sink at first use;
+//! `SRAM_LOG_LEVEL=debug|info|warn|error` sets the floor (default
+//! `info`). One event is one line of JSON:
 //!
 //! ```text
 //! {"ts_ms":1754610000123,"level":"warn","event":"serve.slow_query","latency_ms":812,...}
@@ -134,36 +134,9 @@ fn open(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Opens (append) or closes the log sink at runtime, overriding
-/// `SRAM_LOG`.
-///
-/// # Errors
-///
-/// Returns the I/O error when the path cannot be opened; the previous
-/// sink (if any) is left in place in that case.
-pub fn set_path(path: Option<&Path>) -> std::io::Result<()> {
-    INIT.call_once(|| {});
-    match path {
-        Some(path) => open(path),
-        None => {
-            let mut sink = SINK.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(mut s) = sink.take() {
-                let _ = s.writer.flush();
-            }
-            ACTIVE.store(false, Ordering::Relaxed);
-            Ok(())
-        }
-    }
-}
-
-/// Sets the minimum level that reaches the sink.
-pub fn set_min_level(level: LogLevel) {
-    MIN_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
 /// The current minimum level.
 #[must_use]
-pub fn min_level() -> LogLevel {
+fn min_level() -> LogLevel {
     LogLevel::from_u8(MIN_LEVEL.load(Ordering::Relaxed))
 }
 
@@ -292,14 +265,16 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("events.jsonl");
 
-        set_path(Some(&path)).expect("open sink");
-        set_min_level(LogLevel::Info);
+        init_from_env(); // so a set `SRAM_LOG` cannot reopen a sink later
+        open(&path).expect("open sink");
+        MIN_LEVEL.store(LogLevel::Info as u8, Ordering::Relaxed);
         assert!(enabled(LogLevel::Info));
         assert!(!enabled(LogLevel::Debug));
 
         log_event(LogLevel::Debug, "doc.below_floor", &[]);
         log_event(LogLevel::Info, "doc.kept", &[("n", LogValue::U64(1))]);
-        set_path(None).expect("close sink");
+        ACTIVE.store(false, Ordering::Relaxed);
+        drop(SINK.lock().unwrap_or_else(PoisonError::into_inner).take());
         assert!(!enabled(LogLevel::Error));
 
         let text = std::fs::read_to_string(&path).expect("log file");

@@ -3,9 +3,48 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Number of log2 buckets: one per possible bit length of a `u64`,
-/// plus bucket 0 for the value zero.
-pub(crate) const BUCKETS: usize = 65;
+use crate::snapshot::HistogramSnapshot;
+
+/// Linear sub-buckets per power of two (a power of two itself).
+const SUB_BUCKETS: usize = 16;
+/// `log2(SUB_BUCKETS)`.
+const SUB_SHIFT: u32 = 4;
+/// Number of histogram buckets: values `0..16` get exact buckets, then
+/// 16 sub-buckets per octave for exponents 4..=63.
+pub(crate) const BUCKETS: usize = SUB_BUCKETS + (64 - SUB_SHIFT as usize) * SUB_BUCKETS;
+
+/// Worst-case relative error of a
+/// [`HistogramSnapshot::quantile`](crate::HistogramSnapshot::quantile)
+/// estimate: a bucket spanning `[lo, lo + w)` has `lo ≥ 16·w`, so its
+/// midpoint is within `w/2 ≤ lo/32` of any sample in it.
+pub const MAX_QUANTILE_RELATIVE_ERROR: f64 = 1.0 / 32.0;
+
+/// The bucket a value lands in: exact below [`SUB_BUCKETS`], then
+/// `(exponent, sub-bucket)` addressed log-linearly. Contiguous at the
+/// boundary (`bucket_index(v) == v` for `v < 32`).
+pub(crate) fn bucket_index(value: u64) -> usize {
+    if value < SUB_BUCKETS as u64 {
+        value as usize
+    } else {
+        let exponent = 63 - value.leading_zeros();
+        let sub = ((value >> (exponent - SUB_SHIFT)) & (SUB_BUCKETS as u64 - 1)) as usize;
+        SUB_BUCKETS + (exponent - SUB_SHIFT) as usize * SUB_BUCKETS + sub
+    }
+}
+
+/// Inclusive `[lo, hi]` value range of a bucket (`index < BUCKETS`).
+pub(crate) fn bucket_bounds(index: usize) -> (u64, u64) {
+    if index < SUB_BUCKETS {
+        (index as u64, index as u64)
+    } else {
+        let k = index - SUB_BUCKETS;
+        let exponent = SUB_SHIFT + (k / SUB_BUCKETS) as u32;
+        let sub = (k % SUB_BUCKETS) as u64;
+        let width = 1u64 << (exponent - SUB_SHIFT);
+        let lo = (SUB_BUCKETS as u64 + sub) << (exponent - SUB_SHIFT);
+        (lo, lo + (width - 1))
+    }
+}
 
 /// A monotonically increasing event count.
 #[derive(Debug)]
@@ -89,13 +128,15 @@ impl Gauge {
     }
 }
 
-/// A log2-bucketed histogram of `u64` samples.
+/// A log-linear histogram of `u64` samples.
 ///
-/// A sample lands in bucket `b = bit_length(sample)` (zero in bucket
-/// 0), i.e. bucket `b ≥ 1` covers `[2^(b-1), 2^b)`. 65 buckets cover
-/// the full `u64` range, so recording never clips. The total count and
-/// sum are tracked exactly; the bucket layout trades per-sample
-/// precision for lock-free fixed-size storage.
+/// Values below 16 get a bucket each; above, every power of two splits
+/// into 16 linear sub-buckets, 976 buckets in all, so recording never
+/// clips. No bucket is wider than 1/16 of its lower bound, which bounds
+/// a quantile estimate's relative error by
+/// [`MAX_QUANTILE_RELATIVE_ERROR`]; count and sum are exact. Recording
+/// is three relaxed atomic RMWs; reading is [`Histogram::snapshot`],
+/// whose copies merge and diff exactly.
 #[derive(Debug)]
 pub struct Histogram {
     name: &'static str,
@@ -105,7 +146,10 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    pub(crate) fn new(name: &'static str) -> Self {
+    /// An empty histogram outside the registry (the registry makes its
+    /// own through [`histogram`](crate::histogram)).
+    #[must_use]
+    pub fn new(name: &'static str) -> Self {
         Self {
             name,
             count: AtomicU64::new(0),
@@ -120,34 +164,29 @@ impl Histogram {
         self.name
     }
 
-    /// Index of the bucket a value lands in.
-    #[must_use]
-    pub fn bucket_index(value: u64) -> usize {
-        (u64::BITS - value.leading_zeros()) as usize
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of samples recorded.
+    /// Copies the current state.
     #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn bucket(&self, index: usize) -> u64 {
-        self.buckets[index].load(Ordering::Relaxed)
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets = self
+            .buckets
+            .iter()
+            .enumerate()
+            .map(|(index, n)| (index as u16, n.load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        HistogramSnapshot::from_log_linear(
+            self.count.load(Ordering::Relaxed),
+            self.sum.load(Ordering::Relaxed),
+            buckets,
+        )
     }
 
     /// Starts a timing span; the returned guard records the elapsed
@@ -218,15 +257,57 @@ mod tests {
     }
 
     #[test]
+    fn bucket_index_is_contiguous_and_monotone() {
+        // Exact below 32 (16 exact + first octave of width-1 buckets).
+        for v in 0..32u64 {
+            assert_eq!(bucket_index(v), v as usize, "v={v}");
+        }
+        // Monotone across an increasing sample of the full range.
+        let mut prev = 0usize;
+        for shift in 0..64u32 {
+            for offset in [0u64, 1, 7] {
+                let v = (1u64 << shift).saturating_add(offset.saturating_mul(1u64 << shift) / 8);
+                let b = bucket_index(v);
+                assert!(b >= prev, "index not monotone at {v}");
+                prev = b;
+            }
+        }
+        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn bucket_bounds_roundtrip() {
+        for index in 0..BUCKETS {
+            let (lo, hi) = bucket_bounds(index);
+            assert!(lo <= hi, "index {index}");
+            assert_eq!(bucket_index(lo), index, "lo of {index}");
+            assert_eq!(bucket_index(hi), index, "hi of {index}");
+            if index > 0 {
+                let (_, prev_hi) = bucket_bounds(index - 1);
+                assert_eq!(lo, prev_hi + 1, "gap before index {index}");
+            }
+        }
+    }
+
+    /// The power-of-two bucket the snapshot view files one sample under.
+    fn power_of_two_bucket(value: u64) -> u32 {
+        let h = Histogram::new("t.one");
+        h.record(value);
+        let buckets = h.snapshot().buckets;
+        assert_eq!(buckets.len(), 1, "one sample fills one bucket");
+        buckets[0].0
+    }
+
+    #[test]
     fn bucket_index_is_bit_length() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(1023), 10);
-        assert_eq!(Histogram::bucket_index(1024), 11);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
+        assert_eq!(power_of_two_bucket(0), 0);
+        assert_eq!(power_of_two_bucket(1), 1);
+        assert_eq!(power_of_two_bucket(2), 2);
+        assert_eq!(power_of_two_bucket(3), 2);
+        assert_eq!(power_of_two_bucket(4), 3);
+        assert_eq!(power_of_two_bucket(1023), 10);
+        assert_eq!(power_of_two_bucket(1024), 11);
+        assert_eq!(power_of_two_bucket(u64::MAX), 64);
     }
 
     #[test]
@@ -234,30 +315,51 @@ mod tests {
         // Bucket b ≥ 1 covers [2^(b-1), 2^b): each power of two opens
         // a new bucket, and the value just past it stays in that
         // bucket. Exhaustive over every representable boundary.
-        assert_eq!(Histogram::bucket_index(1), 1, "2^0 opens bucket 1");
+        assert_eq!(power_of_two_bucket(1), 1, "2^0 opens bucket 1");
         for k in 1..64u32 {
             let pow = 1u64 << k;
             assert_eq!(
-                Histogram::bucket_index(pow - 1),
-                k as usize,
+                power_of_two_bucket(pow - 1),
+                k,
                 "2^{k} - 1 closes bucket {k}"
             );
             assert_eq!(
-                Histogram::bucket_index(pow),
-                (k + 1) as usize,
+                power_of_two_bucket(pow),
+                k + 1,
                 "2^{k} opens bucket {}",
                 k + 1
             );
             assert_eq!(
-                Histogram::bucket_index(pow + 1),
-                (k + 1) as usize,
+                power_of_two_bucket(pow + 1),
+                k + 1,
                 "2^{k} + 1 stays in bucket {}",
                 k + 1
             );
         }
-        // The top of the range: u64::MAX lands in the last bucket, so
-        // recording can never index out of bounds.
-        assert_eq!(Histogram::bucket_index(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn power_of_two_view_is_the_bit_length_of_random_samples() {
+        // Each octave's 16 log-linear buckets sum into exactly one
+        // power-of-two bucket, so the view equals a histogram keyed by
+        // bit length, sample for sample.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let h = Histogram::new("t.random");
+        let mut expected = std::collections::BTreeMap::<u32, u64>::new();
+        for i in 0..200_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Spread the samples over every bit length, zero included.
+            let shift = i % 65;
+            let v = if shift == 64 { 0 } else { x >> shift };
+            h.record(v);
+            *expected.entry(u64::BITS - v.leading_zeros()).or_default() += 1;
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.buckets, expected.into_iter().collect::<Vec<_>>());
+        let fine: u64 = snap.log_linear.iter().map(|&(_, n)| n).sum();
+        assert_eq!(fine, snap.count);
     }
 
     #[test]
@@ -266,15 +368,14 @@ mod tests {
         for v in [0u64, 1, 3, 1000, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 2004);
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(2), 1);
-        assert_eq!(h.bucket(10), 2);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 5);
+        assert_eq!(snap.sum, 2004);
+        assert_eq!(snap.buckets, [(0, 1), (1, 1), (2, 1), (10, 2)]);
         h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.bucket(10), 0);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 0);
+        assert!(snap.buckets.is_empty() && snap.log_linear.is_empty());
     }
 
     #[test]
@@ -285,8 +386,8 @@ mod tests {
             let _span = h.start_span();
             std::hint::black_box(0);
         }
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.snapshot().count, 1);
         drop(Span::disabled()); // must not panic or record anywhere
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.snapshot().count, 1);
     }
 }

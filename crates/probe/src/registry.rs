@@ -179,7 +179,7 @@ mod tests {
         h.record(42);
         reset();
         assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.snapshot().count, 0);
         // The old handle still works post-reset.
         c.inc();
         assert_eq!(counter("registry.reset").get(), 1);

@@ -160,7 +160,6 @@ mod tests {
             "sram_probe::counter",
             "sram_probe::gauge",
             "sram_probe::histogram",
-            "sram_probe::telemetry::quantiles",
             "sram_probe::trace::intern",
             "std::env::var",
             "std::env::var_os",

@@ -5,23 +5,84 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json::escape_into;
-use crate::metrics::BUCKETS;
+use crate::metrics::{bucket_bounds, BUCKETS};
 use crate::registry::{self, Handle};
 
-/// A copy of one histogram's state.
+/// A copy of one [`Histogram`](crate::Histogram)'s state, or of its
+/// change over an interval.
+///
+/// Snapshots merge and diff exactly: summing the diffs of successive
+/// snapshots with [`merge`](Self::merge) rebuilds the last one, so
+/// quantiles over a ring of windows equal quantiles over the same
+/// samples recorded at once. The log-linear buckets are private so
+/// that every snapshot is built by
+/// [`from_log_linear`](Self::from_log_linear), which derives
+/// [`buckets`](Self::buckets) from them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,
     /// Sum of all samples.
     pub sum: u64,
-    /// `(bucket_index, count)` for each non-empty bucket, ascending.
-    /// Bucket `b ≥ 1` covers samples in `[2^(b-1), 2^b)`; bucket 0
-    /// holds zeros.
+    /// `(bucket_index, count)` for each non-empty power-of-two bucket,
+    /// ascending: bucket `b ≥ 1` covers samples in `[2^(b-1), 2^b)`,
+    /// and bucket 0 holds zeros. Each sums its octave's
+    /// [`log_linear`](Self::log_linear) buckets.
     pub buckets: Vec<(u32, u64)>,
+    pub(crate) log_linear: Vec<(u16, u64)>,
+}
+
+/// The power-of-two bucket of a log-linear one: the bit length its
+/// values share.
+fn octave(index: u16) -> u32 {
+    let (lo, _) = bucket_bounds(usize::from(index));
+    u64::BITS - lo.leading_zeros()
+}
+
+/// A bucket's midpoint, the quantile estimate for ranks that land in
+/// it. Computed in `f64` to avoid `u64` overflow near the top octave.
+fn bucket_midpoint(index: u16) -> f64 {
+    let (lo, hi) = bucket_bounds(usize::from(index));
+    lo as f64 + (hi - lo) as f64 / 2.0
 }
 
 impl HistogramSnapshot {
+    /// A snapshot from `(log-linear bucket index, count)` pairs in any
+    /// order. Repeated indices add up; empty buckets and indices past
+    /// the last bucket are dropped.
+    #[must_use]
+    pub fn from_log_linear(count: u64, sum: u64, mut log_linear: Vec<(u16, u64)>) -> Self {
+        log_linear.retain(|&(index, n)| n > 0 && usize::from(index) < BUCKETS);
+        log_linear.sort_unstable_by_key(|&(index, _)| index);
+        log_linear.dedup_by(|later, kept| {
+            let repeated = later.0 == kept.0;
+            if repeated {
+                kept.1 = kept.1.saturating_add(later.1);
+            }
+            repeated
+        });
+        let mut buckets: Vec<(u32, u64)> = Vec::new();
+        for &(index, n) in &log_linear {
+            match buckets.last_mut() {
+                Some((bucket, total)) if *bucket == octave(index) => *total += n,
+                _ => buckets.push((octave(index), n)),
+            }
+        }
+        Self {
+            count,
+            sum,
+            buckets,
+            log_linear,
+        }
+    }
+
+    /// `(bucket_index, count)` for each non-empty log-linear bucket,
+    /// ascending: what quantiles, merges and diffs read.
+    #[must_use]
+    pub fn log_linear(&self) -> &[(u16, u64)] {
+        &self.log_linear
+    }
+
     /// Mean sample value (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -30,6 +91,61 @@ impl HistogramSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
+    }
+
+    /// The samples of both snapshots together.
+    #[must_use]
+    pub fn merge(&self, other: &Self) -> Self {
+        let buckets = self.log_linear.iter().chain(&other.log_linear).copied();
+        Self::from_log_linear(
+            self.count.saturating_add(other.count),
+            self.sum.saturating_add(other.sum),
+            buckets.collect(),
+        )
+    }
+
+    /// The change since `baseline`, bucket by bucket (saturating — a
+    /// [`crate::reset`] in between reads as zero, not underflow).
+    #[must_use]
+    pub(crate) fn diff(&self, baseline: &Self) -> Self {
+        let prior: BTreeMap<u16, u64> = baseline.log_linear.iter().copied().collect();
+        let buckets = self.log_linear.iter().map(|&(index, n)| {
+            let before = prior.get(&index).copied().unwrap_or(0);
+            (index, n.saturating_sub(before))
+        });
+        Self::from_log_linear(
+            self.count.saturating_sub(baseline.count),
+            self.sum.saturating_sub(baseline.sum),
+            buckets.collect(),
+        )
+    }
+
+    /// The `q`-quantile (`0 < q ≤ 1`) as a bucket-midpoint estimate,
+    /// within [`MAX_QUANTILE_RELATIVE_ERROR`](crate::MAX_QUANTILE_RELATIVE_ERROR)
+    /// of the exact sorted-sample quantile. Returns 0 for an empty
+    /// snapshot.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        // Nearest-rank definition: the ⌈q·n⌉-th smallest sample.
+        let rank = (q * self.count as f64)
+            .ceil()
+            .max(1.0)
+            .min(self.count as f64) as u64;
+        let mut seen = 0u64;
+        for &(index, n) in &self.log_linear {
+            seen += n;
+            if seen >= rank {
+                return bucket_midpoint(index);
+            }
+        }
+        // Unreachable when count matches the buckets; fall back to the
+        // largest non-empty bucket.
+        self.log_linear
+            .last()
+            .map_or(0.0, |&(index, _)| bucket_midpoint(index))
     }
 }
 
@@ -56,21 +172,7 @@ pub fn snapshot() -> Snapshot {
             snap.gauges.insert(name, g.get());
         }
         Handle::Histogram(h) => {
-            let mut buckets = Vec::new();
-            for index in 0..BUCKETS {
-                let count = h.bucket(index);
-                if count > 0 {
-                    buckets.push((index as u32, count));
-                }
-            }
-            snap.histograms.insert(
-                name,
-                HistogramSnapshot {
-                    count: h.count(),
-                    sum: h.sum(),
-                    buckets,
-                },
-            );
+            snap.histograms.insert(name, h.snapshot());
         }
     });
     snap
@@ -102,25 +204,11 @@ impl Snapshot {
             out.gauges.insert(name, value);
         }
         for (&name, hist) in &self.histograms {
-            let before = baseline.histograms.get(name);
-            let mut buckets = Vec::new();
-            for &(index, count) in &hist.buckets {
-                let prior = before
-                    .and_then(|b| b.buckets.iter().find(|&&(i, _)| i == index))
-                    .map_or(0, |&(_, c)| c);
-                let delta = count.saturating_sub(prior);
-                if delta > 0 {
-                    buckets.push((index, delta));
-                }
-            }
-            out.histograms.insert(
-                name,
-                HistogramSnapshot {
-                    count: hist.count.saturating_sub(before.map_or(0, |b| b.count)),
-                    sum: hist.sum.saturating_sub(before.map_or(0, |b| b.sum)),
-                    buckets,
-                },
-            );
+            let delta = match baseline.histograms.get(name) {
+                Some(before) => hist.diff(before),
+                None => hist.clone(),
+            };
+            out.histograms.insert(name, delta);
         }
         out
     }
@@ -191,7 +279,8 @@ impl Snapshot {
 
     /// Serializes the snapshot as pretty-printed JSON (two-space
     /// indent, keys in name order — byte-stable for identical data).
-    /// Non-finite gauge values serialize as `null`.
+    /// Histograms carry their power-of-two buckets; non-finite gauge
+    /// values serialize as `null`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -276,19 +365,22 @@ pub(crate) fn format_nanos(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Histogram;
+
+    /// A histogram snapshot of `samples`.
+    fn recorded(samples: &[u64]) -> HistogramSnapshot {
+        let hist = Histogram::new("t.hist");
+        for &v in samples {
+            hist.record(v);
+        }
+        hist.snapshot()
+    }
 
     fn sample() -> Snapshot {
         let mut snap = Snapshot::default();
         snap.counters.insert("a.count", 3);
         snap.gauges.insert("b.gauge", 1.5);
-        snap.histograms.insert(
-            "c.hist_ns",
-            HistogramSnapshot {
-                count: 2,
-                sum: 3000,
-                buckets: vec![(11, 2)],
-            },
-        );
+        snap.histograms.insert("c.hist_ns", recorded(&[1500, 1500]));
         snap
     }
 
@@ -298,15 +390,12 @@ mod tests {
         let mut older = sample();
         older.counters.insert("a.count", 1);
         older.gauges.insert("b.gauge", 9.0);
-        older.histograms.get_mut("c.hist_ns").unwrap().count = 1;
-        older.histograms.get_mut("c.hist_ns").unwrap().sum = 1000;
-        older.histograms.get_mut("c.hist_ns").unwrap().buckets = vec![(11, 1)];
+        older.histograms.insert("c.hist_ns", recorded(&[1500]));
 
         let delta = newer.diff(&older);
         assert_eq!(delta.counters["a.count"], 2);
         assert_eq!(delta.gauges["b.gauge"], 1.5);
-        assert_eq!(delta.histograms["c.hist_ns"].count, 1);
-        assert_eq!(delta.histograms["c.hist_ns"].sum, 2000);
+        assert_eq!(delta.histograms["c.hist_ns"], recorded(&[1500]));
         assert_eq!(delta.histograms["c.hist_ns"].buckets, vec![(11, 1)]);
     }
 
@@ -321,14 +410,9 @@ mod tests {
         let mut older = sample();
         older.counters.insert("baseline.only_counter", 9);
         older.gauges.insert("baseline.only_gauge", 4.5);
-        older.histograms.insert(
-            "baseline.only_hist",
-            HistogramSnapshot {
-                count: 3,
-                sum: 30,
-                buckets: vec![(5, 3)],
-            },
-        );
+        older
+            .histograms
+            .insert("baseline.only_hist", recorded(&[10, 10, 10]));
 
         let delta = newer.diff(&older);
         assert!(!delta.counters.contains_key("baseline.only_counter"));

@@ -17,251 +17,33 @@
 //!
 //! # Quantiles
 //!
-//! The registry's [`Histogram`](crate::Histogram) uses one bucket per
-//! power of two — fine for orders of magnitude, uselessly coarse for a
-//! p99 latency objective. This module adds [`LogLinear`]: a fixed
-//! 976-bucket log-linear histogram (16 linear sub-buckets per octave)
-//! whose midpoint quantile estimates carry a guaranteed relative error
-//! bound of [`MAX_QUANTILE_RELATIVE_ERROR`] (1/32 ≈ 3.1 %). Snapshots
-//! of it ([`QuantileSnapshot`]) are mergeable — summing per-window
-//! deltas reproduces the whole-stream histogram exactly — which is
-//! what makes windowed p50/p90/p99 well-defined.
+//! Windowed p50/p90/p99 come from the registry's log-linear
+//! [`Histogram`](crate::Histogram)s, whose estimates stay within
+//! [`MAX_QUANTILE_RELATIVE_ERROR`](crate::MAX_QUANTILE_RELATIVE_ERROR)
+//! (1/32 ≈ 3.1 %). A window holds each histogram's delta once, and
+//! summing the deltas reproduces the whole-stream histogram exactly,
+//! which is what makes ring-wide quantiles well-defined.
 //!
 //! # Determinism and cost
 //!
 //! Sampling is wall-clock-driven, but every window records its own
 //! measured duration, so rates are exact regardless of scheduler
 //! jitter; [`force_sample`] takes a window synchronously for tests and
-//! experiments that must not depend on timing. Recording into a
-//! [`LogLinear`] is three relaxed atomic RMWs and is deliberately
-//! *not* gated on the probe level: the health/metrics surface built on
-//! it must keep working on a node running with `SRAM_PROBE=0`.
+//! experiments that must not depend on timing. The histograms the
+//! health/metrics surface reads are recorded through ungated handles
+//! ([`probe_handle!`](crate::probe_handle)), so it keeps working on a
+//! node running with `SRAM_PROBE=0`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, LazyLock, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::snapshot::{snapshot, Snapshot};
-
-/// Linear sub-buckets per power of two (must be a power of two).
-const SUB_BUCKETS: usize = 16;
-/// `log2(SUB_BUCKETS)`.
-const SUB_SHIFT: u32 = 4;
-/// Total bucket count: values `0..16` get exact buckets, then 16
-/// sub-buckets per octave for exponents 4..=63.
-pub(crate) const LOG_LINEAR_BUCKETS: usize = SUB_BUCKETS + (64 - SUB_SHIFT as usize) * SUB_BUCKETS;
-
-/// Worst-case relative error of a [`QuantileSnapshot::quantile`]
-/// estimate: a bucket spanning `[lo, lo + w)` has `lo ≥ 16·w`, so the
-/// midpoint is within `w/2 ≤ lo/32` of any sample in it.
-pub const MAX_QUANTILE_RELATIVE_ERROR: f64 = 1.0 / 32.0;
+use crate::snapshot::{snapshot, HistogramSnapshot, Snapshot};
 
 /// Default sampling interval.
 const DEFAULT_WINDOW_MS: u64 = 1000;
 /// Default ring capacity.
 const DEFAULT_SLOTS: usize = 60;
-
-/// The bucket a value lands in: exact below [`SUB_BUCKETS`], then
-/// `(exponent, sub-bucket)` addressed log-linearly. Contiguous at the
-/// boundary (`bucket_index(v) == v` for `v < 32`).
-fn bucket_index(value: u64) -> usize {
-    if value < SUB_BUCKETS as u64 {
-        value as usize
-    } else {
-        let exponent = 63 - value.leading_zeros();
-        let sub = ((value >> (exponent - SUB_SHIFT)) & (SUB_BUCKETS as u64 - 1)) as usize;
-        SUB_BUCKETS + (exponent - SUB_SHIFT) as usize * SUB_BUCKETS + sub
-    }
-}
-
-/// Inclusive `[lo, hi]` value range of a bucket.
-fn bucket_bounds(index: usize) -> (u64, u64) {
-    if index < SUB_BUCKETS {
-        (index as u64, index as u64)
-    } else {
-        let k = index - SUB_BUCKETS;
-        let exponent = SUB_SHIFT + (k / SUB_BUCKETS) as u32;
-        let sub = (k % SUB_BUCKETS) as u64;
-        let width = 1u64 << (exponent - SUB_SHIFT);
-        let lo = (SUB_BUCKETS as u64 + sub) << (exponent - SUB_SHIFT);
-        (lo, lo + (width - 1))
-    }
-}
-
-/// A bucket's midpoint — the quantile estimate for ranks that land in
-/// it. Computed in `f64` to avoid `u64` overflow near the top octave.
-fn bucket_midpoint(index: usize) -> f64 {
-    let (lo, hi) = bucket_bounds(index);
-    lo as f64 + (hi - lo) as f64 / 2.0
-}
-
-/// A concurrent fixed-bucket log-linear histogram of `u64` samples.
-///
-/// 16 linear sub-buckets per power of two bound the relative width of
-/// every bucket by 1/16, which bounds midpoint quantile error by
-/// [`MAX_QUANTILE_RELATIVE_ERROR`]. Recording is three relaxed atomic
-/// RMWs; reading is [`LogLinear::snapshot`].
-#[derive(Debug)]
-pub struct LogLinear {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: Box<[AtomicU64]>,
-}
-
-impl Default for LogLinear {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LogLinear {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: (0..LOG_LINEAR_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&self, value: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copies the current state (non-empty buckets only).
-    #[must_use]
-    pub fn snapshot(&self) -> QuantileSnapshot {
-        let mut buckets = Vec::new();
-        for (index, bucket) in self.buckets.iter().enumerate() {
-            let n = bucket.load(Ordering::Relaxed);
-            if n > 0 {
-                buckets.push((index as u16, n));
-            }
-        }
-        QuantileSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-/// A point-in-time (or per-window delta) copy of a [`LogLinear`].
-///
-/// Mergeable and diffable: `a.diff(b)` then summing the deltas back
-/// with [`QuantileSnapshot::merge`] reconstructs `a` exactly, so
-/// whole-ring quantiles equal whole-stream quantiles over the same
-/// samples.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct QuantileSnapshot {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// `(bucket_index, count)` for each non-empty bucket, ascending.
-    pub buckets: Vec<(u16, u64)>,
-}
-
-impl QuantileSnapshot {
-    /// Mean sample value (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The sum of two snapshots (bucket-wise).
-    #[must_use]
-    pub fn merge(&self, other: &Self) -> Self {
-        let mut map: BTreeMap<u16, u64> = self.buckets.iter().copied().collect();
-        for &(index, n) in &other.buckets {
-            *map.entry(index).or_insert(0) += n;
-        }
-        Self {
-            count: self.count + other.count,
-            sum: self.sum + other.sum,
-            buckets: map.into_iter().collect(),
-        }
-    }
-
-    /// The change since `baseline` (saturating, like
-    /// [`Snapshot::diff`]).
-    #[must_use]
-    pub fn diff(&self, baseline: &Self) -> Self {
-        let prior: BTreeMap<u16, u64> = baseline.buckets.iter().copied().collect();
-        let mut buckets = Vec::new();
-        for &(index, n) in &self.buckets {
-            let delta = n.saturating_sub(prior.get(&index).copied().unwrap_or(0));
-            if delta > 0 {
-                buckets.push((index, delta));
-            }
-        }
-        Self {
-            count: self.count.saturating_sub(baseline.count),
-            sum: self.sum.saturating_sub(baseline.sum),
-            buckets,
-        }
-    }
-
-    /// The `q`-quantile (`0 < q ≤ 1`) as a bucket-midpoint estimate,
-    /// within [`MAX_QUANTILE_RELATIVE_ERROR`] of the exact
-    /// sorted-sample quantile. Returns 0 for an empty snapshot.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        // Nearest-rank definition: the ⌈q·n⌉-th smallest sample.
-        let rank = (q * self.count as f64)
-            .ceil()
-            .max(1.0)
-            .min(self.count as f64) as u64;
-        let mut seen = 0u64;
-        for &(index, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return bucket_midpoint(index as usize);
-            }
-        }
-        // Unreachable when count matches the buckets; fall back to the
-        // largest non-empty bucket.
-        self.buckets
-            .last()
-            .map_or(0.0, |&(index, _)| bucket_midpoint(index as usize))
-    }
-}
-
-/// Named [`LogLinear`] histograms (the quantile registry). Separate
-/// from the main probe registry so recording stays ungated and the
-/// per-window diff loop touches only quantile-bearing metrics.
-static QUANTS: LazyLock<Mutex<BTreeMap<&'static str, &'static LogLinear>>> =
-    LazyLock::new(|| Mutex::new(BTreeMap::new()));
-
-/// The named quantile histogram, created on first use. Call sites use
-/// [`probe_handle!`](crate::probe_handle)`(quantiles "…")`, which checks
-/// the name against the [`catalogue`](crate::catalogue) and caches the
-/// reference; a direct call is a disallowed method.
-#[must_use]
-pub fn quantiles(name: &'static str) -> &'static LogLinear {
-    let mut map = QUANTS.lock().unwrap_or_else(PoisonError::into_inner);
-    map.entry(name)
-        .or_insert_with(|| Box::leak(Box::new(LogLinear::new())))
-}
-
-fn quant_snapshots() -> BTreeMap<&'static str, QuantileSnapshot> {
-    let map = QUANTS.lock().unwrap_or_else(PoisonError::into_inner);
-    map.iter()
-        .map(|(&name, ll)| (name, ll.snapshot()))
-        .collect()
-}
 
 /// One sampled interval: what changed between two consecutive samples.
 #[derive(Debug, Clone)]
@@ -276,14 +58,11 @@ pub struct Window {
     /// Counter/gauge/histogram deltas since the previous sample
     /// (gauges keep their sampled value — they are levels, not flows).
     pub delta: Snapshot,
-    /// Per-metric quantile-histogram deltas for this interval.
-    pub quantiles: BTreeMap<&'static str, QuantileSnapshot>,
 }
 
 /// Aggregator state: previous sample baselines plus the window ring.
 struct AggState {
     prev: Snapshot,
-    prev_quant: BTreeMap<&'static str, QuantileSnapshot>,
     last: Option<Instant>,
     ring: VecDeque<Window>,
     seq: u64,
@@ -294,7 +73,6 @@ struct AggState {
 static AGG: LazyLock<Mutex<AggState>> = LazyLock::new(|| {
     Mutex::new(AggState {
         prev: Snapshot::default(),
-        prev_quant: BTreeMap::new(),
         last: None,
         ring: VecDeque::new(),
         seq: 0,
@@ -332,30 +110,16 @@ fn unix_ms() -> u64 {
 pub fn force_sample() {
     let now = Instant::now();
     let snap = snapshot();
-    let quant = quant_snapshots();
     let mut agg = AGG.lock().unwrap_or_else(PoisonError::into_inner);
     let duration = agg.last.map_or(agg.window, |last| now.duration_since(last));
-    let delta = snap.diff(&agg.prev);
-    let mut qdelta = BTreeMap::new();
-    for (&name, current) in &quant {
-        let d = agg
-            .prev_quant
-            .get(name)
-            .map_or_else(|| current.clone(), |prev| current.diff(prev));
-        if d.count > 0 {
-            qdelta.insert(name, d);
-        }
-    }
     let window = Window {
         seq: agg.seq,
         unix_ms: unix_ms(),
         duration,
-        delta,
-        quantiles: qdelta,
+        delta: snap.diff(&agg.prev),
     };
     agg.seq += 1;
     agg.prev = snap;
-    agg.prev_quant = quant;
     agg.last = Some(now);
     agg.ring.push_back(window);
     while agg.ring.len() > agg.slots {
@@ -372,10 +136,8 @@ pub fn force_sample() {
 /// in a shared process.
 pub fn reset() {
     let snap = snapshot();
-    let quant = quant_snapshots();
     let mut agg = AGG.lock().unwrap_or_else(PoisonError::into_inner);
     agg.prev = snap;
-    agg.prev_quant = quant;
     agg.last = Some(Instant::now());
     agg.ring.clear();
 }
@@ -417,7 +179,6 @@ pub fn start() {
             // First-ever start: baseline at "now" so window 0 holds
             // activity during the run, not since process birth.
             agg.prev = snapshot();
-            agg.prev_quant = quant_snapshots();
             agg.last = Some(Instant::now());
         }
     }
@@ -449,13 +210,6 @@ pub fn stop() {
     if let Some(handle) = handle {
         let _ = handle.join();
     }
-}
-
-/// `true` while the sampler thread is live.
-#[must_use]
-pub fn is_running() -> bool {
-    let (lock, _cvar) = &*CONTROL;
-    lock.lock().unwrap_or_else(PoisonError::into_inner).refcount > 0
 }
 
 fn sampler_loop(window: Duration) {
@@ -491,21 +245,6 @@ pub struct CounterStat {
     pub last_rate: f64,
 }
 
-/// Per-metric quantile rollup over the ring.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuantileSummary {
-    /// Samples across the ring.
-    pub count: u64,
-    /// Sum of samples across the ring.
-    pub sum: u64,
-    /// Median estimate.
-    pub p50: f64,
-    /// 90th-percentile estimate.
-    pub p90: f64,
-    /// 99th-percentile estimate.
-    pub p99: f64,
-}
-
 /// Everything the `metrics` surface exposes, computed once so the
 /// Prometheus text form and any JSON rendering of the same `Export`
 /// cannot drift from each other.
@@ -523,15 +262,13 @@ pub struct Export {
     pub counters: BTreeMap<&'static str, CounterStat>,
     /// Live gauge values by name.
     pub gauges: BTreeMap<&'static str, f64>,
-    /// Ring-merged quantile summaries by name.
-    pub quantiles: BTreeMap<&'static str, QuantileSummary>,
-    /// The raw ring-merged histograms the summaries were computed
-    /// from. Exposed so a remote collector can serialize the sparse
-    /// buckets, merge them across processes with
-    /// [`QuantileSnapshot::merge`], and recompute cluster-wide
-    /// quantiles within the same [`MAX_QUANTILE_RELATIVE_ERROR`]
-    /// bound instead of averaging per-node percentiles.
-    pub quantile_buckets: BTreeMap<&'static str, QuantileSnapshot>,
+    /// Each histogram that recorded in the ring, merged over it. The
+    /// sparse log-linear buckets let a remote collector merge them
+    /// across processes with [`HistogramSnapshot::merge`] and recompute
+    /// cluster-wide quantiles within the same
+    /// [`MAX_QUANTILE_RELATIVE_ERROR`](crate::MAX_QUANTILE_RELATIVE_ERROR)
+    /// bound, instead of averaging per-node percentiles.
+    pub histograms: BTreeMap<&'static str, HistogramSnapshot>,
 }
 
 /// Builds an [`Export`] from the current ring plus live totals.
@@ -580,28 +317,15 @@ pub fn export() -> Export {
         }
     }
 
-    let mut merged: BTreeMap<&'static str, QuantileSnapshot> = BTreeMap::new();
+    let mut histograms: BTreeMap<&'static str, HistogramSnapshot> = BTreeMap::new();
     for w in &ring {
-        for (&name, q) in &w.quantiles {
-            let slot = merged.entry(name).or_default();
-            *slot = slot.merge(q);
+        for (&name, h) in &w.delta.histograms {
+            if h.count > 0 {
+                let slot = histograms.entry(name).or_default();
+                *slot = slot.merge(h);
+            }
         }
     }
-    let quantiles = merged
-        .iter()
-        .map(|(&name, q)| {
-            (
-                name,
-                QuantileSummary {
-                    count: q.count,
-                    sum: q.sum,
-                    p50: q.quantile(0.50),
-                    p90: q.quantile(0.90),
-                    p99: q.quantile(0.99),
-                },
-            )
-        })
-        .collect();
 
     Export {
         window_ms: window.as_millis() as u64,
@@ -610,10 +334,12 @@ pub fn export() -> Export {
         span_s,
         counters,
         gauges: snap.gauges.clone(),
-        quantiles,
-        quantile_buckets: merged,
+        histograms,
     }
 }
+
+/// The quantiles the exposition publishes, with their labels.
+const QUANTILES: [(&str, f64); 3] = [("0.5", 0.50), ("0.9", 0.90), ("0.99", 0.99)];
 
 /// Maps a dotted probe name to a Prometheus-legal metric name
 /// (`serve.request.total` → `sram_serve_request_total`).
@@ -633,7 +359,7 @@ fn prometheus_name(name: &str) -> String {
 impl Export {
     /// Renders the Prometheus text exposition format (v0.0.4):
     /// counters as `_total` plus a `:rate` gauge over the ring, gauges
-    /// verbatim, and quantile metrics as summaries with
+    /// verbatim, and histograms as summaries with
     /// `quantile="0.5|0.9|0.99"` labels. Rendered from the same data
     /// as any JSON form of `self`, by construction.
     #[must_use]
@@ -659,14 +385,18 @@ impl Export {
             let _ = writeln!(out, "# TYPE {p} gauge");
             let _ = writeln!(out, "{p} {}", fmt_f64(*value));
         }
-        for (name, q) in &self.quantiles {
+        for (name, h) in &self.histograms {
             let p = prometheus_name(name);
             let _ = writeln!(out, "# TYPE {p} summary");
-            let _ = writeln!(out, "{p}{{quantile=\"0.5\"}} {}", fmt_f64(q.p50));
-            let _ = writeln!(out, "{p}{{quantile=\"0.9\"}} {}", fmt_f64(q.p90));
-            let _ = writeln!(out, "{p}{{quantile=\"0.99\"}} {}", fmt_f64(q.p99));
-            let _ = writeln!(out, "{p}_sum {}", q.sum);
-            let _ = writeln!(out, "{p}_count {}", q.count);
+            for (label, q) in QUANTILES {
+                let _ = writeln!(
+                    out,
+                    "{p}{{quantile=\"{label}\"}} {}",
+                    fmt_f64(h.quantile(q))
+                );
+            }
+            let _ = writeln!(out, "{p}_sum {}", h.sum);
+            let _ = writeln!(out, "{p}_count {}", h.count);
         }
         out
     }
@@ -689,39 +419,7 @@ fn fmt_f64(v: f64) -> String {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_index_is_contiguous_and_monotone() {
-        // Exact below 32 (16 exact + first octave of width-1 buckets).
-        for v in 0..32u64 {
-            assert_eq!(bucket_index(v), v as usize, "v={v}");
-        }
-        // Monotone across an increasing sample of the full range.
-        let mut prev = 0usize;
-        for shift in 0..64u32 {
-            for offset in [0u64, 1, 7] {
-                let v = (1u64 << shift).saturating_add(offset.saturating_mul(1u64 << shift) / 8);
-                let b = bucket_index(v);
-                assert!(b >= prev, "index not monotone at {v}");
-                prev = b;
-            }
-        }
-        assert_eq!(bucket_index(u64::MAX), LOG_LINEAR_BUCKETS - 1);
-    }
-
-    #[test]
-    fn bucket_bounds_roundtrip() {
-        for index in 0..LOG_LINEAR_BUCKETS {
-            let (lo, hi) = bucket_bounds(index);
-            assert!(lo <= hi, "index {index}");
-            assert_eq!(bucket_index(lo), index, "lo of {index}");
-            assert_eq!(bucket_index(hi), index, "hi of {index}");
-            if index > 0 {
-                let (_, prev_hi) = bucket_bounds(index - 1);
-                assert_eq!(lo, prev_hi + 1, "gap before index {index}");
-            }
-        }
-    }
+    use crate::{Histogram, MAX_QUANTILE_RELATIVE_ERROR};
 
     /// Deterministic xorshift generator for the property tests.
     struct Rng(u64);
@@ -743,11 +441,11 @@ mod tests {
 
     #[test]
     fn quantiles_stay_within_the_relative_error_bound() {
-        // Satellite: p50/p90/p99 vs exact sorted-sample quantiles
-        // across several seeds and sample shapes.
+        // p50/p90/p99 vs exact sorted-sample quantiles across several
+        // seeds and sample shapes.
         for seed in [3u64, 17, 0xDEAD_BEEF, 0x00DA_C201] {
             let mut rng = Rng(seed | 1);
-            let ll = LogLinear::new();
+            let hist = Histogram::new("t.quantiles");
             let mut samples = Vec::new();
             for i in 0..4000u64 {
                 // Mixed distribution: small exact values, a latency-like
@@ -759,10 +457,10 @@ mod tests {
                     _ => rng.next() % (1 << (20 + (rng.next() % 30))),
                 };
                 samples.push(v);
-                ll.record(v);
+                hist.record(v);
             }
             samples.sort_unstable();
-            let snap = ll.snapshot();
+            let snap = hist.snapshot();
             assert_eq!(snap.count, samples.len() as u64);
             for q in [0.5, 0.9, 0.99] {
                 let exact = exact_quantile(&samples, q) as f64;
@@ -782,15 +480,15 @@ mod tests {
 
     #[test]
     fn merged_window_quantiles_equal_whole_stream_quantiles() {
-        // Satellite: recording in chunks, snapshotting deltas per
-        // chunk, and merging the deltas must reproduce the one-shot
-        // histogram bit-for-bit — so quantiles match exactly, not just
-        // within bound.
+        // Recording in chunks, snapshotting deltas per chunk, and
+        // merging the deltas must reproduce the one-shot histogram
+        // bit-for-bit — so quantiles match exactly, not just within
+        // bound.
         let mut rng = Rng(0x5EED_CAFE);
-        let whole = LogLinear::new();
-        let windowed = LogLinear::new();
-        let mut merged = QuantileSnapshot::default();
-        let mut prev = QuantileSnapshot::default();
+        let whole = Histogram::new("t.whole");
+        let windowed = Histogram::new("t.windowed");
+        let mut merged = HistogramSnapshot::default();
+        let mut prev = HistogramSnapshot::default();
         for _chunk in 0..8 {
             for _ in 0..500 {
                 let v = rng.next() % 1_000_000;
@@ -810,37 +508,35 @@ mod tests {
 
     #[test]
     fn diff_saturates_and_drops_empty_buckets() {
-        let a = QuantileSnapshot {
-            count: 5,
-            sum: 50,
-            buckets: vec![(1, 2), (3, 3)],
-        };
-        let b = QuantileSnapshot {
-            count: 9,
-            sum: 90,
-            buckets: vec![(1, 2), (3, 5), (4, 2)],
-        };
+        let a = HistogramSnapshot::from_log_linear(5, 50, vec![(1, 2), (3, 3)]);
+        let b = HistogramSnapshot::from_log_linear(9, 90, vec![(1, 2), (3, 5), (4, 2)]);
         let d = b.diff(&a);
         assert_eq!(d.count, 4);
         assert_eq!(d.sum, 40);
-        assert_eq!(d.buckets, vec![(3, 2), (4, 2)]);
+        assert_eq!(d.log_linear, vec![(3, 2), (4, 2)]);
+        assert_eq!(
+            d.buckets,
+            vec![(2, 2), (3, 2)],
+            "3 has bit length 2, 4 has 3"
+        );
         let reversed = a.diff(&b);
         assert_eq!(reversed.count, 0);
-        assert!(reversed.buckets.is_empty());
+        assert!(reversed.log_linear.is_empty() && reversed.buckets.is_empty());
     }
 
     #[test]
     fn force_sample_windows_carry_deltas_and_rates() {
         let c = crate::registry::counter("telemetry.test.force_sample");
+        let h = crate::registry::histogram("telemetry.test.force_latency");
         reset();
         c.add(5);
-        quantiles("telemetry.test.force_latency").record(1000);
-        quantiles("telemetry.test.force_latency").record(2000);
+        h.record(1000);
+        h.record(2000);
         force_sample();
         let ring = windows();
         let w = ring.last().expect("one window");
         assert_eq!(w.delta.counters["telemetry.test.force_sample"], 5);
-        let q = &w.quantiles["telemetry.test.force_latency"];
+        let q = &w.delta.histograms["telemetry.test.force_latency"];
         assert_eq!(q.count, 2);
         assert_eq!(q.sum, 3000);
 
@@ -849,18 +545,15 @@ mod tests {
         let ring = windows();
         let w = ring.last().expect("two windows");
         assert_eq!(w.delta.counters["telemetry.test.force_sample"], 1);
-        assert!(
-            !w.quantiles.contains_key("telemetry.test.force_latency"),
-            "idle quantile metrics drop out of the window"
-        );
+        assert_eq!(w.delta.histograms["telemetry.test.force_latency"].count, 0);
 
         let ex = export();
         let stat = &ex.counters["telemetry.test.force_sample"];
         assert!(stat.total >= 6);
         assert!(stat.delta >= 6, "ring sums deltas: {stat:?}");
-        let qs = &ex.quantiles["telemetry.test.force_latency"];
+        let qs = &ex.histograms["telemetry.test.force_latency"];
         assert_eq!(qs.count, 2);
-        assert!(qs.p50 >= 1000.0 * (1.0 - MAX_QUANTILE_RELATIVE_ERROR));
+        assert!(qs.quantile(0.5) >= 1000.0 * (1.0 - MAX_QUANTILE_RELATIVE_ERROR));
     }
 
     #[test]
@@ -878,15 +571,26 @@ mod tests {
 
     #[test]
     fn sampler_thread_starts_and_joins() {
+        let running = || {
+            let (lock, _cvar) = &*CONTROL;
+            lock.lock().unwrap_or_else(PoisonError::into_inner).refcount > 0
+        };
         start();
-        assert!(is_running());
+        assert!(running());
         // Nested start/stop keeps the thread alive.
         start();
         stop();
-        assert!(is_running());
+        assert!(running());
         let before = windows().len();
         stop();
-        assert!(!is_running());
+        assert!(!running());
+        assert!(
+            SAMPLER
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .is_none(),
+            "joined"
+        );
         // The drain sample on shutdown guarantees ring growth even if
         // the interval never elapsed.
         assert!(windows().len() >= before.min(1));
@@ -912,26 +616,23 @@ mod tests {
             },
         );
         ex.gauges.insert("serve.queue.depth", 3.0);
-        ex.quantiles.insert(
-            "serve.request.latency_ns",
-            QuantileSummary {
-                count: 10,
-                sum: 1000,
-                p50: 95.0,
-                p90: 180.0,
-                p99: 200.0,
-            },
-        );
+        let latency = Histogram::new("serve.request.latency_ns");
+        for v in [10, 10, 10, 10, 10, 10, 10, 10, 12, 15] {
+            latency.record(v);
+        }
+        ex.histograms
+            .insert("serve.request.latency_ns", latency.snapshot());
         let text = ex.to_prometheus();
         assert!(text.contains("sram_serve_request_total 42"), "{text}");
-        assert!(
-            text.contains("sram_serve_request_latency_ns{quantile=\"0.5\"} 9.5e1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("sram_serve_request_latency_ns_count 10"),
-            "{text}"
-        );
+        for line in [
+            "sram_serve_request_latency_ns{quantile=\"0.5\"} 1e1",
+            "sram_serve_request_latency_ns{quantile=\"0.9\"} 1.2e1",
+            "sram_serve_request_latency_ns{quantile=\"0.99\"} 1.5e1",
+            "sram_serve_request_latency_ns_sum 107",
+            "sram_serve_request_latency_ns_count 10",
+        ] {
+            assert!(text.contains(line), "{line} in {text}");
+        }
         assert!(text.contains("sram_serve_queue_depth 3e0"), "{text}");
         // Every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {

@@ -57,7 +57,7 @@ use crate::json::escape_into;
 use crate::snapshot::format_nanos;
 
 /// Maximum `(key, value)` argument pairs one event can carry.
-pub const MAX_ARGS: usize = 4;
+const MAX_ARGS: usize = 4;
 
 /// Payload words per slot: meta, id, parent, t, dur, 2×arg-keys,
 /// 4×arg-values.
@@ -758,12 +758,6 @@ impl TraceSpan {
         .unwrap_or_else(Self::disabled)
     }
 
-    /// Whether this guard records anything.
-    #[must_use]
-    pub fn is_recording(&self) -> bool {
-        self.live
-    }
-
     /// This span's id (0 when disabled) — the parent handle a
     /// [`Scope::context`] carries to other threads.
     #[must_use]
@@ -776,7 +770,7 @@ impl TraceSpan {
     }
 
     /// Attaches a `(key, value)` argument, recorded on the end event.
-    /// At most [`MAX_ARGS`] stick; later ones are silently ignored.
+    /// At most `MAX_ARGS` stick; later ones are silently ignored.
     pub fn arg(&mut self, key: &'static str, value: i64) {
         if self.live && usize::from(self.argc) < MAX_ARGS {
             // Argument keys are not probe names: no catalogue row.
@@ -1063,7 +1057,7 @@ const COMPLETE_LANE_OFFSET: u32 = 1000;
 /// `"traceEvents"` array — loadable in `chrome://tracing` and Perfetto.
 /// Timestamps are microseconds (`ts`/`dur`), as the format requires.
 /// All events share `pid` 1; multi-process captures go through
-/// [`chrome_trace_json_labeled`], which gives each source its own lane.
+/// `chrome_trace_json_labeled`, which gives each source its own lane.
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     chrome_trace_json_labeled(&[(1, "sram", events)])
@@ -1076,7 +1070,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 /// this, merged node+router captures all land on `pid` 1 and draw on
 /// top of each other.
 #[must_use]
-pub fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> String {
+fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     for (pid, label, events) in sources {
@@ -1357,7 +1351,7 @@ mod tests {
     #[test]
     fn disabled_span_is_inert() {
         let _guard = serial();
-        assert!(!TraceSpan::disabled().is_recording());
+        assert!(!TraceSpan::disabled().live);
         assert_eq!(TraceSpan::disabled().id(), 0);
         let mut span = TraceSpan::disabled();
         span.arg("ignored", 1);
@@ -1407,7 +1401,7 @@ mod tests {
         // test; pin it off explicitly.
         set_tracing(false);
         let span = span("test.should_not_record");
-        assert!(!span.is_recording());
+        assert!(!span.live);
         drop(span);
         assert!(
             !capture().iter().any(|e| e.name == "test.should_not_record"),
@@ -1421,7 +1415,7 @@ mod tests {
         set_tracing(true);
         assert!(tracing_enabled());
         let span = span("test.enabled_by_set");
-        assert!(span.is_recording());
+        assert!(span.live);
         drop(span);
         set_tracing(false);
         assert!(!tracing_enabled());
@@ -1593,10 +1587,10 @@ mod tests {
         let rings_before = BUFFERS.lock().unwrap().len();
         let scope = Scope::begin();
         let a = span("test.iso_a");
-        assert!(a.is_recording());
+        assert!(a.live);
         let b_recorded = on_fresh_thread(|| {
             let b = span("test.iso_b");
-            b.is_recording()
+            b.live
         });
         drop(a);
         let events = scope.finish();

@@ -39,7 +39,7 @@ impl Client {
     ///
     /// The last address's connection failure, or a timeout when the
     /// wait ran out first.
-    pub fn connect_within(addr: impl ToSocketAddrs, wait: Duration) -> Result<Self, ServeError> {
+    fn connect_within(addr: impl ToSocketAddrs, wait: Duration) -> Result<Self, ServeError> {
         let until = Instant::now() + wait.max(MIN_WAIT);
         let mut failure = std::io::Error::new(ErrorKind::TimedOut, "no address dialed in time");
         for addr in addr.to_socket_addrs()? {
@@ -199,7 +199,7 @@ impl NodeConn {
     }
 
     /// Drops the held connection; the next call redials.
-    pub fn disconnect(&mut self) {
+    fn disconnect(&mut self) {
         self.conn = None;
     }
 

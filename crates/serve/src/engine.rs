@@ -37,6 +37,7 @@ use sram_cell::{CellCharacterization, MarginStats, YieldAnalysis};
 use sram_coopt::{CoOptimizationFramework, CooptError, Method, OptimalDesign, YieldConstraint};
 use sram_device::VtFlavor;
 use sram_probe::hash::fnv1a64;
+use sram_probe::HistogramSnapshot;
 use sram_units::Voltage;
 
 /// The sigma multiplier reported by yield-check responses (the paper's
@@ -137,7 +138,7 @@ impl Engine {
 
     /// Requests that produced an error response.
     #[must_use]
-    pub fn errors(&self) -> u64 {
+    fn errors(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
     }
 
@@ -560,37 +561,9 @@ impl Engine {
             .map(|(name, value)| ((*name).to_string(), Json::Num(*value)))
             .collect();
         let quantiles: Vec<(String, Json)> = export
-            .quantiles
+            .histograms
             .iter()
-            .map(|(name, q)| {
-                // The sparse bucket array rides along with the summary
-                // so a federation collector can rebuild the histogram
-                // and merge it across nodes losslessly, instead of
-                // averaging per-node percentiles.
-                let buckets = export
-                    .quantile_buckets
-                    .get(name)
-                    .map(|snap| {
-                        snap.buckets
-                            .iter()
-                            .map(|&(idx, count)| {
-                                Json::Arr(vec![Json::Num(f64::from(idx)), Json::Num(count as f64)])
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap_or_default();
-                (
-                    (*name).to_string(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::Num(q.count as f64)),
-                        ("sum".into(), Json::Num(q.sum as f64)),
-                        ("p50".into(), Json::Num(q.p50)),
-                        ("p90".into(), Json::Num(q.p90)),
-                        ("p99".into(), Json::Num(q.p99)),
-                        ("buckets".into(), Json::Arr(buckets)),
-                    ]),
-                )
-            })
+            .map(|(name, h)| ((*name).to_string(), histogram_json(h)))
             .collect();
         let cache = self.cache.counters();
         let num = |v: u64| Json::Num(v as f64);
@@ -638,7 +611,7 @@ impl Engine {
     /// a stale or out-of-order reply: a revision at or below the last
     /// one seen from this process is old news and should be skipped.
     #[must_use]
-    pub fn health_json(&self) -> Json {
+    fn health_json(&self) -> Json {
         let revision = self.health_revision.fetch_add(1, Ordering::Relaxed) + 1;
         // Ungated direct handle: health must report with probes off.
         sram_probe::probe_handle!(gauge "serve.health.revision").set(revision as f64);
@@ -927,7 +900,7 @@ fn yield_json(analysis: &YieldAnalysis) -> Json {
 
 /// Renders an [`OptimalDesign`] to its wire form.
 #[must_use]
-pub fn design_json(design: &OptimalDesign) -> Json {
+fn design_json(design: &OptimalDesign) -> Json {
     Json::Obj(vec![
         (
             "capacity_bytes".into(),
@@ -961,9 +934,32 @@ pub fn design_json(design: &OptimalDesign) -> Json {
     ])
 }
 
+/// Renders a histogram for the `metrics` and `cluster-metrics` replies:
+/// count, sum, p50/p90/p99 and the sparse `[index, count]` log-linear
+/// buckets, which let a collector rebuild the histogram and merge it
+/// across nodes losslessly instead of averaging per-node percentiles.
+#[must_use]
+pub fn histogram_json(h: &HistogramSnapshot) -> Json {
+    let buckets = h
+        .log_linear()
+        .iter()
+        .map(|&(index, count)| {
+            Json::Arr(vec![Json::Num(f64::from(index)), Json::Num(count as f64)])
+        })
+        .collect();
+    Json::Obj(vec![
+        ("count".into(), Json::Num(h.count as f64)),
+        ("sum".into(), Json::Num(h.sum as f64)),
+        ("p50".into(), Json::Num(h.quantile(0.50))),
+        ("p90".into(), Json::Num(h.quantile(0.90))),
+        ("p99".into(), Json::Num(h.quantile(0.99))),
+        ("buckets".into(), Json::Arr(buckets)),
+    ])
+}
+
 /// Builds a success envelope: `{"id":…,"status":"ok","cached":…,"result":…}`.
 #[must_use]
-pub fn ok_response(id: Option<&str>, cached: bool, result: &Json) -> Json {
+fn ok_response(id: Option<&str>, cached: bool, result: &Json) -> Json {
     let mut pairs: Vec<(String, Json)> = Vec::new();
     if let Some(id) = id {
         pairs.push(("id".into(), Json::Str(id.to_string())));

@@ -4,7 +4,7 @@
 //! line framing, and the stop-and-join sequence. The two differ only in
 //! their [`Service`].
 //!
-//! A connection reads bytes with `read_until` under a [`POLL`] read
+//! A connection reads bytes with `read_until` under a `POLL` read
 //! timeout, so a timeout inside a UTF-8 character keeps the bytes read
 //! so far (`read_line` drops them), and a line that is not UTF-8 is the
 //! service's to answer ([`text`]), not a reason to hang up.
@@ -30,7 +30,7 @@ use crate::Json;
 /// The poll tick: the acceptor's sleep when no client is waiting, and
 /// each connection's read timeout. Either sees a raised shutdown flag
 /// within one tick.
-pub const POLL: Duration = Duration::from_millis(25);
+const POLL: Duration = Duration::from_millis(25);
 
 /// What one front does besides framing.
 pub trait Service: Send + Sync + 'static {

@@ -100,10 +100,8 @@ pub mod slo;
 
 pub use cache::{CacheConfig, CacheCounters, ResultCache};
 pub use client::{Client, NodeConn};
-pub use engine::{design_json, error_response, ok_response, Engine};
+pub use engine::{error_response, histogram_json, Engine};
 pub use error::{wire_status, ServeError};
-pub use query::{
-    ObjectiveKind, Query, Request, MAX_CAPACITY_BYTES, MAX_DEADLINE_MS, MAX_YIELD_SAMPLES,
-};
-pub use server::{spawn_local_node, Server, ServerConfig, SRAM_CACHE_FILE_ENV};
+pub use query::{ObjectiveKind, Query, Request};
+pub use server::{spawn_local_node, Server, ServerConfig};
 pub use sram_probe::json::{Json, JsonError};

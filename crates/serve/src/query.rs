@@ -26,13 +26,13 @@ use sram_probe::trace::TraceCtx;
 
 /// Largest accepted capacity (64 MiB) — guards the exhaustive search
 /// from absurd requests.
-pub const MAX_CAPACITY_BYTES: u64 = 64 * 1024 * 1024;
+const MAX_CAPACITY_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Largest accepted Monte Carlo sample count.
-pub const MAX_YIELD_SAMPLES: u64 = 100_000;
+const MAX_YIELD_SAMPLES: u64 = 100_000;
 
 /// Largest accepted per-request deadline (one hour).
-pub const MAX_DEADLINE_MS: u64 = 3_600_000;
+const MAX_DEADLINE_MS: u64 = 3_600_000;
 
 /// The optimization objective a query may select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

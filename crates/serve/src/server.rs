@@ -40,7 +40,7 @@ use crate::Json;
 /// Environment variable naming the cache spill file ([`ServerConfig`]
 /// default). When set, the server warm-starts its result cache from the
 /// file at startup and spills the cache back on graceful shutdown.
-pub const SRAM_CACHE_FILE_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CACHE_FILE");
+const SRAM_CACHE_FILE_ENV: sram_probe::EnvVar = sram_probe::env_var!("SRAM_CACHE_FILE");
 
 /// Most jobs a worker drains into one [`Engine::handle_batch`] call.
 const MAX_BATCH: usize = 16;
@@ -448,10 +448,9 @@ fn serve_line(line: &str, node: &Node) -> Json {
         }
     };
     let latency_ns = now.elapsed().as_nanos() as u64;
-    sram_probe::probe_record!("serve.request.latency_ns", latency_ns);
-    // The telemetry quantile stream and SLO counters bypass the probe
-    // level gate: `metrics`/`health` must report with probes off.
-    probe_handle!(quantiles "serve.request.latency_ns").record(latency_ns);
+    // The latency histogram and SLO counters bypass the probe level
+    // gate: `metrics`/`health` must report with probes off.
+    probe_handle!(histogram "serve.request.latency_ns").record(latency_ns);
     crate::slo::record(op, latency_ns);
     if let Some(scope) = scope {
         drop(root); // close the root before reading its interval back

@@ -1,7 +1,7 @@
 //! Per-query-type latency SLOs with multi-window error-budget burn
 //! rates.
 //!
-//! Every op has a latency objective (default [`DEFAULT_SLO_MS`],
+//! Every op has a latency objective (default `DEFAULT_SLO_MS`,
 //! overridable globally via `SRAM_SLO_MS` or per op via
 //! `SRAM_SLO_<OP>_MS`, e.g. `SRAM_SLO_EVALUATE_POINT_MS`). Each served
 //! request increments `serve.slo.<op>.total` and, when its end-to-end
@@ -10,7 +10,7 @@
 //! pattern) because the `health` surface must work with probes off.
 //!
 //! Burn rate is the classic error-budget form: with a target success
-//! ratio of [`TARGET_SUCCESS`], a budget of `1 − target` failures is
+//! ratio of `TARGET_SUCCESS`, a budget of `1 − target` failures is
 //! allowed, and `burn = breach_fraction / (1 − target)` says how many
 //! times faster than sustainable the budget is being spent. Burn is
 //! computed over two windows from the telemetry ring — the whole ring
@@ -23,10 +23,10 @@ use sram_probe::telemetry::Export;
 use sram_probe::{env_var, probe_handle, Counter, EnvVar};
 
 /// Default per-request latency objective in milliseconds.
-pub const DEFAULT_SLO_MS: u64 = 250;
+const DEFAULT_SLO_MS: u64 = 250;
 
 /// Target success ratio: 99% of requests inside the objective.
-pub const TARGET_SUCCESS: f64 = 0.99;
+const TARGET_SUCCESS: f64 = 0.99;
 
 /// One op's SLO: wire name, objective, and its two counters.
 struct Resolved {

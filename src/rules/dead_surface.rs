@@ -1,9 +1,9 @@
-//! Dead public surface in the reproduction crates (`units`, `device`,
-//! `spice`, `cell`, `array`, `core`): every `pub fn` their `src/` declares
-//! outside `#[cfg(test)]` items must be named in the code of some other
-//! source file of the repository — library code, a binary, an example, an
-//! integration test or edpbench. Comments, strings, `pub use` re-exports
-//! and `#[cfg(test)]` items are no callers. The match is by name, so a
+//! Dead public surface in the workspace crates: every `pub fn` and
+//! `pub const` that a `crates/*/src/` file declares outside `#[cfg(test)]`
+//! items must be named in the code of some other source file of the
+//! repository — library code, a binary, an example, an integration test
+//! or edpbench. Comments, strings, `pub use` re-exports and
+//! `#[cfg(test)]` items are no callers. The match is by name, so a
 //! method that shares its name with one called elsewhere passes; a name
 //! no other file mentions is surely uncalled.
 
@@ -12,10 +12,13 @@ use std::path::{Path, PathBuf};
 
 use super::unit_hygiene::blank;
 
-const REPRODUCTION_CRATES: [&str; 6] = ["units", "device", "spice", "cell", "array", "core"];
+const CRATES: [&str; 11] = [
+    "units", "device", "spice", "cell", "array", "core", "probe", "bench", "serve", "cluster",
+    "faults",
+];
 
 /// Every `.rs` file under `dir`, skipping build output (`target`), the
-/// vendored stand-ins (which cannot call the reproduction crates) and
+/// vendored stand-ins (which cannot call the workspace crates) and
 /// hidden directories.
 fn sources(dir: &Path, files: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable directory") {
@@ -42,10 +45,10 @@ fn repository_sources() -> Vec<PathBuf> {
     files
 }
 
-/// `true` for a file under one of the reproduction crates' `src/`.
+/// `true` for a file under one of the workspace crates' `src/`.
 fn declares_surface(path: &Path) -> bool {
     let crates = root().join("crates");
-    REPRODUCTION_CRATES
+    CRATES
         .iter()
         .any(|c| path.starts_with(crates.join(c).join("src")))
 }
@@ -56,8 +59,9 @@ fn words(s: &str) -> impl Iterator<Item = &str> {
         .filter(|w| !w.is_empty())
 }
 
-/// The `pub fn`s (`pub const fn`s too) of blanked code, with their line
-/// numbers; a macro's `pub fn $name` declares nothing here.
+/// The `pub fn`s (`pub const fn`s too) and `pub const`s of blanked code,
+/// with their line numbers; a macro's `pub fn $name` declares nothing
+/// here.
 fn declared(code: &str) -> Vec<(usize, String)> {
     let mut found = Vec::new();
     for (n, line) in code.lines().enumerate() {
@@ -69,6 +73,7 @@ fn declared(code: &str) -> Vec<(usize, String)> {
                 {
                     name
                 }
+                ["pub", "const", name, ..] if name != "fn" && !name.starts_with('$') => name,
                 _ => continue,
             };
             found.push((n + 1, name.to_string()));
@@ -103,7 +108,8 @@ fn mentioned(code: &str) -> BTreeSet<&str> {
     names
 }
 
-/// One finding, `path:line` and name, per `pub fn` no other file names.
+/// One finding, `path:line` and name, per `pub fn` or `pub const` no
+/// other file names.
 fn orphans(files: &[(PathBuf, String)]) -> Vec<String> {
     let mentions: Vec<BTreeSet<&str>> = files.iter().map(|(_, code)| mentioned(code)).collect();
     let mut found = Vec::new();
@@ -132,7 +138,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_pub_fn_in_the_reproduction_crates_has_a_caller() {
+    fn every_pub_fn_and_const_in_the_workspace_crates_has_a_caller() {
         let files: Vec<(PathBuf, String)> = repository_sources()
             .into_iter()
             .map(|path| {
@@ -143,7 +149,7 @@ mod tests {
         let orphans = orphans(&files).join("\n");
         assert!(
             orphans.is_empty(),
-            "pub fns without a caller (call them from another file, make them private or delete them):\n{orphans}"
+            "pub fns and consts without a caller (call them from another file, make them private or delete them):\n{orphans}"
         );
     }
 
@@ -164,14 +170,17 @@ mod tests {
                 "crates/serve/src/b.rs",
                 "// only_here\nconst S: &str = \"only_here\";\nconst R: &str = r#\"only_here(\" \"#;\n\
                  pub use a::{only_here, constant};\n\
-                 pub(crate) use a::constant;\nfn f() { used() }",
+                 pub(crate) use a::constant;\nfn f() { used() }\n\
+                 pub const LIMIT: u8 = 1;\npub const READ: u8 = LIMIT;\npub(crate) const SCOPED: u8 = 2;",
             ),
+            at("crates/probe/src/c.rs", "fn g() -> u8 { READ }"),
         ];
         assert_eq!(
             orphans(&files),
             [
                 "crates/cell/src/a.rs:2: `only_here` is named in no other file",
                 "crates/cell/src/a.rs:3: `constant` is named in no other file",
+                "crates/serve/src/b.rs:7: `LIMIT` is named in no other file",
             ]
         );
     }
@@ -179,9 +188,12 @@ mod tests {
     #[test]
     fn outside_crates_declare_nothing_and_every_caller_is_read() {
         let files = [
-            at("crates/serve/src/a.rs", "pub fn unclaimed() {}"),
+            at(
+                "src/a.rs",
+                "pub fn unclaimed() {}\npub const UNCLAIMED: u8 = 0;",
+            ),
             at("edpbench/src/b.rs", "pub fn also_unclaimed() { called() }"),
-            at("crates/core/src/c.rs", "pub fn called() {}"),
+            at("crates/faults/src/c.rs", "pub fn called() {}"),
         ];
         assert_eq!(orphans(&files), Vec::<String>::new());
         let scanned = repository_sources();
@@ -194,7 +206,7 @@ mod tests {
         ] {
             assert!(scanned.contains(&root().join(caller)), "{caller} is read");
         }
-        for c in REPRODUCTION_CRATES {
+        for c in CRATES {
             assert!(scanned.contains(&root().join(format!("crates/{c}/src/lib.rs"))));
         }
         let skipped = scanned.iter().find(|f| {
