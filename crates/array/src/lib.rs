@@ -82,7 +82,7 @@ pub use driver::Superbuffer;
 pub use error::ArrayError;
 pub use model::{
     ArrayMetrics, ArrayModel, ArrayParams, ArraySlice, DelayBreakdown, EnergyAccounting,
-    EnergyBreakdown,
+    EnergyBreakdown, SliceColumns,
 };
 pub use organization::{ArrayOrganization, Capacity};
 pub use periphery::Periphery;

@@ -367,6 +367,13 @@ impl<'a> ArrayModel<'a> {
 /// [`ArrayModel::evaluate`] is a slice plus one point, so a
 /// [`ArraySlice::sweep`] returns, bit for bit, what it returns at each
 /// point.
+///
+/// [`ArraySlice::bound`] runs the same Table 3 body once on relaxed
+/// inputs and returns metrics that no point of a fin box undercuts in
+/// any field; [`ArraySlice::sweep_pruned`] uses the same bound per
+/// `N_wr` column to skip the columns its caller rules out. Both take the
+/// `N_wr` terms as [`SliceColumns`], which read no `V_SSC`: one set
+/// serves every slice of an organization.
 #[derive(Debug, Clone)]
 pub struct ArraySlice<'a> {
     organization: ArrayOrganization,
@@ -390,6 +397,16 @@ pub struct ArraySlice<'a> {
     i_read: Current,
 }
 
+/// The `N_wr` terms of a slice at a list of `N_wr` values, from
+/// [`ArraySlice::columns`]: `C_COL`, the column-select row and the column
+/// superbuffer at each value. They read neither `V_SSC` nor `N_pre`, so
+/// the slices of one [`ArrayModel`] at other `V_SSC` levels share them.
+#[derive(Debug, Clone)]
+pub struct SliceColumns {
+    organization: ArrayOrganization,
+    terms: Vec<ColumnTerms>,
+}
+
 /// The `N_wr` terms of a slice.
 #[derive(Debug, Clone, Copy)]
 struct ColumnTerms {
@@ -408,7 +425,7 @@ impl ArraySlice<'_> {
     /// Panics if either fin count is zero.
     #[must_use]
     pub fn evaluate(&self, n_pre: u32, n_wr: u32) -> ArrayMetrics {
-        self.point(&self.column(n_wr), n_pre)
+        self.point(&self.column(n_wr), n_pre, self.bitline(n_pre, n_wr))
     }
 
     /// Evaluates every point of `n_pre_values × n_wr_values`, `N_pre`
@@ -423,14 +440,163 @@ impl ArraySlice<'_> {
         &self,
         n_pre_values: &[u32],
         n_wr_values: &[u32],
+        visit: impl FnMut(u32, u32, &ArrayMetrics),
+    ) {
+        self.sweep_columns(n_pre_values, &self.columns(n_wr_values).terms, visit);
+    }
+
+    /// The `N_wr` terms at each of `n_wr_values`, for [`Self::bound`] and
+    /// [`Self::sweep_pruned`] on this slice or on a slice of the same
+    /// model at another `V_SSC`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any fin count is zero.
+    #[must_use]
+    pub fn columns(&self, n_wr_values: &[u32]) -> SliceColumns {
+        SliceColumns {
+            organization: self.organization,
+            terms: n_wr_values.iter().map(|&n| self.column(n)).collect(),
+        }
+    }
+
+    /// [`Self::sweep`] over `n_pre_values × columns`, skipping each `N_wr`
+    /// column that `prune` rejects: the column's bound over
+    /// `n_pre_values` (see [`Self::bound`]) goes to `prune` first, and a
+    /// column it returns `true` for is neither evaluated nor visited. A
+    /// column without a bound is always swept. Returns the number of
+    /// points skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any fin count is zero, or if `columns` belong to another
+    /// organization.
+    pub fn sweep_pruned(
+        &self,
+        n_pre_values: &[u32],
+        columns: &SliceColumns,
+        mut prune: impl FnMut(&ArrayMetrics) -> bool,
+        visit: impl FnMut(u32, u32, &ArrayMetrics),
+    ) -> usize {
+        let terms = self.terms(columns);
+        let kept: Vec<ColumnTerms> = terms
+            .iter()
+            .filter(|&column| {
+                !self
+                    .relaxed(n_pre_values, std::slice::from_ref(column))
+                    .is_some_and(|bound| prune(&bound))
+            })
+            .copied()
+            .collect();
+        self.sweep_columns(n_pre_values, &kept, visit);
+        (terms.len() - kept.len()) * n_pre_values.len()
+    }
+
+    /// A lower bound on every point of `n_pre_values × columns`, field by
+    /// field: no point's metrics are below it in any field, bit for bit.
+    /// It is the one Table 3 body evaluated on relaxed inputs: `C_BL` at
+    /// the smallest `N_pre` and `N_wr`, the precharge and write-driver
+    /// currents at the largest, and each column term (`C_COL`'s row and
+    /// the column superbuffer's delay and energy) at its minimum over the
+    /// `N_wr` values.
+    ///
+    /// Every operation of that body is a sum, a `max`, or a product or
+    /// quotient of non-negative quantities, so each field grows with
+    /// `C_BL` and the column terms and shrinks with the currents.
+    /// IEEE-754 rounding to nearest is monotone and Rust contracts
+    /// nothing into fused multiply-adds, so the computed bound keeps the
+    /// order the exact one has, without an epsilon. The argument needs
+    /// `I_read(V_SSC)`, `I_ON,PFET`, `I_ON,TG`, `C_dn`, `C_dp`, `Vdd`,
+    /// `V_DDC − V_SSC`, `ΔV_S` and the cell leakage to be positive and
+    /// finite; when one is not, or the box is empty, there is no bound
+    /// (`None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_pre_values` holds only zeros, or if `columns` belong
+    /// to another organization.
+    #[must_use]
+    pub fn bound(&self, n_pre_values: &[u32], columns: &SliceColumns) -> Option<ArrayMetrics> {
+        self.relaxed(n_pre_values, self.terms(columns))
+    }
+
+    /// The terms of `columns`, which must be this organization's.
+    fn terms<'c>(&self, columns: &'c SliceColumns) -> &'c [ColumnTerms] {
+        assert_eq!(
+            columns.organization, self.organization,
+            "N_wr columns of another organization"
+        );
+        &columns.terms
+    }
+
+    /// Visits `n_pre_values × columns`, `N_pre` outer.
+    fn sweep_columns(
+        &self,
+        n_pre_values: &[u32],
+        columns: &[ColumnTerms],
         mut visit: impl FnMut(u32, u32, &ArrayMetrics),
     ) {
-        let columns: Vec<ColumnTerms> = n_wr_values.iter().map(|&n| self.column(n)).collect();
         for &n_pre in n_pre_values {
-            for col in &columns {
-                visit(n_pre, col.n_wr, &self.point(col, n_pre));
+            for col in columns {
+                visit(
+                    n_pre,
+                    col.n_wr,
+                    &self.point(col, n_pre, self.bitline(n_pre, col.n_wr)),
+                );
             }
         }
+    }
+
+    /// The Table 3 body at the box corner [`Self::bound`] describes.
+    fn relaxed(&self, n_pre_values: &[u32], columns: &[ColumnTerms]) -> Option<ArrayMetrics> {
+        if !self.bound_holds() {
+            return None;
+        }
+        let (&first, rest) = columns.split_first()?;
+        let n_pre_min = *n_pre_values.iter().min()?;
+        let n_pre_max = *n_pre_values.iter().max()?;
+        let n_wr_min = columns.iter().map(|c| c.n_wr).min()?;
+        let corner = rest.iter().fold(first, |acc, c| ColumnTerms {
+            n_wr: acc.n_wr.max(c.n_wr),
+            column_select: acc.column_select.min(c.column_select),
+            col: DelayEnergy {
+                delay: acc.col.delay.min(c.col.delay),
+                energy: acc.col.energy.min(c.col.energy),
+            },
+            col_drv_d: acc.col_drv_d.min(c.col_drv_d),
+            col_drv_e: acc.col_drv_e.min(c.col_drv_e),
+        });
+        Some(self.point(&corner, n_pre_max, self.bitline(n_pre_min, n_wr_min)))
+    }
+
+    /// Whether [`Self::bound`]'s monotonicity argument holds here: every
+    /// input whose sign it reads is positive and finite.
+    fn bound_holds(&self) -> bool {
+        let (cell, periphery) = (self.cell, self.periphery);
+        [
+            self.i_read.amps(),
+            periphery.ion_pfet().amps(),
+            periphery.ion_tg().amps(),
+            periphery.cdn().farads(),
+            periphery.cdp().farads(),
+            cell.vdd().volts(),
+            (cell.vddc() - self.vssc).volts(),
+            self.params.delta_vs.volts(),
+            cell.leakage().watts(),
+        ]
+        .into_iter()
+        .all(|x| x > 0.0 && x.is_finite())
+    }
+
+    /// `C_BL` at (`n_pre`, `n_wr`).
+    fn bitline(&self, n_pre: u32, n_wr: u32) -> Capacitance {
+        wire::bitline(
+            &self.organization,
+            self.periphery,
+            &self.params.tech,
+            n_pre,
+            n_wr,
+        )
     }
 
     fn inputs<'w>(
@@ -482,14 +648,15 @@ impl ArraySlice<'_> {
         }
     }
 
-    /// The one Table 3 / Eqs. (2)–(5) body.
-    fn point(&self, column: &ColumnTerms, n_pre: u32) -> ArrayMetrics {
+    /// The one Table 3 / Eqs. (2)–(5) body: `n_pre` and `column.n_wr`
+    /// set the precharge and write-driver currents, `c_bl` is `C_BL`.
+    fn point(&self, column: &ColumnTerms, n_pre: u32, c_bl: Capacitance) -> ArrayMetrics {
         assert!(n_pre > 0, "N_pre must be at least 1");
         let org = &self.organization;
         let (n_wr, col) = (column.n_wr, column.col);
         let wires = WireCapacitances {
             column_select: column.column_select,
-            bitline: wire::bitline(org, self.periphery, &self.params.tech, n_pre, n_wr),
+            bitline: c_bl,
             ..self.wires
         };
         let inputs = self.inputs(&wires, n_pre, n_wr);
@@ -757,6 +924,50 @@ mod tests {
             .slice()
             .unwrap();
         let _ = slice.evaluate(1, 0);
+    }
+
+    #[test]
+    fn a_slice_without_positive_inputs_has_no_bound_and_prunes_nothing() {
+        let fx = fixture();
+        let (n_pre, n_wr) = ([1, 20, 50], [1, 10, 20]);
+        let model = ArrayModel::new(org(256, 256), &fx.hvt, &fx.periphery, &fx.params);
+        let healthy = model.slice().unwrap();
+        assert!(healthy.bound(&n_pre, &healthy.columns(&n_wr)).is_some());
+        let leaky_cell = fx
+            .hvt
+            .clone()
+            .with_leakage(sram_units::Power::from_watts(f64::NAN));
+        let leaky = ArrayModel::new(org(256, 256), &leaky_cell, &fx.periphery, &fx.params);
+        let mut slices = vec![leaky.slice().unwrap()];
+        for i_read in [0.0, -1e-6, f64::NAN] {
+            let mut slice = model.slice().unwrap();
+            slice.i_read = Current::from_amps(i_read);
+            slices.push(slice);
+        }
+        for slice in slices {
+            let columns = slice.columns(&n_wr);
+            assert!(
+                slice.bound(&n_pre, &columns).is_none(),
+                "{:?}",
+                slice.i_read
+            );
+            let mut visited = 0;
+            let skipped = slice.sweep_pruned(&n_pre, &columns, |_| true, |_, _, _| visited += 1);
+            assert_eq!((skipped, visited), (0, 9), "{:?}", slice.i_read);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another organization")]
+    fn columns_of_another_organization_are_refused() {
+        let fx = fixture();
+        let slice = |o| {
+            ArrayModel::new(o, &fx.hvt, &fx.periphery, &fx.params)
+                .slice()
+                .unwrap()
+        };
+        let columns = slice(org(128, 64)).columns(&[1, 2]);
+        let _ = slice(org(64, 128)).bound(&[1], &columns);
     }
 
     /// The slice-equivalence grid: organizations without a mux and with

@@ -20,8 +20,8 @@
 //!    *full-simulation* mode (the paper model's analytic
 //!    characterization never enters the spice or cell layers), inside
 //!    a trace scope of the bench's own; the scope's events must hold
-//!    one search whose every slice nests under it (even from the
-//!    search's worker threads), one cell characterization with spice
+//!    one search whose every walked slice nests under it on the
+//!    search's own thread, one cell characterization with spice
 //!    solves and transients under it, export well-formed Chrome JSON
 //!    (written to `$SRAM_TRACE_OUT` when set), and name spans from the
 //!    spice, cell, core, and serve layers in the flame summary. Two overhead
@@ -210,12 +210,11 @@ fn chrome_export_is_well_formed(chrome: &str) -> bool {
 }
 
 /// Phase 5's assertions on the traced 1 KB LVT-M1 optimize's events:
-/// exactly one `coopt.search`, one `coopt.slice` per slice it reports,
-/// each parented to the search span (and, with more than one search
-/// thread, run on worker threads rather than the search's own), exactly
-/// one `cell.characterize`, and at least one `spice.dc_sweep`, one
-/// `spice.dc_solve` and one `spice.transient` under it.
-fn check_traced_optimize(events: &[TraceEvent], threads: usize) -> Result<(), ServeError> {
+/// exactly one `coopt.search`, one `coopt.slice` per slice it reports
+/// walking, each parented to the search span and run on its thread,
+/// exactly one `cell.characterize`, and at least one `spice.dc_sweep`,
+/// one `spice.dc_solve` and one `spice.transient` under it.
+fn check_traced_optimize(events: &[TraceEvent]) -> Result<(), ServeError> {
     let spans = |name: &str| -> Vec<&TraceEvent> {
         events
             .iter()
@@ -230,12 +229,12 @@ fn check_traced_optimize(events: &[TraceEvent], threads: usize) -> Result<(), Se
     let reported = events
         .iter()
         .find(|e| e.id == search.id && e.phase == Phase::End)
-        .and_then(|end| end.args.iter().find(|(key, _)| *key == "slices"))
+        .and_then(|end| end.args.iter().find(|(key, _)| *key == "walked"))
         .map_or(-1, |&(_, n)| n);
     let slices = spans("coopt.slice");
     if slices.len() as i64 != reported {
         return fail(format!(
-            "{} coopt.slice spans for a search over {reported} slices",
+            "{} coopt.slice spans for a search that walked {reported} slices",
             slices.len()
         ));
     }
@@ -245,8 +244,8 @@ fn check_traced_optimize(events: &[TraceEvent], threads: usize) -> Result<(), Se
             stray.id, stray.parent, search.id
         ));
     }
-    if threads > 1 && slices.iter().any(|s| s.tid == search.tid) {
-        return fail("a slice ran on the search's own thread, not a worker".into());
+    if slices.iter().any(|s| s.tid != search.tid) {
+        return fail("a slice ran off the search's own thread".into());
     }
     let characterizations = spans("cell.characterize").len();
     if characterizations != 1 {
@@ -424,7 +423,7 @@ fn bench(threads: usize) -> Result<ServeBench, ServeError> {
             "traced request did not return a span tree".into(),
         ));
     };
-    check_traced_optimize(&events, threads)?;
+    check_traced_optimize(&events)?;
     let trace_spans = events.iter().filter(|e| e.phase != Phase::End).count();
     let chrome = sram_probe::trace::chrome_trace_json(&events);
     let trace_chrome_valid = chrome_export_is_well_formed(&chrome);

@@ -1,30 +1,30 @@
 //! The fault-injection soaks: one driver, four scenarios.
 //!
 //! Each soak is one row of a table — topology × fault table × load ×
-//! invariant table ([`Scenario`]) — plus the phases only that scenario
+//! invariant table (`Scenario`) — plus the phases only that scenario
 //! has ([`chaos`], [`telemetry`], [`cluster`], [`trace`]). This module
 //! owns everything they share:
 //!
-//! * **topology** ([`Net`]): one `Server` over a coarse paper-mode
+//! * **topology** (`Net`): one `Server` over a coarse paper-mode
 //!   engine, or N local nodes behind a [`Router`]. Dropping a `Net`
 //!   shuts the router and every node down, so every exit path cleans
 //!   up;
-//! * **the fault plan** ([`Scenario::plan`]): built from the fault
+//! * **the fault plan** (`Scenario::plan`): built from the fault
 //!   table, whose caps are also the expected per-point fire counts, so
 //!   the two cannot drift. Every rule fires with probability 1 under
 //!   its cap: which request observes a fault varies, the totals never
 //!   do;
-//! * **the client loop** ([`Soak::wave`]): resend on `internal` or
+//! * **the client loop** (`Soak::wave`): resend on `internal` or
 //!   `busy`, reconnect after a clean EOF, hard-fail on a reply timeout
 //!   or an exhausted attempt budget, check the id of every `ok` reply,
 //!   run the scenario's per-reply hook, and end every client with an
 //!   id echo — a doubled or dropped reply anywhere earlier misaligns
 //!   it;
-//! * **rounds and counter deltas** ([`Soak::round`]): a round arms the
+//! * **rounds and counter deltas** (`Soak::round`): a round arms the
 //!   plan (or not), runs its waves, and records its tallies, per-point
 //!   fires, and probe deltas; the whole soak records deltas, gauges,
 //!   and phase results once more at the end;
-//! * **checks** ([`report`]): every invariant row is evaluated on the
+//! * **checks** (`report`): every invariant row is evaluated on the
 //!   whole soak or on every round, and any broken row fails the soak.
 //!
 //! Every soak installs a process-global fault plan, so the end-to-end

@@ -10,7 +10,7 @@
 //!    configured rate (that proportionality is what makes sampling a
 //!    ring-pressure control rather than a coin flip);
 //! 2. **clean round** — a warmed node answers the load at sample rate
-//!    [`SAMPLE_RATE`]; afterwards `metrics` over the wire must carry a
+//!    `SAMPLE_RATE`; afterwards `metrics` over the wire must carry a
 //!    closed window, its Prometheus text and JSON forms must agree
 //!    exactly on every latency quantile (they are rendered from one
 //!    export — any drift is a bug), and `health` must say `ok`;
@@ -194,7 +194,7 @@ pub(crate) fn soak(threads: usize) -> Result<Outcome, String> {
 ///
 /// # Errors
 ///
-/// Propagates [`soak`] failures and every broken invariant.
+/// Propagates the soak's failures and every broken invariant.
 pub fn run(threads: usize) -> Result<String, String> {
     super::report(&SCENARIO, &soak(threads)?)
 }

@@ -319,7 +319,7 @@ pub(crate) fn soak(threads: usize) -> Result<Outcome, String> {
 ///
 /// # Errors
 ///
-/// Propagates [`soak`] failures and every broken invariant.
+/// Propagates the soak's failures and every broken invariant.
 pub fn run(threads: usize) -> Result<String, String> {
     super::report(&SCENARIO, &soak(threads)?)
 }

@@ -54,7 +54,6 @@ pub struct CoOptimizationFramework {
     space: DesignSpace,
     mode: CharacterizationMode,
     word_bits: u32,
-    threads: usize,
     cache: HashMap<(VtFlavor, Method), CellCharacterization>,
 }
 
@@ -83,7 +82,6 @@ impl CoOptimizationFramework {
             space: DesignSpace::paper_default(),
             mode,
             word_bits: 64,
-            threads: 1,
             cache: HashMap::new(),
         }
     }
@@ -103,10 +101,10 @@ impl CoOptimizationFramework {
         self
     }
 
-    /// Enables parallel search with `n` threads.
+    /// Accepts a worker count and changes nothing, like
+    /// [`Search::with_threads`]: every search runs on the calling thread.
     #[must_use]
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
+    pub fn with_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -268,7 +266,7 @@ impl CoOptimizationFramework {
         capacity: Capacity,
         flavor: VtFlavor,
         method: Method,
-        objective: &(impl Objective + Sync + ?Sized),
+        objective: &(impl Objective + ?Sized),
     ) -> Result<OptimalDesign, CooptError> {
         self.characterization(flavor, method)?;
         self.optimize_with_cell(
@@ -301,7 +299,7 @@ impl CoOptimizationFramework {
         capacity: Capacity,
         flavor: VtFlavor,
         method: Method,
-        objective: &(impl Objective + Sync + ?Sized),
+        objective: &(impl Objective + ?Sized),
     ) -> Result<OptimalDesign, CooptError> {
         self.optimize_with_cell_cancel(
             cell,
@@ -330,7 +328,7 @@ impl CoOptimizationFramework {
         capacity: Capacity,
         flavor: VtFlavor,
         method: Method,
-        objective: &(impl Objective + Sync + ?Sized),
+        objective: &(impl Objective + ?Sized),
         cancel: &CancelToken,
     ) -> Result<OptimalDesign, CooptError> {
         let outcome = self.with_search(cell, method, cancel, |search| {
@@ -357,8 +355,7 @@ impl CoOptimizationFramework {
     }
 
     /// Hands `f` the search of `cell` over `method`'s space (M1 has no
-    /// negative-Gnd rail) under the δ rule, with this framework's
-    /// threads and `cancel`.
+    /// negative-Gnd rail) under the δ rule, with `cancel`.
     fn with_search<R>(
         &self,
         cell: &CellCharacterization,
@@ -378,7 +375,6 @@ impl CoOptimizationFramework {
             YieldConstraint::paper_delta(self.vdd),
             self.word_bits,
         )
-        .with_threads(self.threads)
         .with_cancel(cancel.clone());
         f(&search)
     }

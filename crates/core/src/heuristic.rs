@@ -27,12 +27,17 @@ impl Search<'_> {
         self.poll_cancel()?;
         let mut scored = None;
         let (org, vssc) = (point.organization, point.vssc);
-        stats.merge(
-            &self.walk_slice(org, vssc, &[point.n_pre], &[point.n_wr], |_, metrics| {
+        stats.merge(&self.walk_slice(
+            org,
+            vssc,
+            &[point.n_pre],
+            &[point.n_wr],
+            None,
+            |_, metrics| {
                 scored = finite_score(objective, metrics).map(|score| (score, *metrics));
                 scored.is_some()
-            }),
-        );
+            },
+        ));
         Ok(scored)
     }
 

@@ -15,6 +15,13 @@ use sram_array::ArrayMetrics;
 /// metrics without corrupting the search.
 pub trait Objective {
     /// Scalar score of the metrics (lower wins).
+    ///
+    /// The computed score must not decrease as any field of
+    /// non-negative metrics grows: `score(a) ≤ score(b)` whenever every
+    /// field of `a` is at most the same field of `b`. [`crate::Search::run`]
+    /// relies on it to skip the candidates whose lower bound
+    /// ([`sram_array::ArraySlice::bound`]) scores above a point it has
+    /// already found; the four objectives here keep it.
     fn score(&self, metrics: &ArrayMetrics) -> f64;
 
     /// Human-readable name for reports.

@@ -9,7 +9,8 @@ use sram_units::{Energy, EnergyDelay, Time, Voltage};
 ///
 /// Invariants (maintained by every walk of [`crate::Search`], identical
 /// for serial and parallel runs): `examined = feasible + infeasible` and
-/// `feasible = evaluated + eval_errors`.
+/// `feasible = evaluated + eval_errors + pruned`. Only
+/// [`crate::Search::run`] prunes; the other walks leave `pruned` at 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStatistics {
     /// Candidates enumerated (the whole space).
@@ -24,6 +25,9 @@ pub struct SearchStatistics {
     /// Feasible candidates whose array model evaluation errored (the
     /// candidate is skipped, not fatal).
     pub eval_errors: usize,
+    /// Feasible candidates never evaluated, because a lower bound on
+    /// their slice or `N_wr` column scored above a point already found.
+    pub pruned: usize,
 }
 
 impl SearchStatistics {
@@ -34,6 +38,7 @@ impl SearchStatistics {
         self.infeasible += other.infeasible;
         self.evaluated += other.evaluated;
         self.eval_errors += other.eval_errors;
+        self.pruned += other.pruned;
     }
 }
 

@@ -1,18 +1,18 @@
-//! The one walk over the design space: the exhaustive search (serial or
-//! parallel), the energy-delay Pareto front and coordinate descent
-//! ([`Search::descend`], in `heuristic.rs`) share its slice walk, yield
-//! gate, error and NaN policies, cancel polling and statistics.
+//! The one walk over the design space: the bound-and-prune search, the
+//! energy-delay Pareto front and coordinate descent ([`Search::descend`], in `heuristic.rs`) share its slice walk,
+//! yield gate, error and NaN policies, cancel polling and statistics.
 
 use crate::{
     CooptError, DesignSpace, EnergyDelayProduct, Method, Objective, OptimalDesign, ParetoFront,
     ParetoPoint, SearchStatistics, YieldConstraint,
 };
-use sram_array::{ArrayMetrics, ArrayModel, ArrayOrganization, ArrayParams, Capacity, Periphery};
+use sram_array::{
+    ArrayMetrics, ArrayModel, ArrayOrganization, ArrayParams, Capacity, Periphery, SliceColumns,
+};
 use sram_cell::CellCharacterization;
 use sram_device::VtFlavor;
 use sram_faults::{CancelReason, CancelToken};
 use sram_units::Voltage;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One candidate assignment of the searched variables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,6 +71,16 @@ impl SearchOutcome {
 /// A feasible candidate with its evaluated metrics and objective score.
 type ScoredCandidate = (DesignPoint, ArrayMetrics, f64);
 
+/// One walked slice: its best candidate and its statistics.
+type SliceResult = (Option<ScoredCandidate>, SearchStatistics);
+
+/// Rejects a lower bound that cannot beat the search's threshold.
+type Reject<'p> = &'p dyn Fn(&ArrayMetrics) -> bool;
+
+/// What a pruned walk of a slice needs: its organization's `N_wr`
+/// columns and the test that rejects a column's lower bound.
+type Pruning<'p> = (&'p SliceColumns, Reject<'p>);
+
 /// The NaN policy of every walk: a non-finite score is an evaluation
 /// error and never competes (a NaN first candidate would win `score < s`
 /// comparisons by default forever after).
@@ -88,6 +98,7 @@ fn record_candidates(stats: &SearchStatistics) {
     sram_probe::probe_add!("coopt.candidates_infeasible_yield", stats.infeasible as u64);
     sram_probe::probe_add!("coopt.candidates_evaluated", stats.evaluated as u64);
     sram_probe::probe_add!("coopt.candidate_eval_errors", stats.eval_errors as u64);
+    sram_probe::probe_add!("coopt.candidates_pruned", stats.pruned as u64);
 }
 
 /// Builds the typed cancellation error (and counts the abort).
@@ -97,11 +108,13 @@ fn cancelled(reason: CancelReason) -> CooptError {
 }
 
 /// A search problem over [`DesignSpace`]: one characterized cell, the
-/// shared array parameters and the yield constraint. It walks the space
-/// exhaustively ([`Self::run`]; Section 5: "we can derive the minimum
-/// energy-delay product point of the array using an exhaustive search"),
-/// for the energy-delay Pareto front ([`Self::pareto_front`]) or by
-/// coordinate descent ([`Self::descend`]).
+/// shared array parameters and the yield constraint. It finds the
+/// exhaustive optimum ([`Self::run`]; Section 5: "we can derive the
+/// minimum energy-delay product point of the array using an exhaustive
+/// search"), skipping what a lower bound proves cannot win; it walks the
+/// whole space for the energy-delay Pareto front
+/// ([`Self::pareto_front`]) and part of it by coordinate descent
+/// ([`Self::descend`]).
 #[derive(Debug, Clone)]
 pub struct Search<'a> {
     pub(crate) cell: &'a CellCharacterization,
@@ -110,7 +123,6 @@ pub struct Search<'a> {
     pub(crate) space: &'a DesignSpace,
     constraint: YieldConstraint,
     word_bits: u32,
-    threads: usize,
     cancel: CancelToken,
 }
 
@@ -133,23 +145,23 @@ impl<'a> Search<'a> {
             space,
             constraint,
             word_bits,
-            threads: 1,
             cancel: CancelToken::never(),
         }
     }
 
-    /// Enables a scoped thread pool of `n` workers for [`Self::run`],
-    /// splitting the space by `(organization, V_SSC)` slice.
+    /// Accepts a worker count and changes nothing: every walk runs on
+    /// the calling thread. A pruned search over the paper's space leaves
+    /// 0.1–0.5 ms of slices to walk, and splitting them over scoped
+    /// workers measured slower than one thread (DESIGN.md §3).
     #[must_use]
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
+    pub fn with_threads(self, _n: usize) -> Self {
         self
     }
 
     /// Attaches a cooperative cancellation token, polled once per slice
-    /// by every walk (on both of [`Self::run`]'s paths) — a fired token
-    /// aborts the walk within one slice's work instead of running to
-    /// completion.
+    /// by every walk (and by [`Self::run`] before its bound pass too) — a
+    /// fired token aborts the walk within one slice's work instead of
+    /// running to completion.
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
@@ -185,15 +197,18 @@ impl<'a> Search<'a> {
     /// and returns its statistics. The yield constraint depends only on
     /// `V_SSC` (through the cell tables), so it gates the whole slice;
     /// a slice whose model fails to build (only invalid array parameters
-    /// do) counts every candidate as an evaluation error. Each other
-    /// candidate goes to `visit`, which returns `false` to reject it as
-    /// an evaluation error.
+    /// do) counts every candidate as an evaluation error. With
+    /// `pruning`, the fin values of `N_wr` are its columns', and a column
+    /// whose lower bound it rejects is counted as pruned and not
+    /// evaluated. Each other candidate goes to `visit`, which returns
+    /// `false` to reject it as an evaluation error.
     pub(crate) fn walk_slice(
         &self,
         org: ArrayOrganization,
         vssc: Voltage,
         npre_values: &[u32],
         nwr_values: &[u32],
+        pruning: Option<Pruning<'_>>,
         mut visit: impl FnMut(DesignPoint, &ArrayMetrics) -> bool,
     ) -> SearchStatistics {
         // One trace span per slice — the unit of parallel work — with
@@ -223,7 +238,7 @@ impl<'a> Search<'a> {
             stats.eval_errors = examined;
             return stats;
         };
-        slice.sweep(npre_values, nwr_values, |n_pre, n_wr, metrics| {
+        let mut on_point = |n_pre, n_wr, metrics: &ArrayMetrics| {
             let point = DesignPoint {
                 organization: org,
                 vssc,
@@ -235,33 +250,98 @@ impl<'a> Search<'a> {
             } else {
                 stats.eval_errors += 1;
             }
-        });
+        };
+        let pruned = match pruning {
+            Some((columns, reject)) => {
+                slice.sweep_pruned(npre_values, columns, reject, &mut on_point)
+            }
+            None => {
+                slice.sweep(npre_values, nwr_values, &mut on_point);
+                0
+            }
+        };
+        stats.pruned = pruned;
+        trace.arg("pruned", pruned as i64);
         stats
     }
 
-    /// Evaluates one slice, returning the best feasible candidate in it.
+    /// Walks one slice (under `pruning`, when given), returning the best
+    /// feasible candidate in it.
     fn best_in_slice(
         &self,
-        org: ArrayOrganization,
-        vssc: Voltage,
+        (org, vssc): (ArrayOrganization, Voltage),
         npre_values: &[u32],
         nwr_values: &[u32],
         objective: &(impl Objective + ?Sized),
-    ) -> (Option<ScoredCandidate>, SearchStatistics) {
+        pruning: Option<Pruning<'_>>,
+    ) -> SliceResult {
         let mut best: Option<ScoredCandidate> = None;
-        let stats = self.walk_slice(org, vssc, npre_values, nwr_values, |point, metrics| {
-            let Some(score) = finite_score(objective, metrics) else {
-                return false;
-            };
-            if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
-                best = Some((point, *metrics, score));
-            }
-            true
-        });
+        let stats = self.walk_slice(
+            org,
+            vssc,
+            npre_values,
+            nwr_values,
+            pruning,
+            |point, metrics| {
+                let Some(score) = finite_score(objective, metrics) else {
+                    return false;
+                };
+                if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
+                    best = Some((point, *metrics, score));
+                }
+                true
+            },
+        );
         (best, stats)
     }
 
-    /// Runs the exhaustive search for `capacity` under `objective`.
+    /// The bound pass's verdict on one slice: `None` when it fails the
+    /// yield constraint, else the objective's score of the slice's lower
+    /// bound. A slice without a bound (its model does not build, or the
+    /// bound's preconditions fail) scores `-∞`, and a NaN score stays
+    /// NaN: neither is ever pruned. The organization's first slice
+    /// that needs them builds its `N_wr` `columns`, which the others
+    /// share.
+    fn bound_score(
+        &self,
+        (org, vssc): (ArrayOrganization, Voltage),
+        (npre_values, nwr_values): (&[u32], &[u32]),
+        objective: &(impl Objective + ?Sized),
+        columns: &mut Option<SliceColumns>,
+    ) -> Option<f64> {
+        if !self.constraint.check_snapshot(self.cell, vssc) {
+            return None;
+        }
+        let model = ArrayModel::new(org, self.cell, self.periphery, self.params);
+        let Ok(slice) = model.with_vssc(vssc).slice() else {
+            return Some(f64::NEG_INFINITY);
+        };
+        let columns = columns.get_or_insert_with(|| slice.columns(nwr_values));
+        let bound = slice.bound(npre_values, columns);
+        Some(bound.map_or(f64::NEG_INFINITY, |b| objective.score(&b)))
+    }
+
+    /// Finds the exhaustive optimum for `capacity` under `objective`: the
+    /// first minimum, in slice order (organization outer, then `V_SSC`,
+    /// `N_pre`, `N_wr`), of the finite scores of the yield-feasible
+    /// candidates, bit for bit what a walk of every candidate returns.
+    ///
+    /// It walks only what a lower bound does not rule out:
+    /// 1. a bound pass scores each feasible slice's lower bound
+    ///    ([`sram_array::ArraySlice::bound`]);
+    /// 2. the slice with the lowest bound, the seed, is walked in full,
+    ///    and its best score becomes the threshold `U`;
+    /// 3. every other slice whose bound is at most `U` is walked in slice
+    ///    order, skipping each `N_wr` column whose own bound scores above
+    ///    `U`.
+    ///
+    /// A skipped candidate scores at least its bound, above `U`, which is
+    /// at least the optimum, so it can neither win nor tie. `U` is fixed
+    /// before the walk, so what is skipped, and
+    /// [`SearchStatistics::pruned`], are the same on every run. The
+    /// argument needs the objective to keep [`Objective::score`]'s
+    /// contract: a score that does not fall as a field of the metrics
+    /// grows.
     ///
     /// # Errors
     ///
@@ -270,11 +350,11 @@ impl<'a> Search<'a> {
     /// * [`CooptError::Infeasible`] when no candidate meets the yield
     ///   constraint;
     /// * [`CooptError::Cancelled`] when the attached [`CancelToken`]
-    ///   fires mid-sweep (checked at slice boundaries).
+    ///   fires (checked before the bound pass and at slice boundaries).
     pub fn run(
         &self,
         capacity: Capacity,
-        objective: &(impl Objective + Sync + ?Sized),
+        objective: &(impl Objective + ?Sized),
     ) -> Result<SearchOutcome, CooptError> {
         let slices = self.slices(capacity);
         if slices.is_empty() {
@@ -287,78 +367,80 @@ impl<'a> Search<'a> {
         sram_probe::probe_inc!("coopt.searches");
         sram_probe::probe_add!("coopt.slices", slices.len() as u64);
         let _span = sram_probe::probe_span!("coopt.search_ns");
-        let mut _trace = sram_probe::trace_span!("coopt.search");
-        _trace.arg("slices", slices.len() as i64);
-        // Scoped workers adopt this context (the search span and its
-        // trace scope) so per-slice spans nest under it even on the
-        // parallel path.
-        let search_ctx = sram_probe::trace::TraceContext::current();
+        let mut trace = sram_probe::trace_span!("coopt.search");
+        trace.arg("slices", slices.len() as i64);
 
-        let results: Vec<(Option<ScoredCandidate>, SearchStatistics)> = if self.threads <= 1 {
-            let mut out = Vec::with_capacity(slices.len());
-            for &(org, vssc) in &slices {
-                self.poll_cancel()?;
-                out.push(self.best_in_slice(org, vssc, &npre_values, &nwr_values, objective));
+        // The bound pass, organization by organization: the `N_wr`
+        // columns read no `V_SSC`, so each organization builds them once.
+        self.poll_cancel()?;
+        let levels = self.space.vssc_values().len();
+        let fins = (npre_values.as_slice(), nwr_values.as_slice());
+        let mut columns: Vec<Option<SliceColumns>> = Vec::new();
+        let mut bounds: Vec<Option<f64>> = Vec::with_capacity(slices.len());
+        for organization in slices.chunks(levels) {
+            let mut org_columns = None;
+            for &slice in organization {
+                bounds.push(self.bound_score(slice, fins, objective, &mut org_columns));
             }
-            out
-        } else {
-            // Workers poll the token per slice and trip a shared latch so
-            // every sibling chunk stops at its next slice boundary too.
-            let stop = AtomicBool::new(false);
-            let chunks: Vec<&[(ArrayOrganization, Voltage)]> =
-                slices.chunks(slices.len().div_ceil(self.threads)).collect();
-            #[expect(
-                clippy::expect_used,
-                reason = "re-raising a worker panic at the join is the scoped-thread contract"
-            )]
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| {
-                            sram_probe::probe_record!(detail "coopt.slices_per_worker", chunk.len() as u64);
-                            let stop = &stop;
-                            let (npre_values, nwr_values) = (&npre_values, &nwr_values);
-                            let search_ctx = &search_ctx;
-                            scope.spawn(move || {
-                                let _adopt = sram_probe::trace::adopt(search_ctx);
-                                let mut partial = Vec::with_capacity(chunk.len());
-                                for &(org, vssc) in chunk {
-                                    if stop.load(Ordering::Relaxed) {
-                                        break;
-                                    }
-                                    if self.cancel.is_cancelled() {
-                                        stop.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                    partial.push(self.best_in_slice(
-                                        org,
-                                        vssc,
-                                        npre_values,
-                                        nwr_values,
-                                        objective,
-                                    ));
-                                }
-                                partial
-                            })
-                        })
-                        .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("search worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            if stop.load(Ordering::Relaxed) {
-                // Deadlines and shutdown flags are monotonic, so the token
-                // still reports the reason the workers observed.
-                let reason = self.cancel.cancelled().unwrap_or(CancelReason::Shutdown);
-                return Err(cancelled(reason));
+            columns.push(org_columns);
+        }
+        let seed = bounds
+            .iter()
+            .enumerate()
+            .filter_map(|(i, bound)| bound.filter(|b| !b.is_nan()).map(|b| (i, b)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| i);
+
+        let mut seeded: Option<SliceResult> = None;
+        let mut threshold = f64::INFINITY;
+        if let Some(i) = seed {
+            self.poll_cancel()?;
+            let result = self.best_in_slice(slices[i], &npre_values, &nwr_values, objective, None);
+            if let Some((_, _, score)) = result.0 {
+                threshold = score;
             }
-            results
+            seeded = Some(result);
+        }
+
+        // Walk every other slice whose bound is at most `U` (or NaN) and
+        // merge, both in slice order. A slice without a bound failed the
+        // yield gate; one whose bound is above `U` is pruned whole.
+        let reject = |bound: &ArrayMetrics| objective.score(bound) > threshold;
+        let per_slice = npre_values.len() * nwr_values.len();
+        let skipped = SearchStatistics {
+            examined: per_slice,
+            ..SearchStatistics::default()
         };
-
+        let mut walked = usize::from(seed.is_some());
         let mut stats = SearchStatistics::default();
         let mut best: Option<ScoredCandidate> = None;
-        for (candidate, slice_stats) in results {
+        for (i, (&slice, bound)) in slices.iter().zip(bounds).enumerate() {
+            let (candidate, slice_stats) = match bound {
+                None => (
+                    None,
+                    SearchStatistics {
+                        infeasible: per_slice,
+                        ..skipped
+                    },
+                ),
+                Some(_) if Some(i) == seed => seeded.take().unwrap_or_default(),
+                Some(b) if b <= threshold || b.is_nan() => {
+                    self.poll_cancel()?;
+                    walked += 1;
+                    let pruning = columns[i / levels]
+                        .as_ref()
+                        .map(|c| (c, &reject as Reject<'_>));
+                    self.best_in_slice(slice, &npre_values, &nwr_values, objective, pruning)
+                }
+                Some(_) => (
+                    None,
+                    SearchStatistics {
+                        feasible: per_slice,
+                        pruned: per_slice,
+                        ..skipped
+                    },
+                ),
+            };
             stats.merge(&slice_stats);
             if let Some((point, metrics, score)) = candidate {
                 if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
@@ -366,6 +448,7 @@ impl<'a> Search<'a> {
                 }
             }
         }
+        trace.arg("walked", walked as i64);
         record_candidates(&stats);
 
         let (best, metrics, score) = best.ok_or(CooptError::Infeasible {
@@ -404,17 +487,18 @@ impl<'a> Search<'a> {
         let mut stats = SearchStatistics::default();
         for (org, vssc) in slices {
             self.poll_cancel()?;
-            let slice_stats = self.walk_slice(org, vssc, &npre_values, &nwr_values, |tag, m| {
-                let finite = finite_score(&EnergyDelayProduct, m).is_some();
-                if finite {
-                    front.offer(ParetoPoint {
-                        energy: m.energy,
-                        delay: m.delay,
-                        tag,
-                    });
-                }
-                finite
-            });
+            let slice_stats =
+                self.walk_slice(org, vssc, &npre_values, &nwr_values, None, |tag, m| {
+                    let finite = finite_score(&EnergyDelayProduct, m).is_some();
+                    if finite {
+                        front.offer(ParetoPoint {
+                            energy: m.energy,
+                            delay: m.delay,
+                            tag,
+                        });
+                    }
+                    finite
+                });
             stats.merge(&slice_stats);
         }
         record_candidates(&stats);
@@ -475,8 +559,9 @@ mod tests {
             .unwrap();
         let s = out.stats;
         assert_eq!(s.examined, s.feasible + s.infeasible);
-        assert_eq!(s.feasible, s.evaluated + s.eval_errors);
+        assert_eq!(s.feasible, s.evaluated + s.eval_errors + s.pruned);
         assert!(s.evaluated > 0);
+        assert!(s.pruned > 0, "the EDP bound rules out part of the space");
     }
 
     #[test]
@@ -491,7 +576,7 @@ mod tests {
             .unwrap();
         assert_eq!(serial.best, parallel.best);
         assert_eq!(serial.stats, parallel.stats);
-        assert!((serial.score - parallel.score).abs() < 1e-30);
+        assert_eq!(serial.score.to_bits(), parallel.score.to_bits());
     }
 
     /// A walk of the space reduced to its error.
@@ -644,7 +729,7 @@ mod tests {
         assert!(out.score.is_finite());
         let s = out.stats;
         assert_eq!(s.examined, s.feasible + s.infeasible);
-        assert_eq!(s.feasible, s.evaluated + s.eval_errors);
+        assert_eq!(s.feasible, s.evaluated + s.eval_errors + s.pruned);
     }
 
     #[test]

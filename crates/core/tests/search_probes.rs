@@ -1,5 +1,6 @@
-//! The `coopt.*` probes of the exhaustive search and of the Pareto
-//! front report exactly the work their `SearchStatistics` count.
+//! The `coopt.*` probes of the search and of the Pareto front report
+//! exactly the work their `SearchStatistics` count, pruned candidates
+//! included.
 //!
 //! The probe registry is process-global, so this binary holds exactly
 //! one test: a second test in the same process could move the counters
@@ -41,6 +42,7 @@ fn assert_walk_probes_match(diff: &Snapshot, stats: &SearchStatistics) {
         ("coopt.candidates_evaluated", stats.evaluated),
         ("coopt.candidate_eval_errors", stats.eval_errors),
         ("coopt.candidates_infeasible_yield", stats.infeasible),
+        ("coopt.candidates_pruned", stats.pruned),
     ];
     for (name, expected) in pairs {
         assert_eq!(counter(diff, name), expected as u64, "{name}");
@@ -58,9 +60,10 @@ fn search_probes_equal_search_statistics() {
     let capacity = Capacity::from_bytes(1024);
     let search = |constraint| Search::new(&cell, &periphery, &params, &space, constraint, 64);
 
-    // Serial, then three workers: 35 slices split into chunks of 12,
-    // 12 and 11, one `slices_per_worker` sample per chunk.
-    for (threads, chunks) in [(1, 0), (3, 3)] {
+    // One worker, then three (which change nothing): the EDP bound
+    // prunes the same candidates on both, and the probes count them.
+    let mut pruned = Vec::new();
+    for threads in [1, 3] {
         let before = sram_probe::snapshot();
         let out = search(YieldConstraint::paper_delta(cell.vdd()))
             .with_threads(threads)
@@ -68,10 +71,17 @@ fn search_probes_equal_search_statistics() {
             .expect("the coarse 1 KB HVT space is feasible");
         let diff = sram_probe::snapshot().diff(&before);
         assert_eq!(out.stats.examined, 1_120, "35 slices x 32 fin pairs");
+        assert_eq!(out.stats.feasible, 1_120);
+        assert!(
+            out.stats.pruned > 0,
+            "the EDP bound prunes: {:?}",
+            out.stats
+        );
         assert_probes_match(&diff, &out.stats);
-        assert_eq!(samples(&diff, "coopt.slices_per_worker"), chunks);
         assert_eq!(diff.gauges.get("coopt.best_score"), Some(&out.score));
+        pruned.push(out.stats);
     }
+    assert_eq!(pruned[0], pruned[1], "the work does not depend on threads");
 
     // The Pareto front walks the same space and adds the same work
     // counts, though it is no search run.

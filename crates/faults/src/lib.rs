@@ -52,7 +52,7 @@ mod plan;
 mod registry;
 
 pub use cancel::{ordered_map, CancelReason, CancelToken};
-pub use plan::{FaultError, FaultPlan, FaultRule};
+pub use plan::{FaultPlan, FaultRule};
 pub use registry::{
     counts, enabled, injected_total, install, maybe_sleep, should_fire, uninstall, ActiveSet,
 };

@@ -188,13 +188,13 @@ pub const PROBES: &[ProbeRow] = &[
     row("coopt.candidates_evaluated", Counter, Core, At("crates/core/tests/search_probes.rs")),
     row("coopt.candidates_examined", Counter, Core, At("crates/core/tests/search_probes.rs")),
     row("coopt.candidates_infeasible_yield", Counter, Core, At("crates/core/tests/search_probes.rs")),
+    row("coopt.candidates_pruned", Counter, Core, At("crates/core/tests/search_probes.rs")),
     row("coopt.search", Trace, Core, At("crates/bench/src/serve.rs")),
     row("coopt.search_cancelled", Counter, Core, At("crates/bench/src/soak/chaos.rs")),
     row("coopt.search_ns", Histogram, Core, At("crates/core/tests/search_probes.rs")),
     row("coopt.searches", Counter, Core, At("crates/core/tests/search_probes.rs")),
     row("coopt.slice", Trace, Core, At("crates/bench/src/serve.rs")),
     row("coopt.slices", Counter, Core, At("crates/core/tests/search_probes.rs")),
-    row("coopt.slices_per_worker", Histogram, Core, At("crates/core/tests/search_probes.rs")),
     row("faults.injected", Counter, Faults, At("crates/bench/src/soak/mod.rs")),
     row("log.events.dropped", Counter, Probe, LOG_SELF),
     row("log.events.written", Counter, Probe, LOG_SELF),

@@ -61,9 +61,9 @@
 //! [exported](Snapshot::to_json) as JSON (hand-rolled serializer —
 //! this workspace links no serialization ecosystem). [`reset`] zeroes
 //! every registered metric in place. The [`json`] module is the
-//! workspace's JSON codec: the value type the serve wire protocol and
-//! fault plans parse with, and the string escaper every JSON writer in
-//! this crate uses.
+//! workspace's JSON codec: the value type the serve wire protocol
+//! parses with, and the string escaper every JSON writer in this crate
+//! uses.
 //!
 //! # Tracing
 //!

@@ -34,7 +34,9 @@ use crate::query::{Query, Request};
 use crate::Json;
 use sram_array::{ArrayModel, ArrayOrganization, Capacity};
 use sram_cell::{CellCharacterization, MarginStats, YieldAnalysis};
-use sram_coopt::{CoOptimizationFramework, CooptError, Method, OptimalDesign, YieldConstraint};
+use sram_coopt::{
+    CoOptimizationFramework, CooptError, Method, OptimalDesign, SearchStatistics, YieldConstraint,
+};
 use sram_device::VtFlavor;
 use sram_probe::hash::fnv1a64;
 use sram_probe::HistogramSnapshot;
@@ -472,7 +474,7 @@ impl Engine {
                 method,
             } => {
                 let capacity = Capacity::from_bytes(capacity_bytes as usize);
-                let (front, _) = self
+                let (front, stats) = self
                     .framework
                     .pareto_front(cell, capacity, method, cancel)?;
                 let points: Vec<Json> = front
@@ -496,6 +498,7 @@ impl Engine {
                 Ok(Json::Obj(vec![
                     ("front_size".into(), Json::Num(points.len() as f64)),
                     ("points".into(), Json::Arr(points)),
+                    ("stats".into(), stats_json(&stats)),
                 ]))
             }
             Query::YieldCheck {
@@ -923,14 +926,22 @@ fn design_json(design: &OptimalDesign) -> Json {
         ("delay_s".into(), Json::Num(design.delay().seconds())),
         ("energy_j".into(), Json::Num(design.energy().joules())),
         ("edp_js".into(), Json::Num(design.edp().joule_seconds())),
-        (
-            "stats".into(),
-            Json::Obj(vec![
-                ("examined".into(), Json::Num(design.stats.examined as f64)),
-                ("feasible".into(), Json::Num(design.stats.feasible as f64)),
-                ("evaluated".into(), Json::Num(design.stats.evaluated as f64)),
-            ]),
-        ),
+        ("stats".into(), stats_json(&design.stats)),
+    ])
+}
+
+/// Renders a walk's statistics, the `stats` of the `optimize` and
+/// `pareto-front` replies: of the `examined` candidates, the `feasible`
+/// ones (those meeting the yield constraint) split into `evaluated`,
+/// `eval_errors` and `pruned` (only `optimize` prunes).
+fn stats_json(stats: &SearchStatistics) -> Json {
+    let count = |n: usize| Json::Num(n as f64);
+    Json::Obj(vec![
+        ("examined".into(), count(stats.examined)),
+        ("feasible".into(), count(stats.feasible)),
+        ("evaluated".into(), count(stats.evaluated)),
+        ("eval_errors".into(), count(stats.eval_errors)),
+        ("pruned".into(), count(stats.pruned)),
     ])
 }
 
@@ -1096,10 +1107,36 @@ mod tests {
     }
 
     #[test]
+    fn pareto_front_and_optimize_replies_account_for_the_same_space() {
+        let engine = coarse_engine();
+        let key = r#""capacity_bytes":1024,"flavor":"hvt","method":"m2""#;
+        let stats = |op: &str| {
+            let reply = engine.handle(&req(&format!(r#"{{"op":"{op}",{key}}}"#)));
+            let stats = reply.get("result").and_then(|r| r.get("stats")).cloned();
+            let stats =
+                stats.unwrap_or_else(|| panic!("{op} reply without stats: {}", reply.render()));
+            move |field: &str| stats.get(field).and_then(Json::as_f64).unwrap()
+        };
+        let (front, best) = (stats("pareto-front"), stats("optimize"));
+        // The coarse space at 1 KB: 7 organizations x 5 V_SSC levels x 32
+        // fin pairs.
+        assert_eq!(front("examined"), 1_120.0);
+        assert_eq!(front("feasible"), front("evaluated") + front("eval_errors"));
+        assert_eq!(front("pruned"), 0.0);
+        assert_eq!(best("examined"), front("examined"));
+        assert_eq!(
+            best("evaluated") + best("eval_errors") + best("pruned"),
+            front("feasible")
+        );
+        assert!(best("pruned") > 0.0, "the optimize search prunes");
+    }
+
+    #[test]
     fn pareto_front_min_edp_point_is_the_optimize_winner() {
-        // The Pareto walk and the exhaustive search walk the same slices
-        // in the same order; the front's least E*D point must be the
-        // search's winner, bit for bit.
+        // The Pareto walk visits every candidate the search walks, in the
+        // same slice order, and the search skips only candidates that
+        // cannot win; the front's least E*D point must be the search's
+        // winner, bit for bit.
         let engine = coarse_engine();
         let num = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64).unwrap();
         let edp = |p: &Json| num(p, "energy_j") * num(p, "delay_s");
