@@ -93,7 +93,8 @@ fn negative_gnd_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, CellE
     let vdd = library.nominal_vdd();
     (0..=8)
         .map(|k| {
-            let vssc = Voltage::from_millivolts(-30.0 * f64::from(k));
+            // `0 − 30k`: the first level is +0, not −0 (which prints `-0`).
+            let vssc = Voltage::from_millivolts(0.0 - 30.0 * f64::from(k));
             let bias = AssistVoltages::nominal(vdd)
                 .with_vddc(Voltage::from_millivolts(550.0))
                 .with_vssc(vssc);
@@ -266,6 +267,13 @@ mod tests {
     fn negative_gnd_accelerates_the_bitline() {
         let lib = DeviceLibrary::sevennm();
         let pts = negative_gnd_sweep(&lib).unwrap();
+        for p in &pts {
+            assert_ne!(
+                p.level.volts().to_bits(),
+                (-0.0_f64).to_bits(),
+                "-0 prints as -0"
+            );
+        }
         let gain = pts.last().unwrap().i_read / pts[0].i_read;
         assert!(gain > 2.0, "I_read gain = {gain:.2} (paper: 4.3x)");
         assert!(pts.last().unwrap().bl_delay < pts[0].bl_delay * 0.5);

@@ -53,7 +53,8 @@ fn negative_bitline_sweep(library: &DeviceLibrary) -> Result<Vec<WriteAssistPoin
     let vdd = library.nominal_vdd();
     let mut out = Vec::new();
     for k in 0..=8 {
-        let vbl = Voltage::from_millivolts(-25.0 * f64::from(k));
+        // `0 − 25k`: the first level is +0, not −0 (which prints `-0`).
+        let vbl = Voltage::from_millivolts(0.0 - 25.0 * f64::from(k));
         let bias = AssistVoltages::nominal(vdd).with_vbl(vbl);
         out.push(WriteAssistPoint {
             level: vbl,
@@ -146,5 +147,12 @@ mod tests {
         let lib = DeviceLibrary::sevennm();
         let pts = negative_bitline_sweep(&lib).unwrap();
         assert!(pts.last().unwrap().wm > pts[0].wm);
+        for p in &pts {
+            assert_ne!(
+                p.level.volts().to_bits(),
+                (-0.0_f64).to_bits(),
+                "-0 prints as -0"
+            );
+        }
     }
 }

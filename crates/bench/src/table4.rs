@@ -68,6 +68,16 @@ mod tests {
         let designs = compute(4).unwrap();
         assert_eq!(designs.len(), 20);
 
+        // No `V_SSC` prints as `-0` (the M2 rows at 0 mV).
+        let rows: String = designs.iter().map(|d| format!("{d}\n")).collect();
+        for text in [
+            sram_coopt::format_table4(&designs),
+            sram_coopt::csv_table(&designs),
+            rows,
+        ] {
+            assert!(!text.contains("-0 ") && !text.contains("-0,"), "{text}");
+        }
+
         // Pattern 1 (Table 4): M2 designs at >= 1 KB exploit deep
         // negative Gnd.
         for d in &designs {

@@ -15,10 +15,11 @@
 //!
 //! The search space (`V_SSC ∈ {0,−10,…,−240 mV}`, `n_r ∈ {2¹…2¹⁰}`,
 //! `N_pre ∈ {1…50}`, `N_wr ∈ {1…20}`) is small enough for **exhaustive
-//! search** ([`Search::run`], with a std::thread::scope-parallel variant),
-//! evaluated through the `sram-array` look-up-table model. The same
-//! [`Search`] walks the space for the energy-delay Pareto front and by
-//! coordinate descent.
+//! search** ([`Search::run`], which returns the exhaustive optimum while
+//! skipping what slice lower bounds rule out), evaluated through the
+//! `sram-array` look-up-table model. The same [`Search`] builds the
+//! energy-delay Pareto front by the same best-first walk, and walks the
+//! space by coordinate descent.
 //!
 //! Two rail-count policies are modeled (Section 5): **M1** — one extra
 //! voltage rail, set to `max(V_DDC, V_WL)`, no negative rail; **M2** —

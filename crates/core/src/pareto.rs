@@ -1,9 +1,10 @@
 //! Energy-delay Pareto fronts.
 //!
 //! Built by [`crate::Search::pareto_front`] for serve's `pareto-front`
-//! op and ablation A2: how much of the exhaustive search could a
-//! dominance-pruned search skip, and what do the energy/delay trade-offs
-//! around the EDP optimum look like?
+//! op and ablation A2: what do the energy/delay trade-offs around the
+//! EDP optimum look like, and how much of the space does a walk skip
+//! when a point already on its working front dominates a slice's or
+//! column's lower bound (`ParetoFront::dominates`)?
 
 use sram_units::{Energy, Time};
 
@@ -21,7 +22,7 @@ pub struct ParetoPoint<T> {
 impl<T> ParetoPoint<T> {
     /// `true` when `self` dominates `other` (no worse in both, strictly
     /// better in at least one).
-    fn dominates(&self, other: &Self) -> bool {
+    fn dominates<U>(&self, other: &ParetoPoint<U>) -> bool {
         let no_worse = self.energy <= other.energy && self.delay <= other.delay;
         let better = self.energy < other.energy || self.delay < other.delay;
         no_worse && better
@@ -58,6 +59,18 @@ impl<T> ParetoFront<T> {
         self.points.retain(|p| !point.dominates(p));
         self.points.push(point);
         true
+    }
+
+    /// `true` when a point of the front dominates `(energy, delay)`: is
+    /// no worse in both and strictly better in at least one. A NaN
+    /// coordinate is dominated by nothing.
+    pub(crate) fn dominates(&self, energy: Energy, delay: Time) -> bool {
+        let other = ParetoPoint {
+            energy,
+            delay,
+            tag: (),
+        };
+        self.points.iter().any(|p| p.dominates(&other))
     }
 
     /// The current non-dominated points.

@@ -25,8 +25,10 @@ pub struct SearchStatistics {
     /// Feasible candidates whose array model evaluation errored (the
     /// candidate is skipped, not fatal).
     pub eval_errors: usize,
-    /// Feasible candidates never evaluated, because a lower bound on
-    /// their slice or `N_wr` column scored above a point already found.
+    /// Feasible candidates never evaluated, because a point already
+    /// found beat a lower bound on their slice or `N_wr` column: the
+    /// bound scored above the point (a search), or the point strictly
+    /// dominated the bound's energy and delay (a Pareto front).
     pub pruned: usize,
 }
 

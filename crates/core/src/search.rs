@@ -1,6 +1,9 @@
-//! The one walk over the design space: the bound-and-prune search, the
-//! energy-delay Pareto front and coordinate descent ([`Search::descend`], in `heuristic.rs`) share its slice walk,
-//! yield gate, error and NaN policies, cancel polling and statistics.
+//! The one walk over the design space. The bound-and-prune search and
+//! the energy-delay Pareto front share one best-first walk over slices
+//! ordered by their lower bounds, each with its own incumbent; it and
+//! coordinate descent ([`Search::descend`], in `heuristic.rs`) share
+//! the slice walk, yield gate, error and NaN policies, cancel polling
+//! and statistics.
 
 use crate::{
     CooptError, DesignSpace, EnergyDelayProduct, Method, Objective, OptimalDesign, ParetoFront,
@@ -12,7 +15,7 @@ use sram_array::{
 use sram_cell::CellCharacterization;
 use sram_device::VtFlavor;
 use sram_faults::{CancelReason, CancelToken};
-use sram_units::Voltage;
+use sram_units::{Energy, Time, Voltage};
 
 /// One candidate assignment of the searched variables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,10 +74,7 @@ impl SearchOutcome {
 /// A feasible candidate with its evaluated metrics and objective score.
 type ScoredCandidate = (DesignPoint, ArrayMetrics, f64);
 
-/// One walked slice: its best candidate and its statistics.
-type SliceResult = (Option<ScoredCandidate>, SearchStatistics);
-
-/// Rejects a lower bound that cannot beat the search's threshold.
+/// Rejects a lower bound that cannot change the walk's outcome.
 type Reject<'p> = &'p dyn Fn(&ArrayMetrics) -> bool;
 
 /// What a pruned walk of a slice needs: its organization's `N_wr`
@@ -107,13 +107,121 @@ fn cancelled(reason: CancelReason) -> CooptError {
     CooptError::Cancelled(reason)
 }
 
+/// What the best-first walk ([`Search::walk_best_first`]) has found so
+/// far, and the test that rejects a lower bound whose candidates cannot
+/// change what the walk returns.
+trait Incumbent: Clone {
+    /// What the walk keeps of a slice's lower bound from its bound pass
+    /// to its walk.
+    type Bound;
+
+    /// Keeps what the walk reads of a lower bound.
+    fn keep(&self, bound: &ArrayMetrics) -> Self::Bound;
+
+    /// A kept bound's place in the walk: lower keys are walked first.
+    fn key(bound: &Self::Bound) -> f64;
+
+    /// Whether no candidate whose metrics are at least `bound`, field by
+    /// field, can change the outcome.
+    fn rejects(&self, bound: &Self::Bound) -> bool;
+
+    /// Takes a candidate of the slice at index `slice` (in slice order),
+    /// returning `false` to reject it as an evaluation error.
+    fn visit(&mut self, slice: usize, point: DesignPoint, metrics: &ArrayMetrics) -> bool;
+}
+
+/// [`Search::run`]'s incumbent: the lowest finite score found so far,
+/// the earliest slice's on a tie, with its candidate. A bound scoring
+/// above it is rejected.
+struct Threshold<'o, O: ?Sized> {
+    objective: &'o O,
+    best: Option<(usize, ScoredCandidate)>,
+}
+
+impl<O: ?Sized> Clone for Threshold<'_, O> {
+    fn clone(&self) -> Self {
+        Self {
+            objective: self.objective,
+            best: self.best,
+        }
+    }
+}
+
+impl<O: Objective + ?Sized> Incumbent for Threshold<'_, O> {
+    type Bound = f64;
+
+    fn keep(&self, bound: &ArrayMetrics) -> f64 {
+        self.objective.score(bound)
+    }
+
+    fn key(score: &f64) -> f64 {
+        *score
+    }
+
+    fn rejects(&self, score: &f64) -> bool {
+        self.best.is_some_and(|(_, (_, _, best))| *score > best)
+    }
+
+    fn visit(&mut self, slice: usize, point: DesignPoint, metrics: &ArrayMetrics) -> bool {
+        let Some(score) = finite_score(self.objective, metrics) else {
+            return false;
+        };
+        // A slice visits its candidates in slice order, so the strict
+        // `<` keeps each slice's first minimum.
+        if self
+            .best
+            .is_none_or(|(at, (_, _, best))| (score, slice) < (best, at))
+        {
+            self.best = Some((slice, (point, *metrics, score)));
+        }
+        true
+    }
+}
+
+/// [`Search::pareto_front`]'s incumbent: the working front of the
+/// candidates walked so far, each point tagged with its slice index. A
+/// bound is rejected when a point of the front strictly dominates its
+/// energy and delay.
+#[derive(Clone)]
+struct Dominance {
+    front: ParetoFront<(usize, DesignPoint)>,
+}
+
+impl Incumbent for Dominance {
+    type Bound = (Energy, Time);
+
+    fn keep(&self, bound: &ArrayMetrics) -> (Energy, Time) {
+        (bound.energy, bound.delay)
+    }
+
+    fn key(&(energy, delay): &(Energy, Time)) -> f64 {
+        (energy * delay).joule_seconds()
+    }
+
+    fn rejects(&self, &(energy, delay): &(Energy, Time)) -> bool {
+        self.front.dominates(energy, delay)
+    }
+
+    fn visit(&mut self, slice: usize, point: DesignPoint, metrics: &ArrayMetrics) -> bool {
+        let finite = finite_score(&EnergyDelayProduct, metrics).is_some();
+        if finite {
+            self.front.offer(ParetoPoint {
+                energy: metrics.energy,
+                delay: metrics.delay,
+                tag: (slice, point),
+            });
+        }
+        finite
+    }
+}
+
 /// A search problem over [`DesignSpace`]: one characterized cell, the
 /// shared array parameters and the yield constraint. It finds the
 /// exhaustive optimum ([`Self::run`]; Section 5: "we can derive the
 /// minimum energy-delay product point of the array using an exhaustive
-/// search"), skipping what a lower bound proves cannot win; it walks the
-/// whole space for the energy-delay Pareto front
-/// ([`Self::pareto_front`]) and part of it by coordinate descent
+/// search") and the energy-delay Pareto front ([`Self::pareto_front`]),
+/// each skipping what a lower bound proves cannot change its answer,
+/// and walks part of the space by coordinate descent
 /// ([`Self::descend`]).
 #[derive(Debug, Clone)]
 pub struct Search<'a> {
@@ -159,9 +267,9 @@ impl<'a> Search<'a> {
     }
 
     /// Attaches a cooperative cancellation token, polled once per slice
-    /// by every walk (and by [`Self::run`] before its bound pass too) — a
-    /// fired token aborts the walk within one slice's work instead of
-    /// running to completion.
+    /// by every walk (and by [`Self::run`] and [`Self::pareto_front`]
+    /// before their bound pass too) — a fired token aborts the walk
+    /// within one slice's work instead of running to completion.
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
@@ -211,8 +319,8 @@ impl<'a> Search<'a> {
         pruning: Option<Pruning<'_>>,
         mut visit: impl FnMut(DesignPoint, &ArrayMetrics) -> bool,
     ) -> SearchStatistics {
-        // One trace span per slice — the unit of parallel work — with
-        // the slice's outcome attached as args on the end event.
+        // One trace span per walked slice, with the slice's outcome
+        // attached as args on the end event.
         let mut trace = sram_probe::trace_span!("coopt.slice");
         trace.arg("rows", i64::from(org.rows()));
         trace.arg("vssc_mv", vssc.millivolts().round() as i64);
@@ -265,60 +373,102 @@ impl<'a> Search<'a> {
         stats
     }
 
-    /// Walks one slice (under `pruning`, when given), returning the best
-    /// feasible candidate in it.
-    fn best_in_slice(
+    /// The best-first walk behind [`Self::run`] and [`Self::pareto_front`]:
+    /// it hands `incumbent` every yield-feasible candidate of `slices`
+    /// that the incumbent does not rule out on a lower bound, and returns
+    /// the walk's statistics and the number of slices it walked.
+    ///
+    /// 1. A bound pass keeps, for each feasible slice, what the incumbent
+    ///    reads of the slice's lower bound
+    ///    ([`sram_array::ArraySlice::bound`]); each organization builds
+    ///    its `N_wr` columns once. Infeasible slices are counted here.
+    /// 2. Slices without a bound, or whose bound's key is NaN, go first;
+    ///    they are never pruned. The rest follow in ascending key, ties
+    ///    in slice order.
+    /// 3. A slice whose bound the incumbent rejects is pruned whole. In a
+    ///    walked slice, each `N_wr` column whose own bound the incumbent,
+    ///    as it stood at the slice start, rejects is skipped.
+    ///
+    /// The walk is serial, and its order and every skip follow from the
+    /// inputs, so the statistics are the same on every run. The cancel
+    /// token is polled before the bound pass and at every walked slice.
+    fn walk_best_first<I: Incumbent>(
         &self,
-        (org, vssc): (ArrayOrganization, Voltage),
-        npre_values: &[u32],
-        nwr_values: &[u32],
-        objective: &(impl Objective + ?Sized),
-        pruning: Option<Pruning<'_>>,
-    ) -> SliceResult {
-        let mut best: Option<ScoredCandidate> = None;
-        let stats = self.walk_slice(
-            org,
-            vssc,
-            npre_values,
-            nwr_values,
-            pruning,
-            |point, metrics| {
-                let Some(score) = finite_score(objective, metrics) else {
-                    return false;
-                };
-                if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
-                    best = Some((point, *metrics, score));
-                }
-                true
-            },
-        );
-        (best, stats)
-    }
+        slices: &[(ArrayOrganization, Voltage)],
+        incumbent: &mut I,
+    ) -> Result<(SearchStatistics, usize), CooptError> {
+        let (npre_values, nwr_values) = (self.space.npre_values(), self.space.nwr_values());
+        sram_probe::probe_add!("coopt.slices", slices.len() as u64);
+        let per_slice = npre_values.len() * nwr_values.len();
+        let mut stats = SearchStatistics::default();
 
-    /// The bound pass's verdict on one slice: `None` when it fails the
-    /// yield constraint, else the objective's score of the slice's lower
-    /// bound. A slice without a bound (its model does not build, or the
-    /// bound's preconditions fail) scores `-∞`, and a NaN score stays
-    /// NaN: neither is ever pruned. The organization's first slice
-    /// that needs them builds its `N_wr` `columns`, which the others
-    /// share.
-    fn bound_score(
-        &self,
-        (org, vssc): (ArrayOrganization, Voltage),
-        (npre_values, nwr_values): (&[u32], &[u32]),
-        objective: &(impl Objective + ?Sized),
-        columns: &mut Option<SliceColumns>,
-    ) -> Option<f64> {
-        if !self.constraint.check_snapshot(self.cell, vssc) {
-            return None;
+        // The bound pass, organization by organization: the `N_wr`
+        // columns read no `V_SSC`, so each organization builds them once.
+        // (A space without `V_SSC` levels has no slices to chunk.)
+        self.poll_cancel()?;
+        let levels = self.space.vssc_values().len();
+        let mut columns: Vec<Option<SliceColumns>> = Vec::new();
+        let mut pending = Vec::with_capacity(slices.len());
+        for (org_index, organization) in slices.chunks(levels.max(1)).enumerate() {
+            let mut org_columns = None;
+            for (level, &(org, vssc)) in organization.iter().enumerate() {
+                if !self.constraint.check_snapshot(self.cell, vssc) {
+                    stats.merge(&SearchStatistics {
+                        examined: per_slice,
+                        infeasible: per_slice,
+                        ..SearchStatistics::default()
+                    });
+                    continue;
+                }
+                let model = ArrayModel::new(org, self.cell, self.periphery, self.params);
+                let bound = model.with_vssc(vssc).slice().ok().and_then(|slice| {
+                    let columns = org_columns.get_or_insert_with(|| slice.columns(&nwr_values));
+                    slice.bound(&npre_values, columns)
+                });
+                let bound = bound.map(|b| incumbent.keep(&b));
+                let key = bound
+                    .as_ref()
+                    .map(I::key)
+                    .filter(|key| !key.is_nan())
+                    .unwrap_or(f64::NEG_INFINITY);
+                pending.push((key, org_index * levels + level, bound));
+            }
+            columns.push(org_columns);
         }
-        let model = ArrayModel::new(org, self.cell, self.periphery, self.params);
-        let Ok(slice) = model.with_vssc(vssc).slice() else {
-            return Some(f64::NEG_INFINITY);
-        };
-        let columns = columns.get_or_insert_with(|| slice.columns(nwr_values));
-        let bound = slice.bound(npre_values, columns);
-        Some(bound.map_or(f64::NEG_INFINITY, |b| objective.score(&b)))
+        // Stable: equal keys keep slice order.
+        pending.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+        let mut walked = 0;
+        for (_, i, bound) in pending {
+            if bound.is_some_and(|b| incumbent.rejects(&b)) {
+                stats.merge(&SearchStatistics {
+                    examined: per_slice,
+                    feasible: per_slice,
+                    pruned: per_slice,
+                    ..SearchStatistics::default()
+                });
+                continue;
+            }
+            self.poll_cancel()?;
+            walked += 1;
+            // `visit` extends the incumbent during the slice, so its
+            // columns are tested against a copy taken at the slice start.
+            let frozen = incumbent.clone();
+            let reject = |column: &ArrayMetrics| frozen.rejects(&frozen.keep(column));
+            let pruning = columns[i / levels]
+                .as_ref()
+                .map(|c| (c, &reject as Reject<'_>));
+            let (org, vssc) = slices[i];
+            stats.merge(&self.walk_slice(
+                org,
+                vssc,
+                &npre_values,
+                &nwr_values,
+                pruning,
+                |point, metrics| incumbent.visit(i, point, metrics),
+            ));
+        }
+        Ok((stats, walked))
     }
 
     /// Finds the exhaustive optimum for `capacity` under `objective`: the
@@ -326,22 +476,19 @@ impl<'a> Search<'a> {
     /// `N_pre`, `N_wr`), of the finite scores of the yield-feasible
     /// candidates, bit for bit what a walk of every candidate returns.
     ///
-    /// It walks only what a lower bound does not rule out:
-    /// 1. a bound pass scores each feasible slice's lower bound
-    ///    ([`sram_array::ArraySlice::bound`]);
-    /// 2. the slice with the lowest bound, the seed, is walked in full,
-    ///    and its best score becomes the threshold `U`;
-    /// 3. every other slice whose bound is at most `U` is walked in slice
-    ///    order, skipping each `N_wr` column whose own bound scores above
-    ///    `U`.
-    ///
-    /// A skipped candidate scores at least its bound, above `U`, which is
-    /// at least the optimum, so it can neither win nor tie. `U` is fixed
-    /// before the walk, so what is skipped, and
-    /// [`SearchStatistics::pruned`], are the same on every run. The
-    /// argument needs the objective to keep [`Objective::score`]'s
-    /// contract: a score that does not fall as a field of the metrics
-    /// grows.
+    /// It walks the slices best first, in ascending score of their lower
+    /// bounds ([`sram_array::ArraySlice::bound`]), keeping the lowest
+    /// score found so far, the earliest slice's on a tie. A slice or
+    /// `N_wr` column whose bound scores above that threshold is skipped.
+    /// A skipped candidate scores at least its bound, above the
+    /// threshold, which is at least the optimum, so it can neither win
+    /// nor tie; a slice or column holding an optimum-scoring candidate
+    /// has a bound at or below the optimum and is never skipped. The
+    /// walk is serial and its order is a function of the bounds, so what
+    /// is skipped, and [`SearchStatistics::pruned`], are the same on
+    /// every run. The argument needs the objective to keep
+    /// [`Objective::score`]'s contract: a score that does not fall as a
+    /// field of the metrics grows.
     ///
     /// # Errors
     ///
@@ -362,96 +509,20 @@ impl<'a> Search<'a> {
                 capacity_bits: capacity.bits(),
             });
         }
-        let npre_values = self.space.npre_values();
-        let nwr_values = self.space.nwr_values();
         sram_probe::probe_inc!("coopt.searches");
-        sram_probe::probe_add!("coopt.slices", slices.len() as u64);
         let _span = sram_probe::probe_span!("coopt.search_ns");
         let mut trace = sram_probe::trace_span!("coopt.search");
         trace.arg("slices", slices.len() as i64);
 
-        // The bound pass, organization by organization: the `N_wr`
-        // columns read no `V_SSC`, so each organization builds them once.
-        self.poll_cancel()?;
-        let levels = self.space.vssc_values().len();
-        let fins = (npre_values.as_slice(), nwr_values.as_slice());
-        let mut columns: Vec<Option<SliceColumns>> = Vec::new();
-        let mut bounds: Vec<Option<f64>> = Vec::with_capacity(slices.len());
-        for organization in slices.chunks(levels) {
-            let mut org_columns = None;
-            for &slice in organization {
-                bounds.push(self.bound_score(slice, fins, objective, &mut org_columns));
-            }
-            columns.push(org_columns);
-        }
-        let seed = bounds
-            .iter()
-            .enumerate()
-            .filter_map(|(i, bound)| bound.filter(|b| !b.is_nan()).map(|b| (i, b)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, _)| i);
-
-        let mut seeded: Option<SliceResult> = None;
-        let mut threshold = f64::INFINITY;
-        if let Some(i) = seed {
-            self.poll_cancel()?;
-            let result = self.best_in_slice(slices[i], &npre_values, &nwr_values, objective, None);
-            if let Some((_, _, score)) = result.0 {
-                threshold = score;
-            }
-            seeded = Some(result);
-        }
-
-        // Walk every other slice whose bound is at most `U` (or NaN) and
-        // merge, both in slice order. A slice without a bound failed the
-        // yield gate; one whose bound is above `U` is pruned whole.
-        let reject = |bound: &ArrayMetrics| objective.score(bound) > threshold;
-        let per_slice = npre_values.len() * nwr_values.len();
-        let skipped = SearchStatistics {
-            examined: per_slice,
-            ..SearchStatistics::default()
+        let mut threshold = Threshold {
+            objective,
+            best: None,
         };
-        let mut walked = usize::from(seed.is_some());
-        let mut stats = SearchStatistics::default();
-        let mut best: Option<ScoredCandidate> = None;
-        for (i, (&slice, bound)) in slices.iter().zip(bounds).enumerate() {
-            let (candidate, slice_stats) = match bound {
-                None => (
-                    None,
-                    SearchStatistics {
-                        infeasible: per_slice,
-                        ..skipped
-                    },
-                ),
-                Some(_) if Some(i) == seed => seeded.take().unwrap_or_default(),
-                Some(b) if b <= threshold || b.is_nan() => {
-                    self.poll_cancel()?;
-                    walked += 1;
-                    let pruning = columns[i / levels]
-                        .as_ref()
-                        .map(|c| (c, &reject as Reject<'_>));
-                    self.best_in_slice(slice, &npre_values, &nwr_values, objective, pruning)
-                }
-                Some(_) => (
-                    None,
-                    SearchStatistics {
-                        feasible: per_slice,
-                        pruned: per_slice,
-                        ..skipped
-                    },
-                ),
-            };
-            stats.merge(&slice_stats);
-            if let Some((point, metrics, score)) = candidate {
-                if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
-                    best = Some((point, metrics, score));
-                }
-            }
-        }
+        let (stats, walked) = self.walk_best_first(&slices, &mut threshold)?;
         trace.arg("walked", walked as i64);
         record_candidates(&stats);
 
-        let (best, metrics, score) = best.ok_or(CooptError::Infeasible {
+        let (_, (best, metrics, score)) = threshold.best.ok_or(CooptError::Infeasible {
             capacity_bits: capacity.bits(),
             examined: stats.examined,
         })?;
@@ -464,44 +535,51 @@ impl<'a> Search<'a> {
         })
     }
 
-    /// Walks the space for `capacity` serially, in [`Self::run`]'s slice
-    /// order, and keeps the non-dominated energy/delay points. A
-    /// candidate whose energy-delay product is not finite is an
-    /// evaluation error, so the statistics, and the `coopt.slices` and
-    /// `coopt.candidate*` counts the walk adds, equal those of
-    /// [`Self::run`] under [`EnergyDelayProduct`]. A capacity
-    /// with no organization gives an empty front.
+    /// The non-dominated energy/delay points of the yield-feasible
+    /// candidates for `capacity` whose energy-delay product is finite,
+    /// bit for bit and in the order a walk of every candidate in slice
+    /// order leaves them in its [`ParetoFront`]. A candidate whose
+    /// energy-delay product is not finite is an evaluation error, as in
+    /// [`Self::run`] under [`EnergyDelayProduct`]. A capacity with no
+    /// organization gives an empty front.
+    ///
+    /// It walks the slices best first, in ascending energy-delay product
+    /// of their lower bounds, into a working front, and skips a slice or
+    /// `N_wr` column when a point of that front strictly dominates its
+    /// bound's energy and delay: every skipped candidate is then
+    /// strictly dominated by that point, and whatever it dominates, the
+    /// point dominates too. So the working front ends holding exactly
+    /// the non-dominated candidates, which are re-offered in slice order
+    /// (slice, then `N_pre`, then `N_wr`) into the returned front.
     ///
     /// # Errors
     ///
     /// [`CooptError::Cancelled`] when the attached [`CancelToken`] fires
-    /// (checked at slice boundaries).
+    /// (checked before the bound pass and at slice boundaries).
     pub fn pareto_front(
         &self,
         capacity: Capacity,
     ) -> Result<(ParetoFront<DesignPoint>, SearchStatistics), CooptError> {
-        let (npre_values, nwr_values) = (self.space.npre_values(), self.space.nwr_values());
         let slices = self.slices(capacity);
-        sram_probe::probe_add!("coopt.slices", slices.len() as u64);
-        let mut front = ParetoFront::new();
-        let mut stats = SearchStatistics::default();
-        for (org, vssc) in slices {
-            self.poll_cancel()?;
-            let slice_stats =
-                self.walk_slice(org, vssc, &npre_values, &nwr_values, None, |tag, m| {
-                    let finite = finite_score(&EnergyDelayProduct, m).is_some();
-                    if finite {
-                        front.offer(ParetoPoint {
-                            energy: m.energy,
-                            delay: m.delay,
-                            tag,
-                        });
-                    }
-                    finite
-                });
-            stats.merge(&slice_stats);
-        }
+        let mut working = Dominance {
+            front: ParetoFront::new(),
+        };
+        let (stats, _) = self.walk_best_first(&slices, &mut working)?;
         record_candidates(&stats);
+
+        let mut survivors = working.front.points().to_vec();
+        survivors.sort_by_key(|p| {
+            let (slice, point) = p.tag;
+            (slice, point.n_pre, point.n_wr)
+        });
+        let front = survivors
+            .into_iter()
+            .map(|p| ParetoPoint {
+                energy: p.energy,
+                delay: p.delay,
+                tag: p.tag.1,
+            })
+            .collect();
         Ok((front, stats))
     }
 }
@@ -675,6 +753,21 @@ mod tests {
             .run(Capacity::from_bytes(1024), &EnergyDelayProduct)
             .unwrap_err();
         assert!(matches!(err, CooptError::Infeasible { .. }));
+    }
+
+    #[test]
+    fn a_space_without_vssc_levels_has_no_slices() {
+        let fx = fixture();
+        let space = fx.space.clone().with_vssc_values(Vec::new());
+        let constraint = YieldConstraint::paper_delta(fx.cell.vdd());
+        let search = Search::new(&fx.cell, &fx.periphery, &fx.params, &space, constraint, 64);
+        let (front, stats) = search.pareto_front(Capacity::from_bytes(1024)).unwrap();
+        assert!(front.is_empty());
+        assert_eq!(stats, SearchStatistics::default());
+        let err = search
+            .run(Capacity::from_bytes(1024), &EnergyDelayProduct)
+            .unwrap_err();
+        assert!(matches!(err, CooptError::EmptyDesignSpace { .. }));
     }
 
     #[test]

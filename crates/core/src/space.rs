@@ -31,8 +31,10 @@ impl DesignSpace {
     #[must_use]
     pub fn paper_default() -> Self {
         Self {
+            // `0 − 10k`, not `−10 × k`: the first level is +0, which
+            // prints as `0`, where `−10 × 0` is −0 and prints as `-0`.
             vssc_values: (0..=24)
-                .map(|k| Voltage::from_millivolts(-10.0 * f64::from(k)))
+                .map(|k| Voltage::from_millivolts(0.0 - 10.0 * f64::from(k)))
                 .collect(),
             rows_range: (2, 1024),
             npre_range: (1, 50),
@@ -48,7 +50,7 @@ impl DesignSpace {
     pub fn coarse() -> Self {
         Self {
             vssc_values: (0..=4)
-                .map(|k| Voltage::from_millivolts(-60.0 * f64::from(k)))
+                .map(|k| Voltage::from_millivolts(0.0 - 60.0 * f64::from(k)))
                 .collect(),
             ..Self::paper_default()
         }
@@ -130,6 +132,15 @@ mod tests {
         assert_eq!(s.rows_range(), (2, 1024));
         assert_eq!(s.npre_values().len(), 50);
         assert_eq!(s.nwr_values().len(), 20);
+    }
+
+    #[test]
+    fn no_vssc_level_is_negative_zero() {
+        for space in [DesignSpace::paper_default(), DesignSpace::coarse()] {
+            for v in space.vssc_values() {
+                assert_ne!(v.volts().to_bits(), (-0.0_f64).to_bits(), "{v:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,29 +1,94 @@
-//! Property tests: the bound-and-prune search returns, bit for bit, the
-//! first minimum of a naive brute-force enumeration on randomly
-//! subsampled design spaces, at every thread count, and the Pareto walk
-//! and coordinate descent agree with it there.
+//! Property tests: on randomly subsampled design spaces, the
+//! bound-and-prune search returns, bit for bit, the first minimum of a
+//! naive brute-force enumeration at every thread count; the
+//! dominance-pruned Pareto walk returns, bit for bit and in order, the
+//! front a walk of every candidate builds; and the Pareto walk and
+//! coordinate descent agree with the search.
 
 use proptest::prelude::*;
 use sram_array::{ArrayMetrics, ArrayModel, ArrayOrganization, ArrayParams, Capacity, Periphery};
 use sram_cell::CellCharacterization;
 use sram_coopt::{
     CoOptimizationFramework, DelayOnly, DesignPoint, DesignSpace, EnergyDelayProduct,
-    EnergyDelaySquared, EnergyOnly, Method, Objective, Search, YieldConstraint,
+    EnergyDelaySquared, EnergyOnly, Method, Objective, ParetoFront, ParetoPoint, Search,
+    SearchStatistics, YieldConstraint,
 };
 use sram_device::{DeviceLibrary, VtFlavor};
-use sram_units::Voltage;
+use sram_units::{Time, Voltage};
 
-/// The four built-in objectives, drawn by index.
-const OBJECTIVES: [&(dyn Objective + Sync); 4] = [
+/// The delay in whole 10 ps steps. It keeps [`Objective::score`]'s
+/// contract and ties across many candidates of many slices, so the
+/// search must break ties as the brute force does: the first minimum in
+/// walk order, whatever order the search visits the slices in.
+struct QuantizedDelay;
+
+impl Objective for QuantizedDelay {
+    fn score(&self, metrics: &ArrayMetrics) -> f64 {
+        (metrics.delay / Time::from_picoseconds(10.0)).floor()
+    }
+
+    fn name(&self) -> &'static str {
+        "delay in 10 ps steps"
+    }
+}
+
+/// The four built-in objectives and [`QuantizedDelay`], drawn by index.
+const OBJECTIVES: [&(dyn Objective + Sync); 5] = [
     &EnergyDelayProduct,
     &EnergyDelaySquared,
     &DelayOnly,
     &EnergyOnly,
+    &QuantizedDelay,
 ];
 
-/// The first minimum, in walk order (organization, `V_SSC`, `N_pre`,
-/// `N_wr`), of the finite scores of every yield-feasible candidate, each
-/// evaluated from scratch.
+/// Walks every candidate in walk order (organization, `V_SSC`, `N_pre`,
+/// `N_wr`), handing each yield-feasible one, evaluated from scratch, to
+/// `visit`, and returns the walk's `examined`, `feasible` and
+/// `infeasible` counts.
+fn walk_every_candidate(
+    capacity: Capacity,
+    cell: &CellCharacterization,
+    periphery: &Periphery,
+    params: &ArrayParams,
+    space: &DesignSpace,
+    constraint: YieldConstraint,
+    mut visit: impl FnMut(DesignPoint, ArrayMetrics),
+) -> SearchStatistics {
+    let mut stats = SearchStatistics::default();
+    let (npre_values, nwr_values) = (space.npre_values(), space.nwr_values());
+    let per_slice = npre_values.len() * nwr_values.len();
+    for organization in ArrayOrganization::enumerate(capacity, 64, space.rows_range()) {
+        for &vssc in space.vssc_values() {
+            stats.examined += per_slice;
+            if !constraint.check_snapshot(cell, vssc) {
+                stats.infeasible += per_slice;
+                continue;
+            }
+            stats.feasible += per_slice;
+            for &n_pre in &npre_values {
+                for &n_wr in &nwr_values {
+                    let metrics = ArrayModel::new(organization, cell, periphery, params)
+                        .with_precharge_fins(n_pre)
+                        .with_write_fins(n_wr)
+                        .with_vssc(vssc)
+                        .evaluate()
+                        .expect("evaluates");
+                    let point = DesignPoint {
+                        organization,
+                        vssc,
+                        n_pre,
+                        n_wr,
+                    };
+                    visit(point, metrics);
+                }
+            }
+        }
+    }
+    stats
+}
+
+/// The first minimum, in walk order, of the finite scores of every
+/// yield-feasible candidate.
 fn naive_minimum(
     capacity: Capacity,
     cell: &CellCharacterization,
@@ -34,34 +99,53 @@ fn naive_minimum(
     objective: &dyn Objective,
 ) -> Option<(DesignPoint, ArrayMetrics, f64)> {
     let mut best: Option<(DesignPoint, ArrayMetrics, f64)> = None;
-    for organization in ArrayOrganization::enumerate(capacity, 64, space.rows_range()) {
-        for &vssc in space.vssc_values() {
-            if !constraint.check_snapshot(cell, vssc) {
-                continue;
+    walk_every_candidate(
+        capacity,
+        cell,
+        periphery,
+        params,
+        space,
+        constraint,
+        |point, metrics| {
+            let score = objective.score(&metrics);
+            if score.is_finite() && best.as_ref().is_none_or(|(_, _, b)| score < *b) {
+                best = Some((point, metrics, score));
             }
-            for &n_pre in &space.npre_values() {
-                for &n_wr in &space.nwr_values() {
-                    let metrics = ArrayModel::new(organization, cell, periphery, params)
-                        .with_precharge_fins(n_pre)
-                        .with_write_fins(n_wr)
-                        .with_vssc(vssc)
-                        .evaluate()
-                        .expect("evaluates");
-                    let score = objective.score(&metrics);
-                    if score.is_finite() && best.as_ref().is_none_or(|(_, _, b)| score < *b) {
-                        let point = DesignPoint {
-                            organization,
-                            vssc,
-                            n_pre,
-                            n_wr,
-                        };
-                        best = Some((point, metrics, score));
-                    }
-                }
-            }
-        }
-    }
+        },
+    );
     best
+}
+
+/// The front of a walk of every candidate: each yield-feasible one whose
+/// energy-delay product is finite, offered in walk order, with the
+/// walk's `examined`, `feasible` and `infeasible` counts.
+fn naive_front(
+    capacity: Capacity,
+    cell: &CellCharacterization,
+    periphery: &Periphery,
+    params: &ArrayParams,
+    space: &DesignSpace,
+    constraint: YieldConstraint,
+) -> (ParetoFront<DesignPoint>, SearchStatistics) {
+    let mut front = ParetoFront::new();
+    let stats = walk_every_candidate(
+        capacity,
+        cell,
+        periphery,
+        params,
+        space,
+        constraint,
+        |tag, metrics| {
+            if EnergyDelayProduct.score(&metrics).is_finite() {
+                front.offer(ParetoPoint {
+                    energy: metrics.energy,
+                    delay: metrics.delay,
+                    tag,
+                });
+            }
+        },
+    );
+    (front, stats)
 }
 
 /// The paper space restricted to the picked `V_SSC` grid indices, the
@@ -85,12 +169,12 @@ fn subsampled_space(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The search returns the brute force's first minimum — point,
     /// metrics and score bits — for every capacity, flavor, method and
-    /// built-in objective, and evaluates the same candidates at one to
-    /// four threads.
+    /// objective of [`OBJECTIVES`], and evaluates the same candidates at
+    /// one to four threads.
     #[test]
     fn search_equals_brute_force(
         vssc_picks in proptest::collection::vec(0usize..25, 1..6),
@@ -100,7 +184,7 @@ proptest! {
         capacity_bytes in prop_oneof![Just(128usize), Just(256), Just(1024), Just(4096), Just(16384)],
         hvt in any::<bool>(),
         m2 in any::<bool>(),
-        objective in 0usize..4,
+        objective in 0usize..5,
         threads in 1usize..5,
     ) {
         let lib = DeviceLibrary::sevennm();
@@ -161,13 +245,72 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dominance-pruned Pareto walk returns the full walk's front —
+    /// the same points, energy and delay bits and design points, in the
+    /// same order — for every capacity, flavor and method, and accounts
+    /// for the space the full walk examines.
+    #[test]
+    fn pruned_front_equals_the_full_walk(
+        vssc_picks in proptest::collection::vec(0usize..25, 1..6),
+        npre_stride in 2u32..20,
+        nwr_stride in 1u32..12,
+        rows_max_log2 in 5u32..11,
+        capacity_bytes in prop_oneof![Just(128usize), Just(256), Just(1024), Just(4096), Just(16384)],
+        hvt in any::<bool>(),
+        m2 in any::<bool>(),
+    ) {
+        let lib = DeviceLibrary::sevennm();
+        let (flavor, method) = (
+            if hvt { VtFlavor::Hvt } else { VtFlavor::Lvt },
+            if m2 { Method::M2 } else { Method::M1 },
+        );
+        let cell = CoOptimizationFramework::paper_mode()
+            .characterize_cell(flavor, method)
+            .expect("paper-mode cell");
+        let periphery = Periphery::new(&lib);
+        let params = ArrayParams::paper_defaults();
+        let constraint = YieldConstraint::paper_delta(lib.nominal_vdd());
+        let space = subsampled_space(&vssc_picks, npre_stride, nwr_stride, rows_max_log2);
+        let space = if m2 { space } else { space.without_negative_gnd() };
+        let capacity = Capacity::from_bytes(capacity_bytes);
+
+        let (oracle, full) = naive_front(capacity, &cell, &periphery, &params, &space, constraint);
+        let (front, s) = Search::new(&cell, &periphery, &params, &space, constraint, 64)
+            .pareto_front(capacity)
+            .expect("no cancel token");
+        prop_assert_eq!(front.len(), oracle.len());
+        for (i, (got, want)) in front.points().iter().zip(oracle.points()).enumerate() {
+            prop_assert_eq!(
+                got.energy.joules().to_bits(),
+                want.energy.joules().to_bits(),
+                "point {} energy",
+                i
+            );
+            prop_assert_eq!(
+                got.delay.seconds().to_bits(),
+                want.delay.seconds().to_bits(),
+                "point {} delay",
+                i
+            );
+            prop_assert_eq!(got.tag, want.tag, "point {}", i);
+        }
+        prop_assert_eq!(s.examined, full.examined);
+        prop_assert_eq!(s.feasible, full.feasible);
+        prop_assert_eq!(s.infeasible, full.infeasible);
+        prop_assert_eq!(s.examined, s.feasible + s.infeasible);
+        prop_assert_eq!(s.feasible, s.evaluated + s.eval_errors + s.pruned);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The Pareto walk and coordinate descent agree with the search on
-    /// the same spaces: the front walks the space the search examines
-    /// (it evaluates every feasible candidate the search may prune), its
-    /// least-EDP point scores the search's optimum bit for bit, and
-    /// descent never beats that optimum.
+    /// the same spaces: the front accounts for the space the search
+    /// examines, its least-EDP point scores the search's optimum bit for
+    /// bit, and descent never beats that optimum.
     #[test]
     fn walks_agree_with_the_exhaustive_search(
         vssc_picks in proptest::collection::vec(0usize..25, 1..5),
@@ -193,8 +336,7 @@ proptest! {
         prop_assert_eq!(stats.examined, searched.examined);
         prop_assert_eq!(stats.feasible, searched.feasible);
         prop_assert_eq!(stats.infeasible, searched.infeasible);
-        prop_assert_eq!(stats.pruned, 0);
-        prop_assert_eq!(stats.feasible, stats.evaluated + stats.eval_errors);
+        prop_assert_eq!(stats.feasible, stats.evaluated + stats.eval_errors + stats.pruned);
         let least = front.min_edp().expect("a feasible space has a front");
         prop_assert_eq!(
             (least.energy * least.delay).joule_seconds().to_bits(),

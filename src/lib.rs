@@ -15,8 +15,8 @@
 //! * [`array`](mod@crate::array) — the paper's analytical array model (Tables 1–3,
 //!   Eqs. (1)–(5)) with assist-aware components;
 //! * [`coopt`] — the co-optimization framework: yield-pinned assist
-//!   rails, M1/M2 rail policies, exhaustive (and parallel) search over
-//!   `V_SSC`, `n_r`, `N_pre`, `N_wr`;
+//!   rails, M1/M2 rail policies, exhaustive (bound-and-prune) search
+//!   over `V_SSC`, `n_r`, `N_pre`, `N_wr`;
 //! * [`units`] — typed physical quantities underpinning all of it.
 //!
 //! # Quickstart
