@@ -16,12 +16,8 @@
 //!    `serve.request.latency_ns` histograms, merged offline; the
 //!    router's `cluster-metrics` merged p50/p99 must agree within the
 //!    histogram's [`MAX_QUANTILE_RELATIVE_ERROR`] (1/32) bound, and
-//!    `cluster-health` must report exactly the killed node unreachable;
-//! 3. **Chrome pid lanes** — the richest stitched tree (a hedge loser's
-//!    when there is one) must export as one Chrome trace with the
-//!    router and nodes on separate pid lanes.
+//!    `cluster-health` must report exactly the killed node unreachable.
 
-use std::collections::BTreeSet;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
@@ -90,7 +86,6 @@ pub(crate) const SCENARIO: Scenario = Scenario {
             Op::Ge,
             Rhs::Key("cluster.trace.stitched"),
         ),
-        inv("chrome_pids", Op::Ge, Rhs::Num(2.0)),
         inv("p50_drift", Op::Le, Rhs::Num(MAX_QUANTILE_RELATIVE_ERROR)),
         inv("p99_drift", Op::Le, Rhs::Num(MAX_QUANTILE_RELATIVE_ERROR)),
         // The router's collector polled the nodes, and the killed node
@@ -137,10 +132,6 @@ struct Trees {
     losers: usize,
     /// The most `failover` branches one reply's tree carries.
     max_failovers: usize,
-    /// The tree the Chrome audit runs on, ranked by span count — a
-    /// loser-bearing tree outranks any other, since it exercises the
-    /// cancelled branch's lane too.
-    richest: Option<(u64, Json)>,
 }
 
 /// The `cluster.attempt` branches of a stitched tree, one per attempt.
@@ -183,26 +174,10 @@ fn audit_reply(reply: &Json, trees: &Mutex<Trees>) -> Result<(), String> {
     let mut trees = trees.lock().unwrap_or_else(PoisonError::into_inner);
     trees.losers += usize::from(loser);
     trees.max_failovers = trees.max_failovers.max(failovers);
-    match stitch::validate(tree) {
-        Ok(spans) => {
-            let rank = spans + if loser { 1_000 } else { 0 };
-            if trees.richest.as_ref().is_none_or(|(r, _)| rank > *r) {
-                trees.richest = Some((rank, tree.clone()));
-            }
-        }
-        Err(e) => trees.forests.push(format!("{id}: {e}")),
+    if let Err(e) = stitch::validate(tree) {
+        trees.forests.push(format!("{id}: {e}"));
     }
     Ok(())
-}
-
-/// Distinct pid lanes in the Chrome export of a stitched tree.
-fn chrome_pids(tree: &Json) -> usize {
-    let export = Json::parse(&stitch::chrome_trace(tree)).unwrap_or(Json::Null);
-    let events = export.get("traceEvents").and_then(Json::as_array);
-    let pids = events.unwrap_or_default().iter();
-    pids.filter_map(|e| e.get("pid").and_then(Json::as_u64))
-        .collect::<BTreeSet<_>>()
-        .len()
 }
 
 /// Polls every *reachable* node directly for its raw
@@ -303,11 +278,6 @@ pub(crate) fn soak(threads: usize) -> Result<Outcome, String> {
         soak.set("forest_replies", trees.forests.len() as f64);
         soak.set("loser_replies", trees.losers as f64);
         soak.set("request_failovers_max", trees.max_failovers as f64);
-        let pids = trees
-            .richest
-            .as_ref()
-            .map_or(0, |(_, tree)| chrome_pids(tree));
-        soak.set("chrome_pids", pids as f64);
         for forest in trees.forests {
             soak.note(format!("forest: {forest}"));
         }
@@ -357,9 +327,6 @@ mod tests {
         let t = trees.into_inner().unwrap();
         assert!(t.forests.is_empty());
         assert_eq!(t.losers, 1);
-        let (rank, tree) = t.richest.expect("the loser tree is kept");
-        assert!(rank >= 1_003, "loser trees outrank span-rich ones");
-        assert_eq!(chrome_pids(&tree), 3, "router + two node lanes");
 
         let trees = Mutex::new(Trees::default());
         audit_reply(&stitched_reply(false), &trees).expect("valid tree");

@@ -17,7 +17,7 @@
 
 use sram_probe::hash::{fnv1a64, splitmix64};
 
-/// Default virtual nodes per member (`RouterConfig::vnodes` overrides).
+/// Virtual nodes per member on every router's ring.
 pub const DEFAULT_VNODES: usize = 64;
 
 /// A consistent-hash ring over named nodes.

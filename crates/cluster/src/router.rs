@@ -88,8 +88,6 @@ pub struct RouterConfig {
     pub replicas: usize,
     /// Floor (and cold-start value) for the hedge delay, milliseconds.
     pub hedge_ms: u64,
-    /// Virtual nodes per member on the ring.
-    pub vnodes: usize,
     /// Health-poll cadence.
     pub poll_interval: Duration,
     /// Per-attempt node read timeout.
@@ -103,7 +101,6 @@ impl Default for RouterConfig {
             nodes: Vec::new(),
             replicas: 2,
             hedge_ms: 10,
-            vnodes: DEFAULT_VNODES,
             poll_interval: Duration::from_millis(25),
             node_timeout: Duration::from_secs(10),
         }
@@ -167,7 +164,7 @@ impl Router {
 
         sram_probe::telemetry::start();
         let inner = Arc::new(RouterInner {
-            membership: Mutex::new(Membership::seed(&config.nodes, config.vnodes)),
+            membership: Mutex::new(Membership::seed(&config.nodes, DEFAULT_VNODES)),
             pool: Pool::new(Some(config.node_timeout)),
             hedge: Mutex::new(HedgeState {
                 computed_at: None,
@@ -865,7 +862,6 @@ mod tests {
         let d = RouterConfig::default();
         assert_eq!(d.replicas, 2);
         assert_eq!(d.hedge_ms, 10);
-        assert_eq!(d.vnodes, DEFAULT_VNODES);
         assert!(d.nodes.is_empty());
     }
 
@@ -876,6 +872,8 @@ mod tests {
 
     #[test]
     fn routes_queries_and_answers_cluster_stats_itself() {
+        // The fan-out count below is a gated probe.
+        sram_probe::set_level(sram_probe::Level::Summary);
         let node = sram_serve::spawn_local_node("127.0.0.1:0", 2, 16).unwrap();
         let router = Router::start(RouterConfig {
             nodes: vec![node.local_addr().to_string()],
@@ -922,8 +920,22 @@ mod tests {
             Some("cluster-stats")
         );
         assert!(stats.get("epoch").and_then(Json::as_u64).is_some());
+        assert_eq!(
+            stats
+                .get("ring")
+                .and_then(|r| r.get("vnodes"))
+                .and_then(Json::as_u64),
+            Some(DEFAULT_VNODES as u64),
+            "{}",
+            stats.render()
+        );
 
+        // Other tests in this binary fan out too, so the count moves by
+        // at least the one `health` line sent here.
+        let fanout = || probe_handle!(counter "cluster.fanout.requests").get();
+        let fanned_before = fanout();
         let health = client.call_line(r#"{"op":"health"}"#).unwrap();
+        assert!(fanout() - fanned_before >= 1, "health is a fan-out");
         let nodes = health.get("nodes").unwrap();
         assert!(
             nodes
@@ -1018,15 +1030,6 @@ mod tests {
             attempt.get("hedge_loser").and_then(Json::as_bool),
             Some(false)
         );
-        // The stitched Chrome export keeps router and node on separate
-        // pid lanes.
-        let chrome = stitch::chrome_trace(tree);
-        assert!(
-            chrome.contains("\"args\":{\"name\":\"router\"}"),
-            "{chrome}"
-        );
-        assert!(chrome.contains("\"pid\":2"), "{chrome}");
-
         // Close a telemetry window so the node's export holds the
         // traced request's latency.
         sram_probe::telemetry::force_sample();

@@ -17,14 +17,8 @@
 //! * **connectivity validation** — every attempt subtree must carry
 //!   the `parent_span` the node adopted; a mismatch means the tree is
 //!   really a disconnected forest, which [`validate`] rejects and the
-//!   router counts under `cluster.trace.forests`;
-//! * **Chrome export** — [`chrome_trace`] renders a stitched tree with
-//!   one `pid` lane per process (router plus each node), so merged
-//!   timelines stop drawing on top of each other.
+//!   router counts under `cluster.trace.forests`.
 
-use std::fmt::Write as _;
-
-use sram_probe::json::escape_into;
 use sram_probe::trace::TraceCtx;
 use sram_serve::Json;
 
@@ -115,21 +109,16 @@ pub fn stitch(ctx: &TraceCtx, total_ns: u64, attempts: &[AttemptPiece]) -> Json 
     ])
 }
 
-fn count_spans(node: &Json) -> u64 {
+/// Total span count of a stitched tree (root, attempts, and every
+/// node-side span).
+fn span_count(node: &Json) -> u64 {
     let mut count = 1;
     if let Some(children) = node.get("children").and_then(Json::as_array) {
         for child in children {
-            count += count_spans(child);
+            count += span_count(child);
         }
     }
     count
-}
-
-/// Total span count of a stitched tree (root, attempts, and every
-/// node-side span).
-#[must_use]
-fn span_count(tree: &Json) -> u64 {
-    count_spans(tree)
 }
 
 /// Checks that a stitched tree is one connected timeline and returns
@@ -171,101 +160,6 @@ pub fn validate(tree: &Json) -> Result<u64, String> {
         return Err("no attempt carried a node span tree".to_string());
     }
     Ok(span_count(tree))
-}
-
-/// Writes one complete (`X`) event. Its name and `args` come from node
-/// replies, so they are written escaped.
-fn chrome_event(out: &mut String, node: &Json, pid: u32, args: Option<&Json>) {
-    let name = node.get("name").and_then(Json::as_str).unwrap_or("span");
-    let start = node.get("start_ns").and_then(Json::as_f64).unwrap_or(0.0);
-    let dur = node.get("dur_ns").and_then(Json::as_f64).unwrap_or(0.0);
-    out.push_str(",{\"name\":\"");
-    escape_into(out, name);
-    let _ = write!(
-        out,
-        "\",\"cat\":\"cluster\",\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\
-         \"ts\":{:.3},\"dur\":{:.3}",
-        start / 1e3,
-        dur / 1e3,
-    );
-    if let Some(args) = args {
-        out.push_str(",\"args\":");
-        out.push_str(&args.render());
-    }
-    out.push('}');
-}
-
-fn chrome_subtree(out: &mut String, node: &Json, pid: u32) {
-    chrome_event(out, node, pid, None);
-    if let Some(children) = node.get("children").and_then(Json::as_array) {
-        for child in children {
-            chrome_subtree(out, child, pid);
-        }
-    }
-}
-
-/// Renders a stitched tree as Chrome trace-event JSON with one `pid`
-/// lane per process: the router on `pid` 1, each distinct node on its
-/// own `pid`, each announced via a `process_name` metadata event.
-#[must_use]
-pub fn chrome_trace(tree: &Json) -> String {
-    let attempts: Vec<&Json> = tree
-        .get("children")
-        .and_then(Json::as_array)
-        .map(|c| c.iter().collect())
-        .unwrap_or_default();
-    // Stable pid per distinct node address, in first-seen order.
-    let mut nodes: Vec<&str> = Vec::new();
-    for attempt in &attempts {
-        if let Some(addr) = attempt.get("node").and_then(Json::as_str) {
-            if !nodes.contains(&addr) {
-                nodes.push(addr);
-            }
-        }
-    }
-    let mut out = String::from("{\"traceEvents\":[");
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"router\"}}",
-    );
-    for (i, addr) in nodes.iter().enumerate() {
-        let _ = write!(
-            out,
-            ",{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-             \"args\":{{\"name\":\"",
-            i as u32 + 2,
-        );
-        escape_into(&mut out, addr);
-        out.push_str("\"}}");
-    }
-    chrome_event(&mut out, tree, 1, None);
-    for attempt in &attempts {
-        let addr = attempt.get("node").and_then(Json::as_str).unwrap_or("?");
-        let pid = nodes
-            .iter()
-            .position(|n| *n == addr)
-            .map_or(1, |i| i as u32 + 2);
-        let via = attempt.get("via").and_then(Json::as_str).unwrap_or("?");
-        let loser = attempt
-            .get("hedge_loser")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        // The attempt marker renders on the router lane (it is the
-        // router's view of the wire), its node subtree on the node's.
-        let args = Json::Obj(vec![
-            ("via".into(), Json::Str(via.into())),
-            ("hedge_loser".into(), Json::Bool(loser)),
-            ("node".into(), Json::Str(addr.into())),
-        ]);
-        chrome_event(&mut out, attempt, 1, Some(&args));
-        if let Some(children) = attempt.get("children").and_then(Json::as_array) {
-            for child in children {
-                chrome_subtree(&mut out, child, pid);
-            }
-        }
-    }
-    out.push_str("]}");
-    out
 }
 
 #[cfg(test)]
@@ -383,79 +277,5 @@ mod tests {
         // The good attempt alone validates.
         let ok = stitch(&ctx(), 1_000, std::slice::from_ref(&good));
         assert_eq!(validate(&ok).unwrap(), 4);
-    }
-
-    #[test]
-    fn chrome_trace_gives_each_node_its_own_pid_lane() {
-        let attempts = vec![
-            AttemptPiece {
-                node: "10.0.0.1:9000".into(),
-                via: "primary",
-                hedge_loser: true,
-                send_ns: 0,
-                rtt_ns: 2_000,
-                tree: Some(node_tree(7, 2_000.0)),
-                error: None,
-            },
-            AttemptPiece {
-                node: "10.0.0.2:9000".into(),
-                via: "hedge",
-                hedge_loser: false,
-                send_ns: 500,
-                rtt_ns: 1_000,
-                tree: Some(node_tree(7, 1_000.0)),
-                error: None,
-            },
-        ];
-        let json = chrome_trace(&stitch(&ctx(), 2_500, &attempts));
-        assert!(json.contains("\"args\":{\"name\":\"router\"}"), "{json}");
-        assert!(
-            json.contains("\"args\":{\"name\":\"10.0.0.1:9000\"}"),
-            "{json}"
-        );
-        assert!(json.contains("\"pid\":2"), "{json}");
-        assert!(json.contains("\"pid\":3"), "{json}");
-        assert!(json.contains("\"hedge_loser\":true"), "{json}");
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn chrome_trace_escapes_names_and_addresses_from_node_replies() {
-        let odd = r#"serve."quoted"\path"#;
-        let mut tree = node_tree(7, 1_000.0);
-        if let Json::Obj(pairs) = &mut tree {
-            pairs[0].1 = Json::Str(odd.into());
-        }
-        let attempts = vec![AttemptPiece {
-            node: r#"node"a\b:9000"#.into(),
-            via: "primary",
-            hedge_loser: false,
-            send_ns: 0,
-            rtt_ns: 1_000,
-            tree: Some(tree),
-            error: None,
-        }];
-        let json = chrome_trace(&stitch(&ctx(), 1_000, &attempts));
-        let parsed = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
-        let events = parsed.get("traceEvents").and_then(Json::as_array).unwrap();
-        let named = |name: &str| {
-            events
-                .iter()
-                .any(|e| e.get("name").and_then(Json::as_str) == Some(name))
-        };
-        assert!(named(odd), "{json}");
-        let lane = events.iter().find(|e| {
-            e.get("ph").and_then(Json::as_str) == Some("M")
-                && e.get("pid").and_then(Json::as_u64) == Some(2)
-        });
-        let lane_name = lane
-            .and_then(|e| e.get("args"))
-            .and_then(|args| args.get("name"))
-            .and_then(Json::as_str);
-        assert_eq!(lane_name, Some(r#"node"a\b:9000"#));
     }
 }

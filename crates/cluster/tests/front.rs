@@ -114,9 +114,16 @@ fn node_answers_a_line_that_is_not_utf8_and_stays_open() {
 
 #[test]
 fn router_answers_a_line_that_is_not_utf8_and_stays_open() {
+    // The parse-error count below is a gated probe.
+    sram_probe::set_level(sram_probe::Level::Summary);
+    let parse_errors = || sram_probe::probe_handle!(counter "cluster.request.parse_errors").get();
+    let parse_errors_before = parse_errors();
     let node = node();
     let router = router(&node, RouterConfig::default().poll_interval);
     answers_a_line_that_is_not_utf8_and_stays_open(router.local_addr());
+    // Other tests in this binary may send bad lines too, so the count
+    // moves by at least the one sent here.
+    assert!(parse_errors() - parse_errors_before >= 1);
     router.shutdown();
     node.shutdown();
 }

@@ -157,7 +157,7 @@ pub const PROBES: &[ProbeRow] = &[
     row("cell.wm_flip_search", Trace, Cell, At("crates/cell/tests/flip_search_probes.rs")),
     row("cluster.affinity.checked", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
     row("cluster.affinity.violations", Counter, Cluster, At("crates/bench/tests/cluster_soak.rs")),
-    row("cluster.fanout.requests", Counter, Cluster, OBSERVABILITY_ONLY),
+    row("cluster.fanout.requests", Counter, Cluster, At("crates/cluster/src/router.rs")),
     row("cluster.forward.failovers", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
     row("cluster.forward.handoffs", Counter, Cluster, At("crates/cluster/tests/hedging.rs")),
     row("cluster.forward.latency_ns", Histogram, Cluster, At("crates/bench/src/soak/cluster.rs")),
@@ -176,7 +176,7 @@ pub const PROBES: &[ProbeRow] = &[
     row("cluster.node.drained", Counter, Cluster, OBSERVABILITY_ONLY),
     row("cluster.node.evicted", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
     row("cluster.node.rejoined", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
-    row("cluster.request.parse_errors", Counter, Cluster, OBSERVABILITY_ONLY),
+    row("cluster.request.parse_errors", Counter, Cluster, At("crates/cluster/tests/front.rs")),
     row("cluster.request.routed", Counter, Cluster, At("crates/bench/src/soak/cluster.rs")),
     row("cluster.trace.forests", Counter, Cluster, At("crates/bench/tests/trace_soak.rs")),
     row("cluster.trace.losers", Counter, Cluster, At("crates/bench/src/soak/trace.rs")),
@@ -204,8 +204,6 @@ pub const PROBES: &[ProbeRow] = &[
     row("serve.batch.coalesced", Counter, Serve, At("crates/serve/tests/batch_coalesce.rs")),
     row("serve.batch.cross_coalesced", Counter, Serve, At("crates/bench/src/serve.rs")),
     row("serve.batch.size", Histogram, Serve, OBSERVABILITY_ONLY),
-    row("serve.cache.bytes", Gauge, Serve, OBSERVABILITY_ONLY),
-    row("serve.cache.evictions", Counter, Serve, OBSERVABILITY_ONLY),
     row("serve.cache.hits", Counter, Serve, At("crates/bench/src/serve.rs")),
     row("serve.cache.insertions", Counter, Serve, At("crates/bench/src/soak/mod.rs")),
     row("serve.cache.load_errors", Counter, Serve, At("crates/serve/tests/cache_persist.rs")),
@@ -233,7 +231,7 @@ pub const PROBES: &[ProbeRow] = &[
     row("serve.request.expired", Counter, Serve, At("crates/serve/tests/faults_e2e.rs")),
     row("serve.request.inline_hits", Counter, Serve, At("crates/serve/tests/faults_e2e.rs")),
     row("serve.request.latency_ns", Histogram, Serve, At("crates/serve/tests/telemetry_surface.rs")),
-    row("serve.request.parse_errors", Counter, Serve, OBSERVABILITY_ONLY),
+    row("serve.request.parse_errors", Counter, Serve, At("crates/serve/tests/server_e2e.rs")),
     row("serve.request.queue_wait_ns", Histogram, Serve, At("crates/bench/src/soak/mod.rs")),
     row("serve.request.rejected", Counter, Serve, At("crates/serve/tests/faults_e2e.rs")),
     row("serve.request.total", Counter, Serve, At("crates/bench/src/serve.rs")),
@@ -291,7 +289,6 @@ pub const ENV_VARS: &[EnvRow] = &[
     var("SRAM_TRACE_OUT", Bench, "file serve-bench writes its Chrome trace export to"),
     var("SRAM_TRACE_SAMPLE", Probe, "fraction of request roots traced, 0 to 1 (default 1)"),
     var("SRAM_TRACE_SAMPLE_SEED", Probe, "seed of the deterministic root sampler"),
-    var("SRAM_TRACE_SLOTS", Probe, "per-thread trace ring capacity in events (default 8192)"),
 ];
 
 /// Fails a `const` check with a message built from `parts` (a `const`

@@ -68,17 +68,18 @@
 //! # Tracing
 //!
 //! Aggregates say *how much*; the [`trace`] module says *where*:
-//! hierarchical begin/end events, exported as Chrome trace JSON, a
-//! text flame summary, or a per-request span tree. Tracing has its own
-//! switches so it can run with metrics off and vice versa: process-wide
-//! (`SRAM_TRACE`, [`trace::set_tracing`]) every thread records into
-//! its own ring buffer, read back with [`trace::capture`]; a
-//! [`trace::Scope`] records one request, on the threads working for it,
-//! into a buffer of its own. [`trace_span!`] composes with
-//! [`probe_span!`]: the former records structure, the latter feeds the
-//! duration histogram. Under load, [`trace::sampled`] picks a seeded,
-//! deterministic fraction of roots to trace (`SRAM_TRACE_SAMPLE`) so a
-//! busy server keeps representative traces.
+//! hierarchical begin/end events, exported as Chrome trace JSON or a
+//! per-request span tree. Tracing has its own switches so it can run
+//! with metrics off and vice versa: process-wide (`SRAM_TRACE`,
+//! [`trace::set_tracing`]) every thread records into its own ring
+//! buffer, read back with [`trace::capture`] (edpbench's traced runs
+//! are what turns it on); a [`trace::Scope`] records one request, on
+//! the threads working for it, into a buffer of its own.
+//! [`trace_span!`] composes with [`probe_span!`]: the former records
+//! structure, the latter feeds the duration histogram. Under load,
+//! [`trace::sampled`] picks a seeded, deterministic fraction of roots
+//! to trace (`SRAM_TRACE_SAMPLE`) so a busy server keeps
+//! representative traces.
 //!
 //! # Telemetry and logging
 //!
@@ -86,8 +87,9 @@
 //! windowed time series: a background sampler stores per-interval
 //! deltas in a bounded ring (`SRAM_TELEMETRY_WINDOW` /
 //! `SRAM_TELEMETRY_SLOTS`), with p50/p90/p99 read off the merged
-//! histogram windows and a Prometheus-style text exposition. The [`log`] module writes structured JSON-lines events
-//! (`SRAM_LOG=path`, leveled) for rare operator-relevant moments.
+//! histogram windows. The [`log`] module writes structured JSON-lines
+//! events (`SRAM_LOG=path`, leveled) for rare operator-relevant
+//! moments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

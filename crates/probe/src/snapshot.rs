@@ -348,9 +348,8 @@ fn write_json_f64(out: &mut String, value: f64) {
     }
 }
 
-/// Formats a nanosecond quantity with an appropriate unit (shared with
-/// the trace module's flame summary).
-pub(crate) fn format_nanos(ns: f64) -> String {
+/// Formats a nanosecond quantity with an appropriate unit.
+fn format_nanos(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.0}ns")
     } else if ns < 1e6 {

@@ -14,10 +14,9 @@
 //!    scoped event appends to its request's buffer under that buffer's
 //!    own lock, which only the request's threads share.
 //! 2. **Fixed byte budget.** Each recording thread owns one ring of
-//!    [`slot capacity`](ring_slots) fixed-size slots. When the ring
-//!    wraps, the oldest event is overwritten and counted in
-//!    `probe.trace.dropped` — capture keeps the most recent window,
-//!    which is what a live server wants.
+//!    [`ring_slots`] fixed-size slots. When the ring wraps, the oldest
+//!    event is overwritten and counted in `probe.trace.dropped` —
+//!    capture keeps the most recent window.
 //! 3. **Safe Rust.** The workspace forbids `unsafe`, so the seqlock is
 //!    built from individually atomic `u64` words: a torn read cannot be
 //!    undefined behavior, only a detectably inconsistent slot, which
@@ -39,9 +38,8 @@
 //! With neither, [`trace_span!`](crate::trace_span) is one relaxed
 //! atomic load and a branch.
 //!
-//! Captured events export three ways: [`chrome_trace_json`] (loadable
-//! in `chrome://tracing` or <https://ui.perfetto.dev>),
-//! [`flame_summary`] (top-N self-time text table), and [`span_tree`]
+//! Captured events export two ways: [`chrome_trace_json`] (loadable
+//! in `chrome://tracing` or <https://ui.perfetto.dev>) and [`span_tree`]
 //! (one request's subtree, which `sram-serve` inlines into responses).
 
 use std::cell::RefCell;
@@ -54,7 +52,6 @@ use std::time::Instant;
 
 use crate::hash::splitmix64;
 use crate::json::escape_into;
-use crate::snapshot::format_nanos;
 
 /// Maximum `(key, value)` argument pairs one event can carry.
 const MAX_ARGS: usize = 4;
@@ -66,12 +63,11 @@ const PAYLOAD_WORDS: usize = 11;
 /// Slot size in words (payload plus the seqlock word).
 const SLOT_WORDS: usize = PAYLOAD_WORDS + 1;
 
-/// Default ring capacity in slots per thread (× 96 bytes per slot).
-const DEFAULT_SLOTS: usize = 8192;
+/// Ring capacity in slots per thread (× 96 bytes per slot): 768 KiB.
+const SLOTS: usize = 8192;
 
-/// Bounds on the `SRAM_TRACE_SLOTS` override.
-const MIN_SLOTS: usize = 256;
-const MAX_SLOTS: usize = 1 << 20;
+// A power of two, so the wrap mask is a single AND.
+const _: () = assert!(SLOTS.is_power_of_two());
 
 /// Event phase, Chrome trace-event vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -377,25 +373,10 @@ fn name_snapshot() -> Vec<&'static str> {
 // Ring buffers
 // ---------------------------------------------------------------------
 
-/// Ring capacity in slots per thread: `SRAM_TRACE_SLOTS` rounded down
-/// to a power of two and clamped to `[256, 1 Mi]`; default 8192
-/// (768 KiB per thread).
+/// Ring capacity in slots per thread (8192).
 #[must_use]
-pub fn ring_slots() -> usize {
-    static SLOTS: LazyLock<usize> = LazyLock::new(|| {
-        let requested = crate::env_var!("SRAM_TRACE_SLOTS")
-            .get()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_SLOTS);
-        let clamped = requested.clamp(MIN_SLOTS, MAX_SLOTS);
-        // Power of two so the wrap mask is a single AND.
-        if clamped.is_power_of_two() {
-            clamped
-        } else {
-            (clamped / 2 + 1).next_power_of_two()
-        }
-    });
-    *SLOTS
+pub const fn ring_slots() -> usize {
+    SLOTS
 }
 
 /// One thread's event ring. The owning thread is the only writer; any
@@ -1056,69 +1037,48 @@ const COMPLETE_LANE_OFFSET: u32 = 1000;
 /// Renders events as Chrome trace-event JSON — an object with a
 /// `"traceEvents"` array — loadable in `chrome://tracing` and Perfetto.
 /// Timestamps are microseconds (`ts`/`dur`), as the format requires.
-/// All events share `pid` 1; multi-process captures go through
-/// `chrome_trace_json_labeled`, which gives each source its own lane.
+/// Every event renders under `pid` 1, which a `process_name` metadata
+/// (`M`) event labels `sram`.
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    chrome_trace_json_labeled(&[(1, "sram", events)])
-}
-
-/// Renders several event sources (e.g. a router and each cluster node)
-/// into one Chrome trace. Each `(pid, label, events)` source renders
-/// under its own `pid`, announced with a `process_name` metadata (`M`)
-/// event so viewers show the label instead of a bare number — without
-/// this, merged node+router captures all land on `pid` 1 and draw on
-/// top of each other.
-#[must_use]
-fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for (pid, label, events) in sources {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+    let mut out = String::from(
+        "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+         \"args\":{\"name\":\"sram\"}}",
+    );
+    for event in events {
+        let (ph, tid) = match event.phase {
+            Phase::Begin => ("B", event.tid),
+            Phase::End => ("E", event.tid),
+            Phase::Complete => ("X", event.tid + COMPLETE_LANE_OFFSET),
+        };
+        out.push_str(",{\"name\":\"");
+        escape_into(&mut out, event.name);
         let _ = write!(
             out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\""
+            "\",\"cat\":\"sram\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3}",
+            event.t_ns as f64 / 1e3,
         );
-        escape_into(&mut out, label);
-        out.push_str("\"}}");
-        for event in *events {
-            let (ph, tid) = match event.phase {
-                Phase::Begin => ("B", event.tid),
-                Phase::End => ("E", event.tid),
-                Phase::Complete => ("X", event.tid + COMPLETE_LANE_OFFSET),
-            };
-            out.push_str(",{\"name\":\"");
-            escape_into(&mut out, event.name);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"sram\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3}",
-                event.t_ns as f64 / 1e3,
-            );
-            if event.phase == Phase::Complete {
-                let _ = write!(out, ",\"dur\":{:.3}", event.dur_ns as f64 / 1e3);
+        if event.phase == Phase::Complete {
+            let _ = write!(out, ",\"dur\":{:.3}", event.dur_ns as f64 / 1e3);
+        }
+        let mut wrote_args = false;
+        if event.id != 0 {
+            let _ = write!(out, ",\"args\":{{\"span\":{}", event.id);
+            wrote_args = true;
+            if event.parent != 0 {
+                let _ = write!(out, ",\"parent\":{}", event.parent);
             }
-            let mut wrote_args = false;
-            if event.id != 0 {
-                let _ = write!(out, ",\"args\":{{\"span\":{}", event.id);
-                wrote_args = true;
-                if event.parent != 0 {
-                    let _ = write!(out, ",\"parent\":{}", event.parent);
-                }
-            }
-            for (key, value) in &event.args {
-                out.push_str(if wrote_args { ",\"" } else { ",\"args\":{\"" });
-                wrote_args = true;
-                escape_into(&mut out, key);
-                let _ = write!(out, "\":{value}");
-            }
-            if wrote_args {
-                out.push('}');
-            }
+        }
+        for (key, value) in &event.args {
+            out.push_str(if wrote_args { ",\"" } else { ",\"args\":{\"" });
+            wrote_args = true;
+            escape_into(&mut out, key);
+            let _ = write!(out, "\":{value}");
+        }
+        if wrote_args {
             out.push('}');
         }
+        out.push('}');
     }
     out.push_str("]}");
     out
@@ -1181,56 +1141,6 @@ fn intervals(events: &[TraceEvent]) -> HashMap<u64, Interval> {
         }
     }
     spans
-}
-
-/// Renders a top-N self-time table by span name. Self time is a span's
-/// duration minus its direct children's durations, summed over every
-/// occurrence of the name — the classic flame-graph aggregation,
-/// without leaving the terminal.
-#[must_use]
-pub fn flame_summary(events: &[TraceEvent], top_n: usize) -> String {
-    let spans = intervals(events);
-    // Direct-child time per parent span id.
-    let mut child_ns: HashMap<u64, u64> = HashMap::new();
-    for interval in spans.values() {
-        if interval.parent != 0 {
-            *child_ns.entry(interval.parent).or_insert(0) +=
-                interval.end_ns.saturating_sub(interval.start_ns);
-        }
-    }
-    // Aggregate by name: (count, total, self).
-    let mut by_name: HashMap<&'static str, (u64, u64, u64)> = HashMap::new();
-    for (id, interval) in &spans {
-        let total = interval.end_ns.saturating_sub(interval.start_ns);
-        let own = total.saturating_sub(child_ns.get(id).copied().unwrap_or(0));
-        let entry = by_name.entry(interval.name).or_insert((0, 0, 0));
-        entry.0 += 1;
-        entry.1 += total;
-        entry.2 += own;
-    }
-    let mut rows: Vec<(&'static str, (u64, u64, u64))> = by_name.into_iter().collect();
-    rows.sort_by(|a, b| b.1 .2.cmp(&a.1 .2).then(a.0.cmp(b.0)));
-    rows.truncate(top_n.max(1));
-
-    if rows.is_empty() {
-        return String::from("  (no trace events captured)\n");
-    }
-    let name_width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0).max(16);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "  {:<name_width$}  {:>8}  {:>10}  {:>10}",
-        "span", "count", "total", "self"
-    );
-    for (name, (count, total, own)) in rows {
-        let _ = writeln!(
-            out,
-            "  {name:<name_width$}  {count:>8}  {:>10}  {:>10}",
-            format_nanos(total as f64),
-            format_nanos(own as f64),
-        );
-    }
-    out
 }
 
 /// One node of a reconstructed span tree.
@@ -1489,9 +1399,10 @@ mod tests {
     fn ring_overflow_drops_oldest_and_counts() {
         let _guard = serial();
         let before_drops = dropped();
-        let ring = RingBuffer::new(9999, MIN_SLOTS);
+        const SMALL: usize = 256;
+        let ring = RingBuffer::new(9999, SMALL);
         let payload = [7u64; PAYLOAD_WORDS];
-        for _ in 0..(MIN_SLOTS + 10) {
+        for _ in 0..(SMALL + 10) {
             ring.push(&payload);
         }
         assert_eq!(dropped() - before_drops, 10, "overwrites are counted");
@@ -1501,7 +1412,7 @@ mod tests {
         );
         let mut out = Vec::new();
         ring.read_into(&[], &mut out);
-        assert_eq!(out.len(), MIN_SLOTS, "ring keeps the newest window");
+        assert_eq!(out.len(), SMALL, "ring keeps the newest window");
         let min_seq = out.iter().map(|e| e.seq).min().unwrap();
         assert_eq!(min_seq, 10, "the 10 oldest events were overwritten");
     }
@@ -1660,35 +1571,46 @@ mod tests {
     }
 
     #[test]
-    fn flame_summary_attributes_self_time() {
-        let _guard = serial();
-        let scope = Scope::begin();
-        {
-            let _outer = span("test.flame_outer");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            let inner = span("test.flame_inner");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            drop(inner);
-        }
-        let events = scope.finish();
-        let summary = flame_summary(&events, 10);
-        assert!(summary.contains("test.flame_outer"), "{summary}");
-        assert!(summary.contains("test.flame_inner"), "{summary}");
-        let spans = intervals(&events);
-        let outer = spans
-            .values()
-            .find(|s| s.name == "test.flame_outer")
-            .unwrap();
-        let inner = spans
-            .values()
-            .find(|s| s.name == "test.flame_inner")
-            .unwrap();
-        let outer_total = outer.end_ns - outer.start_ns;
-        let inner_total = inner.end_ns - inner.start_ns;
-        assert!(
-            outer_total > inner_total,
-            "outer contains inner: {outer_total} vs {inner_total}"
+    fn chrome_export_of_a_fixed_event_list_keeps_its_bytes() {
+        let event = |name, phase, id, parent, tid, t_ns, dur_ns, args| TraceEvent {
+            name,
+            phase,
+            id,
+            parent,
+            tid,
+            seq: 0,
+            t_ns,
+            dur_ns,
+            args,
+        };
+        let events = [
+            event("serve.request", Phase::Begin, 7, 0, 3, 1_000, 0, vec![]),
+            event("a \"b\"\\c", Phase::Begin, 8, 7, 3, 1_500, 0, vec![]),
+            event("a \"b\"\\c", Phase::End, 8, 0, 3, 2_250, 0, vec![("n", -4)]),
+            event(
+                "serve.queue_wait",
+                Phase::Complete,
+                9,
+                7,
+                3,
+                1_100,
+                333,
+                vec![("batch", 2), ("depth", 5)],
+            ),
+            event("untracked", Phase::Complete, 0, 0, 0, 12, 1, vec![]),
+            event("serve.request", Phase::End, 7, 0, 3, 3_000_001, 0, vec![]),
+        ];
+        let expected = concat!(
+            r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"sram"}},"#,
+            r#"{"name":"serve.request","cat":"sram","ph":"B","pid":1,"tid":3,"ts":1.000,"args":{"span":7}},"#,
+            r#"{"name":"a \"b\"\\c","cat":"sram","ph":"B","pid":1,"tid":3,"ts":1.500,"args":{"span":8,"parent":7}},"#,
+            r#"{"name":"a \"b\"\\c","cat":"sram","ph":"E","pid":1,"tid":3,"ts":2.250,"args":{"span":8,"n":-4}},"#,
+            r#"{"name":"serve.queue_wait","cat":"sram","ph":"X","pid":1,"tid":1003,"ts":1.100,"dur":0.333,"#,
+            r#""args":{"span":9,"parent":7,"batch":2,"depth":5}},"#,
+            r#"{"name":"untracked","cat":"sram","ph":"X","pid":1,"tid":1000,"ts":0.012,"dur":0.001},"#,
+            r#"{"name":"serve.request","cat":"sram","ph":"E","pid":1,"tid":3,"ts":3000.001,"args":{"span":7}}]}"#,
         );
+        assert_eq!(chrome_trace_json(&events), expected);
     }
 
     #[test]
@@ -1722,6 +1644,12 @@ mod tests {
             .find(|c| c.name == "test.tree_exec")
             .unwrap();
         assert_eq!(exec.args, vec![("capacity", 4096)]);
+        // A child's interval lies inside its parent's.
+        assert!(exec.start_ns >= tree.start_ns, "{tree:?}");
+        assert!(
+            exec.start_ns + exec.dur_ns <= tree.start_ns + tree.dur_ns,
+            "{tree:?}"
+        );
         // An id nobody emitted has no tree.
         assert!(span_tree(&events, u64::MAX).is_none());
     }
@@ -1756,13 +1684,6 @@ mod tests {
         let b = intern("test.intern_name");
         assert_eq!(a, b);
         assert_ne!(a, intern("test.intern_other"));
-    }
-
-    #[test]
-    fn ring_slots_is_a_power_of_two_in_bounds() {
-        let slots = ring_slots();
-        assert!(slots.is_power_of_two());
-        assert!((MIN_SLOTS..=MAX_SLOTS).contains(&slots));
     }
 
     #[test]
@@ -1818,40 +1739,5 @@ mod tests {
         // Distinct from the sampling hash stream for the same key.
         assert_ne!(a, splitmix64(DEFAULT_SAMPLE_SEED ^ 7));
         set_sampling(rate, seed);
-    }
-
-    #[test]
-    fn labeled_chrome_export_gives_each_source_its_own_pid() {
-        let _guard = serial();
-        let scope = Scope::begin();
-        {
-            let _span = span("test.labeled_export");
-        }
-        let events = scope.finish();
-        let json = chrome_trace_json_labeled(&[(1, "router", &events), (2, "node-0", &events)]);
-        assert!(json.contains("\"ph\":\"M\""), "{json}");
-        assert!(json.contains("\"args\":{\"name\":\"router\"}"), "{json}");
-        assert!(json.contains("\"args\":{\"name\":\"node-0\"}"), "{json}");
-        assert!(json.contains("\"pid\":2"), "{json}");
-        let opens = json.matches('{').count();
-        assert_eq!(opens, json.matches('}').count(), "{json}");
-        // The single-source path still pins everything to pid 1.
-        let solo = chrome_trace_json(&events);
-        assert!(!solo.contains("\"pid\":2"), "{solo}");
-    }
-
-    #[test]
-    fn chrome_export_labels_parse_back_through_the_codec() {
-        use crate::json::Json;
-        let label = "node \"a\"\nsecond line";
-        let export = chrome_trace_json_labeled(&[(3, label, &[])]);
-        let parsed = Json::parse(&export).unwrap_or_else(|e| panic!("{e}: {export}"));
-        let events = parsed.get("traceEvents").and_then(Json::as_array);
-        let name = events
-            .and_then(|events| events.first())
-            .and_then(|meta| meta.get("args"))
-            .and_then(|args| args.get("name"))
-            .and_then(Json::as_str);
-        assert_eq!(name, Some(label), "{export}");
     }
 }

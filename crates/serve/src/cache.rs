@@ -12,9 +12,11 @@
 //! the byte budget by evicting least-recently-used entries; recency is
 //! a monotonic tick stamped on every hit.
 //!
-//! Counters are kept twice on purpose: struct-level atomics (exact,
-//! queryable in unit tests regardless of probe state) and `sram-probe`
-//! mirrors (`serve.cache.*`) for operational visibility.
+//! Each cache keeps its own counters in struct-level atomics (exact,
+//! per cache, and queryable regardless of probe state); the `metrics`
+//! reply's `cache` block reads them. Hits, misses and insertions are
+//! also recorded as `sram-probe` counters (`serve.cache.*`), which
+//! serve-bench and the soaks assert over a whole process.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,9 +188,7 @@ impl ResultCache {
         drop(shard);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            sram_probe::probe_add!("serve.cache.evictions", evicted);
         }
-        sram_probe::probe_gauge!("serve.cache.bytes", self.bytes.load(Ordering::Relaxed));
     }
 
     /// Snapshot of the counters.

@@ -532,14 +532,12 @@ impl Engine {
         }
     }
 
-    /// Windowed telemetry for the `metrics` op: the Prometheus text
-    /// exposition under `"text"` plus a JSON rendering of the same
-    /// [`sram_probe::telemetry::Export`], so the two forms cannot
-    /// drift — `reproduce telemetry-soak` hard-fails if they do. The
-    /// reply also carries the engine's uptime, its ungated counters,
-    /// and the result cache's occupancy (the per-shard cache block a
-    /// cluster collector reads), so one op is the node's whole
-    /// snapshot.
+    /// Windowed telemetry for the `metrics` op: a JSON rendering of
+    /// [`sram_probe::telemetry::Export`] (counter rates and deltas,
+    /// gauges, histogram quantiles and buckets). The reply also
+    /// carries the engine's uptime, its ungated counters, and the
+    /// result cache's occupancy (the per-shard cache block a cluster
+    /// collector reads), so one op is the node's whole snapshot.
     #[must_use]
     pub fn metrics_json(&self) -> Json {
         let export = sram_probe::telemetry::export();
@@ -598,7 +596,6 @@ impl Engine {
             ("counters".into(), Json::Obj(counters)),
             ("gauges".into(), Json::Obj(gauges)),
             ("quantiles".into(), Json::Obj(quantiles)),
-            ("text".into(), Json::Str(export.to_prometheus())),
         ])
     }
 
@@ -1226,8 +1223,6 @@ mod tests {
         assert_eq!(m.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(m.get("cached").and_then(Json::as_bool), Some(false));
         let result = m.get("result").unwrap();
-        let text = result.get("text").and_then(Json::as_str).unwrap();
-        assert!(text.starts_with("# sram-edp telemetry"), "{text}");
         assert!(result.get("counters").is_some());
         assert!(result.get("quantiles").is_some());
         assert!(result.get("window_ms").and_then(Json::as_f64).unwrap() > 0.0);

@@ -30,8 +30,8 @@
 //!
 //! Ops: `optimize`, `evaluate-point`, `pareto-front`, `yield-check`,
 //! plus two introspection ops answered directly and never cached —
-//! `metrics` (windowed telemetry: Prometheus-style text exposition plus
-//! the same export as JSON, with uptime, engine counters, and cache
+//! `metrics` (windowed telemetry as JSON: counter rates, gauges and
+//! latency quantiles, with uptime, engine counters, and cache
 //! occupancy) and `health` (an
 //! `ok|degraded|unhealthy` verdict with reasons: worker liveness,
 //! queue pressure, windowed expiry/reject rates, and per-op SLO burn —

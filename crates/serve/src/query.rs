@@ -136,9 +136,9 @@ pub enum Query {
         /// Monte Carlo sample count.
         samples: u64,
     },
-    /// Windowed telemetry: Prometheus-style text exposition plus a JSON
-    /// form of the same export (rates, deltas, streaming quantiles),
-    /// with uptime, the engine's own counters, and cache occupancy.
+    /// Windowed telemetry as JSON (rates, deltas, streaming
+    /// quantiles), with uptime, the engine's own counters, and cache
+    /// occupancy.
     /// Answered directly by the engine (never cached, never
     /// characterized).
     Metrics,

@@ -110,6 +110,10 @@ fn cache_counters_over_tcp_match_the_in_process_engine() {
 
 #[test]
 fn protocol_errors_come_back_as_envelopes_not_disconnects() {
+    // The parse-error count below is a gated probe.
+    sram_probe::set_level(sram_probe::Level::Summary);
+    let parse_errors = || sram_probe::probe_handle!(counter "serve.request.parse_errors").get();
+    let parse_errors_before = parse_errors();
     let server = Server::start(engine(), ServerConfig::default()).expect("server binds");
     let mut client = Client::connect(server.local_addr()).expect("client connects");
 
@@ -128,6 +132,9 @@ fn protocol_errors_come_back_as_envelopes_not_disconnects() {
         "error names the bad op: {}",
         unknown.render()
     );
+    // Other tests in this binary may send bad lines too, so the count
+    // moves by at least the two sent here.
+    assert!(parse_errors() - parse_errors_before >= 2);
 
     // The connection survived both malformed lines.
     let ok = client

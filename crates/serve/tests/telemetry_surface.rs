@@ -1,6 +1,6 @@
 //! Own-process exercise of the telemetry surface: `metrics`/`health`
-//! over the wire, SLO burn flipping the verdict, the two exposition
-//! forms agreeing, and per-root trace sampling on the serve path.
+//! over the wire, SLO burn flipping the verdict, and per-root trace
+//! sampling on the serve path.
 //!
 //! Everything lives in ONE test function: the telemetry ring, SLO
 //! counters, and sampling state are process globals, and `cargo test`
@@ -18,15 +18,6 @@ fn engine() -> Arc<Engine> {
             .with_threads(2),
         CacheConfig::default(),
     ))
-}
-
-/// Pulls `sram_<name>{quantile="<q>"} <value>` out of the text
-/// exposition.
-fn text_quantile(text: &str, metric: &str, q: &str) -> Option<f64> {
-    let needle = format!("{metric}{{quantile=\"{q}\"}} ");
-    text.lines()
-        .find(|l| l.starts_with(&needle))
-        .and_then(|l| l[needle.len()..].trim().parse().ok())
 }
 
 #[test]
@@ -64,8 +55,7 @@ fn telemetry_surface_end_to_end() {
     }
     sram_probe::telemetry::force_sample();
 
-    // Metrics: the JSON form and the text exposition come from one
-    // export and must agree exactly on the quantile estimates.
+    // Metrics: the closed window carries the latency quantiles.
     let metrics = client
         .call_line(r#"{"op":"metrics","id":"m0"}"#)
         .expect("metrics reply");
@@ -73,19 +63,17 @@ fn telemetry_surface_end_to_end() {
     assert_eq!(metrics.get("cached").and_then(Json::as_bool), Some(false));
     let result = metrics.get("result").expect("metrics result");
     assert!(result.get("windows").and_then(Json::as_f64).unwrap() >= 1.0);
-    let text = result
-        .get("text")
-        .and_then(Json::as_str)
-        .expect("text form");
     let latency = result
         .get("quantiles")
         .and_then(|q| q.get("serve.request.latency_ns"))
         .expect("latency quantiles present");
-    for (q, key) in [("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99")] {
-        let from_text = text_quantile(text, "sram_serve_request_latency_ns", q)
-            .unwrap_or_else(|| panic!("text exposition carries quantile {q}:\n{text}"));
-        let from_json = latency.get(key).and_then(Json::as_f64).unwrap();
-        assert_eq!(from_text, from_json, "{q} drifted between forms");
+    for key in ["p50", "p90", "p99"] {
+        let value = latency.get(key).and_then(Json::as_f64);
+        assert!(
+            value.is_some_and(|v| v > 0.0),
+            "{key}: {}",
+            latency.render()
+        );
     }
 
     // SLO burn: saturate one op's breach counter far past the
