@@ -85,11 +85,22 @@ pub fn cvdd_rail(inp: &ComponentInputs<'_>) -> DelayEnergy {
 /// `I = 0.15 · 20 · I_CVSS(V_SSC)`.
 #[must_use]
 pub fn cvss_rail(inp: &ComponentInputs<'_>) -> DelayEnergy {
+    // A zero swing needs no device evaluation.
+    if inp.vssc.abs().volts() <= 0.0 {
+        return DelayEnergy::zero();
+    }
+    cvss_rail_with(inp, inp.periphery.i_cvss(inp.vssc))
+}
+
+/// [`cvss_rail`] with `I_CVSS(V_SSC)` read by the caller (a search reads
+/// it once per `V_SSC` level).
+#[must_use]
+pub(crate) fn cvss_rail_with(inp: &ComponentInputs<'_>, i_cvss: Current) -> DelayEnergy {
     let delta_v = inp.vssc.abs();
     if delta_v.volts() <= 0.0 {
         return DelayEnergy::zero();
     }
-    let i = inp.periphery.i_cvss(inp.vssc) * (0.15 * RAIL_DRIVER_FINS);
+    let i = i_cvss * (0.15 * RAIL_DRIVER_FINS);
     DelayEnergy::from_eq1(inp.wires.cvss, inp.vdd, delta_v, i)
 }
 

@@ -1,18 +1,31 @@
-//! [`ArraySlice::bound`] is a lower bound, field by field, bit for bit.
+//! The slice arithmetic the search relies on, on every
+//! `(organization, V_SSC)` slice of the full Section-5 space at 128 B,
+//! 1 KB and 16 KB, for both paper cells and one simulated cell, bit for
+//! bit and with no tolerance:
 //!
-//! Every `(organization, V_SSC)` slice of the full Section-5 space at
-//! 128 B, 1 KB and 16 KB is checked for both paper cells and one
-//! simulated cell, over the whole fin box and random ones (strided, and
-//! of one value): no field of any point's metrics is below the same
-//! field of the box's bound or of its `N_wr` column's bound, compared
-//! with `<=` and no tolerance. The box bound is taken as the search
-//! takes it: each slice's, with the columns of its organization's
-//! first slice.
+//! * a slice derived from its organization's slice at `V_SSC` = 0
+//!   ([`ArraySlice::at`], as the search derives every slice) equals a
+//!   fresh [`ArrayModel::slice`] at its level: every field of each point
+//!   of a fin grid, and of its bounds;
+//! * [`ArraySlice::bound`] is a lower bound, field by field: no field of
+//!   any point of the whole fin box, or of random ones (strided, and of
+//!   one value), is below the same field of the box's bound or of its
+//!   `N_wr` column's bound. The box bound is taken as the search takes
+//!   it: with the columns of its organization's `V_SSC` = 0 slice;
+//! * every run the search's bisection bounds (one `N_wr` column, one
+//!   contiguous run of `N_pre` values) bounds each of its points
+//!   ([`ArraySlice::column_bound`]), and a run of one point is bounded
+//!   by that point's metrics.
 
-use sram_array::{ArrayMetrics, ArrayModel, ArrayOrganization, ArrayParams, Capacity, Periphery};
+use sram_array::{
+    ArrayMetrics, ArrayModel, ArrayOrganization, ArrayParams, ArraySlice, Capacity, Periphery,
+    VsscLevel,
+};
 use sram_cell::{CellCharacterization, CellCharacterizer, CharacterizationGrid};
 use sram_device::{DeviceLibrary, VtFlavor};
 use sram_units::Voltage;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Every field of the metrics, in declaration order.
 fn fields(m: &ArrayMetrics) -> [f64; 26] {
@@ -53,6 +66,11 @@ fn fields(m: &ArrayMetrics) -> [f64; 26] {
     out
 }
 
+/// The bits of every field: equal bits are the same metrics.
+fn bits(m: &ArrayMetrics) -> [u64; 26] {
+    fields(m).map(f64::to_bits)
+}
+
 /// Asserts that no field of `point` is below the same field of `bound`;
 /// `what` names the point when one is.
 fn assert_bounded(bound: &[f64; 26], point: &[f64; 26], what: impl Fn() -> String) {
@@ -91,7 +109,7 @@ impl Draw {
     /// The boxes one organization is checked over: the whole Section-5
     /// box, three random strided ones and two of one point.
     fn boxes(&mut self) -> Vec<(Vec<u32>, Vec<u32>)> {
-        let mut out = vec![((1..=50).collect(), (1..=20).collect())];
+        let mut out = vec![(full_npre(), (1..=20).collect())];
         for one in [false, false, false, true, true] {
             out.push((self.fins(50, one), self.fins(20, one)));
         }
@@ -99,140 +117,210 @@ impl Draw {
     }
 }
 
-/// The simulated HVT cell at the simulated-mode rails (560/530 mV).
-fn simulated_hvt(lib: &DeviceLibrary) -> CellCharacterization {
-    let chr = CellCharacterizer::new(lib, VtFlavor::Hvt).with_vtc_points(31);
-    let grid = CharacterizationGrid::paper_default(
-        Voltage::from_millivolts(560.0),
-        Voltage::from_millivolts(530.0),
-    );
-    CellCharacterization::characterize(&chr, &grid).expect("the nominal HVT cell characterizes")
+/// The Section-5 `N_pre` values.
+fn full_npre() -> Vec<u32> {
+    (1..=50).collect()
 }
 
-/// Checks every slice of the full space at 128 B, 1 KB and 16 KB of
-/// `cell` over [`Draw::boxes`] drawn from `seed`.
-fn check_every_slice(cell: &CellCharacterization, seed: u64) {
+/// The span of ascending fin values, as the search passes a run.
+fn span(values: &[u32]) -> std::ops::RangeInclusive<u32> {
+    values[0]..=values[values.len() - 1]
+}
+
+/// The three cells: paper LVT, paper HVT and the simulated HVT cell at
+/// the simulated-mode rails (560/530 mV), characterized once.
+fn cells() -> &'static [(&'static str, CellCharacterization); 3] {
+    static CELLS: OnceLock<[(&str, CellCharacterization); 3]> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let lib = DeviceLibrary::sevennm();
+        let chr = CellCharacterizer::new(&lib, VtFlavor::Hvt).with_vtc_points(31);
+        let grid = CharacterizationGrid::paper_default(
+            Voltage::from_millivolts(560.0),
+            Voltage::from_millivolts(530.0),
+        );
+        let simulated = CellCharacterization::characterize(&chr, &grid)
+            .expect("the nominal HVT cell characterizes");
+        [
+            (
+                "paper LVT",
+                CellCharacterization::paper_lvt(lib.nominal_vdd()),
+            ),
+            (
+                "paper HVT",
+                CellCharacterization::paper_hvt(lib.nominal_vdd()),
+            ),
+            ("simulated HVT", simulated),
+        ]
+    })
+}
+
+/// Hands `check` every slice of the full space at 128 B, 1 KB and 16 KB
+/// of `cell`: its model at `V_SSC` = 0, its level, and its slice derived
+/// from the organization's `V_SSC` = 0 slice, as the search builds it.
+/// Returns the number of slices.
+fn for_every_slice(
+    cell: &CellCharacterization,
+    mut check: impl FnMut(&ArrayModel<'_>, &ArraySlice<'_>, Voltage, &ArraySlice<'_>),
+) -> usize {
     let lib = DeviceLibrary::sevennm();
     let periphery = Periphery::new(&lib);
     let params = ArrayParams::paper_defaults();
     let vsscs: Vec<Voltage> = (0..=24)
-        .map(|k| Voltage::from_millivolts(-10.0 * f64::from(k)))
+        .map(|k| Voltage::from_millivolts(0.0 - 10.0 * f64::from(k)))
         .collect();
-    let mut draw = Draw(seed);
-    let mut checked = 0_usize;
+    let mut slices = 0;
     for bytes in [128, 1024, 16 * 1024] {
         for org in ArrayOrganization::enumerate(Capacity::from_bytes(bytes), 64, (2, 1024)) {
             let model = ArrayModel::new(org, cell, &periphery, &params);
-            for (n_pre, n_wr) in draw.boxes() {
-                let first = model.clone().slice().expect("valid parameters");
-                let columns = first.columns(&n_wr);
-                for &vssc in &vsscs {
-                    let slice = model.clone().with_vssc(vssc).slice().expect("valid");
-                    let bound = slice.bound(&n_pre, &columns).expect("positive inputs");
-                    let bound = fields(&bound);
-                    let column_bounds: Vec<[f64; 26]> = n_wr
-                        .iter()
-                        .map(|&n| slice.bound(&n_pre, &slice.columns(&[n])).expect("bound"))
-                        .map(|b| fields(&b))
-                        .collect();
-                    slice.sweep(&n_pre, &n_wr, |p, w, metrics| {
-                        let at = || format!("{org:?} at V_SSC {vssc}, N_pre {p}, N_wr {w}");
-                        let point = fields(metrics);
-                        assert_bounded(&bound, &point, at);
-                        let column = n_wr.iter().position(|&n| n == w).expect("swept");
-                        assert_bounded(&column_bounds[column], &point, at);
-                        checked += 1;
-                    });
-                }
+            let base = model.slice().expect("valid parameters");
+            for &vssc in &vsscs {
+                let derived = base.at(&VsscLevel::new(vssc, cell, &periphery));
+                check(&model, &base, vssc, &derived);
+                slices += 1;
             }
         }
     }
-    // 21 organizations x 25 levels, each with the whole 1,000-point box.
+    slices
+}
+
+/// 21 organizations x 25 levels.
+const SLICES: usize = 525;
+
+#[test]
+fn a_derived_slice_equals_a_fresh_build() {
+    let grid_npre = [1, 2, 17, 33, 49, 50];
+    let grid_nwr = [1, 2, 10, 19, 20];
+    for (name, cell) in cells() {
+        let slices = for_every_slice(cell, |model, base, vssc, derived| {
+            let fresh = model.clone().with_vssc(vssc).slice().expect("valid");
+            let at = || format!("{name}: {:?} at V_SSC {vssc}", model.organization());
+            for n_pre in grid_npre {
+                for n_wr in grid_nwr {
+                    assert_eq!(
+                        bits(&derived.evaluate(n_pre, n_wr)),
+                        bits(&fresh.evaluate(n_pre, n_wr)),
+                        "{}, N_pre {n_pre}, N_wr {n_wr}",
+                        at()
+                    );
+                }
+            }
+            let columns = base.columns(&grid_nwr);
+            let bound = |slice: &ArraySlice<'_>| {
+                let whole = slice.bound(1..=50, &columns).expect("positive inputs");
+                let run = slice.column_bound(9..=17, &columns, 2).expect("bound");
+                [bits(&whole), bits(&run)]
+            };
+            assert_eq!(bound(derived), bound(&fresh), "{}: bounds", at());
+        });
+        assert_eq!(slices, SLICES, "{name}");
+    }
+}
+
+/// Checks every slice of `cell` over [`Draw::boxes`] drawn from `seed`.
+fn check_every_box(cell: &CellCharacterization, seed: u64) {
+    let mut draw = Draw(seed);
+    let mut checked = 0_usize;
+    let mut boxes = Vec::new();
+    let mut last_org = None;
+    for_every_slice(cell, |model, base, vssc, slice| {
+        let org = model.organization();
+        if last_org != Some(org) {
+            // A fresh draw for each organization, shared by its levels.
+            boxes = draw
+                .boxes()
+                .into_iter()
+                .map(|(n_pre, n_wr)| {
+                    let columns = base.columns(&n_wr);
+                    (n_pre, n_wr, columns)
+                })
+                .collect();
+            last_org = Some(org);
+        }
+        for (n_pre, n_wr, columns) in &boxes {
+            let bound = slice.bound(span(n_pre), columns).expect("positive inputs");
+            let bound = fields(&bound);
+            let column_bounds: Vec<[f64; 26]> = (0..n_wr.len())
+                .map(|k| slice.column_bound(span(n_pre), columns, k).expect("bound"))
+                .map(|b| fields(&b))
+                .collect();
+            slice.sweep(n_pre, n_wr, |p, w, metrics| {
+                let at = || format!("{org:?} at V_SSC {vssc}, N_pre {p}, N_wr {w}");
+                let point = fields(metrics);
+                assert_bounded(&bound, &point, at);
+                let column = n_wr.iter().position(|&n| n == w).expect("swept");
+                assert_bounded(&column_bounds[column], &point, at);
+                checked += 1;
+            });
+        }
+    });
+    // 525 slices, each with the whole 1,000-point box.
     assert!(checked > 525_000, "only {checked} points checked");
 }
 
 #[test]
 fn the_slice_bound_is_a_bound_for_the_paper_lvt_cell() {
-    let lib = DeviceLibrary::sevennm();
-    check_every_slice(&CellCharacterization::paper_lvt(lib.nominal_vdd()), 1);
+    check_every_box(&cells()[0].1, 1);
 }
 
 #[test]
 fn the_slice_bound_is_a_bound_for_the_paper_hvt_cell() {
-    let lib = DeviceLibrary::sevennm();
-    check_every_slice(&CellCharacterization::paper_hvt(lib.nominal_vdd()), 2);
+    check_every_box(&cells()[1].1, 2);
 }
 
 #[test]
 fn the_slice_bound_is_a_bound_for_a_simulated_cell() {
-    let lib = DeviceLibrary::sevennm();
-    check_every_slice(&simulated_hvt(&lib), 3);
+    check_every_box(&cells()[2].1, 3);
+}
+
+/// Every run the search's bisection of `run` can bound: the run, then
+/// each half, lower half first, down to single values.
+fn bisection_runs(run: Range<usize>, out: &mut Vec<Range<usize>>) {
+    if run.is_empty() {
+        return;
+    }
+    out.push(run.clone());
+    if run.len() > 1 {
+        let mid = run.start + run.len() / 2;
+        bisection_runs(run.start..mid, out);
+        bisection_runs(mid..run.end, out);
+    }
 }
 
 #[test]
-fn pruning_skips_only_the_columns_it_rejects() {
-    let lib = DeviceLibrary::sevennm();
-    let cell = CellCharacterization::paper_hvt(lib.nominal_vdd());
-    let periphery = Periphery::new(&lib);
-    let params = ArrayParams::paper_defaults();
-    let org = ArrayOrganization::new(512, 256, 64).expect("a 16 KB organization");
-    let slice = ArrayModel::new(org, &cell, &periphery, &params)
-        .with_vssc(Voltage::from_millivolts(-120.0))
-        .slice()
-        .expect("valid parameters");
-    let (n_pre, n_wr) = ([1, 9, 17, 25], [1, 4, 7, 10, 13]);
-    let columns = slice.columns(&n_wr);
-
-    // Rejecting nothing visits what a plain sweep visits, bit for bit.
-    let mut plain = Vec::new();
-    slice.sweep(&n_pre, &n_wr, |p, w, m| plain.push((p, w, *m)));
-    let mut kept = Vec::new();
-    let skipped = slice.sweep_pruned(
-        &n_pre,
-        &columns,
-        |_| false,
-        |p, w, m| {
-            kept.push((p, w, *m));
-        },
-    );
-    assert_eq!(skipped, 0);
-    assert_eq!(kept, plain);
-
-    // Rejecting the slowest columns' bounds drops exactly those columns.
-    let slow = columns_bounds_delay_median(&slice, &n_pre, &n_wr);
-    let mut visited = Vec::new();
-    let skipped = slice.sweep_pruned(
-        &n_pre,
-        &columns,
-        |bound| bound.delay.seconds() > slow,
-        |p, w, m| visited.push((p, w, *m)),
-    );
-    let expected: Vec<_> = plain
-        .iter()
-        .filter(|(_, w, _)| {
-            let bound = slice.bound(&n_pre, &slice.columns(&[*w])).expect("bound");
-            bound.delay.seconds() <= slow
-        })
-        .copied()
-        .collect();
-    assert!(skipped > 0 && !expected.is_empty());
-    assert_eq!(visited, expected, "N_pre outer, the kept columns inner");
-    assert_eq!(skipped + visited.len(), plain.len());
-}
-
-/// The median over `n_wr` of the column bounds' delays.
-fn columns_bounds_delay_median(
-    slice: &sram_array::ArraySlice<'_>,
-    n_pre: &[u32],
-    n_wr: &[u32],
-) -> f64 {
-    let mut delays: Vec<f64> = n_wr
-        .iter()
-        .map(|&n| {
-            let bound = slice.bound(n_pre, &slice.columns(&[n])).expect("bound");
-            bound.delay.seconds()
-        })
-        .collect();
-    delays.sort_by(f64::total_cmp);
-    delays[delays.len() / 2]
+fn every_bisection_run_bounds_its_points() {
+    let (n_pre, n_wr): (Vec<u32>, Vec<u32>) = (full_npre(), (1..=20).collect());
+    let mut runs = Vec::new();
+    bisection_runs(0..n_pre.len(), &mut runs);
+    assert_eq!(runs.len(), 2 * n_pre.len() - 1, "a full binary split");
+    for (name, cell) in cells() {
+        let mut checked = 0_usize;
+        for_every_slice(cell, |model, base, vssc, slice| {
+            let columns = base.columns(&n_wr);
+            for (k, &w) in n_wr.iter().enumerate() {
+                let points: Vec<[f64; 26]> = n_pre
+                    .iter()
+                    .map(|&p| fields(&slice.evaluate(p, w)))
+                    .collect();
+                for run in &runs {
+                    let values = &n_pre[run.clone()];
+                    let bound = slice.column_bound(span(values), &columns, k);
+                    let bound = fields(&bound.expect("positive inputs"));
+                    let at = || {
+                        let org = model.organization();
+                        format!("{name}: {org:?} at V_SSC {vssc}, N_wr {w}, N_pre {values:?}")
+                    };
+                    for point in &points[run.clone()] {
+                        assert_bounded(&bound, point, at);
+                        checked += 1;
+                    }
+                    if run.len() == 1 {
+                        let point = points[run.start].map(f64::to_bits);
+                        assert_eq!(bound.map(f64::to_bits), point, "{}", at());
+                    }
+                }
+            }
+        });
+        // 525 slices x 20 columns x 50 values x the 6 or 7 runs over each.
+        assert!(checked > 525 * 20 * 50 * 6, "{name}: only {checked}");
+    }
 }

@@ -8,9 +8,9 @@
 //! the true optimum, and how many evaluations does it save? (See
 //! ablation A4, `reproduce ablation`.)
 
-use crate::search::finite_score;
+use crate::search::{finite_score, tally};
 use crate::{CooptError, DesignPoint, Objective, Search, SearchOutcome, SearchStatistics};
-use sram_array::{ArrayMetrics, Capacity};
+use sram_array::{ArrayMetrics, ArrayModel, Capacity};
 
 /// Full coordinate rounds before the descent stops unconverged.
 const MAX_ROUNDS: usize = 8;
@@ -26,18 +26,18 @@ impl Search<'_> {
     ) -> Result<Option<(f64, ArrayMetrics)>, CooptError> {
         self.poll_cancel()?;
         let mut scored = None;
-        let (org, vssc) = (point.organization, point.vssc);
-        stats.merge(&self.walk_slice(
-            org,
-            vssc,
-            &[point.n_pre],
-            &[point.n_wr],
-            None,
-            |_, metrics| {
-                scored = finite_score(objective, metrics).map(|score| (score, *metrics));
-                scored.is_some()
-            },
-        ));
+        let org = point.organization;
+        let base = ArrayModel::new(org, self.cell, self.periphery, self.params)
+            .slice()
+            .ok();
+        let level = self.level(point.vssc);
+        stats.merge(
+            &self.walk_slice(org, base.as_ref(), &level, 1, |slice, stats| {
+                let metrics = slice.evaluate(point.n_pre, point.n_wr);
+                scored = finite_score(objective, &metrics).map(|score| (score, metrics));
+                tally(stats, scored.is_some());
+            }),
+        );
         Ok(scored)
     }
 
@@ -120,6 +120,7 @@ impl Search<'_> {
             metrics,
             score,
             stats,
+            bounds: 0,
         })
     }
 }

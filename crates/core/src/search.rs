@@ -10,12 +10,14 @@ use crate::{
     ParetoPoint, SearchStatistics, YieldConstraint,
 };
 use sram_array::{
-    ArrayMetrics, ArrayModel, ArrayOrganization, ArrayParams, Capacity, Periphery, SliceColumns,
+    ArrayMetrics, ArrayModel, ArrayOrganization, ArrayParams, ArraySlice, Capacity, Periphery,
+    SliceColumns, VsscLevel,
 };
 use sram_cell::CellCharacterization;
 use sram_device::VtFlavor;
 use sram_faults::{CancelReason, CancelToken};
 use sram_units::{Energy, Time, Voltage};
+use std::ops::Range;
 
 /// One candidate assignment of the searched variables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,6 +43,12 @@ pub struct SearchOutcome {
     pub score: f64,
     /// Statistics over the whole space.
     pub stats: SearchStatistics,
+    /// Lower bounds the search evaluated: runs of the relaxed Table-3
+    /// body ([`sram_array::ArraySlice::bound`] and
+    /// [`sram_array::ArraySlice::column_bound`]), a visited candidate's
+    /// included (its one-point bound is its metrics). Coordinate descent
+    /// bounds nothing.
+    pub bounds: usize,
 }
 
 impl SearchOutcome {
@@ -74,12 +82,15 @@ impl SearchOutcome {
 /// A feasible candidate with its evaluated metrics and objective score.
 type ScoredCandidate = (DesignPoint, ArrayMetrics, f64);
 
-/// Rejects a lower bound that cannot change the walk's outcome.
-type Reject<'p> = &'p dyn Fn(&ArrayMetrics) -> bool;
+/// A candidate's place in slice order: its slice's index, then `N_pre`,
+/// then `N_wr` (the space's fin values ascend).
+type WalkOrder = (usize, u32, u32);
 
-/// What a pruned walk of a slice needs: its organization's `N_wr`
-/// columns and the test that rejects a column's lower bound.
-type Pruning<'p> = (&'p SliceColumns, Reject<'p>);
+/// Where the candidate `point` of the slice at index `slice` sits in
+/// slice order.
+fn walk_order(slice: usize, point: &DesignPoint) -> WalkOrder {
+    (slice, point.n_pre, point.n_wr)
+}
 
 /// The NaN policy of every walk: a non-finite score is an evaluation
 /// error and never competes (a NaN first candidate would win `score < s`
@@ -90,6 +101,16 @@ pub(crate) fn finite_score(
 ) -> Option<f64> {
     let score = objective.score(metrics);
     score.is_finite().then_some(score)
+}
+
+/// Counts a candidate handed to a walk's visitor: evaluated, or an
+/// evaluation error when the visitor rejects it.
+pub(crate) fn tally(stats: &mut SearchStatistics, accepted: bool) {
+    if accepted {
+        stats.evaluated += 1;
+    } else {
+        stats.eval_errors += 1;
+    }
 }
 
 /// Counts a finished walk's candidates, once per walk.
@@ -110,7 +131,7 @@ fn cancelled(reason: CancelReason) -> CooptError {
 /// What the best-first walk ([`Search::walk_best_first`]) has found so
 /// far, and the test that rejects a lower bound whose candidates cannot
 /// change what the walk returns.
-trait Incumbent: Clone {
+trait Incumbent {
     /// What the walk keeps of a slice's lower bound from its bound pass
     /// to its walk.
     type Bound;
@@ -126,25 +147,17 @@ trait Incumbent: Clone {
     fn rejects(&self, bound: &Self::Bound) -> bool;
 
     /// Takes a candidate of the slice at index `slice` (in slice order),
-    /// returning `false` to reject it as an evaluation error.
+    /// in any order within the slice, returning `false` to reject it as
+    /// an evaluation error.
     fn visit(&mut self, slice: usize, point: DesignPoint, metrics: &ArrayMetrics) -> bool;
 }
 
 /// [`Search::run`]'s incumbent: the lowest finite score found so far,
-/// the earliest slice's on a tie, with its candidate. A bound scoring
-/// above it is rejected.
+/// the earliest candidate's in slice order on a tie, with its candidate.
+/// A bound scoring above it is rejected.
 struct Threshold<'o, O: ?Sized> {
     objective: &'o O,
-    best: Option<(usize, ScoredCandidate)>,
-}
-
-impl<O: ?Sized> Clone for Threshold<'_, O> {
-    fn clone(&self) -> Self {
-        Self {
-            objective: self.objective,
-            best: self.best,
-        }
-    }
+    best: Option<(WalkOrder, ScoredCandidate)>,
 }
 
 impl<O: Objective + ?Sized> Incumbent for Threshold<'_, O> {
@@ -166,13 +179,14 @@ impl<O: Objective + ?Sized> Incumbent for Threshold<'_, O> {
         let Some(score) = finite_score(self.objective, metrics) else {
             return false;
         };
-        // A slice visits its candidates in slice order, so the strict
-        // `<` keeps each slice's first minimum.
+        // The tie-break on the place in slice order keeps the first
+        // minimum whatever order the candidates arrive in.
+        let order = walk_order(slice, &point);
         if self
             .best
-            .is_none_or(|(at, (_, _, best))| (score, slice) < (best, at))
+            .is_none_or(|(at, (_, _, best))| (score, order) < (best, at))
         {
-            self.best = Some((slice, (point, *metrics, score)));
+            self.best = Some((order, (point, *metrics, score)));
         }
         true
     }
@@ -182,7 +196,6 @@ impl<O: Objective + ?Sized> Incumbent for Threshold<'_, O> {
 /// candidates walked so far, each point tagged with its slice index. A
 /// bound is rejected when a point of the front strictly dominates its
 /// energy and delay.
-#[derive(Clone)]
 struct Dominance {
     front: ParetoFront<(usize, DesignPoint)>,
 }
@@ -215,6 +228,68 @@ impl Incumbent for Dominance {
     }
 }
 
+/// One `V_SSC` level of a walk, read once: its yield gate (the
+/// constraint reads only `V_SSC`, through the cell tables) and, when it
+/// passes, the terms every slice at the level shares.
+pub(crate) struct Level {
+    vssc: Voltage,
+    terms: Option<VsscLevel>,
+}
+
+/// A walked slice of [`Search::walk_best_first`], bisected column by
+/// column against the live incumbent.
+struct Bisection<'w, 'a, I> {
+    slice: &'w ArraySlice<'a>,
+    columns: &'w SliceColumns,
+    npre_values: &'w [u32],
+    /// The slice's index in slice order.
+    index: usize,
+    /// The slice's organization and `V_SSC`, with fins to fill in.
+    at: DesignPoint,
+    incumbent: &'w mut I,
+    stats: &'w mut SearchStatistics,
+    /// Runs of the relaxed Table-3 body so far.
+    bounds: &'w mut usize,
+}
+
+impl<I: Incumbent> Bisection<'_, '_, I> {
+    /// Walks the `N_pre` values `run` of the column at index `column`
+    /// (`N_wr` = `n_wr`). A run whose bound the incumbent rejects is
+    /// pruned; a one-point run it does not reject is visited, its bound
+    /// being its metrics; any other run is split in two, lower half
+    /// first.
+    fn bisect(&mut self, column: usize, n_wr: u32, run: Range<usize>) {
+        let values = &self.npre_values[run.clone()];
+        let (Some(&first), Some(&last)) = (values.first(), values.last()) else {
+            return;
+        };
+        if let Some(bound) = self.slice.column_bound(first..=last, self.columns, column) {
+            *self.bounds += 1;
+            if self.incumbent.rejects(&self.incumbent.keep(&bound)) {
+                self.stats.pruned += run.len();
+                return;
+            }
+            if run.len() == 1 {
+                let point = DesignPoint {
+                    n_pre: first,
+                    n_wr,
+                    ..self.at
+                };
+                tally(self.stats, self.incumbent.visit(self.index, point, &bound));
+                return;
+            }
+        }
+        // A run of one point is always bounded (by its own metrics), so
+        // only a longer run gets here: one that lacks a bound or that the
+        // incumbent does not rule out.
+        if run.len() > 1 {
+            let mid = run.start + run.len() / 2;
+            self.bisect(column, n_wr, run.start..mid);
+            self.bisect(column, n_wr, mid..run.end);
+        }
+    }
+}
+
 /// A search problem over [`DesignSpace`]: one characterized cell, the
 /// shared array parameters and the yield constraint. It finds the
 /// exhaustive optimum ([`Self::run`]; Section 5: "we can derive the
@@ -227,7 +302,7 @@ impl Incumbent for Dominance {
 pub struct Search<'a> {
     pub(crate) cell: &'a CellCharacterization,
     pub(crate) periphery: &'a Periphery,
-    params: &'a ArrayParams,
+    pub(crate) params: &'a ArrayParams,
     pub(crate) space: &'a DesignSpace,
     constraint: YieldConstraint,
     word_bits: u32,
@@ -281,19 +356,6 @@ impl<'a> Search<'a> {
         ArrayOrganization::enumerate(capacity, self.word_bits, self.space.rows_range())
     }
 
-    /// Enumerates the candidate `(organization, V_SSC)` slices for a
-    /// capacity, organization outer (the fin loops run inside each slice).
-    fn slices(&self, capacity: Capacity) -> Vec<(ArrayOrganization, Voltage)> {
-        let orgs = self.organizations(capacity);
-        let mut out = Vec::with_capacity(orgs.len() * self.space.vssc_values().len());
-        for org in orgs {
-            for &vssc in self.space.vssc_values() {
-                out.push((org, vssc));
-            }
-        }
-        out
-    }
-
     /// Fails with [`CooptError::Cancelled`] once the token has fired.
     pub(crate) fn poll_cancel(&self) -> Result<(), CooptError> {
         self.cancel
@@ -301,145 +363,151 @@ impl<'a> Search<'a> {
             .map_or(Ok(()), |reason| Err(cancelled(reason)))
     }
 
-    /// Walks one `(organization, V_SSC)` slice over the given fin values
-    /// and returns its statistics. The yield constraint depends only on
-    /// `V_SSC` (through the cell tables), so it gates the whole slice;
-    /// a slice whose model fails to build (only invalid array parameters
-    /// do) counts every candidate as an evaluation error. With
-    /// `pruning`, the fin values of `N_wr` are its columns', and a column
-    /// whose lower bound it rejects is counted as pruned and not
-    /// evaluated. Each other candidate goes to `visit`, which returns
-    /// `false` to reject it as an evaluation error.
+    /// Reads the level `vssc`: its yield gate and, when it passes, its
+    /// `I_read` and `I_CVSS`.
+    pub(crate) fn level(&self, vssc: Voltage) -> Level {
+        let feasible = self.constraint.check_snapshot(self.cell, vssc);
+        Level {
+            vssc,
+            terms: feasible.then(|| VsscLevel::new(vssc, self.cell, self.periphery)),
+        }
+    }
+
+    /// Walks the slice of organization `org` at `level` and returns its
+    /// statistics over its `examined` candidates. The yield gate depends
+    /// only on `V_SSC`, so the level gates the whole slice; when the
+    /// organization's model failed to build (`base` is `None`; only
+    /// invalid array parameters fail), every candidate is an evaluation
+    /// error. Otherwise `walk` gets the slice, derived from `base` at the
+    /// level, and adds what it evaluates, rejects as an evaluation error
+    /// and prunes.
     pub(crate) fn walk_slice(
         &self,
         org: ArrayOrganization,
-        vssc: Voltage,
-        npre_values: &[u32],
-        nwr_values: &[u32],
-        pruning: Option<Pruning<'_>>,
-        mut visit: impl FnMut(DesignPoint, &ArrayMetrics) -> bool,
+        base: Option<&ArraySlice<'a>>,
+        level: &Level,
+        examined: usize,
+        walk: impl FnOnce(&ArraySlice<'a>, &mut SearchStatistics),
     ) -> SearchStatistics {
         // One trace span per walked slice, with the slice's outcome
         // attached as args on the end event.
         let mut trace = sram_probe::trace_span!("coopt.slice");
         trace.arg("rows", i64::from(org.rows()));
-        trace.arg("vssc_mv", vssc.millivolts().round() as i64);
+        trace.arg("vssc_mv", level.vssc.millivolts().round() as i64);
 
-        let examined = npre_values.len() * nwr_values.len();
         let mut stats = SearchStatistics {
             examined,
             ..SearchStatistics::default()
         };
-        let feasible = self.constraint.check_snapshot(self.cell, vssc);
         trace.arg("examined", examined as i64);
-        trace.arg("feasible", if feasible { examined as i64 } else { 0 });
-        if !feasible {
+        let Some(terms) = &level.terms else {
+            trace.arg("feasible", 0);
             stats.infeasible = examined;
             return stats;
-        }
+        };
+        trace.arg("feasible", examined as i64);
         stats.feasible = examined;
 
-        let Ok(slice) = ArrayModel::new(org, self.cell, self.periphery, self.params)
-            .with_vssc(vssc)
-            .slice()
-        else {
+        let Some(base) = base else {
             stats.eval_errors = examined;
             return stats;
         };
-        let mut on_point = |n_pre, n_wr, metrics: &ArrayMetrics| {
-            let point = DesignPoint {
-                organization: org,
-                vssc,
-                n_pre,
-                n_wr,
-            };
-            if visit(point, metrics) {
-                stats.evaluated += 1;
-            } else {
-                stats.eval_errors += 1;
-            }
-        };
-        let pruned = match pruning {
-            Some((columns, reject)) => {
-                slice.sweep_pruned(npre_values, columns, reject, &mut on_point)
-            }
-            None => {
-                slice.sweep(npre_values, nwr_values, &mut on_point);
-                0
-            }
-        };
-        stats.pruned = pruned;
-        trace.arg("pruned", pruned as i64);
+        walk(&base.at(terms), &mut stats);
+        trace.arg("pruned", stats.pruned as i64);
         stats
     }
 
-    /// The best-first walk behind [`Self::run`] and [`Self::pareto_front`]:
-    /// it hands `incumbent` every yield-feasible candidate of `slices`
-    /// that the incumbent does not rule out on a lower bound, and returns
-    /// the walk's statistics and the number of slices it walked.
+    /// The best-first walk behind [`Self::run`] and [`Self::pareto_front`]
+    /// over the slices of `orgs` (organization outer, then `V_SSC`): it
+    /// hands `incumbent` every yield-feasible candidate that the
+    /// incumbent does not rule out on a lower bound, and returns the
+    /// walk's statistics, the number of slices it walked and the number
+    /// of lower bounds it evaluated.
     ///
-    /// 1. A bound pass keeps, for each feasible slice, what the incumbent
+    /// 1. Each level is read once ([`Self::level`]), and each
+    ///    organization's slice at `V_SSC` = 0 and `N_wr` columns are built
+    ///    once; every slice is derived from them
+    ///    ([`sram_array::ArraySlice::at`]).
+    /// 2. A bound pass keeps, for each feasible slice, what the incumbent
     ///    reads of the slice's lower bound
-    ///    ([`sram_array::ArraySlice::bound`]); each organization builds
-    ///    its `N_wr` columns once. Infeasible slices are counted here.
-    /// 2. Slices without a bound, or whose bound's key is NaN, go first;
-    ///    they are never pruned. The rest follow in ascending key, ties
-    ///    in slice order.
-    /// 3. A slice whose bound the incumbent rejects is pruned whole. In a
-    ///    walked slice, each `N_wr` column whose own bound the incumbent,
-    ///    as it stood at the slice start, rejects is skipped.
+    ///    ([`sram_array::ArraySlice::bound`]). Infeasible slices are
+    ///    counted here.
+    /// 3. Slices without a bound, or whose bound's key is NaN, go first;
+    ///    they are never pruned whole. The rest follow in ascending key,
+    ///    ties in slice order.
+    /// 4. A slice whose bound the incumbent rejects is pruned whole. A
+    ///    walked slice bisects each `N_wr` column over its `N_pre` values
+    ///    against the live incumbent: a run whose bound
+    ///    ([`sram_array::ArraySlice::column_bound`]) it rejects is pruned,
+    ///    the candidates of the others are visited.
     ///
     /// The walk is serial, and its order and every skip follow from the
     /// inputs, so the statistics are the same on every run. The cancel
     /// token is polled before the bound pass and at every walked slice.
     fn walk_best_first<I: Incumbent>(
         &self,
-        slices: &[(ArrayOrganization, Voltage)],
+        orgs: &[ArrayOrganization],
         incumbent: &mut I,
-    ) -> Result<(SearchStatistics, usize), CooptError> {
+    ) -> Result<(SearchStatistics, usize, usize), CooptError> {
         let (npre_values, nwr_values) = (self.space.npre_values(), self.space.nwr_values());
-        sram_probe::probe_add!("coopt.slices", slices.len() as u64);
         let per_slice = npre_values.len() * nwr_values.len();
+        // The space's `N_pre` values ascend, so a run of them spans its
+        // first to its last.
+        let npre_span = npre_values.first().zip(npre_values.last());
+        let npre_span = npre_span.map(|(&first, &last)| first..=last);
         let mut stats = SearchStatistics::default();
+        let mut bounds = 0;
 
-        // The bound pass, organization by organization: the `N_wr`
-        // columns read no `V_SSC`, so each organization builds them once.
-        // (A space without `V_SSC` levels has no slices to chunk.)
         self.poll_cancel()?;
-        let levels = self.space.vssc_values().len();
-        let mut columns: Vec<Option<SliceColumns>> = Vec::new();
-        let mut pending = Vec::with_capacity(slices.len());
-        for (org_index, organization) in slices.chunks(levels.max(1)).enumerate() {
-            let mut org_columns = None;
-            for (level, &(org, vssc)) in organization.iter().enumerate() {
-                if !self.constraint.check_snapshot(self.cell, vssc) {
+        let levels: Vec<Level> = self
+            .space
+            .vssc_values()
+            .iter()
+            .map(|&vssc| self.level(vssc))
+            .collect();
+        sram_probe::probe_add!("coopt.slices", (orgs.len() * levels.len()) as u64);
+        let prepared: Vec<Option<(ArraySlice<'a>, SliceColumns)>> = orgs
+            .iter()
+            .map(|&org| {
+                let base = ArrayModel::new(org, self.cell, self.periphery, self.params).slice();
+                base.ok().map(|base| {
+                    let columns = base.columns(&nwr_values);
+                    (base, columns)
+                })
+            })
+            .collect();
+
+        // The bound pass.
+        let mut pending = Vec::with_capacity(orgs.len() * levels.len());
+        for (org_index, prepared) in prepared.iter().enumerate() {
+            for (level_index, level) in levels.iter().enumerate() {
+                let Some(terms) = &level.terms else {
                     stats.merge(&SearchStatistics {
                         examined: per_slice,
                         infeasible: per_slice,
                         ..SearchStatistics::default()
                     });
                     continue;
-                }
-                let model = ArrayModel::new(org, self.cell, self.periphery, self.params);
-                let bound = model.with_vssc(vssc).slice().ok().and_then(|slice| {
-                    let columns = org_columns.get_or_insert_with(|| slice.columns(&nwr_values));
-                    slice.bound(&npre_values, columns)
-                });
+                };
+                let bound = prepared
+                    .as_ref()
+                    .zip(npre_span.clone())
+                    .and_then(|((base, columns), span)| base.at(terms).bound(span, columns));
+                bounds += usize::from(bound.is_some());
                 let bound = bound.map(|b| incumbent.keep(&b));
                 let key = bound
                     .as_ref()
                     .map(I::key)
                     .filter(|key| !key.is_nan())
                     .unwrap_or(f64::NEG_INFINITY);
-                pending.push((key, org_index * levels + level, bound));
+                pending.push((key, org_index * levels.len() + level_index, bound));
             }
-            columns.push(org_columns);
         }
         // Stable: equal keys keep slice order.
         pending.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         let mut walked = 0;
-        for (_, i, bound) in pending {
+        for (_, index, bound) in pending {
             if bound.is_some_and(|b| incumbent.rejects(&b)) {
                 stats.merge(&SearchStatistics {
                     examined: per_slice,
@@ -451,24 +519,38 @@ impl<'a> Search<'a> {
             }
             self.poll_cancel()?;
             walked += 1;
-            // `visit` extends the incumbent during the slice, so its
-            // columns are tested against a copy taken at the slice start.
-            let frozen = incumbent.clone();
-            let reject = |column: &ArrayMetrics| frozen.rejects(&frozen.keep(column));
-            let pruning = columns[i / levels]
-                .as_ref()
-                .map(|c| (c, &reject as Reject<'_>));
-            let (org, vssc) = slices[i];
-            stats.merge(&self.walk_slice(
-                org,
-                vssc,
-                &npre_values,
-                &nwr_values,
-                pruning,
-                |point, metrics| incumbent.visit(i, point, metrics),
-            ));
+            let (org, level) = (orgs[index / levels.len()], &levels[index % levels.len()]);
+            let prepared = prepared[index / levels.len()].as_ref();
+            let walk = |slice: &ArraySlice<'a>, stats: &mut SearchStatistics| {
+                // `walk_slice` walks only a slice whose base was built.
+                let Some((_, columns)) = prepared else {
+                    return;
+                };
+                let mut bisection = Bisection {
+                    slice,
+                    columns,
+                    npre_values: &npre_values,
+                    index,
+                    at: DesignPoint {
+                        organization: org,
+                        vssc: level.vssc,
+                        n_pre: 0,
+                        n_wr: 0,
+                    },
+                    incumbent: &mut *incumbent,
+                    stats,
+                    bounds: &mut bounds,
+                };
+                for (column, &n_wr) in nwr_values.iter().enumerate() {
+                    bisection.bisect(column, n_wr, 0..npre_values.len());
+                }
+            };
+            let base = prepared.map(|(base, _)| base);
+            stats.merge(&self.walk_slice(org, base, level, per_slice, walk));
         }
-        Ok((stats, walked))
+        record_candidates(&stats);
+        sram_probe::probe_add!("coopt.bounds_evaluated", bounds as u64);
+        Ok((stats, walked, bounds))
     }
 
     /// Finds the exhaustive optimum for `capacity` under `objective`: the
@@ -478,15 +560,17 @@ impl<'a> Search<'a> {
     ///
     /// It walks the slices best first, in ascending score of their lower
     /// bounds ([`sram_array::ArraySlice::bound`]), keeping the lowest
-    /// score found so far, the earliest slice's on a tie. A slice or
-    /// `N_wr` column whose bound scores above that threshold is skipped.
-    /// A skipped candidate scores at least its bound, above the
-    /// threshold, which is at least the optimum, so it can neither win
-    /// nor tie; a slice or column holding an optimum-scoring candidate
-    /// has a bound at or below the optimum and is never skipped. The
-    /// walk is serial and its order is a function of the bounds, so what
-    /// is skipped, and [`SearchStatistics::pruned`], are the same on
-    /// every run. The argument needs the objective to keep
+    /// score found so far, the earliest candidate's in slice order on a
+    /// tie, so the order of visits does not matter. A slice, or a run of
+    /// `N_pre` values in one `N_wr` column
+    /// ([`sram_array::ArraySlice::column_bound`]), whose bound scores above
+    /// that threshold is skipped. A skipped candidate scores at least its
+    /// bound, above the threshold, which is at least the optimum, so it
+    /// can neither win nor tie; a slice or run holding an optimum-scoring
+    /// candidate has a bound at or below the optimum and is never
+    /// skipped. The walk is serial and its order is a function of the
+    /// bounds, so what is skipped, and [`SearchStatistics::pruned`], are
+    /// the same on every run. The argument needs the objective to keep
     /// [`Objective::score`]'s contract: a score that does not fall as a
     /// field of the metrics grows.
     ///
@@ -503,8 +587,9 @@ impl<'a> Search<'a> {
         capacity: Capacity,
         objective: &(impl Objective + ?Sized),
     ) -> Result<SearchOutcome, CooptError> {
-        let slices = self.slices(capacity);
-        if slices.is_empty() {
+        let orgs = self.organizations(capacity);
+        let slices = orgs.len() * self.space.vssc_values().len();
+        if slices == 0 {
             return Err(CooptError::EmptyDesignSpace {
                 capacity_bits: capacity.bits(),
             });
@@ -512,15 +597,14 @@ impl<'a> Search<'a> {
         sram_probe::probe_inc!("coopt.searches");
         let _span = sram_probe::probe_span!("coopt.search_ns");
         let mut trace = sram_probe::trace_span!("coopt.search");
-        trace.arg("slices", slices.len() as i64);
+        trace.arg("slices", slices as i64);
 
         let mut threshold = Threshold {
             objective,
             best: None,
         };
-        let (stats, walked) = self.walk_best_first(&slices, &mut threshold)?;
+        let (stats, walked, bounds) = self.walk_best_first(&orgs, &mut threshold)?;
         trace.arg("walked", walked as i64);
-        record_candidates(&stats);
 
         let (_, (best, metrics, score)) = threshold.best.ok_or(CooptError::Infeasible {
             capacity_bits: capacity.bits(),
@@ -532,6 +616,7 @@ impl<'a> Search<'a> {
             metrics,
             score,
             stats,
+            bounds,
         })
     }
 
@@ -544,12 +629,13 @@ impl<'a> Search<'a> {
     /// organization gives an empty front.
     ///
     /// It walks the slices best first, in ascending energy-delay product
-    /// of their lower bounds, into a working front, and skips a slice or
-    /// `N_wr` column when a point of that front strictly dominates its
-    /// bound's energy and delay: every skipped candidate is then
-    /// strictly dominated by that point, and whatever it dominates, the
-    /// point dominates too. So the working front ends holding exactly
-    /// the non-dominated candidates, which are re-offered in slice order
+    /// of their lower bounds, into a working front, and skips a slice, or
+    /// a run of `N_pre` values in one `N_wr` column, when a point of that
+    /// front strictly dominates its bound's energy and delay: every
+    /// skipped candidate is then strictly dominated by that point, and
+    /// whatever it dominates, the point dominates too. So the working
+    /// front ends holding exactly the non-dominated candidates, whatever
+    /// order they were offered in, and they are re-offered in slice order
     /// (slice, then `N_pre`, then `N_wr`) into the returned front.
     ///
     /// # Errors
@@ -560,18 +646,14 @@ impl<'a> Search<'a> {
         &self,
         capacity: Capacity,
     ) -> Result<(ParetoFront<DesignPoint>, SearchStatistics), CooptError> {
-        let slices = self.slices(capacity);
+        let orgs = self.organizations(capacity);
         let mut working = Dominance {
             front: ParetoFront::new(),
         };
-        let (stats, _) = self.walk_best_first(&slices, &mut working)?;
-        record_candidates(&stats);
+        let (stats, ..) = self.walk_best_first(&orgs, &mut working)?;
 
         let mut survivors = working.front.points().to_vec();
-        survivors.sort_by_key(|p| {
-            let (slice, point) = p.tag;
-            (slice, point.n_pre, point.n_wr)
-        });
+        survivors.sort_by_key(|p| walk_order(p.tag.0, &p.tag.1));
         let front = survivors
             .into_iter()
             .map(|p| ParetoPoint {
@@ -679,7 +761,8 @@ mod tests {
             .run(Capacity::from_bytes(4096), &EnergyDelayProduct)
             .unwrap();
         let full_run = started.elapsed();
-        let slice_count = search(&fx).slices(Capacity::from_bytes(4096)).len();
+        let slice_count = search(&fx).organizations(Capacity::from_bytes(4096)).len()
+            * fx.space.vssc_values().len();
         assert!(slice_count > 1, "need a multi-slice space for this test");
         let slice_budget = full_run / slice_count as u32;
 
@@ -823,6 +906,60 @@ mod tests {
         let s = out.stats;
         assert_eq!(s.examined, s.feasible + s.infeasible);
         assert_eq!(s.feasible, s.evaluated + s.eval_errors + s.pruned);
+    }
+
+    /// The delay in whole 5 ps steps: its least score ties across
+    /// `N_pre` and `N_wr` within a slice.
+    struct DelaySteps;
+
+    impl Objective for DelaySteps {
+        fn score(&self, metrics: &ArrayMetrics) -> f64 {
+            (metrics.delay / Time::from_picoseconds(5.0)).floor()
+        }
+
+        fn name(&self) -> &'static str {
+            "delay in 5 ps steps"
+        }
+    }
+
+    #[test]
+    fn a_tie_within_a_slice_goes_to_the_first_candidate_in_slice_order() {
+        // One slice, 64 x 128 at V_SSC = 0, over the whole fin box. Its
+        // least-score candidates are first at (10, 2) in slice order but
+        // at (12, 1) in the order the bisection visits them (N_wr
+        // outer), so only the tie-break on the place in slice order
+        // returns the brute force's first minimum.
+        let fx = fixture();
+        let space = DesignSpace::paper_default()
+            .with_vssc_values(vec![Voltage::ZERO])
+            .with_rows_range(64, 64);
+        let constraint = YieldConstraint::paper_delta(fx.cell.vdd());
+        let search = Search::new(&fx.cell, &fx.periphery, &fx.params, &space, constraint, 64);
+        let out = search.run(Capacity::from_bytes(1024), &DelaySteps).unwrap();
+
+        let org = ArrayOrganization::new(64, 128, 64).unwrap();
+        let slice = ArrayModel::new(org, &fx.cell, &fx.periphery, &fx.params)
+            .slice()
+            .unwrap();
+        let mut scored = Vec::new();
+        slice.sweep(&space.npre_values(), &space.nwr_values(), |p, w, m| {
+            scored.push((DelaySteps.score(m), p, w));
+        });
+        let least = scored.iter().map(|s| s.0).fold(f64::INFINITY, f64::min);
+        let ties: Vec<(u32, u32)> = scored
+            .iter()
+            .filter(|s| s.0 == least)
+            .map(|s| (s.1, s.2))
+            .collect();
+        let slice_first = ties.iter().min().copied();
+        let column_first = ties.iter().min_by_key(|&&(p, w)| (w, p)).copied();
+        assert_eq!(slice_first, Some((10, 2)), "{ties:?}");
+        assert_eq!(column_first, Some((12, 1)), "{ties:?}");
+        assert_eq!(
+            (out.best.organization, out.best.n_pre, out.best.n_wr),
+            (org, 10, 2)
+        );
+        assert_eq!(out.score.to_bits(), least.to_bits());
     }
 
     #[test]

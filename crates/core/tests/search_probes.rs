@@ -21,7 +21,14 @@ const SLICES: u64 = 35;
 /// Candidates the Pareto walk evaluates of the coarse 1 KB HVT space's
 /// 1,120: the walk is serial and its order and skips follow from the
 /// slice bounds, so the count is exact.
-const EVALUATED_BY_THE_FRONT: usize = 160;
+const EVALUATED_BY_THE_FRONT: usize = 28;
+
+/// Lower bounds (runs of the relaxed Table-3 body) the EDP search of the
+/// coarse 1 KB HVT space evaluates, exact for the same reason.
+const BOUNDS_BY_THE_SEARCH: u64 = 87;
+
+/// Lower bounds the Pareto walk of the same space evaluates.
+const BOUNDS_BY_THE_FRONT: u64 = 191;
 
 fn counter(diff: &Snapshot, name: &str) -> u64 {
     diff.counters.get(name).copied().unwrap_or(0)
@@ -84,6 +91,11 @@ fn search_probes_equal_search_statistics() {
         );
         assert_probes_match(&diff, &out.stats);
         assert_eq!(diff.gauges.get("coopt.best_score"), Some(&out.score));
+        assert_eq!(out.bounds as u64, BOUNDS_BY_THE_SEARCH);
+        assert_eq!(
+            counter(&diff, "coopt.bounds_evaluated"),
+            BOUNDS_BY_THE_SEARCH
+        );
         pruned.push(out.stats);
     }
     assert_eq!(pruned[0], pruned[1], "the work does not depend on threads");
@@ -104,6 +116,10 @@ fn search_probes_equal_search_statistics() {
         stats.evaluated + stats.eval_errors + stats.pruned
     );
     assert_walk_probes_match(&diff, &stats);
+    assert_eq!(
+        counter(&diff, "coopt.bounds_evaluated"),
+        BOUNDS_BY_THE_FRONT
+    );
     assert_eq!(counter(&diff, "coopt.searches"), 0);
 
     // No V_SSC meets a 1 V margin: every candidate is yield-infeasible.
@@ -124,4 +140,9 @@ fn search_probes_equal_search_statistics() {
         ..SearchStatistics::default()
     };
     assert_probes_match(&diff, &stats);
+    assert_eq!(
+        counter(&diff, "coopt.bounds_evaluated"),
+        0,
+        "nothing to bound"
+    );
 }

@@ -184,6 +184,7 @@ pub const PROBES: &[ProbeRow] = &[
     row("cluster.trace.stitched", Counter, Cluster, At("crates/bench/src/soak/trace.rs")),
     row("cluster.trace.stitched_spans", Counter, Cluster, At("crates/bench/src/soak/trace.rs")),
     row("coopt.best_score", Gauge, Core, At("crates/core/tests/search_probes.rs")),
+    row("coopt.bounds_evaluated", Counter, Core, At("crates/core/tests/search_probes.rs")),
     row("coopt.candidate_eval_errors", Counter, Core, At("crates/core/tests/search_probes.rs")),
     row("coopt.candidates_evaluated", Counter, Core, At("crates/core/tests/search_probes.rs")),
     row("coopt.candidates_examined", Counter, Core, At("crates/core/tests/search_probes.rs")),
